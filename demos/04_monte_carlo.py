@@ -2,11 +2,14 @@
 
 The rate formulas are asymptotic; at blocklength n the erasure counts
 fluctuate around their means.  The simulator samples erasures per
-receiver and segment, decodes with the MDS abstraction (a payload of b
-bits survives iff at least b symbols arrive unerased), runs the
-one-time-pad and XOR-peeling arithmetic on integer indices, and reports
-the worst-case error rate over demands.  The epsilon backoff chosen at
-build time is exactly the concentration margin.
+receiver and segment and decodes with the MDS abstraction (a payload of
+b bits survives iff at least b symbols arrive unerased, counted
+cumulatively over a receiver's units in a segment).  A receiver succeeds
+iff every wanted part it lacks in cache has a decoded provider unit, as
+given by the verifier's peel rule; pads and XOR partners cancel exactly,
+so their values never matter.  The report gives the worst-case error
+rate over demands.  The epsilon backoff chosen at build time is exactly
+the concentration margin.
 
 Run:  python3 demos/04_monte_carlo.py
 """

@@ -30,12 +30,11 @@ class Curve1D:
     """Piecewise-linear concave nondecreasing curve.
 
     ``vertices`` have strictly increasing M, strictly increasing R and
-    nonincreasing slopes; with ``flat_extension`` the value right of the
-    last vertex stays at the last R.
+    nonincreasing slopes; the value right of the last vertex stays at the
+    last R.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    flat_extension: bool = True
 
     def to_csv(self) -> str:
         lines = ["M,R"]
@@ -87,15 +86,13 @@ def eval_hull_1d(curve: Curve1D, M: float) -> float:
     """Evaluate the curve at memory M (linear interpolation).
 
     Raises :class:`BelowDomain` left of the first vertex; beyond the last
-    vertex the final rate is returned when the curve is flat-extended.
+    vertex the final rate is returned (flat extension).
     """
     vs = curve.vertices
     if M < vs[0][0] - TOL:
         raise BelowDomain(f"M={M} below curve domain start {vs[0][0]}")
     if M >= vs[-1][0]:
-        if curve.flat_extension or M <= vs[-1][0] + TOL:
-            return vs[-1][1]
-        raise BelowDomain(f"M={M} beyond curve domain end {vs[-1][0]}")
+        return vs[-1][1]
     for (m1, r1), (m2, r2) in zip(vs, vs[1:]):
         if M <= m2:
             if m2 == m1:

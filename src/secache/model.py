@@ -24,8 +24,6 @@ TOL = 1e-12
 
 class Provenance(enum.Enum):
     LOWER_CORNER = "LowerCorner"
-    UPPER_BOUND = "UpperBound"
-    HULL_INTERIOR = "HullInterior"
 
 
 @dataclass(frozen=True)

@@ -1050,45 +1050,39 @@ BUILDERS = {
 # verification
 # ---------------------------------------------------------------------------
 
-def _demand_vectors(s: ChannelScenario, seed: int = 20240611, extra: int = 1000):
-    """Demand coverage: exhaustive when D^K is small, else the distinct
-    stress demand plus a seeded random sample."""
-    import random
+def deliveries(plan: SchemePlan, receiver: int) -> dict[str, list[tuple[int, int]]]:
+    """The peel rule: which units hand ``receiver`` which part, once decoded.
 
-    if s.D**s.K <= 10**6:
-        yield from itertools.product(range(1, s.D + 1), repeat=s.K)
-        return
-    yield tuple(range(1, s.K + 1))  # distinct-demand worst case
-    rng = random.Random(seed)
-    for _ in range(extra):
-        yield tuple(rng.randint(1, s.D) for _ in range(s.K))
-
-
-def _recoverable(plan: SchemePlan, receiver: int) -> dict[str, float]:
-    """Labels receiver can peel from the schedule, assuming successful
-    channel decoding (demand-independent: placement is per-file)."""
+    Maps each part label to the (segment index, unit index) pairs that
+    deliver it.  A unit qualifies when the receiver carries load in it and
+    holds its pad keys and decoder context; the part sits at the receiver's
+    slot (in an XOR it must be the only part whose label the receiver
+    lacks); and the part rate equals the receiver's message rate for that
+    label.  Pads and known XOR partners cancel exactly, so only this
+    structure, never their values, decides what a decoded unit yields.
+    Placement is per file, so the answer holds for every demand.
+    """
     cached = plan.cached_labels(receiver)
-    virtual = plan.virtual_cached.get(receiver, frozenset())
-    have = cached | virtual
-    out: dict[str, float] = {}
-    for seg in plan.schedule:
-        for unit in seg.units:
+    have = cached | plan.virtual_cached.get(receiver, frozenset())
+    rates = dict(plan.message_parts.get(receiver, ()))
+    out: dict[str, list[tuple[int, int]]] = {}
+    for si, seg in enumerate(plan.schedule):
+        for ui, unit in enumerate(seg.units):
             if unit.decode_load.get(receiver, 0.0) <= 0.0:
                 continue
             if any(k not in cached for k in unit.pad_keys):
                 continue
             if any(c not in have for c in unit.context.get(receiver, ())):
                 continue
-            for idx, (slot, label) in enumerate(unit.parts):
-                if slot != receiver:
+            picks = range(len(unit.parts))
+            if unit.combine == "xor":
+                picks = [i for i in picks if unit.parts[i][1] not in have]
+                if len(picks) != 1:
                     continue
-                if unit.combine == "xor":
-                    others = [
-                        lb for sl, lb in unit.parts if (sl, lb) != (slot, label)
-                    ]
-                    if any(lb not in have for lb in others):
-                        continue
-                out[label] = unit.part_rates[idx]
+            for i in picks:
+                slot, label = unit.parts[i]
+                if slot == receiver and unit.part_rates[i] == rates.get(label):
+                    out.setdefault(label, []).append((si, ui))
     return out
 
 
@@ -1096,8 +1090,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
     RATE     every segment/receiver decode load strictly below capacity
-    DECODE   cache + peeled deliveries tile each demanded message, for
-             every demand vector in the coverage policy
+    DECODE   cache + peeled deliveries tile each demanded message, and
+             no XOR merges two contributions under any demand
     SECRECY  per segment, keys + bins cover min(payload, eavesdropper
              capacity) up to 1e-12
     CACHE    per-receiver occupancy within the claimed memory + 1e-12
@@ -1137,12 +1131,12 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     # DECODE
     decode_ok = True
     decode_detail = ""
-    recov = {r: _recoverable(plan, r) for r in range(1, s.K + 1)}
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        delivered = deliveries(plan, r)
         total = 0.0
         for label, rate in plan.message_parts.get(r, ()):
-            if label in have or label in recov[r]:
+            if label in have or label in delivered:
                 total += rate
             else:
                 decode_ok = False
@@ -1158,31 +1152,21 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             )
             break
     if decode_ok:
-        # demand sweep: within any XOR the (message, label) pairs must stay
-        # distinct, else contributions merge.  Units whose part labels are
-        # pairwise distinct can never collide for any demand, so only the
-        # remaining ones need the per-demand scan.
-        risky = []
+        # Within one XOR the (message, label) pairs must stay distinct, else
+        # contributions merge.  A repeated label merges under the all-ones
+        # demand (every slot asks for file 1); distinct labels never do.
         for seg in plan.schedule:
-            for unit in seg.units:
-                if unit.combine != "xor" or len(unit.parts) < 2:
-                    continue
-                labels = [label for _, label in unit.parts]
-                if len(set(labels)) != len(labels):
-                    risky.append((seg.id, unit))
-        if risky:
-            for d in _demand_vectors(s):
-                for seg_id, unit in risky:
-                    seen = {(d[slot - 1], label) for slot, label in unit.parts}
-                    if len(seen) != len(unit.parts):
-                        decode_ok = False
-                        decode_detail = (
-                            f"demand {d}: merged contributions in segment "
-                            f"{seg_id}"
-                        )
-                        break
-                if not decode_ok:
-                    break
+            if any(
+                unit.combine == "xor"
+                and len({label for _, label in unit.parts}) < len(unit.parts)
+                for unit in seg.units
+            ):
+                decode_ok = False
+                decode_detail = (
+                    f"demand {(1,) * s.K}: merged contributions in segment "
+                    f"{seg.id}"
+                )
+                break
     checks.append(CheckResult("DECODE", decode_ok, 0.0, decode_detail))
 
     # SECRECY

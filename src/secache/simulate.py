@@ -4,8 +4,12 @@ Channel model: per receiver and segment, the number of unerased symbols
 is Binomial(segment length, 1 - delta).  Decoding uses the MDS
 abstraction: the payloads a receiver must resolve in a segment decode
 iff the unerased count reaches the (cumulative) payload size in bits.
-Message parts and pads are integer indices; encoding is modular addition
-(one-time-pad style), so reconstruction failures are exact mismatches.
+Which decoded unit hands a receiver which message part is the static peel
+rule of :func:`secache.schemes.deliveries`: one-time pads and known XOR
+partners cancel exactly, so their values never decide an outcome.  Each
+receiver's provider sets are compiled once per run; a trial fails iff
+some receiver lacks a wanted part in its cache and none of that part's
+providers decoded.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, demand index, trial index), so results are bit-identical for a
@@ -29,11 +33,9 @@ import numpy as np
 
 from .errors import ConfigError, RangeError
 from .model import ChannelScenario, validate_scenario
-from .schemes import SchemePlan
+from .schemes import SchemePlan, deliveries
 
 GENERATOR_NAME = "philox4x64"
-#: Index arithmetic stays in exact integer range (doubles never touched).
-MAX_INDEX_BITS = 52
 
 
 def otp_encrypt(w: int, key: int, modulus: int) -> int:
@@ -118,29 +120,12 @@ def _demands(s: ChannelScenario, cfg: SimConfig) -> list[tuple[int, ...]]:
     raise ConfigError(f"unknown demand policy {policy!r}")
 
 
-def _part_bits(rate: float, n: int) -> int:
-    return max(1, min(ceil(rate * n), MAX_INDEX_BITS))
-
-
 def _trial_rng(seed: int, demand_idx: int, trial: int) -> np.random.Generator:
     bitgen = np.random.Philox(
         counter=[trial, demand_idx, 0, 0],
         key=[seed & (2**64 - 1), 0x9E3779B97F4A7C15],
     )
     return np.random.Generator(bitgen)
-
-
-class _ValueStore:
-    """Planted integers for message parts and per-(unit, part) pads."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._vals: dict[tuple, int] = {}
-
-    def get(self, key: tuple, bits: int) -> int:
-        if key not in self._vals:
-            self._vals[key] = int(self._rng.integers(0, 2**bits))
-        return self._vals[key]
 
 
 def run_monte_carlo(
@@ -150,10 +135,9 @@ def run_monte_carlo(
 
     Per trial: erasure counts are sampled per (receiver, segment); a
     receiver decodes the units it is loaded with in schedule order while
-    the unerased count covers the cumulative payload bits; decoded units
-    are stripped of pads and peeled against cache content; an error is
-    any receiver whose reassembled demanded message differs from the
-    planted one.
+    the unerased count covers the cumulative payload bits; an error is any
+    receiver with a wanted part that is neither cached nor handed over by
+    a decoded unit (see :func:`secache.schemes.deliveries`).
     """
     validate_scenario(s)
     n = cfg.n
@@ -166,6 +150,36 @@ def run_monte_carlo(
             )
         seg_lengths.append(length)
 
+    # Receivers with load per segment; each trial draws their erasures in
+    # this (set iteration) order, so it must not change between trials.
+    seg_receivers = []
+    # Cumulative MDS threshold of each (receiver, segment idx, unit idx):
+    # units decode in schedule order, driven by the receiver's own load.
+    threshold: dict[tuple[int, int, int], int] = {}
+    for si, seg in enumerate(plan.schedule):
+        receivers = set()
+        cum: dict[int, int] = {}
+        for ui, unit in enumerate(seg.units):
+            for r, load in unit.decode_load.items():
+                if load <= 0:
+                    continue
+                receivers.add(r)
+                cum[r] = cum.get(r, 0) + ceil(load * n)
+                threshold[(r, si, ui)] = cum[r]
+        seg_receivers.append(receivers)
+
+    # Each wanted part a receiver lacks, with its providers' thresholds.
+    needs: list[tuple[int, list[tuple[int, int]]]] = []
+    for r in range(1, s.K + 1):
+        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        providers = deliveries(plan, r)
+        for label, _ in plan.message_parts.get(r, ()):
+            if label not in have:
+                needs.append((r, [
+                    (si, threshold[(r, si, ui)])
+                    for si, ui in providers.get(label, ())
+                ]))
+
     demands = _demands(s, cfg)
     per_demand = []
     worst = 0.0
@@ -176,10 +190,17 @@ def run_monte_carlo(
         errors = 0
         for trial in range(cfg.trials):
             rng = _trial_rng(cfg.seed, d_idx, trial)
-            store = _ValueStore(rng)
-            if _run_one_trial(
-                plan, s, demand, n, seg_lengths, rng, store,
-                seg_erasures, seg_samples, d_idx == 0,
+            unerased: dict[tuple[int, int], int] = {}
+            for si, receivers in enumerate(seg_receivers):
+                for r in receivers:
+                    got = int(rng.binomial(seg_lengths[si], 1.0 - s.erasure_of(r)))
+                    unerased[(r, si)] = got
+                    if d_idx == 0 and seg_lengths[si] > 0:
+                        seg_erasures[si] += 1.0 - got / seg_lengths[si]
+                        seg_samples[si] += 1
+            if any(
+                not any(unerased[(r, si)] >= thr for si, thr in providers)
+                for r, providers in needs
             ):
                 errors += 1
         rate = errors / cfg.trials
@@ -207,131 +228,3 @@ def run_monte_carlo(
         per_demand=per_demand,
         segment_stats=stats,
     )
-
-
-def _run_one_trial(
-    plan: SchemePlan,
-    s: ChannelScenario,
-    demand: tuple[int, ...],
-    n: int,
-    seg_lengths: list[int],
-    rng: np.random.Generator,
-    store: _ValueStore,
-    seg_erasures: list[float],
-    seg_samples: list[int],
-    collect_stats: bool,
-) -> bool:
-    """Returns True when at least one receiver fails."""
-
-    def part_value(slot: int, label: str, bits: int) -> int:
-        return store.get(("msg", demand[slot - 1], label, bits), bits)
-
-    def pad_value(seg_id, unit_idx: int, key: str, bits: int) -> int:
-        return store.get(("pad", seg_id, unit_idx, key, bits), bits)
-
-    # Per-receiver, per-segment unerased symbol counts (the erasure draw
-    # is shared by every unit in the segment).
-    unerased: dict[tuple[int, int], int] = {}
-    for si, seg in enumerate(plan.schedule):
-        receivers = set()
-        for unit in seg.units:
-            receivers.update(r for r, ld in unit.decode_load.items() if ld > 0)
-        for r in receivers:
-            delta = s.erasure_of(r)
-            got = int(rng.binomial(seg_lengths[si], 1.0 - delta))
-            unerased[(r, si)] = got
-            if collect_stats and seg_lengths[si] > 0:
-                seg_erasures[si] += 1.0 - got / seg_lengths[si]
-                seg_samples[si] += 1
-
-    # Channel decoding: cumulative MDS thresholds per (receiver, segment),
-    # driven by each receiver's own decode load (restricted decoders carry
-    # less than the full codebook; bins are already inside the load).
-    decoded: set[tuple[int, int, int]] = set()  # (receiver, seg idx, unit idx)
-    for si, seg in enumerate(plan.schedule):
-        cum: dict[int, int] = {}
-        for ui, unit in enumerate(seg.units):
-            for r, load in unit.decode_load.items():
-                if load <= 0:
-                    continue
-                cum[r] = cum.get(r, 0) + ceil(load * n)
-                if unerased[(r, si)] >= cum[r]:
-                    decoded.add((r, si, ui))
-
-    failed = False
-    for r in range(1, s.K + 1):
-        cached = plan.cached_labels(r)
-        virtual = plan.virtual_cached.get(r, frozenset())
-        have = cached | virtual
-        wanted = plan.message_parts.get(r, ())
-        got: dict[str, int] = {}
-        for si, seg in enumerate(plan.schedule):
-            for ui, unit in enumerate(seg.units):
-                if (r, si, ui) not in decoded:
-                    continue
-                if any(k not in cached for k in unit.pad_keys):
-                    continue
-                if any(c not in have for c in unit.context.get(r, ())):
-                    continue
-                if unit.combine == "concat":
-                    for pi, (slot, label) in enumerate(unit.parts):
-                        if slot != r:
-                            continue
-                        bits = _part_bits(unit.part_rates[pi], n)
-                        mod = 2**bits
-                        sent = part_value(slot, label, bits)
-                        for key in unit.pad_keys:
-                            sent = otp_encrypt(
-                                sent, pad_value(seg.id, ui, key, bits) % mod, mod
-                            )
-                        val = sent
-                        for key in reversed(unit.pad_keys):
-                            val = otp_decrypt(
-                                val, pad_value(seg.id, ui, key, bits) % mod, mod
-                            )
-                        got[label] = val
-                else:  # xor: modular sum of equal-width parts plus pads
-                    bits = _part_bits(unit.part_rates[0], n)
-                    mod = 2**bits
-                    mine = [
-                        (slot, label)
-                        for slot, label in unit.parts
-                        if slot == r and label not in have
-                    ]
-                    if not mine:
-                        continue
-                    others_known = all(
-                        label in have
-                        for slot, label in unit.parts
-                        if (slot, label) not in mine
-                    )
-                    if not others_known:
-                        continue
-                    total = 0
-                    for slot, label in unit.parts:
-                        total = (total + part_value(slot, label, bits)) % mod
-                    for key in unit.pad_keys:
-                        total = otp_encrypt(
-                            total, pad_value(seg.id, ui, key, bits) % mod, mod
-                        )
-                    # receiver side: strip pads, subtract known parts
-                    val = total
-                    for key in unit.pad_keys:
-                        val = otp_decrypt(
-                            val, pad_value(seg.id, ui, key, bits) % mod, mod
-                        )
-                    for slot, label in unit.parts:
-                        if (slot, label) not in mine:
-                            val = (val - part_value(slot, label, bits)) % mod
-                    got[mine[0][1]] = val
-        for label, rate in wanted:
-            bits = _part_bits(rate, n)
-            truth = part_value(r, label, bits)
-            if label in have:
-                continue  # cache lookup is exact by construction
-            if label not in got or got[label] != truth:
-                failed = True
-                break
-        if failed:
-            break
-    return failed

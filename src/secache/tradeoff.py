@@ -8,6 +8,7 @@ the regimes where the two provably meet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isinf
 
 from . import bounds, corners, hull
 from .errors import NotApplicable
@@ -112,7 +113,10 @@ class RegimeClaim:
             "name": self.name,
             "applicable": self.applicable,
             "description": self.description,
-            "interval": None if self.interval is None else list(self.interval),
+            # an unbounded end is null: strict JSON has no Infinity
+            "interval": None if self.interval is None else [
+                None if isinf(v) else v for v in self.interval
+            ],
             "max_deviation": self.max_deviation,
             "exact": self.exact,
             "note": self.note,

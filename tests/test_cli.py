@@ -201,12 +201,17 @@ def test_simulate_bad_eps(fig3_file, capsys):
     assert rc == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_regimes_fig3(capsys):
     rc = main(["regimes", "--preset", "fig3"])
     assert rc == 0
-    obj = json.loads(capsys.readouterr().out)
-    names = {c["name"] for c in obj["claims"]}
-    assert "weak-only-small-memory" in names
+    obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    claims = {c["name"]: c for c in obj["claims"]}
+    assert "weak-only-small-memory" in claims
+    assert claims["weak-only-large-memory"]["interval"][1] is None  # unbounded
 
 
 def test_curve_surface_slice(tmp_path, fig3_file):

@@ -302,3 +302,23 @@ def test_builders_registry_complete():
         "symmetric-piggyback",
         "wiretap-cached-keys",
     ]
+
+
+@pytest.mark.parametrize("D", [3, 100000])
+def test_repeated_xor_label_fails_decode_for_any_library(D):
+    # Both receivers ask for file 1 under the all-ones demand, so an XOR of
+    # (1, "full") and (2, "full") merges their contributions.  A sampled
+    # demand sweep (D^K > 10^6) almost never draws that demand.
+    s = ChannelScenario(K_w=1, K_s=1, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=D)
+    plan = build_cached_keys_all(s, 1e-3)
+    seg0 = plan.schedule[0]
+    R = plan.claimed_point.R
+    extra = dataclasses.replace(
+        seg0.units[0], parts=((1, "full"), (2, "full")), part_rates=(R, R)
+    )
+    bad_seg = dataclasses.replace(seg0, units=seg0.units + (extra,))
+    bad = dataclasses.replace(plan, schedule=(bad_seg,) + plan.schedule[1:])
+    assert verify_plan(plan, s).check("DECODE").passed
+    check = verify_plan(bad, s).check("DECODE")
+    assert not check.passed
+    assert check.detail == f"demand (1, 1): merged contributions in segment {seg0.id}"

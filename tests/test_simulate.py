@@ -10,10 +10,12 @@ from secache import (
     SimConfig,
     build_cached_keys_all,
     build_piggyback_one,
+    build_symmetric_piggyback,
     build_wiretap_cached_keys,
     otp_decrypt,
     otp_encrypt,
     run_monte_carlo,
+    verify_plan,
 )
 
 
@@ -142,3 +144,22 @@ def test_random_demand_policy(fig3):
     rep = run_monte_carlo(plan, fig3, cfg)
     assert len(rep.per_demand) == 8  # canonical + 7 sampled
     assert rep.per_demand[0]["demand"] == list(range(1, fig3.K + 1))
+
+
+def test_verifier_and_simulator_share_the_peel_rule():
+    # Receiver 1 loses the context key of its row unit toward receiver 3,
+    # the only unit that delivers part Br[3]: the verifier must reject the
+    # plan and the simulator must fail every trial even with ample slack.
+    s = ChannelScenario(K_w=2, K_s=2, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=5)
+    plan = build_symmetric_piggyback(s, 1, 1, 0.01)
+    cfg = SimConfig(n=100000, trials=50, seed=1)
+    assert verify_plan(plan, s).passed
+    assert run_monte_carlo(plan, s, cfg).worst_case_error_rate == 0.0
+
+    placement = dict(plan.placement)
+    placement[1] = tuple(a for a in placement[1] if a.label != "Ks[1,3]")
+    bad = dataclasses.replace(plan, placement=placement)
+    check = verify_plan(bad, s).check("DECODE")
+    assert not check.passed
+    assert check.detail == "receiver 1 cannot obtain part 'Br[3]'"
+    assert run_monte_carlo(bad, s, cfg).worst_case_error_rate == 1.0
