@@ -9,9 +9,9 @@ Two bound families are evaluated for every sub-population choice
   shared along a receiver chain; a max-min over a ``beta`` simplex, with
   cache contributions ``alpha_i`` accumulated by :func:`alpha_sequence`.
 
-:func:`ub_best` minimises over all choices (and, when ``M_s = 0``, also
-over the weak-only specialisation :func:`ub_weak_only`).
-:func:`ub_global` bounds the budget-optimised tradeoff.
+:func:`ub_best` minimises over all choices.  :func:`ub_weak_only` is the
+``M_s = 0`` specialisation and :func:`ub_global` bounds the
+budget-optimised tradeoff.
 
 Division conventions, applied literally: ``min{a/0, b} = b``,
 ``min{a/0, b/0} = +inf``, and a minimum over an empty set is ``+inf``.
@@ -32,9 +32,6 @@ _INF = float("inf")
 class BoundFamily(enum.Enum):
     SPLIT = "split"                      # secrecy split over (k_w, k_s)
     CACHE_SHARING = "cache-sharing"      # non-secure cache-sharing chain
-    NONSECURE_SUM = "nonsecure-sum"      # weak-only: inverse-sum capacity + local gain
-    SPLIT_WEAK_ONLY = "split-weak-only"  # weak-only specialisation of SPLIT
-    GLOBAL_BUDGET = "global-budget"      # total-budget converse
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,13 @@ def alpha_sequence(
     k = k_w + k_s
     pool = k * (k_w * c.M_w + k_s * c.M_s) / s.D
     alphas: list[float] = []
-    for i in range(1, k_w + 1):
-        local = i * c.M_w / (s.D - i + 1)
-        shared = (pool - sum(alphas)) / (k - i + 1)
+    total = 0.0
+    for i in range(1, k + 1):
+        n_w = min(i, k_w)
+        local = (n_w * c.M_w + (i - n_w) * c.M_s) / (s.D - i + 1)
+        shared = (pool - total) / (k - i + 1)
         alphas.append(min(local, shared))
-    for j in range(1, k_s + 1):
-        local = (k_w * c.M_w + j * c.M_s) / (s.D - k_w - j + 1)
-        shared = (pool - sum(alphas)) / (k_s - j + 1)
-        alphas.append(min(local, shared))
+        total += alphas[-1]
     return alphas
 
 
@@ -158,55 +154,30 @@ def ub_cache_sharing(
         min{ min_i [(1-dw) beta_i + alpha_i],
              min_j [(1-ds) beta_{k_w+j} + alpha_{k_w+j}] }.
 
-    Solved by bisection on the target value t: the budget needed to push
-    every term up to t is
-        f(t) = sum_i (t - alpha_i)^+/(1-dw) + sum_j (t - alpha_j)^+/(1-ds),
-    which is nondecreasing, so the optimum is the largest t with
-    f(t) <= 1.  A vanishing capacity factor (delta = 1) caps t at the
-    smallest alpha of that population.
+    The budget needed to push every term with capacity factor c_i > 0 up
+    to a target t is f(t) = sum_i (t - alpha_i)^+ / c_i, a nondecreasing
+    piecewise-linear function, so the optimum is its root f(t) = 1 found
+    exactly by water-filling over the sorted alphas.  A vanishing capacity
+    factor (delta = 1) caps t at the smallest alpha of that population.
     """
     validate_scenario(s)
     _check_subpopulation(s, k_w, k_s)
     alphas = alpha_sequence(s, c, k_w, k_s)
-    a_weak, a_strong = alphas[:k_w], alphas[k_w:]
-    cw, cs = 1.0 - s.delta_w, 1.0 - s.delta_s
+    factors = [1.0 - s.delta_w] * k_w + [1.0 - s.delta_s] * k_s
 
-    cap = _INF
-    if k_w > 0 and cw == 0.0:
-        cap = min(cap, min(a_weak))
-    if k_s > 0 and cs == 0.0:
-        cap = min(cap, min(a_strong))
-
-    def budget(t: float) -> float:
-        need = 0.0
-        if cw > 0.0:
-            need += sum(pos(t - a) for a in a_weak) / cw
-        if cs > 0.0:
-            need += sum(pos(t - a) for a in a_strong) / cs
-        return need
-
-    lo = 0.0
-    hi = max(alphas) + max(cw, cs)
-    if cap < _INF:
-        hi = min(hi, cap)
-    if cap < _INF and budget(cap) <= 1.0:
-        t_star = cap
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if budget(mid) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= TOL:
-                break
-        t_star = lo
+    t_star = min((a for a, cf in zip(alphas, factors) if cf == 0.0), default=_INF)
+    levels = sorted((a, 1.0 / cf) for a, cf in zip(alphas, factors) if cf > 0.0)
+    slope = offset = 0.0
+    for idx, (a, w) in enumerate(levels):
+        slope += w
+        offset += a * w
+        root = (1.0 + offset) / slope
+        if idx + 1 == len(levels) or root <= levels[idx + 1][0]:
+            t_star = min(t_star, root)
+            break
 
     # Reconstruct the witness simplex point.
-    betas = []
-    for idx, a in enumerate(alphas):
-        cf = cw if idx < k_w else cs
-        betas.append(pos(t_star - a) / cf if cf > 0.0 else 0.0)
+    betas = [pos(t_star - a) / cf if cf else 0.0 for a, cf in zip(alphas, factors)]
     slack = 1.0 - sum(betas)
     if betas and slack > 0.0:
         betas[-1] += slack  # spare budget is free to park anywhere
@@ -227,33 +198,33 @@ def ub_weak_only(s: ChannelScenario, M_w: float, k_w: int) -> float:
     validate_scenario(s)
     if not (0 <= k_w <= s.K_w):
         raise IndexOutOfRange(f"k_w={k_w} outside 0..{s.K_w}")
-    inv = 0.0
-    if k_w > 0 and s.delta_w < 1.0:
-        inv += k_w / (1.0 - s.delta_w)
-    elif k_w > 0:  # delta_w == 1: infinite cost, zero capacity share
-        inv = _INF
-    if s.K_s > 0 and s.delta_s < 1.0:
-        inv += s.K_s / (1.0 - s.delta_s)
-    elif s.K_s > 0:
-        inv = _INF
-    sum_term = (0.0 if inv == _INF else (1.0 / inv if inv > 0 else _INF)) + (
-        k_w * M_w / s.D
+    if k_w == 0 and s.K_s == 0:
+        return _INF
+    # delta = 1: infinite cost, zero capacity share
+    inv = sum(
+        n / (1.0 - d) if d < 1.0 else _INF
+        for n, d in ((k_w, s.delta_w), (s.K_s, s.delta_s))
+        if n > 0
     )
-    if k_w == 0 and s.K_s == 0:
-        sum_term = _INF
-    cache = CacheSizes(M_w, 0.0)
-    if k_w == 0 and s.K_s == 0:
-        split_term = _INF
-    else:
-        split_term = ub_split(s, cache, k_w, s.K_s).value
-    return min(sum_term, split_term)
+    sum_term = 1.0 / inv + k_w * M_w / s.D
+    return min(sum_term, ub_split(s, CacheSizes(M_w, 0.0), k_w, s.K_s).value)
 
 
 def ub_best(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
     """Tightest upper bound: minimum over all (k_w, k_s) and families.
 
-    When ``M_s = 0`` the weak-only family is intersected as well.  The
-    sweep order is deterministic so the returned witness is stable.
+    The sweep order is deterministic so the returned witness is stable.
+
+    At ``M_s = 0`` the result never exceeds :func:`ub_weak_only`, so that
+    bound needs no pass of its own.  Its split term is the sweep's
+    ``ub_split(k_w, K_s)``.  Its inverse-sum term ``t = 1/W + k_w M_w/D``
+    (``W = sum_i w_i``, ``w_i = 1/c_i``) is never below the sweep's
+    ``ub_cache_sharing(k_w, K_s)``: the alphas are nondecreasing, the
+    weights nonincreasing (``delta_w >= delta_s``) and ``sum alpha <= pool
+    = k k_w M_w/D``, so by Chebyshev's sum inequality ``sum_i alpha_i w_i
+    <= k_w M_w W/D`` and the budget ``f(t) >= t W - sum_i alpha_i w_i``
+    is at least 1.  With a vanishing capacity factor the cache-sharing
+    value is at most ``alpha_1 <= k_w M_w/D``.
     """
     validate_scenario(s)
     best: Optional[UpperBoundReport] = None
@@ -265,15 +236,6 @@ def ub_best(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
                 rep = fn(s, c, k_w, k_s)
                 if best is None or rep.value < best.value - TOL:
                     best = rep
-    if c.M_s == 0.0:
-        for k_w in range(s.K_w + 1):
-            if k_w == 0 and s.K_s == 0:
-                continue
-            val = ub_weak_only(s, c.M_w, k_w)
-            if best is None or val < best.value - TOL:
-                best = UpperBoundReport(
-                    val, BoundFamily.SPLIT_WEAK_ONLY, k_w, s.K_s, None
-                )
     assert best is not None
     return best
 
@@ -282,17 +244,13 @@ def ub_global(s: ChannelScenario, M_tot: float) -> float:
     """Converse for the total-cache-budget tradeoff.
 
     Value: max_{beta in [0,1]} min{ [beta (dz-dw)^+ + M_tot] / K_w ,
-           [beta (dz-dw)^+ + (1-beta)(dz-ds)^+ + M_tot] / K }.
-    The first term is dropped when ``K_w = 0``.
+           [beta (dz-dw)^+ + (1-beta)(dz-ds)^+ + M_tot] / K },
+    which is :func:`ub_split` over the full population with the budget
+    spread over the weak caches (over the strong caches when ``K_w = 0``,
+    where the first term is dropped).
     """
     validate_scenario(s)
     if M_tot < 0:
         raise IndexOutOfRange(f"M_tot must be >= 0, got {M_tot}")
-    aw = pos(s.delta_z - s.delta_w)
-    as_ = pos(s.delta_z - s.delta_s)
-    lines = []
-    if s.K_w > 0:
-        lines.append((aw / s.K_w, M_tot / s.K_w))
-    lines.append(((aw - as_) / s.K, (as_ + M_tot) / s.K))
-    value, _ = _maximize_affine_min(lines)
-    return value
+    cache = CacheSizes(M_tot / s.K_w, 0.0) if s.K_w else CacheSizes(0.0, M_tot / s.K_s)
+    return ub_split(s, cache, s.K_w, s.K_s).value

@@ -917,12 +917,17 @@ def build_symmetric_piggyback(
     aw_plus = _subsets(weak, t_w + 1)
     bs_subsets = _subsets(strong, t_s)
     bs_plus = _subsets(strong, t_s + 1)
+    # Each subset label is formatted once; the loops below reuse it many times.
+    A = {G: _lbl("A", G) for G in aw_subsets}
+    B = {Gs: _lbl("B", Gs) for Gs in bs_subsets}
+    Kw1 = {H: _lbl("Kw1", H) for H in aw_plus}
+    Ks1 = {Hs: _lbl("Ks1", Hs) for Hs in bs_plus}
 
     key_rates: dict[str, float] = {}
     for H in aw_plus:
-        key_rates[_lbl("Kw1", H)] = RK1
+        key_rates[Kw1[H]] = RK1
     for Hs in bs_plus:
-        key_rates[_lbl("Ks1", Hs)] = RK2
+        key_rates[Ks1[Hs]] = RK2
     for i in weak:
         for j in strong:
             key_rates[_lbl("Kw", (i, j))] = RK3
@@ -931,9 +936,9 @@ def build_symmetric_piggyback(
     placement: dict[int, tuple[Atom, ...]] = {}
     virtual: dict[int, frozenset] = {}
     for i in weak:
-        atoms = [Atom("file_part", _lbl("A", G), a) for G in aw_subsets if i in G]
+        atoms = [Atom("file_part", A[G], a) for G in aw_subsets if i in G]
         atoms += [
-            Atom("key", _lbl("Kw1", H), RK1, per_file=False)
+            Atom("key", Kw1[H], RK1, per_file=False)
             for H in aw_plus
             if i in H
         ]
@@ -944,9 +949,9 @@ def build_symmetric_piggyback(
         # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
         virtual[i] = frozenset({_lbl("Ar", [i])})
     for j in strong:
-        atoms = [Atom("file_part", _lbl("B", Gs), b) for Gs in bs_subsets if j in Gs]
+        atoms = [Atom("file_part", B[Gs], b) for Gs in bs_subsets if j in Gs]
         atoms += [
-            Atom("key", _lbl("Ks1", Hs), RK2, per_file=False)
+            Atom("key", Ks1[Hs], RK2, per_file=False)
             for Hs in bs_plus
             if j in Hs
         ]
@@ -961,9 +966,9 @@ def build_symmetric_piggyback(
         lam1 = beta1 / comb(Kw, t_w + 1)
         for H in aw_plus:
             unit = DeliveryUnit(
-                parts=tuple((i, _lbl("A", tuple(x for x in H if x != i))) for i in H),
+                parts=tuple((i, A[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
                 part_rates=(a,) * len(H),
-                pad_keys=(_lbl("Kw1", H),),
+                pad_keys=(Kw1[H],),
                 intended=frozenset(H),
                 decode_load={i: a for i in H},
             )
@@ -992,21 +997,19 @@ def build_symmetric_piggyback(
         lam3 = beta3 / comb(Ks, t_s + 1)
         for Hs in bs_plus:
             unit = DeliveryUnit(
-                parts=tuple(
-                    (j, _lbl("B", tuple(x for x in Hs if x != j))) for j in Hs
-                ),
+                parts=tuple((j, B[Hs[:k] + Hs[k + 1:]]) for k, j in enumerate(Hs)),
                 part_rates=(b,) * len(Hs),
-                pad_keys=(_lbl("Ks1", Hs),),
+                pad_keys=(Ks1[Hs],),
                 intended=frozenset(Hs),
                 decode_load={j: b for j in Hs},
             )
             segments.append(DeliverySegment((3, Hs), lam3, (unit,)))
 
-    mp_weak = tuple((_lbl("A", G), a) for G in aw_subsets) + tuple(
+    mp_weak = tuple((A[G], a) for G in aw_subsets) + tuple(
         (_lbl("Br", [j]), br) for j in strong
     )
     mp_strong = tuple((_lbl("Ar", [i]), ar) for i in weak) + tuple(
-        (_lbl("B", Gs), b) for Gs in bs_subsets
+        (B[Gs], b) for Gs in bs_subsets
     )
     message_parts = {i: mp_weak for i in weak}
     message_parts |= {j: mp_strong for j in strong}

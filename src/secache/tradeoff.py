@@ -39,9 +39,15 @@ def separate_curve(s: ChannelScenario) -> hull.Curve1D:
     return hull.upper_hull_1d([(p.M_w, p.R) for p in pts])
 
 
+def _weak_only_applies(s: ChannelScenario) -> bool:
+    """Whether the weak-only corner family exists (see
+    :func:`corners.points_weak_only`)."""
+    return s.delta_z > s.delta_s and s.K_w >= 1
+
+
 def _surface_points(s: ChannelScenario) -> list[RateMemoryPoint]:
     pts = list(corners.points_all_cached(s))
-    if s.delta_z > s.delta_s and s.K_w >= 1:
+    if _weak_only_applies(s):
         pts += corners.points_weak_only(s)
     return pts
 
@@ -66,7 +72,7 @@ def global_curve(s: ChannelScenario) -> hull.Curve1D:
     """
     validate_scenario(s)
     mapped: list[tuple[float, float]] = []
-    if s.delta_z > s.delta_s and s.K_w >= 1:
+    if _weak_only_applies(s):
         for p in corners.points_weak_only(s):
             mapped.append((s.K_w * p.M_w, p.R))
     else:
@@ -155,7 +161,7 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
     """
     validate_scenario(s)
     rep = RegimeReport()
-    weak_ok = s.delta_z > s.delta_s and s.K_w >= 1
+    weak_ok = _weak_only_applies(s)
     if s.delta_z <= s.delta_s:
         rep.notes.append(
             "weak-only results gated off: delta_z <= delta_s, so caches at "
@@ -247,17 +253,10 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
             )
         )
 
-        if s.delta_z > s.delta_s:
-            m1 = next(
-                p for p in corners.points_weak_only(s) if p.label == "cached-keys"
-            ).M_w
-            end = s.K_w * m1
-            r0 = zero_cache_capacity(s)
-            slope = (s.delta_z - s.delta_s) / (
-                s.K_w * (s.delta_z - s.delta_s)
-                + s.K_s * max(0.0, s.delta_z - s.delta_w)
-            )
-            ref = lambda m: r0 + slope * m
+        if weak_ok:
+            # the weak-only small-memory line (r0, slope above) per unit of budget
+            end = s.K_w * pts["cached-keys"].M_w
+            ref = lambda m: r0 + slope / s.K_w * m
         else:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K

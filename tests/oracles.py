@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the production code paths: the simplex oracle
-is a grid search (no bisection), the mixture oracle is a grid search
-over triple supports (no linear algebra), and the entropy inverse is a
-dense scan.  Grid resolution h bounds the value error by h times the
-largest capacity factor, which the comparing tests account for.
+is a grid search, the cache-sharing reference is a bisection on the
+water level (production solves for it in closed form), the mixture oracle
+is a grid search over triple supports (no linear algebra), and the
+entropy inverse is a dense scan.  Grid resolution h bounds the value
+error by h times the largest capacity factor, which the comparing tests
+account for.
 """
 
 from __future__ import annotations
@@ -62,6 +64,55 @@ def simplex_grid_maxmin(alphas, caps, step):
             best = max(best, float(vals[ok].max()))
         return best
     raise ValueError("oracle supports at most 4 simplex dimensions")
+
+
+def cache_sharing_bisection(alphas, k_w, cw, cs, tol=1e-12):
+    """Water level of the cache-sharing max-min over the beta simplex.
+
+    Bisection on the target value t: the budget needed to push every term
+    up to t is
+        f(t) = sum_i (t - alpha_i)^+/cw + sum_j (t - alpha_j)^+/cs,
+    which is nondecreasing, so the optimum is the largest t with
+    f(t) <= 1.  A vanishing capacity factor (delta = 1) caps t at the
+    smallest alpha of that population.  The first ``k_w`` alphas belong to
+    weak receivers (factor ``cw``), the rest to strong ones (``cs``).
+    Returns a t with f(t) <= 1 within ``tol`` below the optimum.
+    """
+    a_weak, a_strong = alphas[:k_w], alphas[k_w:]
+    k_s = len(a_strong)
+
+    def pos(x):
+        return x if x > 0.0 else 0.0
+
+    cap = float("inf")
+    if k_w > 0 and cw == 0.0:
+        cap = min(cap, min(a_weak))
+    if k_s > 0 and cs == 0.0:
+        cap = min(cap, min(a_strong))
+
+    def budget(t):
+        need = 0.0
+        if cw > 0.0:
+            need += sum(pos(t - a) for a in a_weak) / cw
+        if cs > 0.0:
+            need += sum(pos(t - a) for a in a_strong) / cs
+        return need
+
+    lo = 0.0
+    hi = max(alphas) + max(cw, cs)
+    if cap < float("inf"):
+        hi = min(hi, cap)
+    if cap < float("inf") and budget(cap) <= 1.0:
+        return cap
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if budget(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return lo
 
 
 def lambda_grid_best(points, M_w, M_s, step):

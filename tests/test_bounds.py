@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import affine_maxmin_grid, simplex_grid_maxmin
+from oracles import affine_maxmin_grid, cache_sharing_bisection, simplex_grid_maxmin
 from secache import (
     CacheSizes,
     ChannelScenario,
@@ -112,7 +112,83 @@ def test_cache_sharing_matches_grid_oracle_random():
         caps = [1 - s.delta_w] * k_w + [1 - s.delta_s] * k_s
         oracle = simplex_grid_maxmin(alphas, caps, step=1e-3)
         assert rep.value == pytest.approx(oracle, abs=2e-3), (trial, s)
-        assert rep.value >= oracle - 1e-9  # bisection dominates any grid point
+        assert rep.value >= oracle - 1e-9  # the exact optimum dominates any grid point
+
+
+def _boundary_scenario(rng, max_k):
+    """A random valid scenario whose erasures are drawn from {0, 1, uniform}."""
+    def erasure():
+        return rng.choice((0.0, 1.0, round(rng.random(), 6)))
+
+    K_w = rng.randint(0, max_k - 1)
+    K_s = rng.randint(0 if K_w else 1, max_k - K_w)
+    delta_s, delta_w = sorted((erasure(), erasure()))
+    D = K_w + K_s + rng.randint(1, 6)
+    return ChannelScenario(K_w, K_s, delta_w, delta_s, erasure(), D)
+
+
+def _random_cache(rng):
+    def memory():
+        small, large = round(rng.uniform(0.0, 0.2), 6), round(rng.uniform(0.0, 3.0), 6)
+        return rng.choice((0.0, small, large))
+
+    return CacheSizes(memory(), memory())
+
+
+def test_cache_sharing_matches_bisection_reference():
+    rng = random.Random(4242)
+    for trial in range(400):
+        s = _boundary_scenario(rng, 24)
+        cache = _random_cache(rng)
+        k_w = rng.randint(0 if s.K_s else 1, s.K_w)
+        k_s = rng.randint(0 if k_w else 1, s.K_s)
+        rep = ub_cache_sharing(s, cache, k_w, k_s)
+        ref = cache_sharing_bisection(
+            alpha_sequence(s, cache, k_w, k_s), k_w, 1.0 - s.delta_w, 1.0 - s.delta_s
+        )
+        assert ref <= rep.value <= ref + 1e-12, (trial, s, cache, k_w, k_s)
+
+
+def test_cache_sharing_matches_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(777)
+    for trial in range(60):
+        s = _boundary_scenario(rng, 8)
+        cache = _random_cache(rng)
+        k_w = rng.randint(0 if s.K_s else 1, s.K_w)
+        k_s = rng.randint(0 if k_w else 1, s.K_s)
+        alphas = alpha_sequence(s, cache, k_w, k_s)
+        caps = [1.0 - s.delta_w] * k_w + [1.0 - s.delta_s] * k_s
+        k = len(alphas)
+        # variables (beta_1..beta_k, t): maximize t subject to
+        # t - c_i beta_i <= alpha_i, sum(beta) = 1, beta >= 0
+        a_ub = [
+            [-c if j == i else 0.0 for j in range(k)] + [1.0] for i, c in enumerate(caps)
+        ]
+        lp = optimize.linprog(
+            c=[0.0] * k + [-1.0],
+            A_ub=a_ub,
+            b_ub=alphas,
+            A_eq=[[1.0] * k + [0.0]],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * k + [(None, None)],
+        )
+        assert lp.status == 0, (trial, lp.message)
+        rep = ub_cache_sharing(s, cache, k_w, k_s)
+        assert rep.value == pytest.approx(-lp.fun, abs=1e-9), (trial, s, k_w, k_s)
+
+
+def test_ub_best_never_above_weak_only_at_zero_strong_cache(fig3, fig4, fig5):
+    # why ub_best needs no weak-only pass of its own (see its docstring)
+    rng = random.Random(99)
+    cases = [(s, m) for s in (fig3, fig4, fig5) for m in (0.0, 0.01, 0.05, 0.3, 2.0)]
+    for _ in range(150):
+        s = _boundary_scenario(rng, 12)
+        cases.append((s, _random_cache(rng).M_w))
+    for s, m_w in cases:
+        best = ub_best(s, CacheSizes(m_w, 0.0)).value
+        for k_w in range(s.K_w + 1):
+            assert ub_weak_only(s, m_w, k_w) >= best - 1e-12, (s, m_w, k_w)
 
 
 def test_cache_sharing_2x2_coarse_grid(fig3):
