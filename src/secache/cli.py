@@ -11,10 +11,11 @@ import argparse
 import json
 import sys
 
-from . import bounds, schemes, simulate, tradeoff
+from . import bounds, hull, schemes, simulate, tradeoff
 from .errors import (
     ConfigError,
     IndexOutOfRange,
+    Infeasible,
     InvalidParameter,
     InvalidScenario,
     NotApplicable,
@@ -52,8 +53,8 @@ def _parse_grid(text: str) -> list[float]:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise InvalidParameter(f"grid must be 'start:stop:step', got {text!r}")
-    if step <= 0 or b < a:
-        raise InvalidParameter(f"bad grid {text!r}")
+    if step <= 0 or b < a or a < 0:
+        raise InvalidParameter(f"bad grid {text!r} (memory grids start at >= 0)")
     out = []
     k = 0
     while True:
@@ -73,8 +74,14 @@ def cmd_bounds(args) -> int:
     s = _load_scenario(args)
     cache = CacheSizes(args.mw, args.ms)
     upper = bounds.ub_best(s, cache)
-    lower = tradeoff.lower_surface_all(s, args.mw, args.ms)
-    print(json.dumps({"upper": upper.to_dict(), "lower": lower}, indent=2))
+    surface = tradeoff.two_budget_surface(s)
+    lower = surface(args.mw, args.ms)
+    mixture = [
+        {"label": label, "weight": weight}
+        for label, weight in surface.mixture(args.mw, args.ms)
+    ]
+    print(json.dumps({"upper": upper.to_dict(), "lower": lower,
+                      "lower_mixture": mixture}, indent=2))
     return EXIT_OK
 
 
@@ -90,32 +97,39 @@ def cmd_curve(args) -> int:
             joint = sep = None
         rows.append("M,R_lower_joint,R_lower_separate,R_upper")
         for m in grid:
-            lo = 0.0 if joint is None else tradeoff.hull.eval_hull_1d(joint, m)
-            lo_sep = None if sep is None else tradeoff.hull.eval_hull_1d(sep, m)
+            lo = 0.0 if joint is None else hull.eval_hull_1d(joint, m)
+            lo_sep = None if sep is None else hull.eval_hull_1d(sep, m)
             up = bounds.ub_best(s, CacheSizes(m, 0.0)).value
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up)}")
     elif args.mode == "surface-slice":
         rows.append("M,R_lower,R_upper")
+        surface = tradeoff.two_budget_surface(s)
         for m in grid:
-            lo = tradeoff.lower_surface_all(s, m, args.ms)
+            lo = surface(m, args.ms)
             up = bounds.ub_best(s, CacheSizes(m, args.ms)).value
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(up)}")
     elif args.mode == "global":
         rows.append("M_tot,R_glob,R_weak_only,R_uniform,R_nonsecure_note")
+        glob = tradeoff.global_curve(s)
+        weak = None
+        if s.K_w > 0:
+            try:
+                weak = tradeoff.weak_only_curve(s)
+            except NotApplicable:  # rate 0, as in lower_curve_weak_only
+                weak = hull.Curve1D(((0.0, 0.0),))
+        uni = tradeoff.uniform_curve(s)
         for m in grid:
-            glob = tradeoff.lower_global(s, m)
-            weak = (
-                tradeoff.lower_curve_weak_only(s, m / s.K_w)
-                if s.K_w > 0
-                else None
-            )
-            uni = tradeoff.lower_uniform(s, m)
+            r_weak = None if weak is None else hull.eval_hull_1d(weak, m / s.K_w)
             # non-secure column intentionally empty: out of scope here
-            rows.append(f"{_fmt(m)},{_fmt(glob)},{_fmt(weak)},{_fmt(uni)},")
+            rows.append(
+                f"{_fmt(m)},{_fmt(hull.eval_hull_1d(glob, m))},{_fmt(r_weak)},"
+                f"{_fmt(hull.eval_hull_1d(uni, m))},"
+            )
     elif args.mode == "uniform":
         rows.append("M_tot,R_uniform")
+        uni = tradeoff.uniform_curve(s)
         for m in grid:
-            rows.append(f"{_fmt(m)},{_fmt(tradeoff.lower_uniform(s, m))}")
+            rows.append(f"{_fmt(m)},{_fmt(hull.eval_hull_1d(uni, m))}")
     else:
         raise InvalidParameter(f"unknown mode {args.mode!r}")
     text = "\n".join(rows) + "\n"
@@ -235,7 +249,8 @@ def main(argv=None) -> int:
     except NotApplicable as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (InvalidScenario, InvalidParameter, IndexOutOfRange, ConfigError) as exc:
+    except (InvalidScenario, InvalidParameter, IndexOutOfRange, ConfigError,
+            Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

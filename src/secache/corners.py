@@ -11,7 +11,9 @@ Four generators:
 
 Points are emitted raw, with labels; dominated points are *not* pruned
 here (the hull module owns that).  Positive parts ``(x)^+ = max(0, x)``
-are applied exactly where the closed forms carry them.
+are applied exactly where the closed forms carry them.  A closed form
+whose (nonnegative) denominator vanishes at a boundary erasure has no
+point there and is skipped; the remaining points still lower-bound.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ def points_weak_only(s: ChannelScenario) -> list[RateMemoryPoint]:
         den = (Kw - t + 1) * (dz - ds) * (
             Ks * (t + 1) * (1 - dw) + (Kw - t) * md
         ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
+        if den == 0:  # K_s = 0 and delta_w = delta_s
+            continue
         rate = (
             (t + 1)
             * (1 - dw)
@@ -228,19 +232,22 @@ def points_all_cached(
     pts = [RateMemoryPoint(zero_cache_capacity(s), 0.0, 0.0, "no-cache")]
 
     den1 = Kw * (1 - ds) + Ks * (1 - dw)
-    pts.append(
-        RateMemoryPoint(
-            (1 - ds) * (1 - dw) / den1,
-            (1 - ds) * mzw / den1,
-            (1 - dw) * mzs / den1,
-            "all:cached-keys",
+    if den1 > 0:  # zero at delta_w = delta_s = 1
+        pts.append(
+            RateMemoryPoint(
+                (1 - ds) * (1 - dw) / den1,
+                (1 - ds) * mzw / den1,
+                (1 - dw) * mzs / den1,
+                "all:cached-keys",
+            )
         )
-    )
 
     for t in range(1, Kw):
         den = (Kw - t + 1) * (1 - ds) * (
             Ks * (t + 1) * (1 - dw) + (Kw - t) * (dw - ds)
         ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
+        if den == 0:  # delta_w = delta_s = 1
+            continue
         rate = (
             (t + 1) * (1 - dw) * (1 - ds)
             * (Ks * t * (1 - dw) + (Kw - t + 1) * (dw - ds))
@@ -266,6 +273,8 @@ def points_all_cached(
             ) * (1 - dw) * (
                 (Ks - t_s) * (1 - dw) + Kw * (t_s + 1) * (1 - ds)
             )
+            if den == 0:  # delta_w = 1 with t_w = K_w or delta_s = 1
+                continue
             ab = (t_w + 1) * (t_s + 1) * (1 - dw) * (1 - ds)
             rate = ab * (Ks * (1 - dw) + Kw * (1 - ds)) / den
             pair_key = ab * min(1.0 - dz, 2.0 - dw - ds)
@@ -306,11 +315,15 @@ def points_symmetric(s: ChannelScenario) -> list[RateMemoryPoint]:
     pts = [RateMemoryPoint(zero_cache_capacity(s), 0.0, 0.0, "sym[0]")]
 
     den1 = Kw * (1 - ds) + Ks * (1 - dw)
-    m1 = (1 - ds) * mzw / den1
-    pts.append(RateMemoryPoint((1 - dw) * (1 - ds) / den1, m1, m1, "sym[1]"))
+    if den1 > 0:  # zero at delta_w = delta_s = 1
+        m1 = (1 - ds) * mzw / den1
+        pts.append(RateMemoryPoint((1 - dw) * (1 - ds) / den1, m1, m1, "sym[1]"))
 
     for t in range(1, Ks):
+        # nonnegative since comb(K, t+1) > comb(Ks, t+1); zero at delta_s = 1
         den = comb(K, t + 1) * (1 - ds) - comb(Ks, t + 1) * (dw - ds)
+        if den == 0:
+            continue
         rate = comb(K, t) * (1 - dw) * (1 - ds) / den
         mem = (
             D * t * comb(K, t) * (1 - dw) * (1 - ds)

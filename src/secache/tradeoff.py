@@ -52,14 +52,18 @@ def _surface_points(s: ChannelScenario) -> list[RateMemoryPoint]:
     return pts
 
 
-def lower_surface_all(s: ChannelScenario, M_w: float, M_s: float) -> float:
-    """Achievable rate with caches (M_w, M_s) at weak/strong receivers.
-
-    Mixture LP over the all-cached triples, augmented with the weak-only
-    points whenever they exist (they remain valid with M_s = 0).
-    """
+def two_budget_surface(s: ChannelScenario) -> hull.Surface:
+    """The mixture LP over the all-cached triples, augmented with the
+    weak-only points whenever they exist (they remain valid with
+    M_s = 0), built once: call it with (M_w, M_s)."""
     validate_scenario(s)
-    return hull.eval_hull_2d(_surface_points(s), M_w, M_s)
+    return hull.Surface(_surface_points(s))
+
+
+def lower_surface_all(s: ChannelScenario, M_w: float, M_s: float) -> float:
+    """Achievable rate with caches (M_w, M_s) at weak/strong receivers
+    (one query of :func:`two_budget_surface`)."""
+    return two_budget_surface(s)(M_w, M_s)
 
 
 def global_curve(s: ChannelScenario) -> hull.Curve1D:
@@ -185,12 +189,13 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
 
     if weak_ok:
         pts = {p.label: p for p in corners.points_weak_only(s)}
+        weak = weak_only_curve(s)
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
         m1 = pts["cached-keys"].M_w
         dev = _certify(
             grid(0.0, m1),
-            lambda m: lower_curve_weak_only(s, m),
+            lambda m: hull.eval_hull_1d(weak, m),
             lambda m: bounds.ub_best(s, CacheSizes(m, 0.0)).value,
             lambda m: r0 + slope * m,
         )
@@ -211,7 +216,7 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
             flat = (s.delta_z - s.delta_s) / s.K_s
             dev = _certify(
                 grid(m_top, max(2.0 * m_lib, m_top + 1.0)),
-                lambda m: lower_curve_weak_only(s, m),
+                lambda m: hull.eval_hull_1d(weak, m),
                 lambda m: bounds.ub_best(s, CacheSizes(m, 0.0)).value,
                 lambda m: flat,
             )
@@ -234,10 +239,22 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
             )
         )
 
+    keys_pt = None
     if s.K_w >= 1 and s.K_s >= 1:
         keys_pt = next(
-            p for p in corners.points_all_cached(s) if p.label == "all:cached-keys"
+            (p for p in corners.points_all_cached(s) if p.label == "all:cached-keys"),
+            None,
         )
+        if keys_pt is None:
+            rep.claims.append(
+                RegimeClaim(
+                    name="all-cached-keys-point",
+                    applicable=False,
+                    description="not applicable: delta_w = delta_s = 1 leaves "
+                    "no cached-keys point",
+                )
+            )
+    if keys_pt is not None:
         lo = lower_surface_all(s, keys_pt.M_w, keys_pt.M_s)
         up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
         dev = max(abs(lo - up), abs(lo - keys_pt.R))
@@ -260,9 +277,10 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
         else:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K
+        glob = global_curve(s)
         dev = _certify(
             grid(0.0, end),
-            lambda m: lower_global(s, m),
+            lambda m: hull.eval_hull_1d(glob, m),
             lambda m: bounds.ub_global(s, m),
             ref,
         )

@@ -3,17 +3,24 @@
 These deliberately avoid the production code paths: the simplex oracle
 is a grid search, the cache-sharing reference is a bisection on the
 water level (production solves for it in closed form), the mixture oracle
-is a grid search over triple supports (no linear algebra), and the
-entropy inverse is a dense scan.  Grid resolution h bounds the value
-error by h times the largest capacity factor, which the comparing tests
-account for.
+is a grid search over triple supports (no linear algebra), the two-budget
+reference is the per-query support enumeration that production replaced
+by dual planes built once, and the entropy inverse is a dense scan.  Grid
+resolution h bounds the value error by h times the largest capacity
+factor, which the comparing tests account for.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
+
+from secache.errors import EmptyInput, Infeasible
+from secache.model import RateMemoryPoint
+
+_DET_TOL = 1e-12
 
 
 def simplex_grid_maxmin(alphas, caps, step):
@@ -158,3 +165,90 @@ def affine_maxmin_grid(lines, step=1e-6):
     ax = np.arange(0.0, 1.0 + step / 2, step)
     vals = np.minimum.reduce([a * ax + b for a, b in lines])
     return float(vals.max())
+
+
+def eval_hull_2d_enumeration(
+    points: Sequence[RateMemoryPoint], M_w: float, M_s: float
+) -> float:
+    """Best rate of any point mixture within both memory budgets.
+
+    Exact support enumeration: an optimal basic solution of the LP has at
+    most three positive weights (three rows: two budgets and the simplex
+    constraint), so singletons, pairs with one tight budget, and triples
+    with both budgets tight cover every vertex of the feasible region.
+    Batched with numpy (Cramer's rule for the 3x3 systems).
+    """
+    if len(points) == 0:
+        raise EmptyInput("eval_hull_2d_enumeration needs at least one point")
+    ftol = 1e-9
+    R = np.array([p.R for p in points])
+    Mw = np.array([p.M_w for p in points])
+    Ms = np.array([p.M_s for p in points])
+
+    # Pareto filter: drop points beaten in all three coordinates by
+    # another point (cuts the cubic enumeration; cannot change the LP).
+    n0 = len(points)
+    keep = np.ones(n0, dtype=bool)
+    for i in range(n0):
+        if not keep[i]:
+            continue
+        beaten = (
+            (R >= R[i])
+            & (Mw <= Mw[i])
+            & (Ms <= Ms[i])
+            & ((R > R[i]) | (Mw < Mw[i]) | (Ms < Ms[i]))
+        )
+        beaten[i] = False
+        if beaten.any():
+            keep[i] = False
+    R, Mw, Ms = R[keep], Mw[keep], Ms[keep]
+    n = len(R)
+
+    best = -np.inf
+    single = (Mw <= M_w + ftol) & (Ms <= M_s + ftol)
+    if single.any():
+        best = float(R[single].max())
+
+    if n >= 2:
+        ii, jj = np.triu_indices(n, k=1)
+        for cost, budget in ((Mw, M_w), (Ms, M_s)):
+            # lam_i cost_i + lam_j cost_j = budget, lam_i + lam_j = 1
+            denom = cost[ii] - cost[jj]
+            ok = np.abs(denom) > _DET_TOL
+            lam_i = np.where(ok, (budget - cost[jj]) / np.where(ok, denom, 1.0), -1.0)
+            lam_j = 1.0 - lam_i
+            feas = (
+                ok
+                & (lam_i >= -ftol)
+                & (lam_j >= -ftol)
+                & (lam_i * Mw[ii] + lam_j * Mw[jj] <= M_w + ftol)
+                & (lam_i * Ms[ii] + lam_j * Ms[jj] <= M_s + ftol)
+            )
+            if feas.any():
+                vals = lam_i * R[ii] + lam_j * R[jj]
+                best = max(best, float(vals[feas].max()))
+
+    if n >= 3:
+        idx = np.array(list(itertools.combinations(range(n), 3)))
+        a, b, c = idx[:, 0], idx[:, 1], idx[:, 2]
+        # rows: Mw-budget, Ms-budget, simplex; columns: the three points
+        w1, w2, w3 = Mw[a], Mw[b], Mw[c]
+        s1, s2, s3 = Ms[a], Ms[b], Ms[c]
+        det = (
+            w1 * (s2 - s3) - w2 * (s1 - s3) + w3 * (s1 - s2)
+        )
+        ok = np.abs(det) > _DET_TOL
+        safe = np.where(ok, det, 1.0)
+        l1 = (M_w * (s2 - s3) - w2 * (M_s - s3) + w3 * (M_s - s2)) / safe
+        l2 = (w1 * (M_s - s3) - M_w * (s1 - s3) + w3 * (s1 - M_s)) / safe
+        l3 = 1.0 - l1 - l2
+        feas = ok & (l1 >= -ftol) & (l2 >= -ftol) & (l3 >= -ftol)
+        if feas.any():
+            vals = l1 * R[a] + l2 * R[b] + l3 * R[c]
+            best = max(best, float(vals[feas].max()))
+
+    if not np.isfinite(best):
+        raise Infeasible(
+            f"no point mixture fits budgets (M_w={M_w}, M_s={M_s})"
+        )
+    return best

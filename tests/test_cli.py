@@ -237,3 +237,64 @@ def test_curve_surface_slice(tmp_path, fig3_file):
     for line in lines[1:]:
         m, lo, up = (float(x) for x in line.split(","))
         assert lo <= up + 1e-9
+
+
+BOUNDARY_ERASURES = (0.0, 0.3, 0.7, 1.0)
+BOUNDARY_COMMANDS = (
+    ["bounds", "--mw", "0.3", "--ms", "0.2"],
+    ["regimes"],
+    ["curve", "--mode", "global", "--grid", "0:3:0.5"],
+    ["curve", "--mode", "weak-only", "--grid", "0:1:0.25"],
+    ["curve", "--mode", "surface-slice", "--ms", "0.1", "--grid", "0:1:0.25"],
+    ["curve", "--mode", "uniform", "--grid", "0:3:0.5"],
+)
+
+
+def test_boundary_erasures_give_documented_outcomes(tmp_path, capsys):
+    """Every valid scenario with erasures in {0, .3, .7, 1} ends with exit
+    0, 2 or 3 (never a traceback), and JSON output is strict."""
+    path = tmp_path / "s.json"
+    runs = 0
+    for k_w, k_s in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 1)):
+        for d_s in BOUNDARY_ERASURES:
+            for d_w in (d for d in BOUNDARY_ERASURES if d >= d_s):
+                for d_z in BOUNDARY_ERASURES:
+                    sc = dict(K_w=k_w, K_s=k_s, delta_w=d_w, delta_s=d_s,
+                              delta_z=d_z, D=k_w + k_s + 3)
+                    path.write_text(json.dumps(sc))
+                    for cmd in BOUNDARY_COMMANDS:
+                        rc = main([cmd[0], "--scenario", str(path), *cmd[1:]])
+                        out = capsys.readouterr().out
+                        assert rc in (0, 2, 3), (sc, cmd)
+                        if rc == 0 and cmd[0] != "curve":
+                            json.loads(out, parse_constant=_reject_constant)
+                        runs += 1
+    assert runs == 5 * 10 * 4 * len(BOUNDARY_COMMANDS)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+@pytest.mark.parametrize("mw,ms", [(0.0, 0.0), (0.05, 0.02), (0.3, 0.0), (0.7, 0.4), (40.0, 40.0)])
+def test_bounds_lower_mixture_certifies_lower(preset, mw, ms, capsys):
+    from secache import ChannelScenario
+    from secache.cli import PRESETS
+    from secache.tradeoff import _surface_points
+
+    rc = main(["bounds", "--preset", preset, "--mw", str(mw), "--ms", str(ms)])
+    assert rc == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    by_label = {p.label: p for p in _surface_points(ChannelScenario(**PRESETS[preset]))}
+    mix = obj["lower_mixture"]
+    weights = [m["weight"] for m in mix]
+    points = [by_label[m["label"]] for m in mix]
+    assert all(w >= 0 for w in weights)
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert sum(w * p.M_w for w, p in zip(weights, points)) <= mw + 1e-12
+    assert sum(w * p.M_s for w, p in zip(weights, points)) <= ms + 1e-12
+    assert sum(w * p.R for w, p in zip(weights, points)) == pytest.approx(obj["lower"], abs=1e-12)
+
+
+@pytest.mark.parametrize("extra", [["--grid=-0.5:1:0.5"], ["--grid", "0:1:0.5", "--ms=-0.1"]])
+def test_curve_negative_memory_is_bad_input(fig3_file, extra, capsys):
+    rc = main(["curve", "--scenario", fig3_file, "--mode", "surface-slice", *extra])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
