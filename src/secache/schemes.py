@@ -210,6 +210,14 @@ def _lbl(prefix: str, group: Iterable[int]) -> str:
     return f"{prefix}[{','.join(map(str, group))}]"
 
 
+def _place(atoms: dict[int, list[Atom]], subsets, make) -> None:
+    """Append each subset's atom, made once, to every member's list."""
+    for G in subsets:
+        atom = make(G)
+        for i in G:
+            atoms[i].append(atom)
+
+
 def _check_eps(eps: float) -> None:
     if not (eps > 0.0):
         raise InvalidParameter(f"rate backoff eps must be > 0, got {eps}")
@@ -472,34 +480,27 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
     a_subsets = _subsets(weak, t - 1)
     b_subsets = _subsets(weak, t)
     k_subsets = _subsets(weak, t + 1)
+    A = {P: _lbl("A", P) for P in a_subsets}
+    B = {G: _lbl("B", G) for G in b_subsets}
+    K1 = {H: _lbl("K1", H) for H in k_subsets}
+    K2 = {G: _lbl("K2", G) for G in b_subsets}
 
-    key_rates: dict[str, float] = {}
-    placement: dict[int, tuple[Atom, ...]] = {}
-    for i in weak:
-        atoms = [Atom("file_part", _lbl("A", P), rA) for P in a_subsets if i in P]
-        if rB > 0:
-            atoms += [
-                Atom("file_part", _lbl("B", G), rB) for G in b_subsets if i in G
-            ]
-        for H in k_subsets:
-            if i in H:
-                atoms.append(Atom("key", _lbl("K1", H), RK1, per_file=False))
-        for G in b_subsets:
-            if i in G:
-                atoms.append(Atom("key", _lbl("K2", G), RK2, per_file=False))
-        placement[i] = tuple(atoms)
-    for H in k_subsets:
-        key_rates[_lbl("K1", H)] = RK1
-    for G in b_subsets:
-        key_rates[_lbl("K2", G)] = RK2
+    atoms: dict[int, list[Atom]] = {i: [] for i in weak}
+    _place(atoms, a_subsets, lambda P: Atom("file_part", A[P], rA))
+    if rB > 0:
+        _place(atoms, b_subsets, lambda G: Atom("file_part", B[G], rB))
+    _place(atoms, k_subsets, lambda H: Atom("key", K1[H], RK1, per_file=False))
+    _place(atoms, b_subsets, lambda G: Atom("key", K2[G], RK2, per_file=False))
+    placement = {i: tuple(atoms[i]) for i in weak}
+    key_rates = {K1[H]: RK1 for H in k_subsets} | {K2[G]: RK2 for G in b_subsets}
 
     segments = []
     if beta1 > 0 and rB > 0:
         units = tuple(
             DeliveryUnit(
-                parts=tuple((i, _lbl("B", tuple(x for x in H if x != i))) for i in H),
+                parts=tuple((i, B[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
                 part_rates=(rB,) * len(H),
-                pad_keys=(_lbl("K1", H),),
+                pad_keys=(K1[H],),
                 intended=frozenset(H),
                 decode_load={i: rB for i in weak},
             )
@@ -510,17 +511,17 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
         lam2 = beta2 / comb(Kw, t)
         for G in b_subsets:
             row = DeliveryUnit(
-                parts=tuple((i, _lbl("A", tuple(x for x in G if x != i))) for i in G),
+                parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
                 part_rates=(rA,) * len(G),
-                pad_keys=(_lbl("K2", G),),
+                pad_keys=(K2[G],),
                 bin_rate=Rbin,
                 intended=frozenset(G) | frozenset(strong),
                 decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
-                context={i: (_lbl("B", G),) for i in G} if rB > 0 else {},
+                context={i: (B[G],) for i in G} if rB > 0 else {},
             )
             cols = tuple(
                 DeliveryUnit(
-                    parts=((j, _lbl("B", G)),),
+                    parts=((j, B[G]),),
                     part_rates=(rB,),
                     intended=frozenset({j}),
                     decode_load={jj: rB for jj in strong},
@@ -534,7 +535,7 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
         for j in strong:
             bin_rate = lam3 * (1 - dz)
             unit = DeliveryUnit(
-                parts=tuple((j, _lbl("A", P)) for P in a_subsets),
+                parts=tuple((j, A[P]) for P in a_subsets),
                 part_rates=(rA,) * len(a_subsets),
                 combine="concat",
                 bin_rate=bin_rate,
@@ -543,8 +544,8 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
             )
             segments.append(DeliverySegment((3, j), lam3, (unit,)))
 
-    mp = tuple((_lbl("A", P), rA) for P in a_subsets if rA > 0) + tuple(
-        (_lbl("B", G), rB) for G in b_subsets if rB > 0
+    mp = tuple((A[P], rA) for P in a_subsets if rA > 0) + tuple(
+        (B[G], rB) for G in b_subsets if rB > 0
     )
     message_parts = {k: mp for k in range(1, s.K + 1)}
 
@@ -756,52 +757,42 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
     a_subsets = _subsets(weak, t - 1)
     b_subsets = _subsets(weak, t)
     k_subsets = _subsets(weak, t + 1)
+    A = {P: _lbl("A", P) for P in a_subsets}
+    B = {G: _lbl("B", G) for G in b_subsets}
+    K1 = {H: _lbl("K1", H) for H in k_subsets}
+    K2 = {G: _lbl("K2", G) for G in b_subsets}
+    K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in b_subsets}
+    K4 = {j: _lbl("K4", [j]) for j in strong}
 
-    key_rates: dict[str, float] = {}
-    for H in k_subsets:
-        key_rates[_lbl("K1", H)] = RK1
+    key_rates: dict[str, float] = {K1[H]: RK1 for H in k_subsets}
     for G in b_subsets:
-        key_rates[_lbl("K2", G)] = RK2
-        for j in strong:
-            key_rates[_lbl("K3", (j,) + G)] = RK3
-    for j in strong:
-        key_rates[_lbl("K4", [j])] = RK4
+        key_rates[K2[G]] = RK2
+        key_rates |= {k3: RK3 for k3 in K3[G]}
+    key_rates |= {K4[j]: RK4 for j in strong}
 
-    placement: dict[int, tuple[Atom, ...]] = {}
-    for i in weak:
-        atoms = [Atom("file_part", _lbl("A", P), rA) for P in a_subsets if i in P]
-        if rB > 0:
-            atoms += [
-                Atom("file_part", _lbl("B", G), rB) for G in b_subsets if i in G
-            ]
-        atoms += [
-            Atom("key", _lbl("K1", H), RK1, per_file=False)
-            for H in k_subsets
-            if i in H
-        ]
-        for G in b_subsets:
-            if i in G:
-                atoms.append(Atom("key", _lbl("K2", G), RK2, per_file=False))
-                atoms += [
-                    Atom("key", _lbl("K3", (j,) + G), RK3, per_file=False)
-                    for j in strong
-                ]
-        placement[i] = tuple(atoms)
-    for j in strong:
-        atoms = [Atom("key", _lbl("K4", [j]), RK4, per_file=False)]
-        atoms += [
-            Atom("key", _lbl("K3", (j,) + G), RK3, per_file=False)
-            for G in b_subsets
-        ]
-        placement[j] = tuple(atoms)
+    atoms: dict[int, list[Atom]] = {i: [] for i in weak}
+    atoms |= {j: [Atom("key", K4[j], RK4, per_file=False)] for j in strong}
+    _place(atoms, a_subsets, lambda P: Atom("file_part", A[P], rA))
+    if rB > 0:
+        _place(atoms, b_subsets, lambda G: Atom("file_part", B[G], rB))
+    _place(atoms, k_subsets, lambda H: Atom("key", K1[H], RK1, per_file=False))
+    for G in b_subsets:
+        k2 = Atom("key", K2[G], RK2, per_file=False)
+        k3 = [Atom("key", label, RK3, per_file=False) for label in K3[G]]
+        for i in G:
+            atoms[i].append(k2)
+            atoms[i] += k3
+        for j, atom in zip(strong, k3):
+            atoms[j].append(atom)
+    placement = {r: tuple(atoms[r]) for r in weak + strong}
 
     segments = []
     if beta1 > 0 and rB > 0:
         units = tuple(
             DeliveryUnit(
-                parts=tuple((i, _lbl("B", tuple(x for x in H if x != i))) for i in H),
+                parts=tuple((i, B[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
                 part_rates=(rB,) * len(H),
-                pad_keys=(_lbl("K1", H),),
+                pad_keys=(K1[H],),
                 intended=frozenset(H),
                 decode_load={i: rB for i in weak},
             )
@@ -811,43 +802,39 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
     lam2 = beta2 / comb(Kw, t)
     for G in b_subsets:
         row = DeliveryUnit(
-            parts=tuple((i, _lbl("A", tuple(x for x in G if x != i))) for i in G),
+            parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
             part_rates=(rA,) * len(G),
-            pad_keys=(_lbl("K2", G),),
+            pad_keys=(K2[G],),
             intended=frozenset(G) | frozenset(strong),
             decode_load={i: rA for i in G} | {j: rA for j in strong},
-            context={
-                i: ((_lbl("B", G),) if rB > 0 else ())
-                + tuple(_lbl("K3", (j,) + G) for j in strong)
-                for i in G
-            },
+            context={i: ((B[G],) if rB > 0 else ()) + K3[G] for i in G},
         )
         cols = tuple(
             DeliveryUnit(
-                parts=((j, _lbl("B", G)),),
+                parts=((j, B[G]),),
                 part_rates=(rB,),
-                pad_keys=(_lbl("K3", (j,) + G),),
+                pad_keys=(k3,),
                 intended=frozenset({j}),
                 decode_load={jj: rB for jj in strong},
             )
-            for j in strong
+            for j, k3 in zip(strong, K3[G])
             if rB > 0
         )
         segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
     lam3 = beta3 / Ks
     for j in strong:
         unit = DeliveryUnit(
-            parts=tuple((j, _lbl("A", P)) for P in a_subsets),
+            parts=tuple((j, A[P]) for P in a_subsets),
             part_rates=(rA,) * len(a_subsets),
             combine="concat",
-            pad_keys=(_lbl("K4", [j]),),
+            pad_keys=(K4[j],),
             intended=frozenset({j}),
             decode_load={j: RA},
         )
         segments.append(DeliverySegment((3, j), lam3, (unit,)))
 
-    mp = tuple((_lbl("A", P), rA) for P in a_subsets if rA > 0) + tuple(
-        (_lbl("B", G), rB) for G in b_subsets if rB > 0
+    mp = tuple((A[P], rA) for P in a_subsets if rA > 0) + tuple(
+        (B[G], rB) for G in b_subsets if rB > 0
     )
     message_parts = {k: mp for k in range(1, s.K + 1)}
 
@@ -917,49 +904,38 @@ def build_symmetric_piggyback(
     aw_plus = _subsets(weak, t_w + 1)
     bs_subsets = _subsets(strong, t_s)
     bs_plus = _subsets(strong, t_s + 1)
-    # Each subset label is formatted once; the loops below reuse it many times.
+    # Each label is formatted once; the loops below reuse it many times.
     A = {G: _lbl("A", G) for G in aw_subsets}
     B = {Gs: _lbl("B", Gs) for Gs in bs_subsets}
     Kw1 = {H: _lbl("Kw1", H) for H in aw_plus}
     Ks1 = {Hs: _lbl("Ks1", Hs) for Hs in bs_plus}
+    Kw_pair = {(i, j): _lbl("Kw", (i, j)) for i in weak for j in strong}
+    Ks_pair = {(i, j): _lbl("Ks", (i, j)) for i in weak for j in strong}
+    Ar = {i: _lbl("Ar", [i]) for i in weak}
+    Br = {j: _lbl("Br", [j]) for j in strong}
 
-    key_rates: dict[str, float] = {}
-    for H in aw_plus:
-        key_rates[Kw1[H]] = RK1
-    for Hs in bs_plus:
-        key_rates[Ks1[Hs]] = RK2
-    for i in weak:
-        for j in strong:
-            key_rates[_lbl("Kw", (i, j))] = RK3
-            key_rates[_lbl("Ks", (i, j))] = RK4
+    key_rates: dict[str, float] = {Kw1[H]: RK1 for H in aw_plus}
+    key_rates |= {Ks1[Hs]: RK2 for Hs in bs_plus}
+    for ij in Kw_pair:
+        key_rates[Kw_pair[ij]] = RK3
+        key_rates[Ks_pair[ij]] = RK4
 
-    placement: dict[int, tuple[Atom, ...]] = {}
-    virtual: dict[int, frozenset] = {}
-    for i in weak:
-        atoms = [Atom("file_part", A[G], a) for G in aw_subsets if i in G]
-        atoms += [
-            Atom("key", Kw1[H], RK1, per_file=False)
-            for H in aw_plus
-            if i in H
+    atoms: dict[int, list[Atom]] = {r: [] for r in weak + strong}
+    _place(atoms, aw_subsets, lambda G: Atom("file_part", A[G], a))
+    _place(atoms, aw_plus, lambda H: Atom("key", Kw1[H], RK1, per_file=False))
+    _place(atoms, bs_subsets, lambda Gs: Atom("file_part", B[Gs], b))
+    _place(atoms, bs_plus, lambda Hs: Atom("key", Ks1[Hs], RK2, per_file=False))
+    for ij in Kw_pair:
+        pair = [
+            Atom("key", Kw_pair[ij], RK3, per_file=False),
+            Atom("key", Ks_pair[ij], RK4, per_file=False),
         ]
-        for j in strong:
-            atoms.append(Atom("key", _lbl("Kw", (i, j)), RK3, per_file=False))
-            atoms.append(Atom("key", _lbl("Ks", (i, j)), RK4, per_file=False))
-        placement[i] = tuple(atoms)
-        # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
-        virtual[i] = frozenset({_lbl("Ar", [i])})
-    for j in strong:
-        atoms = [Atom("file_part", B[Gs], b) for Gs in bs_subsets if j in Gs]
-        atoms += [
-            Atom("key", Ks1[Hs], RK2, per_file=False)
-            for Hs in bs_plus
-            if j in Hs
-        ]
-        for i in weak:
-            atoms.append(Atom("key", _lbl("Kw", (i, j)), RK3, per_file=False))
-            atoms.append(Atom("key", _lbl("Ks", (i, j)), RK4, per_file=False))
-        placement[j] = tuple(atoms)
-        virtual[j] = frozenset({_lbl("Br", [j])})
+        atoms[ij[0]] += pair
+        atoms[ij[1]] += pair
+    placement = {r: tuple(atoms[r]) for r in weak + strong}
+    # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
+    virtual = {i: frozenset({Ar[i]}) for i in weak}
+    virtual |= {j: frozenset({Br[j]}) for j in strong}
 
     segments = []
     if beta1 > 0:
@@ -974,25 +950,25 @@ def build_symmetric_piggyback(
             )
             segments.append(DeliverySegment((1, H), lam1, (unit,)))
     lam2 = beta2 / (Kw * Ks)
-    for i in weak:
-        for j in strong:
-            row = DeliveryUnit(
-                parts=((i, _lbl("Br", [j])),),
-                part_rates=(br,),
-                pad_keys=(_lbl("Kw", (i, j)),),
-                intended=frozenset({i}),
-                decode_load={i: br},
-                context={i: (_lbl("Ks", (i, j)), _lbl("Ar", [i]))},
-            )
-            col = DeliveryUnit(
-                parts=((j, _lbl("Ar", [i])),),
-                part_rates=(ar,),
-                pad_keys=(_lbl("Ks", (i, j)),),
-                intended=frozenset({j}),
-                decode_load={j: ar},
-                context={j: (_lbl("Kw", (i, j)), _lbl("Br", [j]))},
-            )
-            segments.append(DeliverySegment((2, (i, j)), lam2, (row, col)))
+    for (i, j), kw in Kw_pair.items():
+        ks = Ks_pair[(i, j)]
+        row = DeliveryUnit(
+            parts=((i, Br[j]),),
+            part_rates=(br,),
+            pad_keys=(kw,),
+            intended=frozenset({i}),
+            decode_load={i: br},
+            context={i: (ks, Ar[i])},
+        )
+        col = DeliveryUnit(
+            parts=((j, Ar[i]),),
+            part_rates=(ar,),
+            pad_keys=(ks,),
+            intended=frozenset({j}),
+            decode_load={j: ar},
+            context={j: (kw, Br[j])},
+        )
+        segments.append(DeliverySegment((2, (i, j)), lam2, (row, col)))
     if beta3 > 0:
         lam3 = beta3 / comb(Ks, t_s + 1)
         for Hs in bs_plus:
@@ -1006,9 +982,9 @@ def build_symmetric_piggyback(
             segments.append(DeliverySegment((3, Hs), lam3, (unit,)))
 
     mp_weak = tuple((A[G], a) for G in aw_subsets) + tuple(
-        (_lbl("Br", [j]), br) for j in strong
+        (Br[j], br) for j in strong
     )
-    mp_strong = tuple((_lbl("Ar", [i]), ar) for i in weak) + tuple(
+    mp_strong = tuple((Ar[i], ar) for i in weak) + tuple(
         (B[Gs], b) for Gs in bs_subsets
     )
     message_parts = {i: mp_weak for i in weak}
@@ -1053,40 +1029,83 @@ BUILDERS = {
 # verification
 # ---------------------------------------------------------------------------
 
-def deliveries(plan: SchemePlan, receiver: int) -> dict[str, list[tuple[int, int]]]:
-    """The peel rule: which units hand ``receiver`` which part, once decoded.
+def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
+    """The peel rule: which units hand which receiver which part, once decoded.
 
-    Maps each part label to the (segment index, unit index) pairs that
-    deliver it.  A unit qualifies when the receiver carries load in it and
-    holds its pad keys and decoder context; the part sits at the receiver's
-    slot (in an XOR it must be the only part whose label the receiver
-    lacks); and the part rate equals the receiver's message rate for that
-    label.  Pads and known XOR partners cancel exactly, so only this
-    structure, never their values, decides what a decoded unit yields.
-    Placement is per file, so the answer holds for every demand.
+    Maps each receiver to ``{part label: [(segment index, unit index),
+    ...]}``, the units that deliver that part to it, in schedule order.
+    Part ``i`` of a unit goes to the receiver ``r`` at its slot, and only
+    to it, when ``r`` carries load in the unit and holds its pad keys and
+    decoder context; in an XOR, ``r`` lacks part ``i``'s label and holds
+    every other part's label (so part ``i`` is the one it peels); and the
+    part rate equals ``r``'s message rate for that label.  Pads and known
+    XOR partners cancel exactly, so only this structure, never their
+    values, decides what a decoded unit yields.  Placement is per file, so
+    the answer holds for every demand.
+
+    "Who holds label L" is an int bitmask over receivers: pad keys are
+    checked against placement alone, context and XOR partners against
+    placement plus ``virtual_cached``.  Prefix and suffix ANDs of the XOR
+    partners' masks make one pass over each unit's parts enough.
     """
-    cached = plan.cached_labels(receiver)
-    have = cached | plan.virtual_cached.get(receiver, frozenset())
-    rates = dict(plan.message_parts.get(receiver, ()))
-    out: dict[str, list[tuple[int, int]]] = {}
+    placed: dict[str, int] = {}
+    for r, atoms in plan.placement.items():
+        for a in atoms:
+            placed[a.label] = placed.get(a.label, 0) | 1 << r
+    have = dict(placed)
+    for r, labels in plan.virtual_cached.items():
+        for label in labels:
+            have[label] = have.get(label, 0) | 1 << r
+    # Receivers whose message rate for a label is the given rate; builders
+    # share one parts tuple among a class, so each distinct tuple is read once.
+    groups: dict[int, list] = {}
+    for r, parts in plan.message_parts.items():
+        groups.setdefault(id(parts), [parts, 0])[1] |= 1 << r
+    wants: dict[tuple[str, float], int] = {}
+    for parts, mask in groups.values():
+        for key in dict(parts).items():
+            wants[key] = wants.get(key, 0) | mask
+
+    out: dict[int, dict[str, list[tuple[int, int]]]] = {
+        r: {} for r in plan.message_parts
+    }
     for si, seg in enumerate(plan.schedule):
         for ui, unit in enumerate(seg.units):
-            if unit.decode_load.get(receiver, 0.0) <= 0.0:
+            pads = -1
+            for k in unit.pad_keys:
+                pads &= placed.get(k, 0)
+            if not pads:
                 continue
-            if any(k not in cached for k in unit.pad_keys):
-                continue
-            if any(c not in have for c in unit.context.get(receiver, ())):
-                continue
-            picks = range(len(unit.parts))
+            at = (si, ui)
+            parts = unit.parts
             if unit.combine == "xor":
-                picks = [i for i in picks if unit.parts[i][1] not in have]
-                if len(picks) != 1:
+                # peel[i]: receivers holding every label but part i's
+                masks = [have.get(label, 0) for _, label in parts]
+                peel = []
+                acc = -1
+                for m in masks:
+                    peel.append(acc & ~m)
+                    acc &= m
+                acc = -1
+                for i in range(len(masks) - 1, -1, -1):
+                    peel[i] &= acc
+                    acc &= masks[i]
+            else:
+                peel = [-1] * len(parts)
+            for i, (r, label) in enumerate(parts):
+                bit = 1 << r
+                ok = pads & peel[i]
+                for c in unit.context.get(r, ()):
+                    ok &= have.get(c, 0)
+                if not ok & bit or unit.decode_load.get(r, 0.0) <= 0.0:
                     continue
-            for i in picks:
-                slot, label = unit.parts[i]
-                if slot == receiver and unit.part_rates[i] == rates.get(label):
-                    out.setdefault(label, []).append((si, ui))
-    return out
+                if wants.get((label, unit.part_rates[i]), 0) & bit:
+                    got = out[r].get(label)
+                    if got is None:
+                        out[r][label] = [at]
+                    else:
+                        got.append(at)
+    return {r: got for r, got in out.items() if got}
 
 
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
@@ -1134,9 +1153,10 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     # DECODE
     decode_ok = True
     decode_detail = ""
+    delivered_to = deliveries(plan)
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
-        delivered = deliveries(plan, r)
+        delivered = delivered_to.get(r, {})
         total = 0.0
         for label, rate in plan.message_parts.get(r, ()):
             if label in have or label in delivered:

@@ -5,7 +5,10 @@ is a grid search, the cache-sharing reference is a bisection on the
 water level (production solves for it in closed form), the mixture oracle
 is a grid search over triple supports (no linear algebra), the two-budget
 reference is the per-query support enumeration that production replaced
-by dual planes built once, and the entropy inverse is a dense scan.  Grid
+by dual planes built once, the peel-rule and Monte-Carlo references are
+the per-receiver schedule scan and the scalar per-draw trial loop that
+production replaced by receiver bitmasks and a compiled threshold kernel,
+and the entropy inverse is a dense scan.  Grid
 resolution h bounds the value error by h times the largest capacity
 factor, which the comparing tests account for.
 """
@@ -13,12 +16,16 @@ factor, which the comparing tests account for.
 from __future__ import annotations
 
 import itertools
+import random as _random
+from math import ceil
 from typing import Sequence
 
 import numpy as np
 
-from secache.errors import EmptyInput, Infeasible
-from secache.model import RateMemoryPoint
+from secache.errors import ConfigError, EmptyInput, Infeasible
+from secache.model import ChannelScenario, RateMemoryPoint, validate_scenario
+from secache.schemes import SchemePlan
+from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
 
 _DET_TOL = 1e-12
 
@@ -252,3 +259,159 @@ def eval_hull_2d_enumeration(
             f"no point mixture fits budgets (M_w={M_w}, M_s={M_s})"
         )
     return best
+
+
+def deliveries_one_receiver(
+    plan: SchemePlan, receiver: int
+) -> dict[str, list[tuple[int, int]]]:
+    """The peel rule for one receiver, by a scan of the whole schedule.
+
+    Maps each part label to the (segment index, unit index) pairs that
+    deliver it.  A unit qualifies when the receiver carries load in it and
+    holds its pad keys and decoder context; the part sits at the receiver's
+    slot (in an XOR it must be the only part whose label the receiver
+    lacks); and the part rate equals the receiver's message rate for that
+    label.
+    """
+    cached = plan.cached_labels(receiver)
+    have = cached | plan.virtual_cached.get(receiver, frozenset())
+    rates = dict(plan.message_parts.get(receiver, ()))
+    out: dict[str, list[tuple[int, int]]] = {}
+    for si, seg in enumerate(plan.schedule):
+        for ui, unit in enumerate(seg.units):
+            if unit.decode_load.get(receiver, 0.0) <= 0.0:
+                continue
+            if any(k not in cached for k in unit.pad_keys):
+                continue
+            if any(c not in have for c in unit.context.get(receiver, ())):
+                continue
+            picks = range(len(unit.parts))
+            if unit.combine == "xor":
+                picks = [i for i in picks if unit.parts[i][1] not in have]
+                if len(picks) != 1:
+                    continue
+            for i in picks:
+                slot, label = unit.parts[i]
+                if slot == receiver and unit.part_rates[i] == rates.get(label):
+                    out.setdefault(label, []).append((si, ui))
+    return out
+
+
+def _demands_list(s: ChannelScenario, cfg: SimConfig) -> list[tuple[int, ...]]:
+    canonical = tuple(range(1, s.K + 1))
+    policy = cfg.demand_policy
+    if policy == "all-distinct":
+        return [canonical]
+    if policy == "exhaustive-if-small":
+        if s.D**s.K <= 10**6:
+            return list(itertools.product(range(1, s.D + 1), repeat=s.K))
+        return _demands_list(
+            s, SimConfig(cfg.n, cfg.trials, cfg.seed, "random:1000")
+        )
+    if policy.startswith("random:"):
+        count = int(policy.split(":", 1)[1])
+        rng = _random.Random(cfg.seed ^ 0x5EED)
+        out = [canonical]
+        for _ in range(count):
+            out.append(tuple(rng.randint(1, s.D) for _ in range(s.K)))
+        return out
+    raise ConfigError(f"unknown demand policy {policy!r}")
+
+
+def _trial_rng(seed: int, demand_idx: int, trial: int) -> np.random.Generator:
+    bitgen = np.random.Philox(
+        counter=[trial, demand_idx, 0, 0],
+        key=[seed & (2**64 - 1), 0x9E3779B97F4A7C15],
+    )
+    return np.random.Generator(bitgen)
+
+
+def monte_carlo_scalar(
+    plan: SchemePlan, s: ChannelScenario, cfg: SimConfig
+) -> SimReport:
+    """``run_monte_carlo`` with one scalar binomial draw per (receiver,
+    segment) per trial and a Python scan of every provider threshold."""
+    validate_scenario(s)
+    n = cfg.n
+    seg_lengths = []
+    for seg in plan.schedule:
+        length = round(seg.fraction * n)
+        if length == 0 and seg.units:
+            raise ConfigError(
+                f"segment {seg.id} rounds to zero channel uses at n={n}"
+            )
+        seg_lengths.append(length)
+
+    seg_receivers = []
+    threshold: dict[tuple[int, int, int], int] = {}
+    for si, seg in enumerate(plan.schedule):
+        receivers = set()
+        cum: dict[int, int] = {}
+        for ui, unit in enumerate(seg.units):
+            for r, load in unit.decode_load.items():
+                if load <= 0:
+                    continue
+                receivers.add(r)
+                cum[r] = cum.get(r, 0) + ceil(load * n)
+                threshold[(r, si, ui)] = cum[r]
+        seg_receivers.append(receivers)
+
+    needs: list[tuple[int, list[tuple[int, int]]]] = []
+    for r in range(1, s.K + 1):
+        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        providers = deliveries_one_receiver(plan, r)
+        for label, _ in plan.message_parts.get(r, ()):
+            if label not in have:
+                needs.append((r, [
+                    (si, threshold[(r, si, ui)])
+                    for si, ui in providers.get(label, ())
+                ]))
+
+    demands = _demands_list(s, cfg)
+    per_demand = []
+    worst = 0.0
+    seg_erasures = [0.0] * len(plan.schedule)
+    seg_samples = [0] * len(plan.schedule)
+
+    for d_idx, demand in enumerate(demands):
+        errors = 0
+        for trial in range(cfg.trials):
+            rng = _trial_rng(cfg.seed, d_idx, trial)
+            unerased: dict[tuple[int, int], int] = {}
+            for si, receivers in enumerate(seg_receivers):
+                for r in receivers:
+                    got = int(rng.binomial(seg_lengths[si], 1.0 - s.erasure_of(r)))
+                    unerased[(r, si)] = got
+                    if d_idx == 0 and seg_lengths[si] > 0:
+                        seg_erasures[si] += 1.0 - got / seg_lengths[si]
+                        seg_samples[si] += 1
+            if any(
+                not any(unerased[(r, si)] >= thr for si, thr in providers)
+                for r, providers in needs
+            ):
+                errors += 1
+        rate = errors / cfg.trials
+        worst = max(worst, rate)
+        per_demand.append(
+            {"demand": list(demand), "errors": errors, "trials": cfg.trials}
+        )
+
+    stats = [
+        {
+            "segment": list(seg.id),
+            "length": seg_lengths[i],
+            "empirical_erasure_rate": (
+                seg_erasures[i] / seg_samples[i] if seg_samples[i] else None
+            ),
+        }
+        for i, seg in enumerate(plan.schedule)
+    ]
+    return SimReport(
+        n=cfg.n,
+        trials=cfg.trials,
+        seed=cfg.seed,
+        generator=GENERATOR_NAME,
+        worst_case_error_rate=worst,
+        per_demand=per_demand,
+        segment_stats=stats,
+    )

@@ -298,3 +298,36 @@ def test_curve_negative_memory_is_bad_input(fig3_file, extra, capsys):
     rc = main(["curve", "--scenario", fig3_file, "--mode", "surface-slice", *extra])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("trials,demands", [
+    ("1000001", "all-distinct"),
+    ("1000", "exhaustive-if-small"),  # D^K > 10^6: 1001 sampled demands
+    ("1", "random:2000000"),
+])
+def test_simulate_size_cap_is_bad_input(tmp_path, trials, demands, capsys):
+    # Refused before any demand vector or segment length is computed: at
+    # n=5 every segment would round to zero channel uses.
+    rc = main(["simulate", "--preset", "fig3", "--scheme", "symmetric-piggyback",
+               "--n", "5", "--trials", trials, "--demands", demands])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+
+
+def test_simulate_size_cap_boundary(monkeypatch, capsys):
+    from secache import simulate
+
+    monkeypatch.setattr(simulate, "MAX_SIM_PAIRS", 12)
+    args = ["simulate", "--preset", "fig3", "--scheme", "wiretap-cached-keys",
+            "--n", "2000", "--demands", "random:3", "--trials"]
+    assert main(args + ["3"]) == 0
+    assert main(args + ["4"]) == 2
+
+
+def test_simulate_non_integer_demand_count_is_bad_input(capsys):
+    rc = main(["simulate", "--preset", "fig3", "--scheme", "wiretap-cached-keys",
+               "--n", "2000", "--demands", "random:three"])
+    assert rc == 2
+    assert "not an integer" in capsys.readouterr().err

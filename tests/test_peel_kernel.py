@@ -1,0 +1,257 @@
+"""The bitmask peel rule and the compiled threshold kernel against their
+references: the per-receiver schedule scan and the scalar trial loop kept
+in ``tests/oracles.py``.
+
+Builder plans cover the subset builders over a wide range of ``t``; the
+hand-mutated plans reach the branches no builder plan does (missing keys,
+context or XOR partners, repeated XOR labels, several slots in one concat
+unit, rate mismatches, zero loads, starved parts, erasures of 0 and 1).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from oracles import deliveries_one_receiver, monte_carlo_scalar
+from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo
+from secache.cli import PRESETS
+from secache.schemes import (
+    DeliveryUnit,
+    build_cached_keys_all,
+    build_piggyback_allkeys,
+    build_piggyback_one,
+    build_symmetric_piggyback,
+    deliveries,
+    verify_plan,
+)
+
+PAIRS = ChannelScenario(K_w=2, K_s=2, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=5)
+TRIO = ChannelScenario(K_w=3, K_s=2, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=6)
+SMALL = ChannelScenario(K_w=1, K_s=1, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=3)
+
+
+def _builder_plans():
+    for p in ("fig3", "fig4"):
+        s = ChannelScenario(**PRESETS[p])
+        for t_w in range(1, 6):
+            for t_s in (1, 2, 5, 8, 14, 15):
+                yield f"{p}|symmetric({t_w},{t_s})", s, (
+                    lambda s, t_w=t_w, t_s=t_s: build_symmetric_piggyback(s, t_w, t_s, 1e-4)
+                )
+    for p in ("fig3", "fig4", "fig5"):
+        s = ChannelScenario(**PRESETS[p])
+        for t in (1, 2, 3, 4, 18, 19):
+            yield f"{p}|piggyback-one({t})", s, (
+                lambda s, t=t: build_piggyback_one(s, t, 1e-4)
+            )
+            yield f"{p}|piggyback-allkeys({t})", s, (
+                lambda s, t=t: build_piggyback_allkeys(s, t, 1e-4)
+            )
+
+
+def _reference_deliveries(plan, K):
+    out = {r: deliveries_one_receiver(plan, r) for r in range(1, K + 1)}
+    return {r: d for r, d in out.items() if d}
+
+
+def _same_report(plan, s, cfg):
+    """run_monte_carlo and the scalar loop give the same JSON or error."""
+    try:
+        want = monte_carlo_scalar(plan, s, cfg).to_json()
+    except SecacheError as exc:
+        with pytest.raises(type(exc)):
+            run_monte_carlo(plan, s, cfg)
+        return None
+    got = run_monte_carlo(plan, s, cfg).to_json()
+    assert got == want
+    return got
+
+
+# ---------------------------------------------------------------------------
+# builder plans
+# ---------------------------------------------------------------------------
+
+def test_builder_plans_match_the_references():
+    # Builder plans are invariant under permutations within each receiver
+    # class, so on plans above 2,000 units the first and last receiver of
+    # each class stand for the rest (the scan costs K x units), and the
+    # scalar loop, about a second per such plan, is left out: it would
+    # only add rows to the same arrays.  A long blocklength keeps every
+    # segment above zero channel uses.  Each plan is dropped after its
+    # checks, so the garbage collector never scans all of them at once.
+    checked = simulated = 0
+    for i, (case_id, s, build) in enumerate(_builder_plans()):
+        try:
+            plan = build(s)
+        except SecacheError:
+            continue
+        checked += 1
+        got = deliveries(plan)
+        receivers = range(1, s.K + 1)
+        small = sum(len(seg.units) for seg in plan.schedule) <= 2000
+        if not small:
+            receivers = sorted({1, s.K_w, s.K_w + 1, s.K})
+        for r in receivers:
+            assert got.get(r, {}) == deliveries_one_receiver(plan, r), (case_id, r)
+        if small:
+            policy = ("all-distinct", "random:1")[i % 2]
+            cfg = SimConfig(10**7, 1, 1000 + i, policy)
+            assert _same_report(plan, s, cfg), case_id
+            simulated += 1
+    assert checked >= 80 and simulated >= 55
+
+
+# ---------------------------------------------------------------------------
+# hand-mutated plans
+# ---------------------------------------------------------------------------
+
+def _replace_unit(plan, si, ui, **changes):
+    seg = plan.schedule[si]
+    units = list(seg.units)
+    units[ui] = dataclasses.replace(units[ui], **changes)
+    schedule = list(plan.schedule)
+    schedule[si] = dataclasses.replace(seg, units=tuple(units))
+    return dataclasses.replace(plan, schedule=tuple(schedule))
+
+
+def _add_unit(plan, si, unit):
+    seg = plan.schedule[si]
+    schedule = list(plan.schedule)
+    schedule[si] = dataclasses.replace(seg, units=seg.units + (unit,))
+    return dataclasses.replace(plan, schedule=tuple(schedule))
+
+
+def _drop_atom(plan, r, label):
+    placement = dict(plan.placement)
+    kept = tuple(a for a in placement[r] if a.label != label)
+    assert len(kept) < len(placement[r])
+    placement[r] = kept
+    return dataclasses.replace(plan, placement=placement)
+
+
+def _find(plan, pred):
+    for si, seg in enumerate(plan.schedule):
+        for ui, unit in enumerate(seg.units):
+            if pred(unit):
+                return si, ui
+    raise AssertionError("no unit matches")
+
+
+def _pairs_mutations():
+    """symmetric(1,1) on two weak and two strong receivers: an XOR over
+    (1, 2), one row/column pair per (weak, strong) pair, an XOR over (3, 4)."""
+    plan = build_symmetric_piggyback(PAIRS, 1, 1, 0.01)
+    yield "intact", plan
+    yield "dropped pad key Kw1[1,2]", _drop_atom(plan, 1, "Kw1[1,2]")
+    yield "dropped context key Ks[1,3]", _drop_atom(plan, 1, "Ks[1,3]")
+    yield "dropped XOR partner A[1]", _drop_atom(plan, 1, "A[1]")
+    virtual = dict(plan.virtual_cached)
+    virtual[1] = frozenset()
+    yield "dropped virtual context Ar[1]", dataclasses.replace(
+        plan, virtual_cached=virtual
+    )
+    context = dict(plan.schedule[1].units[0].context)
+    context[1] = context[1] + ("Z",)
+    yield "context label nobody holds", _replace_unit(plan, 1, 0, context=context)
+    xor = plan.schedule[0].units[0]
+    yield "repeated XOR label", _replace_unit(
+        plan, 0, 0, parts=((1, "A[2]"), (2, "A[2]"))
+    )
+    yield "XOR partner held only virtually", _replace_unit(
+        plan, 0, 0, parts=xor.parts + ((1, "Ar[1]"),),
+        part_rates=xor.part_rates * 2,
+    )
+    yield "part rate differs from message rate", _replace_unit(
+        plan, 0, 0, part_rates=(xor.part_rates[0] / 2,) * 2
+    )
+    yield "zero-load entry", _replace_unit(
+        plan, 0, 0, decode_load={1: 0.0, 2: xor.decode_load[2]}
+    )
+    yield "second provider for A[2]", _add_unit(plan, 1, DeliveryUnit(
+        parts=((1, "A[2]"),),
+        part_rates=xor.part_rates[:1],
+        pad_keys=("Kw[1,3]",),
+        decode_load={1: 0.01},
+    ))
+    message_parts = dict(plan.message_parts)
+    message_parts[3] = message_parts[3] + (("nowhere", 0.01),)
+    yield "part with no provider", dataclasses.replace(
+        plan, message_parts=message_parts
+    )
+
+
+def _trio_mutations():
+    """piggyback-allkeys(1) on three weak and two strong receivers: padded
+    XORs, rows with context, padded columns, a padded concat per strong
+    receiver."""
+    plan = build_piggyback_allkeys(TRIO, 1, 0.01)
+    yield "intact", plan
+    si, ui = _find(plan, lambda u: u.combine == "concat")
+    concat = plan.schedule[si].units[ui]
+    j, label = concat.parts[0]
+    j2 = next(r for r in TRIO.strong_ids if r != j)
+    rate_b = dict(plan.message_parts[j2])["B[1]"]
+    yield "concat with several slots", _replace_unit(
+        plan, si, ui,
+        parts=concat.parts + ((j2, "B[1]"), (j, label)),
+        part_rates=concat.part_rates + (rate_b, concat.part_rates[0]),
+        pad_keys=(),
+        decode_load=concat.decode_load | {j2: 0.001},
+    )
+    yield "concat pad key dropped", _drop_atom(plan, j, concat.pad_keys[0])
+    si, ui = _find(plan, lambda u: len(u.parts) > 1 and u.combine == "xor")
+    unit = plan.schedule[si].units[ui]
+    yield "XOR pad key dropped at one slot", _drop_atom(
+        plan, unit.parts[0][0], unit.pad_keys[0]
+    )
+
+
+def _mutated_cases():
+    for name, plan in _pairs_mutations():
+        yield f"pairs|{name}", PAIRS, plan
+    for name, plan in _trio_mutations():
+        yield f"trio|{name}", TRIO, plan
+    yield "small|cached-keys-all", SMALL, build_cached_keys_all(SMALL, 1e-3)
+
+
+MUTATED = list(_mutated_cases())
+
+
+@pytest.mark.parametrize("case_id,s,plan", MUTATED, ids=[c[0] for c in MUTATED])
+def test_deliveries_match_per_receiver_scan_on_mutated_plans(case_id, s, plan):
+    assert deliveries(plan) == _reference_deliveries(plan, s.K)
+
+
+@pytest.mark.parametrize("case_id,s,plan", MUTATED, ids=[c[0] for c in MUTATED])
+def test_kernel_matches_scalar_trials_on_mutated_plans(case_id, s, plan):
+    policies = ["all-distinct", "random:3"]
+    if s.D**s.K <= 700:
+        policies.append("exhaustive-if-small")
+    for n in (3000, 100000):
+        for policy in policies:
+            _same_report(plan, s, SimConfig(n, 3, 7, policy))
+    # erasures of 0 and 1: every draw is the whole segment, or nothing
+    for dw, ds in ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)):
+        edge = dataclasses.replace(s, delta_w=dw, delta_s=ds)
+        _same_report(plan, edge, SimConfig(3000, 2, 5, "random:3"))
+
+
+def test_mutations_break_decode():
+    # The mutated cases are not vacuous: each one that removes a provider
+    # fails DECODE, and the two that add one keep it.
+    keep = ("intact", "cached-keys-all", "second provider for A[2]",
+            "concat with several slots")
+    for case_id, s, plan in MUTATED:
+        passed = verify_plan(plan, s).check("DECODE").passed
+        assert passed == case_id.endswith(keep), case_id
+
+
+def test_extra_providers_are_listed_in_schedule_order():
+    plan = dict(_pairs_mutations())["second provider for A[2]"]
+    assert deliveries(plan)[1]["A[2]"] == [(0, 0), (1, 2)]
+    plan = dict(_trio_mutations())["concat with several slots"]
+    si, ui = _find(plan, lambda u: u.combine == "concat")
+    j, label = plan.schedule[si].units[ui].parts[0]
+    assert deliveries(plan)[j][label] == [(si, ui), (si, ui)]
