@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange
-from .model import TOL, CacheSizes, ChannelScenario, pos, validate_scenario
+from .model import TOL, CacheSizes, ChannelScenario, pos
 
 _INF = float("inf")
 
@@ -100,7 +100,6 @@ def ub_split(
             + (k_w M_w + k_s M_s) / (k_w+k_s) }.
     The first term is dropped when ``k_w = 0`` (min{a/0, b} = b).
     """
-    validate_scenario(s)
     _check_subpopulation(s, k_w, k_s)
     aw = pos(s.delta_z - s.delta_w)
     as_ = pos(s.delta_z - s.delta_s)
@@ -130,7 +129,6 @@ def alpha_sequence(
                                                           j = 1..k_s
     with k = k_w + k_s.
     """
-    validate_scenario(s)
     _check_subpopulation(s, k_w, k_s)
     k = k_w + k_s
     pool = k * (k_w * c.M_w + k_s * c.M_s) / s.D
@@ -160,7 +158,6 @@ def ub_cache_sharing(
     exactly by water-filling over the sorted alphas.  A vanishing capacity
     factor (delta = 1) caps t at the smallest alpha of that population.
     """
-    validate_scenario(s)
     _check_subpopulation(s, k_w, k_s)
     alphas = alpha_sequence(s, c, k_w, k_s)
     factors = [1.0 - s.delta_w] * k_w + [1.0 - s.delta_s] * k_s
@@ -195,7 +192,6 @@ def ub_weak_only(s: ChannelScenario, M_w: float, k_w: int) -> float:
 
     and the secrecy split bound with the full strong population.
     """
-    validate_scenario(s)
     if not (0 <= k_w <= s.K_w):
         raise IndexOutOfRange(f"k_w={k_w} outside 0..{s.K_w}")
     if k_w == 0 and s.K_s == 0:
@@ -226,7 +222,6 @@ def ub_best(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
     is at least 1.  With a vanishing capacity factor the cache-sharing
     value is at most ``alpha_1 <= k_w M_w/D``.
     """
-    validate_scenario(s)
     best: Optional[UpperBoundReport] = None
     for k_w in range(s.K_w + 1):
         for k_s in range(s.K_s + 1):
@@ -249,7 +244,6 @@ def ub_global(s: ChannelScenario, M_tot: float) -> float:
     spread over the weak caches (over the strong caches when ``K_w = 0``,
     where the first term is dropped).
     """
-    validate_scenario(s)
     if M_tot < 0:
         raise IndexOutOfRange(f"M_tot must be >= 0, got {M_tot}")
     cache = CacheSizes(M_tot / s.K_w, 0.0) if s.K_w else CacheSizes(0.0, M_tot / s.K_s)

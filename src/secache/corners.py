@@ -21,13 +21,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import IndexOutOfRange, NotApplicable
-from .model import (
-    ChannelScenario,
-    RateMemoryPoint,
-    pos,
-    validate_scenario,
-    zero_cache_capacity,
-)
+from .model import ChannelScenario, RateMemoryPoint, pos, zero_cache_capacity
 
 #: How to resolve the under-determined exponent in the generalized-coded-
 #: caching memory formulas (an index the closed form leaves unbound).
@@ -51,7 +45,6 @@ def weak_only_max_slope(s: ChannelScenario) -> float:
     K_w (dz-ds) / [K_w (dz-ds) + K_s (dz-dw)^+]; equals 1 when the
     eavesdropper is at least as strong as the weak receivers.
     """
-    validate_scenario(s)
     _require_eavesdropper_weaker_than_strong(s)
     num = s.K_w * (s.delta_z - s.delta_s)
     return num / (num + s.K_s * pos(s.delta_z - s.delta_w))
@@ -63,7 +56,6 @@ def points_weak_only(s: ChannelScenario) -> list[RateMemoryPoint]:
     cached-keys, superposition-jamming, piggyback-one for t = 1..K_w-1,
     piggyback-two, full-library.
     """
-    validate_scenario(s)
     _require_eavesdropper_weaker_than_strong(s)
     if s.K_w < 1:
         raise NotApplicable("weak-only family needs K_w >= 1")
@@ -134,7 +126,6 @@ def points_separate(s: ChannelScenario) -> list[RateMemoryPoint]:
     The t-indexed family below plus the four reused corner points
     (no-cache, cached-keys, superposition-jamming, full-library).
     """
-    validate_scenario(s)
     _require_eavesdropper_weaker_than_strong(s)
     if s.K_w < 1:
         raise NotApplicable("separate-coding family needs K_w >= 1")
@@ -219,7 +210,6 @@ def points_all_cached(
     family for t = 1..K-1 (memory per ``memory_rule``, see
     :data:`GENERALIZED_MEMORY_RULES`).
     """
-    validate_scenario(s)
     if s.K_w < 1 or s.K_s < 1:
         raise NotApplicable("all-cached family needs K_w >= 1 and K_s >= 1")
     if memory_rule not in GENERALIZED_MEMORY_RULES:
@@ -305,7 +295,6 @@ def points_symmetric(s: ChannelScenario) -> list[RateMemoryPoint]:
     Indexed ell = 0..K; the would-be ell = K+1 member divides by zero and
     is excluded.  M_w = M_s for every point.
     """
-    validate_scenario(s)
     if s.K_w < 1 or s.K_s < 1:
         raise NotApplicable("symmetric family needs K_w >= 1 and K_s >= 1")
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z

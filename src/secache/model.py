@@ -30,7 +30,7 @@ class Provenance(enum.Enum):
 class ChannelScenario:
     """Channel and library parameters.
 
-    Invariants (checked by :func:`validate_scenario`):
+    Invariants, enforced at construction by :func:`validate_scenario`:
 
     * ``0 <= delta_s <= delta_w <= 1`` and ``0 <= delta_z <= 1``
     * ``D > K_w + K_s`` (more files than receivers)
@@ -43,6 +43,9 @@ class ChannelScenario:
     delta_s: float
     delta_z: float
     D: int
+
+    def __post_init__(self):
+        validate_scenario(self)
 
     @property
     def K(self) -> int:
@@ -76,7 +79,7 @@ class ChannelScenario:
     @staticmethod
     def from_dict(obj: dict) -> "ChannelScenario":
         try:
-            s = ChannelScenario(
+            return ChannelScenario(
                 K_w=int(obj["K_w"]),
                 K_s=int(obj["K_s"]),
                 delta_w=float(obj["delta_w"]),
@@ -88,7 +91,6 @@ class ChannelScenario:
             raise InvalidScenario(f"missing scenario field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidScenario(f"malformed scenario field: {exc}") from None
-        return validate_scenario(s)
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ def zero_cache_capacity(s: ChannelScenario) -> float:
 
     with the convention that a vanishing numerator yields 0.
     """
-    validate_scenario(s)
     if s.delta_z <= s.delta_w:
         return 0.0
     num = (s.delta_z - s.delta_s) * (s.delta_z - s.delta_w)

@@ -32,13 +32,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
-from .model import (
-    CacheSizes,
-    ChannelScenario,
-    RateMemoryPoint,
-    pos,
-    validate_scenario,
-)
+from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
 
 RATE_TOL = 1e-12
 
@@ -202,20 +196,36 @@ class VerificationReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _subsets(ids: Iterable[int], size: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(sorted(ids), size))
-
-
 def _lbl(prefix: str, group: Iterable[int]) -> str:
     return f"{prefix}[{','.join(map(str, group))}]"
 
 
-def _place(atoms: dict[int, list[Atom]], subsets, make) -> None:
-    """Append each subset's atom, made once, to every member's list."""
-    for G in subsets:
-        atom = make(G)
+def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...], str]:
+    """The ``size``-subsets of ``ids`` in lexicographic order, each mapped to
+    its label; labels are formatted once and reused by every lookup."""
+    return {G: _lbl(prefix, G) for G in itertools.combinations(sorted(ids), size)}
+
+
+def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
+    """Append each subset's atom, made once from its label, to its members."""
+    for G, label in family.items():
+        atom = make(label)
         for i in G:
             atoms[i].append(atom)
+
+
+def _xor_unit(H: tuple[int, ...], labels: dict, rate: float, pad: str,
+              load: dict[int, float]) -> DeliveryUnit:
+    """The coded-caching XOR over subset ``H`` (Maddah-Ali--Niesen): member
+    ``i`` peels the part labelled by ``H`` without ``i`` and holds the other
+    parts in cache; the key ``pad``, shared by ``H``, pads the sum."""
+    return DeliveryUnit(
+        parts=tuple((i, labels[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
+        part_rates=(rate,) * len(H),
+        pad_keys=(pad,),
+        intended=frozenset(H),
+        decode_load=load,
+    )
 
 
 def _check_eps(eps: float) -> None:
@@ -259,10 +269,54 @@ def _split_backoff(ra0: float, rb0: float, eps: float) -> tuple[float, float]:
     return ra, rb
 
 
-def cache_usage(plan: SchemePlan, D: Optional[int] = None) -> dict[int, float]:
-    """Cache occupancy per receiver (bits per channel use)."""
-    if D is None:
-        D = plan.params["D"]
+def _piggyback_split(
+    s: ChannelScenario, t: int, dz: float, eps: float
+) -> tuple[float, float, float, float, float]:
+    """Phase fractions and backed-off submessage rates of the weak-subset
+    piggyback scheme at index ``t``: ``(beta1, beta2, beta3, R_A, R_B)``.
+
+    ``dz`` sets the secrecy budget of a strong channel use: wiretap coding
+    against the eavesdropper gives ``delta_z - delta_s``, cached one-time
+    pads give ``1 - delta_s``, i.e. ``dz = 1``.  Checks ``eps``, ``t`` and
+    ``K_s`` first, in that order.
+    """
+    _check_eps(eps)
+    if s.K_w < 2 or not (1 <= t <= s.K_w - 1):
+        raise IndexOutOfRange(f"t={t} outside 1..{s.K_w - 1} (needs K_w >= 2)")
+    if s.K_s < 1:
+        raise NotApplicable("needs K_s >= 1")
+    dw, ds = s.delta_w, s.delta_s
+    Kw, Ks = s.K_w, s.K_s
+    md = min(dw - ds, dz - ds)
+    den = (Kw - t + 1) * (dz - ds) * (
+        Ks * (t + 1) * (1 - dw) + (Kw - t) * md
+    ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
+    if den == 0:  # dz = 1 with delta_w = delta_s = 1
+        raise NotApplicable("phase split degenerates at delta_w = delta_s = 1")
+    beta1 = (Kw - t) * (Kw - t + 1) * (dz - ds) * md / den
+    beta2 = Ks * (Kw - t + 1) * (t + 1) * (1 - dw) * (dz - ds) / den
+    beta3 = Ks**2 * t * (t + 1) * (1 - dw) ** 2 / den
+    RA, RB = _split_backoff(
+        Ks * t * (t + 1) * (1 - dw) ** 2 * (dz - ds) / den,
+        (Kw - t + 1) * (t + 1) * (1 - dw) * (dz - ds) * md / den,
+        eps,
+    )
+    return beta1, beta2, beta3, RA, RB
+
+
+def _subset_parts(
+    s: ChannelScenario, A: dict, rA: float, B: dict, rB: float
+) -> dict[int, tuple[tuple[str, float], ...]]:
+    """Every receiver's message tiled by the A- and B-subset parts of
+    positive rate (one tuple, shared by all receivers)."""
+    parts = tuple((label, rA) for label in A.values() if rA > 0) + tuple(
+        (label, rB) for label in B.values() if rB > 0
+    )
+    return {k: parts for k in range(1, s.K + 1)}
+
+
+def cache_usage(plan: SchemePlan, D: int) -> dict[int, float]:
+    """Cache occupancy per receiver (bits per channel use) for ``D`` files."""
     return {
         r: sum(a.cache_cost(D) for a in atoms)
         for r, atoms in plan.placement.items()
@@ -288,7 +342,6 @@ def build_wiretap_cached_keys(s: ChannelScenario, eps: float) -> SchemePlan:
     K_s strong wiretap slots; the split parameter equalises the two
     decoding constraints.
     """
-    validate_scenario(s)
     _check_gate(s)
     _check_eps(eps)
     if s.K_w < 1:
@@ -347,7 +400,6 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
     the cloud keys plus explicit binning.  The satellite input bias p
     (binary entropy 1-gamma) is recorded in the parameters.
     """
-    validate_scenario(s)
     _check_gate(s)
     _check_eps(eps)
     if s.K_w < 1 or s.K_s < 1:
@@ -445,30 +497,11 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
     against cached columns, strong receivers decode everything), and a
     wiretap phase for the strong receivers' remaining parts.
     """
-    validate_scenario(s)
     _check_gate(s)
-    _check_eps(eps)
-    if s.K_w < 2 or not (1 <= t <= s.K_w - 1):
-        raise IndexOutOfRange(
-            f"t={t} outside 1..{s.K_w - 1} (needs K_w >= 2)"
-        )
-    if s.K_s < 1:
-        raise NotApplicable("needs K_s >= 1")
+    beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, s.delta_z, eps)
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
     Kw, Ks, D = s.K_w, s.K_s, s.D
-    md = min(dw - ds, dz - ds)
     mzw = min(1 - dz, 1 - dw)
-    den = (Kw - t + 1) * (dz - ds) * (
-        Ks * (t + 1) * (1 - dw) + (Kw - t) * md
-    ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
-    beta1 = (Kw - t) * (Kw - t + 1) * (dz - ds) * md / den
-    beta2 = Ks * (Kw - t + 1) * (t + 1) * (1 - dw) * (dz - ds) / den
-    beta3 = Ks**2 * t * (t + 1) * (1 - dw) ** 2 / den
-    RA, RB = _split_backoff(
-        Ks * t * (t + 1) * (1 - dw) ** 2 * (dz - ds) / den,
-        (Kw - t + 1) * (t + 1) * (1 - dw) * (dz - ds) * md / den,
-        eps,
-    )
     rA = RA / comb(Kw, t - 1)
     rB = RB / comb(Kw, t)
     RK1 = beta1 * mzw / comb(Kw, t + 1)
@@ -477,77 +510,62 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
 
     weak = list(s.weak_ids)
     strong = list(s.strong_ids)
-    a_subsets = _subsets(weak, t - 1)
-    b_subsets = _subsets(weak, t)
-    k_subsets = _subsets(weak, t + 1)
-    A = {P: _lbl("A", P) for P in a_subsets}
-    B = {G: _lbl("B", G) for G in b_subsets}
-    K1 = {H: _lbl("K1", H) for H in k_subsets}
-    K2 = {G: _lbl("K2", G) for G in b_subsets}
+    A = _family("A", weak, t - 1)
+    B = _family("B", weak, t)
+    K1 = _family("K1", weak, t + 1)
+    K2 = _family("K2", weak, t)
 
     atoms: dict[int, list[Atom]] = {i: [] for i in weak}
-    _place(atoms, a_subsets, lambda P: Atom("file_part", A[P], rA))
+    _place(atoms, A, lambda label: Atom("file_part", label, rA))
     if rB > 0:
-        _place(atoms, b_subsets, lambda G: Atom("file_part", B[G], rB))
-    _place(atoms, k_subsets, lambda H: Atom("key", K1[H], RK1, per_file=False))
-    _place(atoms, b_subsets, lambda G: Atom("key", K2[G], RK2, per_file=False))
+        _place(atoms, B, lambda label: Atom("file_part", label, rB))
+    _place(atoms, K1, lambda label: Atom("key", label, RK1, per_file=False))
+    _place(atoms, K2, lambda label: Atom("key", label, RK2, per_file=False))
     placement = {i: tuple(atoms[i]) for i in weak}
-    key_rates = {K1[H]: RK1 for H in k_subsets} | {K2[G]: RK2 for G in b_subsets}
+    key_rates = dict.fromkeys(K1.values(), RK1) | dict.fromkeys(K2.values(), RK2)
 
+    # beta2, beta3 > 0: delta_w < 1 since _split_backoff returned (both
+    # nominal rates carry 1 - delta_w), and the gate gave delta_z > delta_s.
     segments = []
     if beta1 > 0 and rB > 0:
         units = tuple(
-            DeliveryUnit(
-                parts=tuple((i, B[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
-                part_rates=(rB,) * len(H),
-                pad_keys=(K1[H],),
-                intended=frozenset(H),
-                decode_load={i: rB for i in weak},
-            )
-            for H in k_subsets
+            _xor_unit(H, B, rB, pad, dict.fromkeys(weak, rB)) for H, pad in K1.items()
         )
         segments.append(DeliverySegment((1, 0), beta1, units))
-    if beta2 > 0:
-        lam2 = beta2 / comb(Kw, t)
-        for G in b_subsets:
-            row = DeliveryUnit(
-                parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
-                part_rates=(rA,) * len(G),
-                pad_keys=(K2[G],),
-                bin_rate=Rbin,
-                intended=frozenset(G) | frozenset(strong),
-                decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
-                context={i: (B[G],) for i in G} if rB > 0 else {},
-            )
-            cols = tuple(
-                DeliveryUnit(
-                    parts=((j, B[G]),),
-                    part_rates=(rB,),
-                    intended=frozenset({j}),
-                    decode_load={jj: rB for jj in strong},
-                )
-                for j in strong
-                if rB > 0
-            )
-            segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
-    if beta3 > 0:
-        lam3 = beta3 / Ks
-        for j in strong:
-            bin_rate = lam3 * (1 - dz)
-            unit = DeliveryUnit(
-                parts=tuple((j, A[P]) for P in a_subsets),
-                part_rates=(rA,) * len(a_subsets),
-                combine="concat",
-                bin_rate=bin_rate,
+    lam2 = beta2 / comb(Kw, t)
+    for G, b_label in B.items():
+        row = DeliveryUnit(
+            parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
+            part_rates=(rA,) * len(G),
+            pad_keys=(K2[G],),
+            bin_rate=Rbin,
+            intended=frozenset(G) | frozenset(strong),
+            decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
+            context={i: (b_label,) for i in G} if rB > 0 else {},
+        )
+        cols = tuple(
+            DeliveryUnit(
+                parts=((j, b_label),),
+                part_rates=(rB,),
                 intended=frozenset({j}),
-                decode_load={j: RA + bin_rate},
+                decode_load={jj: rB for jj in strong},
             )
-            segments.append(DeliverySegment((3, j), lam3, (unit,)))
-
-    mp = tuple((A[P], rA) for P in a_subsets if rA > 0) + tuple(
-        (B[G], rB) for G in b_subsets if rB > 0
-    )
-    message_parts = {k: mp for k in range(1, s.K + 1)}
+            for j in strong
+            if rB > 0
+        )
+        segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
+    lam3 = beta3 / Ks
+    for j in strong:
+        bin_rate = lam3 * (1 - dz)
+        unit = DeliveryUnit(
+            parts=tuple((j, a_label) for a_label in A.values()),
+            part_rates=(rA,) * len(A),
+            combine="concat",
+            bin_rate=bin_rate,
+            intended=frozenset({j}),
+            decode_load={j: RA + bin_rate},
+        )
+        segments.append(DeliverySegment((3, j), lam3, (unit,)))
 
     M_w_claim = (
         D * ((t - 1) * RA + t * RB) / Kw
@@ -563,7 +581,7 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
             RA + RB, M_w_claim, 0.0, f"piggyback-one[t={t}]"
         ),
         key_rates=key_rates,
-        message_parts=message_parts,
+        message_parts=_subset_parts(s, A, rA, B, rB),
     )
 
 
@@ -575,7 +593,6 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
     jam the columns.  A wiretap phase delivers the strong receivers'
     first halves.
     """
-    validate_scenario(s)
     _check_gate(s)
     _check_eps(eps)
     if s.K_w < 1 or s.K_s < 1:
@@ -665,7 +682,6 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
 
 def build_cached_keys_all(s: ChannelScenario, eps: float) -> SchemePlan:
     """One-time-pad keys at every receiver; works for any eavesdropper."""
-    validate_scenario(s)
     _check_eps(eps)
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
     den = s.K_w * (1 - ds) + s.K_s * (1 - dw)
@@ -724,27 +740,11 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
     their caches (some of those keys are also context for the weak
     receivers' restricted decoding).
     """
-    validate_scenario(s)
-    _check_eps(eps)
-    if s.K_w < 2 or not (1 <= t <= s.K_w - 1):
-        raise IndexOutOfRange(f"t={t} outside 1..{s.K_w - 1} (needs K_w >= 2)")
-    if s.K_s < 1:
-        raise NotApplicable("needs K_s >= 1")
+    beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, 1.0, eps)
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
     Kw, Ks, D = s.K_w, s.K_s, s.D
     mzw = min(1 - dz, 1 - dw)
     mzs = min(1 - dz, 1 - ds)
-    den = (Kw - t + 1) * (1 - ds) * (
-        (Kw - t) * (dw - ds) + Ks * (t + 1) * (1 - dw)
-    ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
-    beta1 = (Kw - t + 1) * (Kw - t) * (1 - ds) * (dw - ds) / den
-    beta2 = Ks * (Kw - t + 1) * (t + 1) * (1 - dw) * (1 - ds) / den
-    beta3 = Ks**2 * t * (t + 1) * (1 - dw) ** 2 / den
-    RA, RB = _split_backoff(
-        Ks * t * (t + 1) * (1 - dw) ** 2 * (1 - ds) / den,
-        (Kw - t + 1) * (t + 1) * (1 - dw) * (1 - ds) * (dw - ds) / den,
-        eps,
-    )
     rA = RA / comb(Kw, t - 1)
     rB = RB / comb(Kw, t)
     RK1 = beta1 * mzw / comb(Kw, t + 1)
@@ -754,30 +754,27 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
 
     weak = list(s.weak_ids)
     strong = list(s.strong_ids)
-    a_subsets = _subsets(weak, t - 1)
-    b_subsets = _subsets(weak, t)
-    k_subsets = _subsets(weak, t + 1)
-    A = {P: _lbl("A", P) for P in a_subsets}
-    B = {G: _lbl("B", G) for G in b_subsets}
-    K1 = {H: _lbl("K1", H) for H in k_subsets}
-    K2 = {G: _lbl("K2", G) for G in b_subsets}
-    K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in b_subsets}
+    A = _family("A", weak, t - 1)
+    B = _family("B", weak, t)
+    K1 = _family("K1", weak, t + 1)
+    K2 = _family("K2", weak, t)
+    K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in B}
     K4 = {j: _lbl("K4", [j]) for j in strong}
 
-    key_rates: dict[str, float] = {K1[H]: RK1 for H in k_subsets}
-    for G in b_subsets:
-        key_rates[K2[G]] = RK2
-        key_rates |= {k3: RK3 for k3 in K3[G]}
-    key_rates |= {K4[j]: RK4 for j in strong}
+    key_rates = dict.fromkeys(K1.values(), RK1)
+    for G, k2_label in K2.items():
+        key_rates[k2_label] = RK2
+        key_rates |= dict.fromkeys(K3[G], RK3)
+    key_rates |= dict.fromkeys(K4.values(), RK4)
 
     atoms: dict[int, list[Atom]] = {i: [] for i in weak}
     atoms |= {j: [Atom("key", K4[j], RK4, per_file=False)] for j in strong}
-    _place(atoms, a_subsets, lambda P: Atom("file_part", A[P], rA))
+    _place(atoms, A, lambda label: Atom("file_part", label, rA))
     if rB > 0:
-        _place(atoms, b_subsets, lambda G: Atom("file_part", B[G], rB))
-    _place(atoms, k_subsets, lambda H: Atom("key", K1[H], RK1, per_file=False))
-    for G in b_subsets:
-        k2 = Atom("key", K2[G], RK2, per_file=False)
+        _place(atoms, B, lambda label: Atom("file_part", label, rB))
+    _place(atoms, K1, lambda label: Atom("key", label, RK1, per_file=False))
+    for G, k2_label in K2.items():
+        k2 = Atom("key", k2_label, RK2, per_file=False)
         k3 = [Atom("key", label, RK3, per_file=False) for label in K3[G]]
         for i in G:
             atoms[i].append(k2)
@@ -789,29 +786,22 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
     segments = []
     if beta1 > 0 and rB > 0:
         units = tuple(
-            DeliveryUnit(
-                parts=tuple((i, B[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
-                part_rates=(rB,) * len(H),
-                pad_keys=(K1[H],),
-                intended=frozenset(H),
-                decode_load={i: rB for i in weak},
-            )
-            for H in k_subsets
+            _xor_unit(H, B, rB, pad, dict.fromkeys(weak, rB)) for H, pad in K1.items()
         )
         segments.append(DeliverySegment((1, 0), beta1, units))
     lam2 = beta2 / comb(Kw, t)
-    for G in b_subsets:
+    for G, b_label in B.items():
         row = DeliveryUnit(
             parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
             part_rates=(rA,) * len(G),
             pad_keys=(K2[G],),
             intended=frozenset(G) | frozenset(strong),
             decode_load={i: rA for i in G} | {j: rA for j in strong},
-            context={i: ((B[G],) if rB > 0 else ()) + K3[G] for i in G},
+            context={i: ((b_label,) if rB > 0 else ()) + K3[G] for i in G},
         )
         cols = tuple(
             DeliveryUnit(
-                parts=((j, B[G]),),
+                parts=((j, b_label),),
                 part_rates=(rB,),
                 pad_keys=(k3,),
                 intended=frozenset({j}),
@@ -824,19 +814,14 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
     lam3 = beta3 / Ks
     for j in strong:
         unit = DeliveryUnit(
-            parts=tuple((j, A[P]) for P in a_subsets),
-            part_rates=(rA,) * len(a_subsets),
+            parts=tuple((j, a_label) for a_label in A.values()),
+            part_rates=(rA,) * len(A),
             combine="concat",
             pad_keys=(K4[j],),
             intended=frozenset({j}),
             decode_load={j: RA},
         )
         segments.append(DeliverySegment((3, j), lam3, (unit,)))
-
-    mp = tuple((A[P], rA) for P in a_subsets if rA > 0) + tuple(
-        (B[G], rB) for G in b_subsets if rB > 0
-    )
-    message_parts = {k: mp for k in range(1, s.K + 1)}
 
     M_w_claim = (
         D * ((t - 1) * RA + t * RB) / Kw
@@ -854,7 +839,7 @@ def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePla
             RA + RB, M_w_claim, M_s_claim, f"all:piggyback-keys[t={t}]"
         ),
         key_rates=key_rates,
-        message_parts=message_parts,
+        message_parts=_subset_parts(s, A, rA, B, rB),
     )
 
 
@@ -868,7 +853,6 @@ def build_symmetric_piggyback(
     subphase 2 runs one two-receiver piggyback period per (weak, strong)
     pair, fully key-secured.
     """
-    validate_scenario(s)
     _check_eps(eps)
     if s.K_w < 1 or not (1 <= t_w <= s.K_w):
         raise IndexOutOfRange(f"t_w={t_w} outside 1..{s.K_w}")
@@ -881,6 +865,10 @@ def build_symmetric_piggyback(
     den = Kw * (Kw - t_w) * (t_s + 1) * (1 - ds) ** 2 + Ks * (t_w + 1) * (
         1 - dw
     ) * ((Ks - t_s) * (1 - dw) + Kw * (t_s + 1) * (1 - ds))
+    if den == 0:  # delta_w = 1 with t_w = K_w or delta_s = 1
+        raise NotApplicable(
+            "phase split degenerates at delta_w = 1 with t_w = K_w or delta_s = 1"
+        )
     beta1 = Kw * (Kw - t_w) * (t_s + 1) * (1 - ds) ** 2 / den
     beta2 = Kw * Ks * (t_w + 1) * (t_s + 1) * (1 - dw) * (1 - ds) / den
     beta3 = Ks * (Ks - t_s) * (t_w + 1) * (1 - dw) ** 2 / den
@@ -900,31 +888,26 @@ def build_symmetric_piggyback(
 
     weak = list(s.weak_ids)
     strong = list(s.strong_ids)
-    aw_subsets = _subsets(weak, t_w)
-    aw_plus = _subsets(weak, t_w + 1)
-    bs_subsets = _subsets(strong, t_s)
-    bs_plus = _subsets(strong, t_s + 1)
+    A = _family("A", weak, t_w)
+    B = _family("B", strong, t_s)
+    Kw1 = _family("Kw1", weak, t_w + 1)
+    Ks1 = _family("Ks1", strong, t_s + 1)
     # Each label is formatted once; the loops below reuse it many times.
-    A = {G: _lbl("A", G) for G in aw_subsets}
-    B = {Gs: _lbl("B", Gs) for Gs in bs_subsets}
-    Kw1 = {H: _lbl("Kw1", H) for H in aw_plus}
-    Ks1 = {Hs: _lbl("Ks1", Hs) for Hs in bs_plus}
     Kw_pair = {(i, j): _lbl("Kw", (i, j)) for i in weak for j in strong}
     Ks_pair = {(i, j): _lbl("Ks", (i, j)) for i in weak for j in strong}
     Ar = {i: _lbl("Ar", [i]) for i in weak}
     Br = {j: _lbl("Br", [j]) for j in strong}
 
-    key_rates: dict[str, float] = {Kw1[H]: RK1 for H in aw_plus}
-    key_rates |= {Ks1[Hs]: RK2 for Hs in bs_plus}
+    key_rates = dict.fromkeys(Kw1.values(), RK1) | dict.fromkeys(Ks1.values(), RK2)
     for ij in Kw_pair:
         key_rates[Kw_pair[ij]] = RK3
         key_rates[Ks_pair[ij]] = RK4
 
     atoms: dict[int, list[Atom]] = {r: [] for r in weak + strong}
-    _place(atoms, aw_subsets, lambda G: Atom("file_part", A[G], a))
-    _place(atoms, aw_plus, lambda H: Atom("key", Kw1[H], RK1, per_file=False))
-    _place(atoms, bs_subsets, lambda Gs: Atom("file_part", B[Gs], b))
-    _place(atoms, bs_plus, lambda Hs: Atom("key", Ks1[Hs], RK2, per_file=False))
+    _place(atoms, A, lambda label: Atom("file_part", label, a))
+    _place(atoms, Kw1, lambda label: Atom("key", label, RK1, per_file=False))
+    _place(atoms, B, lambda label: Atom("file_part", label, b))
+    _place(atoms, Ks1, lambda label: Atom("key", label, RK2, per_file=False))
     for ij in Kw_pair:
         pair = [
             Atom("key", Kw_pair[ij], RK3, per_file=False),
@@ -940,14 +923,8 @@ def build_symmetric_piggyback(
     segments = []
     if beta1 > 0:
         lam1 = beta1 / comb(Kw, t_w + 1)
-        for H in aw_plus:
-            unit = DeliveryUnit(
-                parts=tuple((i, A[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
-                part_rates=(a,) * len(H),
-                pad_keys=(Kw1[H],),
-                intended=frozenset(H),
-                decode_load={i: a for i in H},
-            )
+        for H, pad in Kw1.items():
+            unit = _xor_unit(H, A, a, pad, dict.fromkeys(H, a))
             segments.append(DeliverySegment((1, H), lam1, (unit,)))
     lam2 = beta2 / (Kw * Ks)
     for (i, j), kw in Kw_pair.items():
@@ -971,21 +948,15 @@ def build_symmetric_piggyback(
         segments.append(DeliverySegment((2, (i, j)), lam2, (row, col)))
     if beta3 > 0:
         lam3 = beta3 / comb(Ks, t_s + 1)
-        for Hs in bs_plus:
-            unit = DeliveryUnit(
-                parts=tuple((j, B[Hs[:k] + Hs[k + 1:]]) for k, j in enumerate(Hs)),
-                part_rates=(b,) * len(Hs),
-                pad_keys=(Ks1[Hs],),
-                intended=frozenset(Hs),
-                decode_load={j: b for j in Hs},
-            )
+        for Hs, pad in Ks1.items():
+            unit = _xor_unit(Hs, B, b, pad, dict.fromkeys(Hs, b))
             segments.append(DeliverySegment((3, Hs), lam3, (unit,)))
 
-    mp_weak = tuple((A[G], a) for G in aw_subsets) + tuple(
+    mp_weak = tuple((label, a) for label in A.values()) + tuple(
         (Br[j], br) for j in strong
     )
     mp_strong = tuple((Ar[i], ar) for i in weak) + tuple(
-        (B[Gs], b) for Gs in bs_subsets
+        (label, b) for label in B.values()
     )
     message_parts = {i: mp_weak for i in weak}
     message_parts |= {j: mp_strong for j in strong}
@@ -1118,7 +1089,6 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
              capacity) up to 1e-12
     CACHE    per-receiver occupancy within the claimed memory + 1e-12
     """
-    validate_scenario(s)
     checks: list[CheckResult] = []
 
     # RATE

@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .model import ChannelScenario, validate_scenario
+from .model import ChannelScenario
 from .schemes import SchemePlan, deliveries
 
 GENERATOR_NAME = "philox4x64"
@@ -160,7 +160,6 @@ def run_monte_carlo(
     a decoded unit (see :func:`secache.schemes.deliveries`).  Raises
     :class:`ConfigError` when demands x trials exceeds ``MAX_SIM_PAIRS``.
     """
-    validate_scenario(s)
     n_demands, demands = _demands(s, cfg.demand_policy, cfg.seed)
     if n_demands * cfg.trials > MAX_SIM_PAIRS:
         raise ConfigError(

@@ -12,7 +12,7 @@ from math import isinf
 
 from . import bounds, corners, hull
 from .errors import NotApplicable
-from .model import CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario, zero_cache_capacity
+from .model import CacheSizes, ChannelScenario, RateMemoryPoint, zero_cache_capacity
 
 
 def weak_only_curve(s: ChannelScenario) -> hull.Curve1D:
@@ -27,7 +27,6 @@ def lower_curve_weak_only(s: ChannelScenario, M_w: float) -> float:
     Returns 0 when ``delta_z <= delta_s`` (the weak-only families do not
     apply there; see :func:`exact_regimes`, which flags this gate).
     """
-    validate_scenario(s)
     try:
         return hull.eval_hull_1d(weak_only_curve(s), M_w)
     except NotApplicable:
@@ -56,7 +55,6 @@ def two_budget_surface(s: ChannelScenario) -> hull.Surface:
     """The mixture LP over the all-cached triples, augmented with the
     weak-only points whenever they exist (they remain valid with
     M_s = 0), built once: call it with (M_w, M_s)."""
-    validate_scenario(s)
     return hull.Surface(_surface_points(s))
 
 
@@ -74,7 +72,6 @@ def global_curve(s: ChannelScenario) -> hull.Curve1D:
     spend the budget, and at some parameters its coded-caching points beat
     the other families).
     """
-    validate_scenario(s)
     mapped: list[tuple[float, float]] = []
     if _weak_only_applies(s):
         for p in corners.points_weak_only(s):
@@ -156,14 +153,18 @@ def _certify(points, lower_fn, upper_fn, reference_fn):
     return dev
 
 
-def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
+#: Points per claimed interval at which :func:`exact_regimes` re-checks a claim.
+CERTIFY_SAMPLES = 11
+
+
+def exact_regimes(s: ChannelScenario) -> RegimeReport:
     """Certify each regime where lower and upper bounds provably meet.
 
-    Every claim is re-verified numerically at ``samples`` points within
-    1e-9 before being reported exact; mismatches are reported with their
-    maximal deviation, never clamped.
+    Every claim is re-verified numerically within 1e-9 at
+    ``CERTIFY_SAMPLES`` evenly spaced points, both ends included, before
+    being reported exact; mismatches are reported with their maximal
+    deviation, never clamped.
     """
-    validate_scenario(s)
     rep = RegimeReport()
     weak_ok = _weak_only_applies(s)
     if s.delta_z <= s.delta_s:
@@ -183,9 +184,8 @@ def exact_regimes(s: ChannelScenario, samples: int = 11) -> RegimeReport:
             )
 
     def grid(a: float, b: float) -> list[float]:
-        if samples == 1:
-            return [a]
-        return [a + (b - a) * i / (samples - 1) for i in range(samples)]
+        n = CERTIFY_SAMPLES - 1
+        return [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
 
     if weak_ok:
         pts = {p.label: p for p in corners.points_weak_only(s)}

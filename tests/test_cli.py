@@ -155,6 +155,27 @@ def test_verify_not_applicable(tmp_path, capsys):
     assert "not applicable" in capsys.readouterr().err
 
 
+ZERO_DENOMINATOR = {"K_w": 3, "K_s": 2, "delta_w": 1.0, "delta_s": 1.0, "delta_z": 0.5, "D": 8}
+
+
+@pytest.mark.parametrize(
+    "scenario,scheme",
+    [
+        (ZERO_DENOMINATOR, ["piggyback-allkeys", "--t", "1"]),
+        ({**ZERO_DENOMINATOR, "delta_s": 0.3},
+         ["symmetric-piggyback", "--tw", "3", "--ts", "1"]),
+    ],
+)
+def test_verify_vanishing_split_is_not_applicable(tmp_path, scenario, scheme, capsys):
+    # Both phase splits divide by zero here: delta_w = 1 with delta_s = 1,
+    # or with t_w = K_w.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["verify", "--scenario", str(path), "--scheme", *scheme])
+    assert rc == 3
+    assert "not applicable: phase split degenerates" in capsys.readouterr().err
+
+
 def test_verify_fig4_wiretap_passes(capsys):
     rc = main(["verify", "--preset", "fig4", "--scheme", "wiretap-cached-keys"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,27 +16,28 @@ def test_fig3_scenario_valid(fig3):
 
 
 def test_erasure_ordering_rejected():
-    s = ChannelScenario(K_w=5, K_s=15, delta_w=0.3, delta_s=0.5, delta_z=0.8, D=30)
     with pytest.raises(InvalidScenario, match="ordering"):
-        validate_scenario(s)
+        ChannelScenario(K_w=5, K_s=15, delta_w=0.3, delta_s=0.5, delta_z=0.8, D=30)
 
 
 def test_library_size_rejected():
-    s = ChannelScenario(K_w=5, K_s=15, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=10)
     with pytest.raises(InvalidScenario, match="library"):
-        validate_scenario(s)
+        ChannelScenario(K_w=5, K_s=15, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=10)
 
 
 def test_at_least_one_receiver():
-    s = ChannelScenario(K_w=0, K_s=0, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=10)
     with pytest.raises(InvalidScenario, match="receiver"):
-        validate_scenario(s)
+        ChannelScenario(K_w=0, K_s=0, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=10)
 
 
 def test_delta_z_range():
-    s = ChannelScenario(K_w=1, K_s=1, delta_w=0.7, delta_s=0.3, delta_z=1.2, D=10)
     with pytest.raises(InvalidScenario, match="delta_z"):
-        validate_scenario(s)
+        ChannelScenario(K_w=1, K_s=1, delta_w=0.7, delta_s=0.3, delta_z=1.2, D=10)
+
+
+def test_replace_revalidates(fig3):
+    with pytest.raises(InvalidScenario, match="ordering"):
+        dataclasses.replace(fig3, delta_s=0.9)
 
 
 def test_zero_cache_capacity_fig3(fig3):

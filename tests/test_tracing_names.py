@@ -1,0 +1,49 @@
+"""The benchmark tracer's wrapped names must exist in secache.
+
+``perfbench/tracing.py`` looks up every ``(module, function)`` of its
+``SPANNED`` and ``COUNTED`` tables with ``getattr`` on ``secache.<module>``
+when ``Tracer.install`` runs, so a removed or renamed function crashes it,
+and with it every traced benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from secache import CacheSizes, ChannelScenario, bounds
+from secache.cli import PRESETS
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize(
+    "module,function", [(m, f) for m, f, _ in tracing.SPANNED + tracing.COUNTED]
+)
+def test_traced_name_resolves(module, function):
+    assert callable(getattr(importlib.import_module(f"secache.{module}"), function))
+
+
+def test_scenario_validates_once_under_the_tracer():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        s = ChannelScenario(**PRESETS["fig3"])
+        bounds.ub_best(s, CacheSizes(0.1, 0.0))
+    finally:
+        tracer.restore()
+    assert tracer.counts["model.validate_calls"] == 1
+    assert tracer.counts["bounds.subpop_evals"] > 0
