@@ -48,22 +48,28 @@ def _load_scenario(args) -> ChannelScenario:
     return ChannelScenario.from_dict(obj)
 
 
+#: Most points a ``--grid`` may hold, counted before the list is built.
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise InvalidParameter(f"grid must be 'start:stop:step', got {text!r}")
-    if step <= 0 or b < a or a < 0:
-        raise InvalidParameter(f"bad grid {text!r} (memory grids start at >= 0)")
-    out = []
-    k = 0
-    while True:
-        x = a + k * step
-        if x > b + 1e-12:
-            break
-        out.append(round(x, 12))
-        k += 1
-    return out
+    if not (0 <= a <= b < float("inf") and 0 < step < float("inf")):
+        raise InvalidParameter(
+            f"bad grid {text!r} (finite numbers, 0 <= start <= stop, step > 0)"
+        )
+    top = b + 1e-12
+    count = (top - a) / step  # points past the first, up to rounding
+    if count >= MAX_GRID_POINTS:
+        raise InvalidParameter(
+            f"grid {text!r} exceeds the cap of {MAX_GRID_POINTS} points"
+        )
+    # a + k * step never decreases in k, so the filter keeps a prefix
+    return [round(a + k * step, 12) for k in range(int(count) + 2)
+            if a + k * step <= top]
 
 
 def _fmt(x: float | None) -> str:

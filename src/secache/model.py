@@ -101,8 +101,11 @@ class CacheSizes:
     M_s: float
 
     def __post_init__(self):
-        if self.M_w < 0 or self.M_s < 0:
-            raise InvalidScenario("cache sizes must be nonnegative")
+        if not (0 <= self.M_w < float("inf") and 0 <= self.M_s < float("inf")):
+            raise InvalidScenario(
+                f"cache sizes must be finite and nonnegative, got "
+                f"M_w={self.M_w}, M_s={self.M_s}"
+            )
 
 
 @dataclass(frozen=True)

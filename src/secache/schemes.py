@@ -5,7 +5,10 @@ and a delivery schedule (segments holding units).  Seven builders produce
 the plans behind the corner-point families; :func:`verify_plan` checks
 each plan's rate feasibility, decodability, secrecy accounting and cache
 accounting, returning margins instead of raising, so sweeps can log
-failures.
+failures.  ``piggyback-one`` and ``piggyback-allkeys`` are one weak-subset
+piggyback scheme (:func:`_build_piggyback`) whose strong receivers are
+secured by wiretap bins or by cached keys.  The subset builders refuse a
+plan larger than :data:`MAX_PLAN_SIZE` before allocating it.
 
 Modelling conventions (erasure broadcast channel, blocklength-normalised
 rates):
@@ -244,6 +247,21 @@ def _check_rate(rate: float, what: str) -> None:
     if rate <= 0.0:
         raise InvalidParameter(
             f"{what} is nonpositive ({rate}); eps too large for this scenario"
+        )
+
+
+#: Largest plan a subset builder allocates, in units plus atom references
+#: (atoms summed over placements), both counted from binomials beforehand.
+#: fig5 piggyback-allkeys at t=4 (68,809 + 361,960) fits; fig5
+#: piggyback-one at t=10 (2.2M units) does not.
+MAX_PLAN_SIZE = 10**6
+
+
+def _check_plan_size(units: int, atom_refs: int) -> None:
+    if units + atom_refs > MAX_PLAN_SIZE:
+        raise InvalidParameter(
+            f"plan of {units} units and {atom_refs} atom references exceeds "
+            f"the cap of {MAX_PLAN_SIZE}"
         )
 
 
@@ -489,24 +507,34 @@ def _binary_entropy_inverse(h: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
-    """Joint cache-channel scheme storing data and keys at weak receivers.
-
-    Three subphases: secured XORs of cached-data complements to weak
-    receivers, per-subset piggyback periods (weak receivers decode rows
-    against cached columns, strong receivers decode everything), and a
-    wiretap phase for the strong receivers' remaining parts.
+def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> SchemePlan:
+    """Weak-subset piggyback at index ``t``: phase 1 sends secured XORs of
+    cached-data complements to weak receivers, phase 2 one period per weak
+    t-subset (weak receivers decode the row against cached columns, strong
+    receivers decode everything), phase 3 the strong receivers' remaining
+    parts.  The strong side is secured by wiretap bins (a row bin and a
+    phase-3 bin) or, if ``keyed``, by cached keys (K3 per weak subset and
+    strong receiver, pads a column and is row context; K4 pads phase 3).
     """
-    _check_gate(s)
-    beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, s.delta_z, eps)
-    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    dz = 1.0 if keyed else s.delta_z
+    beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, dz, eps)
+    dw, ds = s.delta_w, s.delta_s
     Kw, Ks, D = s.K_w, s.K_s, s.D
-    mzw = min(1 - dz, 1 - dw)
+    # units: phase-1 XORs, row + K_s columns per B-subset, phase 3; atom
+    # references: members of A, B, K1, K2, of each K3 key (t + 1) and of K4
+    _check_plan_size(
+        comb(Kw, t + 1) + comb(Kw, t) * (1 + Ks) + Ks,
+        (t - 1) * comb(Kw, t - 1) + 2 * t * comb(Kw, t) + (t + 1) * comb(Kw, t + 1)
+        + ((t + 1) * Ks * comb(Kw, t) + Ks if keyed else 0),
+    )
+    mzw = min(1 - s.delta_z, 1 - dw)
     rA = RA / comb(Kw, t - 1)
     rB = RB / comb(Kw, t)
     RK1 = beta1 * mzw / comb(Kw, t + 1)
     RK2 = beta2 * mzw / comb(Kw, t)
-    Rbin = beta2 * min(pos(dw - dz), dw - ds) / comb(Kw, t)
+    # the strong receivers' phase-2 excess over the eavesdropper, per row
+    excess = beta2 * min(pos(dw - s.delta_z), dw - ds)
+    lam3 = beta3 / Ks
 
     weak = list(s.weak_ids)
     strong = list(s.strong_ids)
@@ -514,18 +542,45 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
     B = _family("B", weak, t)
     K1 = _family("K1", weak, t + 1)
     K2 = _family("K2", weak, t)
+    if keyed:
+        name, point_label = "piggyback-allkeys", f"all:piggyback-keys[t={t}]"
+        Rbin = bin3 = 0.0
+        RK3 = excess / (Ks * comb(Kw, t))
+        RK4 = beta3 * min(1 - s.delta_z, 1 - ds) / Ks
+        K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in B}
+        K4 = {j: (_lbl("K4", [j]),) for j in strong}
+    else:
+        name, point_label = "piggyback-one", f"piggyback-one[t={t}]"
+        Rbin = excess / comb(Kw, t)
+        bin3 = lam3 * (1 - s.delta_z)
+        RK3 = RK4 = 0.0
+        K3 = dict.fromkeys(B, ())
+        K4 = {}
+
+    key_rates = dict.fromkeys(K1.values(), RK1)
+    for G, k2_label in K2.items():
+        key_rates[k2_label] = RK2
+        key_rates |= dict.fromkeys(K3[G], RK3)
+    key_rates |= {k4: RK4 for pads in K4.values() for k4 in pads}
 
     atoms: dict[int, list[Atom]] = {i: [] for i in weak}
+    atoms |= {j: [Atom("key", k4, RK4, per_file=False)] for j, (k4,) in K4.items()}
     _place(atoms, A, lambda label: Atom("file_part", label, rA))
     if rB > 0:
         _place(atoms, B, lambda label: Atom("file_part", label, rB))
     _place(atoms, K1, lambda label: Atom("key", label, RK1, per_file=False))
-    _place(atoms, K2, lambda label: Atom("key", label, RK2, per_file=False))
-    placement = {i: tuple(atoms[i]) for i in weak}
-    key_rates = dict.fromkeys(K1.values(), RK1) | dict.fromkeys(K2.values(), RK2)
+    for G, k2_label in K2.items():
+        k2 = Atom("key", k2_label, RK2, per_file=False)
+        k3 = [Atom("key", label, RK3, per_file=False) for label in K3[G]]
+        for i in G:
+            atoms[i].append(k2)
+            atoms[i] += k3
+        for j, atom in zip(strong, k3):
+            atoms[j].append(atom)
+    placement = {r: tuple(a) for r, a in atoms.items()}
 
     # beta2, beta3 > 0: delta_w < 1 since _split_backoff returned (both
-    # nominal rates carry 1 - delta_w), and the gate gave delta_z > delta_s.
+    # nominal rates carry 1 - delta_w), and dz > delta_s (gate or keys).
     segments = []
     if beta1 > 0 and rB > 0:
         units = tuple(
@@ -534,6 +589,7 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
         segments.append(DeliverySegment((1, 0), beta1, units))
     lam2 = beta2 / comb(Kw, t)
     for G, b_label in B.items():
+        context = ((b_label,) if rB > 0 else ()) + K3[G]
         row = DeliveryUnit(
             parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
             part_rates=(rA,) * len(G),
@@ -541,29 +597,29 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
             bin_rate=Rbin,
             intended=frozenset(G) | frozenset(strong),
             decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
-            context={i: (b_label,) for i in G} if rB > 0 else {},
+            context=dict.fromkeys(G, context) if context else {},
         )
         cols = tuple(
             DeliveryUnit(
                 parts=((j, b_label),),
                 part_rates=(rB,),
+                pad_keys=K3[G][k:k + 1],
                 intended=frozenset({j}),
                 decode_load={jj: rB for jj in strong},
             )
-            for j in strong
+            for k, j in enumerate(strong)
             if rB > 0
         )
         segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
-    lam3 = beta3 / Ks
     for j in strong:
-        bin_rate = lam3 * (1 - dz)
         unit = DeliveryUnit(
             parts=tuple((j, a_label) for a_label in A.values()),
             part_rates=(rA,) * len(A),
             combine="concat",
-            bin_rate=bin_rate,
+            pad_keys=K4.get(j, ()),
+            bin_rate=bin3,
             intended=frozenset({j}),
-            decode_load={j: RA + bin_rate},
+            decode_load={j: RA + bin3},
         )
         segments.append(DeliverySegment((3, j), lam3, (unit,)))
 
@@ -571,18 +627,25 @@ def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
         D * ((t - 1) * RA + t * RB) / Kw
         + comb(Kw - 1, t) * RK1
         + comb(Kw - 1, t - 1) * RK2
+        + comb(Kw - 1, t - 1) * Ks * RK3
     )
+    M_s_claim = RK4 + comb(Kw, t) * RK3
     return SchemePlan(
-        scheme_name="piggyback-one",
+        scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
         placement=placement,
         schedule=tuple(segments),
-        claimed_point=RateMemoryPoint(
-            RA + RB, M_w_claim, 0.0, f"piggyback-one[t={t}]"
-        ),
+        claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
         key_rates=key_rates,
         message_parts=_subset_parts(s, A, rA, B, rB),
     )
+
+
+def build_piggyback_one(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
+    """Weak-subset piggyback, caches at weak receivers only; strong
+    receivers are secured by wiretap bins (:func:`_build_piggyback`)."""
+    _check_gate(s)
+    return _build_piggyback(s, t, eps, keyed=False)
 
 
 def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
@@ -733,114 +796,9 @@ def build_cached_keys_all(s: ChannelScenario, eps: float) -> SchemePlan:
 
 
 def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
-    """Piggyback scheme with extra keys everywhere; no wiretap binning.
-
-    Like :func:`build_piggyback_one` but the strong receivers' column
-    messages and final phase are secured with dedicated keys stored in
-    their caches (some of those keys are also context for the weak
-    receivers' restricted decoding).
-    """
-    beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, 1.0, eps)
-    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
-    Kw, Ks, D = s.K_w, s.K_s, s.D
-    mzw = min(1 - dz, 1 - dw)
-    mzs = min(1 - dz, 1 - ds)
-    rA = RA / comb(Kw, t - 1)
-    rB = RB / comb(Kw, t)
-    RK1 = beta1 * mzw / comb(Kw, t + 1)
-    RK2 = beta2 * mzw / comb(Kw, t)
-    RK3 = beta2 * min(pos(dw - dz), dw - ds) / (Ks * comb(Kw, t))
-    RK4 = beta3 * mzs / Ks
-
-    weak = list(s.weak_ids)
-    strong = list(s.strong_ids)
-    A = _family("A", weak, t - 1)
-    B = _family("B", weak, t)
-    K1 = _family("K1", weak, t + 1)
-    K2 = _family("K2", weak, t)
-    K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in B}
-    K4 = {j: _lbl("K4", [j]) for j in strong}
-
-    key_rates = dict.fromkeys(K1.values(), RK1)
-    for G, k2_label in K2.items():
-        key_rates[k2_label] = RK2
-        key_rates |= dict.fromkeys(K3[G], RK3)
-    key_rates |= dict.fromkeys(K4.values(), RK4)
-
-    atoms: dict[int, list[Atom]] = {i: [] for i in weak}
-    atoms |= {j: [Atom("key", K4[j], RK4, per_file=False)] for j in strong}
-    _place(atoms, A, lambda label: Atom("file_part", label, rA))
-    if rB > 0:
-        _place(atoms, B, lambda label: Atom("file_part", label, rB))
-    _place(atoms, K1, lambda label: Atom("key", label, RK1, per_file=False))
-    for G, k2_label in K2.items():
-        k2 = Atom("key", k2_label, RK2, per_file=False)
-        k3 = [Atom("key", label, RK3, per_file=False) for label in K3[G]]
-        for i in G:
-            atoms[i].append(k2)
-            atoms[i] += k3
-        for j, atom in zip(strong, k3):
-            atoms[j].append(atom)
-    placement = {r: tuple(atoms[r]) for r in weak + strong}
-
-    segments = []
-    if beta1 > 0 and rB > 0:
-        units = tuple(
-            _xor_unit(H, B, rB, pad, dict.fromkeys(weak, rB)) for H, pad in K1.items()
-        )
-        segments.append(DeliverySegment((1, 0), beta1, units))
-    lam2 = beta2 / comb(Kw, t)
-    for G, b_label in B.items():
-        row = DeliveryUnit(
-            parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
-            part_rates=(rA,) * len(G),
-            pad_keys=(K2[G],),
-            intended=frozenset(G) | frozenset(strong),
-            decode_load={i: rA for i in G} | {j: rA for j in strong},
-            context={i: ((b_label,) if rB > 0 else ()) + K3[G] for i in G},
-        )
-        cols = tuple(
-            DeliveryUnit(
-                parts=((j, b_label),),
-                part_rates=(rB,),
-                pad_keys=(k3,),
-                intended=frozenset({j}),
-                decode_load={jj: rB for jj in strong},
-            )
-            for j, k3 in zip(strong, K3[G])
-            if rB > 0
-        )
-        segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
-    lam3 = beta3 / Ks
-    for j in strong:
-        unit = DeliveryUnit(
-            parts=tuple((j, a_label) for a_label in A.values()),
-            part_rates=(rA,) * len(A),
-            combine="concat",
-            pad_keys=(K4[j],),
-            intended=frozenset({j}),
-            decode_load={j: RA},
-        )
-        segments.append(DeliverySegment((3, j), lam3, (unit,)))
-
-    M_w_claim = (
-        D * ((t - 1) * RA + t * RB) / Kw
-        + comb(Kw - 1, t) * RK1
-        + comb(Kw - 1, t - 1) * RK2
-        + comb(Kw - 1, t - 1) * Ks * RK3
-    )
-    M_s_claim = RK4 + comb(Kw, t) * RK3
-    return SchemePlan(
-        scheme_name="piggyback-allkeys",
-        params={"t": t, "eps": eps, "D": D},
-        placement=placement,
-        schedule=tuple(segments),
-        claimed_point=RateMemoryPoint(
-            RA + RB, M_w_claim, M_s_claim, f"all:piggyback-keys[t={t}]"
-        ),
-        key_rates=key_rates,
-        message_parts=_subset_parts(s, A, rA, B, rB),
-    )
+    """Weak-subset piggyback, strong receivers secured by cached keys, so
+    any eavesdropper is allowed (:func:`_build_piggyback`)."""
+    return _build_piggyback(s, t, eps, keyed=True)
 
 
 def build_symmetric_piggyback(
@@ -876,6 +834,13 @@ def build_symmetric_piggyback(
         Kw * (t_w + 1) * (t_s + 1) * (1 - dw) * (1 - ds) ** 2 / den,
         Ks * (t_w + 1) * (t_s + 1) * (1 - dw) ** 2 * (1 - ds) / den,
         eps,
+    )
+    # units: the XORs of each class, a row and a column per pair; atom
+    # references: members of A, Kw1, B and Ks1, and four keys per pair
+    _check_plan_size(
+        comb(Kw, t_w + 1) + 2 * Kw * Ks + comb(Ks, t_s + 1),
+        t_w * comb(Kw, t_w) + (t_w + 1) * comb(Kw, t_w + 1)
+        + t_s * comb(Ks, t_s) + (t_s + 1) * comb(Ks, t_s + 1) + 4 * Kw * Ks,
     )
     a = RA / comb(Kw, t_w)      # subset part, weak side
     ar = RA / Kw                # receiver part, strong deliveries

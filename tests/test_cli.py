@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -314,11 +315,48 @@ def test_bounds_lower_mixture_certifies_lower(preset, mw, ms, capsys):
     assert sum(w * p.R for w, p in zip(weights, points)) == pytest.approx(obj["lower"], abs=1e-12)
 
 
-@pytest.mark.parametrize("extra", [["--grid=-0.5:1:0.5"], ["--grid", "0:1:0.5", "--ms=-0.1"]])
+@pytest.mark.parametrize("extra", [
+    ["--grid=-0.5:1:0.5"],
+    ["--grid", "0:1:0.5", "--ms=-0.1"],
+    ["--grid", "0:1:0.5", "--ms", "nan"],
+    # grids that never end or hold 10^9 points, refused before any is built
+    ["--grid", "0:nan:1"],
+    ["--grid", "0:inf:1"],
+    ["--grid", "0:1:inf"],
+    ["--grid", "0:1:1e-9"],
+])
 def test_curve_negative_memory_is_bad_input(fig3_file, extra, capsys):
     rc = main(["curve", "--scenario", fig3_file, "--mode", "surface-slice", *extra])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("memory", [["--mw", "nan"], ["--mw", "inf"], ["--mw", "0.1", "--ms", "nan"]])
+def test_bounds_non_finite_memory_is_bad_input(memory, capsys):
+    assert main(["bounds", "--preset", "fig3", *memory]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_grid_step_below_float_resolution_terminates():
+    from secache.cli import _parse_grid
+
+    # 1e300 + k * 1 == 1e300 for every k: the points come from the count
+    assert _parse_grid("1e300:1e300:1") == [1e300, 1e300]
+
+
+@pytest.mark.parametrize("params", [
+    ["--scheme", "piggyback-one", "--t", "10"],  # 2.2M units
+    ["--scheme", "symmetric-piggyback", "--tw", "10", "--ts", "5"],  # 3.7M atom references
+])
+def test_plan_size_cap_is_bad_input(params, capsys):
+    start = time.perf_counter()
+    rc = main(["verify", "--preset", "fig5", *params])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+    assert elapsed < 1.0  # refused from binomials, before any allocation
 
 
 @pytest.mark.parametrize("trials,demands", [

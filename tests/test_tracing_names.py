@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from secache import CacheSizes, ChannelScenario, bounds
+from secache import CacheSizes, ChannelScenario, bounds, schemes
 from secache.cli import PRESETS
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -35,6 +35,15 @@ tracing = _load_tracing()
 )
 def test_traced_name_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"secache.{module}"), function))
+
+
+@pytest.mark.parametrize("name", sorted(schemes.BUILDERS))
+def test_builder_is_a_spanned_module_attribute(name):
+    # The tracer wraps a builder by its module attribute and patches every
+    # dict holding the same object, so BUILDERS must hold that very object.
+    builder = schemes.BUILDERS[name]
+    assert getattr(schemes, builder.__name__) is builder
+    assert ("schemes", builder.__name__) in {(m, f) for m, f, _ in tracing.SPANNED}
 
 
 def test_scenario_validates_once_under_the_tracer():
