@@ -16,7 +16,7 @@ from secache import (
     lower_curve_weak_only,
     points_separate,
     points_weak_only,
-    ub_best,
+    ub_best_grid,
     weak_only_max_slope,
     zero_cache_capacity,
 )
@@ -44,13 +44,14 @@ for p in points_weak_only(s):
 
 # ---------------------------------------------------------------------------
 # 3. Hull vs converse on a memory sweep.  Watch the exact regimes: the
-#    keys-only segment at small memory and the saturated tail.
+#    keys-only segment at small memory and the saturated tail.  The
+#    converse is evaluated over the whole sweep in one call.
 # ---------------------------------------------------------------------------
 print("\n   M_w      lower    upper    gap")
-for m in [0.0, 0.005, 0.01, 0.0142857, 0.05, 0.1, 0.3, 0.4727, 0.8, 1.2]:
+sweep = [0.0, 0.005, 0.01, 0.0142857, 0.05, 0.1, 0.3, 0.4727, 0.8, 1.2]
+for m, upper in zip(sweep, ub_best_grid(s, [CacheSizes(m, 0.0) for m in sweep])):
     lo = lower_curve_weak_only(s, m)
-    up = ub_best(s, CacheSizes(m, 0.0)).value
-    print(f"  {m:7.4f}  {lo:.6f} {up:.6f}  {up - lo:.2e}")
+    print(f"  {m:7.4f}  {lo:.6f} {upper.value:.6f}  {upper.value - lo:.2e}")
 
 # ---------------------------------------------------------------------------
 # 4. Separate cache-channel coding loses rate in the middle of the curve.

@@ -102,18 +102,18 @@ def cmd_curve(args) -> int:
         except NotApplicable:
             joint = sep = None
         rows.append("M,R_lower_joint,R_lower_separate,R_upper")
-        for m in grid:
+        uppers = bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in grid])
+        for m, up in zip(grid, uppers):
             lo = 0.0 if joint is None else hull.eval_hull_1d(joint, m)
             lo_sep = None if sep is None else hull.eval_hull_1d(sep, m)
-            up = bounds.ub_best(s, CacheSizes(m, 0.0)).value
-            rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up)}")
+            rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up.value)}")
     elif args.mode == "surface-slice":
         rows.append("M,R_lower,R_upper")
         surface = tradeoff.two_budget_surface(s)
-        for m in grid:
-            lo = surface(m, args.ms)
-            up = bounds.ub_best(s, CacheSizes(m, args.ms)).value
-            rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(up)}")
+        lowers = [surface(m, args.ms) for m in grid]
+        uppers = bounds.ub_best_grid(s, [CacheSizes(m, args.ms) for m in grid])
+        for m, lo, up in zip(grid, lowers, uppers):
+            rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(up.value)}")
     elif args.mode == "global":
         rows.append("M_tot,R_glob,R_weak_only,R_uniform,R_nonsecure_note")
         glob = tradeoff.global_curve(s)

@@ -143,14 +143,21 @@ class RegimeReport:
         return {"claims": [c.to_dict() for c in self.claims], "notes": self.notes}
 
 
-def _certify(points, lower_fn, upper_fn, reference_fn):
+def _certify(points, lower_fn, uppers, reference_fn):
+    """Largest deviation of the lower bound from the precomputed upper
+    values at ``points`` and from the claimed closed form."""
     dev = 0.0
-    for x in points:
-        lo, up = lower_fn(x), upper_fn(x)
+    for x, up in zip(points, uppers):
+        lo = lower_fn(x)
         dev = max(dev, abs(lo - up))
         if reference_fn is not None:
             dev = max(dev, abs(lo - reference_fn(x)))
     return dev
+
+
+def _weak_only_upper(s: ChannelScenario, xs: list[float]) -> list[float]:
+    """The converse at ``(m, 0)`` for every ``m`` of ``xs``, in one call."""
+    return [rep.value for rep in bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in xs])]
 
 
 #: Points per claimed interval at which :func:`exact_regimes` re-checks a claim.
@@ -193,10 +200,11 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
         m1 = pts["cached-keys"].M_w
+        xs = grid(0.0, m1)
         dev = _certify(
-            grid(0.0, m1),
+            xs,
             lambda m: hull.eval_hull_1d(weak, m),
-            lambda m: bounds.ub_best(s, CacheSizes(m, 0.0)).value,
+            _weak_only_upper(s, xs),
             lambda m: r0 + slope * m,
         )
         rep.claims.append(
@@ -214,10 +222,11 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             m_top = pts["piggyback-two"].M_w
             m_lib = pts["full-library"].M_w
             flat = (s.delta_z - s.delta_s) / s.K_s
+            xs = grid(m_top, max(2.0 * m_lib, m_top + 1.0))
             dev = _certify(
-                grid(m_top, max(2.0 * m_lib, m_top + 1.0)),
+                xs,
                 lambda m: hull.eval_hull_1d(weak, m),
-                lambda m: bounds.ub_best(s, CacheSizes(m, 0.0)).value,
+                _weak_only_upper(s, xs),
                 lambda m: flat,
             )
             rep.claims.append(
@@ -278,10 +287,11 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K
         glob = global_curve(s)
+        xs = grid(0.0, end)
         dev = _certify(
-            grid(0.0, end),
+            xs,
             lambda m: hull.eval_hull_1d(glob, m),
-            lambda m: bounds.ub_global(s, m),
+            [bounds.ub_global(s, m) for m in xs],
             ref,
         )
         rep.claims.append(

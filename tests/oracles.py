@@ -5,12 +5,13 @@ is a grid search, the cache-sharing reference is a bisection on the
 water level (production solves for it in closed form), the mixture oracle
 is a grid search over triple supports (no linear algebra), the two-budget
 reference is the per-query support enumeration that production replaced
-by dual planes built once, the peel-rule and Monte-Carlo references are
-the per-receiver schedule scan and the scalar per-draw trial loop that
-production replaced by receiver bitmasks and a compiled threshold kernel,
-and the entropy inverse is a dense scan.  Grid
-resolution h bounds the value error by h times the largest capacity
-factor, which the comparing tests account for.
+by dual planes built once, the converse sweep is the pair-by-pair scan
+that production replaced by one batched evaluation over a grid, the
+peel-rule and Monte-Carlo references are the per-receiver schedule scan
+and the scalar per-draw trial loop that production replaced by receiver
+bitmasks and a compiled threshold kernel, and the entropy inverse is a
+dense scan.  Grid resolution h bounds the value error by h times the
+largest capacity factor, which the comparing tests account for.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
+from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
 from secache.errors import ConfigError, EmptyInput, Infeasible
-from secache.model import ChannelScenario, RateMemoryPoint, validate_scenario
+from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
 from secache.schemes import SchemePlan
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
 
@@ -127,6 +129,23 @@ def cache_sharing_bisection(alphas, k_w, cw, cs, tol=1e-12):
         if hi - lo <= tol:
             break
     return lo
+
+
+def ub_best_sweep(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
+    """The converse sweep that ``bounds.ub_best_grid`` replaced, verbatim:
+    every (k_w, k_s) pair in order, both families, keeping the first
+    value lower by more than TOL."""
+    best = None
+    for k_w in range(s.K_w + 1):
+        for k_s in range(s.K_s + 1):
+            if k_w == 0 and k_s == 0:
+                continue
+            for fn in (ub_split, ub_cache_sharing):
+                rep = fn(s, c, k_w, k_s)
+                if best is None or rep.value < best.value - TOL:
+                    best = rep
+    assert best is not None
+    return best
 
 
 def lambda_grid_best(points, M_w, M_s, step):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from secache.cli import main
+from secache.schemes import BUILDERS
 
 FIG3 = {"K_w": 5, "K_s": 15, "delta_w": 0.7, "delta_s": 0.3, "delta_z": 0.8, "D": 30}
 
@@ -390,3 +391,14 @@ def test_simulate_non_integer_demand_count_is_bad_input(capsys):
                "--n", "2000", "--demands", "random:three"])
     assert rc == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", sorted(BUILDERS))
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--n", "2000"]])
+def test_backoff_below_rate_tolerance_is_bad_input(scheme, command, capsys):
+    # a backoff under RATE_TOL rounds away, so the plan would fail RATE
+    rc = main([*command, "--preset", "fig3", "--scheme", scheme, "--eps", "1e-20"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps must be >=" in captured.err

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from oracles import entropy_inverse_scan
+from secache.schemes import RATE_TOL
 from secache import (
     BUILDERS,
     ChannelScenario,
@@ -125,6 +126,48 @@ def test_nonpositive_eps_rejected(fig3):
     for bad in (0.0, -0.01):
         with pytest.raises(InvalidParameter):
             build_wiretap_cached_keys(fig3, bad)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_backoff_below_rate_tolerance_rejected(fig3, name):
+    # below RATE_TOL the backoff is lost to rounding and RATE fails
+    builder = BUILDERS[name]
+    params = {"piggyback-one": (1,), "piggyback-allkeys": (1,),
+              "symmetric-piggyback": (1, 1)}.get(name, ())
+    for bad in (1e-20, 5e-324, RATE_TOL / 2, float("nan")):
+        with pytest.raises(InvalidParameter, match="eps"):
+            builder(fig3, *params, bad)
+    assert verify_plan(builder(fig3, *params, RATE_TOL), fig3).passed
+
+
+def test_random_backoff_builds_pass_rate_or_raise():
+    # every builder either refuses (a documented error) or returns a plan
+    # whose RATE check passes, for eps log-uniform over [1e-20, 1e-1]
+    rng = random.Random(1012)
+
+    def erasure():
+        return rng.choice((0.0, 1.0, round(rng.random(), 6)))
+
+    built = 0
+    for _ in range(600):
+        K_w, K_s = rng.randint(1, 4), rng.randint(1, 4)
+        delta_s, delta_w = sorted((erasure(), erasure()))
+        s = ChannelScenario(K_w, K_s, delta_w, delta_s, erasure(),
+                            K_w + K_s + rng.randint(1, 4))
+        eps = 10 ** rng.uniform(-20, -1)
+        name = rng.choice(sorted(BUILDERS))
+        params = {"piggyback-one": (rng.randint(1, K_w),),
+                  "piggyback-allkeys": (rng.randint(1, K_w),),
+                  "symmetric-piggyback": (rng.randint(1, K_w), rng.randint(1, K_s)),
+                  }.get(name, ())
+        try:
+            plan = BUILDERS[name](s, *params, eps)
+        except (IndexOutOfRange, InvalidParameter, NotApplicable):
+            continue
+        rate = next(c for c in verify_plan(plan, s).checks if c.name == "RATE")
+        assert rate.passed, (name, params, eps, s, rate)
+        built += 1
+    assert built >= 60
 
 
 def test_oversized_eps_rejected(fig3):

@@ -56,3 +56,21 @@ def test_scenario_validates_once_under_the_tracer():
         tracer.restore()
     assert tracer.counts["model.validate_calls"] == 1
     assert tracer.counts["bounds.subpop_evals"] > 0
+
+
+def test_grid_rebuilds_one_witness_per_point_under_the_tracer():
+    # The batch computes every pair's values itself and calls the scalar
+    # bound functions (module attributes, so the tracer counts them) only
+    # to rebuild each point's winning report.
+    s = ChannelScenario(**PRESETS["fig3"])
+    caches = [CacheSizes(0.1 * i, 0.0) for i in range(11)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        before = tracer.counts["bounds.subpop_evals"]
+        reports = bounds.ub_best_grid(s, caches)
+        added = tracer.counts["bounds.subpop_evals"] - before
+    finally:
+        tracer.restore()
+    assert added == 11
+    assert reports == bounds.ub_best_grid(s, caches)
