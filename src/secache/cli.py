@@ -8,6 +8,7 @@ trailing whitespace).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -131,13 +132,11 @@ def cmd_curve(args) -> int:
                 f"{_fmt(m)},{_fmt(hull.eval_hull_1d(glob, m))},{_fmt(r_weak)},"
                 f"{_fmt(hull.eval_hull_1d(uni, m))},"
             )
-    elif args.mode == "uniform":
+    else:  # "uniform"; argparse's choices admit no other mode
         rows.append("M_tot,R_uniform")
         uni = tradeoff.uniform_curve(s)
         for m in grid:
             rows.append(f"{_fmt(m)},{_fmt(hull.eval_hull_1d(uni, m))}")
-    else:
-        raise InvalidParameter(f"unknown mode {args.mode!r}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -187,7 +186,10 @@ def cmd_regimes(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every
+    :func:`main` call (parsing keeps no state in it)."""
     p = argparse.ArgumentParser(
         prog="secache",
         description="Secrecy capacity-memory tradeoffs of cache-aided "

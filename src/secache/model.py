@@ -11,7 +11,6 @@ independent messages.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
@@ -20,10 +19,6 @@ from .errors import InvalidScenario
 #: Absolute tolerance for floating comparisons throughout the package.
 #: All closed forms are short rational expressions, so 1e-12 is safe.
 TOL = 1e-12
-
-
-class Provenance(enum.Enum):
-    LOWER_CORNER = "LowerCorner"
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,6 @@ class RateMemoryPoint:
     M_w: float
     M_s: float
     label: str
-    provenance: Provenance = Provenance.LOWER_CORNER
 
     def __post_init__(self):
         for name in ("R", "M_w", "M_s"):

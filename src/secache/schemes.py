@@ -5,10 +5,12 @@ and a delivery schedule (segments holding units).  Seven builders produce
 the plans behind the corner-point families; :func:`verify_plan` checks
 each plan's rate feasibility, decodability, secrecy accounting and cache
 accounting, returning margins instead of raising, so sweeps can log
-failures.  ``piggyback-one`` and ``piggyback-allkeys`` are one weak-subset
-piggyback scheme (:func:`_build_piggyback`) whose strong receivers are
-secured by wiretap bins or by cached keys.  The subset builders refuse a
-plan larger than :data:`MAX_PLAN_SIZE` before allocating it.
+failures.  ``wiretap-cached-keys`` and ``cached-keys-all`` are one unicast
+key scheme (:func:`_build_unicast`), ``piggyback-one`` and
+``piggyback-allkeys`` one weak-subset piggyback scheme
+(:func:`_build_piggyback`); each pair secures its strong receivers by
+wiretap bins or by cached keys.  The subset builders refuse a plan larger
+than :data:`MAX_PLAN_SIZE` before allocating it.
 
 Modelling conventions (erasure broadcast channel, blocklength-normalised
 rates):
@@ -231,6 +233,22 @@ def _xor_unit(H: tuple[int, ...], labels: dict, rate: float, pad: str,
     )
 
 
+def _unicast(r: int, label: str, rate: float, pads: tuple[str, ...] = (),
+             bin_rate: float = 0.0, context: tuple[str, ...] = ()) -> DeliveryUnit:
+    """A unit only receiver ``r`` decodes: its part ``label`` at ``rate``,
+    padded by ``pads``, with ``bin_rate`` of wiretap randomisation on top
+    and ``context`` as its decoder context."""
+    return DeliveryUnit(
+        parts=((r, label),),
+        part_rates=(rate,),
+        pad_keys=pads,
+        bin_rate=bin_rate,
+        intended=frozenset({r}),
+        decode_load={r: rate + bin_rate},
+        context={r: context} if context else {},
+    )
+
+
 def _check_eps(eps: float) -> None:
     # A smaller backoff is lost to rounding in the rate sums, so the
     # built plan would fail its own RATE check.
@@ -355,61 +373,63 @@ def cache_usage_by_class(plan: SchemePlan, s: ChannelScenario) -> CacheSizes:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_wiretap_cached_keys(s: ChannelScenario, eps: float) -> SchemePlan:
-    """One-time-pad keys at weak receivers; wiretap code to strong ones.
-
-    The delivery splits into K_w weak slots carrying padded messages and
-    K_s strong wiretap slots; the split parameter equalises the two
-    decoding constraints.
+def _build_unicast(s: ChannelScenario, eps: float, keyed: bool) -> SchemePlan:
+    """Unicast key scheme: K_w weak slots carry messages padded by cached
+    keys, K_s strong slots the strong receivers' messages, secured by a
+    wiretap bin or, if ``keyed``, by a cached key as well.  The split
+    ``beta`` equalises the two classes' decoding constraints; ``dz`` sets
+    the strong secrecy budget as in :func:`_piggyback_split`.
     """
+    dz = 1.0 if keyed else s.delta_z
+    dw, ds = s.delta_w, s.delta_s
+    den = s.K_w * (dz - ds) + s.K_s * (1 - dw)
+    if den <= 0:  # keyed only: the gate and K_w >= 1 keep den > 0 otherwise
+        raise NotApplicable("all channels fully erased")
+    beta = s.K_w * (dz - ds) / den
+    R = (dz - ds) * (1 - dw) / den - eps
+    _check_rate(R, "message rate")
+    lam_s = (1 - beta) / s.K_s if s.K_s else 0.0
+    if keyed:
+        name, point_label = "cached-keys-all", "all:cached-keys"
+        RKw = beta * min(1 - s.delta_z, 1 - dw) / s.K_w if s.K_w else 0.0
+        RKs = (1 - beta) * min(1 - s.delta_z, 1 - ds) / s.K_s if s.K_s else 0.0
+        key_rate = dict.fromkeys(s.weak_ids, RKw) | dict.fromkeys(s.strong_ids, RKs)
+        bin_s = 0.0
+    else:  # strong receivers hold no key
+        name, point_label = "wiretap-cached-keys", "cached-keys"
+        RKw, RKs = min(beta * (1 - s.delta_z) / s.K_w, R), 0.0
+        key_rate = dict.fromkeys(s.weak_ids, RKw)
+        bin_s = lam_s * (1 - s.delta_z)
+
+    keys = {r: _lbl("K", [r]) for r in key_rate}
+    placement = {r: (Atom("key", keys[r], rate, per_file=False),)
+                 for r, rate in key_rate.items()}
+    key_rates = {keys[r]: rate for r, rate in key_rate.items()}
+    segments = [DeliverySegment((1, i), beta / s.K_w, (_unicast(i, "full", R, (keys[i],)),))
+                for i in s.weak_ids]
+    for j in s.strong_ids:
+        unit = _unicast(j, "full", R, (keys[j],) if keyed else (), bin_s)
+        segments.append(DeliverySegment((2, j), lam_s, (unit,)))
+
+    return SchemePlan(
+        scheme_name=name,
+        params={"eps": eps, "D": s.D},
+        placement=placement,
+        schedule=tuple(segments),
+        claimed_point=RateMemoryPoint(R, RKw, RKs, point_label),
+        key_rates=key_rates,
+        message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
+    )
+
+
+def build_wiretap_cached_keys(s: ChannelScenario, eps: float) -> SchemePlan:
+    """One-time-pad keys at weak receivers; wiretap code to strong ones
+    (:func:`_build_unicast`)."""
     _check_gate(s)
     _check_eps(eps)
     if s.K_w < 1:
         raise NotApplicable("needs at least one weak receiver")
-    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
-    den = s.K_w * (dz - ds) + s.K_s * (1 - dw)
-    beta = s.K_w * (dz - ds) / den
-    R = (dz - ds) * (1 - dw) / den - eps
-    _check_rate(R, "message rate")
-    R_key = min(beta * (1 - dz) / s.K_w, R)
-
-    placement = {i: (Atom("key", _lbl("K", [i]), R_key, per_file=False),)
-                 for i in s.weak_ids}
-    key_rates = {_lbl("K", [i]): R_key for i in s.weak_ids}
-
-    segments = []
-    lam_w = beta / s.K_w
-    for i in s.weak_ids:
-        unit = DeliveryUnit(
-            parts=((i, "full"),),
-            part_rates=(R,),
-            pad_keys=(_lbl("K", [i]),),
-            intended=frozenset({i}),
-            decode_load={i: R},
-        )
-        segments.append(DeliverySegment((1, i), lam_w, (unit,)))
-    if s.K_s > 0:
-        lam_s = (1 - beta) / s.K_s
-        for j in s.strong_ids:
-            bin_rate = lam_s * (1 - dz)
-            unit = DeliveryUnit(
-                parts=((j, "full"),),
-                part_rates=(R,),
-                bin_rate=bin_rate,
-                intended=frozenset({j}),
-                decode_load={j: R + bin_rate},
-            )
-            segments.append(DeliverySegment((2, j), lam_s, (unit,)))
-
-    return SchemePlan(
-        scheme_name="wiretap-cached-keys",
-        params={"eps": eps, "D": s.D},
-        placement=placement,
-        schedule=tuple(segments),
-        claimed_point=RateMemoryPoint(R, R_key, 0.0, "cached-keys"),
-        key_rates=key_rates,
-        message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
-    )
+    return _build_unicast(s, eps, keyed=False)
 
 
 def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
@@ -452,25 +472,24 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
         )
         for i in s.weak_ids
     )
-    segments = [DeliverySegment((1, "cloud"), gamma, cloud_units)]
-    if s.K_s > 0:
-        sat_units = []
-        for pos_j, j in enumerate(s.strong_ids):
-            first = pos_j == 0
-            load = R + (R_bin if first else 0.0)
-            sat_units.append(
-                DeliveryUnit(
-                    parts=((j, "full"),),
-                    part_rates=(R,),
-                    jam_keys=tuple(key_labels) if first else (),
-                    bin_rate=R_bin if first else 0.0,
-                    intended=frozenset({j}),
-                    decode_load={jj: load for jj in s.strong_ids},
-                )
+    sat_units = []
+    for pos_j, j in enumerate(s.strong_ids):
+        first = pos_j == 0
+        load = R + (R_bin if first else 0.0)
+        sat_units.append(
+            DeliveryUnit(
+                parts=((j, "full"),),
+                part_rates=(R,),
+                jam_keys=tuple(key_labels) if first else (),
+                bin_rate=R_bin if first else 0.0,
+                intended=frozenset({j}),
+                decode_load={jj: load for jj in s.strong_ids},
             )
-        segments.append(
-            DeliverySegment((2, "satellite"), 1 - gamma, tuple(sat_units))
         )
+    segments = [
+        DeliverySegment((1, "cloud"), gamma, cloud_units),
+        DeliverySegment((2, "satellite"), 1 - gamma, tuple(sat_units)),
+    ]
 
     return SchemePlan(
         scheme_name="superposition-jamming",
@@ -711,22 +730,8 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
     if RA > 0:
         lam2 = (1 - beta) / Ks
         for j in s.strong_ids:
-            bin_rate = lam2 * (1 - dz)
-            segments.append(
-                DeliverySegment(
-                    (2, j),
-                    lam2,
-                    (
-                        DeliveryUnit(
-                            parts=((j, "A"),),
-                            part_rates=(RA,),
-                            bin_rate=bin_rate,
-                            intended=frozenset({j}),
-                            decode_load={j: RA + bin_rate},
-                        ),
-                    ),
-                )
-            )
+            unit = _unicast(j, "A", RA, bin_rate=lam2 * (1 - dz))
+            segments.append(DeliverySegment((2, j), lam2, (unit,)))
 
     message_parts = {
         k: tuple(p for p in (("A", RA), ("B", RB)) if p[1] > 0)
@@ -746,55 +751,10 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
 
 
 def build_cached_keys_all(s: ChannelScenario, eps: float) -> SchemePlan:
-    """One-time-pad keys at every receiver; works for any eavesdropper."""
+    """One-time-pad keys at every receiver; works for any eavesdropper
+    (:func:`_build_unicast`)."""
     _check_eps(eps)
-    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
-    den = s.K_w * (1 - ds) + s.K_s * (1 - dw)
-    if den <= 0:
-        raise NotApplicable("all channels fully erased")
-    beta = s.K_w * (1 - ds) / den
-    R = (1 - dw) * (1 - ds) / den - eps
-    _check_rate(R, "message rate")
-    RKw = beta * min(1 - dz, 1 - dw) / s.K_w if s.K_w else 0.0
-    RKs = (1 - beta) * min(1 - dz, 1 - ds) / s.K_s if s.K_s else 0.0
-
-    placement = {}
-    key_rates = {}
-    segments = []
-    for i in s.weak_ids:
-        lbl = _lbl("K", [i])
-        placement[i] = (Atom("key", lbl, RKw, per_file=False),)
-        key_rates[lbl] = RKw
-        unit = DeliveryUnit(
-            parts=((i, "full"),),
-            part_rates=(R,),
-            pad_keys=(lbl,),
-            intended=frozenset({i}),
-            decode_load={i: R},
-        )
-        segments.append(DeliverySegment((1, i), beta / s.K_w, (unit,)))
-    for j in s.strong_ids:
-        lbl = _lbl("K", [j])
-        placement[j] = (Atom("key", lbl, RKs, per_file=False),)
-        key_rates[lbl] = RKs
-        unit = DeliveryUnit(
-            parts=((j, "full"),),
-            part_rates=(R,),
-            pad_keys=(lbl,),
-            intended=frozenset({j}),
-            decode_load={j: R},
-        )
-        segments.append(DeliverySegment((2, j), (1 - beta) / s.K_s, (unit,)))
-
-    return SchemePlan(
-        scheme_name="cached-keys-all",
-        params={"eps": eps, "D": s.D},
-        placement=placement,
-        schedule=tuple(segments),
-        claimed_point=RateMemoryPoint(R, RKw, RKs, "all:cached-keys"),
-        key_rates=key_rates,
-        message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
-    )
+    return _build_unicast(s, eps, keyed=True)
 
 
 def build_piggyback_allkeys(s: ChannelScenario, t: int, eps: float) -> SchemePlan:
@@ -896,22 +856,8 @@ def build_symmetric_piggyback(
     lam2 = beta2 / (Kw * Ks)
     for (i, j), kw in Kw_pair.items():
         ks = Ks_pair[(i, j)]
-        row = DeliveryUnit(
-            parts=((i, Br[j]),),
-            part_rates=(br,),
-            pad_keys=(kw,),
-            intended=frozenset({i}),
-            decode_load={i: br},
-            context={i: (ks, Ar[i])},
-        )
-        col = DeliveryUnit(
-            parts=((j, Ar[i]),),
-            part_rates=(ar,),
-            pad_keys=(ks,),
-            intended=frozenset({j}),
-            decode_load={j: ar},
-            context={j: (kw, Br[j])},
-        )
+        row = _unicast(i, Br[j], br, (kw,), context=(ks, Ar[i]))
+        col = _unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j]))
         segments.append(DeliverySegment((2, (i, j)), lam2, (row, col)))
     if beta3 > 0:
         lam3 = beta3 / comb(Ks, t_s + 1)

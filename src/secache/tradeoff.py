@@ -149,9 +149,7 @@ def _certify(points, lower_fn, uppers, reference_fn):
     dev = 0.0
     for x, up in zip(points, uppers):
         lo = lower_fn(x)
-        dev = max(dev, abs(lo - up))
-        if reference_fn is not None:
-            dev = max(dev, abs(lo - reference_fn(x)))
+        dev = max(dev, abs(lo - up), abs(lo - reference_fn(x)))
     return dev
 
 

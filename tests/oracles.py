@@ -62,22 +62,22 @@ def simplex_grid_maxmin(alphas, caps, step):
         )
         return float(vals[ok].max())
     if m == 4:
+        # Grid pairs (b2, b3) of the simplex, sorted by b2 + b3: those
+        # feasible beside b1 = ax[i] (b2 + b3 <= 1 - b1) are the first
+        # ends[i].  b1's term is constant over them, so it caps their max.
+        ax = ax[ax <= 1.0 + 1e-12]
+        n = len(ax) - 1
+        i2, i3 = np.indices((n + 1, n + 1)).reshape(2, -1)
+        tot = i2 + i3
+        order = np.argsort(tot, kind="stable")[: (n + 1) * (n + 2) // 2]
+        b2, b3 = ax[i2[order]], ax[i3[order]]
+        ends = np.searchsorted(tot[order], n - np.arange(n + 1), side="right")
+        inner = np.minimum(caps[1] * b2 + alphas[1], caps[2] * b3 + alphas[2])
         best = -np.inf
-        b2g, b3g = np.meshgrid(ax, ax, indexing="ij")
-        for b1 in ax:
-            b4 = 1.0 - b1 - b2g - b3g
-            ok = b4 >= -1e-12
-            if not ok.any():
-                continue
-            vals = np.minimum.reduce(
-                [
-                    np.full_like(b2g, caps[0] * b1 + alphas[0]),
-                    caps[1] * b2g + alphas[1],
-                    caps[2] * b3g + alphas[2],
-                    caps[3] * np.maximum(b4, 0.0) + alphas[3],
-                ]
-            )
-            best = max(best, float(vals[ok].max()))
+        for b1, k in zip(ax, ends):
+            b4 = 1.0 - b1 - b2[:k] - b3[:k]
+            vals = np.minimum(inner[:k], caps[3] * np.maximum(b4, 0.0) + alphas[3])
+            best = max(best, min(caps[0] * b1 + alphas[0], float(vals.max())))
         return best
     raise ValueError("oracle supports at most 4 simplex dimensions")
 

@@ -402,3 +402,26 @@ def test_backoff_below_rate_tolerance_is_bad_input(scheme, command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "eps must be >=" in captured.err
+
+
+def test_repeated_main_calls_share_one_parser(capsys):
+    # one process, one parser: errors in between leave later calls unchanged
+    from secache.cli import make_parser
+
+    curve = ["curve", "--preset", "fig3", "--mode", "surface-slice",
+             "--ms", "0.05", "--grid", "0:0.4:0.1"]
+    assert main(curve) == 0
+    first = capsys.readouterr().out
+    assert first.count("\n") == 6
+    with pytest.raises(SystemExit) as exc:
+        main(curve[:-2])  # argparse: --grid is required
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert main(curve[:-1] + ["nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid must be" in captured.err
+    assert main(["bounds", "--preset", "fig4", "--mw", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["upper"]["value"] > 0
+    assert main(curve) == 0
+    assert capsys.readouterr().out == first
+    assert make_parser() is make_parser()
