@@ -273,25 +273,30 @@ BOUNDARY_COMMANDS = (
 )
 
 
+def boundary_scenarios():
+    """The 200 valid scenarios with erasures in {0, .3, .7, 1}, as dicts."""
+    for k_w, k_s in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 1)):
+        for d_s in BOUNDARY_ERASURES:
+            for d_w in (d for d in BOUNDARY_ERASURES if d >= d_s):
+                for d_z in BOUNDARY_ERASURES:
+                    yield dict(K_w=k_w, K_s=k_s, delta_w=d_w, delta_s=d_s,
+                               delta_z=d_z, D=k_w + k_s + 3)
+
+
 def test_boundary_erasures_give_documented_outcomes(tmp_path, capsys):
     """Every valid scenario with erasures in {0, .3, .7, 1} ends with exit
     0, 2 or 3 (never a traceback), and JSON output is strict."""
     path = tmp_path / "s.json"
     runs = 0
-    for k_w, k_s in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 1)):
-        for d_s in BOUNDARY_ERASURES:
-            for d_w in (d for d in BOUNDARY_ERASURES if d >= d_s):
-                for d_z in BOUNDARY_ERASURES:
-                    sc = dict(K_w=k_w, K_s=k_s, delta_w=d_w, delta_s=d_s,
-                              delta_z=d_z, D=k_w + k_s + 3)
-                    path.write_text(json.dumps(sc))
-                    for cmd in BOUNDARY_COMMANDS:
-                        rc = main([cmd[0], "--scenario", str(path), *cmd[1:]])
-                        out = capsys.readouterr().out
-                        assert rc in (0, 2, 3), (sc, cmd)
-                        if rc == 0 and cmd[0] != "curve":
-                            json.loads(out, parse_constant=_reject_constant)
-                        runs += 1
+    for sc in boundary_scenarios():
+        path.write_text(json.dumps(sc))
+        for cmd in BOUNDARY_COMMANDS:
+            rc = main([cmd[0], "--scenario", str(path), *cmd[1:]])
+            out = capsys.readouterr().out
+            assert rc in (0, 2, 3), (sc, cmd)
+            if rc == 0 and cmd[0] != "curve":
+                json.loads(out, parse_constant=_reject_constant)
+            runs += 1
     assert runs == 5 * 10 * 4 * len(BOUNDARY_COMMANDS)
 
 
