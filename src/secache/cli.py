@@ -13,14 +13,7 @@ import json
 import sys
 
 from . import bounds, hull, schemes, simulate, tradeoff
-from .errors import (
-    ConfigError,
-    IndexOutOfRange,
-    Infeasible,
-    InvalidParameter,
-    InvalidScenario,
-    NotApplicable,
-)
+from .errors import Infeasible, InvalidParameter, InvalidScenario, NotApplicable
 from .model import CacheSizes, ChannelScenario
 
 EXIT_OK = 0
@@ -97,15 +90,15 @@ def cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     rows: list[str] = []
     if args.mode == "weak-only":
+        joint = tradeoff.weak_only_curve(s)
         try:
-            joint = tradeoff.weak_only_curve(s)
             sep = tradeoff.separate_curve(s)
         except NotApplicable:
-            joint = sep = None
+            sep = None
         rows.append("M,R_lower_joint,R_lower_separate,R_upper")
         uppers = bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in grid])
         for m, up in zip(grid, uppers):
-            lo = 0.0 if joint is None else hull.eval_hull_1d(joint, m)
+            lo = hull.eval_hull_1d(joint, m)
             lo_sep = None if sep is None else hull.eval_hull_1d(sep, m)
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up.value)}")
     elif args.mode == "surface-slice":
@@ -118,12 +111,7 @@ def cmd_curve(args) -> int:
     elif args.mode == "global":
         rows.append("M_tot,R_glob,R_weak_only,R_uniform,R_nonsecure_note")
         glob = tradeoff.global_curve(s)
-        weak = None
-        if s.K_w > 0:
-            try:
-                weak = tradeoff.weak_only_curve(s)
-            except NotApplicable:  # rate 0, as in lower_curve_weak_only
-                weak = hull.Curve1D(((0.0, 0.0),))
+        weak = tradeoff.weak_only_curve(s) if s.K_w > 0 else None
         uni = tradeoff.uniform_curve(s)
         for m in grid:
             r_weak = None if weak is None else hull.eval_hull_1d(weak, m / s.K_w)
@@ -257,8 +245,7 @@ def main(argv=None) -> int:
     except NotApplicable as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (InvalidScenario, InvalidParameter, IndexOutOfRange, ConfigError,
-            Infeasible) as exc:
+    except (InvalidScenario, InvalidParameter, Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

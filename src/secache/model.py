@@ -75,17 +75,27 @@ class ChannelScenario:
     def from_dict(obj: dict) -> "ChannelScenario":
         try:
             return ChannelScenario(
-                K_w=int(obj["K_w"]),
-                K_s=int(obj["K_s"]),
+                K_w=_count(obj, "K_w"),
+                K_s=_count(obj, "K_s"),
                 delta_w=float(obj["delta_w"]),
                 delta_s=float(obj["delta_s"]),
                 delta_z=float(obj["delta_z"]),
-                D=int(obj["D"]),
+                D=_count(obj, "D"),
             )
         except KeyError as exc:
             raise InvalidScenario(f"missing scenario field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidScenario(f"malformed scenario field: {exc}") from None
+
+
+def _count(obj: dict, name: str) -> int:
+    """``obj[name]`` as an int; a bool or a non-integral number is refused
+    rather than truncated (``3.0`` and ``"3"`` load as 3)."""
+    value = obj[name]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidScenario(
+            f"scenario field {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

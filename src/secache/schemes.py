@@ -50,19 +50,16 @@ RATE_TOL = 1e-12
 class Atom:
     """One cached object: a per-file message part or a secret key.
 
-    A file part with ``per_file=True`` is stored for every library file,
-    so it occupies ``D * rate``; a key occupies ``rate``.
+    A file part is stored for every library file, so it occupies
+    ``D * rate``; a key occupies ``rate``.
     """
 
     kind: str  # "file_part" | "key"
     label: str
     rate: float
-    per_file: bool = True
 
     def cache_cost(self, D: int) -> float:
-        if self.kind == "file_part" and self.per_file:
-            return D * self.rate
-        return self.rate
+        return D * self.rate if self.kind == "file_part" else self.rate
 
 
 @dataclass(frozen=True)
@@ -402,7 +399,7 @@ def _build_unicast(s: ChannelScenario, eps: float, keyed: bool) -> SchemePlan:
         bin_s = lam_s * (1 - s.delta_z)
 
     keys = {r: _lbl("K", [r]) for r in key_rate}
-    placement = {r: (Atom("key", keys[r], rate, per_file=False),)
+    placement = {r: (Atom("key", keys[r], rate),)
                  for r, rate in key_rate.items()}
     key_rates = {keys[r]: rate for r, rate in key_rate.items()}
     segments = [DeliverySegment((1, i), beta / s.K_w, (_unicast(i, "full", R, (keys[i],)),))
@@ -457,7 +454,7 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
 
     key_labels = [_lbl("K", [i]) for i in s.weak_ids]
     placement = {
-        i: (Atom("key", key_labels[idx], R_key, per_file=False),)
+        i: (Atom("key", key_labels[idx], R_key),)
         for idx, i in enumerate(s.weak_ids)
     }
     key_rates = {lbl: R_key for lbl in key_labels}
@@ -585,14 +582,14 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     key_rates |= {k4: RK4 for pads in K4.values() for k4 in pads}
 
     atoms: dict[int, list[Atom]] = {i: [] for i in weak}
-    atoms |= {j: [Atom("key", k4, RK4, per_file=False)] for j, (k4,) in K4.items()}
+    atoms |= {j: [Atom("key", k4, RK4)] for j, (k4,) in K4.items()}
     _place(atoms, A, lambda label: Atom("file_part", label, rA))
     if rB > 0:
         _place(atoms, B, lambda label: Atom("file_part", label, rB))
-    _place(atoms, K1, lambda label: Atom("key", label, RK1, per_file=False))
+    _place(atoms, K1, lambda label: Atom("key", label, RK1))
     for G, k2_label in K2.items():
-        k2 = Atom("key", k2_label, RK2, per_file=False)
-        k3 = [Atom("key", label, RK3, per_file=False) for label in K3[G]]
+        k2 = Atom("key", k2_label, RK2)
+        k3 = [Atom("key", label, RK3) for label in K3[G]]
         for i in G:
             atoms[i].append(k2)
             atoms[i] += k3
@@ -697,7 +694,7 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
     placement = {
         i: (
             Atom("file_part", "B", RB),
-            Atom("key", key_labels[i], R_key, per_file=False),
+            Atom("key", key_labels[i], R_key),
         )
         for i in s.weak_ids
     }
@@ -832,13 +829,13 @@ def build_symmetric_piggyback(
 
     atoms: dict[int, list[Atom]] = {r: [] for r in weak + strong}
     _place(atoms, A, lambda label: Atom("file_part", label, a))
-    _place(atoms, Kw1, lambda label: Atom("key", label, RK1, per_file=False))
+    _place(atoms, Kw1, lambda label: Atom("key", label, RK1))
     _place(atoms, B, lambda label: Atom("file_part", label, b))
-    _place(atoms, Ks1, lambda label: Atom("key", label, RK2, per_file=False))
+    _place(atoms, Ks1, lambda label: Atom("key", label, RK2))
     for ij in Kw_pair:
         pair = [
-            Atom("key", Kw_pair[ij], RK3, per_file=False),
-            Atom("key", Ks_pair[ij], RK4, per_file=False),
+            Atom("key", Kw_pair[ij], RK3),
+            Atom("key", Ks_pair[ij], RK4),
         ]
         atoms[ij[0]] += pair
         atoms[ij[1]] += pair

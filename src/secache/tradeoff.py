@@ -2,7 +2,10 @@
 
 Lower bounds come from hulls over the corner-point families; upper bounds
 from the converse module.  :func:`exact_regimes` numerically certifies
-the regimes where the two provably meet.
+the regimes where the two provably meet.  Whether a family applies is
+decided only in :mod:`corners`, whose gates raise ``NotApplicable``; here
+a gated family contributes no points.  Each curve, surface and regime
+report evaluates each family it uses once.
 """
 
 from __future__ import annotations
@@ -15,40 +18,38 @@ from .errors import NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, zero_cache_capacity
 
 
+def _points(family, s: ChannelScenario) -> list[RateMemoryPoint]:
+    """``family(s)``, or no points where :mod:`corners` gates the family
+    off (every gate raises at the top of its family)."""
+    try:
+        return family(s)
+    except NotApplicable:
+        return []
+
+
+def _m_w_hull(pts: list[RateMemoryPoint]) -> hull.Curve1D:
+    """Hull of ``pts`` over M_w; the zero curve when there are none."""
+    return hull.upper_hull_1d([(p.M_w, p.R) for p in pts] or [(0.0, 0.0)])
+
+
 def weak_only_curve(s: ChannelScenario) -> hull.Curve1D:
-    """Hull of the weak-only corner points (M_s = 0 throughout)."""
-    pts = corners.points_weak_only(s)
-    return hull.upper_hull_1d([(p.M_w, p.R) for p in pts])
+    """Hull of the weak-only corner points (M_s = 0 throughout), or the zero
+    curve where the family does not apply (``delta_z <= delta_s`` or K_w = 0)."""
+    return _m_w_hull(_points(corners.points_weak_only, s))
 
 
 def lower_curve_weak_only(s: ChannelScenario, M_w: float) -> float:
-    """Achievable rate with cache M_w at weak receivers, none at strong.
-
-    Returns 0 when ``delta_z <= delta_s`` (the weak-only families do not
-    apply there; see :func:`exact_regimes`, which flags this gate).
-    """
-    try:
-        return hull.eval_hull_1d(weak_only_curve(s), M_w)
-    except NotApplicable:
-        return 0.0
+    """Achievable rate with cache M_w at weak receivers, none at strong
+    (0 where the weak-only family does not apply)."""
+    return hull.eval_hull_1d(weak_only_curve(s), M_w)
 
 
 def separate_curve(s: ChannelScenario) -> hull.Curve1D:
-    pts = corners.points_separate(s)
-    return hull.upper_hull_1d([(p.M_w, p.R) for p in pts])
-
-
-def _weak_only_applies(s: ChannelScenario) -> bool:
-    """Whether the weak-only corner family exists (see
-    :func:`corners.points_weak_only`)."""
-    return s.delta_z > s.delta_s and s.K_w >= 1
+    return _m_w_hull(corners.points_separate(s))
 
 
 def _surface_points(s: ChannelScenario) -> list[RateMemoryPoint]:
-    pts = list(corners.points_all_cached(s))
-    if _weak_only_applies(s):
-        pts += corners.points_weak_only(s)
-    return pts
+    return corners.points_all_cached(s) + _points(corners.points_weak_only, s)
 
 
 def two_budget_surface(s: ChannelScenario) -> hull.Surface:
@@ -64,6 +65,14 @@ def lower_surface_all(s: ChannelScenario, M_w: float, M_s: float) -> float:
     return two_budget_surface(s)(M_w, M_s)
 
 
+def _global_hull(s: ChannelScenario, weak, all_cached, symmetric) -> hull.Curve1D:
+    """:func:`global_curve` from the three families' points."""
+    mapped = [(s.K_w * p.M_w, p.R) for p in weak] or [(0.0, zero_cache_capacity(s))]
+    mapped += [(s.K_w * p.M_w + s.K_s * p.M_s, p.R) for p in all_cached]
+    mapped += [(s.K * p.M_w, p.R) for p in symmetric]
+    return hull.upper_hull_1d(mapped)
+
+
 def global_curve(s: ChannelScenario) -> hull.Curve1D:
     """Hull over total budget M_tot = K_w M_w + K_s M_s of all families.
 
@@ -72,18 +81,8 @@ def global_curve(s: ChannelScenario) -> hull.Curve1D:
     spend the budget, and at some parameters its coded-caching points beat
     the other families).
     """
-    mapped: list[tuple[float, float]] = []
-    if _weak_only_applies(s):
-        for p in corners.points_weak_only(s):
-            mapped.append((s.K_w * p.M_w, p.R))
-    else:
-        mapped.append((0.0, zero_cache_capacity(s)))
-    if s.K_w >= 1 and s.K_s >= 1:
-        for p in corners.points_all_cached(s):
-            mapped.append((s.K_w * p.M_w + s.K_s * p.M_s, p.R))
-        for p in corners.points_symmetric(s):
-            mapped.append((s.K * p.M_w, p.R))
-    return hull.upper_hull_1d(mapped)
+    families = (corners.points_weak_only, corners.points_all_cached, corners.points_symmetric)
+    return _global_hull(s, *(_points(family, s) for family in families))
 
 
 def lower_global(s: ChannelScenario, M_tot: float) -> float:
@@ -135,10 +134,6 @@ class RegimeReport:
     claims: list[RegimeClaim] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def all_verified(self) -> bool:
-        return all(c.exact for c in self.claims if c.applicable)
-
     def to_dict(self) -> dict:
         return {"claims": [c.to_dict() for c in self.claims], "notes": self.notes}
 
@@ -171,7 +166,8 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
     deviation, never clamped.
     """
     rep = RegimeReport()
-    weak_ok = _weak_only_applies(s)
+    weak = _points(corners.points_weak_only, s)
+    all_cached = _points(corners.points_all_cached, s)
     if s.delta_z <= s.delta_s:
         rep.notes.append(
             "weak-only results gated off: delta_z <= delta_s, so caches at "
@@ -192,16 +188,16 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         n = CERTIFY_SAMPLES - 1
         return [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
 
-    if weak_ok:
-        pts = {p.label: p for p in corners.points_weak_only(s)}
-        weak = weak_only_curve(s)
+    if weak:
+        pts = {p.label: p for p in weak}
+        weak_curve = _m_w_hull(weak)
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
         m1 = pts["cached-keys"].M_w
         xs = grid(0.0, m1)
         dev = _certify(
             xs,
-            lambda m: hull.eval_hull_1d(weak, m),
+            lambda m: hull.eval_hull_1d(weak_curve, m),
             _weak_only_upper(s, xs),
             lambda m: r0 + slope * m,
         )
@@ -223,7 +219,7 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             xs = grid(m_top, max(2.0 * m_lib, m_top + 1.0))
             dev = _certify(
                 xs,
-                lambda m: hull.eval_hull_1d(weak, m),
+                lambda m: hull.eval_hull_1d(weak_curve, m),
                 _weak_only_upper(s, xs),
                 lambda m: flat,
             )
@@ -246,23 +242,18 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
 
-    keys_pt = None
-    if s.K_w >= 1 and s.K_s >= 1:
-        keys_pt = next(
-            (p for p in corners.points_all_cached(s) if p.label == "all:cached-keys"),
-            None,
-        )
-        if keys_pt is None:
-            rep.claims.append(
-                RegimeClaim(
-                    name="all-cached-keys-point",
-                    applicable=False,
-                    description="not applicable: delta_w = delta_s = 1 leaves "
-                    "no cached-keys point",
-                )
+    keys_pt = next((p for p in all_cached if p.label == "all:cached-keys"), None)
+    if all_cached and keys_pt is None:
+        rep.claims.append(
+            RegimeClaim(
+                name="all-cached-keys-point",
+                applicable=False,
+                description="not applicable: delta_w = delta_s = 1 leaves "
+                "no cached-keys point",
             )
+        )
     if keys_pt is not None:
-        lo = lower_surface_all(s, keys_pt.M_w, keys_pt.M_s)
+        lo = hull.Surface(all_cached + weak)(keys_pt.M_w, keys_pt.M_s)
         up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
         dev = max(abs(lo - up), abs(lo - keys_pt.R))
         rep.claims.append(
@@ -277,14 +268,14 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
 
-        if weak_ok:
+        if weak:
             # the weak-only small-memory line (r0, slope above) per unit of budget
             end = s.K_w * pts["cached-keys"].M_w
             ref = lambda m: r0 + slope / s.K_w * m
         else:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K
-        glob = global_curve(s)
+        glob = _global_hull(s, weak, all_cached, _points(corners.points_symmetric, s))
         xs = grid(0.0, end)
         dev = _certify(
             xs,

@@ -48,6 +48,17 @@ def test_bounds_invalid_field_named(tmp_path, capsys):
     assert "delta_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("K_w", 2.7), ("D", 30.5), ("K_w", True), ("D", float("inf"))])
+def test_bounds_non_integral_count_exits_2(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**FIG3, field: value}))
+    rc = main(["bounds", "--scenario", str(bad), "--mw", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_curve_weak_only_flat_regime(tmp_path, fig3_file):
     out = tmp_path / "c.csv"
     rc = main(

@@ -93,8 +93,20 @@ def test_scenario_json_round_trip(fig3):
     obj = json.loads(fig3.to_json())
     assert set(obj) == {"K_w", "K_s", "delta_w", "delta_s", "delta_z", "D"}
     assert ChannelScenario.from_dict(obj) == fig3
+    integral = {**obj, "K_w": 5.0, "K_s": "15", "D": 30.0}
+    assert ChannelScenario.from_dict(integral) == fig3
 
 
 def test_scenario_json_missing_field():
     with pytest.raises(InvalidScenario, match="K_s"):
         ChannelScenario.from_dict({"K_w": 1})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("K_w", 2.7), ("K_s", 15.5), ("D", 30.5), ("K_w", True), ("K_s", False),
+    ("D", float("inf")), ("K_w", float("nan")),
+])
+def test_scenario_json_non_integral_count_rejected(fig3, field, value):
+    obj = {**json.loads(fig3.to_json()), field: value}
+    with pytest.raises(InvalidScenario, match=field):
+        ChannelScenario.from_dict(obj)

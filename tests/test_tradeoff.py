@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from secache import (
@@ -13,7 +15,10 @@ from secache import (
     ub_global,
     zero_cache_capacity,
 )
-from secache.tradeoff import global_curve, uniform_curve
+from secache import corners
+from secache.cli import PRESETS
+from secache.hull import eval_hull_1d
+from secache.tradeoff import global_curve, uniform_curve, weak_only_curve
 
 
 def test_weak_only_small_memory_segment(fig3):
@@ -38,6 +43,34 @@ def test_weak_only_slope_one_regime(fig4):
 def test_weak_only_gate_returns_zero():
     s = ChannelScenario(K_w=5, K_s=15, delta_w=0.7, delta_s=0.3, delta_z=0.2, D=30)
     assert lower_curve_weak_only(s, 0.3) == 0.0
+    no_weak = ChannelScenario(K_w=0, K_s=3, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=6)
+    for gated in (s, no_weak):
+        curve = weak_only_curve(gated)
+        for m in (0.0, 0.5, 10.0):
+            assert eval_hull_1d(curve, m) == 0.0
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig5", "eavesdropper-strongest"])
+def test_exact_regimes_evaluates_each_family_once(name, monkeypatch):
+    scenarios = {
+        "fig3": PRESETS["fig3"],
+        "fig5": PRESETS["fig5"],
+        "eavesdropper-strongest": dict(K_w=2, K_s=3, delta_w=0.7, delta_s=0.4,
+                                       delta_z=0.2, D=10),
+    }
+    calls = Counter()
+
+    def counted(family):
+        def wrapper(*args, **kwargs):
+            calls[family.__name__] += 1
+            return family(*args, **kwargs)
+        return wrapper
+
+    for family in (corners.points_weak_only, corners.points_all_cached,
+                   corners.points_symmetric):
+        monkeypatch.setattr(corners, family.__name__, counted(family))
+    exact_regimes(ChannelScenario(**scenarios[name]))
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_surface_at_keys_point(fig3):
