@@ -9,8 +9,10 @@ by dual planes built once, the converse sweep is the pair-by-pair scan
 that production replaced by one batched evaluation over a grid, the
 peel-rule and Monte-Carlo references are the per-receiver schedule scan
 and the scalar per-draw trial loop that production replaced by receiver
-bitmasks and a compiled threshold kernel, and the entropy inverse is a
-dense scan.  Grid resolution h bounds the value error by h times the
+bitmasks and a compiled threshold kernel, the plan verifier is the scan
+of every segment, unit and receiver that production replaced by one
+representative per orbit and receiver class, and the entropy inverse is
+a dense scan.  Grid resolution h bounds the value error by h times the
 largest capacity factor, which the comparing tests account for.
 """
 
@@ -26,7 +28,14 @@ import numpy as np
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
 from secache.errors import ConfigError, EmptyInput, Infeasible
 from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
-from secache.schemes import SchemePlan
+from secache.schemes import (
+    RATE_TOL,
+    CheckResult,
+    SchemePlan,
+    VerificationReport,
+    cache_usage,
+    deliveries,
+)
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
 
 _DET_TOL = 1e-12
@@ -434,3 +443,133 @@ def monte_carlo_scalar(
         per_demand=per_demand,
         segment_stats=stats,
     )
+
+
+def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
+    """``verify_plan`` as it was before plans carried orbits, kept verbatim:
+    every check runs over every segment, unit and receiver.
+
+    Run the four plan checks; never raises, reports margins.
+
+    RATE     every segment/receiver decode load strictly below capacity
+    DECODE   cache + peeled deliveries tile each demanded message, and
+             no XOR merges two contributions under any demand
+    SECRECY  per segment, keys + bins cover min(payload, eavesdropper
+             capacity) up to 1e-12
+    CACHE    per-receiver occupancy within the claimed memory + 1e-12
+    """
+    checks: list[CheckResult] = []
+
+    # RATE
+    rate_margin = float("inf")
+    rate_detail = ""
+    frac_sum = 0.0
+    for seg in plan.schedule:
+        frac_sum += seg.fraction
+        loads: dict[int, float] = {}
+        for unit in seg.units:
+            for r, load in unit.decode_load.items():
+                loads[r] = loads.get(r, 0.0) + load
+        for r, load in loads.items():
+            capacity = seg.fraction * (1.0 - s.erasure_of(r))
+            margin = capacity - load
+            if margin < rate_margin:
+                rate_margin = margin
+                rate_detail = (
+                    f"segment {seg.id}, receiver {r}: load {load:.6g} vs "
+                    f"capacity {capacity:.6g}"
+                )
+    frac_ok = abs(frac_sum - 1.0) <= 1e-12
+    checks.append(
+        CheckResult(
+            "RATE",
+            rate_margin > 0.0 and frac_ok,
+            rate_margin,
+            rate_detail if frac_ok else f"fractions sum to {frac_sum}",
+        )
+    )
+
+    # DECODE
+    decode_ok = True
+    decode_detail = ""
+    delivered_to = deliveries(plan)
+    for r in range(1, s.K + 1):
+        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        delivered = delivered_to.get(r, {})
+        total = 0.0
+        for label, rate in plan.message_parts.get(r, ()):
+            if label in have or label in delivered:
+                total += rate
+            else:
+                decode_ok = False
+                decode_detail = f"receiver {r} cannot obtain part {label!r}"
+                break
+        if not decode_ok:
+            break
+        if abs(total - plan.claimed_point.R) > RATE_TOL:
+            decode_ok = False
+            decode_detail = (
+                f"receiver {r} reassembles rate {total!r}, "
+                f"claimed {plan.claimed_point.R!r}"
+            )
+            break
+    if decode_ok:
+        # Within one XOR the (message, label) pairs must stay distinct, else
+        # contributions merge.  A repeated label merges under the all-ones
+        # demand (every slot asks for file 1); distinct labels never do.
+        for seg in plan.schedule:
+            if any(
+                unit.combine == "xor"
+                and len({label for _, label in unit.parts}) < len(unit.parts)
+                for unit in seg.units
+            ):
+                decode_ok = False
+                decode_detail = (
+                    f"demand {(1,) * s.K}: merged contributions in segment "
+                    f"{seg.id}"
+                )
+                break
+    checks.append(CheckResult("DECODE", decode_ok, 0.0, decode_detail))
+
+    # SECRECY
+    sec_margin = float("inf")
+    sec_detail = ""
+    for seg in plan.schedule:
+        payload = 0.0
+        securing = 0.0
+        for unit in seg.units:
+            payload += unit.payload_rate
+            securing += unit.bin_rate
+            for k in unit.pad_keys + unit.jam_keys:
+                securing += plan.key_rates[k]
+        required = min(payload, seg.fraction * (1.0 - s.delta_z))
+        margin = securing - required
+        if margin < sec_margin:
+            sec_margin = margin
+            sec_detail = (
+                f"segment {seg.id}: securing {securing:.6g} vs required "
+                f"{required:.6g}"
+            )
+    checks.append(
+        CheckResult("SECRECY", sec_margin >= -RATE_TOL, sec_margin, sec_detail)
+    )
+
+    # CACHE
+    usage = cache_usage(plan, s.D)
+    cache_margin = float("inf")
+    cache_detail = ""
+    for r in range(1, s.K + 1):
+        claim = (
+            plan.claimed_point.M_w if r <= s.K_w else plan.claimed_point.M_s
+        )
+        margin = claim - usage.get(r, 0.0)
+        if margin < cache_margin:
+            cache_margin = margin
+            cache_detail = (
+                f"receiver {r}: usage {usage.get(r, 0.0):.6g} vs claimed "
+                f"{claim:.6g}"
+            )
+    checks.append(
+        CheckResult("CACHE", cache_margin >= -RATE_TOL, cache_margin, cache_detail)
+    )
+    return VerificationReport(checks)
