@@ -9,9 +9,10 @@ Two bound families are evaluated for every sub-population choice
   shared along a receiver chain; a max-min over a ``beta`` simplex, with
   cache contributions ``alpha_i`` accumulated by :func:`alpha_sequence`.
 
-:func:`ub_best` minimises over all choices.  :func:`ub_weak_only` is the
-``M_s = 0`` specialisation and :func:`ub_global` bounds the
-budget-optimised tradeoff.
+:func:`ub_best` minimises over all choices, and :func:`ub_global` bounds
+the budget-optimised tradeoff.  The ``M_s = 0`` bound ``ub_weak_only``
+never wins (see :func:`ub_best_grid`), so it lives in ``tests/oracles.py``
+as a cross-check.
 
 Division conventions, applied literally: ``min{a/0, b} = b``,
 ``min{a/0, b/0} = +inf``, and a minimum over an empty set is ``+inf``.
@@ -185,29 +186,6 @@ def ub_cache_sharing(
     )
 
 
-def ub_weak_only(s: ChannelScenario, M_w: float, k_w: int) -> float:
-    """Upper bound on the tradeoff with empty strong caches (M_s = 0).
-
-    The minimum of a non-secure inverse-sum bound,
-
-        (k_w/(1-dw) + K_s/(1-ds))^-1 + k_w M_w / D,
-
-    and the secrecy split bound with the full strong population.
-    """
-    if not (0 <= k_w <= s.K_w):
-        raise IndexOutOfRange(f"k_w={k_w} outside 0..{s.K_w}")
-    if k_w == 0 and s.K_s == 0:
-        return _INF
-    # delta = 1: infinite cost, zero capacity share
-    inv = sum(
-        n / (1.0 - d) if d < 1.0 else _INF
-        for n, d in ((k_w, s.delta_w), (s.K_s, s.delta_s))
-        if n > 0
-    )
-    sum_term = 1.0 / inv + k_w * M_w / s.D
-    return min(sum_term, ub_split(s, CacheSizes(M_w, 0.0), k_w, s.K_s).value)
-
-
 #: Most pair x position x point elements one block of :func:`ub_best_grid`
 #: evaluates at once (at least one pair at one point).  It bounds the
 #: working set at a few MB, whatever the grid length or population.
@@ -234,8 +212,9 @@ def ub_best_grid(
     The winner's report is then rebuilt by calling its scalar function,
     so the beta witness has one source.
 
-    At ``M_s = 0`` the result never exceeds :func:`ub_weak_only`, so that
-    bound needs no pass of its own.  Its split term is the sweep's
+    At ``M_s = 0`` the result never exceeds the weak-only bound
+    ``ub_weak_only`` (kept in ``tests/oracles.py``), so that bound needs
+    no pass of its own.  Its split term is the sweep's
     ``ub_split(k_w, K_s)``.  Its inverse-sum term ``t = 1/W + k_w M_w/D``
     (``W = sum_i w_i``, ``w_i = 1/c_i``) is never below the sweep's
     ``ub_cache_sharing(k_w, K_s)``: the alphas are nondecreasing, the

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from . import bounds, hull, schemes, simulate, tradeoff
+from . import bounds, corners, hull, schemes, simulate, tradeoff
 from .errors import Infeasible, InvalidParameter, InvalidScenario, NotApplicable
 from .model import CacheSizes, ChannelScenario
 
@@ -89,12 +89,14 @@ def cmd_curve(args) -> int:
     s = _load_scenario(args)
     grid = _parse_grid(args.grid)
     rows: list[str] = []
+    # Each corner family is evaluated once per command and every hull is
+    # built from its points, as in tradeoff.exact_regimes.
     if args.mode == "weak-only":
-        joint = tradeoff.weak_only_curve(s)
-        try:
-            sep = tradeoff.separate_curve(s)
-        except NotApplicable:
-            sep = None
+        weak = tradeoff._points(corners.points_weak_only, s)
+        joint = tradeoff._m_w_hull(weak)
+        sep = None  # the separate family shares the weak-only gate
+        if weak:
+            sep = tradeoff._m_w_hull(corners.separate_from_weak_only(s, weak))
         rows.append("M,R_lower_joint,R_lower_separate,R_upper")
         uppers = bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in grid])
         for m, up in zip(grid, uppers):
@@ -110,9 +112,16 @@ def cmd_curve(args) -> int:
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(up.value)}")
     elif args.mode == "global":
         rows.append("M_tot,R_glob,R_weak_only,R_uniform,R_nonsecure_note")
-        glob = tradeoff.global_curve(s)
-        weak = tradeoff.weak_only_curve(s) if s.K_w > 0 else None
-        uni = tradeoff.uniform_curve(s)
+        # The uniform column needs the symmetric family: where it is gated
+        # off (K_w or K_s = 0, which gates the all-cached family too), the
+        # command is not applicable.
+        symmetric = corners.points_symmetric(s)
+        weak_pts = tradeoff._points(corners.points_weak_only, s)
+        glob = tradeoff._global_hull(
+            s, weak_pts, tradeoff._points(corners.points_all_cached, s), symmetric
+        )
+        weak = tradeoff._m_w_hull(weak_pts) if s.K_w > 0 else None
+        uni = tradeoff._uniform_hull(s, symmetric)
         for m in grid:
             r_weak = None if weak is None else hull.eval_hull_1d(weak, m / s.K_w)
             # non-secure column intentionally empty: out of scope here

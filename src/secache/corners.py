@@ -129,11 +129,19 @@ def points_separate(s: ChannelScenario) -> list[RateMemoryPoint]:
     _require_eavesdropper_weaker_than_strong(s)
     if s.K_w < 1:
         raise NotApplicable("separate-coding family needs K_w >= 1")
+    return separate_from_weak_only(s, points_weak_only(s))
+
+
+def separate_from_weak_only(
+    s: ChannelScenario, weak: list[RateMemoryPoint]
+) -> list[RateMemoryPoint]:
+    """:func:`points_separate` from the weak-only points ``weak`` of ``s``
+    (where the family applies: both share one gate)."""
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
     Kw, Ks, D = s.K_w, s.K_s, s.D
     mzw = min(1.0 - dz, 1.0 - dw)
     reused = {"no-cache", "cached-keys", "superposition-jamming", "full-library"}
-    pts = [p for p in points_weak_only(s) if p.label in reused]
+    pts = [p for p in weak if p.label in reused]
     for t in range(1, Kw):
         den = Ks * (t + 1) * (1 - dw) + (Kw - t) * (dz - ds)
         rate = (t + 1) * (1 - dw) * (dz - ds) / den

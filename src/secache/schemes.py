@@ -1,4 +1,4 @@
-"""Coding schemes as explicit placement/delivery plans, plus a verifier.
+"""Coding schemes as placement/delivery plans, plus a verifier.
 
 A :class:`SchemePlan` is a demand-agnostic placement (atoms per receiver)
 and a delivery schedule (segments holding units).  Seven builders produce
@@ -9,8 +9,20 @@ failures.  ``wiretap-cached-keys`` and ``cached-keys-all`` are one unicast
 key scheme (:func:`_build_unicast`), ``piggyback-one`` and
 ``piggyback-allkeys`` one weak-subset piggyback scheme
 (:func:`_build_piggyback`); each pair secures its strong receivers by
-wiretap bins or by cached keys.  The subset builders refuse a plan larger
-than :data:`MAX_PLAN_SIZE` before allocating it.
+wiretap bins or by cached keys.
+
+The subset builders (both piggyback schemes and ``symmetric-piggyback``)
+treat all weak receivers alike and all strong receivers alike, so each
+of their segment families is one orbit under permutations within a
+class (:class:`Orbit`): its members (subsets or receiver pairs) and the
+function that builds a member's units.  Their plans hold these orbits and
+the receiver classes (:class:`PlanOrbits`).  :func:`verify_plan` checks
+such a plan one orbit and one class representative (the lowest-numbered
+receiver) at a time; the explicit schedule and placement are expanded
+only when read, and kept.  The subset builders still refuse a plan whose
+explicit form is larger than :data:`MAX_PLAN_SIZE`, before building
+anything.  The four other builders give explicit plans, in which every
+segment is its own orbit and every receiver its own class.
 
 Modelling conventions (erasure broadcast channel, blocklength-normalised
 rates):
@@ -34,7 +46,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
@@ -119,8 +131,72 @@ class DeliverySegment:
         }
 
 
+@dataclass(frozen=True)
+class Orbit:
+    """Schedule entries that a permutation within receiver classes maps
+    onto one another, in schedule order.
+
+    ``units(member, only)`` builds the units of a member (a subset or a
+    receiver pair; there is at least one member), keeping just those that
+    hand a receiver in ``only`` a part, or all of them when ``only`` is
+    None.  Each member is the segment ``(phase, member)`` of length
+    ``fraction``; with ``one_segment`` the members' units instead make up
+    the one segment ``(phase, 0)``.  Members are alike for every check:
+    equal decode loads, payloads, bins and key rates, with labels mapped
+    one to one, so the first member stands for the rest.
+    """
+
+    phase: int
+    fraction: float
+    members: Sequence
+    units: Callable[[object, Optional[frozenset]], tuple[DeliveryUnit, ...]]
+    one_segment: bool = False
+
+
+@dataclass(frozen=True)
+class PlanOrbits:
+    """A class-symmetric plan's schedule and placement, as orbits.
+
+    ``classes`` lists the receivers of each class (weak, strong); the plan
+    treats the members of a class alike, so the lowest-numbered one stands
+    for its class.  ``place(only)`` gives the placement of the receivers in
+    ``only``, or of every receiver when it is None.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    orbits: tuple[Orbit, ...]
+    place: Callable[[Optional[frozenset]], dict[int, tuple[Atom, ...]]]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(sorted(min(c) for c in self.classes if c))
+
+    def expand(self) -> tuple[dict[int, tuple[Atom, ...]], tuple[DeliverySegment, ...]]:
+        """The explicit placement and schedule."""
+        schedule = []
+        for orb in self.orbits:
+            if orb.one_segment:
+                units = tuple(u for m in orb.members for u in orb.units(m, None))
+                schedule.append(DeliverySegment((orb.phase, 0), orb.fraction, units))
+            else:
+                schedule += [
+                    DeliverySegment((orb.phase, m), orb.fraction, orb.units(m, None))
+                    for m in orb.members
+                ]
+        return self.place(None), tuple(schedule)
+
+
 @dataclass
 class SchemePlan:
+    """A placement and a delivery schedule, with what they claim.
+
+    A subset builder describes its plan by orbits (:class:`PlanOrbits`),
+    kept in ``_orbits``: the explicit ``schedule`` and ``placement`` are
+    expanded from them on first read and kept.  Changing the plan, by
+    ``dataclasses.replace`` or by assigning a field, gives a plan without
+    orbits, which :func:`verify_plan` checks in full.
+    """
+
     scheme_name: str
     params: dict
     placement: dict[int, tuple[Atom, ...]]
@@ -131,6 +207,30 @@ class SchemePlan:
     message_parts: dict[int, tuple[tuple[str, float], ...]]
     #: part labels available from cache by containment in stored atoms
     virtual_cached: dict[int, frozenset] = field(default_factory=dict)
+    _orbits: Optional[PlanOrbits] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: the schedule and placement
+        # of an orbit plan before their first read.
+        orbits = self.__dict__.get("_orbits")
+        if orbits is None or name not in ("schedule", "placement"):
+            raise AttributeError(name)
+        self._expand(orbits)
+        return self.__dict__[name]
+
+    def __setattr__(self, name: str, value) -> None:
+        orbits = self.__dict__.get("_orbits")
+        if orbits is not None and name != "_orbits":
+            # the orbits no longer describe a changed plan
+            self._expand(orbits)
+            del self.__dict__["_orbits"]
+        super().__setattr__(name, value)
+
+    def _expand(self, orbits: PlanOrbits) -> None:
+        if "schedule" not in self.__dict__:
+            self.__dict__["placement"], self.__dict__["schedule"] = orbits.expand()
 
     def cached_labels(self, receiver: int) -> set:
         return {a.label for a in self.placement.get(receiver, ())}
@@ -208,12 +308,28 @@ def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...],
     return {G: _lbl(prefix, G) for G in itertools.combinations(sorted(ids), size)}
 
 
+def _orbit_plan(orbits: PlanOrbits, **fields) -> SchemePlan:
+    """A plan whose schedule and placement ``orbits`` expand on first read."""
+    plan = SchemePlan(placement={}, schedule=(), **fields)
+    del plan.__dict__["placement"], plan.__dict__["schedule"]
+    plan._orbits = orbits
+    return plan
+
+
+def _kept(only: Optional[frozenset], slots: Iterable[int]) -> bool:
+    """Whether a unit handing parts to ``slots`` is built for ``only``."""
+    return only is None or not only.isdisjoint(slots)
+
+
 def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
-    """Append each subset's atom, made once from its label, to its members."""
+    """Append each subset's atom, made once from its label, to those of its
+    members that ``atoms`` holds a list for."""
     for G, label in family.items():
-        atom = make(label)
-        for i in G:
-            atoms[i].append(atom)
+        held = [atoms[i] for i in G if i in atoms]
+        if held:
+            atom = make(label)
+            for a in held:
+                a.append(atom)
 
 
 def _xor_unit(H: tuple[int, ...], labels: dict, rate: float, pad: str,
@@ -267,10 +383,11 @@ def _check_rate(rate: float, what: str) -> None:
         )
 
 
-#: Largest plan a subset builder allocates, in units plus atom references
-#: (atoms summed over placements), both counted from binomials beforehand.
-#: fig5 piggyback-allkeys at t=4 (68,809 + 361,960) fits; fig5
-#: piggyback-one at t=10 (2.2M units) does not.
+#: Largest plan a subset builder accepts, in units plus atom references
+#: (atoms summed over placements) of its explicit form, both counted from
+#: binomials before anything is built; ``verify`` never expands a plan, but
+#: reading its schedule or placement does.  fig5 piggyback-allkeys at t=4
+#: (68,809 + 361,960) fits; fig5 piggyback-one at t=10 (2.2M units) does not.
 MAX_PLAN_SIZE = 10**6
 
 
@@ -581,56 +698,66 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         key_rates |= dict.fromkeys(K3[G], RK3)
     key_rates |= {k4: RK4 for pads in K4.values() for k4 in pads}
 
-    atoms: dict[int, list[Atom]] = {i: [] for i in weak}
-    atoms |= {j: [Atom("key", k4, RK4)] for j, (k4,) in K4.items()}
-    _place(atoms, A, lambda label: Atom("file_part", label, rA))
-    if rB > 0:
-        _place(atoms, B, lambda label: Atom("file_part", label, rB))
-    _place(atoms, K1, lambda label: Atom("key", label, RK1))
-    for G, k2_label in K2.items():
-        k2 = Atom("key", k2_label, RK2)
-        k3 = [Atom("key", label, RK3) for label in K3[G]]
-        for i in G:
-            atoms[i].append(k2)
-            atoms[i] += k3
-        for j, atom in zip(strong, k3):
-            atoms[j].append(atom)
-    placement = {r: tuple(a) for r, a in atoms.items()}
+    def place(only):
+        atoms = {i: [] for i in weak if _kept(only, (i,))}
+        atoms |= {j: [Atom("key", k4, RK4)]
+                  for j, (k4,) in K4.items() if _kept(only, (j,))}
+        _place(atoms, A, lambda label: Atom("file_part", label, rA))
+        if rB > 0:
+            _place(atoms, B, lambda label: Atom("file_part", label, rB))
+        _place(atoms, K1, lambda label: Atom("key", label, RK1))
+        for G, k2_label in K2.items():
+            held = [atoms[i] for i in G if i in atoms]
+            k3 = [Atom("key", label, RK3) if held or j in atoms else None
+                  for j, label in zip(strong, K3[G])]
+            if held:
+                k2 = Atom("key", k2_label, RK2)
+                for a in held:
+                    a.append(k2)
+                    a += k3
+            for j, atom in zip(strong, k3):
+                if j in atoms:
+                    atoms[j].append(atom)
+        return {r: tuple(a) for r, a in atoms.items()}
 
-    # beta2, beta3 > 0: delta_w < 1 since _split_backoff returned (both
-    # nominal rates carry 1 - delta_w), and dz > delta_s (gate or keys).
-    segments = []
-    if beta1 > 0 and rB > 0:
-        units = tuple(
-            _xor_unit(H, B, rB, pad, dict.fromkeys(weak, rB)) for H, pad in K1.items()
-        )
-        segments.append(DeliverySegment((1, 0), beta1, units))
-    lam2 = beta2 / comb(Kw, t)
-    for G, b_label in B.items():
-        context = ((b_label,) if rB > 0 else ()) + K3[G]
-        row = DeliveryUnit(
-            parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
-            part_rates=(rA,) * len(G),
-            pad_keys=(K2[G],),
-            bin_rate=Rbin,
-            intended=frozenset(G) | frozenset(strong),
-            decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
-            context=dict.fromkeys(G, context) if context else {},
-        )
-        cols = tuple(
-            DeliveryUnit(
-                parts=((j, b_label),),
-                part_rates=(rB,),
-                pad_keys=K3[G][k:k + 1],
-                intended=frozenset({j}),
-                decode_load={jj: rB for jj in strong},
-            )
-            for k, j in enumerate(strong)
-            if rB > 0
-        )
-        segments.append(DeliverySegment((2, G), lam2, (row,) + cols))
-    for j in strong:
-        unit = DeliveryUnit(
+    def xor(H, only):
+        if not _kept(only, H):
+            return ()
+        return (_xor_unit(H, B, rB, K1[H], dict.fromkeys(weak, rB)),)
+
+    def period(G, only):
+        """Phase 2 for weak subset G: the row, then one column per strong
+        receiver."""
+        units = []
+        if _kept(only, G):
+            context = ((B[G],) if rB > 0 else ()) + K3[G]
+            units.append(DeliveryUnit(
+                parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
+                part_rates=(rA,) * len(G),
+                pad_keys=(K2[G],),
+                bin_rate=Rbin,
+                intended=frozenset(G) | frozenset(strong),
+                decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
+                context=dict.fromkeys(G, context) if context else {},
+            ))
+        if rB > 0:
+            units += [
+                DeliveryUnit(
+                    parts=((j, B[G]),),
+                    part_rates=(rB,),
+                    pad_keys=K3[G][k:k + 1],
+                    intended=frozenset({j}),
+                    decode_load={jj: rB for jj in strong},
+                )
+                for k, j in enumerate(strong)
+                if _kept(only, (j,))
+            ]
+        return tuple(units)
+
+    def remainder(j, only):
+        if not _kept(only, (j,)):
+            return ()
+        return (DeliveryUnit(
             parts=tuple((j, a_label) for a_label in A.values()),
             part_rates=(rA,) * len(A),
             combine="concat",
@@ -638,8 +765,15 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
             bin_rate=bin3,
             intended=frozenset({j}),
             decode_load={j: RA + bin3},
-        )
-        segments.append(DeliverySegment((3, j), lam3, (unit,)))
+        ),)
+
+    # beta2, beta3 > 0: delta_w < 1 since _split_backoff returned (both
+    # nominal rates carry 1 - delta_w), and dz > delta_s (gate or keys).
+    orbits = []
+    if beta1 > 0 and rB > 0:
+        orbits.append(Orbit(1, beta1, tuple(K1), xor, one_segment=True))
+    orbits.append(Orbit(2, beta2 / comb(Kw, t), tuple(B), period))
+    orbits.append(Orbit(3, lam3, tuple(strong), remainder))
 
     M_w_claim = (
         D * ((t - 1) * RA + t * RB) / Kw
@@ -648,11 +782,10 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         + comb(Kw - 1, t - 1) * Ks * RK3
     )
     M_s_claim = RK4 + comb(Kw, t) * RK3
-    return SchemePlan(
+    return _orbit_plan(
+        PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
         scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
-        placement=placement,
-        schedule=tuple(segments),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
         key_rates=key_rates,
         message_parts=_subset_parts(s, A, rA, B, rB),
@@ -827,40 +960,52 @@ def build_symmetric_piggyback(
         key_rates[Kw_pair[ij]] = RK3
         key_rates[Ks_pair[ij]] = RK4
 
-    atoms: dict[int, list[Atom]] = {r: [] for r in weak + strong}
-    _place(atoms, A, lambda label: Atom("file_part", label, a))
-    _place(atoms, Kw1, lambda label: Atom("key", label, RK1))
-    _place(atoms, B, lambda label: Atom("file_part", label, b))
-    _place(atoms, Ks1, lambda label: Atom("key", label, RK2))
-    for ij in Kw_pair:
-        pair = [
-            Atom("key", Kw_pair[ij], RK3),
-            Atom("key", Ks_pair[ij], RK4),
-        ]
-        atoms[ij[0]] += pair
-        atoms[ij[1]] += pair
-    placement = {r: tuple(atoms[r]) for r in weak + strong}
+    def place(only):
+        atoms = {r: [] for r in weak + strong if _kept(only, (r,))}
+        _place(atoms, A, lambda label: Atom("file_part", label, a))
+        _place(atoms, Kw1, lambda label: Atom("key", label, RK1))
+        _place(atoms, B, lambda label: Atom("file_part", label, b))
+        _place(atoms, Ks1, lambda label: Atom("key", label, RK2))
+        for ij in Kw_pair:
+            held = [atoms[r] for r in ij if r in atoms]
+            if held:
+                pair = [
+                    Atom("key", Kw_pair[ij], RK3),
+                    Atom("key", Ks_pair[ij], RK4),
+                ]
+                for at in held:
+                    at += pair
+        return {r: tuple(at) for r, at in atoms.items()}
+
     # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
     virtual = {i: frozenset({Ar[i]}) for i in weak}
     virtual |= {j: frozenset({Br[j]}) for j in strong}
 
-    segments = []
+    def xor(parts, rate, pads):
+        """The subphase-1 or -3 XOR over H, secured by the key of H."""
+        def units(H, only):
+            if not _kept(only, H):
+                return ()
+            return (_xor_unit(H, parts, rate, pads[H], dict.fromkeys(H, rate)),)
+        return units
+
+    def pair(ij, only):
+        """Subphase 2 for weak i and strong j: the row, then the column."""
+        i, j = ij
+        kw, ks = Kw_pair[ij], Ks_pair[ij]
+        units = ()
+        if _kept(only, (i,)):
+            units += (_unicast(i, Br[j], br, (kw,), context=(ks, Ar[i])),)
+        if _kept(only, (j,)):
+            units += (_unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j])),)
+        return units
+
+    orbits = []
     if beta1 > 0:
-        lam1 = beta1 / comb(Kw, t_w + 1)
-        for H, pad in Kw1.items():
-            unit = _xor_unit(H, A, a, pad, dict.fromkeys(H, a))
-            segments.append(DeliverySegment((1, H), lam1, (unit,)))
-    lam2 = beta2 / (Kw * Ks)
-    for (i, j), kw in Kw_pair.items():
-        ks = Ks_pair[(i, j)]
-        row = _unicast(i, Br[j], br, (kw,), context=(ks, Ar[i]))
-        col = _unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j]))
-        segments.append(DeliverySegment((2, (i, j)), lam2, (row, col)))
+        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), tuple(Kw1), xor(A, a, Kw1)))
+    orbits.append(Orbit(2, beta2 / (Kw * Ks), tuple(Kw_pair), pair))
     if beta3 > 0:
-        lam3 = beta3 / comb(Ks, t_s + 1)
-        for Hs, pad in Ks1.items():
-            unit = _xor_unit(Hs, B, b, pad, dict.fromkeys(Hs, b))
-            segments.append(DeliverySegment((3, Hs), lam3, (unit,)))
+        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), tuple(Ks1), xor(B, b, Ks1)))
 
     mp_weak = tuple((label, a) for label in A.values()) + tuple(
         (Br[j], br) for j in strong
@@ -881,11 +1026,10 @@ def build_symmetric_piggyback(
         + (t_s + 1) * beta3 * mzs / Ks
         + beta2 * min(1 - dz, 2 - dw - ds) / Ks
     )
-    return SchemePlan(
+    return _orbit_plan(
+        PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
         scheme_name="symmetric-piggyback",
         params={"t_w": t_w, "t_s": t_s, "eps": eps, "D": D},
-        placement=placement,
-        schedule=tuple(segments),
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
@@ -989,6 +1133,50 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
     return {r: got for r, got in out.items() if got}
 
 
+def _segment_orbits(plan: SchemePlan):
+    """``(segment, count, block, times)`` per segment orbit, in schedule
+    order: the orbit's first segment stands for ``count`` segments, and
+    its units are ``block`` repeated ``times`` over.  Without orbits,
+    every segment is its own orbit and its units its block."""
+    if plan._orbits is None:
+        for seg in plan.schedule:
+            yield seg, 1, seg.units, 1
+        return
+    for orb in plan._orbits.orbits:
+        first = orb.members[0]
+        block = orb.units(first, None)
+        if orb.one_segment:
+            seg = DeliverySegment((orb.phase, 0), orb.fraction, block)
+            yield seg, 1, block, len(orb.members)
+        else:
+            seg = DeliverySegment((orb.phase, first), orb.fraction, block)
+            yield seg, len(orb.members), block, 1
+
+
+def _class_view(plan: SchemePlan, s: ChannelScenario) -> tuple[SchemePlan, Sequence[int]]:
+    """What DECODE and CACHE read, and the receivers they check: for an
+    orbit plan, the class representatives with their atoms, their message
+    parts and the units that hand them a part; otherwise the plan itself
+    and every receiver.  Every bit of :func:`deliveries` concerns one
+    receiver, so the view gives the representatives their own
+    deliveries."""
+    po = plan._orbits
+    if po is None:
+        return plan, range(1, s.K + 1)
+    reps = po.representatives
+    only = frozenset(reps)
+    units = tuple(
+        u for orb in po.orbits for m in orb.members for u in orb.units(m, only)
+    )
+    view = SchemePlan(
+        plan.scheme_name, plan.params, po.place(only),
+        (DeliverySegment((), 0.0, units),), plan.claimed_point, plan.key_rates,
+        {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
+        {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
+    )
+    return view, reps
+
+
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
@@ -998,19 +1186,34 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     SECRECY  per segment, keys + bins cover min(payload, eavesdropper
              capacity) up to 1e-12
     CACHE    per-receiver occupancy within the claimed memory + 1e-12
+
+    A plan with orbits (:class:`PlanOrbits`) is checked one orbit at a
+    time, without expanding it.  RATE, SECRECY and the XOR-merge rule run
+    once per segment orbit, on its first member; the fraction sum, and a
+    segment's sums over an orbit of its units, still add every member's
+    terms in schedule order (multiplying by the count would round
+    differently), so margins are bit-identical to a full scan.
+    The tiling of DECODE and CACHE run once per receiver class, on its
+    lowest-numbered receiver.  Details name the first strict minimum in
+    schedule and receiver order, as a full scan does.  A plan without
+    orbits is checked in full: every segment and every receiver.
     """
     checks: list[CheckResult] = []
+    orbits = list(_segment_orbits(plan))
+    view, receivers = _class_view(plan, s)
 
     # RATE
     rate_margin = float("inf")
     rate_detail = ""
     frac_sum = 0.0
-    for seg in plan.schedule:
-        frac_sum += seg.fraction
+    for seg, count, block, times in orbits:
+        for _ in range(count):
+            frac_sum += seg.fraction
         loads: dict[int, float] = {}
-        for unit in seg.units:
-            for r, load in unit.decode_load.items():
-                loads[r] = loads.get(r, 0.0) + load
+        for _ in range(times):
+            for unit in block:
+                for r, load in unit.decode_load.items():
+                    loads[r] = loads.get(r, 0.0) + load
         for r, load in loads.items():
             capacity = seg.fraction * (1.0 - s.erasure_of(r))
             margin = capacity - load
@@ -1033,12 +1236,12 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     # DECODE
     decode_ok = True
     decode_detail = ""
-    delivered_to = deliveries(plan)
-    for r in range(1, s.K + 1):
-        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+    delivered_to = deliveries(view)
+    for r in receivers:
+        have = view.cached_labels(r) | view.virtual_cached.get(r, frozenset())
         delivered = delivered_to.get(r, {})
         total = 0.0
-        for label, rate in plan.message_parts.get(r, ()):
+        for label, rate in view.message_parts.get(r, ()):
             if label in have or label in delivered:
                 total += rate
             else:
@@ -1058,11 +1261,11 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         # Within one XOR the (message, label) pairs must stay distinct, else
         # contributions merge.  A repeated label merges under the all-ones
         # demand (every slot asks for file 1); distinct labels never do.
-        for seg in plan.schedule:
+        for seg, _, block, _ in orbits:
             if any(
                 unit.combine == "xor"
                 and len({label for _, label in unit.parts}) < len(unit.parts)
-                for unit in seg.units
+                for unit in block
             ):
                 decode_ok = False
                 decode_detail = (
@@ -1075,14 +1278,15 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     # SECRECY
     sec_margin = float("inf")
     sec_detail = ""
-    for seg in plan.schedule:
+    for seg, _, block, times in orbits:
         payload = 0.0
         securing = 0.0
-        for unit in seg.units:
-            payload += unit.payload_rate
-            securing += unit.bin_rate
-            for k in unit.pad_keys + unit.jam_keys:
-                securing += plan.key_rates[k]
+        for _ in range(times):
+            for unit in block:
+                payload += unit.payload_rate
+                securing += unit.bin_rate
+                for k in unit.pad_keys + unit.jam_keys:
+                    securing += plan.key_rates[k]
         required = min(payload, seg.fraction * (1.0 - s.delta_z))
         margin = securing - required
         if margin < sec_margin:
@@ -1096,10 +1300,10 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     )
 
     # CACHE
-    usage = cache_usage(plan, s.D)
+    usage = cache_usage(view, s.D)
     cache_margin = float("inf")
     cache_detail = ""
-    for r in range(1, s.K + 1):
+    for r in receivers:
         claim = (
             plan.claimed_point.M_w if r <= s.K_w else plan.claimed_point.M_s
         )

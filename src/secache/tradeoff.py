@@ -90,10 +90,14 @@ def lower_global(s: ChannelScenario, M_tot: float) -> float:
     return hull.eval_hull_1d(global_curve(s), M_tot)
 
 
+def _uniform_hull(s: ChannelScenario, symmetric) -> hull.Curve1D:
+    """:func:`uniform_curve` from the symmetric family's points."""
+    return hull.upper_hull_1d([(s.K * p.M_w, p.R) for p in symmetric])
+
+
 def uniform_curve(s: ChannelScenario) -> hull.Curve1D:
     """Symmetric-assignment hull, x-axis rescaled to total budget."""
-    pts = corners.points_symmetric(s)
-    return hull.upper_hull_1d([(s.K * p.M_w, p.R) for p in pts])
+    return _uniform_hull(s, corners.points_symmetric(s))
 
 
 def lower_uniform(s: ChannelScenario, M_tot: float) -> float:

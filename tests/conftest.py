@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from secache import ChannelScenario
+
+# Property tests draw the same examples on every run and keep no database.
+settings.register_profile("secache", derandomize=True, database=None, deadline=None)
+settings.load_profile("secache")
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
-from secache.errors import ConfigError, EmptyInput, Infeasible
+from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible
 from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
 from secache.schemes import (
     RATE_TOL,
@@ -155,6 +155,32 @@ def ub_best_sweep(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
                     best = rep
     assert best is not None
     return best
+
+
+def ub_weak_only(s: ChannelScenario, M_w: float, k_w: int) -> float:
+    """Upper bound on the tradeoff with empty strong caches (M_s = 0).
+
+    It never lies below ``ub_best`` at ``(M_w, 0)``, so production needs
+    no pass of its own for it (see ``bounds.ub_best_grid``).
+
+    The minimum of a non-secure inverse-sum bound,
+
+        (k_w/(1-dw) + K_s/(1-ds))^-1 + k_w M_w / D,
+
+    and the secrecy split bound with the full strong population.
+    """
+    if not (0 <= k_w <= s.K_w):
+        raise IndexOutOfRange(f"k_w={k_w} outside 0..{s.K_w}")
+    if k_w == 0 and s.K_s == 0:
+        return float("inf")
+    # delta = 1: infinite cost, zero capacity share
+    inv = sum(
+        n / (1.0 - d) if d < 1.0 else float("inf")
+        for n, d in ((k_w, s.delta_w), (s.K_s, s.delta_s))
+        if n > 0
+    )
+    sum_term = 1.0 / inv + k_w * M_w / s.D
+    return min(sum_term, ub_split(s, CacheSizes(M_w, 0.0), k_w, s.K_s).value)
 
 
 def lambda_grid_best(points, M_w, M_s, step):

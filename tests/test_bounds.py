@@ -1,8 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import affine_maxmin_grid, cache_sharing_bisection, simplex_grid_maxmin
+from oracles import (
+    affine_maxmin_grid,
+    cache_sharing_bisection,
+    simplex_grid_maxmin,
+    ub_weak_only,
+)
+from strategies import scenarios
 from secache import (
     CacheSizes,
     ChannelScenario,
@@ -12,7 +20,6 @@ from secache import (
     ub_cache_sharing,
     ub_global,
     ub_split,
-    ub_weak_only,
     zero_cache_capacity,
 )
 
@@ -189,6 +196,14 @@ def test_ub_best_never_above_weak_only_at_zero_strong_cache(fig3, fig4, fig5):
         best = ub_best(s, CacheSizes(m_w, 0.0)).value
         for k_w in range(s.K_w + 1):
             assert ub_weak_only(s, m_w, k_w) >= best - 1e-12, (s, m_w, k_w)
+
+
+@settings(max_examples=300)
+@given(scenarios(max_k=8), st.one_of(st.sampled_from((0.0, 0.01, 1.0)), st.floats(0.0, 40.0)))
+def test_weak_only_bound_never_below_ub_best(s, m_w):
+    best = ub_best(s, CacheSizes(m_w, 0.0)).value
+    for k_w in range(s.K_w + 1):
+        assert best <= ub_weak_only(s, m_w, k_w) + 1e-12, (s, m_w, k_w)
 
 
 def test_cache_sharing_2x2_coarse_grid(fig3):

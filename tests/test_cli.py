@@ -1,8 +1,10 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 
+from secache import corners
 from secache.cli import main
 from secache.schemes import BUILDERS
 
@@ -441,3 +443,24 @@ def test_repeated_main_calls_share_one_parser(capsys):
     assert main(curve) == 0
     assert capsys.readouterr().out == first
     assert make_parser() is make_parser()
+
+
+@pytest.mark.parametrize("mode", ["weak-only", "surface-slice", "global", "uniform"])
+@pytest.mark.parametrize("scenario", [
+    FIG3,
+    {"K_w": 20, "K_s": 10, "delta_w": 0.7, "delta_s": 0.2, "delta_z": 0.8, "D": 50},
+    {**FIG3, "delta_z": 0.2},  # weak-only family gated off
+])
+def test_curve_evaluates_each_family_once(tmp_path, capsys, monkeypatch, scenario, mode):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    calls = Counter()
+    for name in ("points_weak_only", "points_separate", "points_all_cached",
+                 "points_symmetric"):
+        def counted(*args, family=getattr(corners, name), **kwargs):
+            calls[family.__name__] += 1
+            return family(*args, **kwargs)
+        monkeypatch.setattr(corners, name, counted)
+    rc = main(["curve", "--scenario", str(path), "--mode", mode, "--grid", "0:1:0.5"])
+    assert rc == 0 and capsys.readouterr().out
+    assert calls and max(calls.values()) == 1, calls
