@@ -171,8 +171,12 @@ class PlanOrbits:
     def representatives(self) -> tuple[int, ...]:
         return tuple(sorted(min(c) for c in self.classes if c))
 
-    def expand(self) -> tuple[dict[int, tuple[Atom, ...]], tuple[DeliverySegment, ...]]:
-        """The explicit placement and schedule."""
+    def placement(self) -> dict[int, tuple[Atom, ...]]:
+        """The explicit placement."""
+        return self.place(None)
+
+    def schedule(self) -> tuple[DeliverySegment, ...]:
+        """The explicit schedule."""
         schedule = []
         for orb in self.orbits:
             if orb.one_segment:
@@ -183,7 +187,7 @@ class PlanOrbits:
                     DeliverySegment((orb.phase, m), orb.fraction, orb.units(m, None))
                     for m in orb.members
                 ]
-        return self.place(None), tuple(schedule)
+        return tuple(schedule)
 
 
 @dataclass
@@ -192,7 +196,7 @@ class SchemePlan:
 
     A subset builder describes its plan by orbits (:class:`PlanOrbits`),
     kept in ``_orbits``: the explicit ``schedule`` and ``placement`` are
-    expanded from them on first read and kept.  Changing the plan, by
+    each expanded from them on first read, and kept.  Changing the plan, by
     ``dataclasses.replace`` or by assigning a field, gives a plan without
     orbits, which :func:`verify_plan` checks in full.
     """
@@ -212,25 +216,23 @@ class SchemePlan:
     )
 
     def __getattr__(self, name: str):
-        # Reached only for an attribute not set: the schedule and placement
-        # of an orbit plan before their first read.
+        # Reached only for an attribute not set: the schedule or placement
+        # of an orbit plan before its first read.
         orbits = self.__dict__.get("_orbits")
         if orbits is None or name not in ("schedule", "placement"):
             raise AttributeError(name)
-        self._expand(orbits)
-        return self.__dict__[name]
+        value = self.__dict__[name] = getattr(orbits, name)()
+        return value
 
     def __setattr__(self, name: str, value) -> None:
         orbits = self.__dict__.get("_orbits")
         if orbits is not None and name != "_orbits":
             # the orbits no longer describe a changed plan
-            self._expand(orbits)
+            for key in ("schedule", "placement"):
+                if key not in self.__dict__:
+                    self.__dict__[key] = getattr(orbits, key)()
             del self.__dict__["_orbits"]
         super().__setattr__(name, value)
-
-    def _expand(self, orbits: PlanOrbits) -> None:
-        if "schedule" not in self.__dict__:
-            self.__dict__["placement"], self.__dict__["schedule"] = orbits.expand()
 
     def cached_labels(self, receiver: int) -> set:
         return {a.label for a in self.placement.get(receiver, ())}
@@ -304,8 +306,14 @@ def _lbl(prefix: str, group: Iterable[int]) -> str:
 
 def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...], str]:
     """The ``size``-subsets of ``ids`` in lexicographic order, each mapped to
-    its label; labels are formatted once and reused by every lookup."""
-    return {G: _lbl(prefix, G) for G in itertools.combinations(sorted(ids), size)}
+    its label (as :func:`_lbl` writes it); labels are formatted once and
+    reused by every lookup."""
+    ids = sorted(ids)
+    names = itertools.combinations([str(i) for i in ids], size)
+    return {
+        G: f"{prefix}[{','.join(name)}]"
+        for G, name in zip(itertools.combinations(ids, size), names)
+    }
 
 
 def _orbit_plan(orbits: PlanOrbits, **fields) -> SchemePlan:
@@ -325,11 +333,12 @@ def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
     """Append each subset's atom, made once from its label, to those of its
     members that ``atoms`` holds a list for."""
     for G, label in family.items():
-        held = [atoms[i] for i in G if i in atoms]
-        if held:
-            atom = make(label)
-            for a in held:
-                a.append(atom)
+        atom = None
+        for i in G:
+            held = atoms.get(i)
+            if held is not None:
+                atom = atom or make(label)
+                held.append(atom)
 
 
 def _xor_unit(H: tuple[int, ...], labels: dict, rate: float, pad: str,
@@ -1133,24 +1142,24 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
     return {r: got for r, got in out.items() if got}
 
 
-def _segment_orbits(plan: SchemePlan):
+def _segment_orbits(plan: SchemePlan) -> list[tuple]:
     """``(segment, count, block, times)`` per segment orbit, in schedule
     order: the orbit's first segment stands for ``count`` segments, and
     its units are ``block`` repeated ``times`` over.  Without orbits,
     every segment is its own orbit and its units its block."""
     if plan._orbits is None:
-        for seg in plan.schedule:
-            yield seg, 1, seg.units, 1
-        return
+        return [(seg, 1, seg.units, 1) for seg in plan.schedule]
+    out = []
     for orb in plan._orbits.orbits:
         first = orb.members[0]
         block = orb.units(first, None)
         if orb.one_segment:
             seg = DeliverySegment((orb.phase, 0), orb.fraction, block)
-            yield seg, 1, block, len(orb.members)
+            out.append((seg, 1, block, len(orb.members)))
         else:
             seg = DeliverySegment((orb.phase, first), orb.fraction, block)
-            yield seg, len(orb.members), block, 1
+            out.append((seg, len(orb.members), block, 1))
+    return out
 
 
 def _class_view(plan: SchemePlan, s: ChannelScenario) -> tuple[SchemePlan, Sequence[int]]:
@@ -1199,7 +1208,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     orbits is checked in full: every segment and every receiver.
     """
     checks: list[CheckResult] = []
-    orbits = list(_segment_orbits(plan))
+    orbits = _segment_orbits(plan)
     view, receivers = _class_view(plan, s)
 
     # RATE
@@ -1210,10 +1219,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         for _ in range(count):
             frac_sum += seg.fraction
         loads: dict[int, float] = {}
-        for _ in range(times):
-            for unit in block:
-                for r, load in unit.decode_load.items():
-                    loads[r] = loads.get(r, 0.0) + load
+        for unit in block * times:
+            for r, load in unit.decode_load.items():
+                loads[r] = loads.get(r, 0.0) + load
         for r, load in loads.items():
             capacity = seg.fraction * (1.0 - s.erasure_of(r))
             margin = capacity - load
@@ -1281,12 +1289,11 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     for seg, _, block, times in orbits:
         payload = 0.0
         securing = 0.0
-        for _ in range(times):
-            for unit in block:
-                payload += unit.payload_rate
-                securing += unit.bin_rate
-                for k in unit.pad_keys + unit.jam_keys:
-                    securing += plan.key_rates[k]
+        for unit in block * times:
+            payload += unit.payload_rate
+            securing += unit.bin_rate
+            for k in unit.pad_keys + unit.jam_keys:
+                securing += plan.key_rates[k]
         required = min(payload, seg.fraction * (1.0 - s.delta_z))
         margin = securing - required
         if margin < sec_margin:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -11,6 +11,7 @@ from oracles import (
     ub_weak_only,
 )
 from strategies import scenarios
+from secache.cli import PRESETS
 from secache import (
     CacheSizes,
     ChannelScenario,
@@ -185,22 +186,19 @@ def test_cache_sharing_matches_linprog():
         assert rep.value == pytest.approx(-lp.fun, abs=1e-9), (trial, s, k_w, k_s)
 
 
-def test_ub_best_never_above_weak_only_at_zero_strong_cache(fig3, fig4, fig5):
+def _at_presets(test):
+    """``test`` also at each preset with a few weak cache sizes."""
+    for name in ("fig3", "fig4", "fig5"):
+        for m_w in (0.0, 0.01, 0.05, 0.3, 2.0):
+            test = example(ChannelScenario(**PRESETS[name]), m_w)(test)
+    return test
+
+
+@_at_presets
+@settings(max_examples=150)
+@given(scenarios(max_k=6), st.one_of(st.sampled_from((0.0, 0.01, 1.0)), st.floats(0.0, 40.0)))
+def test_ub_best_never_above_weak_only_at_zero_strong_cache(s, m_w):
     # why ub_best needs no weak-only pass of its own (see its docstring)
-    rng = random.Random(99)
-    cases = [(s, m) for s in (fig3, fig4, fig5) for m in (0.0, 0.01, 0.05, 0.3, 2.0)]
-    for _ in range(150):
-        s = _boundary_scenario(rng, 12)
-        cases.append((s, _random_cache(rng).M_w))
-    for s, m_w in cases:
-        best = ub_best(s, CacheSizes(m_w, 0.0)).value
-        for k_w in range(s.K_w + 1):
-            assert ub_weak_only(s, m_w, k_w) >= best - 1e-12, (s, m_w, k_w)
-
-
-@settings(max_examples=300)
-@given(scenarios(max_k=8), st.one_of(st.sampled_from((0.0, 0.01, 1.0)), st.floats(0.0, 40.0)))
-def test_weak_only_bound_never_below_ub_best(s, m_w):
     best = ub_best(s, CacheSizes(m_w, 0.0)).value
     for k_w in range(s.K_w + 1):
         assert best <= ub_weak_only(s, m_w, k_w) + 1e-12, (s, m_w, k_w)

@@ -63,7 +63,7 @@ def _same_report(case_id, s, build) -> bool:
     return True
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(scenarios(max_k=5), st.sampled_from((1e-4, 0.05)))
 def test_orbit_reports_equal_the_full_scan(s, eps):
     for case_id, build in _builds(s, eps):
@@ -149,7 +149,8 @@ def test_verify_never_expands_a_plan(case, monkeypatch, capsys):
     def expand(self):
         raise AssertionError("verify expanded an orbit plan")
 
-    monkeypatch.setattr(schemes.PlanOrbits, "expand", expand)
+    monkeypatch.setattr(schemes.PlanOrbits, "schedule", expand)
+    monkeypatch.setattr(schemes.PlanOrbits, "placement", expand)
     preset, scheme, *params = case
     assert main(["verify", "--preset", preset, "--scheme", scheme, *params]) == 0
     out = capsys.readouterr().out
