@@ -46,7 +46,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
@@ -131,8 +131,7 @@ class DeliverySegment:
         }
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """Schedule entries that a permutation within receiver classes maps
     onto one another, in schedule order.
 
@@ -153,8 +152,7 @@ class Orbit:
     one_segment: bool = False
 
 
-@dataclass(frozen=True)
-class PlanOrbits:
+class PlanOrbits(NamedTuple):
     """A class-symmetric plan's schedule and placement, as orbits.
 
     ``classes`` lists the receivers of each class (weak, strong); the plan
