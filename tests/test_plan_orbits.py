@@ -26,6 +26,7 @@ from secache import (
     InvalidParameter,
     NotApplicable,
     build_piggyback_allkeys,
+    build_piggyback_one,
     build_symmetric_piggyback,
     verify_plan,
 )
@@ -79,9 +80,8 @@ def test_orbit_reports_equal_the_full_scan_on_presets(preset):
 
 
 def test_subset_builders_give_orbit_plans(fig3):
-    for name in ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback"):
-        plan = dict(_builds(fig3, 1e-4, ts=(2,)))[
-            name + ("(2,2)" if name == "symmetric-piggyback" else "(t=2)")]()
+    for plan in (build_piggyback_one(fig3, 2, 1e-4), build_piggyback_allkeys(fig3, 2, 1e-4),
+                 build_symmetric_piggyback(fig3, 2, 2, 1e-4)):
         assert plan._orbits.classes == (tuple(fig3.weak_ids), tuple(fig3.strong_ids))
         assert plan._orbits.representatives == (1, fig3.K_w + 1)
     # superposition-jamming's first strong unit alone carries the bin and
