@@ -11,16 +11,21 @@ partners cancel exactly, so their values never decide an outcome.
 Each run compiles the plan once into flat arrays: one draw per (segment,
 receiver with load), with its length and success probability, and, for
 each wanted part some receiver lacks in cache, its providers as (draw,
-cumulative threshold) pairs.  A trial is then one array ``binomial`` call
-and one vectorised threshold test: it fails iff some such part has no
-provider whose draw reaches its threshold (a part with no provider fails
-every trial).
+cumulative threshold) pairs, contiguous per part.  Trials run in blocks
+of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
+a row of the block, and the block is tested in one pass (every provider
+threshold at once, then an OR over each part's providers).  A trial fails
+iff some such part has no provider whose draw reaches its threshold; a
+part with no provider at all fails every trial, so such a run samples
+demand 0 only, for the segment statistics.
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, demand index, trial index), so results are bit-identical for a
-given configuration regardless of execution order.  An array draw yields
-the same counts as the scalar draws in the same order, and per-segment
-erasure sums accumulate in draw order, so reports match a per-draw loop
+given configuration regardless of execution order.  One generator serves
+a run: setting its state to a trial's counter gives the same stream as a
+new generator for that trial.  An array draw yields the same counts as
+the scalar draws in the same order, and per-segment erasure sums
+accumulate trial by trial in draw order, so reports match a per-draw loop
 byte for byte.
 
 The simulation covers error behaviour only.  Secrecy of wiretap-binned
@@ -39,33 +44,15 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 from .model import ChannelScenario
 from .schemes import SchemePlan, deliveries
 
 GENERATOR_NAME = "philox4x64"
 
-
-def otp_encrypt(w: int, key: int, modulus: int) -> int:
-    """One-time-pad encryption: (w + key) mod modulus."""
-    if modulus <= 0:
-        raise RangeError(f"modulus must be positive, got {modulus}")
-    if not (0 <= w < modulus):
-        raise RangeError(f"plaintext {w} outside [0, {modulus})")
-    if not (0 <= key < modulus):
-        raise RangeError(f"key {key} outside [0, {modulus})")
-    return (w + key) % modulus
-
-
-def otp_decrypt(c: int, key: int, modulus: int) -> int:
-    """Inverse of :func:`otp_encrypt` for the same key."""
-    if modulus <= 0:
-        raise RangeError(f"modulus must be positive, got {modulus}")
-    if not (0 <= c < modulus):
-        raise RangeError(f"ciphertext {c} outside [0, {modulus})")
-    if not (0 <= key < modulus):
-        raise RangeError(f"key {key} outside [0, {modulus})")
-    return (c - key) % modulus
+#: Memory budget of one block of trials: each block's draws and threshold
+#: tests are (trials, width) arrays of about this many bytes.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,6 +65,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"blocklength must be >= 1, got {self.n}")
+        # Up to 2**53 every integer is an exact float, so segment lengths
+        # and MDS thresholds (a rate times n, rounded) are exact int64s.
+        if self.n > 2**53:
+            raise ConfigError(f"blocklength must be <= 2**53, got {self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
@@ -110,8 +101,9 @@ class SimReport:
 
 
 #: Largest (demand, trial) pair count one run may simulate.  At the measured
-#: 0.06-0.2 ms per pair (2-vCPU VM) a capped run takes at most a few
-#: minutes, and its per-demand report stays well inside memory.
+#: 0.009-0.12 ms per pair (fig3 and fig5 builder plans at n=50000, 2-vCPU
+#: VM) a capped run takes at most about two minutes, and its per-demand
+#: report stays well inside memory.
 MAX_SIM_PAIRS = 10**6
 
 
@@ -140,12 +132,10 @@ def _demands(
     raise ConfigError(f"unknown demand policy {policy!r}")
 
 
-def _trial_rng(seed: int, demand_idx: int, trial: int) -> np.random.Generator:
-    bitgen = np.random.Philox(
-        counter=[trial, demand_idx, 0, 0],
-        key=[seed & (2**64 - 1), 0x9E3779B97F4A7C15],
-    )
-    return np.random.Generator(bitgen)
+def _block_rows(width: int) -> int:
+    """Trials per block, so that a block's (trials, width) int64 arrays
+    stay near ``_BLOCK_BYTES`` however many trials a run has."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def run_monte_carlo(
@@ -157,8 +147,11 @@ def run_monte_carlo(
     receiver decodes the units it is loaded with in schedule order while
     the unerased count covers the cumulative payload bits; an error is any
     receiver with a wanted part that is neither cached nor handed over by
-    a decoded unit (see :func:`secache.schemes.deliveries`).  Raises
-    :class:`ConfigError` when demands x trials exceeds ``MAX_SIM_PAIRS``.
+    a decoded unit (see :func:`secache.schemes.deliveries`).  One Philox
+    generator is re-keyed per (demand, trial) counter, and trials are
+    drawn and tested a block at a time, so memory stays flat in
+    ``cfg.trials``.  Raises :class:`ConfigError` when demands x trials
+    exceeds ``MAX_SIM_PAIRS``.
     """
     n_demands, demands = _demands(s, cfg.demand_policy, cfg.seed)
     if n_demands * cfg.trials > MAX_SIM_PAIRS:
@@ -202,12 +195,13 @@ def run_monte_carlo(
             draw_p.append(1.0 - s.erasure_of(r))
 
     # Each wanted part a receiver lacks is one group; its providers are
-    # (draw, threshold) pairs, and the group decodes iff any draw reaches
-    # its threshold.  A group with no provider never decodes.
+    # (draw, threshold) pairs, contiguous from the group's start, and the
+    # group decodes iff any draw reaches its threshold.  A group with no
+    # provider never decodes.
     prov_draw: list[int] = []
     prov_thr: list[int] = []
-    prov_group: list[int] = []
-    groups = 0
+    group_start: list[int] = []
+    starved = False
     delivered = deliveries(plan)
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
@@ -215,32 +209,66 @@ def run_monte_carlo(
         for label, _ in plan.message_parts.get(r, ()):
             if label in have:
                 continue
+            group_start.append(len(prov_draw))
             for si, ui in providers.get(label, ()):
                 prov_draw.append(draw_of[(r, si)])
                 prov_thr.append(threshold[(r, si, ui)])
-                prov_group.append(groups)
-            groups += 1
+            starved = starved or len(prov_draw) == group_start[-1]
+    # With a starved group every trial fails, and with no group none does:
+    # such outcomes need no draw beyond demand 0's erasure statistics.
+    fixed_errors = cfg.trials if starved else None if group_start else 0
 
     seg_idx = np.array(draw_seg, dtype=np.intp)
     lengths = np.array([seg_lengths[si] for si in draw_seg], dtype=np.int64)
     probs = np.array(draw_p, dtype=np.float64)
     prov_draw_a = np.array(prov_draw, dtype=np.intp)
     prov_thr_a = np.array(prov_thr, dtype=np.int64)
-    prov_group_a = np.array(prov_group, dtype=np.intp)
+    group_start_a = np.array(group_start, dtype=np.intp)
+
+    rows = min(cfg.trials, _block_rows(max(len(draw_seg), len(prov_draw))))
+    got = np.empty((rows, len(draw_seg)), dtype=np.int64)
+    block_seg = np.tile(seg_idx, rows)
+    # One generator per run.  Setting the bit generator's state to counter
+    # (trial, demand index, 0, 0) with an empty output buffer yields the
+    # stream a new Philox with that counter would, at a fraction of the
+    # cost; the key is read back from numpy's own conversion of it.
+    bitgen = np.random.Philox(key=[cfg.seed & (2**64 - 1), 0x9E3779B97F4A7C15])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = [0, 0, 0, 0]
+    state["state"]["counter"] = counter
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+
+    def blocks(d_idx: int):
+        """Each block of the demand's trials as a (trials, draws) array
+        of unerased counts, one array ``binomial`` call per trial."""
+        counter[1] = d_idx
+        for first in range(0, cfg.trials, rows):
+            block = got[: min(rows, cfg.trials - first)]
+            for row in range(len(block)):
+                counter[0] = first + row
+                bitgen.state = state
+                block[row] = gen.binomial(lengths, probs)
+            yield block
 
     per_demand = []
     worst = 0.0
     seg_erasures = np.zeros(len(plan.schedule))
     for d_idx, demand in enumerate(demands):
-        errors = 0
-        for trial in range(cfg.trials):
-            got = _trial_rng(cfg.seed, d_idx, trial).binomial(lengths, probs)
-            if d_idx == 0:
-                # Sequential, in draw order: the sums match a scalar loop.
-                np.add.at(seg_erasures, seg_idx, 1.0 - got / lengths)
-            decoded = prov_group_a[got[prov_draw_a] >= prov_thr_a]
-            if not np.bincount(decoded, minlength=groups).all():
-                errors += 1
+        errors = fixed_errors or 0
+        if d_idx == 0 or fixed_errors is None:
+            for block in blocks(d_idx):
+                if d_idx == 0:
+                    # Sequential, trial by trial in draw order: the sums
+                    # match a scalar loop.
+                    np.add.at(
+                        seg_erasures, block_seg[: block.size],
+                        (1.0 - block / lengths).ravel(),
+                    )
+                if fixed_errors is None:
+                    hit = block[:, prov_draw_a] >= prov_thr_a
+                    decoded = np.logical_or.reduceat(hit, group_start_a, axis=1)
+                    errors += len(block) - int(np.count_nonzero(decoded.all(axis=1)))
         rate = errors / cfg.trials
         worst = max(worst, rate)
         per_demand.append(

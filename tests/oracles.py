@@ -9,11 +9,14 @@ by dual planes built once, the converse sweep is the pair-by-pair scan
 that production replaced by one batched evaluation over a grid, the
 peel-rule and Monte-Carlo references are the per-receiver schedule scan
 and the scalar per-draw trial loop that production replaced by receiver
-bitmasks and a compiled threshold kernel, the plan verifier is the scan
+bitmasks and a compiled threshold kernel (one generator per run, tested
+a block of trials at a time), the plan verifier is the scan
 of every segment, unit and receiver that production replaced by one
 representative per orbit and receiver class, and the entropy inverse is
 a dense scan.  Grid resolution h bounds the value error by h times the
-largest capacity factor, which the comparing tests account for.
+largest capacity factor, which the comparing tests account for.  The
+one-time-pad cipher lives here as well: the simulator never samples pad
+values (pads cancel exactly), so only the tests exercise it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
-from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible
+from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible, RangeError
 from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
 from secache.schemes import (
     RATE_TOL,
@@ -349,6 +352,28 @@ def deliveries_one_receiver(
                 if slot == receiver and unit.part_rates[i] == rates.get(label):
                     out.setdefault(label, []).append((si, ui))
     return out
+
+
+def otp_encrypt(w: int, key: int, modulus: int) -> int:
+    """One-time-pad encryption: (w + key) mod modulus."""
+    if modulus <= 0:
+        raise RangeError(f"modulus must be positive, got {modulus}")
+    if not (0 <= w < modulus):
+        raise RangeError(f"plaintext {w} outside [0, {modulus})")
+    if not (0 <= key < modulus):
+        raise RangeError(f"key {key} outside [0, {modulus})")
+    return (w + key) % modulus
+
+
+def otp_decrypt(c: int, key: int, modulus: int) -> int:
+    """Inverse of :func:`otp_encrypt` for the same key."""
+    if modulus <= 0:
+        raise RangeError(f"modulus must be positive, got {modulus}")
+    if not (0 <= c < modulus):
+        raise RangeError(f"ciphertext {c} outside [0, {modulus})")
+    if not (0 <= key < modulus):
+        raise RangeError(f"key {key} outside [0, {modulus})")
+    return (c - key) % modulus
 
 
 def _demands_list(s: ChannelScenario, cfg: SimConfig) -> list[tuple[int, ...]]:

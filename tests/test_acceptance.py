@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import lambda_grid_best, simplex_grid_maxmin
+from oracles import lambda_grid_best, otp_decrypt, otp_encrypt, simplex_grid_maxmin
 from secache import (
     Infeasible,
     CacheSizes,
@@ -32,8 +32,6 @@ from secache import (
     lower_curve_weak_only,
     lower_global,
     lower_surface_all,
-    otp_decrypt,
-    otp_encrypt,
     points_all_cached,
     points_separate,
     points_weak_only,

@@ -404,6 +404,23 @@ def test_simulate_size_cap_boundary(monkeypatch, capsys):
     assert main(args + ["4"]) == 2
 
 
+@pytest.mark.parametrize("n,rc", [
+    (10**24, 2),  # overflowed int64 in the segment lengths
+    (2**53 + 1, 2),
+    (2**53, 0),  # the largest n at which every integer is an exact float
+])
+def test_simulate_blocklength_cap(n, rc, capsys):
+    code = main(["simulate", "--preset", "fig3", "--scheme", "cached-keys-all",
+                 "--n", str(n), "--trials", "1"])
+    assert code == rc
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.out == ""
+        assert "blocklength must be <= 2**53" in captured.err
+    else:
+        assert json.loads(captured.out)["n"] == n
+
+
 def test_simulate_non_integer_demand_count_is_bad_input(capsys):
     rc = main(["simulate", "--preset", "fig3", "--scheme", "wiretap-cached-keys",
                "--n", "2000", "--demands", "random:three"])

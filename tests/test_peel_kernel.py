@@ -6,16 +6,20 @@ Builder plans cover the subset builders over a wide range of ``t``; the
 hand-mutated plans reach the branches no builder plan does (missing keys,
 context or XOR partners, repeated XOR labels, several slots in one concat
 unit, rate mismatches, zero loads, starved parts, erasures of 0 and 1).
+The block tests shrink the trial block to a few trials, so that runs
+cross block edges.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import tracemalloc
 
 import pytest
 
 from oracles import deliveries_one_receiver, monte_carlo_scalar
-from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo
+from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
@@ -255,3 +259,74 @@ def test_extra_providers_are_listed_in_schedule_order():
     si, ui = _find(plan, lambda u: u.combine == "concat")
     j, label = plan.schedule[si].units[ui].parts[0]
     assert deliveries(plan)[j][label] == [(si, ui), (si, ui)]
+
+
+# ---------------------------------------------------------------------------
+# blocks of trials
+# ---------------------------------------------------------------------------
+
+BLOCK = 4
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(simulate, "_block_rows", lambda width: BLOCK)
+
+
+def _all_cached(plan):
+    """The plan with every wanted part held virtually: nothing to decode."""
+    virtual = {
+        r: frozenset(label for label, _ in parts)
+        for r, parts in plan.message_parts.items()
+    }
+    return dataclasses.replace(plan, virtual_cached=virtual)
+
+
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+@pytest.mark.parametrize("policy", ["all-distinct", "random:3"])
+def test_block_edges_match_scalar_trials(small_blocks, trials, policy):
+    # At these n the intact plan fails some trials and not others, so a
+    # trial lost or tested twice at a block edge changes the counts.
+    plan = dict(_pairs_mutations())["intact"]
+    reports = [
+        json.loads(_same_report(plan, PAIRS, SimConfig(n, trials, 11, policy)))
+        for n in (10000, 20000)
+    ]
+    errors = [d["errors"] for rep in reports for d in rep["per_demand"]]
+    assert any(0 < e < trials for e in errors), errors
+
+
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK + 1])
+def test_starved_part_fails_every_trial(small_blocks, trials):
+    plan = dict(_pairs_mutations())["part with no provider"]
+    rep = json.loads(_same_report(plan, PAIRS, SimConfig(3000, trials, 7, "random:3")))
+    assert [d["errors"] for d in rep["per_demand"]] == [trials] * 4
+    assert all(st["empirical_erasure_rate"] is not None for st in rep["segment_stats"])
+
+
+@pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK + 1])
+def test_nothing_to_decode_fails_no_trial(small_blocks, trials):
+    # n=100 leaves the intact plan short of its thresholds in most trials;
+    # with every part cached none of that matters.
+    plan = _all_cached(dict(_pairs_mutations())["intact"])
+    rep = json.loads(_same_report(plan, PAIRS, SimConfig(100, trials, 7, "random:3")))
+    assert rep["worst_case_error_rate"] == 0.0
+    assert all(st["empirical_erasure_rate"] is not None for st in rep["segment_stats"])
+
+
+def test_memory_stays_flat_in_trials(monkeypatch):
+    # A 16 KB block budget: 10x the trials must reuse the same block
+    # arrays, where one (trials, draws) array would take 10x the room.
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 1 << 14)
+    plan = build_cached_keys_all(SMALL, 1e-3)
+    run_monte_carlo(plan, SMALL, SimConfig(3000, 1, 5))  # one-time imports
+    peaks = []
+    for trials in (1500, 15000):
+        cfg = SimConfig(3000, trials, 5)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(plan, SMALL, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks

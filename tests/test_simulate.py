@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import otp_decrypt, otp_encrypt
 from secache import (
     ChannelScenario,
     ConfigError,
@@ -12,8 +13,6 @@ from secache import (
     build_piggyback_one,
     build_symmetric_piggyback,
     build_wiretap_cached_keys,
-    otp_decrypt,
-    otp_encrypt,
     run_monte_carlo,
     verify_plan,
 )
