@@ -15,9 +15,8 @@ cumulative threshold) pairs, contiguous per part.  Trials run in blocks
 of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
 a row of the block, and the block is tested in one pass (every provider
 threshold at once, then an OR over each part's providers).  A trial fails
-iff some such part has no provider whose draw reaches its threshold; a
-part with no provider at all fails every trial, so such a run samples
-demand 0 only, for the segment statistics.
+iff some such part has no provider whose draw reaches its threshold (a
+part with no provider fails every trial).
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, demand index, trial index), so results are bit-identical for a
@@ -214,9 +213,6 @@ def run_monte_carlo(
                 prov_draw.append(draw_of[(r, si)])
                 prov_thr.append(threshold[(r, si, ui)])
             starved = starved or len(prov_draw) == group_start[-1]
-    # With a starved group every trial fails, and with no group none does:
-    # such outcomes need no draw beyond demand 0's erasure statistics.
-    fixed_errors = cfg.trials if starved else None if group_start else 0
 
     seg_idx = np.array(draw_seg, dtype=np.intp)
     lengths = np.array([seg_lengths[si] for si in draw_seg], dtype=np.int64)
@@ -231,7 +227,8 @@ def run_monte_carlo(
     # One generator per run.  Setting the bit generator's state to counter
     # (trial, demand index, 0, 0) with an empty output buffer yields the
     # stream a new Philox with that counter would, at a fraction of the
-    # cost; the key is read back from numpy's own conversion of it.
+    # cost.  numpy turns the key list into float64 (its second word
+    # exceeds int64), so the key is read back rather than rebuilt.
     bitgen = np.random.Philox(key=[cfg.seed & (2**64 - 1), 0x9E3779B97F4A7C15])
     gen = np.random.Generator(bitgen)
     state = bitgen.state
@@ -239,9 +236,11 @@ def run_monte_carlo(
     state["state"]["counter"] = counter
     state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
-    def blocks(d_idx: int):
-        """Each block of the demand's trials as a (trials, draws) array
-        of unerased counts, one array ``binomial`` call per trial."""
+    per_demand = []
+    worst = 0.0
+    seg_erasures = np.zeros(len(plan.schedule))
+    for d_idx, demand in enumerate(demands):
+        errors = 0
         counter[1] = d_idx
         for first in range(0, cfg.trials, rows):
             block = got[: min(rows, cfg.trials - first)]
@@ -249,26 +248,21 @@ def run_monte_carlo(
                 counter[0] = first + row
                 bitgen.state = state
                 block[row] = gen.binomial(lengths, probs)
-            yield block
-
-    per_demand = []
-    worst = 0.0
-    seg_erasures = np.zeros(len(plan.schedule))
-    for d_idx, demand in enumerate(demands):
-        errors = fixed_errors or 0
-        if d_idx == 0 or fixed_errors is None:
-            for block in blocks(d_idx):
-                if d_idx == 0:
-                    # Sequential, trial by trial in draw order: the sums
-                    # match a scalar loop.
-                    np.add.at(
-                        seg_erasures, block_seg[: block.size],
-                        (1.0 - block / lengths).ravel(),
-                    )
-                if fixed_errors is None:
-                    hit = block[:, prov_draw_a] >= prov_thr_a
-                    decoded = np.logical_or.reduceat(hit, group_start_a, axis=1)
-                    errors += len(block) - int(np.count_nonzero(decoded.all(axis=1)))
+            if d_idx == 0:
+                # Sequential, trial by trial in draw order: the sums match
+                # a scalar loop.
+                np.add.at(
+                    seg_erasures, block_seg[: block.size],
+                    (1.0 - block / lengths).ravel(),
+                )
+            # A starved group fails every trial (and reduceat cannot take
+            # an empty group); with no group at all, no trial fails.
+            if starved:
+                errors += len(block)
+            elif group_start:
+                hit = block[:, prov_draw_a] >= prov_thr_a
+                decoded = np.logical_or.reduceat(hit, group_start_a, axis=1)
+                errors += len(block) - int(np.count_nonzero(decoded.all(axis=1)))
         rate = errors / cfg.trials
         worst = max(worst, rate)
         per_demand.append(
