@@ -10,8 +10,8 @@ that production replaced by one batched evaluation over a grid, the
 peel-rule and Monte-Carlo references are the per-receiver schedule scan
 and the scalar per-draw trial loop that production replaced by receiver
 bitmasks and a compiled threshold kernel (one generator per run, tested
-a block of trials at a time), the plan verifier is the scan
-of every segment, unit and receiver that production replaced by one
+a block of trials at a time), the plan verifier is the scan of every
+segment, unit and receiver that production replaced by one
 representative per orbit and receiver class, and the entropy inverse is
 a dense scan.  Grid resolution h bounds the value error by h times the
 largest capacity factor, which the comparing tests account for.  The
