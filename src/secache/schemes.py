@@ -24,6 +24,11 @@ explicit form is larger than :data:`MAX_PLAN_SIZE`, before building
 anything.  The four other builders give explicit plans, in which every
 segment is its own orbit and every receiver its own class.
 
+The plan records :class:`Atom`, :class:`DeliveryUnit` and
+:class:`DeliverySegment` are immutable named tuples, changed with their
+``_replace`` method; a plan holds tens of thousands of them, and a named
+tuple is several times cheaper to build than a frozen dataclass.
+
 Modelling conventions (erasure broadcast channel, blocklength-normalised
 rates):
 
@@ -46,7 +51,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
@@ -58,8 +64,12 @@ RATE_TOL = 1e-12
 # plan data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+#: The default decode load and decoder context of a unit: one shared,
+#: read-only empty mapping.
+_NONE: Mapping = MappingProxyType({})
+
+
+class Atom(NamedTuple):
     """One cached object: a per-file message part or a secret key.
 
     A file part is stored for every library file, so it occupies
@@ -74,8 +84,7 @@ class Atom:
         return D * self.rate if self.kind == "file_part" else self.rate
 
 
-@dataclass(frozen=True)
-class DeliveryUnit:
+class DeliveryUnit(NamedTuple):
     """One decodable payload inside a segment.
 
     ``parts`` lists (demand-slot, part-label) pairs; with ``combine="xor"``
@@ -83,7 +92,9 @@ class DeliveryUnit:
     ``combine="concat"`` their juxtaposition.  ``pad_keys`` are stripped by
     legitimate decoders; ``jam_keys`` only count as randomisation against
     the eavesdropper.  ``context[r]`` names cache labels receiver ``r``
-    must hold to run its restricted (cache-aided) decoder.
+    must hold to run its restricted (cache-aided) decoder.  Builders share
+    ``decode_load`` and ``context`` mappings between units, so they are
+    never changed in place.
     """
 
     parts: tuple[tuple[int, str], ...]
@@ -93,8 +104,8 @@ class DeliveryUnit:
     jam_keys: tuple[str, ...] = ()
     bin_rate: float = 0.0
     intended: frozenset = frozenset()
-    decode_load: dict[int, float] = field(default_factory=dict)
-    context: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    decode_load: Mapping[int, float] = _NONE
+    context: Mapping[int, tuple[str, ...]] = _NONE
 
     @property
     def payload_rate(self) -> float:
@@ -115,8 +126,7 @@ class DeliveryUnit:
         }
 
 
-@dataclass(frozen=True)
-class DeliverySegment:
+class DeliverySegment(NamedTuple):
     """A time-shared slice of the delivery phase."""
 
     id: tuple
@@ -329,27 +339,34 @@ def _kept(only: Optional[frozenset], slots: Iterable[int]) -> bool:
 
 def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
     """Append each subset's atom, made once from its label, to those of its
-    members that ``atoms`` holds a list for."""
+    members that ``atoms`` holds a list for; subsets with no such member
+    are skipped."""
+    placing = atoms.keys()
     for G, label in family.items():
-        atom = None
+        if placing.isdisjoint(G):
+            continue
+        atom = make(label)
         for i in G:
             held = atoms.get(i)
             if held is not None:
-                atom = atom or make(label)
                 held.append(atom)
 
 
+def _peeled(H: tuple[int, ...], labels: dict) -> tuple[tuple[int, str], ...]:
+    """Each member ``i`` of ``H`` with the label of ``H`` without ``i``.
+    ``combinations`` drops members from last to first, so it is reversed."""
+    rest = reversed(tuple(itertools.combinations(H, len(H) - 1)))
+    return tuple(zip(H, map(labels.__getitem__, rest)))
+
+
 def _xor_unit(H: tuple[int, ...], labels: dict, rate: float, pad: str,
-              load: dict[int, float]) -> DeliveryUnit:
+              load: Mapping[int, float]) -> DeliveryUnit:
     """The coded-caching XOR over subset ``H`` (Maddah-Ali--Niesen): member
     ``i`` peels the part labelled by ``H`` without ``i`` and holds the other
     parts in cache; the key ``pad``, shared by ``H``, pads the sum."""
     return DeliveryUnit(
-        parts=tuple((i, labels[H[:k] + H[k + 1:]]) for k, i in enumerate(H)),
-        part_rates=(rate,) * len(H),
-        pad_keys=(pad,),
-        intended=frozenset(H),
-        decode_load=load,
+        _peeled(H, labels), (rate,) * len(H), "xor", (pad,), (), 0.0,
+        frozenset(H), load,
     )
 
 
@@ -365,7 +382,7 @@ def _unicast(r: int, label: str, rate: float, pads: tuple[str, ...] = (),
         bin_rate=bin_rate,
         intended=frozenset({r}),
         decode_load={r: rate + bin_rate},
-        context={r: context} if context else {},
+        context={r: context} if context else _NONE,
     )
 
 
@@ -689,7 +706,9 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         Rbin = bin3 = 0.0
         RK3 = excess / (Ks * comb(Kw, t))
         RK4 = beta3 * min(1 - s.delta_z, 1 - ds) / Ks
-        K3 = {G: tuple(_lbl("K3", (j,) + G) for j in strong) for G in B}
+        # K3[j,G] is "K3[j," followed by B[G] without its "B["
+        heads = [f"K3[{j}," for j in strong]
+        K3 = {G: tuple([h + label[2:] for h in heads]) for G, label in B.items()}
         K4 = {j: (_lbl("K4", [j]),) for j in strong}
     else:
         name, point_label = "piggyback-one", f"piggyback-one[t={t}]"
@@ -727,10 +746,14 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
                     atoms[j].append(atom)
         return {r: tuple(a) for r, a in atoms.items()}
 
+    xor_load = dict.fromkeys(weak, rB)
+    column_load = dict.fromkeys(strong, rB)
+    row_intended = frozenset(strong)
+
     def xor(H, only):
         if not _kept(only, H):
             return ()
-        return (_xor_unit(H, B, rB, K1[H], dict.fromkeys(weak, rB)),)
+        return (_xor_unit(H, B, rB, K1[H], xor_load),)
 
     def period(G, only):
         """Phase 2 for weak subset G: the row, then one column per strong
@@ -739,13 +762,13 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         if _kept(only, G):
             context = ((B[G],) if rB > 0 else ()) + K3[G]
             units.append(DeliveryUnit(
-                parts=tuple((i, A[G[:k] + G[k + 1:]]) for k, i in enumerate(G)),
+                parts=_peeled(G, A),
                 part_rates=(rA,) * len(G),
                 pad_keys=(K2[G],),
                 bin_rate=Rbin,
-                intended=frozenset(G) | frozenset(strong),
-                decode_load={i: rA for i in G} | {j: rA + Rbin for j in strong},
-                context=dict.fromkeys(G, context) if context else {},
+                intended=row_intended.union(G),
+                decode_load=dict.fromkeys(G, rA) | dict.fromkeys(strong, rA + Rbin),
+                context=dict.fromkeys(G, context) if context else _NONE,
             ))
         if rB > 0:
             units += [
@@ -754,7 +777,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
                     part_rates=(rB,),
                     pad_keys=K3[G][k:k + 1],
                     intended=frozenset({j}),
-                    decode_load={jj: rB for jj in strong},
+                    decode_load=column_load,
                 )
                 for k, j in enumerate(strong)
                 if _kept(only, (j,))
@@ -1094,16 +1117,22 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
     for r, parts in plan.message_parts.items():
         groups.setdefault(id(parts), [parts, 0])[1] |= 1 << r
     wants: dict[tuple[str, float], int] = {}
+    # Receivers that want some part: on a class view only the
+    # representatives, on a full plan every receiver.  Only their slots
+    # can deliver, so the others skip every per-part check.
+    wanting = 0
     for parts, mask in groups.values():
         for key in dict(parts).items():
             wants[key] = wants.get(key, 0) | mask
+        if parts:
+            wanting |= mask
 
     out: dict[int, dict[str, list[tuple[int, int]]]] = {
         r: {} for r in plan.message_parts
     }
     for si, seg in enumerate(plan.schedule):
         for ui, unit in enumerate(seg.units):
-            pads = -1
+            pads = wanting
             for k in unit.pad_keys:
                 pads &= placed.get(k, 0)
             if not pads:
@@ -1125,13 +1154,14 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
             else:
                 peel = [-1] * len(parts)
             for i, (r, label) in enumerate(parts):
-                bit = 1 << r
-                ok = pads & peel[i]
+                ok = pads & peel[i] & (1 << r)
+                if not ok:
+                    continue
                 for c in unit.context.get(r, ()):
                     ok &= have.get(c, 0)
-                if not ok & bit or unit.decode_load.get(r, 0.0) <= 0.0:
+                if not ok or unit.decode_load.get(r, 0.0) <= 0.0:
                     continue
-                if wants.get((label, unit.part_rates[i]), 0) & bit:
+                if wants.get((label, unit.part_rates[i]), 0) & ok:
                     got = out[r].get(label)
                     if got is None:
                         out[r][label] = [at]

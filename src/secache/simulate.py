@@ -70,8 +70,10 @@ class SimConfig:
             raise ConfigError(f"blocklength must be <= 2**53, got {self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
+        # numpy stores the Philox key as float64 (see run_monte_carlo), so
+        # above 2**53 two seeds could round to one key and one stream.
+        if not (0 <= self.seed <= 2**53):
+            raise ConfigError(f"seed must be in 0..2**53, got {self.seed}")
 
 
 @dataclass
@@ -229,7 +231,7 @@ def run_monte_carlo(
     # stream a new Philox with that counter would, at a fraction of the
     # cost.  numpy turns the key list into float64 (its second word
     # exceeds int64), so the key is read back rather than rebuilt.
-    bitgen = np.random.Philox(key=[cfg.seed & (2**64 - 1), 0x9E3779B97F4A7C15])
+    bitgen = np.random.Philox(key=[cfg.seed, 0x9E3779B97F4A7C15])
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     counter = [0, 0, 0, 0]

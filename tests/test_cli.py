@@ -421,6 +421,25 @@ def test_simulate_blocklength_cap(n, rc, capsys):
         assert json.loads(captured.out)["n"] == n
 
 
+@pytest.mark.parametrize("seed,rc", [
+    (2**53 + 1, 2),  # would share its float64 Philox key with 2**53
+    (2**60 + 1, 2),
+    (2**64 - 1, 2),
+    (-1, 2),
+    (2**53, 0),  # the largest seed at which every integer is an exact float
+])
+def test_simulate_seed_cap(seed, rc, capsys):
+    code = main(["simulate", "--preset", "fig3", "--scheme", "cached-keys-all",
+                 "--n", "5000", "--trials", "3", "--seed", str(seed)])
+    assert code == rc
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.out == ""
+        assert "seed must be in 0..2**53" in captured.err
+    else:
+        assert json.loads(captured.out)["seed"] == seed
+
+
 def test_simulate_non_integer_demand_count_is_bad_input(capsys):
     rc = main(["simulate", "--preset", "fig3", "--scheme", "wiretap-cached-keys",
                "--n", "2000", "--demands", "random:three"])

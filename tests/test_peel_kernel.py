@@ -17,12 +17,15 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import deliveries_one_receiver, monte_carlo_scalar
+from strategies import scenarios
 from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
+    _class_view,
     build_cached_keys_all,
     build_piggyback_allkeys,
     build_piggyback_one,
@@ -114,16 +117,16 @@ def test_builder_plans_match_the_references():
 def _replace_unit(plan, si, ui, **changes):
     seg = plan.schedule[si]
     units = list(seg.units)
-    units[ui] = dataclasses.replace(units[ui], **changes)
+    units[ui] = units[ui]._replace(**changes)
     schedule = list(plan.schedule)
-    schedule[si] = dataclasses.replace(seg, units=tuple(units))
+    schedule[si] = seg._replace(units=tuple(units))
     return dataclasses.replace(plan, schedule=tuple(schedule))
 
 
 def _add_unit(plan, si, unit):
     seg = plan.schedule[si]
     schedule = list(plan.schedule)
-    schedule[si] = dataclasses.replace(seg, units=seg.units + (unit,))
+    schedule[si] = seg._replace(units=seg.units + (unit,))
     return dataclasses.replace(plan, schedule=tuple(schedule))
 
 
@@ -259,6 +262,75 @@ def test_extra_providers_are_listed_in_schedule_order():
     si, ui = _find(plan, lambda u: u.combine == "concat")
     j, label = plan.schedule[si].units[ui].parts[0]
     assert deliveries(plan)[j][label] == [(si, ui), (si, ui)]
+
+
+# ---------------------------------------------------------------------------
+# class views: only receivers that want a part are peeled for
+# ---------------------------------------------------------------------------
+
+def _subset_builds(s, ts):
+    for t in ts:
+        yield f"piggyback-one({t})", lambda t=t: build_piggyback_one(s, t, 1e-4)
+        yield f"piggyback-allkeys({t})", lambda t=t: build_piggyback_allkeys(s, t, 1e-4)
+        for t_s in ts:
+            yield (f"symmetric({t},{t_s})",
+                   lambda t=t, t_s=t_s: build_symmetric_piggyback(s, t, t_s, 1e-4))
+
+
+def _view_matches_plan(case_id, s, build) -> bool:
+    """deliveries(view) equals deliveries(plan) restricted to the
+    representatives, once the view's one segment is mapped back onto the
+    plan's units that hand a representative a part; False when the
+    builder refuses."""
+    try:
+        plan = build()
+    except SecacheError:
+        return False
+    view, reps = _class_view(plan, s)
+    at = [(si, ui) for si, seg in enumerate(plan.schedule)
+          for ui, unit in enumerate(seg.units)
+          if any(r in reps for r, _ in unit.parts)]
+    assert view.schedule[0].units == tuple(
+        plan.schedule[si].units[ui] for si, ui in at), case_id
+    got = {r: {label: [at[ui] for _, ui in where] for label, where in d.items()}
+           for r, d in deliveries(view).items()}
+    full = deliveries(plan)
+    assert got == {r: full[r] for r in reps if r in full}, case_id
+    return True
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_class_view_deliveries_are_the_plans_on_presets(preset):
+    s = ChannelScenario(**PRESETS[preset])
+    checked = [_view_matches_plan(case_id, s, build)
+               for case_id, build in _subset_builds(s, (1, 2))]
+    assert sum(checked) >= 3
+
+
+@settings(max_examples=60)
+@given(scenarios(max_k=5))
+def test_class_view_deliveries_are_the_plans(s):
+    for case_id, build in _subset_builds(s, range(1, 6)):
+        _view_matches_plan(case_id, s, build)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: build_cached_keys_all(s, 1e-4),
+    lambda s: build_piggyback_one(s, 2, 1e-4),
+    lambda s: build_symmetric_piggyback(s, 2, 2, 1e-4),
+], ids=["cached-keys-all", "piggyback-one(2)", "symmetric(2,2)"])
+@pytest.mark.parametrize("idle", [1, 2, 20])
+def test_receiver_wanting_nothing_leaves_the_others_alone(fig3, build, idle):
+    plan = build(fig3)
+    full = deliveries(plan)
+    assert idle in full
+    others = {r: d for r, d in full.items() if r != idle}
+    for message_parts in (
+        {**plan.message_parts, idle: ()},
+        {r: p for r, p in plan.message_parts.items() if r != idle},
+    ):
+        changed = dataclasses.replace(plan, message_parts=message_parts)
+        assert deliveries(changed) == others
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from oracles import entropy_inverse_scan
-from secache.schemes import RATE_TOL
+from secache.schemes import RATE_TOL, DeliveryUnit
 from secache import (
     BUILDERS,
     ChannelScenario,
@@ -272,10 +272,10 @@ def test_mutation_zero_bin_rate_breaks_secrecy(fig3):
     segments = []
     for seg in plan.schedule:
         units = tuple(
-            dataclasses.replace(u, bin_rate=0.0) if u.bin_rate > 0 else u
+            u._replace(bin_rate=0.0) if u.bin_rate > 0 else u
             for u in seg.units
         )
-        segments.append(dataclasses.replace(seg, units=units))
+        segments.append(seg._replace(units=units))
     mutated = dataclasses.replace(plan, schedule=tuple(segments))
     rep = verify_plan(mutated, fig3)
     assert not rep.check("SECRECY").passed
@@ -327,6 +327,28 @@ def test_symmetric_subphase2_period_pairing():
     assert rep.passed
 
 
+def test_plan_records_are_immutable(fig3_plans):
+    # Builders share records, and the mappings inside units, between
+    # plans and units: none of them may change in place.
+    for plan in fig3_plans:
+        seg = plan.schedule[0]
+        unit = seg.units[0]
+        atom = next(iter(plan.placement.values()))[0]
+        for record in (atom, unit, seg):
+            for name in type(record)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        changed = unit._replace(bin_rate=unit.bin_rate + 1.0)
+        assert changed.bin_rate == unit.bin_rate + 1.0 and changed != unit
+    bare = DeliveryUnit(parts=((1, "full"),), part_rates=(0.1,))
+    for mapping in (bare.decode_load, bare.context):
+        assert mapping == {}
+        with pytest.raises(TypeError):
+            mapping[1] = 0.0
+
+
 def test_plan_json_round_trips(fig3):
     plan = build_piggyback_one(fig3, 1, EPS)
     obj = json.loads(plan.to_json())
@@ -356,10 +378,10 @@ def test_repeated_xor_label_fails_decode_for_any_library(D):
     plan = build_cached_keys_all(s, 1e-3)
     seg0 = plan.schedule[0]
     R = plan.claimed_point.R
-    extra = dataclasses.replace(
-        seg0.units[0], parts=((1, "full"), (2, "full")), part_rates=(R, R)
+    extra = seg0.units[0]._replace(
+        parts=((1, "full"), (2, "full")), part_rates=(R, R)
     )
-    bad_seg = dataclasses.replace(seg0, units=seg0.units + (extra,))
+    bad_seg = seg0._replace(units=seg0.units + (extra,))
     bad = dataclasses.replace(plan, schedule=(bad_seg,) + plan.schedule[1:])
     assert verify_plan(plan, s).check("DECODE").passed
     check = verify_plan(bad, s).check("DECODE")

@@ -111,11 +111,10 @@ def test_infeasible_plan_fails_at_large_n(fig3):
     plan = build_wiretap_cached_keys(fig3, 0.002)
     # inflate one weak receiver's decode load beyond its segment capacity
     seg0 = plan.schedule[0]
-    bad_unit = dataclasses.replace(
-        seg0.units[0],
+    bad_unit = seg0.units[0]._replace(
         decode_load={r: ld * 1.4 for r, ld in seg0.units[0].decode_load.items()},
     )
-    bad_seg = dataclasses.replace(seg0, units=(bad_unit,) + seg0.units[1:])
+    bad_seg = seg0._replace(units=(bad_unit,) + seg0.units[1:])
     bad = dataclasses.replace(plan, schedule=(bad_seg,) + plan.schedule[1:])
     rep = run_monte_carlo(bad, fig3, SimConfig(n=20000, trials=50, seed=77))
     assert rep.worst_case_error_rate == 1.0
