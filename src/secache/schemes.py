@@ -66,7 +66,7 @@ RATE_TOL = 1e-12
 
 #: The default decode load and decoder context of a unit: one shared,
 #: read-only empty mapping.
-_NONE: Mapping = MappingProxyType({})
+_EMPTY: Mapping = MappingProxyType({})
 
 
 class Atom(NamedTuple):
@@ -104,8 +104,8 @@ class DeliveryUnit(NamedTuple):
     jam_keys: tuple[str, ...] = ()
     bin_rate: float = 0.0
     intended: frozenset = frozenset()
-    decode_load: Mapping[int, float] = _NONE
-    context: Mapping[int, tuple[str, ...]] = _NONE
+    decode_load: Mapping[int, float] = _EMPTY
+    context: Mapping[int, tuple[str, ...]] = _EMPTY
 
     @property
     def payload_rate(self) -> float:
@@ -382,7 +382,7 @@ def _unicast(r: int, label: str, rate: float, pads: tuple[str, ...] = (),
         bin_rate=bin_rate,
         intended=frozenset({r}),
         decode_load={r: rate + bin_rate},
-        context={r: context} if context else _NONE,
+        context={r: context} if context else _EMPTY,
     )
 
 
@@ -768,7 +768,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
                 bin_rate=Rbin,
                 intended=row_intended.union(G),
                 decode_load=dict.fromkeys(G, rA) | dict.fromkeys(strong, rA + Rbin),
-                context=dict.fromkeys(G, context) if context else _NONE,
+                context=dict.fromkeys(G, context) if context else _EMPTY,
             ))
         if rB > 0:
             units += [
@@ -1100,8 +1100,9 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
 
     "Who holds label L" is an int bitmask over receivers: pad keys are
     checked against placement alone, context and XOR partners against
-    placement plus ``virtual_cached``.  Prefix and suffix ANDs of the XOR
-    partners' masks make one pass over each unit's parts enough.
+    placement plus ``virtual_cached``.  Each unit starts from the
+    receivers that want some part and hold its pad keys; one pass over an
+    XOR's parts finds those among them missing exactly one label.
     """
     placed: dict[str, int] = {}
     for r, atoms in plan.placement.items():
@@ -1140,21 +1141,21 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
             at = (si, ui)
             parts = unit.parts
             if unit.combine == "xor":
-                # peel[i]: receivers holding every label but part i's
-                masks = [have.get(label, 0) for _, label in parts]
-                peel = []
-                acc = -1
-                for m in masks:
-                    peel.append(acc & ~m)
-                    acc &= m
-                acc = -1
-                for i in range(len(masks) - 1, -1, -1):
-                    peel[i] &= acc
-                    acc &= masks[i]
+                # peel[i]: receivers holding every label but part i's.  One
+                # pass finds those missing no label (none) and exactly one
+                # (one); who misses part i's label misses exactly that one.
+                masks = []
+                none, one = pads, 0
+                for _, label in parts:
+                    m = have.get(label, 0)
+                    masks.append(m)
+                    one = (one & m) | (none & ~m)
+                    none &= m
+                peel = [one & ~m for m in masks]
             else:
-                peel = [-1] * len(parts)
+                peel = [pads] * len(parts)
             for i, (r, label) in enumerate(parts):
-                ok = pads & peel[i] & (1 << r)
+                ok = peel[i] & (1 << r)
                 if not ok:
                     continue
                 for c in unit.context.get(r, ()):

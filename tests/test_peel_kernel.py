@@ -166,6 +166,10 @@ def _pairs_mutations():
     yield "repeated XOR label", _replace_unit(
         plan, 0, 0, parts=((1, "A[2]"), (2, "A[2]"))
     )
+    # each slot's receiver holds its own label and lacks its partner's
+    yield "swapped XOR labels", _replace_unit(
+        plan, 0, 0, parts=((1, "A[1]"), (2, "A[2]"))
+    )
     yield "XOR partner held only virtually", _replace_unit(
         plan, 0, 0, parts=xor.parts + ((1, "Ar[1]"),),
         part_rates=xor.part_rates * 2,
