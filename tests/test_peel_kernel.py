@@ -6,6 +6,8 @@ Builder plans cover the subset builders over a wide range of ``t``; the
 hand-mutated plans reach the branches no builder plan does (missing keys,
 context or XOR partners, repeated XOR labels, several slots in one concat
 unit, rate mismatches, zero loads, starved parts, erasures of 0 and 1).
+On a class view, where only the representatives want parts, the peel
+rule must give them exactly their deliveries in the full plan.
 The block tests shrink the trial block to a few trials, so that runs
 cross block edges.
 """
