@@ -22,6 +22,7 @@ from secache import (
     cache_usage_by_class,
     verify_plan,
 )
+from secache.schemes import PlanOrbits
 
 s = ChannelScenario(K_w=5, K_s=15, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=30)
 plan = build_piggyback_one(s, t=1, eps=1e-4)
@@ -53,12 +54,16 @@ for check in rep.checks:
 
 # ---------------------------------------------------------------------------
 # Tamper with the plan: remove one key from one cache.  The holder can no
-# longer strip the pad from its XOR, and DECODE flags it.
+# longer strip the pad from its XOR, and DECODE flags it.  A plan is
+# immutable, so the tampered plan is a new one.  Its orbits come from its
+# schedule and placement (PlanOrbits.explicit): it claims no symmetry, so
+# every segment and every receiver is checked.
 # ---------------------------------------------------------------------------
 victim = next(a.label for a in plan.placement[1] if a.kind == "key")
 placement = dict(plan.placement)
 placement[1] = tuple(a for a in placement[1] if a.label != victim)
-tampered = dataclasses.replace(plan, placement=placement)
+orbits = PlanOrbits.explicit(range(1, s.K + 1), plan.schedule, placement)
+tampered = dataclasses.replace(plan, orbits=orbits)
 rep = verify_plan(tampered, s)
 print(f"\nafter removing {victim} from receiver 1's cache:")
 print(f"  DECODE passed={rep.check('DECODE').passed}  "

@@ -11,18 +11,17 @@ key scheme (:func:`_build_unicast`), ``piggyback-one`` and
 (:func:`_build_piggyback`); each pair secures its strong receivers by
 wiretap bins or by cached keys.
 
-The subset builders (both piggyback schemes and ``symmetric-piggyback``)
-treat all weak receivers alike and all strong receivers alike, so each
-of their segment families is one orbit under permutations within a
-class (:class:`Orbit`): its members (subsets or receiver pairs) and the
-function that builds a member's units.  Their plans hold these orbits and
-the receiver classes (:class:`PlanOrbits`).  :func:`verify_plan` checks
-such a plan one orbit and one class representative (the lowest-numbered
-receiver) at a time; the explicit schedule and placement are expanded
-only when read, and kept.  The subset builders still refuse a plan whose
-explicit form is larger than :data:`MAX_PLAN_SIZE`, before building
-anything.  The four other builders give explicit plans, in which every
-segment is its own orbit and every receiver its own class.
+Every plan is its receiver classes and its orbits (:class:`PlanOrbits`):
+schedule entries that a permutation within a class maps onto one another
+(:class:`Orbit`), given by their members and the function that builds a
+member's units.  :func:`verify_plan` checks one orbit and one class
+representative (the lowest-numbered receiver) at a time; the explicit
+schedule and placement are expanded only when read, and kept.  The subset
+builders (both piggyback schemes and ``symmetric-piggyback``) treat all
+weak receivers alike and all strong receivers alike, so each segment
+family is one orbit, and refuse a plan whose explicit form is larger than
+:data:`MAX_PLAN_SIZE` before building anything.  The four other builders,
+and any changed plan, claim no symmetry (:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -50,6 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -145,11 +145,11 @@ class Orbit(NamedTuple):
     """Schedule entries that a permutation within receiver classes maps
     onto one another, in schedule order.
 
-    ``units(member, only)`` builds the units of a member (a subset or a
-    receiver pair; there is at least one member), keeping just those that
-    hand a receiver in ``only`` a part, or all of them when ``only`` is
-    None.  Each member is the segment ``(phase, member)`` of length
-    ``fraction``; with ``one_segment`` the members' units instead make up
+    ``units(member, only)`` builds the units of a member (a subset, a
+    receiver pair or a segment id; there is at least one member), keeping
+    at least those that hand a receiver in ``only`` a part, or all of them
+    when ``only`` is None.  Each member is the segment ``(phase, member)``
+    of length ``fraction``; with ``one_segment`` the members' units instead make up
     the one segment ``(phase, 0)``.  Members are alike for every check:
     equal decode loads, payloads, bins and key rates, with labels mapped
     one to one, so the first member stands for the rest.
@@ -183,6 +183,20 @@ class PlanOrbits(NamedTuple):
         """The explicit placement."""
         return self.place(None)
 
+    @classmethod
+    def explicit(cls, receivers: Iterable[int], schedule: Sequence[DeliverySegment],
+                 placement: dict[int, tuple[Atom, ...]]) -> PlanOrbits:
+        """A plan that claims no symmetry: each receiver its own class and
+        each segment ``(phase, member)`` an orbit of one member, whose units
+        are the segment's own.  They are never filtered by ``only``: every
+        receiver stands for itself, so no unit is left out of a check."""
+        orbits = tuple(
+            Orbit(seg.id[0], seg.fraction, (seg.id[1],),
+                  lambda member, only, units=seg.units: units)
+            for seg in schedule
+        )
+        return cls(tuple((r,) for r in receivers), orbits, lambda only: placement)
+
     def schedule(self) -> tuple[DeliverySegment, ...]:
         """The explicit schedule."""
         schedule = []
@@ -198,49 +212,35 @@ class PlanOrbits(NamedTuple):
         return tuple(schedule)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SchemePlan:
     """A placement and a delivery schedule, with what they claim.
 
-    A subset builder describes its plan by orbits (:class:`PlanOrbits`),
-    kept in ``_orbits``: the explicit ``schedule`` and ``placement`` are
-    each expanded from them on first read, and kept.  Changing the plan, by
-    ``dataclasses.replace`` or by assigning a field, gives a plan without
-    orbits, which :func:`verify_plan` checks in full.
+    Every plan is described by its ``orbits`` (:class:`PlanOrbits`): the
+    explicit ``schedule`` and ``placement`` are each expanded from them on
+    first read, and kept.  A plan is immutable; a changed plan is a new
+    one whose orbits :meth:`PlanOrbits.explicit` builds from its changed
+    schedule and placement, so it claims no symmetry and
+    :func:`verify_plan` checks every segment and receiver of it.
     """
 
     scheme_name: str
     params: dict
-    placement: dict[int, tuple[Atom, ...]]
-    schedule: tuple[DeliverySegment, ...]
+    orbits: PlanOrbits
     claimed_point: RateMemoryPoint
     key_rates: dict[str, float]
     #: per-receiver tiling of its demanded message into (label, rate)
     message_parts: dict[int, tuple[tuple[str, float], ...]]
     #: part labels available from cache by containment in stored atoms
     virtual_cached: dict[int, frozenset] = field(default_factory=dict)
-    _orbits: Optional[PlanOrbits] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute not set: the schedule or placement
-        # of an orbit plan before its first read.
-        orbits = self.__dict__.get("_orbits")
-        if orbits is None or name not in ("schedule", "placement"):
-            raise AttributeError(name)
-        value = self.__dict__[name] = getattr(orbits, name)()
-        return value
+    @cached_property
+    def schedule(self) -> tuple[DeliverySegment, ...]:
+        return self.orbits.schedule()
 
-    def __setattr__(self, name: str, value) -> None:
-        orbits = self.__dict__.get("_orbits")
-        if orbits is not None and name != "_orbits":
-            # the orbits no longer describe a changed plan
-            for key in ("schedule", "placement"):
-                if key not in self.__dict__:
-                    self.__dict__[key] = getattr(orbits, key)()
-            del self.__dict__["_orbits"]
-        super().__setattr__(name, value)
+    @cached_property
+    def placement(self) -> dict[int, tuple[Atom, ...]]:
+        return self.orbits.placement()
 
     def cached_labels(self, receiver: int) -> set:
         return {a.label for a in self.placement.get(receiver, ())}
@@ -322,14 +322,6 @@ def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...],
         G: f"{prefix}[{','.join(name)}]"
         for G, name in zip(itertools.combinations(ids, size), names)
     }
-
-
-def _orbit_plan(orbits: PlanOrbits, **fields) -> SchemePlan:
-    """A plan whose schedule and placement ``orbits`` expand on first read."""
-    plan = SchemePlan(placement={}, schedule=(), **fields)
-    del plan.__dict__["placement"], plan.__dict__["schedule"]
-    plan._orbits = orbits
-    return plan
 
 
 def _kept(only: Optional[frozenset], slots: Iterable[int]) -> bool:
@@ -552,8 +544,7 @@ def _build_unicast(s: ChannelScenario, eps: float, keyed: bool) -> SchemePlan:
     return SchemePlan(
         scheme_name=name,
         params={"eps": eps, "D": s.D},
-        placement=placement,
-        schedule=tuple(segments),
+        orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(R, RKw, RKs, point_label),
         key_rates=key_rates,
         message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
@@ -632,8 +623,7 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
     return SchemePlan(
         scheme_name="superposition-jamming",
         params={"eps": eps, "D": s.D, "gamma": gamma, "satellite_bias": p},
-        placement=placement,
-        schedule=tuple(segments),
+        orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(R, R_key, 0.0, "superposition-jamming"),
         key_rates=key_rates,
         message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
@@ -812,10 +802,10 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         + comb(Kw - 1, t - 1) * Ks * RK3
     )
     M_s_claim = RK4 + comb(Kw, t) * RK3
-    return _orbit_plan(
-        PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
+    return SchemePlan(
         scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
+        orbits=PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
         key_rates=key_rates,
         message_parts=_subset_parts(s, A, rA, B, rB),
@@ -900,8 +890,7 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
     return SchemePlan(
         scheme_name="piggyback-two",
         params={"eps": eps, "D": D},
-        placement=placement,
-        schedule=tuple(segments),
+        orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(
             RA + RB, D * RB + R_key, 0.0, "piggyback-two"
         ),
@@ -1056,10 +1045,10 @@ def build_symmetric_piggyback(
         + (t_s + 1) * beta3 * mzs / Ks
         + beta2 * min(1 - dz, 2 - dw - ds) / Ks
     )
-    return _orbit_plan(
-        PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
+    return SchemePlan(
         scheme_name="symmetric-piggyback",
         params={"t_w": t_w, "t_s": t_s, "eps": eps, "D": D},
+        orbits=PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
@@ -1174,12 +1163,9 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
 def _segment_orbits(plan: SchemePlan) -> list[tuple]:
     """``(segment, count, block, times)`` per segment orbit, in schedule
     order: the orbit's first segment stands for ``count`` segments, and
-    its units are ``block`` repeated ``times`` over.  Without orbits,
-    every segment is its own orbit and its units its block."""
-    if plan._orbits is None:
-        return [(seg, 1, seg.units, 1) for seg in plan.schedule]
+    its units are ``block`` repeated ``times`` over."""
     out = []
-    for orb in plan._orbits.orbits:
+    for orb in plan.orbits.orbits:
         first = orb.members[0]
         block = orb.units(first, None)
         if orb.one_segment:
@@ -1191,24 +1177,30 @@ def _segment_orbits(plan: SchemePlan) -> list[tuple]:
     return out
 
 
-def _class_view(plan: SchemePlan, s: ChannelScenario) -> tuple[SchemePlan, Sequence[int]]:
-    """What DECODE and CACHE read, and the receivers they check: for an
-    orbit plan, the class representatives with their atoms, their message
-    parts and the units that hand them a part; otherwise the plan itself
-    and every receiver.  Every bit of :func:`deliveries` concerns one
-    receiver, so the view gives the representatives their own
-    deliveries."""
-    po = plan._orbits
-    if po is None:
-        return plan, range(1, s.K + 1)
+class _ClassView(NamedTuple):
+    """The parts of a plan that :func:`deliveries` and :func:`cache_usage`
+    read, restricted to the class representatives."""
+
+    placement: dict[int, tuple[Atom, ...]]
+    schedule: tuple[DeliverySegment, ...]
+    message_parts: dict[int, tuple[tuple[str, float], ...]]
+    virtual_cached: dict[int, frozenset]
+
+
+def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
+    """What DECODE and CACHE read, and the receivers they check: the class
+    representatives with their atoms, their message parts and (at least)
+    the units that hand them a part, in one segment.  Every bit of
+    :func:`deliveries` concerns one receiver, so the view gives the
+    representatives their own deliveries."""
+    po = plan.orbits
     reps = po.representatives
     only = frozenset(reps)
     units = tuple(
         u for orb in po.orbits for m in orb.members for u in orb.units(m, only)
     )
-    view = SchemePlan(
-        plan.scheme_name, plan.params, po.place(only),
-        (DeliverySegment((), 0.0, units),), plan.claimed_point, plan.key_rates,
+    view = _ClassView(
+        po.place(only), (DeliverySegment((), 0.0, units),),
         {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
         {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
     )
@@ -1225,20 +1217,21 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
              capacity) up to 1e-12
     CACHE    per-receiver occupancy within the claimed memory + 1e-12
 
-    A plan with orbits (:class:`PlanOrbits`) is checked one orbit at a
-    time, without expanding it.  RATE, SECRECY and the XOR-merge rule run
-    once per segment orbit, on its first member; the fraction sum, and a
+    A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
+    expanding it.  RATE, SECRECY and the XOR-merge rule run once per
+    segment orbit, on its first member; the fraction sum, and a
     segment's sums over an orbit of its units, still add every member's
     terms in schedule order (multiplying by the count would round
     differently), so margins are bit-identical to a full scan.
     The tiling of DECODE and CACHE run once per receiver class, on its
     lowest-numbered receiver.  Details name the first strict minimum in
-    schedule and receiver order, as a full scan does.  A plan without
-    orbits is checked in full: every segment and every receiver.
+    schedule and receiver order, as a full scan does.  A plan that claims
+    no symmetry, such as a changed plan, has every segment and every
+    receiver as its own orbit and class, so all of them are checked.
     """
     checks: list[CheckResult] = []
     orbits = _segment_orbits(plan)
-    view, receivers = _class_view(plan, s)
+    view, receivers = _class_view(plan)
 
     # RATE
     rate_margin = float("inf")
@@ -1275,7 +1268,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     decode_detail = ""
     delivered_to = deliveries(view)
     for r in receivers:
-        have = view.cached_labels(r) | view.virtual_cached.get(r, frozenset())
+        have = {a.label for a in view.placement.get(r, ())}
+        have |= view.virtual_cached.get(r, frozenset())
         delivered = delivered_to.get(r, {})
         total = 0.0
         for label, rate in view.message_parts.get(r, ()):

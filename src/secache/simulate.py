@@ -122,9 +122,11 @@ def _demands(
         policy = "random:1000"
     if policy.startswith("random:"):
         try:
-            count = max(int(policy.split(":", 1)[1]), 0)
+            count = int(policy.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"demand count in {policy!r} is not an integer") from None
+        if count < 0:
+            raise ConfigError(f"demand count in {policy!r} is negative")
         rng = _random.Random(seed ^ 0x5EED)
         sampled = (
             tuple(rng.randint(1, s.D) for _ in range(s.K)) for _ in range(count)

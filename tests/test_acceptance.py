@@ -7,13 +7,13 @@ checklist run:
     python3 -m pytest tests/test_acceptance.py -v -s
 """
 
-import dataclasses
 import random
 import time
 
 import pytest
 
 from oracles import lambda_grid_best, otp_decrypt, otp_encrypt, simplex_grid_maxmin
+from strategies import edited
 from secache import (
     Infeasible,
     CacheSizes,
@@ -281,7 +281,7 @@ def test_c10_mutation_sensitivity():
         placement[r] = tuple(
             a for a in placement[r] if not (a.kind == "key" and a.label == label)
         )
-        mutated = dataclasses.replace(plan, placement=placement)
+        mutated = edited(plan, placement=placement)
         rep = verify_plan(mutated, FIG3)
         if not rep.check("DECODE").passed or not rep.check("SECRECY").passed:
             detected += 1

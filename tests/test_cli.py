@@ -447,6 +447,14 @@ def test_simulate_non_integer_demand_count_is_bad_input(capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_simulate_negative_demand_count_is_bad_input(capsys):
+    rc = main(["simulate", "--preset", "fig3", "--scheme", "wiretap-cached-keys",
+               "--n", "2000", "--demands", "random:-5"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "negative" in err
+
+
 @pytest.mark.parametrize("scheme", sorted(BUILDERS))
 @pytest.mark.parametrize("command", [["verify"], ["simulate", "--n", "2000"]])
 def test_backoff_below_rate_tolerance_is_bad_input(scheme, command, capsys):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import deliveries_one_receiver, monte_carlo_scalar
-from strategies import scenarios
+from strategies import edited, scenarios
 from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
 from secache.cli import PRESETS
 from secache.schemes import (
@@ -122,14 +122,14 @@ def _replace_unit(plan, si, ui, **changes):
     units[ui] = units[ui]._replace(**changes)
     schedule = list(plan.schedule)
     schedule[si] = seg._replace(units=tuple(units))
-    return dataclasses.replace(plan, schedule=tuple(schedule))
+    return edited(plan, schedule=tuple(schedule))
 
 
 def _add_unit(plan, si, unit):
     seg = plan.schedule[si]
     schedule = list(plan.schedule)
     schedule[si] = seg._replace(units=seg.units + (unit,))
-    return dataclasses.replace(plan, schedule=tuple(schedule))
+    return edited(plan, schedule=tuple(schedule))
 
 
 def _drop_atom(plan, r, label):
@@ -137,7 +137,7 @@ def _drop_atom(plan, r, label):
     kept = tuple(a for a in placement[r] if a.label != label)
     assert len(kept) < len(placement[r])
     placement[r] = kept
-    return dataclasses.replace(plan, placement=placement)
+    return edited(plan, placement=placement)
 
 
 def _find(plan, pred):
@@ -158,9 +158,7 @@ def _pairs_mutations():
     yield "dropped XOR partner A[1]", _drop_atom(plan, 1, "A[1]")
     virtual = dict(plan.virtual_cached)
     virtual[1] = frozenset()
-    yield "dropped virtual context Ar[1]", dataclasses.replace(
-        plan, virtual_cached=virtual
-    )
+    yield "dropped virtual context Ar[1]", edited(plan, virtual_cached=virtual)
     context = dict(plan.schedule[1].units[0].context)
     context[1] = context[1] + ("Z",)
     yield "context label nobody holds", _replace_unit(plan, 1, 0, context=context)
@@ -190,9 +188,7 @@ def _pairs_mutations():
     ))
     message_parts = dict(plan.message_parts)
     message_parts[3] = message_parts[3] + (("nowhere", 0.01),)
-    yield "part with no provider", dataclasses.replace(
-        plan, message_parts=message_parts
-    )
+    yield "part with no provider", edited(plan, message_parts=message_parts)
 
 
 def _trio_mutations():
@@ -292,7 +288,7 @@ def _view_matches_plan(case_id, s, build) -> bool:
         plan = build()
     except SecacheError:
         return False
-    view, reps = _class_view(plan, s)
+    view, reps = _class_view(plan)
     at = [(si, ui) for si, seg in enumerate(plan.schedule)
           for ui, unit in enumerate(seg.units)
           if any(r in reps for r, _ in unit.parts)]
@@ -335,7 +331,7 @@ def test_receiver_wanting_nothing_leaves_the_others_alone(fig3, build, idle):
         {**plan.message_parts, idle: ()},
         {r: p for r, p in plan.message_parts.items() if r != idle},
     ):
-        changed = dataclasses.replace(plan, message_parts=message_parts)
+        changed = edited(plan, message_parts=message_parts)
         assert deliveries(changed) == others
 
 
@@ -357,7 +353,7 @@ def _all_cached(plan):
         r: frozenset(label for label, _ in parts)
         for r, parts in plan.message_parts.items()
     }
-    return dataclasses.replace(plan, virtual_cached=virtual)
+    return edited(plan, virtual_cached=virtual)
 
 
 @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])

@@ -1,11 +1,14 @@
 """Orbit plans against the full scan they replace.
 
-The subset builders describe their plans by orbits and receiver classes,
-and ``verify_plan`` checks one orbit member and one receiver per class.
+Every plan is described by orbits and receiver classes, and
+``verify_plan`` checks one orbit member and one receiver per class.  The
+subset builders give one orbit per segment family and one class per
+receiver kind; the other builders, and a changed plan (``edited``), claim
+no symmetry: one orbit per segment and one class per receiver.
 ``verify_plan_explicit`` (``tests/oracles.py``) is the verifier as it was
 before: it reads the expanded plan and scans every segment, unit and
-receiver.  The two reports must be equal, byte for byte; a changed plan
-must lose its orbits; and ``verify`` must never expand a plan.
+receiver.  The two reports must be equal, byte for byte; a plan must be
+immutable; and ``verify`` must never expand a plan.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import verify_plan_explicit
-from strategies import scenarios
+from strategies import edited, scenarios
 from secache import (
     BUILDERS,
     ChannelScenario,
@@ -82,11 +85,12 @@ def test_orbit_reports_equal_the_full_scan_on_presets(preset):
 def test_subset_builders_give_orbit_plans(fig3):
     for plan in (build_piggyback_one(fig3, 2, 1e-4), build_piggyback_allkeys(fig3, 2, 1e-4),
                  build_symmetric_piggyback(fig3, 2, 2, 1e-4)):
-        assert plan._orbits.classes == (tuple(fig3.weak_ids), tuple(fig3.strong_ids))
-        assert plan._orbits.representatives == (1, fig3.K_w + 1)
+        assert plan.orbits.classes == (tuple(fig3.weak_ids), tuple(fig3.strong_ids))
+        assert plan.orbits.representatives == (1, fig3.K_w + 1)
     # superposition-jamming's first strong unit alone carries the bin and
     # the jam keys: not class-invariant, so explicit
-    assert BUILDERS["superposition-jamming"](fig3, 1e-4)._orbits is None
+    plan = BUILDERS["superposition-jamming"](fig3, 1e-4)
+    assert plan.orbits.representatives == tuple(range(1, fig3.K + 1))
 
 
 def _drop_key(plan, receiver):
@@ -95,7 +99,7 @@ def _drop_key(plan, receiver):
     k = max(i for i, a in enumerate(atoms) if a.kind == "key")
     placement = dict(plan.placement)
     placement[receiver] = atoms[:k] + atoms[k + 1:]
-    return dataclasses.replace(plan, placement=placement)
+    return edited(plan, placement=placement)
 
 
 @pytest.mark.parametrize("build", [
@@ -104,43 +108,54 @@ def _drop_key(plan, receiver):
 ], ids=["piggyback-allkeys(2)", "symmetric-piggyback(2,2)"])
 def test_dropped_key_at_a_non_representative_is_caught(fig3, build):
     # The highest-numbered receiver of each class stands for nobody: a
-    # replaced plan has no orbits and is verified in full.
+    # changed plan claims no symmetry and is verified in full.
     plan = build(fig3)
     assert verify_plan(plan, fig3).passed
     for receiver in (fig3.K_w, fig3.K):
         mutated = _drop_key(plan, receiver)
-        assert mutated._orbits is None
+        assert mutated.orbits.representatives == tuple(range(1, fig3.K + 1))
         rep = verify_plan(mutated, fig3)
         assert not (rep.check("DECODE").passed and rep.check("SECRECY").passed)
         assert rep.to_json() == verify_plan_explicit(mutated, fig3).to_json()
 
 
-@pytest.mark.parametrize(
-    "name", ["schedule", "placement", "key_rates", "message_parts", "virtual_cached"]
-)
-def test_replace_gives_a_plan_without_orbits(fig3, name):
+@pytest.mark.parametrize("name", [
+    "scheme_name", "params", "orbits", "claimed_point", "key_rates",
+    "message_parts", "virtual_cached", "schedule", "placement",
+])
+def test_assigning_a_plan_field_raises(fig3, name):
     plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
-    changed = dataclasses.replace(plan, **{name: getattr(plan, name)})
-    assert changed._orbits is None and plan._orbits is not None
-    assert changed == plan
+    value = getattr(plan, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(plan, name, value)
 
 
-def test_assigning_a_field_drops_the_orbits(fig3):
-    plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
-    placement = dict(plan.placement)
-    schedule = plan.schedule
-    plan.key_rates = dict(plan.key_rates)
-    assert plan._orbits is None
-    assert plan.placement == placement and plan.schedule is schedule
+def test_explicit_plans_have_one_class_per_receiver(fig3):
+    one_each = tuple((r,) for r in range(1, fig3.K + 1))
+    explicit = [BUILDERS[name](fig3, 1e-4) for name in (
+        "wiretap-cached-keys", "superposition-jamming", "piggyback-two", "cached-keys-all")]
+    subset = [build_piggyback_one(fig3, 2, 1e-4), build_piggyback_allkeys(fig3, 2, 1e-4),
+              build_symmetric_piggyback(fig3, 2, 2, 1e-4)]
+    for plan in explicit:
+        assert plan.orbits.classes == one_each, plan.scheme_name
+    for plan in explicit + subset:
+        changed = edited(plan)
+        assert changed.orbits.classes == one_each, plan.scheme_name
+        assert changed.to_json() == plan.to_json(), plan.scheme_name
 
 
 #: SHA-256 of the stdout of ``verify`` on these plans before plans carried
-#: orbits (the full-scan verifier).
+#: orbits (the full-scan verifier), and before the explicit builders'
+#: plans did.
 PARENT_REPORTS = {
     ("fig5", "piggyback-allkeys", "--t", "3"):
         "bf94d3df83041e60562770c3745d33a8a34d4e0846161adc6a08ba457243ce04",
     ("fig3", "symmetric-piggyback", "--tw", "1", "--ts", "7"):
         "336bde8a5db36be8a705042b1fc8a6b44892a6670315d09f387ecd9c9ebbf38e",
+    ("fig3", "superposition-jamming"):
+        "253376f9b0bfad7f00a45d465223ce5c27a53f72b853975cac97c1c10e666f26",
+    ("fig5", "cached-keys-all"):
+        "c690aba1e23277613b20c0fd8e5487164dcbcaf0fb37b2089eb1d348567f1054",
 }
 
 

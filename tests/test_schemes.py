@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -6,6 +5,7 @@ import re
 import pytest
 
 from oracles import entropy_inverse_scan
+from strategies import edited
 from secache.schemes import RATE_TOL, DeliveryUnit
 from secache import (
     BUILDERS,
@@ -243,7 +243,7 @@ def _remove_key_atom(plan, receiver, label):
     new_placement[receiver] = tuple(
         a for a in plan.placement[receiver] if not (a.kind == "key" and a.label == label)
     )
-    return dataclasses.replace(plan, placement=new_placement)
+    return edited(plan, placement=new_placement)
 
 
 def test_mutation_removing_any_key_breaks_decode_or_secrecy(fig3_shared, fig3_plans):
@@ -276,7 +276,7 @@ def test_mutation_zero_bin_rate_breaks_secrecy(fig3):
             for u in seg.units
         )
         segments.append(seg._replace(units=units))
-    mutated = dataclasses.replace(plan, schedule=tuple(segments))
+    mutated = edited(plan, schedule=tuple(segments))
     rep = verify_plan(mutated, fig3)
     assert not rep.check("SECRECY").passed
 
@@ -288,7 +288,7 @@ def test_secrecy_check_monotone_in_key_rates(fig3):
     ):
         base = verify_plan(plan, fig3).check("SECRECY").margin
         for label in list(plan.key_rates)[:5]:
-            boosted = dataclasses.replace(
+            boosted = edited(
                 plan, key_rates={**plan.key_rates, label: plan.key_rates[label] * 2}
             )
             rep = verify_plan(boosted, fig3)
@@ -382,7 +382,7 @@ def test_repeated_xor_label_fails_decode_for_any_library(D):
         parts=((1, "full"), (2, "full")), part_rates=(R, R)
     )
     bad_seg = seg0._replace(units=seg0.units + (extra,))
-    bad = dataclasses.replace(plan, schedule=(bad_seg,) + plan.schedule[1:])
+    bad = edited(plan, schedule=(bad_seg,) + plan.schedule[1:])
     assert verify_plan(plan, s).check("DECODE").passed
     check = verify_plan(bad, s).check("DECODE")
     assert not check.passed

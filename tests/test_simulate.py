@@ -1,9 +1,9 @@
-import dataclasses
 import json
 
 import pytest
 
 from oracles import otp_decrypt, otp_encrypt
+from strategies import edited
 from secache import (
     ChannelScenario,
     ConfigError,
@@ -115,7 +115,7 @@ def test_infeasible_plan_fails_at_large_n(fig3):
         decode_load={r: ld * 1.4 for r, ld in seg0.units[0].decode_load.items()},
     )
     bad_seg = seg0._replace(units=(bad_unit,) + seg0.units[1:])
-    bad = dataclasses.replace(plan, schedule=(bad_seg,) + plan.schedule[1:])
+    bad = edited(plan, schedule=(bad_seg,) + plan.schedule[1:])
     rep = run_monte_carlo(bad, fig3, SimConfig(n=20000, trials=50, seed=77))
     assert rep.worst_case_error_rate == 1.0
 
@@ -156,7 +156,7 @@ def test_verifier_and_simulator_share_the_peel_rule():
 
     placement = dict(plan.placement)
     placement[1] = tuple(a for a in placement[1] if a.label != "Ks[1,3]")
-    bad = dataclasses.replace(plan, placement=placement)
+    bad = edited(plan, placement=placement)
     check = verify_plan(bad, s).check("DECODE")
     assert not check.passed
     assert check.detail == "receiver 1 cannot obtain part 'Br[3]'"
