@@ -119,6 +119,71 @@ def test_dropped_key_at_a_non_representative_is_caught(fig3, build):
         assert rep.to_json() == verify_plan_explicit(mutated, fig3).to_json()
 
 
+def _edit_segment(plan, si, change):
+    """``plan`` with segment ``si`` replaced by ``change(segment)``."""
+    schedule = list(plan.schedule)
+    schedule[si] = change(schedule[si])
+    return edited(plan, schedule=tuple(schedule))
+
+
+def _edit_unit(plan, si, ui, **fields):
+    """``plan`` with ``fields`` of unit ``ui`` of segment ``si`` changed."""
+    def change(seg):
+        units = list(seg.units)
+        units[ui] = units[ui]._replace(**fields)
+        return seg._replace(units=tuple(units))
+    return _edit_segment(plan, si, change)
+
+
+def _claim(plan, **fields):
+    """``plan`` claiming a changed point."""
+    return edited(plan, claimed_point=dataclasses.replace(plan.claimed_point, **fields))
+
+
+#: One broken copy of fig3 ``piggyback-one(2)`` per kind of verify
+#: failure: the check it fails and the start of that check's detail.  The
+#: plan's segments are (1, 0) (weak XORs), (2, (i, j)) (10 piggyback rows)
+#: and (3, r) for each strong receiver r (one binned unit each).
+MUTATIONS = {
+    "fractions-off-one": (
+        lambda p: _edit_segment(p, 0, lambda seg: seg._replace(fraction=seg.fraction / 2)),
+        "RATE", "fractions sum to 0.99"),
+    "segment-over-capacity": (
+        lambda p: _edit_unit(p, 12, 0, decode_load={7: 1.0}),
+        "RATE", "segment (3, 7), receiver 7: load 1 vs capacity"),
+    "part-never-delivered": (
+        lambda p: _edit_segment(p, 0, lambda seg: seg._replace(units=seg.units[1:])),
+        "DECODE", "receiver 1 cannot obtain part 'B[2,3]'"),
+    "tiling-misses-claimed-rate": (
+        lambda p: _claim(p, R=p.claimed_point.R + 1e-6),
+        "DECODE", "receiver 1 reassembles rate 0.031510337972167"),
+    "xor-repeats-a-label": (
+        lambda p: _edit_segment(p, 1, lambda seg: seg._replace(units=seg.units + (
+            seg.units[0]._replace(parts=((1, "A[2]"), (2, "A[2]"))),))),
+        "DECODE", "demand (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1): "
+                  "merged contributions in segment (2, (1, 2))"),
+    "bin-zeroed": (
+        lambda p: _edit_unit(p, 13, 0, bin_rate=0.0),
+        "SECRECY", "segment (3, 8): securing 0 vs required"),
+    "memory-claim-below-usage": (
+        lambda p: _claim(p, M_w=p.claimed_point.M_w - 1e-3),
+        "CACHE", "receiver 1: usage 0.233613 vs claimed 0.232613"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+def test_each_failure_kind_matches_the_full_scan(fig3, kind):
+    mutate, name, detail = MUTATIONS[kind]
+    plan = build_piggyback_one(fig3, 2, 1e-4)
+    assert verify_plan(plan, fig3).passed
+    mutated = mutate(plan)
+    rep = verify_plan(mutated, fig3)
+    check = rep.check(name)
+    assert not check.passed
+    assert check.detail.startswith(detail), check.detail
+    assert rep.to_json() == verify_plan_explicit(mutated, fig3).to_json()
+
+
 @pytest.mark.parametrize("name", [
     "scheme_name", "params", "orbits", "claimed_point", "key_rates",
     "message_parts", "virtual_cached", "schedule", "placement",
