@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -68,30 +68,6 @@ def _check_subpopulation(s: ChannelScenario, k_w: int, k_s: int) -> None:
         raise IndexOutOfRange("(k_w, k_s) = (0, 0) selects no receivers")
 
 
-def _maximize_affine_min(lines: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """max over beta in [0,1] of min of affine functions a*beta + b.
-
-    Candidates are beta in {0, 1} and every pairwise equaliser inside
-    [0,1]; ties break toward smaller beta so witnesses are deterministic.
-    Returns (value, beta).
-    """
-    candidates = [0.0, 1.0]
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a1, b1 = lines[i]
-            a2, b2 = lines[j]
-            if a1 != a2:
-                beta = (b2 - b1) / (a1 - a2)
-                if 0.0 <= beta <= 1.0:
-                    candidates.append(beta)
-    best_val, best_beta = -_INF, 0.0
-    for beta in sorted(candidates):
-        val = min(a * beta + b for a, b in lines)
-        if val > best_val + TOL:
-            best_val, best_beta = val, beta
-    return best_val, best_beta
-
-
 def ub_split(
     s: ChannelScenario, c: CacheSizes, k_w: int, k_s: int
 ) -> UpperBoundReport:
@@ -107,12 +83,20 @@ def ub_split(
     aw = pos(s.delta_z - s.delta_w)
     as_ = pos(s.delta_z - s.delta_s)
     k = k_w + k_s
-    lines = []
-    if k_w > 0:
-        lines.append((aw / k_w, c.M_w))
-    # second term always present since k >= 1
-    lines.append(((aw - as_) / k, as_ / k + (k_w * c.M_w + k_s * c.M_s) / k))
-    value, beta = _maximize_affine_min(lines)
+    # the lines a * beta + b: (aw/k_w, M_w), dropped at k_w = 0 by an
+    # infinite offset, and ((aw-as)/k, as/k + (k_w M_w + k_s M_s)/k)
+    a1, b1 = (aw / k_w, c.M_w) if k_w > 0 else (0.0, _INF)
+    a2, b2 = (aw - as_) / k, as_ / k + (k_w * c.M_w + k_s * c.M_s) / k
+    # the max of the min is at 0, 1 or the equaliser; ties break toward
+    # smaller beta so witnesses are deterministic
+    candidates = [0.0, 1.0]
+    if a1 != a2 and 0.0 <= (eq := (b2 - b1) / (a1 - a2)) <= 1.0:
+        candidates.insert(1, eq)
+    value, beta = -_INF, 0.0
+    for x in candidates:
+        v = min(a1 * x + b1, a2 * x + b2)
+        if v > value + TOL:
+            value, beta = v, x
     return UpperBoundReport(value, BoundFamily.SPLIT, k_w, k_s, (beta,))
 
 
@@ -327,7 +311,7 @@ class _PairBlock:
         return vals.reshape(len(mw), 2 * self.size)
 
     def _split(self, mw, total):
-        # _maximize_affine_min over beta in (0, equaliser, 1).  An
+        # ub_split's max-min over beta in (0, equaliser, 1).  An
         # equaliser outside [0, 1] is clipped onto 0 or 1, whose value
         # then repeats and can never be higher by more than TOL.
         b1 = mw + self.b1_drop

@@ -62,8 +62,12 @@ def _parse_grid(text: str) -> list[float]:
             f"grid {text!r} exceeds the cap of {MAX_GRID_POINTS} points"
         )
     # a + k * step never decreases in k, so the filter keeps a prefix
-    return [round(a + k * step, 12) for k in range(int(count) + 2)
-            if a + k * step <= top]
+    points = [round(a + k * step, 12) for k in range(int(count) + 2)
+              if a + k * step <= top]
+    # a step lost to float addition or to the rounding repeats a point
+    if any(x >= y for x, y in zip(points, points[1:])):
+        raise InvalidParameter(f"grid {text!r} repeats a point (step below resolution)")
+    return points
 
 
 def _fmt(x: float | None) -> str:

@@ -14,8 +14,8 @@ wiretap bins or by cached keys.
 Every plan is its receiver classes and its orbits (:class:`PlanOrbits`):
 schedule entries that a permutation within a class maps onto one another
 (:class:`Orbit`), given by their members and the function that builds a
-member's units.  :func:`verify_plan` checks one orbit and one class
-representative (the lowest-numbered receiver) at a time; the explicit
+member's units.  :func:`verify_plan` makes one pass per segment orbit
+and one per class representative (the lowest-numbered receiver); the explicit
 schedule and placement are expanded only when read, and kept.  The subset
 builders (both piggyback schemes and ``symmetric-piggyback``) treat all
 weak receivers alike and all strong receivers alike, so each segment
@@ -270,20 +270,11 @@ class SchemePlan:
         )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     margin: float
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -299,7 +290,7 @@ class VerificationReport:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(
-            {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]},
+            {"passed": self.passed, "checks": [c._asdict() for c in self.checks]},
             indent=indent,
         )
 
@@ -1160,23 +1151,6 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
     return {r: got for r, got in out.items() if got}
 
 
-def _segment_orbits(plan: SchemePlan) -> list[tuple]:
-    """``(segment, count, block, times)`` per segment orbit, in schedule
-    order: the orbit's first segment stands for ``count`` segments, and
-    its units are ``block`` repeated ``times`` over."""
-    out = []
-    for orb in plan.orbits.orbits:
-        first = orb.members[0]
-        block = orb.units(first, None)
-        if orb.one_segment:
-            seg = DeliverySegment((orb.phase, 0), orb.fraction, block)
-            out.append((seg, 1, block, len(orb.members)))
-        else:
-            seg = DeliverySegment((orb.phase, first), orb.fraction, block)
-            out.append((seg, len(orb.members), block, 1))
-    return out
-
-
 class _ClassView(NamedTuple):
     """The parts of a plan that :func:`deliveries` and :func:`cache_usage`
     read, restricted to the class representatives."""
@@ -1207,6 +1181,14 @@ def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
     return view, reps
 
 
+def _worst(best: tuple[float, str], margin: float, detail: str,
+           args: tuple) -> tuple[float, str]:
+    """The first strict minimum of the margins offered in order: ``margin``
+    with ``detail.format(*args)`` if it is below ``best``'s, else ``best``.
+    Starting from ``(inf, "")``, a NaN margin never wins."""
+    return (margin, detail.format(*args)) if margin < best[0] else best
+
+
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
@@ -1218,133 +1200,89 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     CACHE    per-receiver occupancy within the claimed memory + 1e-12
 
     A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
-    expanding it.  RATE, SECRECY and the XOR-merge rule run once per
-    segment orbit, on its first member; the fraction sum, and a
-    segment's sums over an orbit of its units, still add every member's
-    terms in schedule order (multiplying by the count would round
-    differently), so margins are bit-identical to a full scan.
-    The tiling of DECODE and CACHE run once per receiver class, on its
-    lowest-numbered receiver.  Details name the first strict minimum in
-    schedule and receiver order, as a full scan does.  A plan that claims
-    no symmetry, such as a changed plan, has every segment and every
-    receiver as its own orbit and class, so all of them are checked.
+    expanding it.  One pass per segment orbit, over its first member's
+    units, adds the RATE loads and the SECRECY payload and securing, and
+    runs the XOR-merge rule; the fraction sum, and a segment's sums over
+    an orbit of its units, still add every member's terms in schedule
+    order (multiplying by the count would round differently), so margins
+    are bit-identical to a full scan.  One pass per receiver class, on
+    its lowest-numbered receiver, checks the DECODE tiling and CACHE.
+    Details name the first strict minimum in schedule and receiver order,
+    as a full scan does.  A plan that claims no symmetry, such as a
+    changed plan, has every segment and every receiver as its own orbit
+    and class, so all of them are checked.
     """
-    checks: list[CheckResult] = []
-    orbits = _segment_orbits(plan)
-    view, receivers = _class_view(plan)
-
-    # RATE
-    rate_margin = float("inf")
-    rate_detail = ""
+    rate = sec = cache = (float("inf"), "")
     frac_sum = 0.0
-    for seg, count, block, times in orbits:
+    merged = None  # the first segment whose XOR repeats a label
+    for orb in plan.orbits.orbits:
+        first = orb.members[0]
+        block = orb.units(first, None)
+        if orb.one_segment:
+            seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
+        else:
+            seg_id, count, times = (orb.phase, first), len(orb.members), 1
         for _ in range(count):
-            frac_sum += seg.fraction
+            frac_sum += orb.fraction
         loads: dict[int, float] = {}
-        for unit in block * times:
-            for r, load in unit.decode_load.items():
-                loads[r] = loads.get(r, 0.0) + load
+        payload = securing = 0.0
+        for _ in range(times):
+            for unit in block:
+                for r, load in unit.decode_load.items():
+                    loads[r] = loads.get(r, 0.0) + load
+                payload += unit.payload_rate
+                securing += unit.bin_rate
+                for k in unit.pad_keys + unit.jam_keys:
+                    securing += plan.key_rates[k]
         for r, load in loads.items():
-            capacity = seg.fraction * (1.0 - s.erasure_of(r))
-            margin = capacity - load
-            if margin < rate_margin:
-                rate_margin = margin
-                rate_detail = (
-                    f"segment {seg.id}, receiver {r}: load {load:.6g} vs "
-                    f"capacity {capacity:.6g}"
-                )
-    frac_ok = abs(frac_sum - 1.0) <= 1e-12
-    checks.append(
-        CheckResult(
-            "RATE",
-            rate_margin > 0.0 and frac_ok,
-            rate_margin,
-            rate_detail if frac_ok else f"fractions sum to {frac_sum}",
-        )
-    )
-
-    # DECODE
-    decode_ok = True
-    decode_detail = ""
-    delivered_to = deliveries(view)
-    for r in receivers:
-        have = {a.label for a in view.placement.get(r, ())}
-        have |= view.virtual_cached.get(r, frozenset())
-        delivered = delivered_to.get(r, {})
-        total = 0.0
-        for label, rate in view.message_parts.get(r, ()):
-            if label in have or label in delivered:
-                total += rate
-            else:
-                decode_ok = False
-                decode_detail = f"receiver {r} cannot obtain part {label!r}"
-                break
-        if not decode_ok:
-            break
-        if abs(total - plan.claimed_point.R) > RATE_TOL:
-            decode_ok = False
-            decode_detail = (
-                f"receiver {r} reassembles rate {total!r}, "
-                f"claimed {plan.claimed_point.R!r}"
-            )
-            break
-    if decode_ok:
+            capacity = orb.fraction * (1.0 - s.erasure_of(r))
+            rate = _worst(rate, capacity - load, "segment {}, receiver {}: load "
+                          "{:.6g} vs capacity {:.6g}", (seg_id, r, load, capacity))
+        required = min(payload, orb.fraction * (1.0 - s.delta_z))
+        sec = _worst(sec, securing - required, "segment {}: securing {:.6g} vs "
+                     "required {:.6g}", (seg_id, securing, required))
         # Within one XOR the (message, label) pairs must stay distinct, else
         # contributions merge.  A repeated label merges under the all-ones
         # demand (every slot asks for file 1); distinct labels never do.
-        for seg, _, block, _ in orbits:
-            if any(
-                unit.combine == "xor"
-                and len({label for _, label in unit.parts}) < len(unit.parts)
-                for unit in block
-            ):
-                decode_ok = False
-                decode_detail = (
-                    f"demand {(1,) * s.K}: merged contributions in segment "
-                    f"{seg.id}"
-                )
-                break
-    checks.append(CheckResult("DECODE", decode_ok, 0.0, decode_detail))
+        if merged is None and any(
+            unit.combine == "xor"
+            and len({label for _, label in unit.parts}) < len(unit.parts)
+            for unit in block
+        ):
+            merged = seg_id
 
-    # SECRECY
-    sec_margin = float("inf")
-    sec_detail = ""
-    for seg, _, block, times in orbits:
-        payload = 0.0
-        securing = 0.0
-        for unit in block * times:
-            payload += unit.payload_rate
-            securing += unit.bin_rate
-            for k in unit.pad_keys + unit.jam_keys:
-                securing += plan.key_rates[k]
-        required = min(payload, seg.fraction * (1.0 - s.delta_z))
-        margin = securing - required
-        if margin < sec_margin:
-            sec_margin = margin
-            sec_detail = (
-                f"segment {seg.id}: securing {securing:.6g} vs required "
-                f"{required:.6g}"
-            )
-    checks.append(
-        CheckResult("SECRECY", sec_margin >= -RATE_TOL, sec_margin, sec_detail)
-    )
-
-    # CACHE
+    decode = ""  # the first failure's detail
+    point = plan.claimed_point
+    view, receivers = _class_view(plan)
+    delivered_to = deliveries(view)
     usage = cache_usage(view, s.D)
-    cache_margin = float("inf")
-    cache_detail = ""
     for r in receivers:
-        claim = (
-            plan.claimed_point.M_w if r <= s.K_w else plan.claimed_point.M_s
-        )
-        margin = claim - usage.get(r, 0.0)
-        if margin < cache_margin:
-            cache_margin = margin
-            cache_detail = (
-                f"receiver {r}: usage {usage.get(r, 0.0):.6g} vs claimed "
-                f"{claim:.6g}"
-            )
-    checks.append(
-        CheckResult("CACHE", cache_margin >= -RATE_TOL, cache_margin, cache_detail)
-    )
-    return VerificationReport(checks)
+        if not decode:
+            have = {a.label for a in view.placement.get(r, ())}
+            have |= view.virtual_cached.get(r, frozenset())
+            delivered = delivered_to.get(r, {})
+            total = 0.0
+            for label, part_rate in view.message_parts.get(r, ()):
+                if label not in have and label not in delivered:
+                    decode = f"receiver {r} cannot obtain part {label!r}"
+                    break
+                total += part_rate
+            else:
+                if abs(total - point.R) > RATE_TOL:
+                    decode = (f"receiver {r} reassembles rate {total!r}, "
+                              f"claimed {point.R!r}")
+        claim = point.M_w if r <= s.K_w else point.M_s
+        used = usage.get(r, 0.0)
+        cache = _worst(cache, claim - used, "receiver {}: usage {:.6g} vs claimed "
+                       "{:.6g}", (r, used, claim))
+    if not decode and merged is not None:
+        decode = f"demand {(1,) * s.K}: merged contributions in segment {merged}"
+
+    frac_ok = abs(frac_sum - 1.0) <= 1e-12
+    return VerificationReport([
+        CheckResult("RATE", rate[0] > 0.0 and frac_ok, rate[0],
+                    rate[1] if frac_ok else f"fractions sum to {frac_sum}"),
+        CheckResult("DECODE", not decode, 0.0, decode),
+        CheckResult("SECRECY", sec[0] >= -RATE_TOL, *sec),
+        CheckResult("CACHE", cache[0] >= -RATE_TOL, *cache),
+    ])

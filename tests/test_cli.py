@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from secache import corners
+from secache import InvalidParameter, corners
 from secache.cli import main
 from secache.schemes import BUILDERS
 
@@ -343,6 +343,9 @@ def test_bounds_lower_mixture_certifies_lower(preset, mw, ms, capsys):
     ["--grid", "0:inf:1"],
     ["--grid", "0:1:inf"],
     ["--grid", "0:1:1e-9"],
+    # a step lost to rounding would repeat points
+    ["--grid", "0:1e-11:1e-13"],
+    ["--grid", "1e17:1e17:1"],
 ])
 def test_curve_negative_memory_is_bad_input(fig3_file, extra, capsys):
     rc = main(["curve", "--scenario", fig3_file, "--mode", "surface-slice", *extra])
@@ -359,8 +362,11 @@ def test_bounds_non_finite_memory_is_bad_input(memory, capsys):
 def test_grid_step_below_float_resolution_terminates():
     from secache.cli import _parse_grid
 
-    # 1e300 + k * 1 == 1e300 for every k: the points come from the count
-    assert _parse_grid("1e300:1e300:1") == [1e300, 1e300]
+    # 1e300 + k * 1 == 1e300 for every k: the points come from the count,
+    # and the repeated point is refused
+    with pytest.raises(InvalidParameter, match="1e300:1e300:1"):
+        _parse_grid("1e300:1e300:1")
+    assert _parse_grid("0.5:0.5:1") == [0.5]
 
 
 @pytest.mark.parametrize("params", [

@@ -7,8 +7,10 @@ receiver kind; the other builders, and a changed plan (``edited``), claim
 no symmetry: one orbit per segment and one class per receiver.
 ``verify_plan_explicit`` (``tests/oracles.py``) is the verifier as it was
 before: it reads the expanded plan and scans every segment, unit and
-receiver.  The two reports must be equal, byte for byte; a plan must be
-immutable; and ``verify`` must never expand a plan.
+receiver.  The two reports must be equal, byte for byte, on every kind of
+failure too; a plan must be immutable; ``verify`` must never expand a
+plan; and the size cap a subset builder applies before building must
+count at least its expanded plan.
 """
 
 from __future__ import annotations
@@ -91,6 +93,53 @@ def test_subset_builders_give_orbit_plans(fig3):
     # the jam keys: not class-invariant, so explicit
     plan = BUILDERS["superposition-jamming"](fig3, 1e-4)
     assert plan.orbits.representatives == tuple(range(1, fig3.K + 1))
+
+
+SUBSET_BUILDERS = ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback")
+
+
+def _counted_and_expanded(build):
+    """The ``(units, atom references)`` a subset builder passes to the
+    plan-size cap, and those of its expanded plan; None when it refuses."""
+    counted = []
+    check = schemes._check_plan_size
+
+    def record(units, atom_refs):
+        counted.append((units, atom_refs))
+        check(units, atom_refs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "_check_plan_size", record)
+        try:
+            plan = build()
+        except DOCUMENTED:
+            return None
+    units = sum(len(seg.units) for seg in plan.schedule)
+    atom_refs = sum(len(atoms) for atoms in plan.placement.values())
+    (count,) = counted
+    return count, (units, atom_refs)
+
+
+@settings(max_examples=100)
+@given(scenarios(max_k=5))
+def test_plan_size_cap_counts_at_least_the_expanded_plan(s):
+    for case_id, build in _builds(s, 1e-4):
+        if case_id.split("(")[0] not in SUBSET_BUILDERS:
+            continue
+        got = _counted_and_expanded(build)
+        if got is not None:
+            (units, atom_refs), expanded = got
+            assert sum(expanded) <= units + atom_refs, case_id
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: build_piggyback_one(s, 2, 1e-4),
+    lambda s: build_piggyback_allkeys(s, 2, 1e-4),
+    lambda s: build_symmetric_piggyback(s, 2, 2, 1e-4),
+], ids=["piggyback-one(2)", "piggyback-allkeys(2)", "symmetric-piggyback(2,2)"])
+def test_plan_size_cap_counts_the_expanded_plan_exactly(fig3, build):
+    count, expanded = _counted_and_expanded(lambda: build(fig3))
+    assert count == expanded
 
 
 def _drop_key(plan, receiver):
