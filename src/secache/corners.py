@@ -13,12 +13,17 @@ Points are emitted raw, with labels; dominated points are *not* pruned
 here (the hull module owns that).  Positive parts ``(x)^+ = max(0, x)``
 are applied exactly where the closed forms carry them.  A closed form
 whose (nonnegative) denominator vanishes at a boundary erasure has no
-point there and is skipped; the remaining points still lower-bound.
+point there and is skipped; the remaining points still lower-bound.  A
+closed form that overflows is skipped the same way: one whose binomials
+or capacity powers exceed a float (Python raises ``OverflowError``), or
+whose rate or memory is not finite.  At large K this drops the
+high-index generalized and symmetric coded-caching corners.
 """
 
 from __future__ import annotations
 
-from math import comb
+import functools
+from math import comb, isfinite
 
 from .errors import IndexOutOfRange, NotApplicable
 from .model import ChannelScenario, RateMemoryPoint, pos, zero_cache_capacity
@@ -29,6 +34,24 @@ from .model import ChannelScenario, RateMemoryPoint, pos, zero_cache_capacity
 #: binomial sums; "first-arg" conservatively keeps only the first argument
 #: of the min, which weakly enlarges memory and stays achievable.
 GENERALIZED_MEMORY_RULES = ("lower-limit", "first-arg")
+
+def _skip_overflow(closed_form):
+    """``closed_form(...)`` returns ``(R, M_w, M_s, label)``, or None where
+    it has no point; the decorated form returns the point, or None also
+    where the closed form overflows (see the module docstring)."""
+
+    @functools.wraps(closed_form)
+    def point(*args) -> RateMemoryPoint | None:
+        try:
+            values = closed_form(*args)
+        except OverflowError:
+            return None
+        if values is None or not all(isfinite(v) for v in values[:3]):
+            return None
+        return RateMemoryPoint(*values)
+
+    return point
+
 
 def _require_eavesdropper_weaker_than_strong(s: ChannelScenario) -> None:
     if s.delta_z <= s.delta_s:
@@ -152,9 +175,8 @@ def separate_from_weak_only(
         pts.append(RateMemoryPoint(rate, mem, 0.0, f"separate[t={t}]"))
     return pts
 
-def _generalized_point(
-    s: ChannelScenario, t: int, memory_rule: str
-) -> RateMemoryPoint:
+@_skip_overflow
+def _generalized_point(s: ChannelScenario, t: int, memory_rule: str):
     """One corner of the generalized-coded-caching family (index t)."""
     dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
     Kw, Ks, K, D = s.K_w, s.K_s, s.K, s.D
@@ -201,7 +223,7 @@ def _generalized_point(
             / den_mem,
         )
         ms_key = min(key_cap, comb(K - 1, t) * weight(tw0) * (1 - ds) / den_mem)
-    return RateMemoryPoint(
+    return (
         rate,
         mw_data + mw_key,
         ms_data + ms_key,
@@ -293,9 +315,24 @@ def points_all_cached(
     # Negative powers of the capacity factors blow up at delta = 1; the
     # generalized family is skipped there (the rest still lower-bounds).
     if dw < 1.0 and ds < 1.0:
-        for t in range(1, s.K):
-            pts.append(_generalized_point(s, t, memory_rule))
+        pts += filter(None, (_generalized_point(s, t, memory_rule) for t in range(1, s.K)))
     return pts
+
+@_skip_overflow
+def _coded_symmetric_point(s: ChannelScenario, t: int):
+    """The symmetric corner ``sym[t+1]`` for 1 <= t < K_s."""
+    dw, ds, K, D = s.delta_w, s.delta_s, s.K, s.D
+    # nonnegative since comb(K, t+1) > comb(Ks, t+1); zero at delta_s = 1
+    den = comb(K, t + 1) * (1 - ds) - comb(s.K_s, t + 1) * (dw - ds)
+    if den == 0:
+        return None
+    rate = comb(K, t) * (1 - dw) * (1 - ds) / den
+    mem = (
+        D * t * comb(K, t) * (1 - dw) * (1 - ds)
+        + (K - t) * comb(K, t) * (1 - ds) * min(1.0 - s.delta_z, 1.0 - dw)
+    ) / (K * den)
+    return rate, mem, mem, f"sym[{t + 1}]"
+
 
 def points_symmetric(s: ChannelScenario) -> list[RateMemoryPoint]:
     """Corner points under equal cache size at every receiver.
@@ -316,17 +353,7 @@ def points_symmetric(s: ChannelScenario) -> list[RateMemoryPoint]:
         m1 = (1 - ds) * mzw / den1
         pts.append(RateMemoryPoint((1 - dw) * (1 - ds) / den1, m1, m1, "sym[1]"))
 
-    for t in range(1, Ks):
-        # nonnegative since comb(K, t+1) > comb(Ks, t+1); zero at delta_s = 1
-        den = comb(K, t + 1) * (1 - ds) - comb(Ks, t + 1) * (dw - ds)
-        if den == 0:
-            continue
-        rate = comb(K, t) * (1 - dw) * (1 - ds) / den
-        mem = (
-            D * t * comb(K, t) * (1 - dw) * (1 - ds)
-            + (K - t) * comb(K, t) * (1 - ds) * mzw
-        ) / (K * den)
-        pts.append(RateMemoryPoint(rate, mem, mem, f"sym[{t + 1}]"))
+    pts += filter(None, (_coded_symmetric_point(s, t) for t in range(1, Ks)))
 
     for t in range(Ks, K):  # t = K divides by zero; excluded
         rate = (t + 1) * (1 - dw) / (K - t)

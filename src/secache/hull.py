@@ -25,7 +25,11 @@ slopes y, a vertex's offset is ``z = g(y) = max_l (R_l - y . m_l)``.
 Where the LP is infeasible (below the lower-left convex chain of the
 (Mw, Ms) projection) the dual is unbounded.  :class:`Surface` finds the
 vertex planes once per point set; a query is then one matrix-vector
-product.
+product.  It finds them by double description: points join the dual a
+batch at a time, and only the triples a joining point can complete are
+solved, not every triple; the triples it does solve meet the arithmetic
+and the acceptance test of solving every triple, so the planes agree to
+the bit.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ _DET_TOL = 1e-12
 _FTOL = 1e-9
 # A point this far above the candidate surface joins the candidate set.
 _CERT_TOL = 1e-13
+# A point this close below a plane counts as on it when the surface build
+# proposes triples (see Surface).  It is wider than _FTOL: a triple
+# accepted within _FTOL need not span an exact vertex, and the rule only
+# proposes it with slack to spare.
+_NEAR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -162,17 +171,47 @@ def _lower_left_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float
     return chain
 
 
-def _facet_slopes(M: np.ndarray, R: np.ndarray, first: int) -> np.ndarray:
-    """Slopes y >= 0 of the planes through points i < j < k, k >= first, of
-    the points (columns of M, rates R) that no point lies above (within a
-    slack that only admits further valid planes once their offset is
-    recomputed as g(y))."""
+#: Most elements (plane x point, or candidate triple x point) one block of
+#: the surface build evaluates at once.  It bounds the build's working set
+#: at a few MB, whatever the number of points.
+SURFACE_CHUNK = 1 << 15
+
+#: Points that join the dual per double-description step.
+INSERT_BATCH = 16
+
+
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Row blocks of about ``SURFACE_CHUNK / width`` rows.  Block edges fall
+    on multiples of 16 rows and no block is a single row."""
+    step = max(16, SURFACE_CHUNK // max(width, 1) // 16 * 16)
+    edges = list(range(0, rows, step))
+    if len(edges) > 1 and rows - edges[-1] == 1:
+        edges.pop()
+    return [slice(a, b) for a, b in zip(edges, edges[1:] + [rows])]
+
+
+def _excess(Y: np.ndarray, M: np.ndarray, R: np.ndarray):
+    """``R - y . m`` for every plane y (row of Y) and point (column of M,
+    rates R), a block of rows at a time: yields (rows, values).  numpy
+    rounds ``y . m`` one way in a matrix product and another on its
+    matrix-vector path, so a lone row or column is computed twice over
+    and cut back: each value is then rounded alike in every block shape."""
+    wide = M if M.shape[1] > 1 else np.repeat(M, 2, axis=1)
+    for block in _blocks(len(Y), len(R)):
+        rows = Y[block] if block.stop - block.start > 1 else np.repeat(Y[block], 2, axis=0)
+        yield block, R - (rows @ wide)[: block.stop - block.start, : len(R)]
+
+
+def _facet_slopes(M: np.ndarray, R: np.ndarray, T: np.ndarray, against=slice(None)):
+    """Slopes y >= 0 of the planes through the triples ``T`` (rows i < j < k
+    of column indices of M, R) that no column of ``against`` lies above
+    (within a slack that only admits further valid planes once their offset
+    is recomputed as g(y)), and the rows of T they come from."""
     Mw, Ms = M
-    # pairs (i, j), i < j, ordered by j: those with j < k are a prefix
-    J, I = np.tril_indices(len(R), -1)
-    out = [np.empty((0, 2))]
-    for k in range(max(first, 2), len(R)):
-        i, j = I[: k * (k - 1) // 2], J[: k * (k - 1) // 2]
+    Ma, Ra = M[:, against], R[against]
+    out, rows = [np.empty((0, 2))], [np.empty(0, np.intp)]
+    for block in _blocks(len(T), len(Ra)):
+        i, j, k = T[block].T
         uw, us, ur = Mw[i] - Mw[k], Ms[i] - Ms[k], R[i] - R[k]
         vw, vs, vr = Mw[j] - Mw[k], Ms[j] - Ms[k], R[j] - R[k]
         det = uw * vs - us * vw
@@ -181,14 +220,195 @@ def _facet_slopes(M: np.ndarray, R: np.ndarray, first: int) -> np.ndarray:
         yw = (ur * vs - us * vr) / det
         ys = (uw * vr - ur * vw) / det
         ok &= (yw >= 0.0) & (ys >= 0.0)
-        Y = np.column_stack((yw[ok], ys[ok]))
-        z = R[k] - Y @ M[:, k]
+        Y, k, row = np.column_stack((yw[ok], ys[ok])), k[ok], np.flatnonzero(ok) + block.start
+        z = R[k] - (Y[:, 0] * Mw[k] + Y[:, 1] * Ms[k])
         # every fourth point first: it rejects most planes for little work
         for cols in (slice(None, None, 4), slice(None)):
-            low = (R[cols] - Y @ M[:, cols]).max(axis=1) <= z + _FTOL
-            Y, z = Y[low], z[low]
+            low = (Ra[cols] - Y @ Ma[:, cols]).max(axis=1) <= z + _FTOL
+            Y, z, row = Y[low], z[low], row[low]
         out.append(Y)
-    return np.concatenate(out)
+        rows.append(row)
+    return np.concatenate(out), np.concatenate(rows)
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``keys``, sorted."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _keys(i: np.ndarray, j: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """Triples of distinct point positions below n as keys
+    ``(k n + j) n + i`` with i < j < k, which sort by pivot k, then j,
+    then i."""
+    lo, hi = np.minimum(np.minimum(i, j), k), np.maximum(np.maximum(i, j), k)
+    return (hi * n + (i + j + k - lo - hi)) * n + lo
+
+
+def _unkey(keys: np.ndarray, n: int) -> np.ndarray:
+    kj, i = np.divmod(keys, n)
+    k, j = np.divmod(kj, n)
+    return np.column_stack((i, j, k))
+
+
+def _triples(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple of entries of ``p``, as three columns."""
+    a, b = np.nonzero(np.arange(len(p))[:, None] < np.arange(len(p)))
+    reps = len(p) - 1 - b
+    c = np.repeat(b - np.cumsum(reps) + reps, reps) + 1 + np.arange(reps.sum())
+    return p[np.repeat(a, reps)], p[np.repeat(b, reps)], p[c]
+
+
+def _spans(total: int, width: int = 1):
+    """Consecutive ranges of ``range(total)`` of about SURFACE_CHUNK / width
+    entries each."""
+    step = max(1, SURFACE_CHUNK // width)
+    for start in range(0, total, step):
+        yield np.arange(start, min(start + step, total))
+
+
+def _pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The q-th pair (a, b) with a < b in the order (0, 1), (0, 2), (1, 2),
+    (0, 3), ..."""
+    b = ((1.0 + np.sqrt(8.0 * q + 1.0)) // 2).astype(np.intp)
+    b -= b * (b - 1) // 2 > q
+    b += b * (b + 1) // 2 <= q
+    return q - b * (b - 1) // 2, b
+
+
+def _candidates(tight, touch, new: np.ndarray, n: int):
+    """Keys of the triples that can span a vertex new to the dual once the
+    points ``new`` join it (double description: a new vertex lies on an
+    old edge or face that a new point cuts), sorted and distinct in blocks
+    of about SURFACE_CHUNK keys; a triple on two planes can come in two
+    blocks.  ``tight`` pairs each old plane with the old points on it,
+    ``touch`` with the new points on or above it; n is the key base."""
+    (tv, tx), (av, ak) = tight, touch
+    tx = tx[np.argsort(tv, kind="stable")]
+    count = np.bincount(tv, minlength=max(tv.max(initial=-1), av.max(initial=-1)) + 1)
+    start, c = (np.cumsum(count) - count)[av], count[av]
+    parts = [_keys(*_triples(new), n)]  # three new points
+
+    def full():
+        return sum(len(p) for p in parts) >= SURFACE_CHUNK
+
+    # two old points on one plane that a new point touches
+    reps = c * (c - 1) // 2
+    ends = np.cumsum(reps)
+    for g in _spans(int(ends[-1]) if len(ends) else 0):
+        t = np.searchsorted(ends, g, side="right")
+        a, b = _pair(g - ends[t] + reps[t])
+        parts.append(_keys(tx[start[t] + a], tx[start[t] + b], ak[t], n))
+        if full():
+            yield _unique(np.concatenate(parts))
+            parts = []
+    # an old point on a plane that either of two new points touches, with
+    # the other one
+    ends = np.cumsum(c)
+    on = np.zeros((tx.max(initial=-1) + 1, len(new)), bool)
+    for g in _spans(int(ends[-1]) if len(ends) else 0):
+        t = np.searchsorted(ends, g, side="right")
+        on[tx[start[t] + g - ends[t] + c[t]], np.searchsorted(new, ak[t])] = True
+    x, k = np.nonzero(on)
+    for rows in _spans(len(x), len(new)):
+        x_, k_, p = np.repeat(x[rows], len(new)), np.repeat(new[k[rows]], len(new)), np.tile(new, len(rows))
+        parts.append(_keys(x_[p != k_], p[p != k_], k_[p != k_], n))
+        if full():
+            yield _unique(np.concatenate(parts))
+            parts = []
+    if parts:
+        yield _unique(np.concatenate(parts))
+
+
+def _tops(Y: np.ndarray, M: np.ndarray, R: np.ndarray, C):
+    """Per plane y (row of Y): the largest ``R - y . m`` over the columns
+    C of M, R, the (plane, index into C) pairs within _NEAR of it, and the
+    largest value over all columns with the first column taking it."""
+    out = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))]
+    for block, excess in _excess(Y, M, R):
+        near = excess[:, C]
+        top = near.max(axis=1)
+        v, x = np.nonzero(near >= top[:, None] - _NEAR)
+        out.append((top, v + block.start, x, excess.max(axis=1), excess.argmax(axis=1)))
+    top, v, x, peak, arg = (np.concatenate(a) for a in zip(*out))
+    return top, (v, x), peak, arg
+
+
+def _meet(Y: np.ndarray, top: np.ndarray, tight, M: np.ndarray, R: np.ndarray, new: np.ndarray):
+    """The planes Y, whose largest ``R - y . m`` over the old points is
+    ``top`` with the (plane, point) pairs ``tight`` within _NEAR of it,
+    meet the points ``new`` (positions of columns of M, R).  Returns which
+    planes a new point lies more than _FTOL above, the (plane, new point)
+    pairs on or above a plane within _NEAR, and top and tight over old and
+    new points (an old pair stays)."""
+    parts = []
+    for block, excess in _excess(Y, M[:, new], R[new]):
+        old = top[block]
+        high = np.maximum(old, excess.max(axis=1))
+        v, c = np.nonzero(excess >= old[:, None] - _NEAR)
+        on = excess[v, c] >= high[v] - _NEAR
+        parts.append((high > old + _FTOL, v + block.start, new[c], high, on))
+    cut, v, x, top, on = (np.concatenate(p) for p in zip(*parts))
+    return cut, (v, x), top, (np.concatenate((tight[0], v[on])), np.concatenate((tight[1], x[on])))
+
+
+def _keep(top: np.ndarray, tight, keep: np.ndarray):
+    """``top`` and ``tight`` of the planes ``keep`` selects, renumbered."""
+    v, x = tight
+    index = np.cumsum(keep) - 1
+    return top[keep], (index[v[keep[v]]], x[keep[v]])
+
+
+def _boundary(M: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The dual's vertices on the faces y_s = 0 and y_w = 0, for the points
+    (columns of M, rates R): the zero slope and the edge slopes of both
+    projected 1-D hulls.  Also returns the hulls' points."""
+    planes, points = [np.zeros((1, 2))], []
+    for axis, cost in enumerate(M):
+        idx = _upper_chain(cost.tolist(), R.tolist())
+        points += idx
+        Y = np.zeros((len(idx) - 1, 2))
+        Y[:, axis] = np.diff(R[idx]) / np.diff(cost[idx])
+        planes.append(Y)
+    return np.concatenate(planes), points
+
+
+def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: int) -> np.ndarray:
+    """Double description over the points (columns of M, rates R): the
+    points ``rest`` join the points S, INSERT_BATCH at a time.  The dual
+    of S has the planes ``planes``, the first ``faces`` of them on the
+    faces y_w = 0 or y_s = 0 and the rest through the triples ``keys``
+    (base n), with ``top`` and ``tight`` over S as :func:`_tops`
+    gives them.  The face vertices are taken anew from the points in
+    until the first ``partial`` points of rest are in.  Returns the keys
+    of the facets left, sorted."""
+    for b in range(0, len(rest), INSERT_BATCH):
+        if 0 < b < partial + INSERT_BATCH:
+            keep = np.arange(len(planes)) >= faces
+            planes, (top, tight) = planes[keep], _keep(top, tight, keep)
+            face = _boundary(M[:, S], R[S])[0]
+            ftop, (v, x), _, _ = _tops(face, M[:, S], R[S], slice(None))
+            planes, top, faces = np.concatenate((face, planes)), np.concatenate((ftop, top)), len(face)
+            tight = (np.concatenate((v, tight[0] + faces)), np.concatenate((S[x], tight[1])))
+        new = np.sort(rest[b : b + INSERT_BATCH])
+        cut, touch, top, after = _meet(planes, top, tight, M, R, new)
+        S = np.sort(np.concatenate((S, new)))
+        fresh, slopes = [np.zeros(0, np.int64)], [np.empty((0, 2))]
+        for block in _candidates(tight, touch, new, n):
+            block_slopes, rows = _facet_slopes(M, R, _unkey(block, n), S)
+            fresh.append(block[rows])
+            slopes.append(block_slopes)
+        slopes = np.concatenate(slopes)
+        keep = ~cut
+        keep[:faces] = True
+        keys = np.concatenate((keys[keep[faces:]], *fresh))
+        if b + INSERT_BATCH >= len(rest):
+            break
+        top, (v, x) = _keep(top, after, keep)
+        ftop, (fv, fx), _, _ = _tops(slopes, M[:, S], R[S], slice(None))
+        tight = (np.concatenate((v, fv + keep.sum())), np.concatenate((x, S[fx])))
+        planes, top = np.concatenate((planes[keep], slopes)), np.concatenate((top, ftop))
+    return _unique(keys)
 
 
 class Surface:
@@ -206,6 +426,22 @@ class Surface:
     gives P_C the recession cone of P, so P_C = P and the planes are
     exactly P's vertices.  A query at a budget pair inside the feasible
     region returns the smallest plane value there.
+
+    The planes through new points come from a candidate rule, not from
+    every triple.  The chain's dual (all of its triples) already has P's
+    recession cone; the other points join it INSERT_BATCH at a time.  A
+    joining point k proposes only the triples (x, y, k) whose old points
+    x and y are on one current plane that k lies on or above, (x, p, k)
+    with p another joining point and x on such a plane of p or of k, and
+    (p, q, k) of joining points ("on" within _NEAR).  A new vertex lies on
+    an old edge or face that a joining point cuts, and an end vertex of
+    that edge or face has the old points of the triple on it, so the rule
+    proposes every plane a round accepts.  Each proposed triple is solved
+    with the same arithmetic, the same roles i < j < k by position in C
+    and the same acceptance test against all of C as when every triple
+    was solved, so the planes are the same to the bit (the every-triple
+    build is kept as a test oracle).  Work arrays are taken SURFACE_CHUNK
+    elements at a time.
     """
 
     def __init__(self, points: Sequence[RateMemoryPoint]):
@@ -229,39 +465,61 @@ class Surface:
         )
         self._floor = (self._rays @ self._M).min(axis=1) - _FTOL
 
-        boundary = [np.zeros((1, 2))]
-        cand = set(chain)
-        for axis, cost in enumerate((Mw, Ms)):
-            idx = _upper_chain(cost, R)
-            cand.update(idx)
-            slopes = np.diff(R[idx]) / np.diff(cost[idx])
-            Y = np.zeros((len(slopes), 2))
-            Y[:, axis] = slopes
-            boundary.append(Y)
-        boundary = np.concatenate(boundary)
-
+        boundary, hulls = _boundary(self._M, R)
+        base = set(chain) | set(hulls)
         scale = max(float(self._M.max()), TOL)
         grid = (max(float(np.ptp(R)), TOL) / scale) * np.concatenate(
             ([0.0], np.geomspace(1e-3, 1e3, 13))
         )
-        Y = np.array([(a, b) for a in grid for b in grid])
-        cand.update((R[None, :] - Y @ self._M).argmax(axis=1).tolist())
+        Y = np.column_stack((np.repeat(grid, len(grid)), np.tile(grid, len(grid))))
+        cand = set(base)
+        for _, excess in _excess(Y, self._M, R):
+            cand.update(excess.argmax(axis=1).tolist())
 
-        C: list[int] = []
-        facets = np.empty((0, 2))
-        new = sorted(cand)
-        while new:
-            first = len(C)
-            C += new
-            g = R[C] - facets @ self._M[:, C]
-            facets = facets[g.max(axis=1) <= g[:, :first].max(axis=1, initial=-np.inf) + _FTOL]
-            facets = np.concatenate((facets, _facet_slopes(self._M[:, C], R[C], first)))
-            Y = np.unique(np.concatenate((boundary, facets)), axis=0)
-            excess = R[None, :] - Y @ self._M
-            above = excess.max(axis=1) > excess[:, C].max(axis=1) + _CERT_TOL
-            new = sorted(set(excess[above].argmax(axis=1).tolist()) - set(C))
-        self._Y = Y
-        self._z = excess.max(axis=1)
+        # Round one, over the points C.  Every triple of the chain spans the
+        # chain's dual, which has P's recession cone; the 1-D hull points,
+        # then the grid maxima, join it.  The facets left then pass the
+        # full test against C.  A triple is a key (k n + j) n + i of its
+        # positions i < j < k in C.
+        C, n = sorted(cand), len(R)
+        M, RC = self._M[:, C], R[C]
+        S = np.searchsorted(C, sorted(chain))
+        keys = _keys(*_triples(S), n)
+        slopes, rows = _facet_slopes(M, RC, _unkey(keys, n), S)
+        faces = _boundary(M[:, S], RC[S])[0]
+        Y = np.concatenate((faces, slopes))
+        top, (v, x), _, _ = _tops(Y, M[:, S], RC[S], slice(None))
+        rest = np.searchsorted(C, sorted(base - set(chain)) + sorted(cand - base))
+        keys = _grow(M, RC, S, rest, Y, len(faces), keys[rows], top, (v, S[x]),
+                     len(base) - len(chain), n)
+        facets, rows = _facet_slopes(M, RC, _unkey(keys, n))
+        keys = keys[rows]
+
+        # Certification rounds: the maximisers of R - y . m above a plane
+        # join C, the facets they cut go, and the facets through them (the
+        # keys from pivot `first` on) come in.
+        Y = np.concatenate((boundary, facets))
+        top, tight, peak, arg = _tops(Y, self._M, R, C)
+        while True:
+            new = sorted(set(arg[peak > top + _CERT_TOL].tolist()) - set(C))
+            if not new:
+                break
+            first, C = len(C), C + new
+            M, RC, fresh = self._M[:, C], R[C], np.arange(first, len(C))
+            grown = _grow(M, RC, np.arange(first), fresh, Y, len(boundary), keys, top, tight, 0, n)
+            grown = grown[grown >= first * n * n]
+            slopes, rows = _facet_slopes(M, RC, _unkey(grown, n))
+            cut, _, top, tight = _meet(Y, top, tight, M, RC, fresh)
+            keep = ~cut
+            keep[: len(boundary)] = True
+            keys = np.concatenate((keys[keep[len(boundary) :]], grown[rows]))
+            top, (v, x) = _keep(top, tight, keep)
+            ftop, (fv, fx), fpeak, farg = _tops(slopes, self._M, R, C)
+            tight = (np.concatenate((v, fv + keep.sum())), np.concatenate((x, fx)))
+            Y, top = np.concatenate((Y[keep], slopes)), np.concatenate((top, ftop))
+            peak, arg = np.concatenate((peak[keep], fpeak)), np.concatenate((arg[keep], farg))
+        self._Y = np.unique(Y, axis=0)
+        self._z = np.concatenate([excess.max(axis=1) for _, excess in _excess(self._Y, self._M, R)])
 
     @property
     def planes(self) -> np.ndarray:

@@ -48,15 +48,16 @@ def separate_curve(s: ChannelScenario) -> hull.Curve1D:
     return _m_w_hull(corners.points_separate(s))
 
 
-def _surface_points(s: ChannelScenario) -> list[RateMemoryPoint]:
-    return corners.points_all_cached(s) + _points(corners.points_weak_only, s)
-
-
-def two_budget_surface(s: ChannelScenario) -> hull.Surface:
+def _surface(all_cached: list[RateMemoryPoint], weak: list[RateMemoryPoint]) -> hull.Surface:
     """The mixture LP over the all-cached triples, augmented with the
     weak-only points whenever they exist (they remain valid with
     M_s = 0), built once: call it with (M_w, M_s)."""
-    return hull.Surface(_surface_points(s))
+    return hull.Surface(all_cached + weak)
+
+
+def two_budget_surface(s: ChannelScenario) -> hull.Surface:
+    """:func:`_surface` of the scenario's all-cached and weak-only points."""
+    return _surface(corners.points_all_cached(s), _points(corners.points_weak_only, s))
 
 
 def lower_surface_all(s: ChannelScenario, M_w: float, M_s: float) -> float:
@@ -257,7 +258,7 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
     if keys_pt is not None:
-        lo = hull.Surface(all_cached + weak)(keys_pt.M_w, keys_pt.M_s)
+        lo = _surface(all_cached, weak)(keys_pt.M_w, keys_pt.M_s)
         up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
         dev = max(abs(lo - up), abs(lo - keys_pt.R))
         rep.claims.append(

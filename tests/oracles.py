@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from secache import hull
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
 from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible, RangeError
 from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
@@ -316,6 +317,82 @@ def eval_hull_2d_enumeration(
             f"no point mixture fits budgets (M_w={M_w}, M_s={M_s})"
         )
     return best
+
+
+def _facet_slopes_bruteforce(M: np.ndarray, R: np.ndarray, first: int) -> np.ndarray:
+    """Slopes y >= 0 of the planes through points i < j < k, k >= first, of
+    the points (columns of M, rates R) that no point lies above (within a
+    slack that only admits further valid planes once their offset is
+    recomputed as g(y))."""
+    Mw, Ms = M
+    # pairs (i, j), i < j, ordered by j: those with j < k are a prefix
+    J, I = np.tril_indices(len(R), -1)
+    out = [np.empty((0, 2))]
+    for k in range(max(first, 2), len(R)):
+        i, j = I[: k * (k - 1) // 2], J[: k * (k - 1) // 2]
+        uw, us, ur = Mw[i] - Mw[k], Ms[i] - Ms[k], R[i] - R[k]
+        vw, vs, vr = Mw[j] - Mw[k], Ms[j] - Ms[k], R[j] - R[k]
+        det = uw * vs - us * vw
+        ok = np.abs(det) > hull._DET_TOL * np.hypot(uw, us) * np.hypot(vw, vs)
+        det = np.where(ok, det, 1.0)
+        yw = (ur * vs - us * vr) / det
+        ys = (uw * vr - ur * vw) / det
+        ok &= (yw >= 0.0) & (ys >= 0.0)
+        Y = np.column_stack((yw[ok], ys[ok]))
+        z = R[k] - Y @ M[:, k]
+        # every fourth point first: it rejects most planes for little work
+        for cols in (slice(None, None, 4), slice(None)):
+            low = (R[cols] - Y @ M[:, cols]).max(axis=1) <= z + hull._FTOL
+            Y, z = Y[low], z[low]
+        out.append(Y)
+    return np.concatenate(out)
+
+
+def surface_planes_bruteforce(points: Sequence[RateMemoryPoint]) -> np.ndarray:
+    """The vertex planes ``(y_w, y_s, z)`` of :class:`secache.Surface`, by
+    the build it replaced: each round solves every triple of the candidate
+    set through a new point, and keeps the planes no candidate lies above.
+    The rounds, tolerances and arithmetic are the production ones, so the
+    planes must agree bit for bit."""
+    R = np.array([p.R for p in points])
+    Mw = np.array([p.M_w for p in points])
+    Ms = np.array([p.M_s for p in points])
+    M_all = np.vstack((Mw, Ms))
+    where = {(w, m): i for i, (w, m) in enumerate(zip(Mw.tolist(), Ms.tolist()))}
+    chain = [where[p] for p in hull._lower_left_chain(list(where))]
+
+    boundary = [np.zeros((1, 2))]
+    cand = set(chain)
+    for axis, cost in enumerate((Mw, Ms)):
+        idx = hull._upper_chain(cost, R)
+        cand.update(idx)
+        slopes = np.diff(R[idx]) / np.diff(cost[idx])
+        Y = np.zeros((len(slopes), 2))
+        Y[:, axis] = slopes
+        boundary.append(Y)
+    boundary = np.concatenate(boundary)
+
+    scale = max(float(M_all.max()), TOL)
+    grid = (max(float(np.ptp(R)), TOL) / scale) * np.concatenate(
+        ([0.0], np.geomspace(1e-3, 1e3, 13))
+    )
+    Y = np.array([(a, b) for a in grid for b in grid])
+    cand.update((R[None, :] - Y @ M_all).argmax(axis=1).tolist())
+
+    C: list[int] = []
+    facets = np.empty((0, 2))
+    new = sorted(cand)
+    while new:
+        first = len(C)
+        C += new
+        g = R[C] - facets @ M_all[:, C]
+        facets = facets[g.max(axis=1) <= g[:, :first].max(axis=1, initial=-np.inf) + hull._FTOL]
+        facets = np.concatenate((facets, _facet_slopes_bruteforce(M_all[:, C], R[C], first)))
+        Y = np.unique(np.concatenate((boundary, facets)), axis=0)
+        excess = R[None, :] - Y @ M_all
+        above = excess.max(axis=1) > excess[:, C].max(axis=1) + hull._CERT_TOL
+        new = sorted(set(excess[above].argmax(axis=1).tolist()) - set(C))
+    return np.column_stack((Y, excess.max(axis=1)))
 
 
 def deliveries_one_receiver(

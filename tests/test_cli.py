@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from secache import InvalidParameter, corners
 from secache.cli import main
 from secache.schemes import BUILDERS
+from test_corners import OVERFLOWING
 
 FIG3 = {"K_w": 5, "K_s": 15, "delta_w": 0.7, "delta_s": 0.3, "delta_z": 0.8, "D": 30}
 
@@ -316,14 +318,14 @@ def test_boundary_erasures_give_documented_outcomes(tmp_path, capsys):
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
 @pytest.mark.parametrize("mw,ms", [(0.0, 0.0), (0.05, 0.02), (0.3, 0.0), (0.7, 0.4), (40.0, 40.0)])
 def test_bounds_lower_mixture_certifies_lower(preset, mw, ms, capsys):
-    from secache import ChannelScenario
+    from secache import ChannelScenario, points_all_cached, points_weak_only
     from secache.cli import PRESETS
-    from secache.tradeoff import _surface_points
 
     rc = main(["bounds", "--preset", preset, "--mw", str(mw), "--ms", str(ms)])
     assert rc == 0
     obj = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    by_label = {p.label: p for p in _surface_points(ChannelScenario(**PRESETS[preset]))}
+    s = ChannelScenario(**PRESETS[preset])
+    by_label = {p.label: p for p in points_all_cached(s) + points_weak_only(s)}
     mix = obj["lower_mixture"]
     weights = [m["weight"] for m in mix]
     points = [by_label[m["label"]] for m in mix]
@@ -514,3 +516,19 @@ def test_curve_evaluates_each_family_once(tmp_path, capsys, monkeypatch, scenari
     rc = main(["curve", "--scenario", str(path), "--mode", mode, "--grid", "0:1:0.5"])
     assert rc == 0 and capsys.readouterr().out
     assert calls and max(calls.values()) == 1, calls
+
+
+@pytest.mark.parametrize("scenario", OVERFLOWING)
+@pytest.mark.parametrize("mode", ["global", "uniform"])
+def test_curve_skips_overflowing_corners(tmp_path, capsys, scenario, mode):
+    """Large-K corners whose closed forms overflow are left out; the
+    curve is still built from the rest (no traceback, no refusal)."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["curve", "--scenario", str(path), "--mode", mode, "--grid", "0:20:5"])
+    rows = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(rows) == 6
+    for row in rows[1:]:
+        values = [float(v) for v in row.split(",") if v]
+        assert len(values) >= 2 and all(math.isfinite(v) for v in values), row

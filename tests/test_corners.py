@@ -237,3 +237,23 @@ def test_generalized_collapses_to_symmetric_at_equal_erasures():
         closed = comb(s.K, t) * 0.6 / comb(s.K, t + 1)
         assert g.R == pytest.approx(closed, abs=1e-12), t
         assert sym[t + 1].R == pytest.approx(closed, abs=1e-12), t
+
+
+#: Valid scenarios whose closed forms overflow at high indices: C(2005, t)
+#: exceeds a float in the coded symmetric and generalized corners of the
+#: first, (1 - delta_w)^-t_w in the generalized corners of the second.
+OVERFLOWING = (
+    {"K_w": 5, "K_s": 2000, "delta_w": 0.7, "delta_s": 0.2, "delta_z": 0.1, "D": 5000},
+    {"K_w": 2000, "K_s": 5, "delta_w": 0.7, "delta_s": 0.2, "delta_z": 0.8, "D": 5000},
+)
+
+
+@pytest.mark.parametrize("kwargs", OVERFLOWING)
+def test_overflowing_corners_are_skipped(kwargs):
+    s = ChannelScenario(**kwargs)
+    generalized = [p for p in points_all_cached(s) if "generalized" in p.label]
+    symmetric = points_symmetric(s)
+    # the low indices stay; some high ones have no finite closed form
+    assert generalized[0].label == "all:generalized[t=1,lower-limit]"
+    assert [p.label for p in symmetric[:3]] == ["sym[0]", "sym[1]", "sym[2]"]
+    assert len(generalized) + len(symmetric) < (s.K - 1) + (s.K + 1)

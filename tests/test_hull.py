@@ -7,12 +7,25 @@ from secache import (
     BelowDomain,
     EmptyInput,
     Infeasible,
+    NotApplicable,
     RateMemoryPoint,
     Surface,
+    corners,
     eval_hull_1d,
     eval_hull_2d,
+    tradeoff,
     upper_hull_1d,
 )
+
+
+def _surface_points(s):
+    """The points :func:`secache.two_budget_surface` builds on (the
+    all-cached triples, then the weak-only points where that family
+    applies), or None where the all-cached family does not apply."""
+    try:
+        return corners.points_all_cached(s) + tradeoff._points(corners.points_weak_only, s)
+    except NotApplicable:
+        return None
 
 
 def test_two_point_hull_keeps_both():
@@ -277,7 +290,6 @@ def test_surface_planes_are_the_dual_vertices(fig3, fig5):
     vertex from several triples, equal up to rounding; the distinct
     vertices are counted (values are pinned by the golden)."""
     import numpy as np
-    from secache.tradeoff import _surface_points
 
     for s, count in ((fig3, 92), (fig5, 135)):
         pts = _surface_points(s)
