@@ -52,7 +52,7 @@ _CERT_TOL = 1e-13
 # proposes triples (see Surface).  It is wider than _FTOL: a triple
 # accepted within _FTOL need not span an exact vertex, and the rule only
 # proposes it with slack to spare.
-_NEAR = 1e-8
+_NEAR = 2e-9
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,10 @@ SURFACE_CHUNK = 1 << 15
 
 #: Points that join the dual per double-description step.
 INSERT_BATCH = 16
+
+# Slopes, in units of the rate range per memory, whose maximisers of
+# R - y . m seed the candidate set.
+_SLOPES = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 13)))
 
 
 def _blocks(rows: int, width: int) -> list[slice]:
@@ -467,10 +471,7 @@ class Surface:
 
         boundary, hulls = _boundary(self._M, R)
         base = set(chain) | set(hulls)
-        scale = max(float(self._M.max()), TOL)
-        grid = (max(float(np.ptp(R)), TOL) / scale) * np.concatenate(
-            ([0.0], np.geomspace(1e-3, 1e3, 13))
-        )
+        grid = (max(float(np.ptp(R)), TOL) / max(float(self._M.max()), TOL)) * _SLOPES
         Y = np.column_stack((np.repeat(grid, len(grid)), np.tile(grid, len(grid))))
         cand = set(base)
         for _, excess in _excess(Y, self._M, R):
