@@ -28,8 +28,8 @@ vertex planes once per point set; a query is then one matrix-vector
 product.  It finds them by double description: points join the dual a
 batch at a time, and only the triples a joining point can complete are
 solved, not every triple; the triples it does solve meet the arithmetic
-and the acceptance test of solving every triple, so the planes agree to
-the bit.
+and the acceptance test of solving every triple, so the planes agree
+with that build to the bit (see :class:`Surface` for the one caveat).
 """
 
 from __future__ import annotations
@@ -440,12 +440,17 @@ class Surface:
     (p, q, k) of joining points ("on" within _NEAR).  A new vertex lies on
     an old edge or face that a joining point cuts, and an end vertex of
     that edge or face has the old points of the triple on it, so the rule
-    proposes every plane a round accepts.  Each proposed triple is solved
-    with the same arithmetic, the same roles i < j < k by position in C
-    and the same acceptance test against all of C as when every triple
-    was solved, so the planes are the same to the bit (the every-triple
-    build is kept as a test oracle).  Work arrays are taken SURFACE_CHUNK
-    elements at a time.
+    proposes every vertex a round accepts.  Each proposed triple is
+    solved with the same arithmetic, the same roles i < j < k by position
+    in C and the same acceptance test against all of C as when every
+    triple was solved, so the planes are the same to the bit (the
+    every-triple build is kept as a test oracle).  The caveat: that test
+    also accepts triples whose plane some point tops by up to _FTOL,
+    near-duplicates of a vertex, and the rule finds those only through
+    its _NEAR slack; on dense sets of thousands of points a few can be
+    missed.  Such a plane never sets a query's value, because the vertex
+    it duplicates is there.  Work arrays are taken SURFACE_CHUNK elements
+    at a time.
     """
 
     def __init__(self, points: Sequence[RateMemoryPoint]):
