@@ -12,8 +12,9 @@ Run:  python3 demos/01_weak_only_tradeoff.py
 from secache import (
     CacheSizes,
     ChannelScenario,
+    Tradeoff,
+    eval_hull_1d,
     exact_regimes,
-    lower_curve_weak_only,
     points_separate,
     points_weak_only,
     ub_best_grid,
@@ -22,6 +23,8 @@ from secache import (
 )
 
 s = ChannelScenario(K_w=5, K_s=15, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=30)
+# the scenario's corner families and hulls, each built once on first use
+lower = Tradeoff(s)
 
 print("=" * 72)
 print("scenario:", s.to_json())
@@ -50,7 +53,7 @@ for p in points_weak_only(s):
 print("\n   M_w      lower    upper    gap")
 sweep = [0.0, 0.005, 0.01, 0.0142857, 0.05, 0.1, 0.3, 0.4727, 0.8, 1.2]
 for m, upper in zip(sweep, ub_best_grid(s, [CacheSizes(m, 0.0) for m in sweep])):
-    lo = lower_curve_weak_only(s, m)
+    lo = eval_hull_1d(lower.weak_curve, m)
     print(f"  {m:7.4f}  {lo:.6f} {upper.value:.6f}  {upper.value - lo:.2e}")
 
 # ---------------------------------------------------------------------------
@@ -59,7 +62,7 @@ for m, upper in zip(sweep, ub_best_grid(s, [CacheSizes(m, 0.0) for m in sweep]))
 sep = {p.label: p for p in points_separate(s)}
 print(f"\nseparate-coding node t=1: M_w={sep['separate[t=1]'].M_w:.6f}, "
       f"R={sep['separate[t=1]'].R:.6f}")
-print(f"joint-coding hull there:  R={lower_curve_weak_only(s, sep['separate[t=1]'].M_w):.6f}")
+print(f"joint-coding hull there:  R={eval_hull_1d(lower.weak_curve, sep['separate[t=1]'].M_w):.6f}")
 
 # ---------------------------------------------------------------------------
 # 5. Machine-checked exactness certificates.

@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from . import bounds, corners, hull, schemes, simulate, tradeoff
+from . import bounds, hull, schemes, simulate, tradeoff
 from .errors import Infeasible, InvalidParameter, InvalidScenario, NotApplicable
 from .model import CacheSizes, ChannelScenario
 
@@ -78,7 +78,7 @@ def cmd_bounds(args) -> int:
     s = _load_scenario(args)
     cache = CacheSizes(args.mw, args.ms)
     upper = bounds.ub_best(s, cache)
-    surface = tradeoff.two_budget_surface(s)
+    surface = tradeoff.Tradeoff(s).surface
     lower = surface(args.mw, args.ms)
     mixture = [
         {"label": label, "weight": weight}
@@ -93,14 +93,13 @@ def cmd_curve(args) -> int:
     s = _load_scenario(args)
     grid = _parse_grid(args.grid)
     rows: list[str] = []
-    # Each corner family is evaluated once per command and every hull is
-    # built from its points, as in tradeoff.exact_regimes.
+    lower = tradeoff.Tradeoff(s)
     if args.mode == "weak-only":
-        weak = tradeoff._points(corners.points_weak_only, s)
-        joint = tradeoff._m_w_hull(weak)
-        sep = None  # the separate family shares the weak-only gate
-        if weak:
-            sep = tradeoff._m_w_hull(corners.separate_from_weak_only(s, weak))
+        joint = lower.weak_curve
+        try:
+            sep = lower.separate_curve
+        except NotApplicable:  # the separate family shares the weak-only gate
+            sep = None
         rows.append("M,R_lower_joint,R_lower_separate,R_upper")
         uppers = bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in grid])
         for m, up in zip(grid, uppers):
@@ -109,7 +108,7 @@ def cmd_curve(args) -> int:
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up.value)}")
     elif args.mode == "surface-slice":
         rows.append("M,R_lower,R_upper")
-        surface = tradeoff.two_budget_surface(s)
+        surface = lower.surface
         lowers = [surface(m, args.ms) for m in grid]
         uppers = bounds.ub_best_grid(s, [CacheSizes(m, args.ms) for m in grid])
         for m, lo, up in zip(grid, lowers, uppers):
@@ -118,24 +117,19 @@ def cmd_curve(args) -> int:
         rows.append("M_tot,R_glob,R_weak_only,R_uniform,R_nonsecure_note")
         # The uniform column needs the symmetric family: where it is gated
         # off (K_w or K_s = 0, which gates the all-cached family too), the
-        # command is not applicable.
-        symmetric = corners.points_symmetric(s)
-        weak_pts = tradeoff._points(corners.points_weak_only, s)
-        glob = tradeoff._global_hull(
-            s, weak_pts, tradeoff._points(corners.points_all_cached, s), symmetric
-        )
-        weak = tradeoff._m_w_hull(weak_pts) if s.K_w > 0 else None
-        uni = tradeoff._uniform_hull(s, symmetric)
+        # command is not applicable, so K_w >= 1 below.
+        uni = lower.uniform_curve
+        glob, weak = lower.global_curve, lower.weak_curve
         for m in grid:
-            r_weak = None if weak is None else hull.eval_hull_1d(weak, m / s.K_w)
             # non-secure column intentionally empty: out of scope here
             rows.append(
-                f"{_fmt(m)},{_fmt(hull.eval_hull_1d(glob, m))},{_fmt(r_weak)},"
+                f"{_fmt(m)},{_fmt(hull.eval_hull_1d(glob, m))},"
+                f"{_fmt(hull.eval_hull_1d(weak, m / s.K_w))},"
                 f"{_fmt(hull.eval_hull_1d(uni, m))},"
             )
     else:  # "uniform"; argparse's choices admit no other mode
         rows.append("M_tot,R_uniform")
-        uni = tradeoff.uniform_curve(s)
+        uni = lower.uniform_curve
         for m in grid:
             rows.append(f"{_fmt(m)},{_fmt(hull.eval_hull_1d(uni, m))}")
     text = "\n".join(rows) + "\n"

@@ -66,11 +66,6 @@ class Curve1D:
 
     vertices: tuple[tuple[float, float], ...]
 
-    def to_csv(self) -> str:
-        lines = ["M,R"]
-        lines += [f"{m:.12g},{r:.12g}" for m, r in self.vertices]
-        return "\n".join(lines) + "\n"
-
 
 def _upper_chain(m: Sequence[float], r: Sequence[float]) -> list[int]:
     """Indices of the upper concave envelope of the points (m_i, r_i).

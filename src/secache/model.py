@@ -133,9 +133,6 @@ class RateMemoryPoint:
             if v < 0:
                 raise InvalidScenario(f"{name} must be >= 0, got {v}")
 
-    def as_csv_row(self) -> str:
-        return f"{self.label},{self.M_w:.12g},{self.M_s:.12g},{self.R:.12g}"
-
 
 def pos(x: float) -> float:
     """The positive part max(0, x)."""

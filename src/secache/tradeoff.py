@@ -3,14 +3,15 @@
 Lower bounds come from hulls over the corner-point families; upper bounds
 from the converse module.  :func:`exact_regimes` numerically certifies
 the regimes where the two provably meet.  Whether a family applies is
-decided only in :mod:`corners`, whose gates raise ``NotApplicable``; here
-a gated family contributes no points.  Each curve, surface and regime
-report evaluates each family it uses once.
+decided only in :mod:`corners`, whose gates raise ``NotApplicable``.  A
+:class:`Tradeoff` holds one scenario's families and hulls, each built
+once; every curve, surface and regime report is a query of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isinf
 
 from . import bounds, corners, hull
@@ -18,13 +19,32 @@ from .errors import NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, zero_cache_capacity
 
 
-def _points(family, s: ChannelScenario) -> list[RateMemoryPoint]:
-    """``family(s)``, or no points where :mod:`corners` gates the family
-    off (every gate raises at the top of its family)."""
-    try:
-        return family(s)
-    except NotApplicable:
-        return []
+def _family(name: str) -> cached_property:
+    """A cached property: ``corners.<name>(s)``, or the ``NotApplicable``
+    with which :mod:`corners` gates the family off (every gate raises at
+    the top of its family).  The family is looked up when first used, so
+    a patched or traced one is the one called."""
+
+    def evaluate(self) -> list[RateMemoryPoint] | NotApplicable:
+        try:
+            return getattr(corners, name)(self.s)
+        except NotApplicable as gate:
+            return gate
+
+    return cached_property(evaluate)
+
+
+def _available(family) -> list[RateMemoryPoint]:
+    """A family's points; none where it is gated off."""
+    return [] if isinstance(family, NotApplicable) else family
+
+
+def _required(family) -> list[RateMemoryPoint]:
+    """A family's points; where it is gated off, its ``NotApplicable``
+    raised again (with a fresh traceback, so repeats do not grow it)."""
+    if isinstance(family, NotApplicable):
+        raise family.with_traceback(None)
+    return family
 
 
 def _m_w_hull(pts: list[RateMemoryPoint]) -> hull.Curve1D:
@@ -32,46 +52,77 @@ def _m_w_hull(pts: list[RateMemoryPoint]) -> hull.Curve1D:
     return hull.upper_hull_1d([(p.M_w, p.R) for p in pts] or [(0.0, 0.0)])
 
 
+class Tradeoff:
+    """The lower bounds of one scenario.  Each corner family is evaluated
+    at most once and each hull built at most once, both on first use.
+
+    A hull that merely includes a gated family takes no points from it; a
+    hull that rests on one raises the family's ``NotApplicable``.
+    """
+
+    def __init__(self, s: ChannelScenario):
+        self.s = s
+
+    _weak_only = _family("points_weak_only")
+    _all_cached = _family("points_all_cached")
+    _symmetric = _family("points_symmetric")
+
+    @cached_property
+    def weak_curve(self) -> hull.Curve1D:
+        """Hull of the weak-only points over M_w; the zero curve where
+        that family is gated off."""
+        return _m_w_hull(_available(self._weak_only))
+
+    @cached_property
+    def separate_curve(self) -> hull.Curve1D:
+        """Hull over M_w of the separate-coding points, derived from the
+        weak-only ones (the two families share one gate)."""
+        return _m_w_hull(corners.separate_from_weak_only(self.s, _required(self._weak_only)))
+
+    @cached_property
+    def surface(self) -> hull.Surface:
+        """The mixture LP over the all-cached triples, augmented with the
+        weak-only points whenever they exist (they remain valid with
+        M_s = 0): call it with (M_w, M_s)."""
+        return hull.Surface(_required(self._all_cached) + _available(self._weak_only))
+
+    @cached_property
+    def global_curve(self) -> hull.Curve1D:
+        """Hull over total budget of every family's points (see
+        :func:`global_curve`)."""
+        s = self.s
+        mapped = [(s.K_w * p.M_w, p.R) for p in _available(self._weak_only)]
+        mapped = mapped or [(0.0, zero_cache_capacity(s))]
+        mapped += [(s.K_w * p.M_w + s.K_s * p.M_s, p.R) for p in _available(self._all_cached)]
+        mapped += [(s.K * p.M_w, p.R) for p in _available(self._symmetric)]
+        return hull.upper_hull_1d(mapped)
+
+    @cached_property
+    def uniform_curve(self) -> hull.Curve1D:
+        """Symmetric-assignment hull, x-axis rescaled to total budget."""
+        return hull.upper_hull_1d([(self.s.K * p.M_w, p.R) for p in _required(self._symmetric)])
+
+
 def weak_only_curve(s: ChannelScenario) -> hull.Curve1D:
     """Hull of the weak-only corner points (M_s = 0 throughout), or the zero
     curve where the family does not apply (``delta_z <= delta_s`` or K_w = 0)."""
-    return _m_w_hull(_points(corners.points_weak_only, s))
+    return Tradeoff(s).weak_curve
 
 
 def lower_curve_weak_only(s: ChannelScenario, M_w: float) -> float:
     """Achievable rate with cache M_w at weak receivers, none at strong
     (0 where the weak-only family does not apply)."""
-    return hull.eval_hull_1d(weak_only_curve(s), M_w)
+    return hull.eval_hull_1d(Tradeoff(s).weak_curve, M_w)
 
 
 def separate_curve(s: ChannelScenario) -> hull.Curve1D:
-    return _m_w_hull(corners.points_separate(s))
-
-
-def _surface(all_cached: list[RateMemoryPoint], weak: list[RateMemoryPoint]) -> hull.Surface:
-    """The mixture LP over the all-cached triples, augmented with the
-    weak-only points whenever they exist (they remain valid with
-    M_s = 0), built once: call it with (M_w, M_s)."""
-    return hull.Surface(all_cached + weak)
-
-
-def two_budget_surface(s: ChannelScenario) -> hull.Surface:
-    """:func:`_surface` of the scenario's all-cached and weak-only points."""
-    return _surface(corners.points_all_cached(s), _points(corners.points_weak_only, s))
+    return Tradeoff(s).separate_curve
 
 
 def lower_surface_all(s: ChannelScenario, M_w: float, M_s: float) -> float:
     """Achievable rate with caches (M_w, M_s) at weak/strong receivers
-    (one query of :func:`two_budget_surface`)."""
-    return two_budget_surface(s)(M_w, M_s)
-
-
-def _global_hull(s: ChannelScenario, weak, all_cached, symmetric) -> hull.Curve1D:
-    """:func:`global_curve` from the three families' points."""
-    mapped = [(s.K_w * p.M_w, p.R) for p in weak] or [(0.0, zero_cache_capacity(s))]
-    mapped += [(s.K_w * p.M_w + s.K_s * p.M_s, p.R) for p in all_cached]
-    mapped += [(s.K * p.M_w, p.R) for p in symmetric]
-    return hull.upper_hull_1d(mapped)
+    (one query of :attr:`Tradeoff.surface`)."""
+    return Tradeoff(s).surface(M_w, M_s)
 
 
 def global_curve(s: ChannelScenario) -> hull.Curve1D:
@@ -82,29 +133,23 @@ def global_curve(s: ChannelScenario) -> hull.Curve1D:
     spend the budget, and at some parameters its coded-caching points beat
     the other families).
     """
-    families = (corners.points_weak_only, corners.points_all_cached, corners.points_symmetric)
-    return _global_hull(s, *(_points(family, s) for family in families))
+    return Tradeoff(s).global_curve
 
 
 def lower_global(s: ChannelScenario, M_tot: float) -> float:
     """Achievable rate with total cache budget M_tot, freely assigned."""
-    return hull.eval_hull_1d(global_curve(s), M_tot)
-
-
-def _uniform_hull(s: ChannelScenario, symmetric) -> hull.Curve1D:
-    """:func:`uniform_curve` from the symmetric family's points."""
-    return hull.upper_hull_1d([(s.K * p.M_w, p.R) for p in symmetric])
+    return hull.eval_hull_1d(Tradeoff(s).global_curve, M_tot)
 
 
 def uniform_curve(s: ChannelScenario) -> hull.Curve1D:
     """Symmetric-assignment hull, x-axis rescaled to total budget."""
-    return _uniform_hull(s, corners.points_symmetric(s))
+    return Tradeoff(s).uniform_curve
 
 
 def lower_uniform(s: ChannelScenario, M_tot: float) -> float:
     """Achievable rate when the budget is split equally over all K
     receivers (M_w = M_s = M_tot / K)."""
-    return hull.eval_hull_1d(uniform_curve(s), M_tot)
+    return hull.eval_hull_1d(Tradeoff(s).uniform_curve, M_tot)
 
 
 @dataclass
@@ -171,8 +216,9 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
     deviation, never clamped.
     """
     rep = RegimeReport()
-    weak = _points(corners.points_weak_only, s)
-    all_cached = _points(corners.points_all_cached, s)
+    lower = Tradeoff(s)
+    weak = _available(lower._weak_only)
+    all_cached = _available(lower._all_cached)
     if s.delta_z <= s.delta_s:
         rep.notes.append(
             "weak-only results gated off: delta_z <= delta_s, so caches at "
@@ -195,14 +241,13 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
 
     if weak:
         pts = {p.label: p for p in weak}
-        weak_curve = _m_w_hull(weak)
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
         m1 = pts["cached-keys"].M_w
         xs = grid(0.0, m1)
         dev = _certify(
             xs,
-            lambda m: hull.eval_hull_1d(weak_curve, m),
+            lambda m: hull.eval_hull_1d(lower.weak_curve, m),
             _weak_only_upper(s, xs),
             lambda m: r0 + slope * m,
         )
@@ -224,7 +269,7 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             xs = grid(m_top, max(2.0 * m_lib, m_top + 1.0))
             dev = _certify(
                 xs,
-                lambda m: hull.eval_hull_1d(weak_curve, m),
+                lambda m: hull.eval_hull_1d(lower.weak_curve, m),
                 _weak_only_upper(s, xs),
                 lambda m: flat,
             )
@@ -258,7 +303,7 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
     if keys_pt is not None:
-        lo = _surface(all_cached, weak)(keys_pt.M_w, keys_pt.M_s)
+        lo = lower.surface(keys_pt.M_w, keys_pt.M_s)
         up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
         dev = max(abs(lo - up), abs(lo - keys_pt.R))
         rep.claims.append(
@@ -280,11 +325,10 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         else:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K
-        glob = _global_hull(s, weak, all_cached, _points(corners.points_symmetric, s))
         xs = grid(0.0, end)
         dev = _certify(
             xs,
-            lambda m: hull.eval_hull_1d(glob, m),
+            lambda m: hull.eval_hull_1d(lower.global_curve, m),
             [bounds.ub_global(s, m) for m in xs],
             ref,
         )

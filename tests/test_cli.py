@@ -497,13 +497,15 @@ def test_repeated_main_calls_share_one_parser(capsys):
     assert make_parser() is make_parser()
 
 
-@pytest.mark.parametrize("mode", ["weak-only", "surface-slice", "global", "uniform"])
+@pytest.mark.parametrize("mode", ["weak-only", "surface-slice", "global", "uniform", "bounds"])
 @pytest.mark.parametrize("scenario", [
     FIG3,
     {"K_w": 20, "K_s": 10, "delta_w": 0.7, "delta_s": 0.2, "delta_z": 0.8, "D": 50},
     {**FIG3, "delta_z": 0.2},  # weak-only family gated off
 ])
 def test_curve_evaluates_each_family_once(tmp_path, capsys, monkeypatch, scenario, mode):
+    """Every curve mode, and ``bounds`` (``mode`` "bounds"), evaluates each
+    corner family at most once."""
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
     calls = Counter()
@@ -513,8 +515,11 @@ def test_curve_evaluates_each_family_once(tmp_path, capsys, monkeypatch, scenari
             calls[family.__name__] += 1
             return family(*args, **kwargs)
         monkeypatch.setattr(corners, name, counted)
-    rc = main(["curve", "--scenario", str(path), "--mode", mode, "--grid", "0:1:0.5"])
-    assert rc == 0 and capsys.readouterr().out
+    if mode == "bounds":
+        argv = ["bounds", "--scenario", str(path), "--mw", "0.5", "--ms", "0.1"]
+    else:
+        argv = ["curve", "--scenario", str(path), "--mode", mode, "--grid", "0:1:0.5"]
+    assert main(argv) == 0 and capsys.readouterr().out
     assert calls and max(calls.values()) == 1, calls
 
 

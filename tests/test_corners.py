@@ -182,15 +182,6 @@ def test_every_point_below_upper_bound(scenario_kwargs):
         assert p.R <= ub + 1e-9, (p.label, p.R, ub)
 
 
-def test_point_csv_row(fig3):
-    p = points_weak_only(fig3)[1]
-    label, mw, ms, r = p.as_csv_row().split(",")
-    assert label == "cached-keys"
-    assert float(mw) == pytest.approx(p.M_w, abs=1e-12)
-    assert float(ms) == 0.0
-    assert float(r) == pytest.approx(p.R, abs=1e-12)
-
-
 def test_weak_only_without_strong_receivers():
     # the two strong-limited members have no meaning when K_s = 0
     s = ChannelScenario(K_w=3, K_s=0, delta_w=0.6, delta_s=0.2, delta_z=0.8, D=10)

@@ -13,19 +13,22 @@ from secache import (
     corners,
     eval_hull_1d,
     eval_hull_2d,
-    tradeoff,
     upper_hull_1d,
 )
 
 
 def _surface_points(s):
-    """The points :func:`secache.two_budget_surface` builds on (the
+    """The points :attr:`secache.Tradeoff.surface` builds on (the
     all-cached triples, then the weak-only points where that family
     applies), or None where the all-cached family does not apply."""
     try:
-        return corners.points_all_cached(s) + tradeoff._points(corners.points_weak_only, s)
+        points = corners.points_all_cached(s)
     except NotApplicable:
         return None
+    try:
+        return points + corners.points_weak_only(s)
+    except NotApplicable:
+        return points
 
 
 def test_two_point_hull_keeps_both():
@@ -149,15 +152,6 @@ def test_eval_hull_2d_reduces_to_1d_on_axis(fig3):
         assert eval_hull_2d(pts, m, 0.0) == pytest.approx(
             eval_hull_1d(c, m), abs=1e-9
         )
-
-
-def test_curve_csv_format(fig3):
-    from secache import points_weak_only
-
-    c = upper_hull_1d([(p.M_w, p.R) for p in points_weak_only(fig3)])
-    lines = c.to_csv().splitlines()
-    assert lines[0] == "M,R"
-    assert len(lines) == len(c.vertices) + 1
 
 
 def test_eval_hull_2d_concave_along_budget_ray():

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given
 
 import oracles
-from secache import ChannelScenario, Surface, hull, tradeoff
+from secache import ChannelScenario, Surface, Tradeoff, hull
 from secache.cli import PRESETS
 from strategies import scenarios
 from test_cli import boundary_scenarios
@@ -57,10 +57,10 @@ def test_hypothesis_scenarios_match_bruteforce(s):
 
 
 def _traced_peak(s: ChannelScenario) -> int:
-    tradeoff.two_budget_surface(ChannelScenario(**PRESETS["fig3"]))  # imports, caches
+    Tradeoff(ChannelScenario(**PRESETS["fig3"])).surface  # imports, caches
     tracemalloc.start()
     try:
-        tradeoff.two_budget_surface(s)
+        Tradeoff(s).surface
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,6 +5,8 @@ import pytest
 from secache import (
     CacheSizes,
     ChannelScenario,
+    NotApplicable,
+    Tradeoff,
     exact_regimes,
     lower_curve_weak_only,
     lower_global,
@@ -71,6 +73,29 @@ def test_exact_regimes_evaluates_each_family_once(name, monkeypatch):
         monkeypatch.setattr(corners, family.__name__, counted(family))
     exact_regimes(ChannelScenario(**scenarios[name]))
     assert calls and max(calls.values()) == 1, calls
+
+
+def test_tradeoff_raises_a_gated_family_from_its_one_evaluation(monkeypatch):
+    """With K_w = 0 every family is gated off. The hulls resting on one
+    raise its own NotApplicable on every access; the rest still build."""
+    calls = Counter()
+    for name in ("points_weak_only", "points_all_cached", "points_symmetric"):
+        def counted(*args, family=getattr(corners, name), **kwargs):
+            calls[family.__name__] += 1
+            return family(*args, **kwargs)
+        monkeypatch.setattr(corners, name, counted)
+    s = ChannelScenario(K_w=0, K_s=3, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=6)
+    lower = Tradeoff(s)
+    for _ in range(2):
+        with pytest.raises(NotApplicable, match="weak-only family"):
+            lower.separate_curve
+        with pytest.raises(NotApplicable, match="all-cached family"):
+            lower.surface
+        with pytest.raises(NotApplicable, match="symmetric family"):
+            lower.uniform_curve
+    assert lower.weak_curve.vertices == ((0.0, 0.0),)
+    assert lower.global_curve.vertices == ((0.0, zero_cache_capacity(s)),)
+    assert calls == {"points_weak_only": 1, "points_all_cached": 1, "points_symmetric": 1}
 
 
 def test_surface_at_keys_point(fig3):
