@@ -1064,11 +1064,10 @@ BUILDERS = {
 # verification
 # ---------------------------------------------------------------------------
 
-def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
-    """The peel rule: which units hand which receiver which part, once decoded.
+def peel_rule(plan: SchemePlan) -> Callable[[DeliveryUnit], Sequence[tuple[int, str]]]:
+    """The peel rule, one unit at a time: a function that gives the
+    (receiver, part label) pairs a decoded unit hands over, in part order.
 
-    Maps each receiver to ``{part label: [(segment index, unit index),
-    ...]}``, the units that deliver that part to it, in schedule order.
     Part ``i`` of a unit goes to the receiver ``r`` at its slot, and only
     to it, when ``r`` carries load in the unit and holds its pad keys and
     decoder context; in an XOR, ``r`` lacks part ``i``'s label and holds
@@ -1108,46 +1107,63 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
         if parts:
             wanting |= mask
 
+    def peel(unit: DeliveryUnit) -> Sequence[tuple[int, str]]:
+        pads = wanting
+        for k in unit.pad_keys:
+            pads &= placed.get(k, 0)
+        if not pads:
+            return ()
+        parts = unit.parts
+        if unit.combine == "xor":
+            # peeled[i]: receivers holding every label but part i's.  One
+            # pass finds those missing no label (none) and exactly one
+            # (one); who misses part i's label misses exactly that one.
+            masks = []
+            none, one = pads, 0
+            for _, label in parts:
+                m = have.get(label, 0)
+                masks.append(m)
+                one = (one & m) | (none & ~m)
+                none &= m
+            peeled = [one & ~m for m in masks]
+        else:
+            peeled = [pads] * len(parts)
+        got = []
+        for i, (r, label) in enumerate(parts):
+            ok = peeled[i] & (1 << r)
+            if not ok:
+                continue
+            for c in unit.context.get(r, ()):
+                ok &= have.get(c, 0)
+            if not ok or unit.decode_load.get(r, 0.0) <= 0.0:
+                continue
+            if wants.get((label, unit.part_rates[i]), 0) & ok:
+                got.append((r, label))
+        return got
+
+    return peel
+
+
+def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
+    """Which units hand which receiver which part, once decoded.
+
+    Maps each receiver to ``{part label: [(segment index, unit index),
+    ...]}``, the units that deliver that part to it by
+    :func:`peel_rule`, in schedule order.
+    """
+    peel = peel_rule(plan)
     out: dict[int, dict[str, list[tuple[int, int]]]] = {
         r: {} for r in plan.message_parts
     }
     for si, seg in enumerate(plan.schedule):
         for ui, unit in enumerate(seg.units):
-            pads = wanting
-            for k in unit.pad_keys:
-                pads &= placed.get(k, 0)
-            if not pads:
-                continue
             at = (si, ui)
-            parts = unit.parts
-            if unit.combine == "xor":
-                # peel[i]: receivers holding every label but part i's.  One
-                # pass finds those missing no label (none) and exactly one
-                # (one); who misses part i's label misses exactly that one.
-                masks = []
-                none, one = pads, 0
-                for _, label in parts:
-                    m = have.get(label, 0)
-                    masks.append(m)
-                    one = (one & m) | (none & ~m)
-                    none &= m
-                peel = [one & ~m for m in masks]
-            else:
-                peel = [pads] * len(parts)
-            for i, (r, label) in enumerate(parts):
-                ok = peel[i] & (1 << r)
-                if not ok:
-                    continue
-                for c in unit.context.get(r, ()):
-                    ok &= have.get(c, 0)
-                if not ok or unit.decode_load.get(r, 0.0) <= 0.0:
-                    continue
-                if wants.get((label, unit.part_rates[i]), 0) & ok:
-                    got = out[r].get(label)
-                    if got is None:
-                        out[r][label] = [at]
-                    else:
-                        got.append(at)
+            for r, label in peel(unit):
+                got = out[r].get(label)
+                if got is None:
+                    out[r][label] = [at]
+                else:
+                    got.append(at)
     return {r: got for r, got in out.items() if got}
 
 

@@ -5,13 +5,18 @@ is Binomial(segment length, 1 - delta).  Decoding uses the MDS
 abstraction: the payloads a receiver must resolve in a segment decode
 iff the unerased count reaches the (cumulative) payload size in bits.
 Which decoded unit hands a receiver which message part is the static peel
-rule of :func:`secache.schemes.deliveries`: one-time pads and known XOR
-partners cancel exactly, so their values never decide an outcome.
+rule of :func:`secache.schemes.peel_rule`, the one the plan verifier
+applies through :func:`secache.schemes.deliveries`: one-time pads and
+known XOR partners cancel exactly, so their values never decide an
+outcome.
 
-Each run compiles the plan once into flat arrays: one draw per (segment,
-receiver with load), with its length and success probability, and, for
-each wanted part some receiver lacks in cache, its providers as (draw,
-cumulative threshold) pairs, contiguous per part.  Trials run in blocks
+Each run compiles the plan once, in one walk over its schedule, into flat
+arrays: one draw per (segment, receiver with load), with its length and
+success probability, and, for each wanted part some receiver lacks in
+cache, its providers as (draw, cumulative threshold) pairs, contiguous
+per part.  The walk cumulates each loaded receiver's MDS threshold unit
+by unit and applies the peel rule at the same unit, so it keeps a
+threshold only where a unit hands a part over.  Trials run in blocks
 of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
 a row of the block, and the block is tested in one pass (every provider
 threshold at once, then an OR over each part's providers).  A trial fails
@@ -27,6 +32,11 @@ the scalar draws in the same order, and per-segment erasure sums
 accumulate trial by trial in draw order, so reports match a per-draw loop
 byte for byte.
 
+:meth:`SimReport.to_json` writes the report's fixed shape itself, for the
+one-line and the indented form alike, byte for byte as ``json.dumps``
+would: with an ``indent``, ``json.dumps`` falls back to its pure-Python
+encoder.
+
 The simulation covers error behaviour only.  Secrecy of wiretap-binned
 segments is a rate condition, not a finite-n observable, so its witness
 is the structural keys-plus-bins accounting in the plan verifier.
@@ -39,13 +49,13 @@ import json
 import random as _random
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, deliveries
+from .schemes import SchemePlan, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -87,18 +97,66 @@ class SimReport:
     segment_stats: list[dict] = field(default_factory=list)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "trials": self.trials,
-                "seed": self.seed,
-                "generator": self.generator,
-                "worst_case_error_rate": self.worst_case_error_rate,
-                "per_demand": self.per_demand,
-                "segment_stats": self.segment_stats,
-            },
-            indent=indent,
-        )
+        """The report as ``json.dumps`` writes its dict with this
+        ``indent``, byte for byte, written by the report's fixed shape:
+        an ``indent`` sends ``json.dumps`` to its pure-Python encoder,
+        several times slower on a report of hundreds of segments."""
+        layout = _Layout(indent)
+
+        def seq(items: list[str], depth: int, open_: str = "[", close: str = "]") -> str:
+            if not items:
+                return open_ + close
+            brk, sep = layout[depth + 1]
+            return open_ + brk + sep.join(items) + layout[depth][0] + close
+
+        def seg_id(v, depth: int) -> str:
+            # A segment id holds ints, strings and tuples of them.
+            if not isinstance(v, (list, tuple)):
+                return json.dumps(v)
+            return seq([str(e) if type(e) is int else seg_id(e, depth + 1) for e in v], depth)
+
+        def rate(v: Optional[float]) -> str:
+            return "null" if v is None else repr(v)
+
+        b2, (b3, s3) = layout[2][0], layout[3]
+        demands = [
+            f'{{{b3}"demand": {seq([str(x) for x in d["demand"]], 3)}{s3}'
+            f'"errors": {d["errors"]}{s3}"trials": {d["trials"]}{b2}}}'
+            for d in self.per_demand
+        ]
+        stats = [
+            f'{{{b3}"segment": {seg_id(st["segment"], 3)}{s3}"length": {st["length"]}{s3}'
+            f'"empirical_erasure_rate": {rate(st["empirical_erasure_rate"])}{b2}}}'
+            for st in self.segment_stats
+        ]
+        return seq([
+            f'"n": {json.dumps(self.n)}',
+            f'"trials": {json.dumps(self.trials)}',
+            f'"seed": {json.dumps(self.seed)}',
+            f'"generator": {json.dumps(self.generator)}',
+            f'"worst_case_error_rate": {json.dumps(self.worst_case_error_rate)}',
+            f'"per_demand": {seq(demands, 1)}',
+            f'"segment_stats": {seq(stats, 1)}',
+        ], 0, "{", "}")
+
+
+class _Layout(dict):
+    """The line break and the item separator that ``json.dumps`` writes
+    at each nesting depth for an ``indent`` (None: one line), made on
+    first use."""
+
+    def __init__(self, indent: Optional[int]):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, depth: int) -> tuple[str, str]:
+        if self.indent is None:
+            pair = ("", ", ")
+        else:
+            brk = "\n" + " " * (self.indent * depth)
+            pair = (brk, "," + brk)
+        self[depth] = pair
+        return pair
 
 
 #: Largest (demand, trial) pair count one run may simulate.  At the measured
@@ -141,6 +199,114 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
+class _Compiled(NamedTuple):
+    """A plan compiled for one blocklength: each segment's length in
+    channel uses; one draw per (segment, receiver with load) with its
+    segment, length and success probability; and, for each wanted part
+    some receiver lacks in cache (a group), its providers as (draw,
+    cumulative threshold) pairs, contiguous from the group's start.  A
+    group decodes iff some provider's draw reaches its threshold;
+    ``starved`` is set when some group has no provider, and so never
+    decodes."""
+
+    seg_lengths: list[int]
+    draw_seg: np.ndarray
+    lengths: np.ndarray
+    probs: np.ndarray
+    prov_draw: np.ndarray
+    prov_thr: np.ndarray
+    group_start: np.ndarray
+    starved: bool
+
+
+def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
+    """Compile the plan in one walk over its schedule.
+
+    Each loaded receiver's cumulative MDS threshold grows unit by unit
+    (units decode in schedule order, driven by the receiver's own load),
+    and :func:`secache.schemes.peel_rule` names the parts each unit
+    hands over; a provider keeps only its threshold until its segment is
+    closed and its draw is numbered.  Draws go in segment order and,
+    within a segment, in the iteration order of the set of its loaded
+    receivers, built by insertion in unit order.  Reordering draws
+    changes every count of a trial's Philox stream;
+    tests/golden/simreports.tsv pins this order.
+    """
+    # Group ids of the wanted parts some receiver lacks, in receiver order,
+    # then message-part order; a label listed twice is two groups.
+    group_of: dict[tuple[int, str], list[int]] = {}
+    groups = 0
+    for r in range(1, s.K + 1):
+        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        for label, _ in plan.message_parts.get(r, ()):
+            if label not in have:
+                group_of.setdefault((r, label), []).append(groups)
+                groups += 1
+
+    peel = peel_rule(plan)
+    seg_lengths: list[int] = []
+    draw_seg: list[int] = []
+    draw_r: list[int] = []
+    # One entry per (provider, group), in schedule order.
+    prov_g: list[int] = []
+    prov_d: list[int] = []
+    prov_t: list[int] = []
+    for si, seg in enumerate(plan.schedule):
+        length = round(seg.fraction * n)
+        if length == 0 and seg.units:
+            raise ConfigError(
+                f"segment {seg.id} rounds to zero channel uses at n={n}"
+            )
+        seg_lengths.append(length)
+        # A unit's threshold for a receiver is ``cum`` (the runs of units
+        # before its own run) plus the ``step`` of its run times its place
+        # in the run; a run is consecutive units sharing one decode-load
+        # mapping, which builders share between units.
+        receivers = set()
+        cum: dict[int, int] = {}
+        step: dict[int, int] = {}
+        run_load, run_len = None, 0
+        pending = []  # (receiver, threshold, group ids)
+        for unit in seg.units:
+            if unit.decode_load is not run_load:
+                for r, c in step.items():
+                    cum[r] = cum.get(r, 0) + run_len * c
+                run_load, run_len = unit.decode_load, 0
+                # ``not load <= 0``: a NaN load is loaded, and ceil rejects it
+                step = {r: ceil(load * n) for r, load in run_load.items() if not load <= 0}
+                receivers.update(step)
+            run_len += 1
+            for r, label in peel(unit):
+                gs = group_of.get((r, label))
+                if gs is not None:
+                    pending.append((r, cum.get(r, 0) + run_len * step[r], gs))
+        if pending:
+            draw_of = {r: len(draw_r) + k for k, r in enumerate(receivers)}
+            for r, thr, gs in pending:
+                for g in gs:
+                    prov_g.append(g)
+                    prov_d.append(draw_of[r])
+                    prov_t.append(thr)
+        draw_r += receivers
+        draw_seg += [si] * len(receivers)
+
+    # Providers contiguous per group, each group's in schedule order.
+    prov_g_a = np.array(prov_g, dtype=np.intp)
+    order = np.argsort(prov_g_a, kind="stable")
+    counts = np.bincount(prov_g_a, minlength=groups)
+    draw_seg_a = np.array(draw_seg, dtype=np.intp)
+    return _Compiled(
+        seg_lengths,
+        draw_seg_a,
+        np.array(seg_lengths, dtype=np.int64)[draw_seg_a],
+        np.array([1.0 - s.erasure_of(r) for r in draw_r], dtype=np.float64),
+        np.array(prov_d, dtype=np.intp)[order],
+        np.array(prov_t, dtype=np.int64)[order],
+        (np.cumsum(counts) - counts).astype(np.intp),
+        bool((counts == 0).any()),
+    )
+
+
 def run_monte_carlo(
     plan: SchemePlan, s: ChannelScenario, cfg: SimConfig
 ) -> SimReport:
@@ -150,7 +316,7 @@ def run_monte_carlo(
     receiver decodes the units it is loaded with in schedule order while
     the unerased count covers the cumulative payload bits; an error is any
     receiver with a wanted part that is neither cached nor handed over by
-    a decoded unit (see :func:`secache.schemes.deliveries`).  One Philox
+    a decoded unit (see :func:`secache.schemes.peel_rule`).  One Philox
     generator is re-keyed per (demand, trial) counter, and trials are
     drawn and tested a block at a time, so memory stays flat in
     ``cfg.trials``.  Raises :class:`ConfigError` when demands x trials
@@ -162,72 +328,12 @@ def run_monte_carlo(
             f"{n_demands} demands x {cfg.trials} trials exceeds the cap of "
             f"{MAX_SIM_PAIRS} simulated pairs"
         )
-    n = cfg.n
-    seg_lengths = []
-    for seg in plan.schedule:
-        length = round(seg.fraction * n)
-        if length == 0 and seg.units:
-            raise ConfigError(
-                f"segment {seg.id} rounds to zero channel uses at n={n}"
-            )
-        seg_lengths.append(length)
-
-    # One draw per (receiver with load, segment), in segment order and,
-    # within a segment, in the iteration order of the set of its loaded
-    # receivers.  Reordering draws changes every count of a trial's Philox
-    # stream; tests/golden/simreports.tsv pins this order.
-    draw_of: dict[tuple[int, int], int] = {}
-    draw_seg: list[int] = []
-    draw_p: list[float] = []
-    # Cumulative MDS threshold of each (receiver, segment idx, unit idx):
-    # units decode in schedule order, driven by the receiver's own load.
-    threshold: dict[tuple[int, int, int], int] = {}
-    for si, seg in enumerate(plan.schedule):
-        receivers = set()
-        cum: dict[int, int] = {}
-        for ui, unit in enumerate(seg.units):
-            for r, load in unit.decode_load.items():
-                if load <= 0:
-                    continue
-                receivers.add(r)
-                cum[r] = cum.get(r, 0) + ceil(load * n)
-                threshold[(r, si, ui)] = cum[r]
-        for r in receivers:
-            draw_of[(r, si)] = len(draw_seg)
-            draw_seg.append(si)
-            draw_p.append(1.0 - s.erasure_of(r))
-
-    # Each wanted part a receiver lacks is one group; its providers are
-    # (draw, threshold) pairs, contiguous from the group's start, and the
-    # group decodes iff any draw reaches its threshold.  A group with no
-    # provider never decodes.
-    prov_draw: list[int] = []
-    prov_thr: list[int] = []
-    group_start: list[int] = []
-    starved = False
-    delivered = deliveries(plan)
-    for r in range(1, s.K + 1):
-        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
-        providers = delivered.get(r, {})
-        for label, _ in plan.message_parts.get(r, ()):
-            if label in have:
-                continue
-            group_start.append(len(prov_draw))
-            for si, ui in providers.get(label, ()):
-                prov_draw.append(draw_of[(r, si)])
-                prov_thr.append(threshold[(r, si, ui)])
-            starved = starved or len(prov_draw) == group_start[-1]
-
-    seg_idx = np.array(draw_seg, dtype=np.intp)
-    lengths = np.array([seg_lengths[si] for si in draw_seg], dtype=np.int64)
-    probs = np.array(draw_p, dtype=np.float64)
-    prov_draw_a = np.array(prov_draw, dtype=np.intp)
-    prov_thr_a = np.array(prov_thr, dtype=np.int64)
-    group_start_a = np.array(group_start, dtype=np.intp)
-
-    rows = min(cfg.trials, _block_rows(max(len(draw_seg), len(prov_draw))))
-    got = np.empty((rows, len(draw_seg)), dtype=np.int64)
-    block_seg = np.tile(seg_idx, rows)
+    plan_c = _compile(plan, s, cfg.n)
+    lengths, probs = plan_c.lengths, plan_c.probs
+    draws = len(plan_c.draw_seg)
+    rows = min(cfg.trials, _block_rows(max(draws, len(plan_c.prov_draw))))
+    got = np.empty((rows, draws), dtype=np.int64)
+    block_seg = np.tile(plan_c.draw_seg, rows)
     # One generator per run.  Setting the bit generator's state to counter
     # (trial, demand index, 0, 0) with an empty output buffer yields the
     # stream a new Philox with that counter would, at a fraction of the
@@ -261,11 +367,11 @@ def run_monte_carlo(
                 )
             # A starved group fails every trial (and reduceat cannot take
             # an empty group); with no group at all, no trial fails.
-            if starved:
+            if plan_c.starved:
                 errors += len(block)
-            elif group_start:
-                hit = block[:, prov_draw_a] >= prov_thr_a
-                decoded = np.logical_or.reduceat(hit, group_start_a, axis=1)
+            elif len(plan_c.group_start):
+                hit = block[:, plan_c.prov_draw] >= plan_c.prov_thr
+                decoded = np.logical_or.reduceat(hit, plan_c.group_start, axis=1)
                 errors += len(block) - int(np.count_nonzero(decoded.all(axis=1)))
         rate = errors / cfg.trials
         worst = max(worst, rate)
@@ -273,11 +379,11 @@ def run_monte_carlo(
             {"demand": list(demand), "errors": errors, "trials": cfg.trials}
         )
 
-    seg_samples = np.bincount(seg_idx, minlength=len(plan.schedule)) * cfg.trials
+    seg_samples = np.bincount(plan_c.draw_seg, minlength=len(plan.schedule)) * cfg.trials
     stats = [
         {
             "segment": list(seg.id),
-            "length": seg_lengths[i],
+            "length": plan_c.seg_lengths[i],
             "empirical_erasure_rate": (
                 float(seg_erasures[i]) / int(seg_samples[i])
                 if seg_samples[i] else None

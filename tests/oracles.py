@@ -10,7 +10,9 @@ that production replaced by one batched evaluation over a grid, the
 peel-rule and Monte-Carlo references are the per-receiver schedule scan
 and the scalar per-draw trial loop that production replaced by receiver
 bitmasks and a compiled threshold kernel (one generator per run, tested
-a block of trials at a time), the plan verifier is the scan of every
+a block of trials at a time), the plan compile is the two-walk fill of
+every loaded (receiver, segment, unit) threshold that production
+replaced by one schedule walk, the plan verifier is the scan of every
 segment, unit and receiver that production replaced by one
 representative per orbit and receiver class, and the entropy inverse is
 a dense scan.  Grid resolution h bounds the value error by h times the
@@ -451,6 +453,68 @@ def otp_decrypt(c: int, key: int, modulus: int) -> int:
     if not (0 <= key < modulus):
         raise RangeError(f"key {key} outside [0, {modulus})")
     return (c - key) % modulus
+
+
+def compile_threshold_dict(plan: SchemePlan, s: ChannelScenario, n: int) -> tuple:
+    """``simulate._compile`` as it was before the one-walk compile, kept
+    verbatim: a ``threshold`` entry for every loaded (receiver, segment,
+    unit), then the providers of :func:`deliveries` looked up in it.
+    Returns the fields of ``simulate._Compiled`` in order."""
+    seg_lengths = []
+    for seg in plan.schedule:
+        length = round(seg.fraction * n)
+        if length == 0 and seg.units:
+            raise ConfigError(
+                f"segment {seg.id} rounds to zero channel uses at n={n}"
+            )
+        seg_lengths.append(length)
+
+    draw_of: dict[tuple[int, int], int] = {}
+    draw_seg: list[int] = []
+    draw_p: list[float] = []
+    threshold: dict[tuple[int, int, int], int] = {}
+    for si, seg in enumerate(plan.schedule):
+        receivers = set()
+        cum: dict[int, int] = {}
+        for ui, unit in enumerate(seg.units):
+            for r, load in unit.decode_load.items():
+                if load <= 0:
+                    continue
+                receivers.add(r)
+                cum[r] = cum.get(r, 0) + ceil(load * n)
+                threshold[(r, si, ui)] = cum[r]
+        for r in receivers:
+            draw_of[(r, si)] = len(draw_seg)
+            draw_seg.append(si)
+            draw_p.append(1.0 - s.erasure_of(r))
+
+    prov_draw: list[int] = []
+    prov_thr: list[int] = []
+    group_start: list[int] = []
+    starved = False
+    delivered = deliveries(plan)
+    for r in range(1, s.K + 1):
+        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        providers = delivered.get(r, {})
+        for label, _ in plan.message_parts.get(r, ()):
+            if label in have:
+                continue
+            group_start.append(len(prov_draw))
+            for si, ui in providers.get(label, ()):
+                prov_draw.append(draw_of[(r, si)])
+                prov_thr.append(threshold[(r, si, ui)])
+            starved = starved or len(prov_draw) == group_start[-1]
+
+    return (
+        seg_lengths,
+        np.array(draw_seg, dtype=np.intp),
+        np.array([seg_lengths[si] for si in draw_seg], dtype=np.int64),
+        np.array(draw_p, dtype=np.float64),
+        np.array(prov_draw, dtype=np.intp),
+        np.array(prov_thr, dtype=np.int64),
+        np.array(group_start, dtype=np.intp),
+        starved,
+    )
 
 
 def _demands_list(s: ChannelScenario, cfg: SimConfig) -> list[tuple[int, ...]]:

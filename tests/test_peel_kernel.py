@@ -1,6 +1,7 @@
-"""The bitmask peel rule and the compiled threshold kernel against their
-references: the per-receiver schedule scan and the scalar trial loop kept
-in ``tests/oracles.py``.
+"""The bitmask peel rule, the one-walk plan compile and the compiled
+threshold kernel against their references: the per-receiver schedule
+scan, the threshold-dict compile and the scalar trial loop kept in
+``tests/oracles.py``.
 
 Builder plans cover the subset builders over a wide range of ``t``; the
 hand-mutated plans reach the branches no builder plan does (missing keys,
@@ -17,11 +18,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import tracemalloc
+from math import ceil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import deliveries_one_receiver, monte_carlo_scalar
+from oracles import compile_threshold_dict, deliveries_one_receiver, monte_carlo_scalar
 from strategies import edited, scenarios
 from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
 from secache.cli import PRESETS
@@ -65,8 +68,27 @@ def _reference_deliveries(plan, K):
     return {r: d for r, d in out.items() if d}
 
 
+def _same_compile(plan, s, n):
+    """The one-walk compile and the threshold-dict compile give equal
+    arrays (values and dtypes) and starved flags, or the same error."""
+    try:
+        want = compile_threshold_dict(plan, s, n)
+    except SecacheError as exc:
+        with pytest.raises(type(exc)):
+            simulate._compile(plan, s, n)
+        return
+    got = simulate._compile(plan, s, n)
+    assert len(got) == len(want)
+    assert got.seg_lengths == want[0]
+    for name, a, b in zip(got._fields[1:-1], got[1:-1], want[1:-1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.starved is want[-1]
+
+
 def _same_report(plan, s, cfg):
-    """run_monte_carlo and the scalar loop give the same JSON or error."""
+    """run_monte_carlo and the scalar loop give the same JSON or error,
+    and the plan compiles as the threshold-dict compile does."""
+    _same_compile(plan, s, cfg.n)
     try:
         want = monte_carlo_scalar(plan, s, cfg).to_json()
     except SecacheError as exc:
@@ -264,6 +286,26 @@ def test_extra_providers_are_listed_in_schedule_order():
     si, ui = _find(plan, lambda u: u.combine == "concat")
     j, label = plan.schedule[si].units[ui].parts[0]
     assert deliveries(plan)[j][label] == [(si, ui), (si, ui)]
+
+
+def test_runs_of_units_sharing_a_load_fold_into_later_thresholds():
+    # No builder closes a run of several units sharing one decode-load
+    # mapping inside a segment.  Here two fillers share one and the XOR
+    # after them delivers, so its thresholds count both fillers' loads.
+    plan = dict(_pairs_mutations())["intact"]
+    seg = plan.schedule[0]
+    shared = {1: 0.001, 2: 0.002}
+    filler = DeliveryUnit(parts=((1, "idle"),), part_rates=(0.001,), decode_load=shared)
+    changed = edited(plan, schedule=(
+        seg._replace(units=(filler, filler) + seg.units),) + plan.schedule[1:])
+    n = 10000
+    xor = seg.units[0]
+    compiled = simulate._compile(changed, PAIRS, n)
+    thresholds = sorted(compiled.prov_thr[compiled.draw_seg[compiled.prov_draw] == 0])
+    assert thresholds == sorted(
+        2 * ceil(shared[r] * n) + ceil(xor.decode_load[r] * n) for r, _ in xor.parts)
+    for n in (3000, 10000, 100000):
+        _same_report(changed, PAIRS, SimConfig(n, 3, 7, "random:3"))
 
 
 # ---------------------------------------------------------------------------
