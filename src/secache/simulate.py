@@ -101,13 +101,15 @@ class SimReport:
         ``indent``, byte for byte, written by the report's fixed shape:
         an ``indent`` sends ``json.dumps`` to its pure-Python encoder,
         several times slower on a report of hundreds of segments."""
-        layout = _Layout(indent)
+
+        def brk(depth: int) -> str:
+            return "" if indent is None else "\n" + " " * (indent * depth)
 
         def seq(items: list[str], depth: int, open_: str = "[", close: str = "]") -> str:
             if not items:
                 return open_ + close
-            brk, sep = layout[depth + 1]
-            return open_ + brk + sep.join(items) + layout[depth][0] + close
+            inner = brk(depth + 1)
+            return open_ + inner + ("," + inner if inner else ", ").join(items) + brk(depth) + close
 
         def seg_id(v, depth: int) -> str:
             # A segment id holds ints, strings and tuples of them.
@@ -118,7 +120,8 @@ class SimReport:
         def rate(v: Optional[float]) -> str:
             return "null" if v is None else repr(v)
 
-        b2, (b3, s3) = layout[2][0], layout[3]
+        b2, b3 = brk(2), brk(3)
+        s3 = "," + b3 if b3 else ", "
         demands = [
             f'{{{b3}"demand": {seq([str(x) for x in d["demand"]], 3)}{s3}'
             f'"errors": {d["errors"]}{s3}"trials": {d["trials"]}{b2}}}'
@@ -138,25 +141,6 @@ class SimReport:
             f'"per_demand": {seq(demands, 1)}',
             f'"segment_stats": {seq(stats, 1)}',
         ], 0, "{", "}")
-
-
-class _Layout(dict):
-    """The line break and the item separator that ``json.dumps`` writes
-    at each nesting depth for an ``indent`` (None: one line), made on
-    first use."""
-
-    def __init__(self, indent: Optional[int]):
-        super().__init__()
-        self.indent = indent
-
-    def __missing__(self, depth: int) -> tuple[str, str]:
-        if self.indent is None:
-            pair = ("", ", ")
-        else:
-            brk = "\n" + " " * (self.indent * depth)
-            pair = (brk, "," + brk)
-        self[depth] = pair
-        return pair
 
 
 #: Largest (demand, trial) pair count one run may simulate.  At the measured
@@ -232,25 +216,21 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     changes every count of a trial's Philox stream;
     tests/golden/simreports.tsv pins this order.
     """
-    # Group ids of the wanted parts some receiver lacks, in receiver order,
-    # then message-part order; a label listed twice is two groups.
-    group_of: dict[tuple[int, str], list[int]] = {}
-    groups = 0
+    # Groups in receiver order, then message-part order; providers reach
+    # each group's list in schedule order.  A label listed twice is two
+    # groups with one list.
+    wanted: list[list[tuple[int, int]]] = []
+    group_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
         for label, _ in plan.message_parts.get(r, ()):
             if label not in have:
-                group_of.setdefault((r, label), []).append(groups)
-                groups += 1
+                wanted.append(group_of.setdefault((r, label), []))
 
     peel = peel_rule(plan)
     seg_lengths: list[int] = []
     draw_seg: list[int] = []
     draw_r: list[int] = []
-    # One entry per (provider, group), in schedule order.
-    prov_g: list[int] = []
-    prov_d: list[int] = []
-    prov_t: list[int] = []
     for si, seg in enumerate(plan.schedule):
         length = round(seg.fraction * n)
         if length == 0 and seg.units:
@@ -266,7 +246,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
         cum: dict[int, int] = {}
         step: dict[int, int] = {}
         run_load, run_len = None, 0
-        pending = []  # (receiver, threshold, group ids)
+        pending = []  # (group's providers, receiver, threshold)
         for unit in seg.units:
             if unit.decode_load is not run_load:
                 for r, c in step.items():
@@ -277,33 +257,31 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
                 receivers.update(step)
             run_len += 1
             for r, label in peel(unit):
-                gs = group_of.get((r, label))
-                if gs is not None:
-                    pending.append((r, cum.get(r, 0) + run_len * step[r], gs))
+                providers = group_of.get((r, label))
+                if providers is not None:
+                    pending.append((providers, r, cum.get(r, 0) + run_len * step[r]))
         if pending:
             draw_of = {r: len(draw_r) + k for k, r in enumerate(receivers)}
-            for r, thr, gs in pending:
-                for g in gs:
-                    prov_g.append(g)
-                    prov_d.append(draw_of[r])
-                    prov_t.append(thr)
+            for providers, r, thr in pending:
+                providers.append((draw_of[r], thr))
         draw_r += receivers
         draw_seg += [si] * len(receivers)
 
-    # Providers contiguous per group, each group's in schedule order.
-    prov_g_a = np.array(prov_g, dtype=np.intp)
-    order = np.argsort(prov_g_a, kind="stable")
-    counts = np.bincount(prov_g_a, minlength=groups)
+    group_start: list[int] = []
+    prov: list[tuple[int, int]] = []
+    for providers in wanted:
+        group_start.append(len(prov))
+        prov += providers
     draw_seg_a = np.array(draw_seg, dtype=np.intp)
     return _Compiled(
         seg_lengths,
         draw_seg_a,
         np.array(seg_lengths, dtype=np.int64)[draw_seg_a],
         np.array([1.0 - s.erasure_of(r) for r in draw_r], dtype=np.float64),
-        np.array(prov_d, dtype=np.intp)[order],
-        np.array(prov_t, dtype=np.int64)[order],
-        (np.cumsum(counts) - counts).astype(np.intp),
-        bool((counts == 0).any()),
+        np.array([d for d, _ in prov], dtype=np.intp),
+        np.array([thr for _, thr in prov], dtype=np.int64),
+        np.array(group_start, dtype=np.intp),
+        not all(wanted),
     )
 
 
@@ -328,12 +306,11 @@ def run_monte_carlo(
             f"{n_demands} demands x {cfg.trials} trials exceeds the cap of "
             f"{MAX_SIM_PAIRS} simulated pairs"
         )
-    plan_c = _compile(plan, s, cfg.n)
-    lengths, probs = plan_c.lengths, plan_c.probs
-    draws = len(plan_c.draw_seg)
-    rows = min(cfg.trials, _block_rows(max(draws, len(plan_c.prov_draw))))
-    got = np.empty((rows, draws), dtype=np.int64)
-    block_seg = np.tile(plan_c.draw_seg, rows)
+    (seg_lengths, seg_idx, lengths, probs, prov_draw, prov_thr, group_start,
+     starved) = _compile(plan, s, cfg.n)
+    rows = min(cfg.trials, _block_rows(max(len(seg_idx), len(prov_draw))))
+    got = np.empty((rows, len(seg_idx)), dtype=np.int64)
+    block_seg = np.tile(seg_idx, rows)
     # One generator per run.  Setting the bit generator's state to counter
     # (trial, demand index, 0, 0) with an empty output buffer yields the
     # stream a new Philox with that counter would, at a fraction of the
@@ -367,11 +344,11 @@ def run_monte_carlo(
                 )
             # A starved group fails every trial (and reduceat cannot take
             # an empty group); with no group at all, no trial fails.
-            if plan_c.starved:
+            if starved:
                 errors += len(block)
-            elif len(plan_c.group_start):
-                hit = block[:, plan_c.prov_draw] >= plan_c.prov_thr
-                decoded = np.logical_or.reduceat(hit, plan_c.group_start, axis=1)
+            elif len(group_start):
+                hit = block[:, prov_draw] >= prov_thr
+                decoded = np.logical_or.reduceat(hit, group_start, axis=1)
                 errors += len(block) - int(np.count_nonzero(decoded.all(axis=1)))
         rate = errors / cfg.trials
         worst = max(worst, rate)
@@ -379,11 +356,11 @@ def run_monte_carlo(
             {"demand": list(demand), "errors": errors, "trials": cfg.trials}
         )
 
-    seg_samples = np.bincount(plan_c.draw_seg, minlength=len(plan.schedule)) * cfg.trials
+    seg_samples = np.bincount(seg_idx, minlength=len(plan.schedule)) * cfg.trials
     stats = [
         {
             "segment": list(seg.id),
-            "length": plan_c.seg_lengths[i],
+            "length": seg_lengths[i],
             "empirical_erasure_rate": (
                 float(seg_erasures[i]) / int(seg_samples[i])
                 if seg_samples[i] else None

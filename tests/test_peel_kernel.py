@@ -211,6 +211,10 @@ def _pairs_mutations():
     message_parts = dict(plan.message_parts)
     message_parts[3] = message_parts[3] + (("nowhere", 0.01),)
     yield "part with no provider", edited(plan, message_parts=message_parts)
+    delivered = next(iter(deliveries(plan)[1]))
+    message_parts = dict(plan.message_parts)
+    message_parts[1] += tuple(p for p in message_parts[1] if p[0] == delivered)
+    yield "delivered part listed twice", edited(plan, message_parts=message_parts)
 
 
 def _trio_mutations():
