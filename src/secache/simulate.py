@@ -97,10 +97,11 @@ class SimReport:
     segment_stats: list[dict] = field(default_factory=list)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        """The report as ``json.dumps`` writes its dict with this
-        ``indent``, byte for byte, written by the report's fixed shape:
-        an ``indent`` sends ``json.dumps`` to its pure-Python encoder,
-        several times slower on a report of hundreds of segments."""
+        """The report as JSON, byte for byte what ``json.dumps`` writes
+        for its dict and this ``indent``.  It is written from the
+        report's fixed shape: an ``indent`` sends ``json.dumps`` to its
+        pure-Python encoder, several times slower on a report of hundreds
+        of segments."""
 
         def brk(depth: int) -> str:
             return "" if indent is None else "\n" + " " * (indent * depth)

@@ -456,10 +456,11 @@ def otp_decrypt(c: int, key: int, modulus: int) -> int:
 
 
 def compile_threshold_dict(plan: SchemePlan, s: ChannelScenario, n: int) -> tuple:
-    """``simulate._compile`` as it was before the one-walk compile, kept
-    verbatim: a ``threshold`` entry for every loaded (receiver, segment,
-    unit), then the providers of :func:`deliveries` looked up in it.
-    Returns the fields of ``simulate._Compiled`` in order."""
+    """The plan compile of ``run_monte_carlo`` as it was before the
+    one-walk ``simulate._compile``, kept verbatim: a ``threshold`` entry
+    for every loaded (receiver, segment, unit), then the providers of
+    :func:`deliveries` looked up in it.  Returns the fields of
+    ``simulate._Compiled`` in order."""
     seg_lengths = []
     for seg in plan.schedule:
         length = round(seg.fraction * n)
