@@ -213,8 +213,9 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     hands over; a provider keeps only its threshold until its segment is
     closed and its draw is numbered.  Draws go in segment order and,
     within a segment, in the iteration order of the set of its loaded
-    receivers, built by insertion in unit order.  Reordering draws
-    changes every count of a trial's Philox stream;
+    receivers, built by adding them one at a time in unit order (a bulk
+    ``update`` sizes the table differently and can change that order).
+    Reordering draws changes every count of a trial's Philox stream;
     tests/golden/simreports.tsv pins this order.
     """
     # Groups in receiver order, then message-part order; providers reach
@@ -239,28 +240,19 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
                 f"segment {seg.id} rounds to zero channel uses at n={n}"
             )
         seg_lengths.append(length)
-        # A unit's threshold for a receiver is ``cum`` (the runs of units
-        # before its own run) plus the ``step`` of its run times its place
-        # in the run; a run is consecutive units sharing one decode-load
-        # mapping, which builders share between units.
         receivers = set()
         cum: dict[int, int] = {}
-        step: dict[int, int] = {}
-        run_load, run_len = None, 0
         pending = []  # (group's providers, receiver, threshold)
         for unit in seg.units:
-            if unit.decode_load is not run_load:
-                for r, c in step.items():
-                    cum[r] = cum.get(r, 0) + run_len * c
-                run_load, run_len = unit.decode_load, 0
+            for r, load in unit.decode_load.items():
                 # ``not load <= 0``: a NaN load is loaded, and ceil rejects it
-                step = {r: ceil(load * n) for r, load in run_load.items() if not load <= 0}
-                receivers.update(step)
-            run_len += 1
+                if not load <= 0:
+                    receivers.add(r)
+                    cum[r] = cum.get(r, 0) + ceil(load * n)
             for r, label in peel(unit):
                 providers = group_of.get((r, label))
                 if providers is not None:
-                    pending.append((providers, r, cum.get(r, 0) + run_len * step[r]))
+                    pending.append((providers, r, cum[r]))
         if pending:
             draw_of = {r: len(draw_r) + k for k, r in enumerate(receivers)}
             for providers, r, thr in pending:
