@@ -15,7 +15,8 @@ Every plan is its receiver classes and its orbits (:class:`PlanOrbits`):
 schedule entries that a permutation within a class maps onto one another
 (:class:`Orbit`), given by their members and the function that builds a
 member's units.  :func:`verify_plan` makes one pass per segment orbit
-and one per class representative (the lowest-numbered receiver); the explicit
+and one per class representative (the lowest-numbered receiver), whose
+DECODE peels one member per sub-orbit of that representative; the explicit
 schedule and placement are expanded only when read, and kept.  The subset
 builders (both piggyback schemes and ``symmetric-piggyback``) treat all
 weak receivers alike and all strong receivers alike, so each segment
@@ -48,11 +49,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
@@ -153,6 +157,12 @@ class Orbit(NamedTuple):
     the one segment ``(phase, 0)``.  Members are alike for every check:
     equal decode loads, payloads, bins and key rates, with labels mapped
     one to one, so the first member stands for the rest.
+
+    The subset builders list ``members`` in canonical order: a subset or
+    pair is a tuple of class blocks, and the members are
+    ``itertools.product`` over the blocks of ``combinations(class, size)``
+    (an int member is a receiver, and its members are its class).
+    DECODE relies on that order (:func:`verify_plan`), and checks it.
     """
 
     phase: int
@@ -168,7 +178,9 @@ class PlanOrbits(NamedTuple):
     ``classes`` lists the receivers of each class (weak, strong); the plan
     treats the members of a class alike, so the lowest-numbered one stands
     for its class.  ``place(only)`` gives the placement of the receivers in
-    ``only``, or of every receiver when it is None.
+    ``only``, or of every receiver when it is None.  The class group
+    (permutations within each class) maps the plan onto itself, renaming
+    the receiver ids in its labels ``prefix[ids]``.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -1144,57 +1156,88 @@ def peel_rule(plan: SchemePlan) -> Callable[[DeliveryUnit], Sequence[tuple[int, 
     return peel
 
 
-def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
-    """Which units hand which receiver which part, once decoded.
-
-    Maps each receiver to ``{part label: [(segment index, unit index),
-    ...]}``, the units that deliver that part to it by
-    :func:`peel_rule`, in schedule order.
-    """
-    peel = peel_rule(plan)
-    out: dict[int, dict[str, list[tuple[int, int]]]] = {
-        r: {} for r in plan.message_parts
-    }
-    for si, seg in enumerate(plan.schedule):
-        for ui, unit in enumerate(seg.units):
-            at = (si, ui)
-            for r, label in peel(unit):
-                got = out[r].get(label)
-                if got is None:
-                    out[r][label] = [at]
-                else:
-                    got.append(at)
-    return {r: got for r, got in out.items() if got}
-
-
-class _ClassView(NamedTuple):
-    """The parts of a plan that :func:`deliveries` and :func:`cache_usage`
+class _RepView(NamedTuple):
+    """The parts of a plan that :func:`peel_rule` and :func:`cache_usage`
     read, restricted to the class representatives."""
 
     placement: dict[int, tuple[Atom, ...]]
-    schedule: tuple[DeliverySegment, ...]
     message_parts: dict[int, tuple[tuple[str, float], ...]]
     virtual_cached: dict[int, frozenset]
 
 
-def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
-    """What DECODE and CACHE read, and the receivers they check: the class
-    representatives with their atoms, their message parts and (at least)
-    the units that hand them a part, in one segment.  Every bit of
-    :func:`deliveries` concerns one receiver, so the view gives the
-    representatives their own deliveries."""
-    po = plan.orbits
-    reps = po.representatives
-    only = frozenset(reps)
-    units = tuple(
-        u for orb in po.orbits for m in orb.members for u in orb.units(m, only)
-    )
-    view = _ClassView(
-        po.place(only), (DeliverySegment((), 0.0, units),),
-        {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
-        {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
-    )
-    return view, reps
+def _blocks(members: Sequence, where: dict[int, tuple[int, ...]]) -> Optional[list]:
+    """The class blocks of an orbit, as (class, size) pairs in member
+    order, when its members are exactly the canonical enumeration of its
+    first member's orbit under the class group: ``combinations(class,
+    size)`` for each block, ``product`` over the blocks; for int members,
+    the class itself.  None otherwise, also when a member id is in no
+    class or a class makes two blocks.  ``where`` maps each receiver to
+    its class.  The members are compared as they stream, not copied."""
+    first = members[0]
+    ids = (first,) if type(first) is int else first
+    if type(ids) is not tuple:
+        return None
+    blocks = [(c, len(tuple(run))) for c, run in itertools.groupby(ids, where.get)]
+    if any(c is None for c, _ in blocks) or len({c for c, _ in blocks}) < len(blocks):
+        return None
+    if len(members) != prod(comb(len(c), k) for c, k in blocks):
+        return None
+    if ids is not first:
+        canonical = blocks[0][0]
+    elif len(blocks) == 1:
+        canonical = itertools.combinations(*blocks[0])
+    else:
+        canonical = map(tuple, map(itertools.chain.from_iterable, itertools.product(
+            *(itertools.combinations(c, k) for c, k in blocks))))
+    return blocks if all(map(operator.eq, members, canonical)) else None
+
+
+def _sub_orbit_firsts(members: Sequence, blocks: list, r: int) -> list:
+    """The first member, in the canonical enumeration ``blocks`` describes,
+    of each sub-orbit of receiver ``r``: the members where ``r`` sits at
+    one position, and (if any) those without ``r``.  Only the block of
+    ``r``'s class varies; every other block keeps its first combination."""
+    picks = [range(k) for _, k in blocks]
+    firsts = []
+    for b, (c, k) in enumerate(blocks):
+        if r not in c:
+            continue
+        n, q = len(c), c.index(r)
+        for p in range(max(0, q + k - n), min(k - 1, q) + 1):
+            firsts.append([*range(p), *range(q, q + k - p)])
+        if k < n:
+            firsts.append([i for i in range(n) if i != q][:k])
+        break
+    else:
+        return [members[0]]
+    out = []
+    for pick in firsts:
+        picks[b] = pick
+        ids = tuple(c[i] for (c, _), at in zip(blocks, picks) for i in at)
+        out.append(ids[0] if type(members[0]) is int else ids)
+    return out
+
+
+def _label_key(r: int, classes: tuple[tuple[int, ...], ...]) -> Callable[[str], object]:
+    """The key of a label ``prefix[ids]`` relative to representative ``r``:
+    the prefix and, per id, ``r`` itself (None), the index of the id's
+    class if that class has several receivers, or the id otherwise.  A
+    label not of that form, or with a repeated id, keys to itself.  Two
+    labels with one key are one orbit under ``r``'s stabiliser in the
+    class group, which renames a label's ids."""
+    tokens = {str(i): ci for ci, c in enumerate(classes) if len(c) > 1 for i in c}
+    tokens[str(r)] = None
+
+    def key(label: str):
+        prefix, sep, ids = label.partition("[")
+        if not sep or ids[-1:] != "]":
+            return label
+        ids = ids[:-1].split(",")
+        if len(set(ids)) < len(ids):
+            return label
+        return prefix, tuple(map(tokens.get, ids, ids))
+
+    return key
 
 
 def _worst(best: tuple[float, str], margin: float, detail: str,
@@ -1203,6 +1246,12 @@ def _worst(best: tuple[float, str], margin: float, detail: str,
     with ``detail.format(*args)`` if it is below ``best``'s, else ``best``.
     Starting from ``(inf, "")``, a NaN margin never wins."""
     return (margin, detail.format(*args)) if margin < best[0] else best
+
+
+def _repeated_sum(addends: list[float], times: int) -> float:
+    """``0.0`` plus ``addends`` repeated ``times`` times, added one at a time
+    in order: the float a loop of ``+=`` gives, folded by numpy."""
+    return float(np.add.accumulate(np.concatenate(([0.0], np.tile(addends, times))))[-1])
 
 
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
@@ -1220,9 +1269,23 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule; the fraction sum, and a segment's sums over
     an orbit of its units, still add every member's terms in schedule
-    order (multiplying by the count would round differently), so margins
-    are bit-identical to a full scan.  One pass per receiver class, on
-    its lowest-numbered receiver, checks the DECODE tiling and CACHE.
+    order (multiplying by the count would round differently; numpy folds
+    a repeated block's terms in that order), so margins are bit-identical
+    to a full scan.  One pass per receiver class, on its lowest-numbered
+    receiver ``r``, checks the DECODE tiling and CACHE.
+
+    DECODE peels, by :func:`peel_rule`, the units of one member per
+    sub-orbit of ``r`` (the members where ``r`` sits at one position, or
+    those without it), and takes an uncached part as delivered when its
+    label has the key (:func:`_label_key`) of a label delivered to ``r``.
+    That rests on two premises.  Checked here, once per orbit: every
+    orbit lists exactly the canonical enumeration of its first member's
+    orbit under the class group (:func:`_blocks`), so the labels delivered
+    to ``r`` are invariant under ``r``'s stabiliser.  Held by the
+    builders, and tested: labels are ``prefix[ids]`` with distinct
+    receiver ids, which the class group renames.  When an orbit fails the
+    check, every member is peeled and every label is its own key.
+
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does.  A plan that claims no symmetry, such as a
     changed plan, has every segment and every receiver as its own orbit
@@ -1240,16 +1303,31 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             seg_id, count, times = (orb.phase, first), len(orb.members), 1
         for _ in range(count):
             frac_sum += orb.fraction
-        loads: dict[int, float] = {}
-        payload = securing = 0.0
-        for _ in range(times):
+        # A long walk (one XOR standing for thousands) is folded by numpy;
+        # a short one costs less than numpy's fixed cost per call.
+        if times < 64:
+            loads: dict[int, float] = {}
+            payload = securing = 0.0
+            for _ in range(times):
+                for unit in block:
+                    for r, load in unit.decode_load.items():
+                        loads[r] = loads.get(r, 0.0) + load
+                    payload += unit.payload_rate
+                    securing += unit.bin_rate
+                    for k in unit.pad_keys + unit.jam_keys:
+                        securing += plan.key_rates[k]
+        else:
+            addends: dict[int, list[float]] = {}
+            payloads, securings = [], []
             for unit in block:
                 for r, load in unit.decode_load.items():
-                    loads[r] = loads.get(r, 0.0) + load
-                payload += unit.payload_rate
-                securing += unit.bin_rate
-                for k in unit.pad_keys + unit.jam_keys:
-                    securing += plan.key_rates[k]
+                    addends.setdefault(r, []).append(load)
+                payloads.append(unit.payload_rate)
+                securings.append(unit.bin_rate)
+                securings += [plan.key_rates[k] for k in unit.pad_keys + unit.jam_keys]
+            loads = {r: _repeated_sum(a, times) for r, a in addends.items()}
+            payload = _repeated_sum(payloads, times)
+            securing = _repeated_sum(securings, times)
         for r, load in loads.items():
             capacity = orb.fraction * (1.0 - s.erasure_of(r))
             rate = _worst(rate, capacity - load, "segment {}, receiver {}: load "
@@ -1267,21 +1345,50 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         ):
             merged = seg_id
 
+    po = plan.orbits
+    receivers = po.representatives
+    only = frozenset(receivers)
+    view = _RepView(
+        po.place(only),
+        {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
+        {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached},
+    )
+    # With one receiver per class no member or label stands for another.
+    blocks = [None]
+    if any(len(c) > 1 for c in po.classes):
+        where = {i: c for c in po.classes for i in c}
+        blocks = [_blocks(orb.members, where) for orb in po.orbits]
+    symmetric = None not in blocks
+    peel = peel_rule(view)
+    delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
+    for i, orb in enumerate(po.orbits):
+        members = orb.members
+        if symmetric and len(members) > 1:
+            members = dict.fromkeys(
+                m for r in receivers for m in _sub_orbit_firsts(members, blocks[i], r))
+        for m in members:
+            for unit in orb.units(m, only):
+                for r, label in peel(unit):
+                    delivered_to[r].add(label)
+
     decode = ""  # the first failure's detail
     point = plan.claimed_point
-    view, receivers = _class_view(plan)
-    delivered_to = deliveries(view)
     usage = cache_usage(view, s.D)
     for r in receivers:
         if not decode:
             have = {a.label for a in view.placement.get(r, ())}
             have |= view.virtual_cached.get(r, frozenset())
-            delivered = delivered_to.get(r, {})
+            delivered = delivered_to[r]
+            keys = None
             total = 0.0
             for label, part_rate in view.message_parts.get(r, ()):
                 if label not in have and label not in delivered:
-                    decode = f"receiver {r} cannot obtain part {label!r}"
-                    break
+                    if symmetric and keys is None:
+                        key = _label_key(r, po.classes)
+                        keys = set(map(key, delivered))
+                    if not symmetric or key(label) not in keys:
+                        decode = f"receiver {r} cannot obtain part {label!r}"
+                        break
                 total += part_rate
             else:
                 if abs(total - point.R) > RATE_TOL:

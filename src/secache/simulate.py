@@ -6,9 +6,8 @@ abstraction: the payloads a receiver must resolve in a segment decode
 iff the unerased count reaches the (cumulative) payload size in bits.
 Which decoded unit hands a receiver which message part is the static peel
 rule of :func:`secache.schemes.peel_rule`, the one the plan verifier
-applies through :func:`secache.schemes.deliveries`: one-time pads and
-known XOR partners cancel exactly, so their values never decide an
-outcome.
+applies to the units it peels: one-time pads and known XOR partners
+cancel exactly, so their values never decide an outcome.
 
 Each run compiles the plan once, in one walk over its schedule, into flat
 arrays: one draw per (segment, receiver with load), with its length and

@@ -14,8 +14,11 @@ a block of trials at a time), the plan compile is the two-walk fill of
 every loaded (receiver, segment, unit) threshold that production
 replaced by one schedule walk, the plan verifier is the scan of every
 segment, unit and receiver that production replaced by one
-representative per orbit and receiver class, and the entropy inverse is
-a dense scan.  Grid resolution h bounds the value error by h times the
+representative per orbit and receiver class, the class-view verifier
+(with ``deliveries``, its peel-rule loop) is the DECODE pass that peeled
+every unit handing a representative a part, which production replaced by
+one member per sub-orbit of each representative, and the entropy inverse
+is a dense scan.  Grid resolution h bounds the value error by h times the
 largest capacity factor, which the comparing tests account for.  The
 one-time-pad cipher lives here as well: the simulator never samples pad
 values (pads cancel exactly), so only the tests exercise it.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from math import ceil
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,11 +39,14 @@ from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible,
 from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
 from secache.schemes import (
     RATE_TOL,
+    Atom,
     CheckResult,
+    DeliverySegment,
     SchemePlan,
     VerificationReport,
+    _worst,
     cache_usage,
-    deliveries,
+    peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
 
@@ -395,6 +401,29 @@ def surface_planes_bruteforce(points: Sequence[RateMemoryPoint]) -> np.ndarray:
         above = excess.max(axis=1) > excess[:, C].max(axis=1) + hull._CERT_TOL
         new = sorted(set(excess[above].argmax(axis=1).tolist()) - set(C))
     return np.column_stack((Y, excess.max(axis=1)))
+
+
+def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
+    """Which units hand which receiver which part, once decoded.
+
+    Maps each receiver to ``{part label: [(segment index, unit index),
+    ...]}``, the units that deliver that part to it by
+    :func:`peel_rule`, in schedule order.
+    """
+    peel = peel_rule(plan)
+    out: dict[int, dict[str, list[tuple[int, int]]]] = {
+        r: {} for r in plan.message_parts
+    }
+    for si, seg in enumerate(plan.schedule):
+        for ui, unit in enumerate(seg.units):
+            at = (si, ui)
+            for r, label in peel(unit):
+                got = out[r].get(label)
+                if got is None:
+                    out[r][label] = [at]
+                else:
+                    got.append(at)
+    return {r: got for r, got in out.items() if got}
 
 
 def deliveries_one_receiver(
@@ -766,3 +795,136 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
         CheckResult("CACHE", cache_margin >= -RATE_TOL, cache_margin, cache_detail)
     )
     return VerificationReport(checks)
+
+
+class _ClassView(NamedTuple):
+    """The parts of a plan that :func:`deliveries` and :func:`cache_usage`
+    read, restricted to the class representatives."""
+
+    placement: dict[int, tuple[Atom, ...]]
+    schedule: tuple[DeliverySegment, ...]
+    message_parts: dict[int, tuple[tuple[str, float], ...]]
+    virtual_cached: dict[int, frozenset]
+
+
+def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
+    """What DECODE and CACHE read, and the receivers they check: the class
+    representatives with their atoms, their message parts and (at least)
+    the units that hand them a part, in one segment.  Every bit of
+    :func:`deliveries` concerns one receiver, so the view gives the
+    representatives their own deliveries."""
+    po = plan.orbits
+    reps = po.representatives
+    only = frozenset(reps)
+    units = tuple(
+        u for orb in po.orbits for m in orb.members for u in orb.units(m, only)
+    )
+    view = _ClassView(
+        po.place(only), (DeliverySegment((), 0.0, units),),
+        {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
+        {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
+    )
+    return view, reps
+
+
+def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
+    """``verify_plan`` as it was before DECODE peeled one member per
+    sub-orbit of each representative, kept verbatim: DECODE peels every
+    unit that hands a representative a part (:func:`_class_view`).
+
+    Run the four plan checks; never raises, reports margins.
+
+    RATE     every segment/receiver decode load strictly below capacity
+    DECODE   cache + peeled deliveries tile each demanded message, and
+             no XOR merges two contributions under any demand
+    SECRECY  per segment, keys + bins cover min(payload, eavesdropper
+             capacity) up to 1e-12
+    CACHE    per-receiver occupancy within the claimed memory + 1e-12
+
+    A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
+    expanding it.  One pass per segment orbit, over its first member's
+    units, adds the RATE loads and the SECRECY payload and securing, and
+    runs the XOR-merge rule; the fraction sum, and a segment's sums over
+    an orbit of its units, still add every member's terms in schedule
+    order (multiplying by the count would round differently), so margins
+    are bit-identical to a full scan.  One pass per receiver class, on
+    its lowest-numbered receiver, checks the DECODE tiling and CACHE.
+    Details name the first strict minimum in schedule and receiver order,
+    as a full scan does.  A plan that claims no symmetry, such as a
+    changed plan, has every segment and every receiver as its own orbit
+    and class, so all of them are checked.
+    """
+    rate = sec = cache = (float("inf"), "")
+    frac_sum = 0.0
+    merged = None  # the first segment whose XOR repeats a label
+    for orb in plan.orbits.orbits:
+        first = orb.members[0]
+        block = orb.units(first, None)
+        if orb.one_segment:
+            seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
+        else:
+            seg_id, count, times = (orb.phase, first), len(orb.members), 1
+        for _ in range(count):
+            frac_sum += orb.fraction
+        loads: dict[int, float] = {}
+        payload = securing = 0.0
+        for _ in range(times):
+            for unit in block:
+                for r, load in unit.decode_load.items():
+                    loads[r] = loads.get(r, 0.0) + load
+                payload += unit.payload_rate
+                securing += unit.bin_rate
+                for k in unit.pad_keys + unit.jam_keys:
+                    securing += plan.key_rates[k]
+        for r, load in loads.items():
+            capacity = orb.fraction * (1.0 - s.erasure_of(r))
+            rate = _worst(rate, capacity - load, "segment {}, receiver {}: load "
+                          "{:.6g} vs capacity {:.6g}", (seg_id, r, load, capacity))
+        required = min(payload, orb.fraction * (1.0 - s.delta_z))
+        sec = _worst(sec, securing - required, "segment {}: securing {:.6g} vs "
+                     "required {:.6g}", (seg_id, securing, required))
+        # Within one XOR the (message, label) pairs must stay distinct, else
+        # contributions merge.  A repeated label merges under the all-ones
+        # demand (every slot asks for file 1); distinct labels never do.
+        if merged is None and any(
+            unit.combine == "xor"
+            and len({label for _, label in unit.parts}) < len(unit.parts)
+            for unit in block
+        ):
+            merged = seg_id
+
+    decode = ""  # the first failure's detail
+    point = plan.claimed_point
+    view, receivers = _class_view(plan)
+    delivered_to = deliveries(view)
+    usage = cache_usage(view, s.D)
+    for r in receivers:
+        if not decode:
+            have = {a.label for a in view.placement.get(r, ())}
+            have |= view.virtual_cached.get(r, frozenset())
+            delivered = delivered_to.get(r, {})
+            total = 0.0
+            for label, part_rate in view.message_parts.get(r, ()):
+                if label not in have and label not in delivered:
+                    decode = f"receiver {r} cannot obtain part {label!r}"
+                    break
+                total += part_rate
+            else:
+                if abs(total - point.R) > RATE_TOL:
+                    decode = (f"receiver {r} reassembles rate {total!r}, "
+                              f"claimed {point.R!r}")
+        claim = point.M_w if r <= s.K_w else point.M_s
+        used = usage.get(r, 0.0)
+        cache = _worst(cache, claim - used, "receiver {}: usage {:.6g} vs claimed "
+                       "{:.6g}", (r, used, claim))
+    if not decode and merged is not None:
+        decode = f"demand {(1,) * s.K}: merged contributions in segment {merged}"
+
+    frac_ok = abs(frac_sum - 1.0) <= 1e-12
+    return VerificationReport([
+        CheckResult("RATE", rate[0] > 0.0 and frac_ok, rate[0],
+                    rate[1] if frac_ok else f"fractions sum to {frac_sum}"),
+        CheckResult("DECODE", not decode, 0.0, decode),
+        CheckResult("SECRECY", sec[0] >= -RATE_TOL, *sec),
+        CheckResult("CACHE", cache[0] >= -RATE_TOL, *cache),
+    ])

@@ -8,7 +8,9 @@ hand-mutated plans reach the branches no builder plan does (missing keys,
 context or XOR partners, repeated XOR labels, several slots in one concat
 unit, rate mismatches, zero loads, starved parts, erasures of 0 and 1).
 On a class view, where only the representatives want parts, the peel
-rule must give them exactly their deliveries in the full plan.
+rule must give them exactly their deliveries in the full plan, and
+``verify_plan``, which peels one member per sub-orbit of each
+representative, must report as the class-view verifier does.
 The block tests shrink the trial block to a few trials, so that runs
 cross block edges.
 """
@@ -23,18 +25,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import compile_threshold_dict, deliveries_one_receiver, monte_carlo_scalar
+from oracles import (
+    _class_view,
+    compile_threshold_dict,
+    deliveries,
+    deliveries_one_receiver,
+    monte_carlo_scalar,
+    verify_plan_class_view,
+)
 from strategies import edited, scenarios
 from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
-    _class_view,
     build_cached_keys_all,
     build_piggyback_allkeys,
     build_piggyback_one,
     build_symmetric_piggyback,
-    deliveries,
     verify_plan,
 )
 
@@ -131,6 +138,21 @@ def test_builder_plans_match_the_references():
             assert _same_report(plan, s, cfg), case_id
             simulated += 1
     assert checked >= 80 and simulated >= 55
+
+
+def test_builder_plans_verify_as_the_class_view():
+    # verify_plan peels one member per sub-orbit of each representative;
+    # the class view peels every unit that hands a representative a part.
+    checked = 0
+    for case_id, s, build in _builder_plans():
+        try:
+            plan = build(s)
+        except SecacheError:
+            continue
+        checked += 1
+        got = verify_plan(plan, s).to_json()
+        assert got == verify_plan_class_view(plan, s).to_json(), case_id
+    assert checked >= 80
 
 
 # ---------------------------------------------------------------------------

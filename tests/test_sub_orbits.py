@@ -1,0 +1,261 @@
+"""DECODE by sub-orbits of each representative, against the pass it
+replaced.
+
+``verify_plan`` peels the units of one member per sub-orbit of each class
+representative ``r`` (the members where ``r`` sits at one position, or
+those without it) and takes a part as delivered when its label keys like
+a delivered label.  That holds under two premises: every orbit lists the
+canonical enumeration of its first member's orbit under the class group
+(checked at run time; a plan that fails the check has every member peeled
+and every label as its own key), and every label is ``prefix[ids]`` with
+distinct receiver ids (checked here on the subset builders' plans).
+``verify_plan_class_view`` (``tests/oracles.py``) is the pass as it was
+before: it peels every unit that hands a representative a part.  Reports
+must be equal byte for byte, on intact plans and on plans whose orbits
+lost, repeated or reordered a member.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import verify_plan_class_view, verify_plan_explicit
+from secache import (
+    ChannelScenario,
+    DeliveryUnit,
+    RateMemoryPoint,
+    SchemePlan,
+    build_piggyback_allkeys,
+    build_piggyback_one,
+    verify_plan,
+)
+from secache.cli import PRESETS
+from secache.schemes import (
+    Orbit,
+    PlanOrbits,
+    _label_key,
+    _repeated_sum,
+    build_symmetric_piggyback,
+)
+
+SUBSET_BUILDS = {
+    "piggyback-one(2)": lambda s: build_piggyback_one(s, 2, 1e-4),
+    "piggyback-allkeys(2)": lambda s: build_piggyback_allkeys(s, 2, 1e-4),
+    "symmetric-piggyback(2,2)": lambda s: build_symmetric_piggyback(s, 2, 2, 1e-4),
+}
+
+
+def _with_members(plan, oi, members):
+    """``plan`` with the members of orbit ``oi`` replaced."""
+    po = plan.orbits
+    orbits = list(po.orbits)
+    orbits[oi] = orbits[oi]._replace(members=tuple(members))
+    return dataclasses.replace(plan, orbits=po._replace(orbits=tuple(orbits)))
+
+
+def _orbit_mutants(plan, rng):
+    """Per orbit: one member dropped or repeated (the first, second,
+    middle, last and a random one), the first two swapped, and the
+    members reversed."""
+    for oi, orb in enumerate(plan.orbits.orbits):
+        members = list(orb.members)
+        n = len(members)
+        for i in sorted({0, 1, n // 2, n - 1, rng.randrange(n)} & set(range(n))):
+            yield f"orbit {oi}: member {i} dropped", _with_members(
+                plan, oi, members[:i] + members[i + 1:])
+            yield f"orbit {oi}: member {i} repeated", _with_members(
+                plan, oi, members[:i + 1] + members[i:])
+        if n > 1:
+            yield f"orbit {oi}: first two swapped", _with_members(
+                plan, oi, [members[1], members[0]] + members[2:])
+            yield f"orbit {oi}: reversed", _with_members(plan, oi, members[::-1])
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig5"])
+@pytest.mark.parametrize("name", sorted(SUBSET_BUILDS))
+def test_orbit_mutants_match_the_class_view(preset, name):
+    s = ChannelScenario(**PRESETS[preset])
+    plan = SUBSET_BUILDS[name](s)
+    assert verify_plan(plan, s).to_json() == verify_plan_class_view(plan, s).to_json()
+    undelivered = 0
+    for case, mutant in _orbit_mutants(plan, random.Random(f"{preset}|{name}")):
+        got = verify_plan(mutant, s)
+        assert got.to_json() == verify_plan_class_view(mutant, s).to_json(), case
+        undelivered += "cannot obtain" in got.check("DECODE").detail
+    # Some dropped member takes the only provider of a representative's
+    # part, which a reduction without the guard would not see.
+    assert undelivered > 0
+
+
+def _counting(plan):
+    """``plan`` with each orbit's ``units`` recording ``(orbit index,
+    member, only)`` per call, and the list of records."""
+    calls = []
+
+    def counted(oi, units):
+        def call(member, only):
+            calls.append((oi, member, only))
+            return units(member, only)
+        return call
+
+    po = plan.orbits
+    orbits = tuple(orb._replace(units=counted(oi, orb.units))
+                   for oi, orb in enumerate(po.orbits))
+    return dataclasses.replace(plan, orbits=po._replace(orbits=orbits)), calls
+
+
+def _decode_members(calls, oi):
+    """The members whose units DECODE built for orbit ``oi`` (RATE and
+    SECRECY build the first member's with ``only`` None)."""
+    return [m for j, m, only in calls if j == oi and only is not None]
+
+
+def test_decode_builds_one_member_per_sub_orbit(fig3):
+    plan = build_symmetric_piggyback(fig3, 1, 7, 1e-4)
+    reps = plan.orbits.representatives
+    counted, calls = _counting(plan)
+    assert verify_plan(counted, fig3).to_json() == verify_plan_class_view(plan, fig3).to_json()
+    for oi, orb in enumerate(plan.orbits.orbits):
+        built = _decode_members(calls, oi)
+        assert len(built) == len(set(built)), oi
+        size = len(orb.members[0]) if isinstance(orb.members[0], tuple) else 1
+        assert len(built) <= (size + 1) * len(reps), (oi, len(built))
+    # the strong XORs: C(15, 8) = 6,435 members, of which 2 are peeled
+    assert len(plan.orbits.orbits[2].members) == 6435
+    assert len(_decode_members(calls, 2)) == 2
+
+    # one strong XOR dropped: every member of every orbit is peeled
+    members = plan.orbits.orbits[2].members
+    dropped, calls = _counting(_with_members(plan, 2, members[1:]))
+    got = verify_plan(dropped, fig3).to_json()
+    for oi, orb in enumerate(dropped.orbits.orbits):
+        assert _decode_members(calls, oi) == list(orb.members), oi
+    assert got == verify_plan_class_view(dropped, fig3).to_json()
+
+
+def _others_plan(to_self: bool) -> SchemePlan:
+    """Three receivers in one class, each wanting X[1], X[2] and X[3] and
+    caching nothing; member m's unit hands X[m] to every other receiver,
+    and to m too if ``to_self``.  The plan is class-symmetric, and its
+    members are the class, so the guard holds."""
+    rate = 0.05
+
+    def units(m, only):
+        takers = [i for i in (1, 2, 3) if to_self or i != m]
+        return (DeliveryUnit(
+            parts=tuple((i, f"X[{m}]") for i in takers),
+            part_rates=(rate,) * len(takers),
+            combine="concat",
+            decode_load=dict.fromkeys(takers, rate),
+        ),)
+
+    parts = tuple((f"X[{m}]", rate) for m in (1, 2, 3))
+    return SchemePlan(
+        scheme_name="others", params={},
+        orbits=PlanOrbits(((1, 2, 3),), (Orbit(1, 1 / 3, (1, 2, 3), units),),
+                          lambda only: {r: () for r in (1, 2, 3) if only is None or r in only}),
+        claimed_point=RateMemoryPoint(3 * rate, 0.0, 0.0, "others"),
+        key_rates={}, message_parts=dict.fromkeys((1, 2, 3), parts),
+    )
+
+
+def test_a_label_naming_the_representative_keys_apart():
+    # Receiver 1 gets X[2] and X[3] but never X[1]: X[1] names the
+    # representative itself, so no delivered label stands for it.
+    s = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
+    for to_self, detail in ((False, "receiver 1 cannot obtain part 'X[1]'"), (True, "")):
+        plan = _others_plan(to_self)
+        got = verify_plan(plan, s)
+        assert got.check("DECODE").detail == detail
+        assert got.to_json() == verify_plan_class_view(plan, s).to_json()
+        assert got.to_json() == verify_plan_explicit(plan, s).to_json()
+
+
+def test_label_keys():
+    key = _label_key(1, ((1, 2, 3), (4, 5), (6,)))
+    assert key("A[2,3]") == key("A[3,2]") == ("A", (0, 0))
+    assert key("A[1,2]") == ("A", (None, 0)) != key("A[2,3]")
+    assert key("K[2,4]") == key("K[3,5]") != key("K[4,2]")
+    assert key("Z[6]") == ("Z", ("6",)) and key("Z[7]") == ("Z", ("7",))
+    for label in ("A[2,2]", "full", "A[1]x", "A"):
+        assert key(label) == label
+
+
+_LABEL = re.compile(r"([^\[\],]+)\[([^\[\]]*)\]")
+
+
+def _labels(plan):
+    """Every label a subset plan names: atoms, message parts, keys,
+    virtual holdings, and each unit's parts, pads, jam keys and context."""
+    yield from plan.key_rates
+    for atoms in plan.placement.values():
+        yield from (a.label for a in atoms)
+    for parts in plan.message_parts.values():
+        yield from (label for label, _ in parts)
+    for labels in plan.virtual_cached.values():
+        yield from labels
+    for seg in plan.schedule:
+        for unit in seg.units:
+            yield from (label for _, label in unit.parts)
+            yield from unit.pad_keys + unit.jam_keys
+            for context in unit.context.values():
+                yield from context
+
+
+def _check_labels(plan, s):
+    seen = 0
+    for label in set(_labels(plan)):
+        match = _LABEL.fullmatch(label)
+        assert match, label
+        ids = [int(i) for i in match[2].split(",")] if match[2] else []
+        assert len(set(ids)) == len(ids), label
+        assert all(1 <= i <= s.K for i in ids), label
+        seen += 1
+    return seen
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig5"])
+def test_subset_plan_labels_name_distinct_receivers(preset):
+    s = ChannelScenario(**PRESETS[preset])
+    builds = [lambda t=t: build_piggyback_one(s, t, 1e-4) for t in (1, 2, 3)]
+    builds += [lambda t=t: build_piggyback_allkeys(s, t, 1e-4) for t in (1, 2, 3)]
+    builds += [lambda tw=tw, ts=ts: build_symmetric_piggyback(s, tw, ts, 1e-4)
+               for tw, ts in ((1, 1), (2, 2), (1, s.K_s), (s.K_w, 1))]
+    assert sum(_check_labels(build(), s) for build in builds) > 1000
+
+
+@pytest.mark.parametrize("builder", [build_piggyback_one, build_piggyback_allkeys])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_folded_sums_match_the_full_scan_on_fig5(builder, t):
+    # fig5's weak XORs make one segment of C(20, t + 1) units, so RATE and
+    # SECRECY add each term 190 to 15,504 times.
+    s = ChannelScenario(**PRESETS["fig5"])
+    plan = builder(s, t, 1e-4)
+    assert plan.orbits.orbits[0].one_segment
+    assert verify_plan(plan, s).to_json() == verify_plan_explicit(plan, s).to_json()
+
+
+def _loop_sum(addends, times):
+    total = 0.0
+    for _ in range(times):
+        for x in addends:
+            total += x
+    return total
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-1e300, 1e300), max_size=8), st.integers(1, 300))
+def test_repeated_sum_is_the_loop(addends, times):
+    got = _repeated_sum(addends, times)
+    want = _loop_sum(addends, times)
+    assert repr(got) == repr(want)
+
+
+def test_repeated_sum_starts_from_positive_zero():
+    assert repr(_repeated_sum([-0.0], 100)) == repr(_loop_sum([-0.0], 100)) == "0.0"
