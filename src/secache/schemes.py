@@ -160,8 +160,8 @@ class Orbit(NamedTuple):
 
     The subset builders list ``members`` in canonical order: a subset or
     pair is a tuple of class blocks, and the members are
-    ``itertools.product`` over the blocks of ``combinations(class, size)``
-    (an int member is a receiver, and its members are its class).
+    ``itertools.product`` over the blocks of ``combinations(class, size)``;
+    int members are receivers, and then the members are their class.
     DECODE relies on that order (:func:`verify_plan`), and checks it.
     """
 
@@ -1174,7 +1174,8 @@ def _blocks(members: Sequence, where: dict[int, tuple[int, ...]]) -> Optional[li
     class or a class makes two blocks.  ``where`` maps each receiver to
     its class.  The members are compared as they stream, not copied."""
     first = members[0]
-    ids = (first,) if type(first) is int else first
+    scalar = type(first) is int
+    ids = (first,) if scalar else first
     if type(ids) is not tuple:
         return None
     blocks = [(c, len(tuple(run))) for c, run in itertools.groupby(ids, where.get)]
@@ -1182,7 +1183,7 @@ def _blocks(members: Sequence, where: dict[int, tuple[int, ...]]) -> Optional[li
         return None
     if len(members) != prod(comb(len(c), k) for c, k in blocks):
         return None
-    if ids is not first:
+    if scalar:
         canonical = blocks[0][0]
     elif len(blocks) == 1:
         canonical = itertools.combinations(*blocks[0])
@@ -1291,10 +1292,11 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     changed plan, has every segment and every receiver as its own orbit
     and class, so all of them are checked.
     """
+    po = plan.orbits
     rate = sec = cache = (float("inf"), "")
     frac_sum = 0.0
     merged = None  # the first segment whose XOR repeats a label
-    for orb in plan.orbits.orbits:
+    for orb in po.orbits:
         first = orb.members[0]
         block = orb.units(first, None)
         if orb.one_segment:
@@ -1345,7 +1347,6 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         ):
             merged = seg_id
 
-    po = plan.orbits
     receivers = po.representatives
     only = frozenset(receivers)
     view = _RepView(
