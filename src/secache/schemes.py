@@ -11,13 +11,14 @@ key scheme (:func:`_build_unicast`), ``piggyback-one`` and
 (:func:`_build_piggyback`); each pair secures its strong receivers by
 wiretap bins or by cached keys.
 
-Every plan is its receiver classes and its orbits (:class:`PlanOrbits`):
-schedule entries that a permutation within a class maps onto one another
-(:class:`Orbit`), given by their members and the function that builds a
-member's units.  :func:`verify_plan` makes one pass per segment orbit
-and one per class representative (the lowest-numbered receiver), whose
-DECODE peels one member per sub-orbit of that representative; the explicit
-schedule and placement are expanded only when read, and kept.  The subset
+Every plan is its receiver classes, its orbits (:class:`PlanOrbits`) and
+a placement asked for by receiver set.  An orbit (:class:`Orbit`) is the
+schedule entries that a permutation within a class maps onto one another,
+given by their members and the function that builds all of a member's
+units.  :func:`verify_plan` makes one pass per segment orbit and one per
+class representative (the lowest-numbered receiver), whose DECODE peels
+one member per sub-orbit of that representative; the explicit schedule
+and placement are expanded only when read, and kept.  The subset
 builders (both piggyback schemes and ``symmetric-piggyback``) treat all
 weak receivers alike and all strong receivers alike, so each segment
 family is one orbit, and refuse a plan whose explicit form is larger than
@@ -149,14 +150,13 @@ class Orbit(NamedTuple):
     """Schedule entries that a permutation within receiver classes maps
     onto one another, in schedule order.
 
-    ``units(member, only)`` builds the units of a member (a subset, a
-    receiver pair or a segment id; there is at least one member), keeping
-    at least those that hand a receiver in ``only`` a part, or all of them
-    when ``only`` is None.  Each member is the segment ``(phase, member)``
-    of length ``fraction``; with ``one_segment`` the members' units instead make up
-    the one segment ``(phase, 0)``.  Members are alike for every check:
-    equal decode loads, payloads, bins and key rates, with labels mapped
-    one to one, so the first member stands for the rest.
+    ``units(member)`` builds all the units of a member (a subset, a
+    receiver pair or a segment id; there is at least one member).  Each
+    member is the segment ``(phase, member)`` of length ``fraction``; with
+    ``one_segment`` the members' units instead make up the one segment
+    ``(phase, 0)``.  Members are alike for every check: equal decode
+    loads, payloads, bins and key rates, with labels mapped one to one,
+    so the first member stands for the rest.
 
     The subset builders list ``members`` in canonical order: a subset or
     pair is a tuple of class blocks, and the members are
@@ -168,7 +168,7 @@ class Orbit(NamedTuple):
     phase: int
     fraction: float
     members: Sequence
-    units: Callable[[object, Optional[frozenset]], tuple[DeliveryUnit, ...]]
+    units: Callable[[object], tuple[DeliveryUnit, ...]]
     one_segment: bool = False
 
 
@@ -177,51 +177,34 @@ class PlanOrbits(NamedTuple):
 
     ``classes`` lists the receivers of each class (weak, strong); the plan
     treats the members of a class alike, so the lowest-numbered one stands
-    for its class.  ``place(only)`` gives the placement of the receivers in
-    ``only``, or of every receiver when it is None.  The class group
+    for its class.  ``place(receivers)`` gives the placement of the
+    receivers in the set ``receivers``: for each of them that holds atoms,
+    its atoms in placement order, as in the full placement.  The class group
     (permutations within each class) maps the plan onto itself, renaming
     the receiver ids in its labels ``prefix[ids]``.
     """
 
     classes: tuple[tuple[int, ...], ...]
     orbits: tuple[Orbit, ...]
-    place: Callable[[Optional[frozenset]], dict[int, tuple[Atom, ...]]]
+    place: Callable[[frozenset], dict[int, tuple[Atom, ...]]]
 
     @property
     def representatives(self) -> tuple[int, ...]:
         return tuple(sorted(min(c) for c in self.classes if c))
 
-    def placement(self) -> dict[int, tuple[Atom, ...]]:
-        """The explicit placement."""
-        return self.place(None)
-
     @classmethod
     def explicit(cls, receivers: Iterable[int], schedule: Sequence[DeliverySegment],
                  placement: dict[int, tuple[Atom, ...]]) -> PlanOrbits:
-        """A plan that claims no symmetry: each receiver its own class and
-        each segment ``(phase, member)`` an orbit of one member, whose units
-        are the segment's own.  They are never filtered by ``only``: every
-        receiver stands for itself, so no unit is left out of a check."""
+        """A plan that claims no symmetry: each receiver its own class,
+        each segment ``(phase, member)`` an orbit of one member whose units
+        are the segment's own, and ``placement`` filtered by receiver set."""
         orbits = tuple(
             Orbit(seg.id[0], seg.fraction, (seg.id[1],),
-                  lambda member, only, units=seg.units: units)
+                  lambda member, units=seg.units: units)
             for seg in schedule
         )
-        return cls(tuple((r,) for r in receivers), orbits, lambda only: placement)
-
-    def schedule(self) -> tuple[DeliverySegment, ...]:
-        """The explicit schedule."""
-        schedule = []
-        for orb in self.orbits:
-            if orb.one_segment:
-                units = tuple(u for m in orb.members for u in orb.units(m, None))
-                schedule.append(DeliverySegment((orb.phase, 0), orb.fraction, units))
-            else:
-                schedule += [
-                    DeliverySegment((orb.phase, m), orb.fraction, orb.units(m, None))
-                    for m in orb.members
-                ]
-        return tuple(schedule)
+        return cls(tuple((r,) for r in receivers), orbits, lambda rs: {
+            r: atoms for r, atoms in placement.items() if r in rs})
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +212,9 @@ class SchemePlan:
     """A placement and a delivery schedule, with what they claim.
 
     Every plan is described by its ``orbits`` (:class:`PlanOrbits`): the
-    explicit ``schedule`` and ``placement`` are each expanded from them on
-    first read, and kept.  A plan is immutable; a changed plan is a new
+    explicit ``schedule`` (every member's units, in orbit order) and
+    ``placement`` (``place`` of every receiver in ``classes``) are each
+    expanded from them on first read, and kept.  A plan is immutable; a changed plan is a new
     one whose orbits :meth:`PlanOrbits.explicit` builds from its changed
     schedule and placement, so it claims no symmetry and
     :func:`verify_plan` checks every segment and receiver of it.
@@ -248,11 +232,19 @@ class SchemePlan:
 
     @cached_property
     def schedule(self) -> tuple[DeliverySegment, ...]:
-        return self.orbits.schedule()
+        schedule = []
+        for orb in self.orbits.orbits:
+            if orb.one_segment:
+                units = tuple(u for m in orb.members for u in orb.units(m))
+                schedule.append(DeliverySegment((orb.phase, 0), orb.fraction, units))
+            else:
+                schedule += [DeliverySegment((orb.phase, m), orb.fraction, orb.units(m))
+                             for m in orb.members]
+        return tuple(schedule)
 
     @cached_property
     def placement(self) -> dict[int, tuple[Atom, ...]]:
-        return self.orbits.placement()
+        return self.orbits.place(frozenset(r for c in self.orbits.classes for r in c))
 
     def cached_labels(self, receiver: int) -> set:
         return {a.label for a in self.placement.get(receiver, ())}
@@ -325,11 +317,6 @@ def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...],
         G: f"{prefix}[{','.join(name)}]"
         for G, name in zip(itertools.combinations(ids, size), names)
     }
-
-
-def _kept(only: Optional[frozenset], slots: Iterable[int]) -> bool:
-    """Whether a unit handing parts to ``slots`` is built for ``only``."""
-    return only is None or not only.isdisjoint(slots)
 
 
 def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
@@ -717,10 +704,10 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         key_rates |= dict.fromkeys(K3[G], RK3)
     key_rates |= {k4: RK4 for pads in K4.values() for k4 in pads}
 
-    def place(only):
-        atoms = {i: [] for i in weak if _kept(only, (i,))}
+    def place(receivers):
+        atoms = {i: [] for i in weak if i in receivers}
         atoms |= {j: [Atom("key", k4, RK4)]
-                  for j, (k4,) in K4.items() if _kept(only, (j,))}
+                  for j, (k4,) in K4.items() if j in receivers}
         _place(atoms, A, lambda label: Atom("file_part", label, rA))
         if rB > 0:
             _place(atoms, B, lambda label: Atom("file_part", label, rB))
@@ -743,26 +730,22 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     column_load = dict.fromkeys(strong, rB)
     row_intended = frozenset(strong)
 
-    def xor(H, only):
-        if not _kept(only, H):
-            return ()
+    def xor(H):
         return (_xor_unit(H, B, rB, K1[H], xor_load),)
 
-    def period(G, only):
+    def period(G):
         """Phase 2 for weak subset G: the row, then one column per strong
         receiver."""
-        units = []
-        if _kept(only, G):
-            context = ((B[G],) if rB > 0 else ()) + K3[G]
-            units.append(DeliveryUnit(
-                parts=_peeled(G, A),
-                part_rates=(rA,) * len(G),
-                pad_keys=(K2[G],),
-                bin_rate=Rbin,
-                intended=row_intended.union(G),
-                decode_load=dict.fromkeys(G, rA) | dict.fromkeys(strong, rA + Rbin),
-                context=dict.fromkeys(G, context) if context else _EMPTY,
-            ))
+        context = ((B[G],) if rB > 0 else ()) + K3[G]
+        units = [DeliveryUnit(
+            parts=_peeled(G, A),
+            part_rates=(rA,) * len(G),
+            pad_keys=(K2[G],),
+            bin_rate=Rbin,
+            intended=row_intended.union(G),
+            decode_load=dict.fromkeys(G, rA) | dict.fromkeys(strong, rA + Rbin),
+            context=dict.fromkeys(G, context) if context else _EMPTY,
+        )]
         if rB > 0:
             units += [
                 DeliveryUnit(
@@ -773,13 +756,10 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
                     decode_load=column_load,
                 )
                 for k, j in enumerate(strong)
-                if _kept(only, (j,))
             ]
         return tuple(units)
 
-    def remainder(j, only):
-        if not _kept(only, (j,)):
-            return ()
+    def remainder(j):
         return (DeliveryUnit(
             parts=tuple((j, a_label) for a_label in A.values()),
             part_rates=(rA,) * len(A),
@@ -982,8 +962,8 @@ def build_symmetric_piggyback(
         key_rates[Kw_pair[ij]] = RK3
         key_rates[Ks_pair[ij]] = RK4
 
-    def place(only):
-        atoms = {r: [] for r in weak + strong if _kept(only, (r,))}
+    def place(receivers):
+        atoms = {r: [] for r in weak + strong if r in receivers}
         _place(atoms, A, lambda label: Atom("file_part", label, a))
         _place(atoms, Kw1, lambda label: Atom("key", label, RK1))
         _place(atoms, B, lambda label: Atom("file_part", label, b))
@@ -1005,22 +985,16 @@ def build_symmetric_piggyback(
 
     def xor(parts, rate, pads):
         """The subphase-1 or -3 XOR over H, secured by the key of H."""
-        def units(H, only):
-            if not _kept(only, H):
-                return ()
+        def units(H):
             return (_xor_unit(H, parts, rate, pads[H], dict.fromkeys(H, rate)),)
         return units
 
-    def pair(ij, only):
+    def pair(ij):
         """Subphase 2 for weak i and strong j: the row, then the column."""
         i, j = ij
         kw, ks = Kw_pair[ij], Ks_pair[ij]
-        units = ()
-        if _kept(only, (i,)):
-            units += (_unicast(i, Br[j], br, (kw,), context=(ks, Ar[i])),)
-        if _kept(only, (j,)):
-            units += (_unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j])),)
-        return units
+        return (_unicast(i, Br[j], br, (kw,), context=(ks, Ar[i])),
+                _unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j])))
 
     orbits = []
     if beta1 > 0:
@@ -1275,10 +1249,12 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     to a full scan.  One pass per receiver class, on its lowest-numbered
     receiver ``r``, checks the DECODE tiling and CACHE.
 
-    DECODE peels, by :func:`peel_rule`, the units of one member per
-    sub-orbit of ``r`` (the members where ``r`` sits at one position, or
-    those without it), and takes an uncached part as delivered when its
-    label has the key (:func:`_label_key`) of a label delivered to ``r``.
+    DECODE peels, by :func:`peel_rule` on the representatives' placement
+    and message parts, all the units of one member per sub-orbit of ``r``
+    (the members where ``r`` sits at one position, or those without it);
+    a part at another receiver's slot is never handed over.  It takes an
+    uncached part as delivered when its label has the key
+    (:func:`_label_key`) of a label delivered to ``r``.
     That rests on two premises.  Checked here, once per orbit: every
     orbit lists exactly the canonical enumeration of its first member's
     orbit under the class group (:func:`_blocks`), so the labels delivered
@@ -1298,7 +1274,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     merged = None  # the first segment whose XOR repeats a label
     for orb in po.orbits:
         first = orb.members[0]
-        block = orb.units(first, None)
+        block = orb.units(first)
         if orb.one_segment:
             seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
         else:
@@ -1348,9 +1324,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             merged = seg_id
 
     receivers = po.representatives
-    only = frozenset(receivers)
     view = _RepView(
-        po.place(only),
+        po.place(frozenset(receivers)),
         {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
         {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached},
     )
@@ -1368,7 +1343,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             members = dict.fromkeys(
                 m for r in receivers for m in _sub_orbit_firsts(members, blocks[i], r))
         for m in members:
-            for unit in orb.units(m, only):
+            for unit in orb.units(m):
                 for r, label in peel(unit):
                     delivered_to[r].add(label)
 

@@ -809,18 +809,19 @@ class _ClassView(NamedTuple):
 
 def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
     """What DECODE and CACHE read, and the receivers they check: the class
-    representatives with their atoms, their message parts and (at least)
-    the units that hand them a part, in one segment.  Every bit of
-    :func:`deliveries` concerns one receiver, so the view gives the
-    representatives their own deliveries."""
+    representatives with their atoms, their message parts and the units
+    that hand them a part (a part at a representative's slot), in one
+    segment.  Every bit of :func:`deliveries` concerns one receiver, so
+    the view gives the representatives their own deliveries."""
     po = plan.orbits
     reps = po.representatives
-    only = frozenset(reps)
+    rep_set = frozenset(reps)
     units = tuple(
-        u for orb in po.orbits for m in orb.members for u in orb.units(m, only)
+        u for orb in po.orbits for m in orb.members for u in orb.units(m)
+        if not rep_set.isdisjoint(r for r, _ in u.parts)
     )
     view = _ClassView(
-        po.place(only), (DeliverySegment((), 0.0, units),),
+        po.place(rep_set), (DeliverySegment((), 0.0, units),),
         {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
         {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
     )
@@ -859,7 +860,7 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> Verification
     merged = None  # the first segment whose XOR repeats a label
     for orb in plan.orbits.orbits:
         first = orb.members[0]
-        block = orb.units(first, None)
+        block = orb.units(first)
         if orb.one_segment:
             seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
         else:

@@ -95,13 +95,13 @@ def test_orbit_mutants_match_the_class_view(preset, name):
 
 def _counting(plan):
     """``plan`` with each orbit's ``units`` recording ``(orbit index,
-    member, only)`` per call, and the list of records."""
+    member)`` per call, and the list of records."""
     calls = []
 
     def counted(oi, units):
-        def call(member, only):
-            calls.append((oi, member, only))
-            return units(member, only)
+        def call(member):
+            calls.append((oi, member))
+            return units(member)
         return call
 
     po = plan.orbits
@@ -110,10 +110,13 @@ def _counting(plan):
     return dataclasses.replace(plan, orbits=po._replace(orbits=orbits)), calls
 
 
-def _decode_members(calls, oi):
-    """The members whose units DECODE built for orbit ``oi`` (RATE and
-    SECRECY build the first member's with ``only`` None)."""
-    return [m for j, m, only in calls if j == oi and only is not None]
+def _decode_members(plan, calls, oi):
+    """The members whose units DECODE built for orbit ``oi``.  RATE and
+    SECRECY first build each orbit's first member, in orbit order; every
+    later call is DECODE's."""
+    orbits = plan.orbits.orbits
+    assert calls[:len(orbits)] == [(j, orb.members[0]) for j, orb in enumerate(orbits)]
+    return [m for j, m in calls[len(orbits):] if j == oi]
 
 
 def test_decode_builds_one_member_per_sub_orbit(fig3):
@@ -122,20 +125,20 @@ def test_decode_builds_one_member_per_sub_orbit(fig3):
     counted, calls = _counting(plan)
     assert verify_plan(counted, fig3).to_json() == verify_plan_class_view(plan, fig3).to_json()
     for oi, orb in enumerate(plan.orbits.orbits):
-        built = _decode_members(calls, oi)
+        built = _decode_members(plan, calls, oi)
         assert len(built) == len(set(built)), oi
         size = len(orb.members[0]) if isinstance(orb.members[0], tuple) else 1
         assert len(built) <= (size + 1) * len(reps), (oi, len(built))
     # the strong XORs: C(15, 8) = 6,435 members, of which 2 are peeled
     assert len(plan.orbits.orbits[2].members) == 6435
-    assert len(_decode_members(calls, 2)) == 2
+    assert len(_decode_members(plan, calls, 2)) == 2
 
     # one strong XOR dropped: every member of every orbit is peeled
     members = plan.orbits.orbits[2].members
     dropped, calls = _counting(_with_members(plan, 2, members[1:]))
     got = verify_plan(dropped, fig3).to_json()
     for oi, orb in enumerate(dropped.orbits.orbits):
-        assert _decode_members(calls, oi) == list(orb.members), oi
+        assert _decode_members(dropped, calls, oi) == list(orb.members), oi
     assert got == verify_plan_class_view(dropped, fig3).to_json()
 
 
@@ -146,7 +149,7 @@ def _others_plan(to_self: bool) -> SchemePlan:
     members are the class, so the guard holds."""
     rate = 0.05
 
-    def units(m, only):
+    def units(m):
         takers = [i for i in (1, 2, 3) if to_self or i != m]
         return (DeliveryUnit(
             parts=tuple((i, f"X[{m}]") for i in takers),
@@ -159,7 +162,7 @@ def _others_plan(to_self: bool) -> SchemePlan:
     return SchemePlan(
         scheme_name="others", params={},
         orbits=PlanOrbits(((1, 2, 3),), (Orbit(1, 1 / 3, (1, 2, 3), units),),
-                          lambda only: {r: () for r in (1, 2, 3) if only is None or r in only}),
+                          lambda rs: {r: () for r in (1, 2, 3) if r in rs}),
         claimed_point=RateMemoryPoint(3 * rate, 0.0, 0.0, "others"),
         key_rates={}, message_parts=dict.fromkeys((1, 2, 3), parts),
     )
