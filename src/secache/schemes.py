@@ -4,12 +4,12 @@ A :class:`SchemePlan` is a demand-agnostic placement (atoms per receiver)
 and a delivery schedule (segments holding units).  Seven builders produce
 the plans behind the corner-point families; :func:`verify_plan` checks
 each plan's rate feasibility, decodability, secrecy accounting and cache
-accounting, returning margins instead of raising, so sweeps can log
-failures.  ``wiretap-cached-keys`` and ``cached-keys-all`` are one unicast
-key scheme (:func:`_build_unicast`), ``piggyback-one`` and
-``piggyback-allkeys`` one weak-subset piggyback scheme
-(:func:`_build_piggyback`); each pair secures its strong receivers by
-wiretap bins or by cached keys.
+accounting, returning margins of exact sums, rounded once, instead of
+raising, so sweeps can log failures.  ``wiretap-cached-keys`` and
+``cached-keys-all`` are one unicast key scheme (:func:`_build_unicast`),
+``piggyback-one`` and ``piggyback-allkeys`` one weak-subset piggyback
+scheme (:func:`_build_piggyback`); each pair secures its strong receivers
+by wiretap bins or by cached keys.
 
 Every plan is its receiver classes, its orbits (:class:`PlanOrbits`) and
 a placement asked for by receiver set.  An orbit (:class:`Orbit`) is the
@@ -52,17 +52,35 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import comb, prod
+from functools import cached_property, reduce
+from math import comb, fsum, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
 
 RATE_TOL = 1e-12
+
+
+def _sum(terms: Sequence[float], times: int | Sequence[int] = 1) -> float:
+    """The exact sum of ``terms``, each taken ``times`` times (term ``i``
+    ``times[i]`` times), rounded once: by :func:`math.fsum`, or at a cost
+    free of the counts in integers over the terms' common power-of-two
+    denominator, whose true division rounds alike.  Where both raise (NaN,
+    infinity, overflow), the plain sum's IEEE value: the terms added one
+    at a time from 0.0, times ``times`` or each its count."""
+    try:
+        if times == 1:
+            return fsum(terms)
+        counts = itertools.repeat(times) if type(times) is int else times
+        ratios = [term.as_integer_ratio() for term in terms]
+        den = max((d for _, d in ratios), default=1)
+        return sum(n * p * (den // d) for n, (p, d) in zip(counts, ratios)) / den
+    except (OverflowError, ValueError):
+        if type(times) is int:
+            return reduce(operator.add, terms, 0.0) * times
+        return reduce(operator.add, map(operator.mul, times, terms), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +134,7 @@ class DeliveryUnit(NamedTuple):
     def payload_rate(self) -> float:
         if self.combine == "xor":
             return self.part_rates[0] if self.part_rates else 0.0
-        return sum(self.part_rates)
+        return _sum(self.part_rates)
 
     def to_dict(self) -> dict:
         return {
@@ -156,7 +174,8 @@ class Orbit(NamedTuple):
     ``one_segment`` the members' units instead make up the one segment
     ``(phase, 0)``.  Members are alike for every check: equal decode
     loads, payloads, bins and key rates, with labels mapped one to one,
-    so the first member stands for the rest.
+    so the first member stands for the rest: :func:`verify_plan` weights
+    its terms by the member count in exact sums.
 
     The subset builders list ``members`` in canonical order: a subset or
     pair is a tuple of class blocks, and the members are
@@ -476,7 +495,7 @@ def _subset_parts(
 def cache_usage(plan: SchemePlan, D: int) -> dict[int, float]:
     """Cache occupancy per receiver (bits per channel use) for ``D`` files."""
     return {
-        r: sum(a.cache_cost(D) for a in atoms)
+        r: _sum([a.cache_cost(D) for a in atoms])
         for r, atoms in plan.placement.items()
     }
 
@@ -1223,12 +1242,6 @@ def _worst(best: tuple[float, str], margin: float, detail: str,
     return (margin, detail.format(*args)) if margin < best[0] else best
 
 
-def _repeated_sum(addends: list[float], times: int) -> float:
-    """``0.0`` plus ``addends`` repeated ``times`` times, added one at a time
-    in order: the float a loop of ``+=`` gives, folded by numpy."""
-    return float(np.add.accumulate(np.concatenate(([0.0], np.tile(addends, times))))[-1])
-
-
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
@@ -1242,12 +1255,10 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
     expanding it.  One pass per segment orbit, over its first member's
     units, adds the RATE loads and the SECRECY payload and securing, and
-    runs the XOR-merge rule; the fraction sum, and a segment's sums over
-    an orbit of its units, still add every member's terms in schedule
-    order (multiplying by the count would round differently; numpy folds
-    a repeated block's terms in that order), so margins are bit-identical
-    to a full scan.  One pass per receiver class, on its lowest-numbered
-    receiver ``r``, checks the DECODE tiling and CACHE.
+    runs the XOR-merge rule.  One pass per receiver class, on its
+    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE.
+    Every sum is exact and rounded once (:func:`_sum`), an orbit's terms
+    weighted by its member count, so margins are an exact full scan's.
 
     DECODE peels, by :func:`peel_rule` on the representatives' placement
     and message parts, all the units of one member per sub-orbit of ``r``
@@ -1270,46 +1281,26 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """
     po = plan.orbits
     rate = sec = cache = (float("inf"), "")
-    frac_sum = 0.0
     merged = None  # the first segment whose XOR repeats a label
     for orb in po.orbits:
         first = orb.members[0]
         block = orb.units(first)
         if orb.one_segment:
-            seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
+            seg_id, times = (orb.phase, 0), len(orb.members)
         else:
-            seg_id, count, times = (orb.phase, first), len(orb.members), 1
-        for _ in range(count):
-            frac_sum += orb.fraction
-        # A long walk (one XOR standing for thousands) is folded by numpy;
-        # a short one costs less than numpy's fixed cost per call.
-        if times < 64:
-            loads: dict[int, float] = {}
-            payload = securing = 0.0
-            for _ in range(times):
-                for unit in block:
-                    for r, load in unit.decode_load.items():
-                        loads[r] = loads.get(r, 0.0) + load
-                    payload += unit.payload_rate
-                    securing += unit.bin_rate
-                    for k in unit.pad_keys + unit.jam_keys:
-                        securing += plan.key_rates[k]
-        else:
-            addends: dict[int, list[float]] = {}
-            payloads, securings = [], []
-            for unit in block:
-                for r, load in unit.decode_load.items():
-                    addends.setdefault(r, []).append(load)
-                payloads.append(unit.payload_rate)
-                securings.append(unit.bin_rate)
-                securings += [plan.key_rates[k] for k in unit.pad_keys + unit.jam_keys]
-            loads = {r: _repeated_sum(a, times) for r, a in addends.items()}
-            payload = _repeated_sum(payloads, times)
-            securing = _repeated_sum(securings, times)
-        for r, load in loads.items():
+            seg_id, times = (orb.phase, first), 1
+        addends: dict[int, list[float]] = {}
+        for unit in block:
+            for r, load in unit.decode_load.items():
+                addends.setdefault(r, []).append(load)
+        for r, terms in addends.items():
+            load = _sum(terms, times)
             capacity = orb.fraction * (1.0 - s.erasure_of(r))
             rate = _worst(rate, capacity - load, "segment {}, receiver {}: load "
                           "{:.6g} vs capacity {:.6g}", (seg_id, r, load, capacity))
+        payload = _sum([unit.payload_rate for unit in block], times)
+        securing = _sum([rate for unit in block for rate in (unit.bin_rate, *(
+            plan.key_rates[k] for k in unit.pad_keys + unit.jam_keys))], times)
         required = min(payload, orb.fraction * (1.0 - s.delta_z))
         sec = _worst(sec, securing - required, "segment {}: securing {:.6g} vs "
                      "required {:.6g}", (seg_id, securing, required))
@@ -1356,8 +1347,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             have |= view.virtual_cached.get(r, frozenset())
             delivered = delivered_to[r]
             keys = None
-            total = 0.0
-            for label, part_rate in view.message_parts.get(r, ()):
+            parts = view.message_parts.get(r, ())
+            for label, _ in parts:
                 if label not in have and label not in delivered:
                     if symmetric and keys is None:
                         key = _label_key(r, po.classes)
@@ -1365,8 +1356,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
                     if not symmetric or key(label) not in keys:
                         decode = f"receiver {r} cannot obtain part {label!r}"
                         break
-                total += part_rate
             else:
+                total = _sum([part_rate for _, part_rate in parts])
                 if abs(total - point.R) > RATE_TOL:
                     decode = (f"receiver {r} reassembles rate {total!r}, "
                               f"claimed {point.R!r}")
@@ -1377,6 +1368,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     if not decode and merged is not None:
         decode = f"demand {(1,) * s.K}: merged contributions in segment {merged}"
 
+    frac_sum = _sum([orb.fraction for orb in po.orbits],
+                    [1 if orb.one_segment else len(orb.members) for orb in po.orbits])
     frac_ok = abs(frac_sum - 1.0) <= 1e-12
     return VerificationReport([
         CheckResult("RATE", rate[0] > 0.0 and frac_ok, rate[0],

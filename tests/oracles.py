@@ -14,7 +14,9 @@ a block of trials at a time), the plan compile is the two-walk fill of
 every loaded (receiver, segment, unit) threshold that production
 replaced by one schedule walk, the plan verifier is the scan of every
 segment, unit and receiver that production replaced by one
-representative per orbit and receiver class, the class-view verifier
+representative per orbit and receiver class (its sums are ``legacy``,
+the one-at-a-time sums production replaced by exact ones, or ``exact``,
+a full scan of correctly rounded sums), the class-view verifier
 (with ``deliveries``, its peel-rule loop) is the DECODE pass that peeled
 every unit handing a representative a part, which production replaced by
 one member per sub-orbit of each representative, and the entropy inverse
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from math import ceil
-from typing import NamedTuple, Sequence
+from math import ceil, fsum, isfinite
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from secache.schemes import (
     SchemePlan,
     VerificationReport,
     _worst,
-    cache_usage,
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
@@ -667,9 +668,83 @@ def monte_carlo_scalar(
     )
 
 
-def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
-    """``verify_plan`` as it was before plans carried orbits, kept verbatim:
-    every check runs over every segment, unit and receiver.
+#: A function that adds a list of terms.
+Total = Callable[[Sequence[float]], float]
+
+
+def legacy(terms: Sequence[float]) -> float:
+    """The terms added one at a time from ``0.0``, as ``verify_plan`` and
+    ``cache_usage`` added them before their sums were exact.  A loop, not
+    the builtin ``sum``, which is compensated from Python 3.12 on."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
+#: The correctly rounded sum of the terms.
+exact = fsum
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12, for running its float sums on
+    any Python: machine-word ints add exactly, floats by Neumaier's
+    compensated sum (the compensation is added at the end, when finite),
+    and any other term, such as a ``Fraction``, switches to plain ``+``."""
+    word = range(-2**63, 2**63)
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) not in (int, bool) or result + item not in word:
+                result = result + item
+                break
+            result += item
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+            elif isinstance(item, int) and item in word:
+                total += float(item)
+            else:
+                result = (total + c if c and isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and isfinite(c) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+
+def _payload(unit, total: Total) -> float:
+    """``DeliveryUnit.payload_rate``, a concatenation's rates summed by ``total``."""
+    if unit.combine == "xor":
+        return unit.part_rates[0] if unit.part_rates else 0.0
+    return total(unit.part_rates)
+
+
+def cache_usage_with(plan, D: int, total: Total) -> dict[int, float]:
+    """``cache_usage``, each receiver's atom costs summed by ``total``."""
+    return {r: total([a.cache_cost(D) for a in atoms])
+            for r, atoms in plan.placement.items()}
+
+
+def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario, *,
+                         total: Total) -> VerificationReport:
+    """``verify_plan`` as it was before plans carried orbits: every check
+    runs over every segment, unit and receiver, and every sum is ``total``
+    of its terms in schedule order (``legacy`` is the verifier before its
+    sums were exact, ``exact`` an exact full scan, which raises where
+    :func:`math.fsum` does).
 
     Run the four plan checks; never raises, reports margins.
 
@@ -685,14 +760,14 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
     # RATE
     rate_margin = float("inf")
     rate_detail = ""
-    frac_sum = 0.0
+    frac_sum = total([seg.fraction for seg in plan.schedule])
     for seg in plan.schedule:
-        frac_sum += seg.fraction
-        loads: dict[int, float] = {}
+        addends: dict[int, list[float]] = {}
         for unit in seg.units:
             for r, load in unit.decode_load.items():
-                loads[r] = loads.get(r, 0.0) + load
-        for r, load in loads.items():
+                addends.setdefault(r, []).append(load)
+        for r, terms in addends.items():
+            load = total(terms)
             capacity = seg.fraction * (1.0 - s.erasure_of(r))
             margin = capacity - load
             if margin < rate_margin:
@@ -718,20 +793,21 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
         delivered = delivered_to.get(r, {})
-        total = 0.0
+        rates = []
         for label, rate in plan.message_parts.get(r, ()):
             if label in have or label in delivered:
-                total += rate
+                rates.append(rate)
             else:
                 decode_ok = False
                 decode_detail = f"receiver {r} cannot obtain part {label!r}"
                 break
         if not decode_ok:
             break
-        if abs(total - plan.claimed_point.R) > RATE_TOL:
+        reassembled = total(rates)
+        if abs(reassembled - plan.claimed_point.R) > RATE_TOL:
             decode_ok = False
             decode_detail = (
-                f"receiver {r} reassembles rate {total!r}, "
+                f"receiver {r} reassembles rate {reassembled!r}, "
                 f"claimed {plan.claimed_point.R!r}"
             )
             break
@@ -757,13 +833,13 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
     sec_margin = float("inf")
     sec_detail = ""
     for seg in plan.schedule:
-        payload = 0.0
-        securing = 0.0
+        payloads, securings = [], []
         for unit in seg.units:
-            payload += unit.payload_rate
-            securing += unit.bin_rate
+            payloads.append(_payload(unit, total))
+            securings.append(unit.bin_rate)
             for k in unit.pad_keys + unit.jam_keys:
-                securing += plan.key_rates[k]
+                securings.append(plan.key_rates[k])
+        payload, securing = total(payloads), total(securings)
         required = min(payload, seg.fraction * (1.0 - s.delta_z))
         margin = securing - required
         if margin < sec_margin:
@@ -777,7 +853,7 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
     )
 
     # CACHE
-    usage = cache_usage(plan, s.D)
+    usage = cache_usage_with(plan, s.D, total)
     cache_margin = float("inf")
     cache_detail = ""
     for r in range(1, s.K + 1):
@@ -798,7 +874,7 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario) -> VerificationRe
 
 
 class _ClassView(NamedTuple):
-    """The parts of a plan that :func:`deliveries` and :func:`cache_usage`
+    """The parts of a plan that :func:`deliveries` and :func:`cache_usage_with`
     read, restricted to the class representatives."""
 
     placement: dict[int, tuple[Atom, ...]]
@@ -828,10 +904,13 @@ def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
     return view, reps
 
 
-def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
+def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario, *,
+                           total: Total) -> VerificationReport:
     """``verify_plan`` as it was before DECODE peeled one member per
-    sub-orbit of each representative, kept verbatim: DECODE peels every
-    unit that hands a representative a part (:func:`_class_view`).
+    sub-orbit of each representative: DECODE peels every unit that hands
+    a representative a part (:func:`_class_view`), and every sum is
+    ``total`` of its terms in schedule order, as in
+    :func:`verify_plan_explicit`.
 
     Run the four plan checks; never raises, reports margins.
 
@@ -846,17 +925,17 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> Verification
     expanding it.  One pass per segment orbit, over its first member's
     units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule; the fraction sum, and a segment's sums over
-    an orbit of its units, still add every member's terms in schedule
-    order (multiplying by the count would round differently), so margins
-    are bit-identical to a full scan.  One pass per receiver class, on
-    its lowest-numbered receiver, checks the DECODE tiling and CACHE.
+    an orbit of its units, still take every member's terms in schedule
+    order, so margins are those of a full scan.  One pass per receiver
+    class, on its lowest-numbered receiver, checks the DECODE tiling and
+    CACHE.
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does.  A plan that claims no symmetry, such as a
     changed plan, has every segment and every receiver as its own orbit
     and class, so all of them are checked.
     """
     rate = sec = cache = (float("inf"), "")
-    frac_sum = 0.0
+    fractions = []
     merged = None  # the first segment whose XOR repeats a label
     for orb in plan.orbits.orbits:
         first = orb.members[0]
@@ -865,18 +944,19 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> Verification
             seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
         else:
             seg_id, count, times = (orb.phase, first), len(orb.members), 1
-        for _ in range(count):
-            frac_sum += orb.fraction
-        loads: dict[int, float] = {}
-        payload = securing = 0.0
+        fractions += [orb.fraction] * count
+        addends: dict[int, list[float]] = {}
+        payloads, securings = [], []
         for _ in range(times):
             for unit in block:
                 for r, load in unit.decode_load.items():
-                    loads[r] = loads.get(r, 0.0) + load
-                payload += unit.payload_rate
-                securing += unit.bin_rate
+                    addends.setdefault(r, []).append(load)
+                payloads.append(_payload(unit, total))
+                securings.append(unit.bin_rate)
                 for k in unit.pad_keys + unit.jam_keys:
-                    securing += plan.key_rates[k]
+                    securings.append(plan.key_rates[k])
+        loads = {r: total(terms) for r, terms in addends.items()}
+        payload, securing = total(payloads), total(securings)
         for r, load in loads.items():
             capacity = orb.fraction * (1.0 - s.erasure_of(r))
             rate = _worst(rate, capacity - load, "segment {}, receiver {}: load "
@@ -898,21 +978,22 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> Verification
     point = plan.claimed_point
     view, receivers = _class_view(plan)
     delivered_to = deliveries(view)
-    usage = cache_usage(view, s.D)
+    usage = cache_usage_with(view, s.D, total)
     for r in receivers:
         if not decode:
             have = {a.label for a in view.placement.get(r, ())}
             have |= view.virtual_cached.get(r, frozenset())
             delivered = delivered_to.get(r, {})
-            total = 0.0
+            rates = []
             for label, part_rate in view.message_parts.get(r, ()):
                 if label not in have and label not in delivered:
                     decode = f"receiver {r} cannot obtain part {label!r}"
                     break
-                total += part_rate
+                rates.append(part_rate)
             else:
-                if abs(total - point.R) > RATE_TOL:
-                    decode = (f"receiver {r} reassembles rate {total!r}, "
+                reassembled = total(rates)
+                if abs(reassembled - point.R) > RATE_TOL:
+                    decode = (f"receiver {r} reassembles rate {reassembled!r}, "
                               f"claimed {point.R!r}")
         claim = point.M_w if r <= s.K_w else point.M_s
         used = usage.get(r, 0.0)
@@ -921,6 +1002,7 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario) -> Verification
     if not decode and merged is not None:
         decode = f"demand {(1,) * s.K}: merged contributions in segment {merged}"
 
+    frac_sum = total(fractions)
     frac_ok = abs(frac_sum - 1.0) <= 1e-12
     return VerificationReport([
         CheckResult("RATE", rate[0] > 0.0 and frac_ok, rate[0],

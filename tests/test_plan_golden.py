@@ -17,6 +17,16 @@ vanishes at a boundary erasure) are known defects, listed by builder in
 ``ZERO_DENOMINATOR_DEFECTS``: those cases must now raise
 ``NotApplicable``.  Do not regenerate the file to fit new output.
 
+The file was also captured before the verifier's sums were exact: its
+report and cache usage add their terms one at a time.  So each line is
+the digest of the plan with the report of ``verify_plan_explicit`` and
+the cache usage under ``legacy`` sums (``tests/oracles.py``), and
+``verify_plan`` must equal that full scan under ``exact`` sums, byte for
+byte, with every pass/fail flag of the legacy report.  Exact sums move
+``MOVED_REPORTS`` reports and ``MOVED_DIGESTS`` digests, all in the last
+bits of a margin or a usage; no digest may change under the compensated
+builtin ``sum`` of Python 3.12 (``compensated_sum``).
+
 Capture (only against the code the goldens are meant to pin):
 
     PYTHONPATH=src python3 tests/test_plan_golden.py > tests/golden/plans.tsv
@@ -30,7 +40,8 @@ import random
 import sys
 from pathlib import Path
 
-from secache import BUILDERS, ChannelScenario, verify_plan
+from oracles import cache_usage_with, compensated_sum, exact, legacy, verify_plan_explicit
+from secache import BUILDERS, ChannelScenario, schemes, verify_plan
 from secache.cli import PRESETS
 from secache.schemes import cache_usage
 
@@ -51,6 +62,10 @@ ZERO_DENOMINATOR_DEFECTS = {
 }
 #: How many golden lines hold such a defect.
 ZERO_DENOMINATOR_LINES = 130
+#: How many reports, and how many digests (report or cache usage), exact
+#: sums move on the golden cases.
+MOVED_REPORTS = 141
+MOVED_DIGESTS = 159
 
 
 def _random_scenarios(count: int, seed: int = 6006) -> list[ChannelScenario]:
@@ -106,7 +121,9 @@ def _cases():
                            lambda b=build, e=eps: b(s, e))
 
 
-def _digest(plan, s: ChannelScenario) -> str:
+def _digest_with(plan_hash, plan, report, usage: dict[int, float]) -> str:
+    """The digest of ``plan`` with ``report`` and ``usage``, continuing
+    ``plan_hash`` (:func:`_plan_hash`)."""
     extra = {
         "message_parts": {str(r): [list(p) for p in parts]
                           for r, parts in sorted(plan.message_parts.items())},
@@ -114,42 +131,78 @@ def _digest(plan, s: ChannelScenario) -> str:
                            for r, labels in sorted(plan.virtual_cached.items())},
         "contexts": [[{str(r): list(c) for r, c in unit.context.items()}
                       for unit in seg.units] for seg in plan.schedule],
-        "cache_usage": {str(r): u for r, u in sorted(cache_usage(plan, s.D).items())},
+        "cache_usage": {str(r): u for r, u in sorted(usage.items())},
         "key_order": list(plan.key_rates),
     }
-    h = hashlib.sha256()
-    for text in (plan.to_json(), verify_plan(plan, s).to_json(), json.dumps(extra)):
+    h = plan_hash.copy()
+    for text in (report.to_json(), json.dumps(extra)):
         h.update(text.encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()
 
 
-def _lines() -> list[str]:
-    lines = []
+def _plan_hash(plan):
+    """A SHA-256 fed the plan's ``to_json()``: the start of its digest."""
+    return hashlib.sha256(plan.to_json().encode("utf-8") + b"\n")
+
+
+def _built():
+    """Per case: its id, its scenario, and its plan with :func:`_plan_hash`
+    or, when the build raises, the golden outcome
+    ``ERROR:<exception class>:<message>`` with None."""
     for case_id, s, build in _cases():
         try:
-            out = _digest(build(), s)
+            plan = build()
         except Exception as exc:  # noqa: BLE001 -- the class is the outcome
-            out = f"ERROR:{type(exc).__name__}:{exc}"
-        lines.append(f"{case_id}\t{out}")
-    return lines
+            yield case_id, s, f"ERROR:{type(exc).__name__}:{exc}", None
+        else:
+            yield case_id, s, plan, _plan_hash(plan)
 
 
-def test_plans_match_golden():
+def _digest(plan, s: ChannelScenario, plan_hash) -> str:
+    """The digest of ``plan`` with its ``verify_plan`` report and usage."""
+    return _digest_with(plan_hash, plan, verify_plan(plan, s), cache_usage(plan, s.D))
+
+
+def _lines() -> list[str]:
+    """The golden file: the digest of each plan under legacy sums."""
+    return [f"{case_id}\t{plan}" if h is None else f"{case_id}\t" + _digest_with(
+                h, plan, verify_plan_explicit(plan, s, total=legacy),
+                cache_usage_with(plan, s.D, legacy))
+            for case_id, s, plan, h in _built()]
+
+
+def test_plans_match_golden(monkeypatch):
     golden = GOLDEN.read_text(encoding="utf-8").splitlines()
-    lines = _lines()
-    assert [ln.split("\t", 1)[0] for ln in lines] == [
+    assert [case_id for case_id, _, _ in _cases()] == [
         ln.split("\t", 1)[0] for ln in golden
     ]
-    defects = 0
-    for got, want in zip(lines, golden):
-        case_id, want_out = want.split("\t", 1)
-        if want_out.startswith("ERROR:ZeroDivisionError:"):
+    # From Python 3.12 the builtin sum of floats is compensated.  Under it
+    # the one-at-a-time cache usage moved 155 of these digests; exact sums
+    # must move none.
+    assert compensated_sum([0.1] * 10) == 1.0 != legacy([0.1] * 10)
+    defects = moved_reports = moved_digests = 0
+    for (case_id, s, plan, h), line in zip(_built(), golden):
+        want = line.split("\t", 1)[1]
+        if want.startswith("ERROR:ZeroDivisionError:"):
             defects += 1
-            builder = case_id.split("|")[1].split("(")[0]
-            want = f"{case_id}\t{ZERO_DENOMINATOR_DEFECTS[builder]}"
-        assert got == want
+            want = ZERO_DENOMINATOR_DEFECTS[case_id.split("|")[1].split("(")[0]]
+        if h is None:
+            assert plan == want, case_id
+            continue
+        old = verify_plan_explicit(plan, s, total=legacy)
+        assert _digest_with(h, plan, old, cache_usage_with(plan, s.D, legacy)) == want, case_id
+        report = verify_plan(plan, s)
+        assert report.to_json() == verify_plan_explicit(plan, s, total=exact).to_json(), case_id
+        assert [c.passed for c in report.checks] == [c.passed for c in old.checks], case_id
+        moved_reports += report.to_json() != old.to_json()
+        digest = _digest(plan, s, h)
+        moved_digests += digest != want
+        with monkeypatch.context() as m:
+            m.setattr(schemes, "sum", compensated_sum, raising=False)
+            assert _digest(plan, s, h) == digest, case_id
     assert defects == ZERO_DENOMINATOR_LINES
+    assert (moved_reports, moved_digests) == (MOVED_REPORTS, MOVED_DIGESTS)
 
 
 if __name__ == "__main__":

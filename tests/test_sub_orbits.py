@@ -11,8 +11,13 @@ and every label as its own key), and every label is ``prefix[ids]`` with
 distinct receiver ids (checked here on the subset builders' plans).
 ``verify_plan_class_view`` (``tests/oracles.py``) is the pass as it was
 before: it peels every unit that hands a representative a part.  Reports
-must be equal byte for byte, on intact plans and on plans whose orbits
-lost, repeated or reordered a member.
+must be equal byte for byte, the oracle's sums exact as ``verify_plan``'s
+are, on intact plans and on plans whose orbits lost, repeated or
+reordered a member.
+
+The verifier's sums (``schemes._sum``) are exact and rounded once, an
+orbit's terms weighted by its member count; where a term is NaN or
+infinite, or the sum overflows, they are the plain sum's IEEE value.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from math import fsum, isfinite
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import verify_plan_class_view, verify_plan_explicit
+from oracles import exact, legacy, verify_plan_class_view, verify_plan_explicit
 from secache import (
+    Atom,
     ChannelScenario,
     DeliveryUnit,
     RateMemoryPoint,
@@ -40,7 +47,7 @@ from secache.schemes import (
     Orbit,
     PlanOrbits,
     _label_key,
-    _repeated_sum,
+    _sum,
     build_symmetric_piggyback,
 )
 
@@ -82,11 +89,11 @@ def _orbit_mutants(plan, rng):
 def test_orbit_mutants_match_the_class_view(preset, name):
     s = ChannelScenario(**PRESETS[preset])
     plan = SUBSET_BUILDS[name](s)
-    assert verify_plan(plan, s).to_json() == verify_plan_class_view(plan, s).to_json()
+    assert verify_plan(plan, s).to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
     undelivered = 0
     for case, mutant in _orbit_mutants(plan, random.Random(f"{preset}|{name}")):
         got = verify_plan(mutant, s)
-        assert got.to_json() == verify_plan_class_view(mutant, s).to_json(), case
+        assert got.to_json() == verify_plan_class_view(mutant, s, total=exact).to_json(), case
         undelivered += "cannot obtain" in got.check("DECODE").detail
     # Some dropped member takes the only provider of a representative's
     # part, which a reduction without the guard would not see.
@@ -123,7 +130,8 @@ def test_decode_builds_one_member_per_sub_orbit(fig3):
     plan = build_symmetric_piggyback(fig3, 1, 7, 1e-4)
     reps = plan.orbits.representatives
     counted, calls = _counting(plan)
-    assert verify_plan(counted, fig3).to_json() == verify_plan_class_view(plan, fig3).to_json()
+    assert (verify_plan(counted, fig3).to_json()
+            == verify_plan_class_view(plan, fig3, total=exact).to_json())
     for oi, orb in enumerate(plan.orbits.orbits):
         built = _decode_members(plan, calls, oi)
         assert len(built) == len(set(built)), oi
@@ -139,7 +147,7 @@ def test_decode_builds_one_member_per_sub_orbit(fig3):
     got = verify_plan(dropped, fig3).to_json()
     for oi, orb in enumerate(dropped.orbits.orbits):
         assert _decode_members(dropped, calls, oi) == list(orb.members), oi
-    assert got == verify_plan_class_view(dropped, fig3).to_json()
+    assert got == verify_plan_class_view(dropped, fig3, total=exact).to_json()
 
 
 def _others_plan(to_self: bool) -> SchemePlan:
@@ -176,8 +184,8 @@ def test_a_label_naming_the_representative_keys_apart():
         plan = _others_plan(to_self)
         got = verify_plan(plan, s)
         assert got.check("DECODE").detail == detail
-        assert got.to_json() == verify_plan_class_view(plan, s).to_json()
-        assert got.to_json() == verify_plan_explicit(plan, s).to_json()
+        assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
+        assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
 
 
 def test_label_keys():
@@ -237,28 +245,90 @@ def test_subset_plan_labels_name_distinct_receivers(preset):
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_folded_sums_match_the_full_scan_on_fig5(builder, t):
     # fig5's weak XORs make one segment of C(20, t + 1) units, so RATE and
-    # SECRECY add each term 190 to 15,504 times.
+    # SECRECY weight each term by 190 to 15,504.
     s = ChannelScenario(**PRESETS["fig5"])
     plan = builder(s, t, 1e-4)
     assert plan.orbits.orbits[0].one_segment
-    assert verify_plan(plan, s).to_json() == verify_plan_explicit(plan, s).to_json()
-
-
-def _loop_sum(addends, times):
-    total = 0.0
-    for _ in range(times):
-        for x in addends:
-            total += x
-    return total
+    assert verify_plan(plan, s).to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
 
 
 @settings(max_examples=200)
-@given(st.lists(st.floats(-1e300, 1e300), max_size=8), st.integers(1, 300))
-def test_repeated_sum_is_the_loop(addends, times):
-    got = _repeated_sum(addends, times)
-    want = _loop_sum(addends, times)
-    assert repr(got) == repr(want)
+@given(st.lists(st.tuples(st.floats(-1e300, 1e300), st.integers(1, 300)), max_size=8),
+       st.integers(1, 300))
+@example([(-0.0, 1)], 100)
+def test_sums_are_exact_and_rounded_once(pairs, times):
+    # Each branch of _sum (fsum for one pass, integer ratios for a count)
+    # gives the correctly rounded sum of every term it stands for.
+    terms = [term for term, _ in pairs]
+    want = repr(fsum(terms * times))
+    assert repr(_sum(terms, times)) == repr(_sum(terms * times)) == want
+    counts = [count for _, count in pairs]
+    assert repr(_sum(terms, counts)) == repr(fsum(
+        [term for term, count in pairs for _ in range(count)]))
 
 
-def test_repeated_sum_starts_from_positive_zero():
-    assert repr(_repeated_sum([-0.0], 100)) == repr(_loop_sum([-0.0], 100)) == "0.0"
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("load, key_rate", [
+    (_NAN, _INF), (_INF, 1e308), (-_INF, -1.5e308), (1e308, -_INF), (-1.5e308, _NAN)])
+def test_verify_never_raises_on_non_finite_sums(fig3, load, key_rate):
+    # The weak XOR orbit is one segment of 10 members: receiver 1's load
+    # and the pad key rates count 10 times, where the exact sums raise.
+    # A margin that is not finite is the plain sum's.
+    plan = build_piggyback_one(fig3, 2, 1e-4)
+    po = plan.orbits
+    orb = po.orbits[0]
+    assert orb.one_segment and len(orb.members) == 10
+
+    def units(member):
+        return tuple(u._replace(decode_load={**u.decode_load, 1: load})
+                     for u in orb.units(member))
+
+    key_rates = {k: key_rate if k.startswith("K1") else v for k, v in plan.key_rates.items()}
+    plan = dataclasses.replace(plan, key_rates=key_rates, orbits=po._replace(
+        orbits=(orb._replace(units=units),) + po.orbits[1:]))
+    got = verify_plan(plan, fig3)
+    want = verify_plan_explicit(plan, fig3, total=legacy)
+    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+    for mine, theirs in zip(got.checks, want.checks):
+        if not isfinite(theirs.margin):
+            assert repr(mine.margin) == repr(theirs.margin), mine.name
+
+
+def _counted_plan(members: int, fraction: float, atoms: tuple) -> SchemePlan:
+    """One receiver, caching ``atoms``, and one orbit of ``members``
+    segments of length ``fraction``, each with one unit loading it at a
+    tenth of its capacity."""
+    unit = DeliveryUnit(parts=(), part_rates=(), decode_load={1: fraction / 20})
+    return SchemePlan(
+        scheme_name="counted", params={},
+        orbits=PlanOrbits(((1,),), (Orbit(1, fraction, range(members), lambda m: (unit,)),),
+                          lambda rs: {1: atoms} if 1 in rs else {}),
+        claimed_point=RateMemoryPoint(0.0, 3.0, 0.0, "counted"),
+        key_rates={}, message_parts={},
+    )
+
+
+def test_fractions_sum_exactly_over_many_members():
+    # 100,000 segments of 1e-5: one at a time they add up to
+    # 0.9999999999980838, 1.9e-12 short of 1, and RATE failed.
+    s = ChannelScenario(K_w=1, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=2)
+    plan = _counted_plan(100_000, 1e-5, ())
+    old = verify_plan_explicit(plan, s, total=legacy).check("RATE")
+    assert old.detail == "fractions sum to 0.9999999999980838" and not old.passed
+    got = verify_plan(plan, s)
+    assert got.check("RATE").passed
+    assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
+
+
+def test_cache_usage_sums_exactly_over_many_atoms():
+    # 100,000 atoms of 3e-5: one at a time they add up to
+    # 3.000000000005079, 5.1e-12 above the claimed 3, and CACHE failed.
+    s = ChannelScenario(K_w=1, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=2)
+    plan = _counted_plan(1, 1.0, (Atom("key", "K", 3e-5),) * 100_000)
+    old = verify_plan_explicit(plan, s, total=legacy).check("CACHE")
+    assert old.margin == 3.0 - 3.000000000005079 and not old.passed
+    got = verify_plan(plan, s)
+    assert got.check("CACHE").passed and got.check("CACHE").margin == 0.0
+    assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
