@@ -17,13 +17,16 @@ schedule entries that a permutation within a class maps onto one another,
 given by their members and the function that builds all of a member's
 units.  :func:`verify_plan` makes one pass per segment orbit and one per
 class representative (the lowest-numbered receiver), whose DECODE peels
-one member per sub-orbit of that representative; the explicit schedule
-and placement are expanded only when read, and kept.  The subset
-builders (both piggyback schemes and ``symmetric-piggyback``) treat all
-weak receivers alike and all strong receivers alike, so each segment
-family is one orbit, and refuse a plan whose explicit form is larger than
-:data:`MAX_PLAN_SIZE` before building anything.  The four other builders,
-and any changed plan, claim no symmetry (:meth:`PlanOrbits.explicit`).
+one member per sub-orbit of that representative and whose atoms and
+message parts it reads as runs (:class:`Run`); the explicit schedule and
+placement are expanded only when read, and kept.  The subset builders
+(both piggyback schemes and ``symmetric-piggyback``) treat all weak
+receivers alike and all strong receivers alike, so each segment family is
+one orbit, give their placement and message parts as runs over their
+label families, counted from binomials, and refuse a plan whose explicit
+form is larger than :data:`MAX_PLAN_SIZE` before building anything.  The
+four other builders, and any changed plan, claim no symmetry
+(:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -52,7 +55,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import comb, fsum, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -71,7 +74,7 @@ def _sum(terms: Sequence[float], times: int | Sequence[int] = 1) -> float:
     infinity, overflow), the plain sum's IEEE value: the terms added one
     at a time from 0.0, times ``times`` or each its count."""
     try:
-        if times == 1:
+        if times == 1 or type(times) is not int and times.count(1) == len(times):
             return fsum(terms)
         counts = itertools.repeat(times) if type(times) is int else times
         ratios = [term.as_integer_ratio() for term in terms]
@@ -191,6 +194,51 @@ class Orbit(NamedTuple):
     one_segment: bool = False
 
 
+class Run(NamedTuple):
+    """Atoms a receiver holds, or message parts it wants, of one kind and
+    rate, ``count`` of them.
+
+    A run of a family maps each label's receiver ids (``prefix[ids]``, as
+    :func:`_ids` reads them) to the label in ``labels``, in order, and has
+    ``blocks``, (class, size) pairs as :func:`_blocks` gives them for orbit
+    members: the ids are one combination of each block's class, the
+    blocks' in turn, and a family of message parts lists them in that
+    canonical order.  It stands for all its labels or, with a
+    ``receiver``, for those whose ids contain it (:meth:`held_by`).  A run
+    of listed labels (:func:`_listed`) maps each label to itself and has
+    no blocks.
+    """
+
+    kind: str  # "file_part" | "key"
+    rate: float
+    count: int
+    labels: Mapping
+    blocks: tuple = ()
+    receiver: Optional[int] = None
+
+    @classmethod
+    def over(cls, kind: str, rate: float, labels: Mapping, *blocks) -> Run:
+        return cls(kind, rate, len(labels), labels, blocks)
+
+    def held_by(self, r: int) -> Run:
+        """The labels whose ids contain ``r``, counted from binomials."""
+        count = 0
+        for b, (c, k) in enumerate(self.blocks):
+            if r in c:
+                count = comb(len(c) - 1, k - 1) if k else 0
+                count *= prod(comb(len(o), m) for a, (o, m) in enumerate(self.blocks) if a != b)
+        return self._replace(count=count, receiver=r)
+
+    def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
+        """Whether ``label``, whose ids are ``ids``, is one of the run's."""
+        if not self.blocks:
+            return label in self.labels
+        return self.labels.get(ids) == label and (self.receiver is None or self.receiver in ids)
+
+    def cache_cost(self, D: int) -> float:
+        return D * self.rate if self.kind == "file_part" else self.rate
+
+
 class PlanOrbits(NamedTuple):
     """A class-symmetric plan's schedule and placement, as orbits.
 
@@ -201,11 +249,21 @@ class PlanOrbits(NamedTuple):
     its atoms in placement order, as in the full placement.  The class group
     (permutations within each class) maps the plan onto itself, renaming
     the receiver ids in its labels ``prefix[ids]``.
+
+    The subset builders also give the placement as ``families``: groups of
+    family runs (:class:`Run`) whose atoms a receiver holds when its id is
+    among the label's, in group order, a group's runs interleaved label by
+    label (:func:`_placed`, which is their ``place``); and ``parts``, each
+    receiver's message parts (``SchemePlan.message_parts``) as family runs.
+    Without them :func:`verify_plan` reads ``place`` and the message parts
+    as runs of one label.
     """
 
     classes: tuple[tuple[int, ...], ...]
     orbits: tuple[Orbit, ...]
     place: Callable[[frozenset], dict[int, tuple[Atom, ...]]]
+    families: tuple[tuple[Run, ...], ...] = ()
+    parts: Mapping[int, tuple[Run, ...]] = _EMPTY
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -338,19 +396,45 @@ def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...],
     }
 
 
-def _place(atoms: dict[int, list[Atom]], family: dict, make) -> None:
-    """Append each subset's atom, made once from its label, to those of its
-    members that ``atoms`` holds a list for; subsets with no such member
-    are skipped."""
+def _ids(label: str) -> Optional[tuple[int, ...]]:
+    """The receiver ids of a label ``prefix[ids]``; None for a label not of
+    that form."""
+    prefix, sep, ids = label.partition("[")
+    if not sep or ids[-1:] != "]":
+        return None
+    try:
+        return tuple(map(int, ids[:-1].split(","))) if ids != "]" else ()
+    except ValueError:
+        return None
+
+
+def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int],
+            rs: frozenset) -> dict[int, tuple[Atom, ...]]:
+    """The placement of the receivers in ``rs`` that hold atoms, in
+    ``receivers`` order: each label of ``families``, group by group, makes
+    one atom, which every receiver of ``rs`` among its ids holds.  After
+    each label of a group's first run come the next labels of its other
+    runs, as many as each holds per label of the first."""
+    atoms = {r: [] for r in receivers if r in rs}
     placing = atoms.keys()
-    for G, label in family.items():
-        if placing.isdisjoint(G):
-            continue
-        atom = make(label)
-        for i in G:
-            held = atoms.get(i)
-            if held is not None:
-                held.append(atom)
+
+    def place(run, ids, label):
+        if not placing.isdisjoint(ids):
+            atom = Atom(run.kind, label, run.rate)
+            for i in ids:
+                held = atoms.get(i)
+                if held is not None:
+                    held.append(atom)
+
+    for first, *rest in families:
+        rest = [(run, iter(run.labels.items()), len(run.labels) // len(first.labels))
+                for run in rest]
+        for ids, label in first.labels.items():
+            place(first, ids, label)
+            for run, entries, share in rest:
+                for ids, label in itertools.islice(entries, share):
+                    place(run, ids, label)
+    return {r: tuple(a) for r, a in atoms.items() if a}
 
 
 def _peeled(H: tuple[int, ...], labels: dict) -> tuple[tuple[int, str], ...]:
@@ -481,15 +565,9 @@ def _piggyback_split(
     return beta1, beta2, beta3, RA, RB
 
 
-def _subset_parts(
-    s: ChannelScenario, A: dict, rA: float, B: dict, rB: float
-) -> dict[int, tuple[tuple[str, float], ...]]:
-    """Every receiver's message tiled by the A- and B-subset parts of
-    positive rate (one tuple, shared by all receivers)."""
-    parts = tuple((label, rA) for label in A.values() if rA > 0) + tuple(
-        (label, rB) for label in B.values() if rB > 0
-    )
-    return {k: parts for k in range(1, s.K + 1)}
+def _message_parts(runs: tuple[Run, ...]) -> tuple[tuple[str, float], ...]:
+    """A message tiled by the labels of ``runs``, each at its run's rate."""
+    return tuple((label, run.rate) for run in runs for label in run.labels.values())
 
 
 def cache_usage(plan: SchemePlan, D: int) -> dict[int, float]:
@@ -694,8 +772,8 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     excess = beta2 * min(pos(dw - s.delta_z), dw - ds)
     lam3 = beta3 / Ks
 
-    weak = list(s.weak_ids)
-    strong = list(s.strong_ids)
+    weak = tuple(s.weak_ids)
+    strong = tuple(s.strong_ids)
     A = _family("A", weak, t - 1)
     B = _family("B", weak, t)
     K1 = _family("K1", weak, t + 1)
@@ -705,45 +783,36 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         Rbin = bin3 = 0.0
         RK3 = excess / (Ks * comb(Kw, t))
         RK4 = beta3 * min(1 - s.delta_z, 1 - ds) / Ks
-        # K3[j,G] is "K3[j," followed by B[G] without its "B["
-        heads = [f"K3[{j}," for j in strong]
-        K3 = {G: tuple([h + label[2:] for h in heads]) for G, label in B.items()}
-        K4 = {j: (_lbl("K4", [j]),) for j in strong}
+        K4 = _family("K4", strong, 1)
     else:
         name, point_label = "piggyback-one", f"piggyback-one[t={t}]"
         Rbin = excess / comb(Kw, t)
         bin3 = lam3 * (1 - s.delta_z)
         RK3 = RK4 = 0.0
-        K3 = dict.fromkeys(B, ())
         K4 = {}
 
+    # K3[j,G] is "K3[j," followed by B[G] without its "B["; the K3 keys
+    # of G follow K2[G], strong receiver by strong receiver.
+    heads = [((j,), f"K3[{j},") for j in strong] if keyed else []
+    K3 = {j + G: head + label[2:] for G, label in B.items() for j, head in heads}
     key_rates = dict.fromkeys(K1.values(), RK1)
-    for G, k2_label in K2.items():
+    k3_labels = iter(K3.values())
+    for k2_label in K2.values():
         key_rates[k2_label] = RK2
-        key_rates |= dict.fromkeys(K3[G], RK3)
-    key_rates |= {k4: RK4 for pads in K4.values() for k4 in pads}
+        key_rates |= dict.fromkeys(itertools.islice(k3_labels, len(heads)), RK3)
+    key_rates |= dict.fromkeys(K4.values(), RK4)
 
-    def place(receivers):
-        atoms = {i: [] for i in weak if i in receivers}
-        atoms |= {j: [Atom("key", k4, RK4)]
-                  for j, (k4,) in K4.items() if j in receivers}
-        _place(atoms, A, lambda label: Atom("file_part", label, rA))
-        if rB > 0:
-            _place(atoms, B, lambda label: Atom("file_part", label, rB))
-        _place(atoms, K1, lambda label: Atom("key", label, RK1))
-        for G, k2_label in K2.items():
-            held = [atoms[i] for i in G if i in atoms]
-            k3 = [Atom("key", label, RK3) if held or j in atoms else None
-                  for j, label in zip(strong, K3[G])]
-            if held:
-                k2 = Atom("key", k2_label, RK2)
-                for a in held:
-                    a.append(k2)
-                    a += k3
-            for j, atom in zip(strong, k3):
-                if j in atoms:
-                    atoms[j].append(atom)
-        return {r: tuple(a) for r, a in atoms.items()}
+    A_run = Run.over("file_part", rA, A, (weak, t - 1))
+    B_run = Run.over("file_part", rB, B, (weak, t))
+    families = [(Run.over("key", RK4, K4, (strong, 1)),)] if keyed else []
+    families.append((A_run,))
+    if rB > 0:
+        families.append((B_run,))
+    families.append((Run.over("key", RK1, K1, (weak, t + 1)),))
+    families.append((Run.over("key", RK2, K2, (weak, t)),) + (
+        (Run.over("key", RK3, K3, (strong, 1), (weak, t)),) if keyed else ()))
+    families = tuple(families)
+    parts = tuple(run for run in (A_run, B_run) if run.rate > 0)
 
     xor_load = dict.fromkeys(weak, rB)
     column_load = dict.fromkeys(strong, rB)
@@ -755,7 +824,8 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     def period(G):
         """Phase 2 for weak subset G: the row, then one column per strong
         receiver."""
-        context = ((B[G],) if rB > 0 else ()) + K3[G]
+        k3 = tuple(K3[j + G] for j, _ in heads)
+        context = ((B[G],) if rB > 0 else ()) + k3
         units = [DeliveryUnit(
             parts=_peeled(G, A),
             part_rates=(rA,) * len(G),
@@ -770,7 +840,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
                 DeliveryUnit(
                     parts=((j, B[G]),),
                     part_rates=(rB,),
-                    pad_keys=K3[G][k:k + 1],
+                    pad_keys=k3[k:k + 1],
                     intended=frozenset({j}),
                     decode_load=column_load,
                 )
@@ -783,7 +853,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
             parts=tuple((j, a_label) for a_label in A.values()),
             part_rates=(rA,) * len(A),
             combine="concat",
-            pad_keys=K4.get(j, ()),
+            pad_keys=(K4[(j,)],) if keyed else (),
             bin_rate=bin3,
             intended=frozenset({j}),
             decode_load={j: RA + bin3},
@@ -807,10 +877,11 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     return SchemePlan(
         scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
-        orbits=PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), partial(_placed, families, weak + strong),
+                          families, dict.fromkeys(range(1, s.K + 1), parts)),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
         key_rates=key_rates,
-        message_parts=_subset_parts(s, A, rA, B, rB),
+        message_parts=dict.fromkeys(range(1, s.K + 1), _message_parts(parts)),
     )
 
 
@@ -964,8 +1035,8 @@ def build_symmetric_piggyback(
     RK3 = beta2 * mzw / (Kw * Ks)
     RK4 = beta2 * min(pos(dw - dz), 1 - ds) / (Kw * Ks)
 
-    weak = list(s.weak_ids)
-    strong = list(s.strong_ids)
+    weak = tuple(s.weak_ids)
+    strong = tuple(s.strong_ids)
     A = _family("A", weak, t_w)
     B = _family("B", strong, t_s)
     Kw1 = _family("Kw1", weak, t_w + 1)
@@ -973,34 +1044,28 @@ def build_symmetric_piggyback(
     # Each label is formatted once; the loops below reuse it many times.
     Kw_pair = {(i, j): _lbl("Kw", (i, j)) for i in weak for j in strong}
     Ks_pair = {(i, j): _lbl("Ks", (i, j)) for i in weak for j in strong}
-    Ar = {i: _lbl("Ar", [i]) for i in weak}
-    Br = {j: _lbl("Br", [j]) for j in strong}
+    Ar = _family("Ar", weak, 1)
+    Br = _family("Br", strong, 1)
 
     key_rates = dict.fromkeys(Kw1.values(), RK1) | dict.fromkeys(Ks1.values(), RK2)
     for ij in Kw_pair:
         key_rates[Kw_pair[ij]] = RK3
         key_rates[Ks_pair[ij]] = RK4
 
-    def place(receivers):
-        atoms = {r: [] for r in weak + strong if r in receivers}
-        _place(atoms, A, lambda label: Atom("file_part", label, a))
-        _place(atoms, Kw1, lambda label: Atom("key", label, RK1))
-        _place(atoms, B, lambda label: Atom("file_part", label, b))
-        _place(atoms, Ks1, lambda label: Atom("key", label, RK2))
-        for ij in Kw_pair:
-            held = [atoms[r] for r in ij if r in atoms]
-            if held:
-                pair = [
-                    Atom("key", Kw_pair[ij], RK3),
-                    Atom("key", Ks_pair[ij], RK4),
-                ]
-                for at in held:
-                    at += pair
-        return {r: tuple(at) for r, at in atoms.items()}
+    A_run = Run.over("file_part", a, A, (weak, t_w))
+    B_run = Run.over("file_part", b, B, (strong, t_s))
+    pairs = ((weak, 1), (strong, 1))
+    families = (
+        (A_run,),
+        (Run.over("key", RK1, Kw1, (weak, t_w + 1)),),
+        (B_run,),
+        (Run.over("key", RK2, Ks1, (strong, t_s + 1)),),
+        (Run.over("key", RK3, Kw_pair, *pairs), Run.over("key", RK4, Ks_pair, *pairs)),
+    )
 
     # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
-    virtual = {i: frozenset({Ar[i]}) for i in weak}
-    virtual |= {j: frozenset({Br[j]}) for j in strong}
+    virtual = {i: frozenset({Ar[(i,)]}) for i in weak}
+    virtual |= {j: frozenset({Br[(j,)]}) for j in strong}
 
     def xor(parts, rate, pads):
         """The subphase-1 or -3 XOR over H, secured by the key of H."""
@@ -1011,9 +1076,9 @@ def build_symmetric_piggyback(
     def pair(ij):
         """Subphase 2 for weak i and strong j: the row, then the column."""
         i, j = ij
-        kw, ks = Kw_pair[ij], Ks_pair[ij]
-        return (_unicast(i, Br[j], br, (kw,), context=(ks, Ar[i])),
-                _unicast(j, Ar[i], ar, (ks,), context=(kw, Br[j])))
+        kw, ks, ar_i, br_j = Kw_pair[ij], Ks_pair[ij], Ar[(i,)], Br[(j,)]
+        return (_unicast(i, br_j, br, (kw,), context=(ks, ar_i)),
+                _unicast(j, ar_i, ar, (ks,), context=(kw, br_j)))
 
     orbits = []
     if beta1 > 0:
@@ -1022,14 +1087,11 @@ def build_symmetric_piggyback(
     if beta3 > 0:
         orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), tuple(Ks1), xor(B, b, Ks1)))
 
-    mp_weak = tuple((label, a) for label in A.values()) + tuple(
-        (Br[j], br) for j in strong
-    )
-    mp_strong = tuple((Ar[i], ar) for i in weak) + tuple(
-        (label, b) for label in B.values()
-    )
-    message_parts = {i: mp_weak for i in weak}
-    message_parts |= {j: mp_strong for j in strong}
+    parts_weak = (A_run, Run.over("file_part", br, Br, (strong, 1)))
+    parts_strong = (Run.over("file_part", ar, Ar, (weak, 1)), B_run)
+    parts = dict.fromkeys(weak, parts_weak) | dict.fromkeys(strong, parts_strong)
+    message_parts = (dict.fromkeys(weak, _message_parts(parts_weak))
+                     | dict.fromkeys(strong, _message_parts(parts_strong)))
 
     M_w_claim = (
         D * t_w * RA / Kw
@@ -1044,7 +1106,8 @@ def build_symmetric_piggyback(
     return SchemePlan(
         scheme_name="symmetric-piggyback",
         params={"t_w": t_w, "t_s": t_s, "eps": eps, "D": D},
-        orbits=PlanOrbits((tuple(weak), tuple(strong)), tuple(orbits), place),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), partial(_placed, families, weak + strong),
+                          families, parts),
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
@@ -1150,8 +1213,8 @@ def peel_rule(plan: SchemePlan) -> Callable[[DeliveryUnit], Sequence[tuple[int, 
 
 
 class _RepView(NamedTuple):
-    """The parts of a plan that :func:`peel_rule` and :func:`cache_usage`
-    read, restricted to the class representatives."""
+    """The parts of a plan that :func:`peel_rule` reads, restricted to the
+    class representatives."""
 
     placement: dict[int, tuple[Atom, ...]]
     message_parts: dict[int, tuple[tuple[str, float], ...]]
@@ -1186,11 +1249,12 @@ def _blocks(members: Sequence, where: dict[int, tuple[int, ...]]) -> Optional[li
     return blocks if all(map(operator.eq, members, canonical)) else None
 
 
-def _sub_orbit_firsts(members: Sequence, blocks: list, r: int) -> list:
-    """The first member, in the canonical enumeration ``blocks`` describes,
-    of each sub-orbit of receiver ``r``: the members where ``r`` sits at
-    one position, and (if any) those without ``r``.  Only the block of
-    ``r``'s class varies; every other block keeps its first combination."""
+def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
+    """The first member, in the canonical enumeration ``blocks`` describes
+    (whose first member is ``first``), of each sub-orbit of receiver ``r``:
+    the members where ``r`` sits at one position, and (if any) those
+    without ``r``.  Only the block of ``r``'s class varies; every other
+    block keeps its first combination."""
     picks = [range(k) for _, k in blocks]
     firsts = []
     for b, (c, k) in enumerate(blocks):
@@ -1203,12 +1267,12 @@ def _sub_orbit_firsts(members: Sequence, blocks: list, r: int) -> list:
             firsts.append([i for i in range(n) if i != q][:k])
         break
     else:
-        return [members[0]]
+        return [first]
     out = []
     for pick in firsts:
         picks[b] = pick
         ids = tuple(c[i] for (c, _), at in zip(blocks, picks) for i in at)
-        out.append(ids[0] if type(members[0]) is int else ids)
+        out.append(ids[0] if type(first) is int else ids)
     return out
 
 
@@ -1238,8 +1302,112 @@ def _worst(best: tuple[float, str], margin: float, detail: str,
            args: tuple) -> tuple[float, str]:
     """The first strict minimum of the margins offered in order: ``margin``
     with ``detail.format(*args)`` if it is below ``best``'s, else ``best``.
-    Starting from ``(inf, "")``, a NaN margin never wins."""
-    return (margin, detail.format(*args)) if margin < best[0] else best
+    A NaN margin is below every number, so the first NaN offered wins, and
+    fails its check."""
+    if margin < best[0] or (margin != margin and best[0] == best[0]):
+        return margin, detail.format(*args)
+    return best
+
+
+_ATOM_KEY = operator.attrgetter("kind", "rate")
+_ATOM_LABEL = operator.attrgetter("label")
+_PART_LABEL = operator.itemgetter(0)
+
+
+def _part_key(part: tuple[str, float]) -> tuple[str, float]:
+    """A message part's kind and rate, for :func:`_listed`."""
+    return "file_part", part[1]
+
+
+def _listed(items: Iterable, key: Callable, label: Callable) -> tuple[Run, ...]:
+    """Runs of ``items`` (atoms or message parts), listed: one per stretch
+    of items with equal ``key(item)``, their kind and rate, each with
+    their ``label(item)``."""
+    runs = []
+    for (kind, rate), stretch in itertools.groupby(items, key):
+        labels = list(map(label, stretch))
+        runs.append(Run(kind, rate, len(labels), dict(zip(labels, labels))))
+    return tuple(runs)
+
+
+def _rep_runs(plan: SchemePlan, receivers: Sequence[int], placed: Optional[dict] = None
+              ) -> dict[int, tuple[tuple[Run, ...], tuple[Run, ...]]]:
+    """Each receiver's held and wanted runs: its share of the plan's
+    ``families`` and its ``parts`` (:class:`PlanOrbits`), or without them
+    runs of its atoms (in ``placed``, the receivers' placement, if given)
+    and of its message parts, listed."""
+    po = plan.orbits
+    if po.families:
+        held = {r: tuple(h for group in po.families for run in group
+                         if (h := run.held_by(r)).count) for r in receivers}
+    else:
+        if placed is None:
+            placed = po.place(frozenset(receivers))
+        held = {r: _listed(placed.get(r, ()), _ATOM_KEY, _ATOM_LABEL) for r in receivers}
+    if po.parts:
+        return {r: (held[r], po.parts.get(r, ())) for r in receivers}
+    wanted: dict[tuple, tuple[Run, ...]] = {}  # receivers often want equal parts
+    for r in receivers:
+        parts = plan.message_parts.get(r, ())
+        if parts not in wanted:
+            wanted[parts] = _listed(parts, _part_key, _PART_LABEL)
+    return {r: (held[r], wanted[plan.message_parts.get(r, ())]) for r in receivers}
+
+
+def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int, ...]]]]
+              ) -> list[tuple[Run, str]]:
+    """The labels of the family runs of ``runs`` that are in ``named`` (by
+    prefix, label to its ids, read when first needed), each with its run.
+    A run with no more labels than ``named`` has of its prefix is scanned
+    instead."""
+    out = []
+    for run in runs:
+        some = run.blocks and named.get(next(iter(run.labels.values()), "").partition("[")[0])
+        if not some:
+            continue
+        if len(some) < len(run.labels):
+            for label, ids in some.items():
+                if ids is None:
+                    some[label] = ids = _ids(label)
+                if run.has(label, ids):
+                    out.append((run, label))
+        else:
+            r = run.receiver
+            out += [(run, label) for ids, label in run.labels.items()
+                    if label in some and (r is None or r in ids)]
+    return out
+
+
+def _first_missing(r: int, held: Sequence[Run], wanted: Sequence[Run], virtual: frozenset,
+                   delivered: set, classes: Optional[tuple]) -> Optional[str]:
+    """The first label of ``wanted``, in order, that receiver ``r``
+    neither holds (``held``, ``virtual``) nor was handed (``delivered``),
+    nor, given the ``classes`` of a symmetric plan, has the key
+    (:func:`_label_key`) of a label handed to it; None if there is none.
+    On a symmetric plan a family's labels are read one per sub-orbit of
+    ``r``, the first, which stands for the rest: all of them share one key
+    and, the placement being class-symmetric, whether ``r`` holds them."""
+    have = virtual.union(*(run.labels for run in held if not run.blocks))
+    held = [run for run in held if run.blocks]
+    keys = None
+    for run in wanted:
+        if classes is not None and run.blocks:
+            entries = [(ids, run.labels[ids]) for ids in sorted(
+                _sub_orbit_firsts(next(iter(run.labels)), run.blocks, r))]
+        else:
+            entries = run.labels.items()
+        for ids, label in entries:
+            if label in have or label in delivered or any(
+                    h.has(label, ids if run.blocks else _ids(label)) for h in held):
+                continue
+            if classes is not None:
+                if keys is None:
+                    key = _label_key(r, classes)
+                    keys = set(map(key, delivered))
+                if key(label) in keys:
+                    continue
+            return label
+    return None
 
 
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
@@ -1256,28 +1424,36 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     expanding it.  One pass per segment orbit, over its first member's
     units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule.  One pass per receiver class, on its
-    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE.
+    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE
+    from ``r``'s atoms and message parts as runs (:class:`Run`, counted
+    from binomials for a subset builder's families, listed otherwise).
     Every sum is exact and rounded once (:func:`_sum`), an orbit's terms
-    weighted by its member count, so margins are an exact full scan's.
+    weighted by its member count and a run's by its count, so margins are
+    an exact full scan's.
 
-    DECODE peels, by :func:`peel_rule` on the representatives' placement
-    and message parts, all the units of one member per sub-orbit of ``r``
-    (the members where ``r`` sits at one position, or those without it);
-    a part at another receiver's slot is never handed over.  It takes an
-    uncached part as delivered when its label has the key
-    (:func:`_label_key`) of a label delivered to ``r``.
-    That rests on two premises.  Checked here, once per orbit: every
+    DECODE peels, by :func:`peel_rule` on the representatives' atoms and
+    message parts narrowed to the labels the peeled units name, all the
+    units of one member per sub-orbit of ``r`` (the members where ``r``
+    sits at one position, or those without it); a part at another
+    receiver's slot is never handed over.  It takes an uncached part as
+    delivered when its label has the key (:func:`_label_key`) of a label
+    delivered to ``r``, and reads a family of parts one label per
+    sub-orbit of ``r``, which stands for the rest (:func:`_first_missing`).
+    That rests on three premises.  Checked here, once per orbit: every
     orbit lists exactly the canonical enumeration of its first member's
     orbit under the class group (:func:`_blocks`), so the labels delivered
     to ``r`` are invariant under ``r``'s stabiliser.  Held by the
     builders, and tested: labels are ``prefix[ids]`` with distinct
-    receiver ids, which the class group renames.  When an orbit fails the
-    check, every member is peeled and every label is its own key.
+    receiver ids, which the class group renames; and the placement is
+    class-symmetric, so whether ``r`` holds a label is invariant too.
+    When an orbit fails the check, every member is peeled, every label
+    is its own key and every part is read.
 
     Details name the first strict minimum in schedule and receiver order,
-    as a full scan does.  A plan that claims no symmetry, such as a
-    changed plan, has every segment and every receiver as its own orbit
-    and class, so all of them are checked.
+    as a full scan does; a NaN margin is below every number, so the first
+    NaN is the check's margin and fails it.  A plan that claims no
+    symmetry, such as a changed plan, has every segment and every
+    receiver as its own orbit and class, so all of them are checked.
     """
     po = plan.orbits
     rate = sec = cache = (float("inf"), "")
@@ -1315,54 +1491,65 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             merged = seg_id
 
     receivers = po.representatives
-    view = _RepView(
-        po.place(frozenset(receivers)),
-        {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
-        {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached},
-    )
     # With one receiver per class no member or label stands for another.
     blocks = [None]
     if any(len(c) > 1 for c in po.classes):
         where = {i: c for c in po.classes for i in c}
         blocks = [_blocks(orb.members, where) for orb in po.orbits]
     symmetric = None not in blocks
-    peel = peel_rule(view)
-    delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
+    units = []
     for i, orb in enumerate(po.orbits):
         members = orb.members
         if symmetric and len(members) > 1:
             members = dict.fromkeys(
-                m for r in receivers for m in _sub_orbit_firsts(members, blocks[i], r))
+                m for r in receivers for m in _sub_orbit_firsts(members[0], blocks[i], r))
         for m in members:
-            for unit in orb.units(m):
-                for r, label in peel(unit):
-                    delivered_to[r].add(label)
+            units += orb.units(m)
+    # The labels, by prefix, of the units that give a representative a
+    # slot: its parts, pad keys and the representatives' context.  Of the
+    # family atoms and parts only these can change what a unit hands over.
+    named: dict[str, dict] = {}
+    if po.families:
+        reps = set(receivers)
+        for label in {label for unit in units if not reps.isdisjoint([r for r, _ in unit.parts])
+                      for label in itertools.chain(
+                          [label for _, label in unit.parts], unit.pad_keys,
+                          *[unit.context[r] for r in reps & unit.context.keys()])}:
+            named.setdefault(label.partition("[")[0], {})[label] = None
+    # Runs of listed atoms and parts are in the view whole.
+    placed = {} if po.families else po.place(frozenset(receivers))
+    listed = {} if po.parts else {
+        r: plan.message_parts[r] for r in receivers if r in plan.message_parts}
+    runs = _rep_runs(plan, receivers, placed)
+    view = _RepView(
+        {r: placed.get(r, ()) + tuple(Atom(run.kind, label, run.rate)
+                                      for run, label in _narrowed(held, named))
+         for r, (held, _) in runs.items()} if named else placed,
+        {r: listed.get(r, ()) + tuple((label, run.rate) for run, label in _narrowed(wanted, named))
+         for r, (_, wanted) in runs.items()} if named else listed,
+        {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached},
+    )
+    peel = peel_rule(view)
+    delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
+    for unit in units:
+        for r, label in peel(unit):
+            delivered_to[r].add(label)
 
     decode = ""  # the first failure's detail
     point = plan.claimed_point
-    usage = cache_usage(view, s.D)
-    for r in receivers:
+    for r, (held, wanted) in runs.items():
         if not decode:
-            have = {a.label for a in view.placement.get(r, ())}
-            have |= view.virtual_cached.get(r, frozenset())
-            delivered = delivered_to[r]
-            keys = None
-            parts = view.message_parts.get(r, ())
-            for label, _ in parts:
-                if label not in have and label not in delivered:
-                    if symmetric and keys is None:
-                        key = _label_key(r, po.classes)
-                        keys = set(map(key, delivered))
-                    if not symmetric or key(label) not in keys:
-                        decode = f"receiver {r} cannot obtain part {label!r}"
-                        break
+            missing = _first_missing(r, held, wanted, view.virtual_cached.get(r, frozenset()),
+                                     delivered_to[r], po.classes if symmetric else None)
+            if missing is not None:
+                decode = f"receiver {r} cannot obtain part {missing!r}"
             else:
-                total = _sum([part_rate for _, part_rate in parts])
+                total = _sum([run.rate for run in wanted], [run.count for run in wanted])
                 if abs(total - point.R) > RATE_TOL:
                     decode = (f"receiver {r} reassembles rate {total!r}, "
                               f"claimed {point.R!r}")
         claim = point.M_w if r <= s.K_w else point.M_s
-        used = usage.get(r, 0.0)
+        used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
         cache = _worst(cache, claim - used, "receiver {}: usage {:.6g} vs claimed "
                        "{:.6g}", (r, used, claim))
     if not decode and merged is not None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from math import ceil, fsum, isfinite
+from math import ceil, fsum, isfinite, isnan
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ from secache.schemes import (
     DeliverySegment,
     SchemePlan,
     VerificationReport,
-    _worst,
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
@@ -725,6 +724,20 @@ def compensated_sum(iterable, /, start=0):
 
 
 
+def _below(margin: float, best: float) -> bool:
+    """Whether ``margin`` replaces ``best``, the lowest margin so far: it is
+    lower, or it is the first NaN, which fails its check."""
+    return margin < best or (isnan(margin) and not isnan(best))
+
+
+def _worst(best: tuple[float, str], margin: float, detail: str,
+           args: tuple) -> tuple[float, str]:
+    """``(margin, detail.format(*args))`` if ``margin`` replaces ``best``'s
+    (:func:`_below`), else ``best``: the first strict minimum of the
+    margins offered in order, or the first NaN."""
+    return (margin, detail.format(*args)) if _below(margin, best[0]) else best
+
+
 def _payload(unit, total: Total) -> float:
     """``DeliveryUnit.payload_rate``, a concatenation's rates summed by ``total``."""
     if unit.combine == "xor":
@@ -770,7 +783,7 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario, *,
             load = total(terms)
             capacity = seg.fraction * (1.0 - s.erasure_of(r))
             margin = capacity - load
-            if margin < rate_margin:
+            if _below(margin, rate_margin):
                 rate_margin = margin
                 rate_detail = (
                     f"segment {seg.id}, receiver {r}: load {load:.6g} vs "
@@ -842,7 +855,7 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario, *,
         payload, securing = total(payloads), total(securings)
         required = min(payload, seg.fraction * (1.0 - s.delta_z))
         margin = securing - required
-        if margin < sec_margin:
+        if _below(margin, sec_margin):
             sec_margin = margin
             sec_detail = (
                 f"segment {seg.id}: securing {securing:.6g} vs required "
@@ -861,7 +874,7 @@ def verify_plan_explicit(plan: SchemePlan, s: ChannelScenario, *,
             plan.claimed_point.M_w if r <= s.K_w else plan.claimed_point.M_s
         )
         margin = claim - usage.get(r, 0.0)
-        if margin < cache_margin:
+        if _below(margin, cache_margin):
             cache_margin = margin
             cache_detail = (
                 f"receiver {r}: usage {usage.get(r, 0.0):.6g} vs claimed "
@@ -883,17 +896,32 @@ class _ClassView(NamedTuple):
     virtual_cached: dict[int, frozenset]
 
 
+def _slot_members(orb, reps: frozenset):
+    """The members of orbit ``orb`` whose units may give a receiver of
+    ``reps`` a slot.  In an XOR orbit, whose first member's units are XORs
+    with every slot among the member's ids (a coded-caching XOR over a
+    subset, or a row and a column over a pair), these are the members
+    that contain one of ``reps``; in any other orbit, every member."""
+    first = orb.members[0]
+    if type(first) is tuple and all(
+            unit.combine == "xor" and {r for r, _ in unit.parts} <= set(first)
+            for unit in orb.units(first)):
+        return [m for m in orb.members if not reps.isdisjoint(m)]
+    return orb.members
+
+
 def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
     """What DECODE and CACHE read, and the receivers they check: the class
     representatives with their atoms, their message parts and the units
     that hand them a part (a part at a representative's slot), in one
-    segment.  Every bit of :func:`deliveries` concerns one receiver, so
-    the view gives the representatives their own deliveries."""
+    segment, built from the members :func:`_slot_members` keeps.  Every
+    bit of :func:`deliveries` concerns one receiver, so the view gives the
+    representatives their own deliveries."""
     po = plan.orbits
     reps = po.representatives
     rep_set = frozenset(reps)
     units = tuple(
-        u for orb in po.orbits for m in orb.members for u in orb.units(m)
+        u for orb in po.orbits for m in _slot_members(orb, rep_set) for u in orb.units(m)
         if not rep_set.isdisjoint(r for r, _ in u.parts)
     )
     view = _ClassView(

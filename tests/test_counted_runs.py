@@ -1,0 +1,256 @@
+"""Counted DECODE and CACHE: a representative's placement and message
+parts as runs, against the explicit plan.
+
+``verify_plan`` reads each class representative ``r``'s atoms and message
+parts as runs (``schemes.Run``): a kind, a rate, a count from binomials,
+and label membership decided by whether ``r`` is among a label's ids.  A
+subset builder gives them over its families (``PlanOrbits.families`` and
+``parts``); any other plan, and the ``PlanOrbits`` tests build, give runs
+of the atoms and parts they list.  CACHE sums each run's cost times its count
+exactly; DECODE peels on a view narrowed to the labels the peeled units
+name, and checks one label per family and sub-orbit of ``r``, which
+stands for its sub-orbit: the placement is class-symmetric, so whether
+``r`` holds a label is invariant under ``r``'s stabiliser.  These tests
+hold the runs to the explicit placement and message parts, and the
+reports to the full scan (``verify_plan_explicit``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import random
+from math import comb, fsum
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import exact, verify_plan_explicit
+from strategies import scenarios
+from secache import BUILDERS, ChannelScenario, IndexOutOfRange, InvalidParameter, NotApplicable
+from secache import schemes
+from secache.cli import PRESETS
+from secache.schemes import _ids, _rep_runs, _sum, build_symmetric_piggyback, verify_plan
+
+DOCUMENTED = (IndexOutOfRange, InvalidParameter, NotApplicable)
+SUBSET = ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback")
+
+
+def _plans(s: ChannelScenario, eps: float, names=tuple(BUILDERS), ts=None):
+    """(case id, plan) for each builder of ``names`` at each index of
+    ``ts`` (every valid index when None) that builds."""
+    for name in names:
+        build = BUILDERS[name]
+        if name in ("piggyback-one", "piggyback-allkeys"):
+            args = [(t,) for t in ts or range(1, s.K_w)]
+        elif name == "symmetric-piggyback":
+            args = list(itertools.product(ts or range(1, s.K_w + 1), ts or range(1, s.K_s + 1)))
+        else:
+            args = [()]
+        for arg in args:
+            try:
+                yield f"{name}{arg}", build(s, *arg, eps)
+            except DOCUMENTED:
+                pass
+
+
+def _preset_plans(preset: str):
+    s = ChannelScenario(**PRESETS[preset])
+    # the weak side's first, middle and last subset sizes
+    ts = sorted({1, 2, s.K_w // 2, s.K_w - 1})
+    return s, list(_plans(s, 1e-4, SUBSET, ts))
+
+
+def _run_atoms(plan, r):
+    """Receiver ``r``'s atoms read from its runs, as the placement orders
+    them: group by group of the plan's families, each label of a group's
+    first run followed by the next labels of its other runs, as many as
+    each has per label of the first.  Checks each run's count."""
+    po = plan.orbits
+    if not po.families:
+        held, _ = _rep_runs(plan, [r])[r]
+        return [schemes.Atom(run.kind, label, run.rate)
+                for run in held for label in run.labels.values()]
+    atoms = []
+    for first, *rest in po.families:
+        group = [run.held_by(r) for run in (first, *rest)]
+        entries = [iter(run.labels.items()) for run in group]
+        shares = [1] + [len(run.labels) // len(first.labels) for run in rest]
+        counts = [0] * len(group)
+        for _ in first.labels:
+            for k, (run, it, share) in enumerate(zip(group, entries, shares)):
+                for ids, label in itertools.islice(it, share):
+                    if r in ids:
+                        atoms.append(schemes.Atom(run.kind, label, run.rate))
+                        counts[k] += 1
+        assert [run.count for run in group] == counts, r
+    return atoms
+
+
+def _holds(held, label):
+    """Whether one of the runs ``held`` has ``label``."""
+    return any(run.has(label, _ids(label)) for run in held)
+
+
+def _labels(plan):
+    """Every label the plan places, asks for, keys or holds virtually."""
+    labels = set(plan.key_rates)
+    for atoms in plan.placement.values():
+        labels |= {a.label for a in atoms}
+    for parts in plan.message_parts.values():
+        labels |= {label for label, _ in parts}
+    for virtual in plan.virtual_cached.values():
+        labels |= virtual
+    return labels
+
+
+def _stabiliser_image(plan, r, rng):
+    """A random permutation within each class that fixes ``r``, as a
+    function on labels ``prefix[ids]`` that renames the ids and sorts each
+    run of ids from one class, as the builders write them."""
+    where, perm = {}, {}
+    for c in plan.orbits.classes:
+        moved = [i for i in c if i != r]
+        perm |= dict(zip(moved, rng.sample(moved, len(moved)))) | ({r: r} if r in c else {})
+        where |= dict.fromkeys(c, c)
+
+    def image(label):
+        ids = _ids(label)
+        if ids is None:
+            return label
+        renamed = []
+        for _, run in itertools.groupby(ids, where.get):
+            renamed += sorted(perm[i] for i in run)
+        return f"{label.partition('[')[0]}[{','.join(map(str, renamed))}]"
+    return image
+
+
+def _check_runs(case, plan, s, rng=None):
+    """The runs of every representative against the explicit plan."""
+    runs = _rep_runs(plan, plan.orbits.representatives)
+    labels = _labels(plan)
+    for r, (held, wanted) in runs.items():
+        assert _run_atoms(plan, r) == list(plan.orbits.place(frozenset({r})).get(r, ())), (case, r)
+        assert {label for label in labels if _holds(held, label)} == plan.cached_labels(r), (case, r)
+        costs = [a.cache_cost(s.D) for a in plan.placement.get(r, ())]
+        counted = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
+        assert repr(counted) == repr(fsum(costs)) == repr(schemes.cache_usage(plan, s.D).get(r, 0.0)), (case, r)
+        parts = plan.message_parts.get(r, ())
+        assert [(label, run.rate) for run in wanted for label in run.labels.values()] == list(parts)
+        assert [run.count for run in wanted] == [len(run.labels) for run in wanted]
+        assert repr(_sum([run.rate for run in wanted], [run.count for run in wanted])) == repr(
+            fsum(rate for _, rate in parts)), (case, r)
+        if rng is not None:
+            image = _stabiliser_image(plan, r, rng)
+            for label in labels:
+                assert _holds(held, image(label)) == _holds(held, label), (case, r, label)
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_runs_are_the_explicit_placement_and_parts_on_presets(preset):
+    s, plans = _preset_plans(preset)
+    rng = random.Random(preset)
+    for case, plan in plans:
+        assert plan.orbits.families and plan.orbits.parts, case
+        _check_runs(case, plan, s, rng)
+    assert len(plans) >= 10
+
+
+@settings(max_examples=60)
+@given(scenarios(max_k=5), st.sampled_from((1e-4, 0.05)))
+def test_runs_are_the_explicit_placement_and_parts(s, eps):
+    # Every builder: the subset builders' family runs, the others' runs
+    # of one atom and one label.
+    rng = random.Random(repr(s))
+    for case, plan in _plans(s, eps):
+        _check_runs(case, plan, s, rng)
+
+
+def test_a_run_counts_its_labels_from_binomials(fig3):
+    plan = build_symmetric_piggyback(fig3, 2, 7, 1e-4)
+    held, wanted = _rep_runs(plan, [6])[6]
+    # B[6,...] subsets: C(14, 6); Ks1: C(14, 7); a Kw and a Ks key per weak receiver
+    assert [(run.kind, run.count) for run in held] == [
+        ("file_part", comb(14, 6)), ("key", comb(14, 7)), ("key", 5), ("key", 5)]
+    assert [run.count for run in wanted] == [5, comb(15, 7)]
+
+
+def _unpadded(plan, oi):
+    """``plan`` with the pad keys of orbit ``oi``'s units renamed, at their
+    rates, to keys that no receiver holds (a ``Z`` before each label), for
+    every member alike.  The plan stays class-symmetric, and no receiver
+    peels a part from those units any more."""
+    po = plan.orbits
+    orb = po.orbits[oi]
+
+    def units(member):
+        return tuple(u._replace(pad_keys=tuple("Z" + k for k in u.pad_keys))
+                     for u in orb.units(member))
+
+    key_rates = dict(plan.key_rates)
+    for member in orb.members:
+        for unit in orb.units(member):
+            key_rates.update(("Z" + k, plan.key_rates[k]) for k in unit.pad_keys)
+    orbits = po.orbits[:oi] + (orb._replace(units=units),) + po.orbits[oi + 1:]
+    return dataclasses.replace(plan, key_rates=key_rates, orbits=po._replace(orbits=orbits))
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_an_undeliverable_sub_orbit_names_the_first_missing_part(preset):
+    # An XOR orbit that hands nothing over leaves one sub-orbit of a part
+    # family (the subsets without the representative) undelivered; DECODE
+    # checks one label of it and names the first, as the full scan does.
+    s, plans = _preset_plans(preset)
+    failed = 0
+    for case, plan in plans:
+        for oi, orb in enumerate(plan.orbits.orbits):
+            unit = orb.units(orb.members[0])[0]
+            if unit.combine != "xor" or len(unit.parts) < 2:
+                continue
+            mutant = _unpadded(plan, oi)
+            got = verify_plan(mutant, s)
+            assert got.to_json() == verify_plan_explicit(mutant, s, total=exact).to_json(), (case, oi)
+            failed += "cannot obtain part" in got.check("DECODE").detail
+    assert failed >= 5
+
+
+@pytest.mark.parametrize("t_w", [1, 3])
+def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w):
+    # fig3 symmetric-piggyback(t_w, t_s): the strong XORs run over
+    # C(15, t_s + 1) subsets and the strong representative holds C(14,
+    # t_s - 1) B-parts, yet verify makes Atom records and label keys
+    # only for what the peeled units name.
+    made = {"atoms": 0, "keys": 0}
+
+    class CountedAtom(schemes.Atom):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            made["atoms"] += 1
+            return super().__new__(cls, *args)
+
+    label_key = schemes._label_key
+
+    def counted_label_key(r, classes):
+        key = label_key(r, classes)
+
+        def counted(label):
+            made["keys"] += 1
+            return key(label)
+        return counted
+
+    counts = {}
+    for t_s in range(1, 15):
+        plan = build_symmetric_piggyback(fig3, t_w, t_s, 1e-4)
+        made.update(atoms=0, keys=0)
+        with monkeypatch.context() as m:
+            m.setattr(schemes, "Atom", CountedAtom)
+            m.setattr(schemes, "_label_key", counted_label_key)
+            assert verify_plan(plan, fig3).passed
+        counts[t_s] = dict(made)
+    for t_s, made in counts.items():
+        # the peeled strong XORs name 2 (t_s + 1) B-parts and pad keys
+        assert made["atoms"] <= 4 * (t_w + t_s + 4), (t_s, made)
+        assert made["keys"] <= 4 * (t_w + t_s + 4), (t_s, made)
+    assert comb(15, 8) > 100 * max(made["atoms"] for made in counts.values())

@@ -17,7 +17,8 @@ reordered a member.
 
 The verifier's sums (``schemes._sum``) are exact and rounded once, an
 orbit's terms weighted by its member count; where a term is NaN or
-infinite, or the sum overflows, they are the plain sum's IEEE value.
+infinite, or the sum overflows, they are the plain sum's IEEE value.  A
+NaN margin fails its check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
-from math import fsum, isfinite
+from math import fsum, isfinite, isnan
 
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +295,29 @@ def test_verify_never_raises_on_non_finite_sums(fig3, load, key_rate):
     for mine, theirs in zip(got.checks, want.checks):
         if not isfinite(theirs.margin):
             assert repr(mine.margin) == repr(theirs.margin), mine.name
+
+
+@pytest.mark.parametrize("check, load, key_rate", [("RATE", _NAN, None), ("SECRECY", None, _NAN)])
+def test_a_nan_margin_fails_its_check(fig3, check, load, key_rate):
+    # NaN is below no number, so a NaN margin never was the minimum and a
+    # NaN load or key rate passed.  Now the first NaN is the check's
+    # margin, and fails it.
+    plan = build_piggyback_one(fig3, 2, 1e-4)
+    po = plan.orbits
+    orb = po.orbits[0]
+
+    def units(member):
+        return tuple(u._replace(decode_load={**u.decode_load, 1: load}) if load else u
+                     for u in orb.units(member))
+
+    key_rates = {k: key_rate if key_rate and k.startswith("K1") else v
+                 for k, v in plan.key_rates.items()}
+    plan = dataclasses.replace(plan, key_rates=key_rates, orbits=po._replace(
+        orbits=(orb._replace(units=units),) + po.orbits[1:]))
+    got = verify_plan(plan, fig3)
+    failed = [c.name for c in got.checks if not c.passed]
+    assert failed == [check] and isnan(got.check(check).margin)
+    assert got.to_json() == verify_plan_explicit(plan, fig3, total=exact).to_json()
 
 
 def _counted_plan(members: int, fraction: float, atoms: tuple) -> SchemePlan:
