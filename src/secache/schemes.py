@@ -252,11 +252,11 @@ class PlanOrbits(NamedTuple):
 
     The subset builders also give the placement as ``families``: groups of
     family runs (:class:`Run`) whose atoms a receiver holds when its id is
-    among the label's, in group order, a group's runs interleaved label by
-    label (:func:`_placed`, which is their ``place``); and ``parts``, each
-    receiver's message parts (``SchemePlan.message_parts``) as family runs.
-    Without them :func:`verify_plan` reads ``place`` and the message parts
-    as runs of one label.
+    among the label's, in group order, a group's runs interleaved as
+    :func:`_placed`, which is their ``place``, reads them; and ``parts``, each
+    receiver's message parts (``SchemePlan.message_parts``) as family runs;
+    the two come together.  Without them :func:`verify_plan` reads the
+    atoms ``place`` lists and the message parts as runs (:func:`_listed`).
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -1397,8 +1397,7 @@ def _first_missing(r: int, held: Sequence[Run], wanted: Sequence[Run], virtual: 
         else:
             entries = run.labels.items()
         for ids, label in entries:
-            if label in have or label in delivered or any(
-                    h.has(label, ids if run.blocks else _ids(label)) for h in held):
+            if label in have or label in delivered or any(h.has(label, ids) for h in held):
                 continue
             if classes is not None:
                 if keys is None:
