@@ -227,7 +227,7 @@ class Run(NamedTuple):
             if r in c:
                 count = comb(len(c) - 1, k - 1) if k else 0
                 count *= prod(comb(len(o), m) for a, (o, m) in enumerate(self.blocks) if a != b)
-        return self._replace(count=count, receiver=r)
+        return Run(self.kind, self.rate, count, self.labels, self.blocks, r)
 
     def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
         """Whether ``label``, whose ids are ``ids``, is one of the run's."""
@@ -1387,9 +1387,7 @@ def _first_missing(r: int, held: Sequence[Run], wanted: Sequence[Run], virtual: 
     On a symmetric plan a family's labels are read one per sub-orbit of
     ``r``, the first, which stands for the rest: all of them share one key
     and, the placement being class-symmetric, whether ``r`` holds them."""
-    have = virtual.union(*(run.labels for run in held if not run.blocks))
-    held = [run for run in held if run.blocks]
-    keys = None
+    have = keys = None
     for run in wanted:
         if classes is not None and run.blocks:
             entries = [(ids, run.labels[ids]) for ids in sorted(
@@ -1397,7 +1395,12 @@ def _first_missing(r: int, held: Sequence[Run], wanted: Sequence[Run], virtual: 
         else:
             entries = run.labels.items()
         for ids, label in entries:
-            if label in have or label in delivered or any(h.has(label, ids) for h in held):
+            if label in delivered:
+                continue
+            if have is None:
+                have = virtual.union(*(run.labels for run in held if not run.blocks))
+                held = [run for run in held if run.blocks]
+            if label in have or any(h.has(label, ids) for h in held):
                 continue
             if classes is not None:
                 if keys is None:
