@@ -235,8 +235,7 @@ class Run(NamedTuple):
             return label in self.labels
         return self.labels.get(ids) == label and (self.receiver is None or self.receiver in ids)
 
-    def cache_cost(self, D: int) -> float:
-        return D * self.rate if self.kind == "file_part" else self.rate
+    cache_cost = Atom.cache_cost
 
 
 class PlanOrbits(NamedTuple):
@@ -399,7 +398,7 @@ def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...],
 def _ids(label: str) -> Optional[tuple[int, ...]]:
     """The receiver ids of a label ``prefix[ids]``; None for a label not of
     that form."""
-    prefix, sep, ids = label.partition("[")
+    _, sep, ids = label.partition("[")
     if not sep or ids[-1:] != "]":
         return None
     try:
