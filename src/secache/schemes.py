@@ -12,21 +12,20 @@ scheme (:func:`_build_piggyback`); each pair secures its strong receivers
 by wiretap bins or by cached keys.
 
 Every plan is its receiver classes, its orbits (:class:`PlanOrbits`) and
-a placement asked for by receiver set.  An orbit (:class:`Orbit`) is the
-schedule entries that a permutation within a class maps onto one another,
-given by their members and the function that builds all of a member's
-units.  :func:`verify_plan` makes one pass per segment orbit and one per
-class representative (the lowest-numbered receiver), whose DECODE peels
-one member per sub-orbit of that representative and whose atoms and
-message parts it reads as runs (:class:`Run`); the explicit schedule and
+its placement, held as data.  An orbit (:class:`Orbit`) is the schedule
+entries that a permutation within a class maps onto one another, given
+by their members and the function that builds all of a member's units.
+:func:`verify_plan` makes one pass per segment orbit and one per class
+representative (the lowest-numbered receiver), whose DECODE peels one
+member per sub-orbit of that representative; the explicit schedule and
 placement are expanded only when read, and kept.  The subset builders
 (both piggyback schemes and ``symmetric-piggyback``) treat all weak
 receivers alike and all strong receivers alike, so each segment family is
-one orbit, give their placement and message parts as runs over their
-label families, counted from binomials, and refuse a plan whose explicit
-form is larger than :data:`MAX_PLAN_SIZE` before building anything.  The
-four other builders, and any changed plan, claim no symmetry
-(:meth:`PlanOrbits.explicit`).
+one orbit, give their placement and message parts as runs (:class:`Run`)
+over their label families, counted from binomials, and refuse a plan
+whose explicit form is larger than :data:`MAX_PLAN_SIZE` before building
+anything.  The four other builders, and any changed plan, claim no
+symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -55,7 +54,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from math import comb, fsum, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -196,24 +195,22 @@ class Orbit(NamedTuple):
 
 class Run(NamedTuple):
     """Atoms a receiver holds, or message parts it wants, of one kind and
-    rate, ``count`` of them.
+    rate, ``count`` of them, over one label family.
 
-    A run of a family maps each label's receiver ids (``prefix[ids]``, as
-    :func:`_ids` reads them) to the label in ``labels``, in order, and has
-    ``blocks``, (class, size) pairs as :func:`_blocks` gives them for orbit
-    members: the ids are one combination of each block's class, the
-    blocks' in turn, and a family of message parts lists them in that
-    canonical order.  It stands for all its labels or, with a
-    ``receiver``, for those whose ids contain it (:meth:`held_by`).  A run
-    of listed labels (:func:`_listed`) maps each label to itself and has
-    no blocks.
+    A run maps each label's receiver ids (``prefix[ids]``, as :func:`_ids`
+    reads them) to the label in ``labels``, in order, and has ``blocks``,
+    (class, size) pairs as :func:`_blocks` gives them for orbit members:
+    the ids are one combination of each block's class, the blocks' in
+    turn, and a family of message parts lists them in that canonical
+    order.  It stands for all its labels or, with a ``receiver``, for
+    those whose ids contain it (:meth:`held_by`).
     """
 
     kind: str  # "file_part" | "key"
     rate: float
     count: int
     labels: Mapping
-    blocks: tuple = ()
+    blocks: tuple
     receiver: Optional[int] = None
 
     @classmethod
@@ -231,36 +228,34 @@ class Run(NamedTuple):
 
     def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
         """Whether ``label``, whose ids are ``ids``, is one of the run's."""
-        if not self.blocks:
-            return label in self.labels
         return self.labels.get(ids) == label and (self.receiver is None or self.receiver in ids)
 
     cache_cost = Atom.cache_cost
 
 
 class PlanOrbits(NamedTuple):
-    """A class-symmetric plan's schedule and placement, as orbits.
+    """A class-symmetric plan's schedule and placement, as orbits and data.
 
     ``classes`` lists the receivers of each class (weak, strong); the plan
     treats the members of a class alike, so the lowest-numbered one stands
-    for its class.  ``place(receivers)`` gives the placement of the
-    receivers in the set ``receivers``: for each of them that holds atoms,
-    its atoms in placement order, as in the full placement.  The class group
-    (permutations within each class) maps the plan onto itself, renaming
-    the receiver ids in its labels ``prefix[ids]``.
+    for its class.  The class group (permutations within each class) maps
+    the plan onto itself, renaming the receiver ids in its labels
+    ``prefix[ids]``.
 
-    The subset builders also give the placement as ``families``: groups of
-    family runs (:class:`Run`) whose atoms a receiver holds when its id is
-    among the label's, in group order, a group's runs interleaved as
-    :func:`_placed`, which is their ``place``, reads them; and ``parts``, each
-    receiver's message parts (``SchemePlan.message_parts``) as family runs;
-    the two come together.  Without them :func:`verify_plan` reads the
-    atoms ``place`` lists and the message parts as runs (:func:`_listed`).
+    The placement takes one of two forms.  ``atoms`` lists each
+    receiver's atoms in placement order.  The subset builders give instead
+    ``families``: groups of family runs (:class:`Run`) whose atoms a
+    receiver holds when its id is among the label's, in group order, a
+    group's runs interleaved as :func:`_placed` reads them; and with them
+    ``parts``, each receiver's message parts (``SchemePlan.message_parts``)
+    as family runs.  :func:`verify_plan` reads a representative's atoms
+    and message parts from its runs in a plan with families, and from
+    ``atoms`` and ``SchemePlan.message_parts`` in any other.
     """
 
     classes: tuple[tuple[int, ...], ...]
     orbits: tuple[Orbit, ...]
-    place: Callable[[frozenset], dict[int, tuple[Atom, ...]]]
+    atoms: Mapping[int, tuple[Atom, ...]] = _EMPTY
     families: tuple[tuple[Run, ...], ...] = ()
     parts: Mapping[int, tuple[Run, ...]] = _EMPTY
 
@@ -270,17 +265,16 @@ class PlanOrbits(NamedTuple):
 
     @classmethod
     def explicit(cls, receivers: Iterable[int], schedule: Sequence[DeliverySegment],
-                 placement: dict[int, tuple[Atom, ...]]) -> PlanOrbits:
+                 placement: Mapping[int, tuple[Atom, ...]]) -> PlanOrbits:
         """A plan that claims no symmetry: each receiver its own class,
         each segment ``(phase, member)`` an orbit of one member whose units
-        are the segment's own, and ``placement`` filtered by receiver set."""
+        are the segment's own, and ``placement`` as its atoms."""
         orbits = tuple(
             Orbit(seg.id[0], seg.fraction, (seg.id[1],),
                   lambda member, units=seg.units: units)
             for seg in schedule
         )
-        return cls(tuple((r,) for r in receivers), orbits, lambda rs: {
-            r: atoms for r, atoms in placement.items() if r in rs})
+        return cls(tuple((r,) for r in receivers), orbits, placement)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,11 +283,12 @@ class SchemePlan:
 
     Every plan is described by its ``orbits`` (:class:`PlanOrbits`): the
     explicit ``schedule`` (every member's units, in orbit order) and
-    ``placement`` (``place`` of every receiver in ``classes``) are each
-    expanded from them on first read, and kept.  A plan is immutable; a changed plan is a new
-    one whose orbits :meth:`PlanOrbits.explicit` builds from its changed
-    schedule and placement, so it claims no symmetry and
-    :func:`verify_plan` checks every segment and receiver of it.
+    ``placement`` (the listed atoms, or every receiver's share of the
+    families) are each expanded from them on first read, and kept.  A
+    plan is immutable; a changed plan is a new one whose orbits
+    :meth:`PlanOrbits.explicit` builds from its changed schedule and
+    placement, so it claims no symmetry and :func:`verify_plan` checks
+    every segment and receiver of it.
     """
 
     scheme_name: str
@@ -320,7 +315,10 @@ class SchemePlan:
 
     @cached_property
     def placement(self) -> dict[int, tuple[Atom, ...]]:
-        return self.orbits.place(frozenset(r for c in self.orbits.classes for r in c))
+        po = self.orbits
+        if po.families:
+            return _placed(po.families, [r for c in po.classes for r in c])
+        return dict(po.atoms)
 
     def cached_labels(self, receiver: int) -> set:
         return {a.label for a in self.placement.get(receiver, ())}
@@ -407,23 +405,19 @@ def _ids(label: str) -> Optional[tuple[int, ...]]:
         return None
 
 
-def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int],
-            rs: frozenset) -> dict[int, tuple[Atom, ...]]:
-    """The placement of the receivers in ``rs`` that hold atoms, in
-    ``receivers`` order: each label of ``families``, group by group, makes
-    one atom, which every receiver of ``rs`` among its ids holds.  After
-    each label of a group's first run come the next labels of its other
-    runs, as many as each holds per label of the first."""
-    atoms = {r: [] for r in receivers if r in rs}
-    placing = atoms.keys()
+def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int]
+            ) -> dict[int, tuple[Atom, ...]]:
+    """The placement of ``families``, in ``receivers`` order, of the
+    receivers that hold atoms: each label, group by group, makes one atom,
+    which every receiver among its ids holds.  After each label of a
+    group's first run come the next labels of its other runs, as many as
+    each holds per label of the first."""
+    atoms = {r: [] for r in receivers}
 
     def place(run, ids, label):
-        if not placing.isdisjoint(ids):
-            atom = Atom(run.kind, label, run.rate)
-            for i in ids:
-                held = atoms.get(i)
-                if held is not None:
-                    held.append(atom)
+        atom = Atom(run.kind, label, run.rate)
+        for i in ids:
+            atoms[i].append(atom)
 
     for first, *rest in families:
         rest = [(run, iter(run.labels.items()), len(run.labels) // len(first.labels))
@@ -876,8 +870,8 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     return SchemePlan(
         scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
-        orbits=PlanOrbits((weak, strong), tuple(orbits), partial(_placed, families, weak + strong),
-                          families, dict.fromkeys(range(1, s.K + 1), parts)),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), families=families,
+                          parts=dict.fromkeys(range(1, s.K + 1), parts)),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
         key_rates=key_rates,
         message_parts=dict.fromkeys(range(1, s.K + 1), _message_parts(parts)),
@@ -1105,8 +1099,7 @@ def build_symmetric_piggyback(
     return SchemePlan(
         scheme_name="symmetric-piggyback",
         params={"t_w": t_w, "t_s": t_s, "eps": eps, "D": D},
-        orbits=PlanOrbits((weak, strong), tuple(orbits), partial(_placed, families, weak + strong),
-                          families, parts),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), families=families, parts=parts),
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
@@ -1308,60 +1301,22 @@ def _worst(best: tuple[float, str], margin: float, detail: str,
     return best
 
 
-_ATOM_KEY = operator.attrgetter("kind", "rate")
-_ATOM_LABEL = operator.attrgetter("label")
-_PART_LABEL = operator.itemgetter(0)
-
-
-def _part_key(part: tuple[str, float]) -> tuple[str, float]:
-    """A message part's kind and rate, for :func:`_listed`."""
-    return "file_part", part[1]
-
-
-def _listed(items: Iterable, key: Callable, label: Callable) -> tuple[Run, ...]:
-    """Runs of ``items`` (atoms or message parts), listed: one per stretch
-    of items with equal ``key(item)``, their kind and rate, each with
-    their ``label(item)``."""
-    runs = []
-    for (kind, rate), stretch in itertools.groupby(items, key):
-        labels = list(map(label, stretch))
-        runs.append(Run(kind, rate, len(labels), dict(zip(labels, labels))))
-    return tuple(runs)
-
-
-def _rep_runs(plan: SchemePlan, receivers: Sequence[int], placed: Optional[dict] = None
+def _rep_runs(po: PlanOrbits, receivers: Sequence[int]
               ) -> dict[int, tuple[tuple[Run, ...], tuple[Run, ...]]]:
     """Each receiver's held and wanted runs: its share of the plan's
-    ``families`` and its ``parts`` (:class:`PlanOrbits`), or without them
-    runs of its atoms (in ``placed``, the receivers' placement, if given)
-    and of its message parts, listed."""
-    po = plan.orbits
-    if po.families:
-        held = {r: tuple(h for group in po.families for run in group
-                         if (h := run.held_by(r)).count) for r in receivers}
-    else:
-        if placed is None:
-            placed = po.place(frozenset(receivers))
-        held = {r: _listed(placed.get(r, ()), _ATOM_KEY, _ATOM_LABEL) for r in receivers}
-    if po.parts:
-        return {r: (held[r], po.parts.get(r, ())) for r in receivers}
-    wanted: dict[tuple, tuple[Run, ...]] = {}  # receivers often want equal parts
-    for r in receivers:
-        parts = plan.message_parts.get(r, ())
-        if parts not in wanted:
-            wanted[parts] = _listed(parts, _part_key, _PART_LABEL)
-    return {r: (held[r], wanted[plan.message_parts.get(r, ())]) for r in receivers}
+    ``families`` and its ``parts``."""
+    return {r: (tuple(h for group in po.families for run in group if (h := run.held_by(r)).count),
+                po.parts.get(r, ())) for r in receivers}
 
 
 def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int, ...]]]]
               ) -> list[tuple[Run, str]]:
-    """The labels of the family runs of ``runs`` that are in ``named`` (by
-    prefix, label to its ids, read when first needed), each with its run.
-    A run with no more labels than ``named`` has of its prefix is scanned
-    instead."""
+    """The labels of ``runs`` that are in ``named`` (by prefix, label to
+    its ids, read when first needed), each with its run.  A run with no
+    more labels than ``named`` has of its prefix is scanned instead."""
     out = []
     for run in runs:
-        some = run.blocks and named.get(next(iter(run.labels.values()), "").partition("[")[0])
+        some = named.get(next(iter(run.labels.values()), "").partition("[")[0])
         if not some:
             continue
         if len(some) < len(run.labels):
@@ -1377,37 +1332,24 @@ def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int
     return out
 
 
-def _first_missing(r: int, held: Sequence[Run], wanted: Sequence[Run], virtual: frozenset,
+def _first_missing(r: int, needed: Iterable[tuple], have: frozenset, held: Sequence[Run],
                    delivered: set, classes: Optional[tuple]) -> Optional[str]:
-    """The first label of ``wanted``, in order, that receiver ``r``
-    neither holds (``held``, ``virtual``) nor was handed (``delivered``),
-    nor, given the ``classes`` of a symmetric plan, has the key
-    (:func:`_label_key`) of a label handed to it; None if there is none.
-    On a symmetric plan a family's labels are read one per sub-orbit of
-    ``r``, the first, which stands for the rest: all of them share one key
-    and, the placement being class-symmetric, whether ``r`` holds them."""
-    have = keys = None
-    for run in wanted:
-        if classes is not None and run.blocks:
-            entries = [(ids, run.labels[ids]) for ids in sorted(
-                _sub_orbit_firsts(next(iter(run.labels)), run.blocks, r))]
-        else:
-            entries = run.labels.items()
-        for ids, label in entries:
-            if label in delivered:
+    """The first label of ``needed``, (ids, label) pairs in order, that
+    receiver ``r`` neither holds (``have``, or a run of ``held``) nor was
+    handed (``delivered``), nor, given the ``classes`` of a symmetric plan,
+    has the key (:func:`_label_key`) of a label handed to it; None if
+    there is none."""
+    keys = None
+    for ids, label in needed:
+        if label in delivered or label in have or any(h.has(label, ids) for h in held):
+            continue
+        if classes is not None:
+            if keys is None:
+                key = _label_key(r, classes)
+                keys = set(map(key, delivered))
+            if key(label) in keys:
                 continue
-            if have is None:
-                have = virtual.union(*(run.labels for run in held if not run.blocks))
-                held = [run for run in held if run.blocks]
-            if label in have or any(h.has(label, ids) for h in held):
-                continue
-            if classes is not None:
-                if keys is None:
-                    key = _label_key(r, classes)
-                    keys = set(map(key, delivered))
-                if key(label) in keys:
-                    continue
-            return label
+        return label
     return None
 
 
@@ -1426,20 +1368,20 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule.  One pass per receiver class, on its
     lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE
-    from ``r``'s atoms and message parts as runs (:class:`Run`, counted
-    from binomials for a subset builder's families, listed otherwise).
-    Every sum is exact and rounded once (:func:`_sum`), an orbit's terms
-    weighted by its member count and a run's by its count, so margins are
-    an exact full scan's.
+    from ``r``'s atoms and message parts: in a plan with families, its
+    runs (:class:`Run`), counted from binomials; in any other, its listed
+    atoms and ``message_parts``.  Every sum is exact and rounded once
+    (:func:`_sum`), an orbit's terms weighted by its member count and a
+    run's by its count, so margins are an exact full scan's.
 
     DECODE peels, by :func:`peel_rule` on the representatives' atoms and
-    message parts narrowed to the labels the peeled units name, all the
-    units of one member per sub-orbit of ``r`` (the members where ``r``
-    sits at one position, or those without it); a part at another
+    message parts (runs narrowed to the labels the peeled units name),
+    all the units of one member per sub-orbit of ``r`` (the members where
+    ``r`` sits at one position, or those without it); a part at another
     receiver's slot is never handed over.  It takes an uncached part as
     delivered when its label has the key (:func:`_label_key`) of a label
-    delivered to ``r``, and reads a family of parts one label per
-    sub-orbit of ``r``, which stands for the rest (:func:`_first_missing`).
+    delivered to ``r`` (:func:`_first_missing`), and reads a family of
+    parts one label per sub-orbit of ``r``, which stands for the rest.
     That rests on three premises.  Checked here, once per orbit: every
     orbit lists exactly the canonical enumeration of its first member's
     orbit under the class group (:func:`_blocks`), so the labels delivered
@@ -1506,30 +1448,30 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
                 m for r in receivers for m in _sub_orbit_firsts(members[0], blocks[i], r))
         for m in members:
             units += orb.units(m)
-    # The labels, by prefix, of the units that give a representative a
-    # slot: its parts, pad keys and the representatives' context.  Of the
-    # family atoms and parts only these can change what a unit hands over.
-    named: dict[str, dict] = {}
+    virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
     if po.families:
+        # The labels, by prefix, of the units that give a representative a
+        # slot: its parts, pad keys and the representatives' context.  Of
+        # the family atoms and parts only these can change what a unit
+        # hands over.
+        named: dict[str, dict] = {}
         reps = set(receivers)
         for label in {label for unit in units if not reps.isdisjoint([r for r, _ in unit.parts])
                       for label in itertools.chain(
                           [label for _, label in unit.parts], unit.pad_keys,
                           *[unit.context[r] for r in reps & unit.context.keys()])}:
             named.setdefault(label.partition("[")[0], {})[label] = None
-    # Runs of listed atoms and parts are in the view whole.
-    placed = {} if po.families else po.place(frozenset(receivers))
-    listed = {} if po.parts else {
-        r: plan.message_parts[r] for r in receivers if r in plan.message_parts}
-    runs = _rep_runs(plan, receivers, placed)
-    view = _RepView(
-        {r: placed.get(r, ()) + tuple(Atom(run.kind, label, run.rate)
-                                      for run, label in _narrowed(held, named))
-         for r, (held, _) in runs.items()} if named else placed,
-        {r: listed.get(r, ()) + tuple((label, run.rate) for run, label in _narrowed(wanted, named))
-         for r, (_, wanted) in runs.items()} if named else listed,
-        {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached},
-    )
+        runs = _rep_runs(po, receivers)
+        view = _RepView(
+            {r: tuple(Atom(run.kind, label, run.rate) for run, label in _narrowed(held, named))
+             for r, (held, _) in runs.items()},
+            {r: tuple((label, run.rate) for run, label in _narrowed(wanted, named))
+             for r, (_, wanted) in runs.items()},
+            virtual)
+    else:
+        view = _RepView({r: po.atoms[r] for r in receivers if r in po.atoms},
+                        {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
+                        virtual)
     peel = peel_rule(view)
     delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
     for unit in units:
@@ -1538,19 +1480,33 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
 
     decode = ""  # the first failure's detail
     point = plan.claimed_point
-    for r, (held, wanted) in runs.items():
+    for r in receivers:
+        have = virtual.get(r, frozenset())
+        if po.families:
+            held, wanted = runs[r]
+            # On a symmetric plan a family's labels are read one per
+            # sub-orbit of r, the first, which stands for the rest: all of
+            # them share one key and, the placement being class-symmetric,
+            # whether r holds them.
+            needed = ((ids, run.labels[ids]) for run in wanted for ids in (sorted(
+                _sub_orbit_firsts(next(iter(run.labels)), run.blocks, r)) if symmetric
+                else run.labels))
+            used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
+            total = _sum([run.rate for run in wanted], [run.count for run in wanted])
+        else:
+            atoms, parts, held = view.placement.get(r, ()), view.message_parts.get(r, ()), ()
+            have = have.union(a.label for a in atoms)
+            needed = ((None, label) for label, _ in parts)
+            used = _sum([a.cache_cost(s.D) for a in atoms])
+            total = _sum([rate for _, rate in parts])
         if not decode:
-            missing = _first_missing(r, held, wanted, view.virtual_cached.get(r, frozenset()),
-                                     delivered_to[r], po.classes if symmetric else None)
+            missing = _first_missing(r, needed, have, held, delivered_to[r],
+                                     po.classes if symmetric else None)
             if missing is not None:
                 decode = f"receiver {r} cannot obtain part {missing!r}"
-            else:
-                total = _sum([run.rate for run in wanted], [run.count for run in wanted])
-                if abs(total - point.R) > RATE_TOL:
-                    decode = (f"receiver {r} reassembles rate {total!r}, "
-                              f"claimed {point.R!r}")
+            elif abs(total - point.R) > RATE_TOL:
+                decode = f"receiver {r} reassembles rate {total!r}, claimed {point.R!r}"
         claim = point.M_w if r <= s.K_w else point.M_s
-        used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
         cache = _worst(cache, claim - used, "receiver {}: usage {:.6g} vs claimed "
                        "{:.6g}", (r, used, claim))
     if not decode and merged is not None:

@@ -912,11 +912,12 @@ def _slot_members(orb, reps: frozenset):
 
 def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
     """What DECODE and CACHE read, and the receivers they check: the class
-    representatives with their atoms, their message parts and the units
-    that hand them a part (a part at a representative's slot), in one
-    segment, built from the members :func:`_slot_members` keeps.  Every
-    bit of :func:`deliveries` concerns one receiver, so the view gives the
-    representatives their own deliveries."""
+    representatives with their atoms (from the expanded placement), their
+    message parts and the units that hand them a part (a part at a
+    representative's slot), in one segment, built from the members
+    :func:`_slot_members` keeps.  Every bit of :func:`deliveries` concerns
+    one receiver, so the view gives the representatives their own
+    deliveries."""
     po = plan.orbits
     reps = po.representatives
     rep_set = frozenset(reps)
@@ -925,7 +926,8 @@ def _class_view(plan: SchemePlan) -> tuple[_ClassView, tuple[int, ...]]:
         if not rep_set.isdisjoint(r for r, _ in u.parts)
     )
     view = _ClassView(
-        po.place(rep_set), (DeliverySegment((), 0.0, units),),
+        {r: plan.placement[r] for r in reps if r in plan.placement},
+        (DeliverySegment((), 0.0, units),),
         {r: plan.message_parts[r] for r in reps if r in plan.message_parts},
         {r: plan.virtual_cached[r] for r in reps if r in plan.virtual_cached},
     )

@@ -2,17 +2,18 @@
 parts as runs, against the explicit plan.
 
 ``verify_plan`` reads each class representative ``r``'s atoms and message
-parts as runs (``schemes.Run``): a kind, a rate, a count from binomials,
-and label membership decided by whether ``r`` is among a label's ids.  A
-subset builder gives them over its families (``PlanOrbits.families`` and
-``parts``); any other plan, and the ``PlanOrbits`` tests build, give runs
-of the atoms and parts they list.  CACHE sums each run's cost times its count
-exactly; DECODE peels on a view narrowed to the labels the peeled units
-name, and checks one label per family and sub-orbit of ``r``, which
-stands for its sub-orbit: the placement is class-symmetric, so whether
-``r`` holds a label is invariant under ``r``'s stabiliser.  These tests
-hold the runs to the explicit placement and message parts, and the
-reports to the full scan (``verify_plan_explicit``).
+parts, in a subset builder's plan, as runs (``schemes.Run``) over its
+families (``PlanOrbits.families`` and ``parts``): a kind, a rate, a count
+from binomials, and label membership decided by whether ``r`` is among a
+label's ids.  Any other plan lists its atoms (``PlanOrbits.atoms``) and
+message parts, which verify reads as they are, building no run.  CACHE
+sums each run's cost times its count exactly; DECODE peels on a view
+narrowed to the labels the peeled units name, and checks one label per
+family and sub-orbit of ``r``, which stands for its sub-orbit: the
+placement is class-symmetric, so whether ``r`` holds a label is
+invariant under ``r``'s stabiliser.  These tests hold the runs to the
+explicit placement and message parts, and the reports to the full scan
+(``verify_plan_explicit``).
 """
 
 from __future__ import annotations
@@ -67,13 +68,8 @@ def _run_atoms(plan, r):
     them: group by group of the plan's families, each label of a group's
     first run followed by the next labels of its other runs, as many as
     each has per label of the first.  Checks each run's count."""
-    po = plan.orbits
-    if not po.families:
-        held, _ = _rep_runs(plan, [r])[r]
-        return [schemes.Atom(run.kind, label, run.rate)
-                for run in held for label in run.labels.values()]
     atoms = []
-    for first, *rest in po.families:
+    for first, *rest in plan.orbits.families:
         group = [run.held_by(r) for run in (first, *rest)]
         entries = [iter(run.labels.items()) for run in group]
         shares = [1] + [len(run.labels) // len(first.labels) for run in rest]
@@ -127,11 +123,13 @@ def _stabiliser_image(plan, r, rng):
 
 
 def _check_runs(case, plan, s, rng=None):
-    """The runs of every representative against the explicit plan."""
-    runs = _rep_runs(plan, plan.orbits.representatives)
+    """The runs of every representative of a family plan against the
+    explicit plan."""
+    assert plan.orbits.families and plan.orbits.parts, case
+    runs = _rep_runs(plan.orbits, plan.orbits.representatives)
     labels = _labels(plan)
     for r, (held, wanted) in runs.items():
-        assert _run_atoms(plan, r) == list(plan.orbits.place(frozenset({r})).get(r, ())), (case, r)
+        assert _run_atoms(plan, r) == list(plan.placement.get(r, ())), (case, r)
         assert {label for label in labels if _holds(held, label)} == plan.cached_labels(r), (case, r)
         costs = [a.cache_cost(s.D) for a in plan.placement.get(r, ())]
         counted = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
@@ -152,7 +150,6 @@ def test_runs_are_the_explicit_placement_and_parts_on_presets(preset):
     s, plans = _preset_plans(preset)
     rng = random.Random(preset)
     for case, plan in plans:
-        assert plan.orbits.families and plan.orbits.parts, case
         _check_runs(case, plan, s, rng)
     assert len(plans) >= 10
 
@@ -160,16 +157,16 @@ def test_runs_are_the_explicit_placement_and_parts_on_presets(preset):
 @settings(max_examples=60)
 @given(scenarios(max_k=5), st.sampled_from((1e-4, 0.05)))
 def test_runs_are_the_explicit_placement_and_parts(s, eps):
-    # Every builder: the subset builders' family runs, the others' runs
-    # of one atom and one label.
+    # The subset builders' family runs; the other builders' plans list
+    # their atoms and have no runs.
     rng = random.Random(repr(s))
-    for case, plan in _plans(s, eps):
+    for case, plan in _plans(s, eps, SUBSET):
         _check_runs(case, plan, s, rng)
 
 
 def test_a_run_counts_its_labels_from_binomials(fig3):
     plan = build_symmetric_piggyback(fig3, 2, 7, 1e-4)
-    held, wanted = _rep_runs(plan, [6])[6]
+    held, wanted = _rep_runs(plan.orbits, [6])[6]
     # B[6,...] subsets: C(14, 6); Ks1: C(14, 7); a Kw and a Ks key per weak receiver
     assert [(run.kind, run.count) for run in held] == [
         ("file_part", comb(14, 6)), ("key", comb(14, 7)), ("key", 5), ("key", 5)]
@@ -254,3 +251,35 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
         assert made["atoms"] <= 4 * (t_w + t_s + 4), (t_s, made)
         assert made["keys"] <= 4 * (t_w + t_s + 4), (t_s, made)
     assert comb(15, 8) > 100 * max(made["atoms"] for made in counts.values())
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig5"])
+def test_explicit_plans_verify_without_runs(preset, monkeypatch):
+    # An explicit plan lists its atoms and message parts, and verify reads
+    # them as they are: it builds no run for any of its receivers.
+    s = ChannelScenario(**PRESETS[preset])
+    made = []
+
+    class CountedRun(schemes.Run):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            made.append(args[:2])
+            return super().__new__(cls, *args)
+
+    plans = list(_plans(s, 1e-4, [name for name in BUILDERS if name not in SUBSET]))
+    assert len(plans) == 4
+    for case, plan in plans:
+        assert not plan.orbits.families, case
+        want = verify_plan_explicit(plan, s, total=exact).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(schemes, "Run", CountedRun)
+            got = verify_plan(plan, s).to_json()
+        assert made == [], case
+        assert got == want, case
+    # the spy sees the runs a family plan's verify builds
+    plan = build_symmetric_piggyback(s, 2, 2, 1e-4)
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "Run", CountedRun)
+        assert verify_plan(plan, s).passed
+    assert made

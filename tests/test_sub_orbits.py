@@ -170,8 +170,7 @@ def _others_plan(to_self: bool) -> SchemePlan:
     parts = tuple((f"X[{m}]", rate) for m in (1, 2, 3))
     return SchemePlan(
         scheme_name="others", params={},
-        orbits=PlanOrbits(((1, 2, 3),), (Orbit(1, 1 / 3, (1, 2, 3), units),),
-                          lambda rs: {r: () for r in (1, 2, 3) if r in rs}),
+        orbits=PlanOrbits(((1, 2, 3),), (Orbit(1, 1 / 3, (1, 2, 3), units),), {}),
         claimed_point=RateMemoryPoint(3 * rate, 0.0, 0.0, "others"),
         key_rates={}, message_parts=dict.fromkeys((1, 2, 3), parts),
     )
@@ -186,6 +185,55 @@ def test_a_label_naming_the_representative_keys_apart():
         got = verify_plan(plan, s)
         assert got.check("DECODE").detail == detail
         assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
+        assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
+
+
+def _listed_plan(dropped: str = "") -> SchemePlan:
+    """Three receivers in one class, each caching its file part F[i] and
+    its key K[i], listed (receiver 1 without the atom labelled
+    ``dropped``), and each wanting F[1], F[2] and F[3]; member m's units
+    hand F[m] to every other receiver i, padded by K[i].  The plan has no
+    families, so verify reads the listed atoms and message parts."""
+    rate = 0.05
+
+    def units(m):
+        return tuple(DeliveryUnit(
+            parts=((i, f"F[{m}]"),), part_rates=(rate,), pad_keys=(f"K[{i}]",),
+            intended=frozenset({i}), decode_load={i: rate},
+        ) for i in (1, 2, 3) if i != m)
+
+    atoms = {i: (Atom("file_part", f"F[{i}]", rate), Atom("key", f"K[{i}]", rate))
+             for i in (1, 2, 3)}
+    atoms[1] = tuple(a for a in atoms[1] if a.label != dropped)
+    parts = tuple((f"F[{m}]", rate) for m in (1, 2, 3))
+    return SchemePlan(
+        scheme_name="listed", params={},
+        orbits=PlanOrbits(((1, 2, 3),), (Orbit(1, 1 / 3, (1, 2, 3), units),), atoms),
+        claimed_point=RateMemoryPoint(3 * rate, 0.3, 0.0, "listed"),
+        key_rates={f"K[{i}]": rate for i in (1, 2, 3)},
+        message_parts=dict.fromkeys((1, 2, 3), parts),
+    )
+
+
+@pytest.mark.parametrize("dropped, margin, detail", [
+    ("", 0.3 - 0.25, ""),
+    ("K[1]", 0.3 - 0.2, "receiver 1 cannot obtain part 'F[2]'"),
+    ("F[1]", 0.3 - 0.05, "receiver 1 cannot obtain part 'F[1]'"),
+])
+def test_listed_atoms_of_a_class_match_the_class_view(dropped, margin, detail):
+    # Receiver 1 stands for a class of three and lists a key and a file
+    # part: it peels F[2], and F[3] keys like it.  Without its key it
+    # peels nothing; without F[1] nothing stands for it.
+    s = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
+    plan = _listed_plan(dropped)
+    assert not plan.orbits.families
+    got = verify_plan(plan, s)
+    assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
+    assert got.check("DECODE").detail == detail
+    assert got.check("CACHE").margin == pytest.approx(margin, abs=1e-15)
+    assert got.check("RATE").passed and got.check("SECRECY").passed
+    if not dropped:
+        assert got.passed
         assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
 
 
@@ -328,7 +376,7 @@ def _counted_plan(members: int, fraction: float, atoms: tuple) -> SchemePlan:
     return SchemePlan(
         scheme_name="counted", params={},
         orbits=PlanOrbits(((1,),), (Orbit(1, fraction, range(members), lambda m: (unit,)),),
-                          lambda rs: {1: atoms} if 1 in rs else {}),
+                          {1: atoms}),
         claimed_point=RateMemoryPoint(0.0, 3.0, 0.0, "counted"),
         key_rates={}, message_parts={},
     )
