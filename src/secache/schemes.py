@@ -21,11 +21,14 @@ member per sub-orbit of that representative; the explicit schedule and
 placement are expanded only when read, and kept.  The subset builders
 (both piggyback schemes and ``symmetric-piggyback``) treat all weak
 receivers alike and all strong receivers alike, so each segment family is
-one orbit, give their placement and message parts as runs (:class:`Run`)
-over their label families, counted from binomials, and refuse a plan
-whose explicit form is larger than :data:`MAX_PLAN_SIZE` before building
-anything.  The four other builders, and any changed plan, claim no
-symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
+one orbit, and refuse a plan whose explicit form is larger than
+:data:`MAX_PLAN_SIZE` before building anything.  They build nothing per
+subset: each family of labels, one per receiver subset or pair, is a
+:class:`Family`, counted from binomials, which formats a label only when
+it is read; an orbit's members, the placement, the message parts (as
+runs, :class:`Run`) and ``key_rates`` are read from those families.  The
+four other builders, and any changed plan, claim no symmetry and list
+their atoms (:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -181,9 +184,10 @@ class Orbit(NamedTuple):
 
     The subset builders list ``members`` in canonical order: a subset or
     pair is a tuple of class blocks, and the members are
-    ``itertools.product`` over the blocks of ``combinations(class, size)``;
-    int members are receivers, and then the members are their class.
-    DECODE relies on that order (:func:`verify_plan`), and checks it.
+    ``itertools.product`` over the blocks of ``combinations(class, size)``
+    (a family's members, :attr:`Family.members`); int members are
+    receivers, and then the members are their class.  DECODE relies on
+    that order (:func:`verify_plan`), and checks it.
     """
 
     phase: int
@@ -193,42 +197,167 @@ class Orbit(NamedTuple):
     one_segment: bool = False
 
 
+class _Labels(dict):
+    """A family's labels by ids, each formatted (:func:`_lbl`) when first
+    read and kept."""
+
+    __slots__ = ("prefix",)
+
+    def __missing__(self, ids: tuple[int, ...]) -> str:
+        self[ids] = label = _lbl(self.prefix, ids)
+        return label
+
+
+class Family(Mapping):
+    """A label family: a read-only mapping from receiver ids to the label
+    ``prefix[ids]``.
+
+    ``blocks`` are (class, size) pairs, as :func:`_blocks` gives them for
+    orbit members: the ids are one ``size``-combination of each block's
+    class, the blocks' in turn.  The family enumerates them as
+    ``itertools.product`` over the blocks of ``combinations(class,
+    size)``, the first block outermost or, with ``outer_last``, the last
+    (the keyed piggyback's K3 keys run weak subset by weak subset).  Its
+    length comes from binomials, and it formats a label only when the
+    label is read, once.  ``label`` reads the ids a builder enumerates, as
+    they are; a lookup by key (``family[ids]``, ``get``, ``in``) first
+    checks that ``ids`` is one of the family's, so ids parsed from a label
+    from elsewhere never match a label the family does not have.
+    """
+
+    __slots__ = ("prefix", "blocks", "outer_last", "size", "label")
+
+    def __init__(self, prefix: str, *blocks: tuple[tuple[int, ...], int],
+                 outer_last: bool = False):
+        self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
+        self.size = prod(comb(len(c), k) for c, k in blocks)
+        self.label = _Labels()
+        self.label.prefix = prefix
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        combos = [itertools.combinations(c, k) for c, k in self.blocks]
+        if len(combos) == 1:
+            return combos[0]
+        if self.outer_last:
+            return map(tuple, map(itertools.chain.from_iterable,
+                                  map(reversed, itertools.product(*combos[::-1]))))
+        return map(tuple, map(itertools.chain.from_iterable, itertools.product(*combos)))
+
+    def __contains__(self, ids) -> bool:
+        if type(ids) is not tuple:
+            return False
+        at = 0
+        for c, k in self.blocks:
+            part = ids[at:at + k]
+            at += k
+            if len(part) < k or not all(type(i) is int and i in c for i in part) or any(
+                    map(operator.ge, part, part[1:])):
+                return False
+        return at == len(ids)
+
+    def __getitem__(self, ids: tuple[int, ...]) -> str:
+        if ids not in self:
+            raise KeyError(ids)
+        return self.label[ids]
+
+    def get(self, ids, default=None):
+        return self.label[ids] if ids in self else default
+
+    def items(self):
+        return self.table().items()
+
+    def values(self):
+        return self.table().values()
+
+    def table(self) -> dict:
+        """Every label by its ids, in the family's order, kept: the labels
+        not yet read are formatted in one pass, block by block."""
+        label = self.label
+        if len(label) < self.size:
+            rows = [((), ())]  # (ids, their names) of the blocks so far
+            for c, k in self.blocks if self.outer_last else self.blocks[::-1]:
+                block = list(zip(itertools.combinations(c, k),
+                                 itertools.combinations([str(i) for i in c], k)))
+                if self.outer_last:
+                    rows = [(ids + more, name + names) for more, names in block
+                            for ids, name in rows]
+                else:
+                    rows = [(more + ids, names + name) for more, names in block
+                            for ids, name in rows]
+            table = {ids: label.get(ids) or f"{self.prefix}[{','.join(name)}]"
+                     for ids, name in rows}
+            label.clear()
+            label.update(table)
+        return label
+
+    @property
+    def members(self) -> Sequence:
+        """The ids as a sequence, as an orbit lists its members."""
+        return _Members(self)
+
+
+class _Members(Sequence):
+    """A family's ids in its order, as an orbit's members; indexing past
+    the first and slicing enumerate them."""
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: Family):
+        self.family = family
+
+    def __len__(self) -> int:
+        return len(self.family)
+
+    def __iter__(self):
+        return iter(self.family)
+
+    def __getitem__(self, i):
+        if type(i) is int and i == 0:
+            return next(iter(self.family))
+        return tuple(self.family)[i]
+
+
 class Run(NamedTuple):
     """Atoms a receiver holds, or message parts it wants, of one kind and
-    rate, ``count`` of them, over one label family.
+    rate, ``count`` of them, over one label family (:class:`Family`).
 
-    A run maps each label's receiver ids (``prefix[ids]``, as :func:`_ids`
-    reads them) to the label in ``labels``, in order, and has ``blocks``,
-    (class, size) pairs as :func:`_blocks` gives them for orbit members:
-    the ids are one combination of each block's class, the blocks' in
-    turn, and a family of message parts lists them in that canonical
-    order.  It stands for all its labels or, with a ``receiver``, for
-    those whose ids contain it (:meth:`held_by`).
+    A family of message parts lists its labels in canonical order (the
+    first block outermost).  A run stands for all its labels or, with a
+    ``receiver``, for those whose ids contain it (:meth:`held_by`).
     """
 
     kind: str  # "file_part" | "key"
     rate: float
     count: int
-    labels: Mapping
-    blocks: tuple
+    labels: Family
     receiver: Optional[int] = None
 
     @classmethod
-    def over(cls, kind: str, rate: float, labels: Mapping, *blocks) -> Run:
-        return cls(kind, rate, len(labels), labels, blocks)
+    def over(cls, kind: str, rate: float, labels: Family) -> Run:
+        return cls(kind, rate, len(labels), labels)
 
     def held_by(self, r: int) -> Run:
         """The labels whose ids contain ``r``, counted from binomials."""
         count = 0
-        for b, (c, k) in enumerate(self.blocks):
+        blocks = self.labels.blocks
+        for b, (c, k) in enumerate(blocks):
             if r in c:
                 count = comb(len(c) - 1, k - 1) if k else 0
-                count *= prod(comb(len(o), m) for a, (o, m) in enumerate(self.blocks) if a != b)
-        return Run(self.kind, self.rate, count, self.labels, self.blocks, r)
+                count *= prod(comb(len(o), m) for a, (o, m) in enumerate(blocks) if a != b)
+        return Run(self.kind, self.rate, count, self.labels, r)
 
     def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
-        """Whether ``label``, whose ids are ``ids``, is one of the run's."""
-        return self.labels.get(ids) == label and (self.receiver is None or self.receiver in ids)
+        """Whether ``label``, whose ids are ``ids``, is one of the run's: a
+        label the family has formatted is found by its ids, any other only
+        once the family has checked them (:meth:`Family.get`)."""
+        labels = self.labels
+        if label.partition("[")[0] != labels.prefix or (
+                labels.label.get(ids) != label and labels.get(ids) != label):
+            return False
+        return self.receiver is None or self.receiver in ids
 
     cache_cost = Atom.cache_cost
 
@@ -246,9 +375,9 @@ class PlanOrbits(NamedTuple):
     receiver's atoms in placement order.  The subset builders give instead
     ``families``: groups of family runs (:class:`Run`) whose atoms a
     receiver holds when its id is among the label's, in group order, a
-    group's runs interleaved as :func:`_placed` reads them; and with them
-    ``parts``, each receiver's message parts (``SchemePlan.message_parts``)
-    as family runs.  :func:`verify_plan` reads a representative's atoms
+    group's runs interleaved (:func:`_interleaved`); and with them
+    ``parts``, each receiver's message parts (``SchemePlan.message_parts``,
+    read from them) as family runs.  :func:`verify_plan` reads a representative's atoms
     and message parts from its runs in a plan with families, and from
     ``atoms`` and ``SchemePlan.message_parts`` in any other.
     """
@@ -295,9 +424,11 @@ class SchemePlan:
     params: dict
     orbits: PlanOrbits
     claimed_point: RateMemoryPoint
-    key_rates: dict[str, float]
-    #: per-receiver tiling of its demanded message into (label, rate)
-    message_parts: dict[int, tuple[tuple[str, float], ...]]
+    #: rate per key label; a subset builder's reads its key families
+    key_rates: Mapping[str, float]
+    #: per-receiver tiling of its demanded message into (label, rate); a
+    #: subset builder's reads ``orbits.parts`` when a receiver's is asked for
+    message_parts: Mapping[int, tuple[tuple[str, float], ...]]
     #: part labels available from cache by containment in stored atoms
     virtual_cached: dict[int, frozenset] = field(default_factory=dict)
 
@@ -381,18 +512,6 @@ def _lbl(prefix: str, group: Iterable[int]) -> str:
     return f"{prefix}[{','.join(map(str, group))}]"
 
 
-def _family(prefix: str, ids: Iterable[int], size: int) -> dict[tuple[int, ...], str]:
-    """The ``size``-subsets of ``ids`` in lexicographic order, each mapped to
-    its label (as :func:`_lbl` writes it); labels are formatted once and
-    reused by every lookup."""
-    ids = sorted(ids)
-    names = itertools.combinations([str(i) for i in ids], size)
-    return {
-        G: f"{prefix}[{','.join(name)}]"
-        for G, name in zip(itertools.combinations(ids, size), names)
-    }
-
-
 def _ids(label: str) -> Optional[tuple[int, ...]]:
     """The receiver ids of a label ``prefix[ids]``; None for a label not of
     that form."""
@@ -405,29 +524,86 @@ def _ids(label: str) -> Optional[tuple[int, ...]]:
         return None
 
 
+def _interleaved(group: Sequence[Run]) -> Iterable[tuple[Run, tuple[int, ...], str]]:
+    """The labels of a group of runs, each with its run and ids: after
+    each label of the first run come the next labels of the others, as
+    many as each has per label of the first."""
+    first, *rest = group
+    rest = [(run, iter(run.labels.items()), len(run.labels) // len(first.labels))
+            for run in rest]
+    for ids, label in first.labels.items():
+        yield first, ids, label
+        for run, entries, share in rest:
+            for ids, label in itertools.islice(entries, share):
+                yield run, ids, label
+
+
 def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int]
             ) -> dict[int, tuple[Atom, ...]]:
     """The placement of ``families``, in ``receivers`` order, of the
-    receivers that hold atoms: each label, group by group, makes one atom,
-    which every receiver among its ids holds.  After each label of a
-    group's first run come the next labels of its other runs, as many as
-    each holds per label of the first."""
+    receivers that hold atoms: each label, group by group in
+    :func:`_interleaved` order, makes one atom, which every receiver among
+    its ids holds."""
     atoms = {r: [] for r in receivers}
-
-    def place(run, ids, label):
-        atom = Atom(run.kind, label, run.rate)
-        for i in ids:
-            atoms[i].append(atom)
-
-    for first, *rest in families:
-        rest = [(run, iter(run.labels.items()), len(run.labels) // len(first.labels))
-                for run in rest]
-        for ids, label in first.labels.items():
-            place(first, ids, label)
-            for run, entries, share in rest:
-                for ids, label in itertools.islice(entries, share):
-                    place(run, ids, label)
+    for group in families:
+        for run, ids, label in _interleaved(group):
+            atom = Atom(run.kind, label, run.rate)
+            for i in ids:
+                atoms[i].append(atom)
     return {r: tuple(a) for r, a in atoms.items() if a}
+
+
+class _KeyRates(Mapping):
+    """The rate of each key label of ``groups`` (groups of key runs), in
+    :func:`_interleaved` order; a label is looked up by its prefix and
+    ids, which its run's family checks."""
+
+    __slots__ = ("groups", "runs")
+
+    def __init__(self, *groups: Sequence[Run]):
+        self.groups = groups
+        self.runs = {run.labels.prefix: run for group in groups for run in group}
+
+    def __getitem__(self, label: str) -> float:
+        run = self.runs.get(label.partition("[")[0])
+        if run is None or not run.has(label, _ids(label)):
+            raise KeyError(label)
+        return run.rate
+
+    def __len__(self) -> int:
+        return sum(run.count for run in self.runs.values())
+
+    def __iter__(self):
+        return (label for label, _ in self.items())
+
+    def items(self):
+        return ((label, run.rate) for group in self.groups
+                for run, _, label in _interleaved(group))
+
+
+class _MessageParts(Mapping):
+    """Each receiver's message parts, (label, rate) pairs read from its
+    runs (``PlanOrbits.parts``) when first asked for; receivers with one
+    runs tuple share one parts tuple."""
+
+    __slots__ = ("runs", "read")
+
+    def __init__(self, runs: Mapping[int, tuple[Run, ...]]):
+        self.runs, self.read = runs, {}
+
+    def __getitem__(self, r: int) -> tuple[tuple[str, float], ...]:
+        runs = self.runs[r]
+        parts = self.read.get(id(runs))
+        if parts is None:
+            parts = self.read[id(runs)] = tuple(
+                (label, run.rate) for run in runs for label in run.labels.values())
+        return parts
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __iter__(self):
+        return iter(self.runs)
 
 
 def _peeled(H: tuple[int, ...], labels: dict) -> tuple[tuple[int, str], ...]:
@@ -487,8 +663,10 @@ def _check_rate(rate: float, what: str) -> None:
 
 #: Largest plan a subset builder accepts, in units plus atom references
 #: (atoms summed over placements) of its explicit form, both counted from
-#: binomials before anything is built; ``verify`` never expands a plan, but
-#: reading its schedule or placement does.  fig5 piggyback-allkeys at t=4
+#: binomials before anything is built.  A build formats no label and
+#: ``verify`` expands no plan, but reading a plan's schedule or placement
+#: does; the cap still bounds ``verify`` as well, whose phase-3 unit of a
+#: piggyback scheme lists every A label.  fig5 piggyback-allkeys at t=4
 #: (68,809 + 361,960) fits; fig5 piggyback-one at t=10 (2.2M units) does not.
 MAX_PLAN_SIZE = 10**6
 
@@ -556,11 +734,6 @@ def _piggyback_split(
         eps,
     )
     return beta1, beta2, beta3, RA, RB
-
-
-def _message_parts(runs: tuple[Run, ...]) -> tuple[tuple[str, float], ...]:
-    """A message tiled by the labels of ``runs``, each at its run's rate."""
-    return tuple((label, run.rate) for run in runs for label in run.labels.values())
 
 
 def cache_usage(plan: SchemePlan, D: int) -> dict[int, float]:
@@ -767,62 +940,55 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
 
     weak = tuple(s.weak_ids)
     strong = tuple(s.strong_ids)
-    A = _family("A", weak, t - 1)
-    B = _family("B", weak, t)
-    K1 = _family("K1", weak, t + 1)
-    K2 = _family("K2", weak, t)
+    A = Family("A", (weak, t - 1))
+    B = Family("B", (weak, t))
+    K1 = Family("K1", (weak, t + 1))
+    K2 = Family("K2", (weak, t))
+    # K3[j,G] per weak subset G, strong receiver by strong receiver
+    K3 = Family("K3", (strong, 1), (weak, t), outer_last=True)
+    K4 = Family("K4", (strong, 1))
     if keyed:
         name, point_label = "piggyback-allkeys", f"all:piggyback-keys[t={t}]"
         Rbin = bin3 = 0.0
         RK3 = excess / (Ks * comb(Kw, t))
         RK4 = beta3 * min(1 - s.delta_z, 1 - ds) / Ks
-        K4 = _family("K4", strong, 1)
     else:
         name, point_label = "piggyback-one", f"piggyback-one[t={t}]"
         Rbin = excess / comb(Kw, t)
         bin3 = lam3 * (1 - s.delta_z)
         RK3 = RK4 = 0.0
-        K4 = {}
 
-    # K3[j,G] is "K3[j," followed by B[G] without its "B["; the K3 keys
-    # of G follow K2[G], strong receiver by strong receiver.
-    heads = [((j,), f"K3[{j},") for j in strong] if keyed else []
-    K3 = {j + G: head + label[2:] for G, label in B.items() for j, head in heads}
-    key_rates = dict.fromkeys(K1.values(), RK1)
-    k3_labels = iter(K3.values())
-    for k2_label in K2.values():
-        key_rates[k2_label] = RK2
-        key_rates |= dict.fromkeys(itertools.islice(k3_labels, len(heads)), RK3)
-    key_rates |= dict.fromkeys(K4.values(), RK4)
-
-    A_run = Run.over("file_part", rA, A, (weak, t - 1))
-    B_run = Run.over("file_part", rB, B, (weak, t))
-    families = [(Run.over("key", RK4, K4, (strong, 1)),)] if keyed else []
+    A_run = Run.over("file_part", rA, A)
+    B_run = Run.over("file_part", rB, B)
+    K1_run = Run.over("key", RK1, K1)
+    # the K3 keys of G follow K2[G]
+    K23 = (Run.over("key", RK2, K2),) + ((Run.over("key", RK3, K3),) if keyed else ())
+    K4_run = Run.over("key", RK4, K4)
+    key_groups = [(K1_run,), K23] + ([(K4_run,)] if keyed else [])
+    families = [(K4_run,)] if keyed else []
     families.append((A_run,))
     if rB > 0:
         families.append((B_run,))
-    families.append((Run.over("key", RK1, K1, (weak, t + 1)),))
-    families.append((Run.over("key", RK2, K2, (weak, t)),) + (
-        (Run.over("key", RK3, K3, (strong, 1), (weak, t)),) if keyed else ()))
-    families = tuple(families)
-    parts = tuple(run for run in (A_run, B_run) if run.rate > 0)
+    families += [(K1_run,), K23]
+    parts = dict.fromkeys(range(1, s.K + 1), tuple(run for run in (A_run, B_run) if run.rate > 0))
 
     xor_load = dict.fromkeys(weak, rB)
     column_load = dict.fromkeys(strong, rB)
     row_intended = frozenset(strong)
+    heads = [(j,) for j in strong] if keyed else []
 
     def xor(H):
-        return (_xor_unit(H, B, rB, K1[H], xor_load),)
+        return (_xor_unit(H, B.label, rB, K1.label[H], xor_load),)
 
     def period(G):
         """Phase 2 for weak subset G: the row, then one column per strong
         receiver."""
-        k3 = tuple(K3[j + G] for j, _ in heads)
-        context = ((B[G],) if rB > 0 else ()) + k3
+        k3 = tuple(K3.label[j + G] for j in heads)
+        context = ((B.label[G],) if rB > 0 else ()) + k3
         units = [DeliveryUnit(
-            parts=_peeled(G, A),
+            parts=_peeled(G, A.label),
             part_rates=(rA,) * len(G),
-            pad_keys=(K2[G],),
+            pad_keys=(K2.label[G],),
             bin_rate=Rbin,
             intended=row_intended.union(G),
             decode_load=dict.fromkeys(G, rA) | dict.fromkeys(strong, rA + Rbin),
@@ -831,7 +997,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         if rB > 0:
             units += [
                 DeliveryUnit(
-                    parts=((j, B[G]),),
+                    parts=((j, B.label[G]),),
                     part_rates=(rB,),
                     pad_keys=k3[k:k + 1],
                     intended=frozenset({j}),
@@ -846,7 +1012,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
             parts=tuple((j, a_label) for a_label in A.values()),
             part_rates=(rA,) * len(A),
             combine="concat",
-            pad_keys=(K4[(j,)],) if keyed else (),
+            pad_keys=(K4.label[(j,)],) if keyed else (),
             bin_rate=bin3,
             intended=frozenset({j}),
             decode_load={j: RA + bin3},
@@ -856,8 +1022,8 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     # nominal rates carry 1 - delta_w), and dz > delta_s (gate or keys).
     orbits = []
     if beta1 > 0 and rB > 0:
-        orbits.append(Orbit(1, beta1, tuple(K1), xor, one_segment=True))
-    orbits.append(Orbit(2, beta2 / comb(Kw, t), tuple(B), period))
+        orbits.append(Orbit(1, beta1, K1.members, xor, one_segment=True))
+    orbits.append(Orbit(2, beta2 / comb(Kw, t), B.members, period))
     orbits.append(Orbit(3, lam3, tuple(strong), remainder))
 
     M_w_claim = (
@@ -870,11 +1036,10 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     return SchemePlan(
         scheme_name=name,
         params={"t": t, "eps": eps, "D": D},
-        orbits=PlanOrbits((weak, strong), tuple(orbits), families=families,
-                          parts=dict.fromkeys(range(1, s.K + 1), parts)),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), families=tuple(families), parts=parts),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
-        key_rates=key_rates,
-        message_parts=dict.fromkeys(range(1, s.K + 1), _message_parts(parts)),
+        key_rates=_KeyRates(*key_groups),
+        message_parts=_MessageParts(parts),
     )
 
 
@@ -1030,35 +1195,28 @@ def build_symmetric_piggyback(
 
     weak = tuple(s.weak_ids)
     strong = tuple(s.strong_ids)
-    A = _family("A", weak, t_w)
-    B = _family("B", strong, t_s)
-    Kw1 = _family("Kw1", weak, t_w + 1)
-    Ks1 = _family("Ks1", strong, t_s + 1)
-    # Each label is formatted once; the loops below reuse it many times.
-    Kw_pair = {(i, j): _lbl("Kw", (i, j)) for i in weak for j in strong}
-    Ks_pair = {(i, j): _lbl("Ks", (i, j)) for i in weak for j in strong}
-    Ar = _family("Ar", weak, 1)
-    Br = _family("Br", strong, 1)
+    A = Family("A", (weak, t_w))
+    B = Family("B", (strong, t_s))
+    Kw1 = Family("Kw1", (weak, t_w + 1))
+    Ks1 = Family("Ks1", (strong, t_s + 1))
+    Kw_pair = Family("Kw", (weak, 1), (strong, 1))
+    Ks_pair = Family("Ks", (weak, 1), (strong, 1))
+    Ar = Family("Ar", (weak, 1))
+    Br = Family("Br", (strong, 1))
 
-    key_rates = dict.fromkeys(Kw1.values(), RK1) | dict.fromkeys(Ks1.values(), RK2)
-    for ij in Kw_pair:
-        key_rates[Kw_pair[ij]] = RK3
-        key_rates[Ks_pair[ij]] = RK4
-
-    A_run = Run.over("file_part", a, A, (weak, t_w))
-    B_run = Run.over("file_part", b, B, (strong, t_s))
-    pairs = ((weak, 1), (strong, 1))
+    A_run = Run.over("file_part", a, A)
+    B_run = Run.over("file_part", b, B)
     families = (
         (A_run,),
-        (Run.over("key", RK1, Kw1, (weak, t_w + 1)),),
+        (Run.over("key", RK1, Kw1),),
         (B_run,),
-        (Run.over("key", RK2, Ks1, (strong, t_s + 1)),),
-        (Run.over("key", RK3, Kw_pair, *pairs), Run.over("key", RK4, Ks_pair, *pairs)),
+        (Run.over("key", RK2, Ks1),),
+        (Run.over("key", RK3, Kw_pair), Run.over("key", RK4, Ks_pair)),
     )
 
     # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
-    virtual = {i: frozenset({Ar[(i,)]}) for i in weak}
-    virtual |= {j: frozenset({Br[(j,)]}) for j in strong}
+    virtual = {i: frozenset({Ar.label[(i,)]}) for i in weak}
+    virtual |= {j: frozenset({Br.label[(j,)]}) for j in strong}
 
     def xor(parts, rate, pads):
         """The subphase-1 or -3 XOR over H, secured by the key of H."""
@@ -1069,22 +1227,23 @@ def build_symmetric_piggyback(
     def pair(ij):
         """Subphase 2 for weak i and strong j: the row, then the column."""
         i, j = ij
-        kw, ks, ar_i, br_j = Kw_pair[ij], Ks_pair[ij], Ar[(i,)], Br[(j,)]
+        kw, ks = Kw_pair.label[ij], Ks_pair.label[ij]
+        ar_i, br_j = Ar.label[(i,)], Br.label[(j,)]
         return (_unicast(i, br_j, br, (kw,), context=(ks, ar_i)),
                 _unicast(j, ar_i, ar, (ks,), context=(kw, br_j)))
 
     orbits = []
     if beta1 > 0:
-        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), tuple(Kw1), xor(A, a, Kw1)))
-    orbits.append(Orbit(2, beta2 / (Kw * Ks), tuple(Kw_pair), pair))
+        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), Kw1.members,
+                            xor(A.label, a, Kw1.label)))
+    orbits.append(Orbit(2, beta2 / (Kw * Ks), Kw_pair.members, pair))
     if beta3 > 0:
-        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), tuple(Ks1), xor(B, b, Ks1)))
+        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), Ks1.members,
+                            xor(B.label, b, Ks1.label)))
 
-    parts_weak = (A_run, Run.over("file_part", br, Br, (strong, 1)))
-    parts_strong = (Run.over("file_part", ar, Ar, (weak, 1)), B_run)
+    parts_weak = (A_run, Run.over("file_part", br, Br))
+    parts_strong = (Run.over("file_part", ar, Ar), B_run)
     parts = dict.fromkeys(weak, parts_weak) | dict.fromkeys(strong, parts_strong)
-    message_parts = (dict.fromkeys(weak, _message_parts(parts_weak))
-                     | dict.fromkeys(strong, _message_parts(parts_strong)))
 
     M_w_claim = (
         D * t_w * RA / Kw
@@ -1103,8 +1262,8 @@ def build_symmetric_piggyback(
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
-        key_rates=key_rates,
-        message_parts=message_parts,
+        key_rates=_KeyRates(families[1], families[3], families[4]),
+        message_parts=_MessageParts(parts),
         virtual_cached=virtual,
     )
 
@@ -1213,14 +1372,23 @@ class _RepView(NamedTuple):
     virtual_cached: dict[int, frozenset]
 
 
-def _blocks(members: Sequence, where: dict[int, tuple[int, ...]]) -> Optional[list]:
+def _blocks(members: Sequence, classes: tuple[tuple[int, ...], ...]) -> Optional[list]:
     """The class blocks of an orbit, as (class, size) pairs in member
     order, when its members are exactly the canonical enumeration of its
-    first member's orbit under the class group: ``combinations(class,
-    size)`` for each block, ``product`` over the blocks; for int members,
-    the class itself.  None otherwise, also when a member id is in no
-    class or a class makes two blocks.  ``where`` maps each receiver to
-    its class.  The members are compared as they stream, not copied."""
+    first member's orbit under the class group of ``classes``:
+    ``combinations(class, size)`` for each block, ``product`` over the
+    blocks; for int members, the class itself.  None otherwise, also when
+    a member id is in no class or a class makes two blocks.  A family's
+    members (:attr:`Family.members`, the first block outermost) are that
+    enumeration, so their blocks are the family's once each is a nonempty
+    block of one of ``classes``, no class twice; any other members are
+    compared with it as they stream, not copied."""
+    if type(members) is _Members and not members.family.outer_last:
+        blocks = list(members.family.blocks)
+        if all(k > 0 and c in classes for c, k in blocks) and len(
+                {c for c, _ in blocks}) == len(blocks):
+            return blocks
+    where = {i: c for c in classes for i in c}
     first = members[0]
     scalar = type(first) is int
     ids = (first,) if scalar else first
@@ -1316,7 +1484,7 @@ def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int
     more labels than ``named`` has of its prefix is scanned instead."""
     out = []
     for run in runs:
-        some = named.get(next(iter(run.labels.values()), "").partition("[")[0])
+        some = named.get(run.labels.prefix)
         if not some:
             continue
         if len(some) < len(run.labels):
@@ -1437,8 +1605,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     # With one receiver per class no member or label stands for another.
     blocks = [None]
     if any(len(c) > 1 for c in po.classes):
-        where = {i: c for c in po.classes for i in c}
-        blocks = [_blocks(orb.members, where) for orb in po.orbits]
+        blocks = [_blocks(orb.members, po.classes) for orb in po.orbits]
     symmetric = None not in blocks
     units = []
     for i, orb in enumerate(po.orbits):
@@ -1488,8 +1655,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             # sub-orbit of r, the first, which stands for the rest: all of
             # them share one key and, the placement being class-symmetric,
             # whether r holds them.
-            needed = ((ids, run.labels[ids]) for run in wanted for ids in (sorted(
-                _sub_orbit_firsts(next(iter(run.labels)), run.blocks, r)) if symmetric
+            needed = ((ids, run.labels.label[ids]) for run in wanted for ids in (sorted(
+                _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r)) if symmetric
                 else run.labels))
             used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
             total = _sum([run.rate for run in wanted], [run.count for run in wanted])

@@ -20,8 +20,11 @@ a full scan of correctly rounded sums), the class-view verifier
 (with ``deliveries``, its peel-rule loop) is the DECODE pass that peeled
 every unit handing a representative a part, which production replaced by
 one member per sub-orbit of each representative, and the entropy inverse
-is a dense scan.  Grid resolution h bounds the value error by h times the
-largest capacity factor, which the comparing tests account for.  The
+is a dense scan.  The eager label families (:class:`EagerFamily`) are the
+dicts of every label that the subset builders built before a family
+formatted a label only when it was read.  Grid resolution h bounds the
+value error by h times the largest capacity factor, which the comparing
+tests account for.  The
 one-time-pad cipher lives here as well: the simulator never samples pad
 values (pads cancel exactly), so only the tests exercise it.
 """
@@ -1041,3 +1044,51 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario, *,
         CheckResult("SECRECY", sec[0] >= -RATE_TOL, *sec),
         CheckResult("CACHE", cache[0] >= -RATE_TOL, *cache),
     ])
+
+
+def _eager_family(prefix: str, ids, size: int) -> dict[tuple[int, ...], str]:
+    """The ``size``-subsets of ``ids`` in lexicographic order, each mapped to
+    its label ``prefix[ids]``, every label formatted up front."""
+    ids = sorted(ids)
+    names = itertools.combinations([str(i) for i in ids], size)
+    return {
+        G: f"{prefix}[{','.join(name)}]"
+        for G, name in zip(itertools.combinations(ids, size), names)
+    }
+
+
+def eager_labels(prefix: str, *blocks, outer_last: bool = False) -> dict[tuple[int, ...], str]:
+    """A label family as the subset builders built it before families were
+    lazy, every label formatted up front: one block is the lexicographic
+    subset family; two blocks with ``outer_last`` are the keyed piggyback's
+    K3 dict (per subset G of the second block, each combination j of the
+    first, labelled ``prefix[j,G]``); two blocks otherwise are
+    ``symmetric-piggyback``'s pair dicts, over combinations of each
+    block."""
+    if len(blocks) == 1:
+        ((ids, size),) = blocks
+        return _eager_family(prefix, ids, size)
+    (first, k), (second, m) = blocks
+    if outer_last:
+        heads = [(j, f"{prefix}[{','.join(map(str, j))},")
+                 for j in itertools.combinations(first, k)]
+        return {j + G: head + label[1:]
+                for G, label in _eager_family("", second, m).items() for j, head in heads}
+    return {i + j: f"{prefix}[{','.join(map(str, i + j))}]"
+            for i in itertools.combinations(first, k) for j in itertools.combinations(second, m)}
+
+
+class EagerFamily(dict):
+    """``schemes.Family`` as a dict of every label (:func:`eager_labels`),
+    with the attributes the builders and the verifier read: its orbit
+    members are a tuple of its ids, and a lookup by ids is a dict lookup.
+    Building with ``schemes.Family`` replaced by this class gives each plan
+    as the builders gave it before families were lazy: the K3 family is
+    the K3 dict, weak subset by weak subset, whatever order the builder
+    asks for."""
+
+    def __init__(self, prefix: str, *blocks, outer_last: bool = False):
+        super().__init__(eager_labels(prefix, *blocks, outer_last=prefix == "K3"))
+        self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
+        self.label = self
+        self.members = tuple(self)

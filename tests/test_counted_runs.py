@@ -32,7 +32,14 @@ from strategies import scenarios
 from secache import BUILDERS, ChannelScenario, IndexOutOfRange, InvalidParameter, NotApplicable
 from secache import schemes
 from secache.cli import PRESETS
-from secache.schemes import _ids, _rep_runs, _sum, build_symmetric_piggyback, verify_plan
+from secache.schemes import (
+    _ids,
+    _rep_runs,
+    _sum,
+    build_piggyback_allkeys,
+    build_symmetric_piggyback,
+    verify_plan,
+)
 
 DOCUMENTED = (IndexOutOfRange, InvalidParameter, NotApplicable)
 SUBSET = ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback")
@@ -212,12 +219,30 @@ def test_an_undeliverable_sub_orbit_names_the_first_missing_part(preset):
     assert failed >= 5
 
 
+class _CountedFamily(schemes.Family):
+    """A label family that records itself in ``made``.  Each family keeps
+    every label it formats, once, so the sizes of the recorded tables
+    count the labels formatted."""
+
+    __slots__ = ()
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+    @classmethod
+    def formatted(cls) -> int:
+        return sum(len(family.label) for family in cls.made)
+
+
 @pytest.mark.parametrize("t_w", [1, 3])
 def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w):
     # fig3 symmetric-piggyback(t_w, t_s): the strong XORs run over
     # C(15, t_s + 1) subsets and the strong representative holds C(14,
     # t_s - 1) B-parts, yet verify makes Atom records and label keys
-    # only for what the peeled units name.
+    # only for what the peeled units name, and build plus verify format
+    # only the labels verify reads.
     made = {"atoms": 0, "keys": 0}
 
     class CountedAtom(schemes.Atom):
@@ -238,19 +263,36 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
         return counted
 
     counts = {}
+    monkeypatch.setattr(schemes, "Family", _CountedFamily)
     for t_s in range(1, 15):
+        _CountedFamily.made = []
         plan = build_symmetric_piggyback(fig3, t_w, t_s, 1e-4)
         made.update(atoms=0, keys=0)
         with monkeypatch.context() as m:
             m.setattr(schemes, "Atom", CountedAtom)
             m.setattr(schemes, "_label_key", counted_label_key)
             assert verify_plan(plan, fig3).passed
-        counts[t_s] = dict(made)
+        counts[t_s] = dict(made, labels=_CountedFamily.formatted(),
+                           family=sum(map(len, _CountedFamily.made)))
     for t_s, made in counts.items():
-        # the peeled strong XORs name 2 (t_s + 1) B-parts and pad keys
+        # the peeled strong XORs name 2 (t_s + 1) B-parts and pad keys;
+        # the build formats each receiver's virtual part (Ar[i], Br[j])
         assert made["atoms"] <= 4 * (t_w + t_s + 4), (t_s, made)
         assert made["keys"] <= 4 * (t_w + t_s + 4), (t_s, made)
+        assert made["labels"] <= fig3.K + 4 * (t_w + t_s + 4), (t_s, made)
     assert comb(15, 8) > 100 * max(made["atoms"] for made in counts.values())
+    assert counts[7]["family"] > 100 * counts[7]["labels"]
+
+    # fig5 piggyback-allkeys(t): Ks C(20, t) K3 keys, C(20, t + 1) K1 keys,
+    # yet besides the phase-3 unit's C(20, t - 1) A-parts, build and
+    # verify format a number of labels that does not grow with t
+    s = ChannelScenario(**PRESETS["fig5"])
+    for t in range(1, 5):
+        _CountedFamily.made = []
+        assert verify_plan(build_piggyback_allkeys(s, t, 1e-4), s).passed
+        (a,) = [family for family in _CountedFamily.made if family.prefix == "A"]
+        assert _CountedFamily.formatted() - len(a) <= 4 * (s.K_s + 4), t
+    assert sum(map(len, _CountedFamily.made)) > 50 * _CountedFamily.formatted()
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig5"])
