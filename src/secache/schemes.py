@@ -220,9 +220,13 @@ class Family(Mapping):
     (the keyed piggyback's K3 keys run weak subset by weak subset).  Its
     length comes from binomials, and it formats a label only when the
     label is read, once.  ``label`` reads the ids a builder enumerates, as
-    they are; a lookup by key (``family[ids]``, ``get``, ``in``) first
-    checks that ``ids`` is one of the family's, so ids parsed from a label
-    from elsewhere never match a label the family does not have.
+    they are: a :class:`_Labels` that keeps the labels in the order they
+    were first read until :meth:`table` replaces it by the plain dict of
+    every label in the family's order, so a reader looks ``label`` up on
+    the family each time.  A lookup by key (``family[ids]``, ``get``,
+    ``in``) first checks that ``ids`` is one of the family's, so ids parsed
+    from a label from elsewhere never match a label the family does not
+    have.
     """
 
     __slots__ = ("prefix", "blocks", "outer_last", "size", "label")
@@ -238,6 +242,8 @@ class Family(Mapping):
         return self.size
 
     def __iter__(self):
+        if type(self.label) is dict:  # the table's own ids, found by identity
+            return iter(self.label)
         combos = [itertools.combinations(c, k) for c, k in self.blocks]
         if len(combos) == 1:
             return combos[0]
@@ -273,25 +279,30 @@ class Family(Mapping):
         return self.table().values()
 
     def table(self) -> dict:
-        """Every label by its ids, in the family's order, kept: the labels
-        not yet read are formatted in one pass, block by block."""
-        label = self.label
-        if len(label) < self.size:
-            rows = [((), ())]  # (ids, their names) of the blocks so far
-            for c, k in self.blocks if self.outer_last else self.blocks[::-1]:
-                block = list(zip(itertools.combinations(c, k),
-                                 itertools.combinations([str(i) for i in c], k)))
+        """Every label by its ids, in the family's order, kept as ``label``:
+        the first call formats the labels not yet read in one pass, block by
+        block, whatever order the others were read in."""
+        if type(self.label) is _Labels:
+            # (ids, their names joined) of each combination of each block
+            # (a block of size 0 adds no id), then of the blocks so far
+            named = [zip(itertools.combinations(c, k),
+                         map(",".join, itertools.combinations([str(i) for i in c], k)))
+                     for c, k in self.blocks if k]
+            rows = named[0] if named else [((), "")]
+            for block in named[1:]:
                 if self.outer_last:
-                    rows = [(ids + more, name + names) for more, names in block
+                    rows = list(rows)
+                    rows = [(ids + more, f"{name},{names}") for more, names in block
                             for ids, name in rows]
                 else:
-                    rows = [(more + ids, names + name) for more, names in block
-                            for ids, name in rows]
-            table = {ids: label.get(ids) or f"{self.prefix}[{','.join(name)}]"
-                     for ids, name in rows}
-            label.clear()
-            label.update(table)
-        return label
+                    block = list(block)
+                    rows = [(ids + more, f"{name},{names}") for ids, name in rows
+                            for more, names in block]
+            prefix = self.prefix
+            table = {ids: f"{prefix}[{name}]" for ids, name in rows}
+            table.update(self.label)  # the labels already read, as they were handed out
+            self.label = table
+        return self.label
 
     @property
     def members(self) -> Sequence:
@@ -300,8 +311,8 @@ class Family(Mapping):
 
 
 class _Members(Sequence):
-    """A family's ids in its order, as an orbit's members; indexing past
-    the first and slicing enumerate them."""
+    """A family's ids in its order, as an orbit's members; an index or a
+    slice enumerates the ids only as far as it reaches."""
 
     __slots__ = ("family",)
 
@@ -315,9 +326,17 @@ class _Members(Sequence):
         return iter(self.family)
 
     def __getitem__(self, i):
-        if type(i) is int and i == 0:
-            return next(iter(self.family))
-        return tuple(self.family)[i]
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step < 0:
+                return tuple(self.family)[i]
+            return tuple(itertools.islice(self.family, start, stop, step))
+        at = operator.index(i)
+        if at < 0:
+            at += len(self)
+        if not 0 <= at < len(self):
+            raise IndexError(i)
+        return next(itertools.islice(self.family, at, None))
 
 
 class Run(NamedTuple):
@@ -524,18 +543,21 @@ def _ids(label: str) -> Optional[tuple[int, ...]]:
         return None
 
 
-def _interleaved(group: Sequence[Run]) -> Iterable[tuple[Run, tuple[int, ...], str]]:
-    """The labels of a group of runs, each with its run and ids: after
-    each label of the first run come the next labels of the others, as
-    many as each has per label of the first."""
+def _interleaved(group: Sequence[Run]) -> Iterable[tuple[Run, Iterable]]:
+    """The labels of a group of runs, in chunks (run, its (ids, label)
+    pairs): after each label of the first run come the next labels of the
+    others, as many as each has per label of the first.  A group of one run
+    is one chunk."""
     first, *rest = group
+    if not rest:
+        yield first, first.labels.items()
+        return
     rest = [(run, iter(run.labels.items()), len(run.labels) // len(first.labels))
             for run in rest]
-    for ids, label in first.labels.items():
-        yield first, ids, label
+    for entry in first.labels.items():
+        yield first, (entry,)
         for run, entries, share in rest:
-            for ids, label in itertools.islice(entries, share):
-                yield run, ids, label
+            yield run, itertools.islice(entries, share)
 
 
 def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int]
@@ -546,22 +568,30 @@ def _placed(families: tuple[tuple[Run, ...], ...], receivers: Sequence[int]
     its ids holds."""
     atoms = {r: [] for r in receivers}
     for group in families:
-        for run, ids, label in _interleaved(group):
-            atom = Atom(run.kind, label, run.rate)
-            for i in ids:
-                atoms[i].append(atom)
+        for run, entries in _interleaved(group):
+            kind, rate = run.kind, run.rate
+            for ids, label in entries:
+                atom = Atom(kind, label, rate)
+                for i in ids:
+                    atoms[i].append(atom)
     return {r: tuple(a) for r, a in atoms.items() if a}
 
 
 class _KeyRates(Mapping):
-    """The rate of each key label of ``groups`` (groups of key runs), in
-    :func:`_interleaved` order; a label is looked up by its prefix and
-    ids, which its run's family checks."""
+    """The rate of each key label of ``groups`` (groups of key runs, an
+    empty group skipped), in :func:`_interleaved` order; a label is looked
+    up by its prefix and ids, which its run's family checks.
+
+    A builder passes the key groups it also places, in its key order,
+    which tests/golden/plans.tsv pins (``key_order``): that order need not
+    be the placement's, as the keyed piggyback places its K4 keys first
+    and lists them last.
+    """
 
     __slots__ = ("groups", "runs")
 
     def __init__(self, *groups: Sequence[Run]):
-        self.groups = groups
+        self.groups = tuple(group for group in groups if group)
         self.runs = {run.labels.prefix: run for group in groups for run in group}
 
     def __getitem__(self, label: str) -> float:
@@ -578,26 +608,38 @@ class _KeyRates(Mapping):
 
     def items(self):
         return ((label, run.rate) for group in self.groups
-                for run, _, label in _interleaved(group))
+                for run, entries in _interleaved(group) for _, label in entries)
 
 
 class _MessageParts(Mapping):
     """Each receiver's message parts, (label, rate) pairs read from its
-    runs (``PlanOrbits.parts``) when first asked for; receivers with one
-    runs tuple share one parts tuple."""
+    runs (``PlanOrbits.parts``), every receiver's when any is first asked
+    for, into a plain dict (:meth:`parts`); receivers with one runs tuple
+    share one parts tuple."""
 
     __slots__ = ("runs", "read")
 
     def __init__(self, runs: Mapping[int, tuple[Run, ...]]):
-        self.runs, self.read = runs, {}
+        self.runs, self.read = runs, None
+
+    def parts(self) -> dict[int, tuple[tuple[str, float], ...]]:
+        if self.read is None:
+            shared = {}
+            for runs in self.runs.values():
+                if id(runs) not in shared:
+                    shared[id(runs)] = tuple(
+                        (label, run.rate) for run in runs for label in run.labels.values())
+            self.read = {r: shared[id(runs)] for r, runs in self.runs.items()}
+        return self.read
 
     def __getitem__(self, r: int) -> tuple[tuple[str, float], ...]:
-        runs = self.runs[r]
-        parts = self.read.get(id(runs))
-        if parts is None:
-            parts = self.read[id(runs)] = tuple(
-                (label, run.rate) for run in runs for label in run.labels.values())
-        return parts
+        return self.parts()[r]
+
+    def get(self, r: int, default=None):
+        return self.parts().get(r, default)
+
+    def items(self):
+        return self.parts().items()
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -960,16 +1002,16 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
 
     A_run = Run.over("file_part", rA, A)
     B_run = Run.over("file_part", rB, B)
-    K1_run = Run.over("key", RK1, K1)
+    K1_keys = (Run.over("key", RK1, K1),)
     # the K3 keys of G follow K2[G]
-    K23 = (Run.over("key", RK2, K2),) + ((Run.over("key", RK3, K3),) if keyed else ())
-    K4_run = Run.over("key", RK4, K4)
-    key_groups = [(K1_run,), K23] + ([(K4_run,)] if keyed else [])
-    families = [(K4_run,)] if keyed else []
+    K23_keys = (Run.over("key", RK2, K2),) + ((Run.over("key", RK3, K3),) if keyed else ())
+    K4_keys = (Run.over("key", RK4, K4),) if keyed else ()
+    # K4 is placed first but listed last in key_rates (:class:`_KeyRates`)
+    families = [K4_keys] if keyed else []
     families.append((A_run,))
     if rB > 0:
         families.append((B_run,))
-    families += [(K1_run,), K23]
+    families += [K1_keys, K23_keys]
     parts = dict.fromkeys(range(1, s.K + 1), tuple(run for run in (A_run, B_run) if run.rate > 0))
 
     xor_load = dict.fromkeys(weak, rB)
@@ -1007,10 +1049,12 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
             ]
         return tuple(units)
 
+    a_rates = (rA,) * len(A)
+
     def remainder(j):
         return (DeliveryUnit(
             parts=tuple((j, a_label) for a_label in A.values()),
-            part_rates=(rA,) * len(A),
+            part_rates=a_rates,
             combine="concat",
             pad_keys=(K4.label[(j,)],) if keyed else (),
             bin_rate=bin3,
@@ -1038,7 +1082,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
         params={"t": t, "eps": eps, "D": D},
         orbits=PlanOrbits((weak, strong), tuple(orbits), families=tuple(families), parts=parts),
         claimed_point=RateMemoryPoint(RA + RB, M_w_claim, M_s_claim, point_label),
-        key_rates=_KeyRates(*key_groups),
+        key_rates=_KeyRates(K1_keys, K23_keys, K4_keys),
         message_parts=_MessageParts(parts),
     )
 
@@ -1206,22 +1250,20 @@ def build_symmetric_piggyback(
 
     A_run = Run.over("file_part", a, A)
     B_run = Run.over("file_part", b, B)
-    families = (
-        (A_run,),
-        (Run.over("key", RK1, Kw1),),
-        (B_run,),
-        (Run.over("key", RK2, Ks1),),
-        (Run.over("key", RK3, Kw_pair), Run.over("key", RK4, Ks_pair)),
-    )
+    Kw1_keys = (Run.over("key", RK1, Kw1),)
+    Ks1_keys = (Run.over("key", RK2, Ks1),)
+    pair_keys = (Run.over("key", RK3, Kw_pair), Run.over("key", RK4, Ks_pair))
+    families = ((A_run,), Kw1_keys, (B_run,), Ks1_keys, pair_keys)
 
     # the receiver-indexed slice Ar[i] sits inside the cached A-subsets
     virtual = {i: frozenset({Ar.label[(i,)]}) for i in weak}
     virtual |= {j: frozenset({Br.label[(j,)]}) for j in strong}
 
     def xor(parts, rate, pads):
-        """The subphase-1 or -3 XOR over H, secured by the key of H."""
+        """The subphase-1 or -3 XOR over H of the ``parts`` family, secured
+        by the key of H in ``pads``."""
         def units(H):
-            return (_xor_unit(H, parts, rate, pads[H], dict.fromkeys(H, rate)),)
+            return (_xor_unit(H, parts.label, rate, pads.label[H], dict.fromkeys(H, rate)),)
         return units
 
     def pair(ij):
@@ -1235,11 +1277,11 @@ def build_symmetric_piggyback(
     orbits = []
     if beta1 > 0:
         orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), Kw1.members,
-                            xor(A.label, a, Kw1.label)))
+                            xor(A, a, Kw1)))
     orbits.append(Orbit(2, beta2 / (Kw * Ks), Kw_pair.members, pair))
     if beta3 > 0:
         orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), Ks1.members,
-                            xor(B.label, b, Ks1.label)))
+                            xor(B, b, Ks1)))
 
     parts_weak = (A_run, Run.over("file_part", br, Br))
     parts_strong = (Run.over("file_part", ar, Ar), B_run)
@@ -1262,7 +1304,7 @@ def build_symmetric_piggyback(
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
-        key_rates=_KeyRates(families[1], families[3], families[4]),
+        key_rates=_KeyRates(Kw1_keys, Ks1_keys, pair_keys),
         message_parts=_MessageParts(parts),
         virtual_cached=virtual,
     )

@@ -82,11 +82,35 @@ def test_a_family_is_its_eager_dict(spec, keys):
     for ids in keys:
         want = eager.get(ids) if type(ids) is tuple and all(type(i) is int for i in ids) else None
         assert family.get(ids) == want, ids
-    members = family.members
+    members, listed = family.members, tuple(eager)
     assert len(members) == len(eager)
-    if eager:
-        assert members[0] == next(iter(eager))
-        assert tuple(members[1:]) == tuple(eager)[1:]
+    for i in (0, 1, len(listed) - 1, -1, -len(listed), len(listed), -len(listed) - 1):
+        if -len(listed) <= i < len(listed):
+            assert members[i] == listed[i], i
+        else:
+            with pytest.raises(IndexError):
+                members[i]
+    for cut in (slice(1, None), slice(None, 3), slice(2, 1), slice(None, None, 2),
+                slice(-3, None), slice(None, None, -1)):
+        assert members[cut] == listed[cut], cut
+
+
+@settings(max_examples=200)
+@given(families(), st.data())
+def test_a_family_lists_its_own_order_whatever_order_it_was_read_in(spec, data):
+    # Building a plan's schedule reads labels one at a time, in schedule
+    # order; the family's items() stay in its own order, also once every
+    # label has been read.
+    prefix, blocks, outer_last = spec
+    family = Family(prefix, *blocks, outer_last=outer_last)
+    eager = eager_labels(prefix, *blocks, outer_last=outer_last)
+    read = data.draw(st.permutations(list(eager)))
+    if data.draw(st.booleans()):
+        read = read[:data.draw(st.integers(0, len(read)))]
+    for ids in read:
+        assert family.label[ids] == eager[ids]
+    assert list(family.items()) == list(eager.items())
+    assert list(family.values()) == list(eager.values())
 
 
 def test_k3_runs_weak_subset_by_weak_subset(fig3):
@@ -160,37 +184,44 @@ def _plans(s: ChannelScenario, ts=None):
             yield f"{name}{arg}", lambda b=build, arg=arg: b(s, *arg, 1e-4)
 
 
-def _same_as_eager(s: ChannelScenario, ts=None) -> int:
+def _same_as_eager(s: ChannelScenario, ts=None, schedule_first: bool = False) -> int:
     """Checks each plan of :func:`_plans` against its build with eager
-    families; the number that build."""
+    families; the number that build.  With ``schedule_first`` the plan's
+    schedule is read and the plan verified before anything is compared,
+    so its labels are first read in schedule and sub-orbit order."""
     checked = 0
     for case, build in _plans(s, ts):
         try:
             plan = build()
         except DOCUMENTED:
             continue
+        if schedule_first:
+            plan.schedule
+            schemes.verify_plan(plan, s)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(schemes, "Family", EagerFamily)
             old = build()
         assert list(plan.key_rates) == list(old.key_rates), case
         assert dict(plan.message_parts) == dict(old.message_parts), case
         assert plan.placement == old.placement, case
+        assert plan.schedule == old.schedule, case
         assert plan.to_json() == old.to_json(), case
         assert schemes.verify_plan(plan, s).to_json() == schemes.verify_plan(old, s).to_json(), case
         checked += 1
     return checked
 
 
+@pytest.mark.parametrize("schedule_first", [False, True], ids=["lookups-first", "schedule-first"])
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
-def test_plans_equal_the_eager_build_on_presets(preset):
+def test_plans_equal_the_eager_build_on_presets(preset, schedule_first):
     s = ChannelScenario(**PRESETS[preset])
-    assert _same_as_eager(s, ts=(1, 2)) >= 10
+    assert _same_as_eager(s, ts=(1, 2), schedule_first=schedule_first) >= 10
 
 
 @settings(max_examples=40)
-@given(scenarios(max_k=5))
-def test_plans_equal_the_eager_build(s):
-    _same_as_eager(s)
+@given(scenarios(max_k=5), st.booleans())
+def test_plans_equal_the_eager_build(s, schedule_first):
+    _same_as_eager(s, schedule_first=schedule_first)
 
 
 def test_the_blocks_of_family_members_are_the_familys(fig3, monkeypatch):
