@@ -162,7 +162,10 @@ def ub_cache_sharing(
 
     # Reconstruct the witness simplex point.
     betas = [pos(t_star - a) / cf if cf else 0.0 for a, cf in zip(alphas, factors)]
-    slack = 1.0 - sum(betas)
+    spent = 0.0  # beta by beta, as the builtin sum before Python 3.12
+    for beta in betas:
+        spent += beta
+    slack = 1.0 - spent
     if betas and slack > 0.0:
         betas[-1] += slack  # spare budget is free to park anywhere
     return UpperBoundReport(

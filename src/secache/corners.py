@@ -182,7 +182,10 @@ def _generalized_point(s: ChannelScenario, t: int, memory_rule: str):
     Kw, Ks, K, D = s.K_w, s.K_s, s.K, s.D
 
     def wsum(lo: int, hi: int, term) -> float:
-        return sum(term(tw) for tw in range(lo, hi + 1)) if lo <= hi else 0.0
+        total = 0.0  # term by term, as the builtin sum before Python 3.12
+        for tw in range(lo, hi + 1):
+            total += term(tw)
+        return total
 
     def weight(tw: int) -> float:
         return (1 - dw) ** (-tw) * (1 - ds) ** tw

@@ -16,8 +16,7 @@ its placement, held as data.  An orbit (:class:`Orbit`) is the schedule
 entries that a permutation within a class maps onto one another, given
 by their members and the function that builds all of a member's units.
 :func:`verify_plan` makes one pass per segment orbit and one per class
-representative (the lowest-numbered receiver), whose DECODE peels one
-member per sub-orbit of that representative; the explicit schedule and
+representative (the lowest-numbered receiver); the explicit schedule and
 placement are expanded only when read, and kept.  The subset builders
 (both piggyback schemes and ``symmetric-piggyback``) treat all weak
 receivers alike and all strong receivers alike, so each segment family is
@@ -25,10 +24,11 @@ one orbit, and refuse a plan whose explicit form is larger than
 :data:`MAX_PLAN_SIZE` before building anything.  They build nothing per
 subset: each family of labels, one per receiver subset or pair, is a
 :class:`Family`, counted from binomials, which formats a label only when
-it is read; an orbit's members, the placement, the message parts (as
-runs, :class:`Run`) and ``key_rates`` are read from those families.  The
-four other builders, and any changed plan, claim no symmetry and list
-their atoms (:meth:`PlanOrbits.explicit`).
+it is read; an orbit's members are such a family, and the placement, the
+message parts (as runs, :class:`Run`) and ``key_rates`` are read from the
+families.  Only such a plan lets DECODE peel one member per sub-orbit of
+a representative.  The four other builders, and any changed plan, claim
+no symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import comb, fsum, prod
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IndexOutOfRange, InvalidParameter, NotApplicable
 from .model import CacheSizes, ChannelScenario, RateMemoryPoint, pos
@@ -179,20 +179,20 @@ class Orbit(NamedTuple):
     ``one_segment`` the members' units instead make up the one segment
     ``(phase, 0)``.  Members are alike for every check: equal decode
     loads, payloads, bins and key rates, with labels mapped one to one,
-    so the first member stands for the rest: :func:`verify_plan` weights
-    its terms by the member count in exact sums.
+    so the first member (``next(iter(members))``) stands for the rest:
+    :func:`verify_plan` weights its terms by the member count in exact
+    sums.
 
-    The subset builders list ``members`` in canonical order: a subset or
-    pair is a tuple of class blocks, and the members are
-    ``itertools.product`` over the blocks of ``combinations(class, size)``
-    (a family's members, :attr:`Family.members`); int members are
-    receivers, and then the members are their class.  DECODE relies on
-    that order (:func:`verify_plan`), and checks it.
+    The subset builders give as ``members`` a label family
+    (:class:`Family`), whose ids are the orbit of the first member under
+    the class group, or a receiver class itself (the piggyback phase 3);
+    DECODE reads one member per sub-orbit of those (:func:`_blocks`), and
+    every member of any other.
     """
 
     phase: int
     fraction: float
-    members: Sequence
+    members: Collection
     units: Callable[[object], tuple[DeliveryUnit, ...]]
     one_segment: bool = False
 
@@ -303,40 +303,6 @@ class Family(Mapping):
             table.update(self.label)  # the labels already read, as they were handed out
             self.label = table
         return self.label
-
-    @property
-    def members(self) -> Sequence:
-        """The ids as a sequence, as an orbit lists its members."""
-        return _Members(self)
-
-
-class _Members(Sequence):
-    """A family's ids in its order, as an orbit's members; an index or a
-    slice enumerates the ids only as far as it reaches."""
-
-    __slots__ = ("family",)
-
-    def __init__(self, family: Family):
-        self.family = family
-
-    def __len__(self) -> int:
-        return len(self.family)
-
-    def __iter__(self):
-        return iter(self.family)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if step < 0:
-                return tuple(self.family)[i]
-            return tuple(itertools.islice(self.family, start, stop, step))
-        at = operator.index(i)
-        if at < 0:
-            at += len(self)
-        if not 0 <= at < len(self):
-            raise IndexError(i)
-        return next(itertools.islice(self.family, at, None))
 
 
 class Run(NamedTuple):
@@ -1066,8 +1032,8 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     # nominal rates carry 1 - delta_w), and dz > delta_s (gate or keys).
     orbits = []
     if beta1 > 0 and rB > 0:
-        orbits.append(Orbit(1, beta1, K1.members, xor, one_segment=True))
-    orbits.append(Orbit(2, beta2 / comb(Kw, t), B.members, period))
+        orbits.append(Orbit(1, beta1, K1, xor, one_segment=True))
+    orbits.append(Orbit(2, beta2 / comb(Kw, t), B, period))
     orbits.append(Orbit(3, lam3, tuple(strong), remainder))
 
     M_w_claim = (
@@ -1276,11 +1242,11 @@ def build_symmetric_piggyback(
 
     orbits = []
     if beta1 > 0:
-        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), Kw1.members,
+        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), Kw1,
                             xor(A, a, Kw1)))
-    orbits.append(Orbit(2, beta2 / (Kw * Ks), Kw_pair.members, pair))
+    orbits.append(Orbit(2, beta2 / (Kw * Ks), Kw_pair, pair))
     if beta3 > 0:
-        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), Ks1.members,
+        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), Ks1,
                             xor(B, b, Ks1)))
 
     parts_weak = (A_run, Run.over("file_part", br, Br))
@@ -1414,41 +1380,21 @@ class _RepView(NamedTuple):
     virtual_cached: dict[int, frozenset]
 
 
-def _blocks(members: Sequence, classes: tuple[tuple[int, ...], ...]) -> Optional[list]:
+def _blocks(members: Collection, classes: tuple[tuple[int, ...], ...]) -> Optional[list]:
     """The class blocks of an orbit, as (class, size) pairs in member
-    order, when its members are exactly the canonical enumeration of its
-    first member's orbit under the class group of ``classes``:
-    ``combinations(class, size)`` for each block, ``product`` over the
-    blocks; for int members, the class itself.  None otherwise, also when
-    a member id is in no class or a class makes two blocks.  A family's
-    members (:attr:`Family.members`, the first block outermost) are that
-    enumeration, so their blocks are the family's once each is a nonempty
-    block of one of ``classes``, no class twice; any other members are
-    compared with it as they stream, not copied."""
-    if type(members) is _Members and not members.family.outer_last:
-        blocks = list(members.family.blocks)
-        if all(k > 0 and c in classes for c, k in blocks) and len(
-                {c for c, _ in blocks}) == len(blocks):
-            return blocks
-    where = {i: c for c in classes for i in c}
-    first = members[0]
-    scalar = type(first) is int
-    ids = (first,) if scalar else first
-    if type(ids) is not tuple:
-        return None
-    blocks = [(c, len(tuple(run))) for c, run in itertools.groupby(ids, where.get)]
-    if any(c is None for c, _ in blocks) or len({c for c, _ in blocks}) < len(blocks):
-        return None
-    if len(members) != prod(comb(len(c), k) for c, k in blocks):
-        return None
-    if scalar:
-        canonical = blocks[0][0]
-    elif len(blocks) == 1:
-        canonical = itertools.combinations(*blocks[0])
-    else:
-        canonical = map(tuple, map(itertools.chain.from_iterable, itertools.product(
-            *(itertools.combinations(c, k) for c, k in blocks))))
-    return blocks if all(map(operator.eq, members, canonical)) else None
+    order, when its members are by construction the canonical enumeration
+    of the first member's orbit under the class group of ``classes``
+    (``combinations(class, size)`` for each block, ``product`` over the
+    blocks): a family (:class:`Family`, the first block outermost) whose
+    every block is a nonempty block of one of ``classes``, no class twice,
+    or a tuple of ints equal to one of ``classes``, whose one block is
+    that class, of size 1.  None for any other members."""
+    if isinstance(members, Family):
+        blocks = list(members.blocks)
+        valid = all(k > 0 and c in classes for c, k in blocks) and len(
+            {c for c, _ in blocks}) == len(blocks)
+        return blocks if valid and not members.outer_last else None
+    return [(members, 1)] if type(members) is tuple and members in classes else None
 
 
 def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
@@ -1476,28 +1422,6 @@ def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
         ids = tuple(c[i] for (c, _), at in zip(blocks, picks) for i in at)
         out.append(ids[0] if type(first) is int else ids)
     return out
-
-
-def _label_key(r: int, classes: tuple[tuple[int, ...], ...]) -> Callable[[str], object]:
-    """The key of a label ``prefix[ids]`` relative to representative ``r``:
-    the prefix and, per id, ``r`` itself (None), the index of the id's
-    class if that class has several receivers, or the id otherwise.  A
-    label not of that form, or with a repeated id, keys to itself.  Two
-    labels with one key are one orbit under ``r``'s stabiliser in the
-    class group, which renames a label's ids."""
-    tokens = {str(i): ci for ci, c in enumerate(classes) if len(c) > 1 for i in c}
-    tokens[str(r)] = None
-
-    def key(label: str):
-        prefix, sep, ids = label.partition("[")
-        if not sep or ids[-1:] != "]":
-            return label
-        ids = ids[:-1].split(",")
-        if len(set(ids)) < len(ids):
-            return label
-        return prefix, tuple(map(tokens.get, ids, ids))
-
-    return key
 
 
 def _worst(best: tuple[float, str], margin: float, detail: str,
@@ -1542,27 +1466,6 @@ def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int
     return out
 
 
-def _first_missing(r: int, needed: Iterable[tuple], have: frozenset, held: Sequence[Run],
-                   delivered: set, classes: Optional[tuple]) -> Optional[str]:
-    """The first label of ``needed``, (ids, label) pairs in order, that
-    receiver ``r`` neither holds (``have``, or a run of ``held``) nor was
-    handed (``delivered``), nor, given the ``classes`` of a symmetric plan,
-    has the key (:func:`_label_key`) of a label handed to it; None if
-    there is none."""
-    keys = None
-    for ids, label in needed:
-        if label in delivered or label in have or any(h.has(label, ids) for h in held):
-            continue
-        if classes is not None:
-            if keys is None:
-                key = _label_key(r, classes)
-                keys = set(map(key, delivered))
-            if key(label) in keys:
-                continue
-        return label
-    return None
-
-
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
@@ -1586,21 +1489,22 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
 
     DECODE peels, by :func:`peel_rule` on the representatives' atoms and
     message parts (runs narrowed to the labels the peeled units name),
-    all the units of one member per sub-orbit of ``r`` (the members where
-    ``r`` sits at one position, or those without it); a part at another
-    receiver's slot is never handed over.  It takes an uncached part as
-    delivered when its label has the key (:func:`_label_key`) of a label
-    delivered to ``r`` (:func:`_first_missing`), and reads a family of
-    parts one label per sub-orbit of ``r``, which stands for the rest.
-    That rests on three premises.  Checked here, once per orbit: every
-    orbit lists exactly the canonical enumeration of its first member's
-    orbit under the class group (:func:`_blocks`), so the labels delivered
-    to ``r`` are invariant under ``r``'s stabiliser.  Held by the
-    builders, and tested: labels are ``prefix[ids]`` with distinct
-    receiver ids, which the class group renames; and the placement is
-    class-symmetric, so whether ``r`` holds a label is invariant too.
-    When an orbit fails the check, every member is peeled, every label
-    is its own key and every part is read.
+    the members' units; a part at another receiver's slot is never handed
+    over, and a part counts as obtained only when ``r`` holds it or a
+    peeled unit hands that very label over.  In a plan with families,
+    whose orbits are by construction the canonical enumeration of their
+    first member's orbit under the class group (:func:`_blocks`), DECODE
+    peels one member per sub-orbit of ``r`` (the members where ``r`` sits
+    at one position, or those without it) and reads a family of parts one
+    label per sub-orbit of ``r``, the first, which stands for the rest.
+    That is sound because the builders' labels are ``prefix[ids]`` with
+    distinct receiver ids, which the class group renames, and their
+    placement is class-symmetric (both tested): ``r``'s stabiliser then
+    carries a first label that ``r`` obtains to its whole sub-orbit.  It
+    is complete under a condition on builders, to which the class-view
+    oracle tests hold every builder plan: where ``r`` obtains some label
+    of a sub-orbit, it holds the first or a peeled member hands it over.
+    Any other plan has every member peeled and every part read.
 
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does; a NaN margin is below every number, so the first
@@ -1612,7 +1516,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     rate = sec = cache = (float("inf"), "")
     merged = None  # the first segment whose XOR repeats a label
     for orb in po.orbits:
-        first = orb.members[0]
+        first = next(iter(orb.members))
         block = orb.units(first)
         if orb.one_segment:
             seg_id, times = (orb.phase, 0), len(orb.members)
@@ -1644,17 +1548,17 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             merged = seg_id
 
     receivers = po.representatives
-    # With one receiver per class no member or label stands for another.
-    blocks = [None]
-    if any(len(c) > 1 for c in po.classes):
-        blocks = [_blocks(orb.members, po.classes) for orb in po.orbits]
+    # Only the families carry the symmetry that lets a member or a label
+    # stand for others.
+    blocks = [_blocks(orb.members, po.classes) for orb in po.orbits] if po.families else [None]
     symmetric = None not in blocks
     units = []
     for i, orb in enumerate(po.orbits):
         members = orb.members
         if symmetric and len(members) > 1:
+            first = next(iter(members))
             members = dict.fromkeys(
-                m for r in receivers for m in _sub_orbit_firsts(members[0], blocks[i], r))
+                m for r in receivers for m in _sub_orbit_firsts(first, blocks[i], r))
         for m in members:
             units += orb.units(m)
     virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
@@ -1694,9 +1598,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         if po.families:
             held, wanted = runs[r]
             # On a symmetric plan a family's labels are read one per
-            # sub-orbit of r, the first, which stands for the rest: all of
-            # them share one key and, the placement being class-symmetric,
-            # whether r holds them.
+            # sub-orbit of r, the first, which stands for the rest: r's
+            # stabiliser maps it onto each of them, and what r holds and
+            # is handed onto itself.
             needed = ((ids, run.labels.label[ids]) for run in wanted for ids in (sorted(
                 _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r)) if symmetric
                 else run.labels))
@@ -1709,8 +1613,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             used = _sum([a.cache_cost(s.D) for a in atoms])
             total = _sum([rate for _, rate in parts])
         if not decode:
-            missing = _first_missing(r, needed, have, held, delivered_to[r],
-                                     po.classes if symmetric else None)
+            missing = next((label for ids, label in needed if not (
+                label in delivered_to[r] or label in have or any(h.has(label, ids) for h in held))),
+                None)
             if missing is not None:
                 decode = f"receiver {r} cannot obtain part {missing!r}"
             elif abs(total - point.R) > RATE_TOL:

@@ -905,7 +905,7 @@ def _slot_members(orb, reps: frozenset):
     with every slot among the member's ids (a coded-caching XOR over a
     subset, or a row and a column over a pair), these are the members
     that contain one of ``reps``; in any other orbit, every member."""
-    first = orb.members[0]
+    first = next(iter(orb.members))
     if type(first) is tuple and all(
             unit.combine == "xor" and {r for r, _ in unit.parts} <= set(first)
             for unit in orb.units(first)):
@@ -971,7 +971,7 @@ def verify_plan_class_view(plan: SchemePlan, s: ChannelScenario, *,
     fractions = []
     merged = None  # the first segment whose XOR repeats a label
     for orb in plan.orbits.orbits:
-        first = orb.members[0]
+        first = next(iter(orb.members))
         block = orb.units(first)
         if orb.one_segment:
             seg_id, count, times = (orb.phase, 0), 1, len(orb.members)
@@ -1080,15 +1080,14 @@ def eager_labels(prefix: str, *blocks, outer_last: bool = False) -> dict[tuple[i
 
 class EagerFamily(dict):
     """``schemes.Family`` as a dict of every label (:func:`eager_labels`),
-    with the attributes the builders and the verifier read: its orbit
-    members are a tuple of its ids, and a lookup by ids is a dict lookup.
-    Building with ``schemes.Family`` replaced by this class gives each plan
-    as the builders gave it before families were lazy: the K3 family is
-    the K3 dict, weak subset by weak subset, whatever order the builder
-    asks for."""
+    with the attributes the builders and the verifier read: a lookup by
+    ids is a dict lookup.  Building with ``schemes.Family`` replaced by
+    this class gives each plan as the builders gave it before families
+    were lazy: the K3 family is the K3 dict, weak subset by weak subset,
+    whatever order the builder asks for.  Its orbits are no
+    ``schemes.Family``, so such a plan verifies in full."""
 
     def __init__(self, prefix: str, *blocks, outer_last: bool = False):
         super().__init__(eager_labels(prefix, *blocks, outer_last=prefix == "K3"))
         self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
         self.label = self
-        self.members = tuple(self)

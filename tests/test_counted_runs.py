@@ -209,7 +209,7 @@ def test_an_undeliverable_sub_orbit_names_the_first_missing_part(preset):
     failed = 0
     for case, plan in plans:
         for oi, orb in enumerate(plan.orbits.orbits):
-            unit = orb.units(orb.members[0])[0]
+            unit = orb.units(next(iter(orb.members)))[0]
             if unit.combine != "xor" or len(unit.parts) < 2:
                 continue
             mutant = _unpadded(plan, oi)
@@ -240,10 +240,10 @@ class _CountedFamily(schemes.Family):
 def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w):
     # fig3 symmetric-piggyback(t_w, t_s): the strong XORs run over
     # C(15, t_s + 1) subsets and the strong representative holds C(14,
-    # t_s - 1) B-parts, yet verify makes Atom records and label keys
-    # only for what the peeled units name, and build plus verify format
-    # only the labels verify reads.
-    made = {"atoms": 0, "keys": 0}
+    # t_s - 1) B-parts, yet verify makes Atom records only for what the
+    # peeled units name, and build plus verify format only the labels
+    # verify reads.
+    made = {"atoms": 0}
 
     class CountedAtom(schemes.Atom):
         __slots__ = ()
@@ -252,25 +252,14 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
             made["atoms"] += 1
             return super().__new__(cls, *args)
 
-    label_key = schemes._label_key
-
-    def counted_label_key(r, classes):
-        key = label_key(r, classes)
-
-        def counted(label):
-            made["keys"] += 1
-            return key(label)
-        return counted
-
     counts = {}
     monkeypatch.setattr(schemes, "Family", _CountedFamily)
     for t_s in range(1, 15):
         _CountedFamily.made = []
         plan = build_symmetric_piggyback(fig3, t_w, t_s, 1e-4)
-        made.update(atoms=0, keys=0)
+        made.update(atoms=0)
         with monkeypatch.context() as m:
             m.setattr(schemes, "Atom", CountedAtom)
-            m.setattr(schemes, "_label_key", counted_label_key)
             assert verify_plan(plan, fig3).passed
         counts[t_s] = dict(made, labels=_CountedFamily.formatted(),
                            family=sum(map(len, _CountedFamily.made)))
@@ -278,7 +267,6 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
         # the peeled strong XORs name 2 (t_s + 1) B-parts and pad keys;
         # the build formats each receiver's virtual part (Ar[i], Br[j])
         assert made["atoms"] <= 4 * (t_w + t_s + 4), (t_s, made)
-        assert made["keys"] <= 4 * (t_w + t_s + 4), (t_s, made)
         assert made["labels"] <= fig3.K + 4 * (t_w + t_s + 4), (t_s, made)
     assert comb(15, 8) > 100 * max(made["atoms"] for made in counts.values())
     assert counts[7]["family"] > 100 * counts[7]["labels"]

@@ -1,19 +1,23 @@
 """DECODE by sub-orbits of each representative, against the pass it
 replaced.
 
-``verify_plan`` peels the units of one member per sub-orbit of each class
-representative ``r`` (the members where ``r`` sits at one position, or
-those without it) and takes a part as delivered when its label keys like
-a delivered label.  That holds under two premises: every orbit lists the
-canonical enumeration of its first member's orbit under the class group
-(checked at run time; a plan that fails the check has every member peeled
-and every label as its own key), and every label is ``prefix[ids]`` with
-distinct receiver ids (checked here on the subset builders' plans).
-``verify_plan_class_view`` (``tests/oracles.py``) is the pass as it was
-before: it peels every unit that hands a representative a part.  Reports
-must be equal byte for byte, the oracle's sums exact as ``verify_plan``'s
-are, on intact plans and on plans whose orbits lost, repeated or
-reordered a member.
+In a plan with label families (``schemes.Family``), whose orbits are
+their families and so enumerate their orbits under the class group by
+construction, ``verify_plan`` peels the units of one member per sub-orbit
+of each class representative ``r`` (the members where ``r`` sits at one
+position, or those without it) and reads one part label per sub-orbit,
+the first.  A part counts as delivered only when a peeled unit hands over
+that very label.  Any other plan, such as a listed one or one whose
+members are a plain tuple, has every member peeled and every part read.
+The reduction is sound when every label is ``prefix[ids]`` with distinct
+receiver ids (checked here on the subset builders' plans) and the
+placement is class-symmetric; it is complete when each sub-orbit's first
+label is itself handed over, which the comparison below checks on every
+builder plan.  ``verify_plan_class_view`` (``tests/oracles.py``) is the
+pass as it was before: it peels every unit that hands a representative a
+part.  Reports must be equal byte for byte, the oracle's sums exact as
+``verify_plan``'s are, on intact plans and on plans whose orbits lost,
+repeated or reordered a member.
 
 The verifier's sums (``schemes._sum``) are exact and rounded once, an
 orbit's terms weighted by its member count; where a term is NaN or
@@ -47,7 +51,6 @@ from secache.cli import PRESETS
 from secache.schemes import (
     Orbit,
     PlanOrbits,
-    _label_key,
     _sum,
     build_symmetric_piggyback,
 )
@@ -97,7 +100,8 @@ def test_orbit_mutants_match_the_class_view(preset, name):
         assert got.to_json() == verify_plan_class_view(mutant, s, total=exact).to_json(), case
         undelivered += "cannot obtain" in got.check("DECODE").detail
     # Some dropped member takes the only provider of a representative's
-    # part, which a reduction without the guard would not see.
+    # part, which a sub-orbit reduction of the mutant would not see: its
+    # members are a plain tuple, so it is peeled in full.
     assert undelivered > 0
 
 
@@ -123,7 +127,7 @@ def _decode_members(plan, calls, oi):
     SECRECY first build each orbit's first member, in orbit order; every
     later call is DECODE's."""
     orbits = plan.orbits.orbits
-    assert calls[:len(orbits)] == [(j, orb.members[0]) for j, orb in enumerate(orbits)]
+    assert calls[:len(orbits)] == [(j, next(iter(orb.members))) for j, orb in enumerate(orbits)]
     return [m for j, m in calls[len(orbits):] if j == oi]
 
 
@@ -136,14 +140,15 @@ def test_decode_builds_one_member_per_sub_orbit(fig3):
     for oi, orb in enumerate(plan.orbits.orbits):
         built = _decode_members(plan, calls, oi)
         assert len(built) == len(set(built)), oi
-        size = len(orb.members[0]) if isinstance(orb.members[0], tuple) else 1
+        first = next(iter(orb.members))
+        size = len(first) if isinstance(first, tuple) else 1
         assert len(built) <= (size + 1) * len(reps), (oi, len(built))
     # the strong XORs: C(15, 8) = 6,435 members, of which 2 are peeled
     assert len(plan.orbits.orbits[2].members) == 6435
     assert len(_decode_members(plan, calls, 2)) == 2
 
     # one strong XOR dropped: every member of every orbit is peeled
-    members = plan.orbits.orbits[2].members
+    members = tuple(plan.orbits.orbits[2].members)
     dropped, calls = _counting(_with_members(plan, 2, members[1:]))
     got = verify_plan(dropped, fig3).to_json()
     for oi, orb in enumerate(dropped.orbits.orbits):
@@ -154,8 +159,8 @@ def test_decode_builds_one_member_per_sub_orbit(fig3):
 def _others_plan(to_self: bool) -> SchemePlan:
     """Three receivers in one class, each wanting X[1], X[2] and X[3] and
     caching nothing; member m's unit hands X[m] to every other receiver,
-    and to m too if ``to_self``.  The plan is class-symmetric, and its
-    members are the class, so the guard holds."""
+    and to m too if ``to_self``.  The plan is class-symmetric, but it has
+    no families, so verify peels every member."""
     rate = 0.05
 
     def units(m):
@@ -178,7 +183,7 @@ def _others_plan(to_self: bool) -> SchemePlan:
 
 def test_a_label_naming_the_representative_keys_apart():
     # Receiver 1 gets X[2] and X[3] but never X[1]: X[1] names the
-    # representative itself, so no delivered label stands for it.
+    # representative itself, and no delivered label stands for it.
     s = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
     for to_self, detail in ((False, "receiver 1 cannot obtain part 'X[1]'"), (True, "")):
         plan = _others_plan(to_self)
@@ -222,8 +227,8 @@ def _listed_plan(dropped: str = "") -> SchemePlan:
 ])
 def test_listed_atoms_of_a_class_match_the_class_view(dropped, margin, detail):
     # Receiver 1 stands for a class of three and lists a key and a file
-    # part: it peels F[2], and F[3] keys like it.  Without its key it
-    # peels nothing; without F[1] nothing stands for it.
+    # part: it peels F[2] and F[3].  Without its key it peels nothing;
+    # without F[1] nothing stands for it.
     s = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
     plan = _listed_plan(dropped)
     assert not plan.orbits.families
@@ -237,14 +242,22 @@ def test_listed_atoms_of_a_class_match_the_class_view(dropped, margin, detail):
         assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
 
 
-def test_label_keys():
-    key = _label_key(1, ((1, 2, 3), (4, 5), (6,)))
-    assert key("A[2,3]") == key("A[3,2]") == ("A", (0, 0))
-    assert key("A[1,2]") == ("A", (None, 0)) != key("A[2,3]")
-    assert key("K[2,4]") == key("K[3,5]") != key("K[4,2]")
-    assert key("Z[6]") == ("Z", ("6",)) and key("Z[7]") == ("Z", ("7",))
-    for label in ("A[2,2]", "full", "A[1]x", "A"):
-        assert key(label) == label
+def test_plans_without_family_orbits_peel_every_member(fig3):
+    # Only an orbit that is a label family lets a member stand for its
+    # sub-orbit.  A listed plan whose one class has three receivers, and a
+    # family plan whose orbit lists its canonical members as a plain
+    # tuple, are peeled member by member, as the class view does.
+    one_class = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
+    family_plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
+    strong_xors = family_plan.orbits.orbits[2].members
+    assert len(strong_xors) == 455
+    for plan, s in ((_listed_plan(), one_class),
+                    (_with_members(family_plan, 2, strong_xors), fig3)):
+        counted, calls = _counting(plan)
+        got = verify_plan(counted, s)
+        for oi, orb in enumerate(plan.orbits.orbits):
+            assert _decode_members(plan, calls, oi) == list(orb.members), oi
+        assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
 
 
 _LABEL = re.compile(r"([^\[\],]+)\[([^\[\]]*)\]")
