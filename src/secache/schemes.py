@@ -26,9 +26,12 @@ subset: each family of labels, one per receiver subset or pair, is a
 :class:`Family`, counted from binomials, which formats a label only when
 it is read; an orbit's members are such a family, and the placement, the
 message parts (as runs, :class:`Run`) and ``key_rates`` are read from the
-families.  Only such a plan lets DECODE peel one member per sub-orbit of
-a representative.  The four other builders, and any changed plan, claim
-no symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
+families, and the piggyback phase-3 unit takes a whole family of parts at
+one slot (:class:`AtSlot`), which :func:`verify_plan` counts and reads
+only at the labels it checks.  Only such a plan lets DECODE peel one
+member per sub-orbit of a representative.  The four other builders, and
+any changed plan, claim no symmetry and list their atoms
+(:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -117,15 +120,17 @@ class DeliveryUnit(NamedTuple):
 
     ``parts`` lists (demand-slot, part-label) pairs; with ``combine="xor"``
     the unit carries their modular sum (all parts share one rate), with
-    ``combine="concat"`` their juxtaposition.  ``pad_keys`` are stripped by
-    legitimate decoders; ``jam_keys`` only count as randomisation against
-    the eavesdropper.  ``context[r]`` names cache labels receiver ``r``
-    must hold to run its restricted (cache-aided) decoder.  Builders share
-    ``decode_load`` and ``context`` mappings between units, so they are
-    never changed in place.
+    ``combine="concat"`` their juxtaposition.  A concatenation may take a
+    whole family of parts at one slot (:class:`AtSlot`, the piggyback
+    phase 3), all at one rate, so its payload is that rate times their
+    count.  ``pad_keys`` are stripped by legitimate decoders; ``jam_keys``
+    only count as randomisation against the eavesdropper.  ``context[r]``
+    names cache labels receiver ``r`` must hold to run its restricted
+    (cache-aided) decoder.  Builders share ``decode_load`` and ``context``
+    mappings between units, so they are never changed in place.
     """
 
-    parts: tuple[tuple[int, str], ...]
+    parts: Sequence[tuple[int, str]]
     part_rates: tuple[float, ...]
     combine: str = "xor"
     pad_keys: tuple[str, ...] = ()
@@ -139,6 +144,8 @@ class DeliveryUnit(NamedTuple):
     def payload_rate(self) -> float:
         if self.combine == "xor":
             return self.part_rates[0] if self.part_rates else 0.0
+        if type(self.parts) is AtSlot:
+            return _sum(self.part_rates[:1], len(self.parts))
         return _sum(self.part_rates)
 
     def to_dict(self) -> dict:
@@ -345,6 +352,39 @@ class Run(NamedTuple):
         return self.receiver is None or self.receiver in ids
 
     cache_cost = Atom.cache_cost
+
+
+class AtSlot(Sequence):
+    """A label family's parts at one demand slot: a read-only sequence of
+    ``(slot, label)`` pairs in the family's order, which formats the labels
+    only when it is iterated.  It is equal to, hashes as and adds like the
+    tuple of its pairs."""
+
+    __slots__ = ("slot", "labels")
+
+    def __init__(self, slot: int, labels: Mapping[tuple[int, ...], str]):
+        self.slot, self.labels = slot, labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return zip(itertools.repeat(self.slot), self.labels.values())
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class PlanOrbits(NamedTuple):
@@ -672,9 +712,9 @@ def _check_rate(rate: float, what: str) -> None:
 #: Largest plan a subset builder accepts, in units plus atom references
 #: (atoms summed over placements) of its explicit form, both counted from
 #: binomials before anything is built.  A build formats no label and
-#: ``verify`` expands no plan, but reading a plan's schedule or placement
-#: does; the cap still bounds ``verify`` as well, whose phase-3 unit of a
-#: piggyback scheme lists every A label.  fig5 piggyback-allkeys at t=4
+#: ``verify`` expands no plan (it reads a piggyback scheme's phase-3 A
+#: family by count), but reading a plan's schedule or placement does; the
+#: cap still refuses such a plan at build.  fig5 piggyback-allkeys at t=4
 #: (68,809 + 361,960) fits; fig5 piggyback-one at t=10 (2.2M units) does not.
 MAX_PLAN_SIZE = 10**6
 
@@ -1019,7 +1059,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
 
     def remainder(j):
         return (DeliveryUnit(
-            parts=tuple((j, a_label) for a_label in A.values()),
+            parts=AtSlot(j, A),
             part_rates=a_rates,
             combine="concat",
             pad_keys=(K4.label[(j,)],) if keyed else (),
@@ -1478,7 +1518,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
 
     A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
     expanding it.  One pass per segment orbit, over its first member's
-    units, adds the RATE loads and the SECRECY payload and securing, and
+    units, adds the RATE loads and the SECRECY payload (of a family of
+    parts at one slot, its part rate times its length) and securing, and
     runs the XOR-merge rule.  One pass per receiver class, on its
     lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE
     from ``r``'s atoms and message parts: in a plan with families, its
@@ -1496,15 +1537,17 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     first member's orbit under the class group (:func:`_blocks`), DECODE
     peels one member per sub-orbit of ``r`` (the members where ``r`` sits
     at one position, or those without it) and reads a family of parts one
-    label per sub-orbit of ``r``, the first, which stands for the rest.
-    That is sound because the builders' labels are ``prefix[ids]`` with
-    distinct receiver ids, which the class group renames, and their
-    placement is class-symmetric (both tested): ``r``'s stabiliser then
-    carries a first label that ``r`` obtains to its whole sub-orbit.  It
-    is complete under a condition on builders, to which the class-view
-    oracle tests hold every builder plan: where ``r`` obtains some label
-    of a sub-orbit, it holds the first or a peeled member hands it over.
-    Any other plan has every member peeled and every part read.
+    label per sub-orbit of ``r``, the first, which stands for the rest; a
+    unit whose parts are a family at one slot (:class:`AtSlot`) hands over
+    only those labels of the slot's receiver.  That is sound because the
+    builders' labels are ``prefix[ids]`` with distinct receiver ids, which
+    the class group renames, and their placement is class-symmetric (both
+    tested): ``r``'s stabiliser then carries a first label that ``r``
+    obtains to its whole sub-orbit.  It is complete under a condition on
+    builders, to which the class-view oracle tests hold every builder
+    plan: where ``r`` obtains some label of a sub-orbit, it holds the
+    first or a peeled member hands it over.  Any other plan has every
+    member peeled and every part read.
 
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does; a NaN margin is below every number, so the first
@@ -1563,6 +1606,22 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             units += orb.units(m)
     virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
     if po.families:
+        runs = _rep_runs(po, receivers)
+        if symmetric:
+            # A family's labels are read one per sub-orbit of r, the first,
+            # which stands for the rest: r's stabiliser maps it onto each of
+            # them, and what r holds and is handed onto itself.
+            checked = {r: [(ids, run.labels.label[ids]) for run in wanted for ids in sorted(
+                _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r))]
+                for r, (_, wanted) in runs.items()}
+            # A family of parts at one slot hands over only what DECODE
+            # reads of it: the checked labels of the slot's receiver.
+            for k, unit in enumerate(units):
+                if type(unit.parts) is AtSlot:
+                    j, family = unit.parts.slot, unit.parts.labels
+                    parts = tuple((j, label) for ids, label in checked.get(j, ())
+                                  if family.get(ids) == label)
+                    units[k] = unit._replace(parts=parts, part_rates=unit.part_rates[:len(parts)])
         # The labels, by prefix, of the units that give a representative a
         # slot: its parts, pad keys and the representatives' context.  Of
         # the family atoms and parts only these can change what a unit
@@ -1574,7 +1633,6 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
                           [label for _, label in unit.parts], unit.pad_keys,
                           *[unit.context[r] for r in reps & unit.context.keys()])}:
             named.setdefault(label.partition("[")[0], {})[label] = None
-        runs = _rep_runs(po, receivers)
         view = _RepView(
             {r: tuple(Atom(run.kind, label, run.rate) for run, label in _narrowed(held, named))
              for r, (held, _) in runs.items()},
@@ -1597,13 +1655,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         have = virtual.get(r, frozenset())
         if po.families:
             held, wanted = runs[r]
-            # On a symmetric plan a family's labels are read one per
-            # sub-orbit of r, the first, which stands for the rest: r's
-            # stabiliser maps it onto each of them, and what r holds and
-            # is handed onto itself.
-            needed = ((ids, run.labels.label[ids]) for run in wanted for ids in (sorted(
-                _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r)) if symmetric
-                else run.labels))
+            needed = checked[r] if symmetric else (
+                entry for run in wanted for entry in run.labels.items())
             used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
             total = _sum([run.rate for run in wanted], [run.count for run in wanted])
         else:

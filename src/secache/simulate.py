@@ -207,8 +207,10 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     """Compile the plan in one walk over its schedule.
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
-    (units decode in schedule order, driven by the receiver's own load),
-    and :func:`secache.schemes.peel_rule` names the parts each unit
+    (units decode in schedule order, driven by the receiver's own load);
+    builders share one ``decode_load`` mapping across consecutive units,
+    and over such a run each step is rounded up once.
+    :func:`secache.schemes.peel_rule` names the parts each unit
     hands over; a provider keeps only its threshold until its segment is
     closed and its draw is numbered.  Draws go in segment order and,
     within a segment, in the iteration order of the set of its loaded
@@ -240,18 +242,26 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
             )
         seg_lengths.append(length)
         receivers = set()
-        cum: dict[int, int] = {}
+        cum: dict[int, int] = {}  # thresholds before the current run
         pending = []  # (group's providers, receiver, threshold)
+        # A run of units sharing one decode_load mapping adds the same
+        # step to each of its receivers' thresholds per unit.
+        load, steps, done = None, {}, 0
         for unit in seg.units:
-            for r, load in unit.decode_load.items():
-                # ``not load <= 0``: a NaN load is loaded, and ceil rejects it
-                if not load <= 0:
-                    receivers.add(r)
-                    cum[r] = cum.get(r, 0) + ceil(load * n)
+            if unit.decode_load is not load:
+                for r, step in steps.items():
+                    cum[r] = cum.get(r, 0) + done * step
+                load, steps, done = unit.decode_load, {}, 0
+                for r, x in load.items():
+                    # ``not x <= 0``: a NaN load is loaded, and ceil rejects it
+                    if not x <= 0:
+                        receivers.add(r)
+                        steps[r] = ceil(x * n)
+            done += 1
             for r, label in peel(unit):
                 providers = group_of.get((r, label))
                 if providers is not None:
-                    pending.append((providers, r, cum[r]))
+                    pending.append((providers, r, cum.get(r, 0) + done * steps[r]))
         if pending:
             draw_of = {r: len(draw_r) + k for k, r in enumerate(receivers)}
             for providers, r, thr in pending:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from math import comb, fsum
 
 import pytest
@@ -37,6 +38,7 @@ from secache.schemes import (
     _rep_runs,
     _sum,
     build_piggyback_allkeys,
+    build_piggyback_one,
     build_symmetric_piggyback,
     verify_plan,
 )
@@ -271,16 +273,42 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
     assert comb(15, 8) > 100 * max(made["atoms"] for made in counts.values())
     assert counts[7]["family"] > 100 * counts[7]["labels"]
 
-    # fig5 piggyback-allkeys(t): Ks C(20, t) K3 keys, C(20, t + 1) K1 keys,
-    # yet besides the phase-3 unit's C(20, t - 1) A-parts, build and
-    # verify format a number of labels that does not grow with t
+    # fig5 piggyback-one and piggyback-allkeys(t): C(20, t + 1) K1 keys,
+    # C(20, t) B-parts (and Ks C(20, t) K3 keys) and, at each strong
+    # slot of phase 3, C(20, t - 1) A-parts, yet build and verify format
+    # a number of labels linear in K and t: the phase-2 row names t
+    # A-parts, a weak representative reads about t of A and of B, and
+    # the keyed scheme names 2 Ks K3 keys
     s = ChannelScenario(**PRESETS["fig5"])
-    for t in range(1, 5):
-        _CountedFamily.made = []
-        assert verify_plan(build_piggyback_allkeys(s, t, 1e-4), s).passed
-        (a,) = [family for family in _CountedFamily.made if family.prefix == "A"]
-        assert _CountedFamily.formatted() - len(a) <= 4 * (s.K_s + 4), t
-    assert sum(map(len, _CountedFamily.made)) > 50 * _CountedFamily.formatted()
+    for build in (build_piggyback_one, build_piggyback_allkeys):
+        for t in (1, 2, 3, 4, 17, 18, 19):
+            _CountedFamily.made = []
+            assert verify_plan(build(s, t, 1e-4), s).passed
+            formatted = _CountedFamily.formatted()
+            assert formatted <= 4 * (t + s.K_s + 2), (build.__name__, t, formatted)
+            if t in (4, 17):
+                assert sum(map(len, _CountedFamily.made)) > 100 * formatted, (build.__name__, t)
+
+
+def test_piggyback_plans_verify_past_the_size_cap(monkeypatch):
+    # fig5 piggyback-one(9) and piggyback-allkeys(9): their explicit plans
+    # exceed the size cap (C(20, 10) XORs, 11 C(20, 9) period units) and
+    # each phase-3 unit concatenates C(20, 8) = 125,970 A-parts.  With the
+    # cap lifted, build plus verify reads every family by count, and all
+    # four checks pass.
+    s = ChannelScenario(**PRESETS["fig5"])
+    assert comb(20, 10) + 11 * comb(20, 9) + s.K_s > schemes.MAX_PLAN_SIZE
+    monkeypatch.setattr(schemes, "MAX_PLAN_SIZE", 10**9)
+    for build in (build_piggyback_one, build_piggyback_allkeys):
+        tracemalloc.start()
+        try:
+            report = verify_plan(build(s, 9, 1e-4), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.name for c in report.checks if c.passed] == [
+            "RATE", "DECODE", "SECRECY", "CACHE"], (build.__name__, report.to_json())
+        assert peak < 4 * 2**20, (build.__name__, peak)
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig5"])
@@ -313,3 +341,55 @@ def test_explicit_plans_verify_without_runs(preset, monkeypatch):
         m.setattr(schemes, "Run", CountedRun)
         assert verify_plan(plan, s).passed
     assert made
+
+
+def _phase3_changed(plan, change):
+    """``plan`` with each phase-3 unit replaced by ``change(unit)``; its
+    orbits keep their members, so verify still reads it by sub-orbit."""
+    po = plan.orbits
+    *rest, orb = po.orbits
+    assert orb.phase == 3 and orb.members in po.classes
+    units = orb.units
+    changed = orb._replace(units=lambda j: tuple(change(u) for u in units(j)))
+    return dataclasses.replace(plan, orbits=po._replace(orbits=(*rest, changed)))
+
+
+@pytest.mark.parametrize("preset,ts", [("fig3", (1, 2, 4)), ("fig5", (1, 2, 19))])
+def test_a_family_at_a_slot_is_read_at_the_checked_labels(preset, ts):
+    # The phase-3 unit concatenates the A family at its strong slot, and
+    # DECODE reads only the labels it checks of it.  Its report equals the
+    # full scan's when the unit is intact and when it carries another
+    # family, another prefix, sits at another slot or has another rate;
+    # each of those leaves a strong receiver without its A-parts.
+    s = ChannelScenario(**PRESETS[preset])
+    strong = tuple(s.strong_ids)
+
+    def other_slot(u):
+        j = u.parts.slot
+        return u._replace(parts=schemes.AtSlot(strong[(strong.index(j) + 1) % len(strong)],
+                                               u.parts.labels))
+
+    for build in (build_piggyback_one, build_piggyback_allkeys):
+        for t in ts:
+            plan = build(s, t, 1e-4)
+            A = plan.orbits.orbits[-1].units(strong[0])[0].parts.labels
+            B = plan.orbits.orbits[-2].members
+            changes = {
+                "intact": lambda u: u,
+                "B family": lambda u: u._replace(parts=schemes.AtSlot(u.parts.slot, B),
+                                                 part_rates=u.part_rates[:1] * len(B)),
+                "other prefix": lambda u: u._replace(parts=schemes.AtSlot(
+                    u.parts.slot, schemes.Family("X", *A.blocks))),
+                "other slot": other_slot,
+                "other rate": lambda u: u._replace(part_rates=(2 * u.part_rates[0],) * len(A)),
+            }
+            for name, change in changes.items():
+                case = (build.__name__, t, name)
+                mutant = _phase3_changed(build(s, t, 1e-4), change)
+                got = verify_plan(mutant, s)
+                if len(A) > 4 * t:
+                    # the weak representative reads 2t - 1 of them
+                    formatted = mutant.orbits.orbits[-1].units(strong[0])[0].parts.labels.label
+                    assert len(formatted) <= 2 * t, case
+                assert got.to_json() == verify_plan_explicit(mutant, s, total=exact).to_json(), case
+                assert got.check("DECODE").passed == (name == "intact"), case

@@ -29,6 +29,7 @@ from secache import BUILDERS, ChannelScenario, IndexOutOfRange, InvalidParameter
 from secache import schemes
 from secache.cli import PRESETS
 from secache.schemes import (
+    AtSlot,
     Family,
     _blocks,
     _ids,
@@ -100,6 +101,30 @@ def test_a_family_lists_its_own_order_whatever_order_it_was_read_in(spec, data):
         assert family.label[ids] == eager[ids]
     assert list(family.items()) == list(eager.items())
     assert list(family.values()) == list(eager.values())
+
+
+@settings(max_examples=100)
+@given(families(), st.integers(1, 30))
+def test_a_family_at_a_slot_is_the_tuple_of_its_pairs(spec, slot):
+    # The piggyback phase-3 unit concatenates a whole family at one strong
+    # slot: it equals, hashes as and adds like the tuple of (slot, label)
+    # pairs it replaces, and formats no label before it is iterated.
+    prefix, blocks, outer_last = spec
+    family = Family(prefix, *blocks, outer_last=outer_last)
+    parts = AtSlot(slot, family)
+    assert len(parts) == len(family) and len(family.label) == 0
+    pairs = tuple((slot, label) for label in
+                  eager_labels(prefix, *blocks, outer_last=outer_last).values())
+    assert parts == pairs and pairs == parts and parts == AtSlot(slot, family)
+    assert hash(parts) == hash(pairs) and list(parts) == list(pairs)
+    assert parts + ((0, "B[1]"),) == pairs + ((0, "B[1]"),)
+    assert parts[1:3] == pairs[1:3] and parts != list(pairs)
+    if pairs:
+        assert parts[0] == pairs[0] and parts[-1] == pairs[-1]
+        assert parts != pairs[:-1] and parts != AtSlot(slot + 1, family)
+    unit = schemes.DeliveryUnit(parts, (0.25,) * len(parts), "concat")
+    assert unit == unit._replace(parts=pairs)
+    assert unit.payload_rate == unit._replace(parts=pairs).payload_rate
 
 
 def test_k3_runs_weak_subset_by_weak_subset(fig3):
