@@ -27,11 +27,10 @@ subset: each family of labels, one per receiver subset or pair, is a
 it is read; an orbit's members are such a family, and the placement, the
 message parts (as runs, :class:`Run`) and ``key_rates`` are read from the
 families, and the piggyback phase-3 unit takes a whole family of parts at
-one slot (:class:`AtSlot`), which :func:`verify_plan` counts and reads
-only at the labels it checks.  Only such a plan lets DECODE peel one
-member per sub-orbit of a representative.  The four other builders, and
-any changed plan, claim no symmetry and list their atoms
-(:meth:`PlanOrbits.explicit`).
+one slot (:class:`AtSlot`), which :func:`verify_plan` reads only at the
+labels it checks.  Only such a plan lets DECODE peel one member per
+sub-orbit of a representative.  The four other builders, and any changed
+plan, claim no symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -122,12 +121,12 @@ class DeliveryUnit(NamedTuple):
     the unit carries their modular sum (all parts share one rate), with
     ``combine="concat"`` their juxtaposition.  A concatenation may take a
     whole family of parts at one slot (:class:`AtSlot`, the piggyback
-    phase 3), all at one rate, so its payload is that rate times their
-    count.  ``pad_keys`` are stripped by legitimate decoders; ``jam_keys``
-    only count as randomisation against the eavesdropper.  ``context[r]``
-    names cache labels receiver ``r`` must hold to run its restricted
-    (cache-aided) decoder.  Builders share ``decode_load`` and ``context``
-    mappings between units, so they are never changed in place.
+    phase 3), which formats its labels only when iterated.  ``pad_keys``
+    are stripped by legitimate decoders; ``jam_keys`` only count as
+    randomisation against the eavesdropper.  ``context[r]`` names cache
+    labels receiver ``r`` must hold to run its restricted (cache-aided)
+    decoder.  Builders share ``decode_load`` and ``context`` mappings
+    between units, so they are never changed in place.
     """
 
     parts: Sequence[tuple[int, str]]
@@ -144,8 +143,6 @@ class DeliveryUnit(NamedTuple):
     def payload_rate(self) -> float:
         if self.combine == "xor":
             return self.part_rates[0] if self.part_rates else 0.0
-        if type(self.parts) is AtSlot:
-            return _sum(self.part_rates[:1], len(self.parts))
         return _sum(self.part_rates)
 
     def to_dict(self) -> dict:
@@ -1464,6 +1461,18 @@ def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
     return out
 
 
+def _whole_at_one_rate(unit: DeliveryUnit, classes: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether a unit's family of parts at one slot (:class:`AtSlot`) is
+    mapped onto itself by the class group of ``classes`` and has one part
+    rate: a :class:`Family` whose every nonempty block is over one of
+    ``classes``, with a rate per part, all equal."""
+    family, rates = unit.parts.labels, unit.part_rates
+    if not isinstance(family, Family) or len(rates) != len(family):
+        return False
+    return all(c in classes for c, k in family.blocks if k) and (
+        not rates or rates.count(rates[0]) == len(rates))
+
+
 def _worst(best: tuple[float, str], margin: float, detail: str,
            args: tuple) -> tuple[float, str]:
     """The first strict minimum of the margins offered in order: ``margin``
@@ -1486,23 +1495,15 @@ def _rep_runs(po: PlanOrbits, receivers: Sequence[int]
 def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int, ...]]]]
               ) -> list[tuple[Run, str]]:
     """The labels of ``runs`` that are in ``named`` (by prefix, label to
-    its ids, read when first needed), each with its run.  A run with no
-    more labels than ``named`` has of its prefix is scanned instead."""
+    its ids, read when first needed), each with its run."""
     out = []
     for run in runs:
-        some = named.get(run.labels.prefix)
-        if not some:
-            continue
-        if len(some) < len(run.labels):
-            for label, ids in some.items():
-                if ids is None:
-                    some[label] = ids = _ids(label)
-                if run.has(label, ids):
-                    out.append((run, label))
-        else:
-            r = run.receiver
-            out += [(run, label) for ids, label in run.labels.items()
-                    if label in some and (r is None or r in ids)]
+        some = named.get(run.labels.prefix, {})
+        for label, ids in some.items():
+            if ids is None:
+                some[label] = ids = _ids(label)
+            if run.has(label, ids):
+                out.append((run, label))
     return out
 
 
@@ -1518,8 +1519,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
 
     A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
     expanding it.  One pass per segment orbit, over its first member's
-    units, adds the RATE loads and the SECRECY payload (of a family of
-    parts at one slot, its part rate times its length) and securing, and
+    units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule.  One pass per receiver class, on its
     lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE
     from ``r``'s atoms and message parts: in a plan with families, its
@@ -1539,7 +1539,10 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     at one position, or those without it) and reads a family of parts one
     label per sub-orbit of ``r``, the first, which stands for the rest; a
     unit whose parts are a family at one slot (:class:`AtSlot`) hands over
-    only those labels of the slot's receiver.  That is sound because the
+    only those labels of the slot's receiver; such a family must be a
+    :class:`Family` over whole classes with every part at one rate
+    (:func:`_whole_at_one_rate`), and one that is not, as in a changed
+    unit, leaves the plan without symmetry.  That is sound because the
     builders' labels are ``prefix[ids]`` with distinct receiver ids, which
     the class group renames, and their placement is class-symmetric (both
     tested): ``r``'s stabiliser then carries a first label that ``r``
@@ -1558,6 +1561,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     po = plan.orbits
     rate = sec = cache = (float("inf"), "")
     merged = None  # the first segment whose XOR repeats a label
+    at_slot = []  # the units whose parts are a family at one slot
     for orb in po.orbits:
         first = next(iter(orb.members))
         block = orb.units(first)
@@ -1567,6 +1571,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             seg_id, times = (orb.phase, first), 1
         addends: dict[int, list[float]] = {}
         for unit in block:
+            if type(unit.parts) is AtSlot:
+                at_slot.append(unit)
             for r, load in unit.decode_load.items():
                 addends.setdefault(r, []).append(load)
         for r, terms in addends.items():
@@ -1592,9 +1598,11 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
 
     receivers = po.representatives
     # Only the families carry the symmetry that lets a member or a label
-    # stand for others.
+    # stand for others, and keep it only where each family of parts at one
+    # slot is whole at one rate.
     blocks = [_blocks(orb.members, po.classes) for orb in po.orbits] if po.families else [None]
-    symmetric = None not in blocks
+    symmetric = None not in blocks and all(
+        _whole_at_one_rate(unit, po.classes) for unit in at_slot)
     units = []
     for i, orb in enumerate(po.orbits):
         members = orb.members

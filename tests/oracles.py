@@ -453,13 +453,12 @@ def deliveries_one_receiver(
                 continue
             if any(c not in have for c in unit.context.get(receiver, ())):
                 continue
-            picks = range(len(unit.parts))
+            picks = list(enumerate(unit.parts))
             if unit.combine == "xor":
-                picks = [i for i in picks if unit.parts[i][1] not in have]
+                picks = [(i, part) for i, part in picks if part[1] not in have]
                 if len(picks) != 1:
                     continue
-            for i in picks:
-                slot, label = unit.parts[i]
+            for i, (slot, label) in picks:
                 if slot == receiver and unit.part_rates[i] == rates.get(label):
                     out.setdefault(label, []).append((si, ui))
     return out

@@ -360,7 +360,10 @@ def test_a_family_at_a_slot_is_read_at_the_checked_labels(preset, ts):
     # DECODE reads only the labels it checks of it.  Its report equals the
     # full scan's when the unit is intact and when it carries another
     # family, another prefix, sits at another slot or has another rate;
-    # each of those leaves a strong receiver without its A-parts.
+    # each of those leaves a strong receiver without its A-parts.  A unit
+    # whose family is not whole at one rate (one part at another rate, a
+    # plain mapping or a family over part of the weak class, each of which
+    # still holds the labels DECODE checks) has its plan verified in full.
     s = ChannelScenario(**PRESETS[preset])
     strong = tuple(s.strong_ids)
 
@@ -374,7 +377,10 @@ def test_a_family_at_a_slot_is_read_at_the_checked_labels(preset, ts):
             plan = build(s, t, 1e-4)
             A = plan.orbits.orbits[-1].units(strong[0])[0].parts.labels
             B = plan.orbits.orbits[-2].members
-            changes = {
+            (weak, k), = A.blocks
+            partial = dict(itertools.islice(A.items(), len(A) - 1))
+            part_block = schemes.Family("A", (weak[:-1], k))
+            whole = {
                 "intact": lambda u: u,
                 "B family": lambda u: u._replace(parts=schemes.AtSlot(u.parts.slot, B),
                                                  part_rates=u.part_rates[:1] * len(B)),
@@ -383,11 +389,22 @@ def test_a_family_at_a_slot_is_read_at_the_checked_labels(preset, ts):
                 "other slot": other_slot,
                 "other rate": lambda u: u._replace(part_rates=(2 * u.part_rates[0],) * len(A)),
             }
-            for name, change in changes.items():
+            not_whole = {
+                "one odd rate": lambda u: u._replace(
+                    part_rates=u.part_rates[1:] + (2 * u.part_rates[0],)),
+                "plain mapping": lambda u: u._replace(
+                    parts=schemes.AtSlot(u.parts.slot, partial),
+                    part_rates=u.part_rates[:len(partial)]),
+            }
+            if len(part_block) < len(A):
+                not_whole["part of the class"] = lambda u: u._replace(
+                    parts=schemes.AtSlot(u.parts.slot, part_block),
+                    part_rates=u.part_rates[:len(part_block)])
+            for name, change in {**whole, **not_whole}.items():
                 case = (build.__name__, t, name)
                 mutant = _phase3_changed(build(s, t, 1e-4), change)
                 got = verify_plan(mutant, s)
-                if len(A) > 4 * t:
+                if name in whole and len(A) > 4 * t:
                     # the weak representative reads 2t - 1 of them
                     formatted = mutant.orbits.orbits[-1].units(strong[0])[0].parts.labels.label
                     assert len(formatted) <= 2 * t, case
