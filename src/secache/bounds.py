@@ -48,15 +48,10 @@ class UpperBoundReport:
     beta_witness: Optional[tuple] = None
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "family": self.family.value,
-            "k_w": self.k_w,
-            "k_s": self.k_s,
-            "beta_witness": None
-            if self.beta_witness is None
-            else list(self.beta_witness),
-        }
+        d = dict(vars(self), family=self.family.value)
+        if self.beta_witness is not None:
+            d["beta_witness"] = list(self.beta_witness)
+        return d
 
 
 def _check_subpopulation(s: ChannelScenario, k_w: int, k_s: int) -> None:

@@ -60,16 +60,7 @@ class ChannelScenario:
         return self.delta_w if receiver <= self.K_w else self.delta_s
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "K_w": self.K_w,
-                "K_s": self.K_s,
-                "delta_w": self.delta_w,
-                "delta_s": self.delta_s,
-                "delta_z": self.delta_z,
-                "D": self.D,
-            }
-        )
+        return json.dumps(vars(self))
 
     @staticmethod
     def from_dict(obj: dict) -> "ChannelScenario":

@@ -165,18 +165,11 @@ class RegimeClaim:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "description": self.description,
+        d = dict(vars(self))
+        if self.interval is not None:
             # an unbounded end is null: strict JSON has no Infinity
-            "interval": None if self.interval is None else [
-                None if isinf(v) else v for v in self.interval
-            ],
-            "max_deviation": self.max_deviation,
-            "exact": self.exact,
-            "note": self.note,
-        }
+            d["interval"] = [None if isinf(v) else v for v in self.interval]
+        return d
 
 
 @dataclass
@@ -186,16 +179,6 @@ class RegimeReport:
 
     def to_dict(self) -> dict:
         return {"claims": [c.to_dict() for c in self.claims], "notes": self.notes}
-
-
-def _certify(points, lower_fn, uppers, reference_fn):
-    """Largest deviation of the lower bound from the precomputed upper
-    values at ``points`` and from the claimed closed form."""
-    dev = 0.0
-    for x, up in zip(points, uppers):
-        lo = lower_fn(x)
-        dev = max(dev, abs(lo - up), abs(lo - reference_fn(x)))
-    return dev
 
 
 def _weak_only_upper(s: ChannelScenario, xs: list[float]) -> list[float]:
@@ -210,15 +193,37 @@ CERTIFY_SAMPLES = 11
 def exact_regimes(s: ChannelScenario) -> RegimeReport:
     """Certify each regime where lower and upper bounds provably meet.
 
-    Every claim is re-verified numerically within 1e-9 at
-    ``CERTIFY_SAMPLES`` evenly spaced points, both ends included, before
-    being reported exact; mismatches are reported with their maximal
-    deviation, never clamped.
+    A claim is reported exact when the lower bound stays within 1e-9 of
+    the converse and of the claimed closed form; a mismatch is reported
+    with its maximal deviation, never clamped.  ``all-cached-keys-point``
+    is checked at its one query point.  The interval claims are checked
+    at ``CERTIFY_SAMPLES`` evenly spaced points, both ends included;
+    ``weak-only-large-memory`` claims (m_top, inf) but is sampled only up
+    to max(2 m_lib, m_top + 1).
     """
     rep = RegimeReport()
     lower = Tradeoff(s)
     weak = _available(lower._weak_only)
     all_cached = _available(lower._all_cached)
+
+    def certify(name, description, interval, deviations, note=""):
+        # max keeps its first NaN and drops any later one
+        dev = max(deviations)
+        rep.claims.append(RegimeClaim(name, True, description, interval, dev, dev <= 1e-9, note))
+
+    def sampled(curve, a, b, upper, reference):
+        """0.0, then the lower bound's deviation from ``upper`` and from
+        ``reference`` at each sample of [a, b]."""
+        n = CERTIFY_SAMPLES - 1
+        xs = [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
+        yield 0.0
+        for x, up in zip(xs, upper(xs)):
+            lo = hull.eval_hull_1d(curve, x)
+            yield abs(lo - up)
+            yield abs(lo - reference(x))
+
+    weak_upper = lambda xs: _weak_only_upper(s, xs)
+
     if s.delta_z <= s.delta_s:
         rep.notes.append(
             "weak-only results gated off: delta_z <= delta_s, so caches at "
@@ -235,53 +240,27 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
                 )
             )
 
-    def grid(a: float, b: float) -> list[float]:
-        n = CERTIFY_SAMPLES - 1
-        return [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
-
     if weak:
         pts = {p.label: p for p in weak}
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
         m1 = pts["cached-keys"].M_w
-        xs = grid(0.0, m1)
-        dev = _certify(
-            xs,
-            lambda m: hull.eval_hull_1d(lower.weak_curve, m),
-            _weak_only_upper(s, xs),
-            lambda m: r0 + slope * m,
-        )
-        rep.claims.append(
-            RegimeClaim(
-                name="weak-only-small-memory",
-                applicable=True,
-                description="keys-only placement is optimal; the shared "
-                "value is R(0) + slope * M_w",
-                interval=(0.0, m1),
-                max_deviation=dev,
-                exact=dev <= 1e-9,
-            )
+        certify(
+            "weak-only-small-memory",
+            "keys-only placement is optimal; the shared value is R(0) + slope * M_w",
+            (0.0, m1),
+            sampled(lower.weak_curve, 0.0, m1, weak_upper, lambda m: r0 + slope * m),
         )
         if "piggyback-two" in pts:
             m_top = pts["piggyback-two"].M_w
             m_lib = pts["full-library"].M_w
             flat = (s.delta_z - s.delta_s) / s.K_s
-            xs = grid(m_top, max(2.0 * m_lib, m_top + 1.0))
-            dev = _certify(
-                xs,
-                lambda m: hull.eval_hull_1d(lower.weak_curve, m),
-                _weak_only_upper(s, xs),
-                lambda m: flat,
-            )
-            rep.claims.append(
-                RegimeClaim(
-                    name="weak-only-large-memory",
-                    applicable=True,
-                    description="capacity saturates at (dz-ds)/K_s",
-                    interval=(m_top, float("inf")),
-                    max_deviation=dev,
-                    exact=dev <= 1e-9,
-                )
+            certify(
+                "weak-only-large-memory",
+                "capacity saturates at (dz-ds)/K_s",
+                (m_top, float("inf")),
+                sampled(lower.weak_curve, m_top, max(2.0 * m_lib, m_top + 1.0),
+                        weak_upper, lambda m: flat),
             )
     else:
         rep.claims.append(
@@ -305,17 +284,12 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
     if keys_pt is not None:
         lo = lower.surface(keys_pt.M_w, keys_pt.M_s)
         up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
-        dev = max(abs(lo - up), abs(lo - keys_pt.R))
-        rep.claims.append(
-            RegimeClaim(
-                name="all-cached-keys-point",
-                applicable=True,
-                description="the all-receiver cached-keys triple is optimal",
-                interval=(keys_pt.M_w, keys_pt.M_s),
-                max_deviation=dev,
-                exact=dev <= 1e-9,
-                note="interval field holds the (M_w, M_s) query point",
-            )
+        certify(
+            "all-cached-keys-point",
+            "the all-receiver cached-keys triple is optimal",
+            (keys_pt.M_w, keys_pt.M_s),
+            (abs(lo - up), abs(lo - keys_pt.R)),
+            note="interval field holds the (M_w, M_s) query point",
         )
 
         if weak:
@@ -325,21 +299,11 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         else:
             end = s.K * keys_pt.R
             ref = lambda m: m / s.K
-        xs = grid(0.0, end)
-        dev = _certify(
-            xs,
-            lambda m: hull.eval_hull_1d(lower.global_curve, m),
-            [bounds.ub_global(s, m) for m in xs],
-            ref,
-        )
-        rep.claims.append(
-            RegimeClaim(
-                name="global-small-budget",
-                applicable=True,
-                description="global tradeoff is exact for small budgets",
-                interval=(0.0, end),
-                max_deviation=dev,
-                exact=dev <= 1e-9,
-            )
+        certify(
+            "global-small-budget",
+            "global tradeoff is exact for small budgets",
+            (0.0, end),
+            sampled(lower.global_curve, 0.0, end,
+                    lambda xs: [bounds.ub_global(s, m) for m in xs], ref),
         )
     return rep

@@ -22,7 +22,11 @@ every unit handing a representative a part, which production replaced by
 one member per sub-orbit of each representative, and the entropy inverse
 is a dense scan.  The eager label families (:class:`EagerFamily`) are the
 dicts of every label that the subset builders built before a family
-formatted a label only when it was read.  Grid resolution h bounds the
+formatted a label only when it was read.  The regime certifier
+(:func:`exact_regimes_reference`) is one sample, compare and append
+block per claim, with every report field listed by hand, which
+production folded into one claim helper and reports built from their
+fields.  Grid resolution h bounds the
 value error by h times the largest capacity factor, which the comparing
 tests account for.  The
 one-time-pad cipher lives here as well: the simulator never samples pad
@@ -33,15 +37,22 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from math import ceil, fsum, isfinite, isnan
+from math import ceil, fsum, isfinite, isinf, isnan
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from secache import hull
+from secache import bounds, corners, hull
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
 from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible, RangeError
-from secache.model import TOL, CacheSizes, ChannelScenario, RateMemoryPoint, validate_scenario
+from secache.model import (
+    TOL,
+    CacheSizes,
+    ChannelScenario,
+    RateMemoryPoint,
+    validate_scenario,
+    zero_cache_capacity,
+)
 from secache.schemes import (
     RATE_TOL,
     Atom,
@@ -52,6 +63,7 @@ from secache.schemes import (
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
+from secache.tradeoff import RegimeClaim, RegimeReport, Tradeoff, _available
 
 _DET_TOL = 1e-12
 
@@ -1090,3 +1102,197 @@ class EagerFamily(dict):
         super().__init__(eager_labels(prefix, *blocks, outer_last=prefix == "K3"))
         self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
         self.label = self
+
+
+def regime_claim_dict(claim: RegimeClaim) -> dict:
+    """``RegimeClaim.to_dict`` with every field listed by hand."""
+    return {
+        "name": claim.name,
+        "applicable": claim.applicable,
+        "description": claim.description,
+        # an unbounded end is null: strict JSON has no Infinity
+        "interval": None if claim.interval is None else [
+            None if isinf(v) else v for v in claim.interval
+        ],
+        "max_deviation": claim.max_deviation,
+        "exact": claim.exact,
+        "note": claim.note,
+    }
+
+
+def upper_bound_dict(rep: UpperBoundReport) -> dict:
+    """``UpperBoundReport.to_dict`` with every field listed by hand."""
+    return {
+        "value": rep.value,
+        "family": rep.family.value,
+        "k_w": rep.k_w,
+        "k_s": rep.k_s,
+        "beta_witness": None
+        if rep.beta_witness is None
+        else list(rep.beta_witness),
+    }
+
+
+def regime_report_dict(rep: RegimeReport) -> dict:
+    """``RegimeReport.to_dict`` over :func:`regime_claim_dict`."""
+    return {"claims": [regime_claim_dict(c) for c in rep.claims], "notes": rep.notes}
+
+
+def _certify(points, lower_fn, uppers, reference_fn):
+    """Largest deviation of the lower bound from the precomputed upper
+    values at ``points`` and from the claimed closed form."""
+    dev = 0.0
+    for x, up in zip(points, uppers):
+        lo = lower_fn(x)
+        dev = max(dev, abs(lo - up), abs(lo - reference_fn(x)))
+    return dev
+
+
+def _weak_only_upper(s: ChannelScenario, xs: list[float]) -> list[float]:
+    """The converse at ``(m, 0)`` for every ``m`` of ``xs``, in one call."""
+    return [rep.value for rep in bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in xs])]
+
+
+#: Points per claimed interval, fixed here so that a change to
+#: ``tradeoff.CERTIFY_SAMPLES`` shows in the parity test.
+CERTIFY_SAMPLES = 11
+
+
+def exact_regimes_reference(s: ChannelScenario) -> RegimeReport:
+    """``tradeoff.exact_regimes`` as one sample, compare and append block
+    per claim.  Certify each regime where lower and upper bounds provably
+    meet.
+
+    Every claim is re-verified numerically within 1e-9 at
+    ``CERTIFY_SAMPLES`` evenly spaced points, both ends included, before
+    being reported exact; mismatches are reported with their maximal
+    deviation, never clamped.
+    """
+    rep = RegimeReport()
+    lower = Tradeoff(s)
+    weak = _available(lower._weak_only)
+    all_cached = _available(lower._all_cached)
+    if s.delta_z <= s.delta_s:
+        rep.notes.append(
+            "weak-only results gated off: delta_z <= delta_s, so caches at "
+            "weak receivers alone sustain no positive secrecy rate"
+        )
+        if s.K_w >= 1:
+            rep.claims.append(
+                RegimeClaim(
+                    name="weak-only-zero",
+                    applicable=True,
+                    description="with M_s = 0 the secrecy capacity is 0",
+                    exact=True,
+                    note="delta_z <= delta_s",
+                )
+            )
+
+    def grid(a: float, b: float) -> list[float]:
+        n = CERTIFY_SAMPLES - 1
+        return [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
+
+    if weak:
+        pts = {p.label: p for p in weak}
+        slope = corners.weak_only_max_slope(s)
+        r0 = zero_cache_capacity(s)
+        m1 = pts["cached-keys"].M_w
+        xs = grid(0.0, m1)
+        dev = _certify(
+            xs,
+            lambda m: hull.eval_hull_1d(lower.weak_curve, m),
+            _weak_only_upper(s, xs),
+            lambda m: r0 + slope * m,
+        )
+        rep.claims.append(
+            RegimeClaim(
+                name="weak-only-small-memory",
+                applicable=True,
+                description="keys-only placement is optimal; the shared "
+                "value is R(0) + slope * M_w",
+                interval=(0.0, m1),
+                max_deviation=dev,
+                exact=dev <= 1e-9,
+            )
+        )
+        if "piggyback-two" in pts:
+            m_top = pts["piggyback-two"].M_w
+            m_lib = pts["full-library"].M_w
+            flat = (s.delta_z - s.delta_s) / s.K_s
+            xs = grid(m_top, max(2.0 * m_lib, m_top + 1.0))
+            dev = _certify(
+                xs,
+                lambda m: hull.eval_hull_1d(lower.weak_curve, m),
+                _weak_only_upper(s, xs),
+                lambda m: flat,
+            )
+            rep.claims.append(
+                RegimeClaim(
+                    name="weak-only-large-memory",
+                    applicable=True,
+                    description="capacity saturates at (dz-ds)/K_s",
+                    interval=(m_top, float("inf")),
+                    max_deviation=dev,
+                    exact=dev <= 1e-9,
+                )
+            )
+    else:
+        rep.claims.append(
+            RegimeClaim(
+                name="weak-only-small-memory",
+                applicable=False,
+                description="not applicable: delta_z <= delta_s or K_w = 0",
+            )
+        )
+
+    keys_pt = next((p for p in all_cached if p.label == "all:cached-keys"), None)
+    if all_cached and keys_pt is None:
+        rep.claims.append(
+            RegimeClaim(
+                name="all-cached-keys-point",
+                applicable=False,
+                description="not applicable: delta_w = delta_s = 1 leaves "
+                "no cached-keys point",
+            )
+        )
+    if keys_pt is not None:
+        lo = lower.surface(keys_pt.M_w, keys_pt.M_s)
+        up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
+        dev = max(abs(lo - up), abs(lo - keys_pt.R))
+        rep.claims.append(
+            RegimeClaim(
+                name="all-cached-keys-point",
+                applicable=True,
+                description="the all-receiver cached-keys triple is optimal",
+                interval=(keys_pt.M_w, keys_pt.M_s),
+                max_deviation=dev,
+                exact=dev <= 1e-9,
+                note="interval field holds the (M_w, M_s) query point",
+            )
+        )
+
+        if weak:
+            # the weak-only small-memory line (r0, slope above) per unit of budget
+            end = s.K_w * pts["cached-keys"].M_w
+            ref = lambda m: r0 + slope / s.K_w * m
+        else:
+            end = s.K * keys_pt.R
+            ref = lambda m: m / s.K
+        xs = grid(0.0, end)
+        dev = _certify(
+            xs,
+            lambda m: hull.eval_hull_1d(lower.global_curve, m),
+            [bounds.ub_global(s, m) for m in xs],
+            ref,
+        )
+        rep.claims.append(
+            RegimeClaim(
+                name="global-small-budget",
+                applicable=True,
+                description="global tradeoff is exact for small budgets",
+                interval=(0.0, end),
+                max_deviation=dev,
+                exact=dev <= 1e-9,
+            )
+        )
+    return rep
