@@ -15,22 +15,22 @@ Every plan is its receiver classes, its orbits (:class:`PlanOrbits`) and
 its placement, held as data.  An orbit (:class:`Orbit`) is the schedule
 entries that a permutation within a class maps onto one another, given
 by their members and the function that builds all of a member's units.
-:func:`verify_plan` makes one pass per segment orbit and one per class
-representative (the lowest-numbered receiver); the explicit schedule and
-placement are expanded only when read, and kept.  The subset builders
-(both piggyback schemes and ``symmetric-piggyback``) treat all weak
-receivers alike and all strong receivers alike, so each segment family is
-one orbit, and refuse a plan whose explicit form is larger than
-:data:`MAX_PLAN_SIZE` before building anything.  They build nothing per
-subset: each family of labels, one per receiver subset or pair, is a
-:class:`Family`, counted from binomials, which formats a label only when
-it is read; an orbit's members are such a family, and the placement, the
-message parts (as runs, :class:`Run`) and ``key_rates`` are read from the
-families, and the piggyback phase-3 unit takes a whole family of parts at
-one slot (:class:`AtSlot`), which :func:`verify_plan` reads only at the
-labels it checks.  Only such a plan lets DECODE peel one member per
-sub-orbit of a representative.  The four other builders, and any changed
-plan, claim no symmetry and list their atoms (:meth:`PlanOrbits.explicit`).
+:func:`verify_plan` and the simulation compile (:mod:`secache.simulate`)
+walk the orbits; the explicit schedule and placement are expanded only
+when read, and kept.  The subset builders (both piggyback schemes and
+``symmetric-piggyback``) treat all weak receivers alike and all strong
+receivers alike, so each segment family is one orbit, and refuse a plan
+whose explicit form is larger than :data:`MAX_PLAN_SIZE` before building
+anything.  They build nothing per subset: each family of labels, one per
+receiver subset or pair, is a :class:`Family`, counted from binomials,
+which formats a label only when it is read; an orbit's members, the
+placement, the message parts (as runs, :class:`Run`) and ``key_rates``
+are read from such families, and the piggyback phase-3 unit takes a
+whole family of parts at one slot (:class:`AtSlot`).  Only such a plan
+lets DECODE peel one member per sub-orbit of a representative, and the
+simulation one member per orbit.  The four other builders, and any
+changed plan, claim no symmetry and list their atoms
+(:meth:`PlanOrbits.explicit`).
 
 The plan records :class:`Atom`, :class:`DeliveryUnit` and
 :class:`DeliverySegment` are immutable named tuples, changed with their
@@ -185,7 +185,10 @@ class Orbit(NamedTuple):
     loads, payloads, bins and key rates, with labels mapped one to one,
     so the first member (``next(iter(members))``) stands for the rest:
     :func:`verify_plan` weights its terms by the member count in exact
-    sums.
+    sums.  Unit by unit, each member's units hand over (:func:`peel_rule`)
+    the parts at the first member's part positions, so where the plan
+    carries the class symmetry (:func:`_symmetric_blocks`) the simulation
+    peels the first member only; tests hold every builder plan to it.
 
     The subset builders give as ``members`` a label family
     (:class:`Family`), whose ids are the orbit of the first member under
@@ -708,11 +711,12 @@ def _check_rate(rate: float, what: str) -> None:
 
 #: Largest plan a subset builder accepts, in units plus atom references
 #: (atoms summed over placements) of its explicit form, both counted from
-#: binomials before anything is built.  A build formats no label and
-#: ``verify`` expands no plan (it reads a piggyback scheme's phase-3 A
-#: family by count), but reading a plan's schedule or placement does; the
-#: cap still refuses such a plan at build.  fig5 piggyback-allkeys at t=4
-#: (68,809 + 361,960) fits; fig5 piggyback-one at t=10 (2.2M units) does not.
+#: binomials before anything is built.  A build formats no label, and
+#: ``verify`` and ``simulate`` expand no plan (verify reads a piggyback
+#: scheme's phase-3 A family by count), but reading a plan's schedule or
+#: placement does; the cap still refuses such a plan at build.  fig5
+#: piggyback-allkeys at t=4 (68,809 + 361,960) fits; fig5 piggyback-one at
+#: t=10 (2.2M units) does not.
 MAX_PLAN_SIZE = 10**6
 
 
@@ -882,48 +886,25 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
     R_bin = pos((1 - dz) - gamma * (1 - dw))
     p = _binary_entropy_inverse(1.0 - gamma)
 
-    key_labels = [_lbl("K", [i]) for i in s.weak_ids]
-    placement = {
-        i: (Atom("key", key_labels[idx], R_key),)
-        for idx, i in enumerate(s.weak_ids)
-    }
-    key_rates = {lbl: R_key for lbl in key_labels}
-
-    cloud_units = tuple(
-        DeliveryUnit(
-            parts=((i, "full"),),
-            part_rates=(R,),
-            pad_keys=(_lbl("K", [i]),),
-            intended=frozenset({i}),
-            decode_load={w: R for w in s.weak_ids},
-        )
-        for i in s.weak_ids
-    )
-    sat_units = []
-    for pos_j, j in enumerate(s.strong_ids):
-        first = pos_j == 0
-        load = R + (R_bin if first else 0.0)
-        sat_units.append(
-            DeliveryUnit(
-                parts=((j, "full"),),
-                part_rates=(R,),
-                jam_keys=tuple(key_labels) if first else (),
-                bin_rate=R_bin if first else 0.0,
-                intended=frozenset({j}),
-                decode_load={jj: load for jj in s.strong_ids},
-            )
-        )
-    segments = [
-        DeliverySegment((1, "cloud"), gamma, cloud_units),
-        DeliverySegment((2, "satellite"), 1 - gamma, tuple(sat_units)),
-    ]
+    keys = [_lbl("K", [i]) for i in s.weak_ids]
+    placement = {i: (Atom("key", key, R_key),) for i, key in zip(s.weak_ids, keys)}
+    # Unicasts that their whole class decodes; the first satellite unit
+    # also carries the cloud keys as jamming and the bin.
+    cloud = [_unicast(i, "full", R, (key,))._replace(decode_load=dict.fromkeys(s.weak_ids, R))
+             for i, key in zip(s.weak_ids, keys)]
+    sat = [_unicast(j, "full", R)._replace(decode_load=dict.fromkeys(s.strong_ids, R))
+           for j in s.strong_ids]
+    sat[0] = sat[0]._replace(jam_keys=tuple(keys), bin_rate=R_bin,
+                             decode_load=dict.fromkeys(s.strong_ids, R + R_bin))
+    segments = [DeliverySegment((1, "cloud"), gamma, tuple(cloud)),
+                DeliverySegment((2, "satellite"), 1 - gamma, tuple(sat))]
 
     return SchemePlan(
         scheme_name="superposition-jamming",
         params={"eps": eps, "D": s.D, "gamma": gamma, "satellite_bias": p},
         orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(R, R_key, 0.0, "superposition-jamming"),
-        key_rates=key_rates,
+        key_rates=dict.fromkeys(keys, R_key),
         message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
     )
 
@@ -1121,39 +1102,16 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
     # lands exactly on the corner identity M = D R_B + R_key.
     R_key = RA0
 
-    key_labels = {i: _lbl("K", [i]) for i in s.weak_ids}
-    placement = {
-        i: (
-            Atom("file_part", "B", RB),
-            Atom("key", key_labels[i], R_key),
-        )
-        for i in s.weak_ids
-    }
-    key_rates = {key_labels[i]: R_key for i in s.weak_ids}
-
-    rows = tuple(
-        DeliveryUnit(
-            parts=((i, "A"),),
-            part_rates=(RA,),
-            pad_keys=(key_labels[i],),
-            intended=frozenset({i}),
-            decode_load={w: RA for w in s.weak_ids}
-            | {j: RA for j in s.strong_ids},
-            context={w: ("B",) for w in s.weak_ids},
-        )
-        for i in s.weak_ids
-        if RA > 0
-    )
-    cols = tuple(
-        DeliveryUnit(
-            parts=((j, "B"),),
-            part_rates=(RB,),
-            intended=frozenset({j}),
-            decode_load={jj: RB for jj in s.strong_ids},
-        )
-        for j in s.strong_ids
-        if RB > 0
-    )
+    keys = {i: _lbl("K", [i]) for i in s.weak_ids}
+    placement = {i: (Atom("file_part", "B", RB), Atom("key", key, R_key))
+                 for i, key in keys.items()}
+    # Rows: padded unicasts that every receiver decodes, the weak ones with
+    # B as context; columns: unicasts that every strong receiver decodes.
+    rows = tuple(_unicast(i, "A", RA, (key,))._replace(
+        decode_load=dict.fromkeys(range(1, s.K + 1), RA), context=dict.fromkeys(s.weak_ids, ("B",)))
+        for i, key in keys.items() if RA > 0)
+    cols = tuple(_unicast(j, "B", RB)._replace(decode_load=dict.fromkeys(s.strong_ids, RB))
+                 for j in s.strong_ids if RB > 0)
     segments = [DeliverySegment((1, "pg"), beta, rows + cols)]
     if RA > 0:
         lam2 = (1 - beta) / Ks
@@ -1172,7 +1130,7 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
         claimed_point=RateMemoryPoint(
             RA + RB, D * RB + R_key, 0.0, "piggyback-two"
         ),
-        key_rates=key_rates,
+        key_rates=dict.fromkeys(keys.values(), R_key),
         message_parts=message_parts,
     )
 
@@ -1328,7 +1286,23 @@ BUILDERS = {
 # verification
 # ---------------------------------------------------------------------------
 
-def peel_rule(plan: SchemePlan) -> Callable[[DeliveryUnit], Sequence[tuple[int, str]]]:
+def _holders(atoms: Mapping[int, Iterable[Atom]], families: tuple[tuple[Run, ...], ...] = ()
+             ) -> dict[str, int]:
+    """Who holds each placed label, as an int bitmask over receivers: the
+    receivers among a family label's ids, and each receiver of ``atoms``
+    for its listed atoms."""
+    held: dict[str, int] = {}
+    for r, listed in atoms.items():
+        for a in listed:
+            held[a.label] = held.get(a.label, 0) | 1 << r
+    for run in itertools.chain.from_iterable(families):
+        for ids, label in run.labels.items():
+            held[label] = reduce(operator.or_, [1 << i for i in ids], held.get(label, 0))
+    return held
+
+
+def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
+              ) -> Callable[[DeliveryUnit], Sequence[tuple[int, str]]]:
     """The peel rule, one unit at a time: a function that gives the
     (receiver, part label) pairs a decoded unit hands over, in part order.
 
@@ -1341,16 +1315,12 @@ def peel_rule(plan: SchemePlan) -> Callable[[DeliveryUnit], Sequence[tuple[int, 
     values, decides what a decoded unit yields.  Placement is per file, so
     the answer holds for every demand.
 
-    "Who holds label L" is an int bitmask over receivers: pad keys are
-    checked against placement alone, context and XOR partners against
-    placement plus ``virtual_cached``.  Each unit starts from the
-    receivers that want some part and hold its pad keys; one pass over an
-    XOR's parts finds those among them missing exactly one label.
+    "Who holds label L" is an int bitmask over receivers, ``placed``
+    (:func:`_holders`): pad keys are checked against it alone, context
+    and XOR partners against it plus ``virtual_cached``.  Each unit starts from the receivers that
+    want some part and hold its pad keys; one pass over an XOR's parts
+    finds those among them missing exactly one label.
     """
-    placed: dict[str, int] = {}
-    for r, atoms in plan.placement.items():
-        for a in atoms:
-            placed[a.label] = placed.get(a.label, 0) | 1 << r
     have = dict(placed)
     for r, labels in plan.virtual_cached.items():
         for label in labels:
@@ -1461,16 +1431,25 @@ def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
     return out
 
 
-def _whole_at_one_rate(unit: DeliveryUnit, classes: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether a unit's family of parts at one slot (:class:`AtSlot`) is
-    mapped onto itself by the class group of ``classes`` and has one part
-    rate: a :class:`Family` whose every nonempty block is over one of
-    ``classes``, with a rate per part, all equal."""
-    family, rates = unit.parts.labels, unit.part_rates
-    if not isinstance(family, Family) or len(rates) != len(family):
-        return False
-    return all(c in classes for c, k in family.blocks if k) and (
-        not rates or rates.count(rates[0]) == len(rates))
+def _symmetric_blocks(po: PlanOrbits, firsts: Iterable[DeliveryUnit]) -> Optional[list]:
+    """Each orbit's class blocks (:func:`_blocks`) when the plan carries the
+    class symmetry that lets a member or a label stand for others, else
+    None.  Only the families carry it, and keep it only where every orbit's
+    members are a canonical enumeration and each family of parts at one
+    slot (:class:`AtSlot`) among ``firsts``, the units of the orbits' first
+    members, is whole at one rate: mapped onto itself by the class group
+    and of one part rate, a :class:`Family` whose every nonempty block is
+    over a class, with a rate per part, all equal."""
+    if not po.families:
+        return None
+    for unit in firsts:
+        if type(unit.parts) is AtSlot:
+            family, rates = unit.parts.labels, unit.part_rates
+            if not (isinstance(family, Family) and len(rates) == len(family) and len(set(rates)) < 2
+                    and all(c in po.classes for c, k in family.blocks if k)):
+                return None
+    blocks = [_blocks(orb.members, po.classes) for orb in po.orbits]
+    return None if None in blocks else blocks
 
 
 def _worst(best: tuple[float, str], margin: float, detail: str,
@@ -1529,28 +1508,24 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     run's by its count, so margins are an exact full scan's.
 
     DECODE peels, by :func:`peel_rule` on the representatives' atoms and
-    message parts (runs narrowed to the labels the peeled units name),
-    the members' units; a part at another receiver's slot is never handed
+    message parts (runs narrowed to the labels the peeled units name), the
+    members' units; a part at another receiver's slot is never handed
     over, and a part counts as obtained only when ``r`` holds it or a
-    peeled unit hands that very label over.  In a plan with families,
-    whose orbits are by construction the canonical enumeration of their
-    first member's orbit under the class group (:func:`_blocks`), DECODE
-    peels one member per sub-orbit of ``r`` (the members where ``r`` sits
-    at one position, or those without it) and reads a family of parts one
-    label per sub-orbit of ``r``, the first, which stands for the rest; a
-    unit whose parts are a family at one slot (:class:`AtSlot`) hands over
-    only those labels of the slot's receiver; such a family must be a
-    :class:`Family` over whole classes with every part at one rate
-    (:func:`_whole_at_one_rate`), and one that is not, as in a changed
-    unit, leaves the plan without symmetry.  That is sound because the
-    builders' labels are ``prefix[ids]`` with distinct receiver ids, which
-    the class group renames, and their placement is class-symmetric (both
-    tested): ``r``'s stabiliser then carries a first label that ``r``
-    obtains to its whole sub-orbit.  It is complete under a condition on
-    builders, to which the class-view oracle tests hold every builder
-    plan: where ``r`` obtains some label of a sub-orbit, it holds the
-    first or a peeled member hands it over.  Any other plan has every
-    member peeled and every part read.
+    peeled unit hands that very label over.  In a plan with the class
+    symmetry (:func:`_symmetric_blocks`, which a changed unit can lose),
+    DECODE peels one member per sub-orbit of ``r`` (the members where
+    ``r`` sits at one position, or those without it) and reads a family of
+    parts one label per sub-orbit of ``r``, the first, which stands for
+    the rest; a unit whose parts are a family at one slot
+    (:class:`AtSlot`) hands over only those labels of the slot's receiver.
+    That is sound because the builders' labels are ``prefix[ids]`` with
+    distinct receiver ids, which the class group renames, and their
+    placement is class-symmetric (both tested): ``r``'s stabiliser then
+    carries a first label that ``r`` obtains to its whole sub-orbit.  It
+    is complete under a condition on builders, to which the class-view
+    oracle tests hold every builder plan: where ``r`` obtains some label
+    of a sub-orbit, it holds the first or a peeled member hands it over.
+    Any other plan has every member peeled and every part read.
 
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does; a NaN margin is below every number, so the first
@@ -1561,7 +1536,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     po = plan.orbits
     rate = sec = cache = (float("inf"), "")
     merged = None  # the first segment whose XOR repeats a label
-    at_slot = []  # the units whose parts are a family at one slot
+    firsts = []  # the units of the orbits' first members
     for orb in po.orbits:
         first = next(iter(orb.members))
         block = orb.units(first)
@@ -1569,10 +1544,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             seg_id, times = (orb.phase, 0), len(orb.members)
         else:
             seg_id, times = (orb.phase, first), 1
+        firsts += block
         addends: dict[int, list[float]] = {}
         for unit in block:
-            if type(unit.parts) is AtSlot:
-                at_slot.append(unit)
             for r, load in unit.decode_load.items():
                 addends.setdefault(r, []).append(load)
         for r, terms in addends.items():
@@ -1597,12 +1571,8 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             merged = seg_id
 
     receivers = po.representatives
-    # Only the families carry the symmetry that lets a member or a label
-    # stand for others, and keep it only where each family of parts at one
-    # slot is whole at one rate.
-    blocks = [_blocks(orb.members, po.classes) for orb in po.orbits] if po.families else [None]
-    symmetric = None not in blocks and all(
-        _whole_at_one_rate(unit, po.classes) for unit in at_slot)
+    blocks = _symmetric_blocks(po, firsts)
+    symmetric = blocks is not None
     units = []
     for i, orb in enumerate(po.orbits):
         members = orb.members
@@ -1651,7 +1621,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         view = _RepView({r: po.atoms[r] for r in receivers if r in po.atoms},
                         {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
                         virtual)
-    peel = peel_rule(view)
+    peel = peel_rule(view, _holders(view.placement))
     delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
     for unit in units:
         for r, label in peel(unit):

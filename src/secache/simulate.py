@@ -9,13 +9,15 @@ rule of :func:`secache.schemes.peel_rule`, the one the plan verifier
 applies to the units it peels: one-time pads and known XOR partners
 cancel exactly, so their values never decide an outcome.
 
-Each run compiles the plan once, in one walk over its schedule, into flat
-arrays: one draw per (segment, receiver with load), with its length and
-success probability, and, for each wanted part some receiver lacks in
-cache, its providers as (draw, cumulative threshold) pairs, contiguous
-per part.  The walk cumulates each loaded receiver's MDS threshold unit
-by unit and applies the peel rule at the same unit, so it keeps a
-threshold only where a unit hands a part over.  Trials run in blocks
+Each run compiles the plan once, in one walk over its orbits that
+expands neither schedule nor placement, into flat arrays: one draw per
+(segment, receiver with load), with its length and success probability,
+and, for each wanted part some receiver lacks in cache, its providers as
+(draw, cumulative threshold) pairs, contiguous per part.  Who holds a
+label is read from the plan's families or listed atoms.  Where the plan
+carries the class symmetry, the peel rule runs on each orbit's first
+member only, and every member hands over the parts at the same part
+positions (:class:`secache.schemes.Orbit`).  Trials run in blocks
 of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
 a row of the block, and the block is tested in one pass (every provider
 threshold at once, then an OR over each part's providers).  A trial fails
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, peel_rule
+from .schemes import SchemePlan, _holders, _symmetric_blocks, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -204,70 +206,82 @@ class _Compiled(NamedTuple):
 
 
 def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
-    """Compile the plan in one walk over its schedule.
+    """Compile the plan in one walk over its orbits: each segment's id and
+    length from its orbit, its units from ``orb.units(member)``.
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
     (units decode in schedule order, driven by the receiver's own load);
     builders share one ``decode_load`` mapping across consecutive units,
-    and over such a run each step is rounded up once.
-    :func:`secache.schemes.peel_rule` names the parts each unit
-    hands over; a provider keeps only its threshold until its segment is
-    closed and its draw is numbered.  Draws go in segment order and,
-    within a segment, in the iteration order of the set of its loaded
-    receivers, built by adding them one at a time in unit order (a bulk
-    ``update`` sizes the table differently and can change that order).
-    Reordering draws changes every count of a trial's Philox stream;
-    tests/golden/simreports.tsv pins this order.
+    and over such a run each step is rounded up once.  A provider keeps
+    only its threshold until its segment is closed and its draw is
+    numbered.  Draws go in segment order and, within a segment, in the
+    iteration order of the set of its loaded receivers, built by adding
+    them one at a time in unit order (a bulk ``update`` sizes the table
+    differently and can change that order).  Reordering draws changes
+    every count of a trial's Philox stream; tests/golden/simreports.tsv
+    pins this order.
     """
+    po = plan.orbits
+    placed = _holders(po.atoms, po.families)
     # Groups in receiver order, then message-part order; providers reach
     # each group's list in schedule order.  A label listed twice is two
     # groups with one list.
     wanted: list[list[tuple[int, int]]] = []
     group_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for r in range(1, s.K + 1):
-        have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
+        have = plan.virtual_cached.get(r, ())
         for label, _ in plan.message_parts.get(r, ()):
-            if label not in have:
+            if not placed.get(label, 0) >> r & 1 and label not in have:
                 wanted.append(group_of.setdefault((r, label), []))
 
-    peel = peel_rule(plan)
+    peel = peel_rule(plan, placed)
+    firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
+    symmetric = _symmetric_blocks(po, itertools.chain.from_iterable(firsts)) is not None
     seg_lengths: list[int] = []
     draw_seg: list[int] = []
     draw_r: list[int] = []
-    for si, seg in enumerate(plan.schedule):
-        length = round(seg.fraction * n)
-        if length == 0 and seg.units:
-            raise ConfigError(
-                f"segment {seg.id} rounds to zero channel uses at n={n}"
-            )
-        seg_lengths.append(length)
-        receivers = set()
-        cum: dict[int, int] = {}  # thresholds before the current run
-        pending = []  # (group's providers, receiver, threshold)
-        # A run of units sharing one decode_load mapping adds the same
-        # step to each of its receivers' thresholds per unit.
-        load, steps, done = None, {}, 0
-        for unit in seg.units:
-            if unit.decode_load is not load:
-                for r, step in steps.items():
-                    cum[r] = cum.get(r, 0) + done * step
-                load, steps, done = unit.decode_load, {}, 0
-                for r, x in load.items():
-                    # ``not x <= 0``: a NaN load is loaded, and ceil rejects it
-                    if not x <= 0:
-                        receivers.add(r)
-                        steps[r] = ceil(x * n)
-            done += 1
-            for r, label in peel(unit):
-                providers = group_of.get((r, label))
-                if providers is not None:
-                    pending.append((providers, r, cum.get(r, 0) + done * steps[r]))
-        if pending:
-            draw_of = {r: len(draw_r) + k for k, r in enumerate(receivers)}
-            for providers, r, thr in pending:
-                providers.append((draw_of[r], thr))
-        draw_r += receivers
-        draw_seg += [si] * len(receivers)
+    for orb, block in zip(po.orbits, firsts):
+        length = round(orb.fraction * n)
+        members = iter(orb.members)
+        segments = [(next(members), block), *((m, orb.units(m)) for m in members)]
+        # With the symmetry, the part positions each unit of the first
+        # member hands over, where every member's units hand over theirs.
+        at = [[p in got for p in unit.parts] if (got := set(peel(unit))) else ()
+              for unit in block] if symmetric else None
+        if orb.one_segment:
+            at = at and at * len(segments)
+            segments = [(0, [unit for _, units in segments for unit in units])]
+        for m, units in segments:
+            if length == 0 and units:
+                raise ConfigError(f"segment {(orb.phase, m)} rounds to zero channel uses at n={n}")
+            receivers = set()
+            cum: dict[int, int] = {}  # thresholds before the current run
+            pending = []  # (group's providers, receiver, threshold)
+            # A run of units sharing one decode_load mapping adds the same
+            # step to each of its receivers' thresholds per unit.
+            load, steps, done = None, {}, 0
+            for k, unit in enumerate(units):
+                if unit.decode_load is not load:
+                    for r, step in steps.items():
+                        cum[r] = cum.get(r, 0) + done * step
+                    load, steps, done = unit.decode_load, {}, 0
+                    for r, x in load.items():
+                        # ``not x <= 0``: a NaN load is loaded, and ceil rejects it
+                        if not x <= 0:
+                            receivers.add(r)
+                            steps[r] = ceil(x * n)
+                done += 1
+                for r, label in itertools.compress(unit.parts, at[k]) if symmetric else peel(unit):
+                    providers = group_of.get((r, label))
+                    if providers is not None:
+                        pending.append((providers, r, cum.get(r, 0) + done * steps[r]))
+            if pending:
+                draw_of = {r: k for k, r in enumerate(receivers, len(draw_r))}
+                for providers, r, thr in pending:
+                    providers.append((draw_of[r], thr))
+            draw_r += receivers
+            draw_seg += [len(seg_lengths)] * len(receivers)
+            seg_lengths.append(length)
 
     group_start: list[int] = []
     prov: list[tuple[int, int]] = []
@@ -275,11 +289,12 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
         group_start.append(len(prov))
         prov += providers
     draw_seg_a = np.array(draw_seg, dtype=np.intp)
+    prob = {r: 1.0 - s.erasure_of(r) for r in set(draw_r)}  # read per draw
     return _Compiled(
         seg_lengths,
         draw_seg_a,
         np.array(seg_lengths, dtype=np.int64)[draw_seg_a],
-        np.array([1.0 - s.erasure_of(r) for r in draw_r], dtype=np.float64),
+        np.array([prob[r] for r in draw_r], dtype=np.float64),
         np.array([d for d, _ in prov], dtype=np.intp),
         np.array([thr for _, thr in prov], dtype=np.int64),
         np.array(group_start, dtype=np.intp),
@@ -327,7 +342,7 @@ def run_monte_carlo(
 
     per_demand = []
     worst = 0.0
-    seg_erasures = np.zeros(len(plan.schedule))
+    seg_erasures = np.zeros(len(seg_lengths))
     for d_idx, demand in enumerate(demands):
         errors = 0
         counter[1] = d_idx
@@ -358,17 +373,19 @@ def run_monte_carlo(
             {"demand": list(demand), "errors": errors, "trials": cfg.trials}
         )
 
-    seg_samples = np.bincount(seg_idx, minlength=len(plan.schedule)) * cfg.trials
+    seg_samples = np.bincount(seg_idx, minlength=len(seg_lengths)) * cfg.trials
+    seg_ids = [(orb.phase, m) for orb in plan.orbits.orbits
+               for m in ((0,) if orb.one_segment else orb.members)]
     stats = [
         {
-            "segment": list(seg.id),
+            "segment": list(seg_id),
             "length": seg_lengths[i],
             "empirical_erasure_rate": (
                 float(seg_erasures[i]) / int(seg_samples[i])
                 if seg_samples[i] else None
             ),
         }
-        for i, seg in enumerate(plan.schedule)
+        for i, seg_id in enumerate(seg_ids)
     ]
     return SimReport(
         n=cfg.n,

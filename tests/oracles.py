@@ -60,6 +60,7 @@ from secache.schemes import (
     DeliverySegment,
     SchemePlan,
     VerificationReport,
+    _holders,
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
@@ -423,9 +424,9 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
 
     Maps each receiver to ``{part label: [(segment index, unit index),
     ...]}``, the units that deliver that part to it by
-    :func:`peel_rule`, in schedule order.
+    :func:`peel_rule` over the plan's placement, in schedule order.
     """
-    peel = peel_rule(plan)
+    peel = peel_rule(plan, _holders(plan.placement))
     out: dict[int, dict[str, list[tuple[int, int]]]] = {
         r: {} for r in plan.message_parts
     }

@@ -18,6 +18,7 @@ cross block edges.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -39,10 +40,13 @@ from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, s
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
+    _holders,
+    _symmetric_blocks,
     build_cached_keys_all,
     build_piggyback_allkeys,
     build_piggyback_one,
     build_symmetric_piggyback,
+    peel_rule,
     verify_plan,
 )
 
@@ -116,9 +120,10 @@ def test_builder_plans_match_the_references():
     # class, so on plans above 2,000 units the first and last receiver of
     # each class stand for the rest (the scan costs K x units), and the
     # scalar loop, about a second per such plan, is left out: it would
-    # only add rows to the same arrays.  A long blocklength keeps every
-    # segment above zero channel uses.  Each plan is dropped after its
-    # checks, so the garbage collector never scans all of them at once.
+    # only add rows to the same arrays, which the compile is still checked
+    # for.  A long blocklength keeps every segment above zero channel uses.
+    # Each plan is dropped after its checks, so the garbage collector never
+    # scans all of them at once.
     checked = simulated = 0
     for i, (case_id, s, build) in enumerate(_builder_plans()):
         try:
@@ -138,7 +143,49 @@ def test_builder_plans_match_the_references():
             cfg = SimConfig(10**7, 1, 1000 + i, policy)
             assert _same_report(plan, s, cfg), case_id
             simulated += 1
+        else:
+            _same_compile(plan, s, 10**7)
     assert checked >= 80 and simulated >= 55
+
+
+def _handed_positions(peel, unit):
+    got = set(peel(unit))
+    return [part in got for part in unit.parts]
+
+
+def test_orbit_members_hand_over_at_the_first_members_positions():
+    # The simulation compile peels only an orbit's first member and reads
+    # every other member's handed parts at the same part positions
+    # (schemes.Orbit).  On every builder plan, each member's peel result,
+    # unit by unit, is the parts at those positions, its units' decode
+    # loads take the first member's values, and who holds a label, read
+    # from the families, is who holds it in the placement.
+    checked = members = 0
+    for case_id, s, build in _builder_plans():
+        try:
+            plan = build(s)
+        except SecacheError:
+            continue
+        checked += 1
+        po = plan.orbits
+        placed = _holders(plan.placement)
+        held = _holders(po.atoms, po.families)
+        assert {label: mask for label, mask in held.items() if mask} == placed, case_id
+        peel = peel_rule(plan, placed)
+        firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
+        assert _symmetric_blocks(po, [u for block in firsts for u in block]), case_id
+        for orb, block in zip(po.orbits, firsts):
+            at = [_handed_positions(peel, unit) for unit in block]
+            loads = [sorted(unit.decode_load.values()) for unit in block]
+            for m in orb.members:
+                units = orb.units(m)
+                assert len(units) == len(block), (case_id, m)
+                for k, unit in enumerate(units):
+                    assert list(peel(unit)) == list(itertools.compress(unit.parts, at[k])), (
+                        case_id, m, k)
+                    assert sorted(unit.decode_load.values()) == loads[k], (case_id, m, k)
+                members += 1
+    assert checked >= 80 and members > 20000
 
 
 def test_builder_plans_verify_as_the_class_view():

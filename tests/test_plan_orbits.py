@@ -9,9 +9,9 @@ no symmetry: one orbit per segment and one class per receiver.
 before: it reads the expanded plan and scans every segment, unit and
 receiver.  With exact sums (``total=exact``) the two reports must be
 equal, byte for byte, on every kind of failure too; a plan must be
-immutable; ``verify`` must never expand a plan; and the size cap a
-subset builder applies before building must count at least its expanded
-plan.
+immutable; neither ``verify`` nor ``simulate`` may expand a subset plan;
+and the size cap a subset builder applies before building must count at
+least its expanded plan.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact, legacy, verify_plan_explicit
+from oracles import exact, legacy, monte_carlo_scalar, verify_plan_explicit
 from strategies import edited, scenarios
 from secache import (
     BUILDERS,
@@ -36,7 +36,7 @@ from secache import (
     build_symmetric_piggyback,
     verify_plan,
 )
-from secache import schemes
+from secache import schemes, simulate
 from secache.cli import PRESETS, main
 
 DOCUMENTED = (IndexOutOfRange, InvalidParameter, NotApplicable)
@@ -299,3 +299,36 @@ def test_verify_never_expands_a_plan(case, monkeypatch, capsys):
 
     assert hashlib.sha256(stdout(legacy).encode()).hexdigest() == PARENT_REPORTS[case]
     assert out == stdout(exact)
+
+
+SIMULATED = [
+    ("fig3", "symmetric-piggyback", "--tw", "2", "--ts", "2", "--n", "5000"),
+    ("fig3", "symmetric-piggyback", "--tw", "2", "--ts", "2", "--n", "50000"),
+    ("fig5", "piggyback-one", "--t", "1", "--n", "50000"),
+    ("fig3", "piggyback-allkeys", "--t", "2", "--n", "50000"),
+]
+
+
+@pytest.mark.parametrize("case", SIMULATED)
+def test_simulate_never_expands_a_subset_plan(case, monkeypatch, capsys):
+    def expand(self):
+        raise AssertionError("simulate expanded an orbit plan")
+
+    simulated = []
+
+    def spy(plan, s, cfg):
+        simulated.append((plan, s, cfg))
+        return run(plan, s, cfg)
+
+    run = simulate.run_monte_carlo
+    monkeypatch.setattr(simulate, "run_monte_carlo", spy)
+    monkeypatch.setattr(schemes.SchemePlan, "schedule", property(expand))
+    monkeypatch.setattr(schemes.SchemePlan, "placement", property(expand))
+    preset, scheme, *params = case
+    argv = ["simulate", "--preset", preset, "--scheme", scheme, *params,
+            "--trials", "3", "--seed", "17", "--demands", "random:1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    [(plan, s, cfg)] = simulated
+    assert out == monte_carlo_scalar(plan, s, cfg).to_json(indent=2) + "\n"
