@@ -188,7 +188,11 @@ class Orbit(NamedTuple):
     sums.  Unit by unit, each member's units hand over (:func:`peel_rule`)
     the parts at the first member's part positions, so where the plan
     carries the class symmetry (:func:`_symmetric_blocks`) the simulation
-    peels the first member only; tests hold every builder plan to it.
+    peels the first member only.  They are the first member's units with
+    its ids renamed to the member's ids at the same positions (ids of a
+    class the orbit does not move kept), so the simulation stamps the
+    other members of a many-segment orbit from the first member's walk
+    where that walk reads no other id; tests hold every builder plan to it.
 
     The subset builders give as ``members`` a label family
     (:class:`Family`), whose ids are the orbit of the first member under

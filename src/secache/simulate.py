@@ -17,7 +17,9 @@ and, for each wanted part some receiver lacks in cache, its providers as
 label is read from the plan's families or listed atoms.  Where the plan
 carries the class symmetry, the peel rule runs on each orbit's first
 member only, and every member hands over the parts at the same part
-positions (:class:`secache.schemes.Orbit`).  Trials run in blocks
+positions (:class:`secache.schemes.Orbit`); the other members of an
+orbit of many segments are stamped from the first member's walk, without
+building their units (:func:`_compile`).  Trials run in blocks
 of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
 a row of the block, and the block is tested in one pass (every provider
 threshold at once, then an OR over each part's providers).  A trial fails
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, _holders, _symmetric_blocks, peel_rule
+from .schemes import SchemePlan, _holders, _ids, _lbl, _symmetric_blocks, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -113,16 +115,24 @@ class SimReport:
             inner = brk(depth + 1)
             return open_ + inner + ("," + inner if inner else ", ").join(items) + brk(depth) + close
 
-        def seg_id(v, depth: int) -> str:
-            # A segment id holds ints, strings and tuples of them.
-            if not isinstance(v, (list, tuple)):
-                return json.dumps(v)
-            return seq([str(e) if type(e) is int else seg_id(e, depth + 1) for e in v], depth)
+        b3, b4, b5 = brk(3), brk(4), brk(5)
+        s4, s5 = ("," + b4, "," + b5) if b4 else (", ", ", ")
+
+        def seg_id(v) -> str:
+            # [phase, member], the member an int, a string or a tuple of
+            # ints, in one pass; any other id through json.dumps, indented
+            # to depth 3 (with an indent, its pure-Python encoder).
+            m = v[1] if type(v) is list and len(v) == 2 and type(v[0]) is int else None
+            if type(m) is int or type(m) is str:
+                return f"[{b4}{v[0]}{s4}{m if type(m) is int else json.dumps(m)}{b3}]"
+            if type(m) is tuple and m and all(type(i) is int for i in m):
+                return f"[{b4}{v[0]}{s4}[{b5}{s5.join(map(str, m))}{b4}]{b3}]"
+            return json.dumps(v, indent=indent).replace("\n", b3)
 
         def rate(v: Optional[float]) -> str:
             return "null" if v is None else repr(v)
 
-        b2, b3 = brk(2), brk(3)
+        b2 = brk(2)
         s3 = "," + b3 if b3 else ", "
         demands = [
             f'{{{b3}"demand": {seq([str(x) for x in d["demand"]], 3)}{s3}'
@@ -130,7 +140,7 @@ class SimReport:
             for d in self.per_demand
         ]
         stats = [
-            f'{{{b3}"segment": {seg_id(st["segment"], 3)}{s3}"length": {st["length"]}{s3}'
+            f'{{{b3}"segment": {seg_id(st["segment"])}{s3}"length": {st["length"]}{s3}'
             f'"empirical_erasure_rate": {rate(st["empirical_erasure_rate"])}{b2}}}'
             for st in self.segment_stats
         ]
@@ -207,7 +217,9 @@ class _Compiled(NamedTuple):
 
 def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     """Compile the plan in one walk over its orbits: each segment's id and
-    length from its orbit, its units from ``orb.units(member)``.
+    length from its orbit, its units from ``orb.units(member)`` or, where
+    the plan carries the class symmetry (:func:`_symmetric_blocks`), each
+    member of a many-segment orbit stamped from the first member's walk.
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
     (units decode in schedule order, driven by the receiver's own load);
@@ -215,11 +227,20 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     and over such a run each step is rounded up once.  A provider keeps
     only its threshold until its segment is closed and its draw is
     numbered.  Draws go in segment order and, within a segment, in the
-    iteration order of the set of its loaded receivers, built by adding
-    them one at a time in unit order (a bulk ``update`` sizes the table
-    differently and can change that order).  Reordering draws changes
-    every count of a trial's Philox stream; tests/golden/simreports.tsv
-    pins this order.
+    iteration order of the set of its loaded receivers, built from the
+    list of them in unit order (``set`` adds a list's items one at a time;
+    a bulk ``update`` from a mapping sizes the table differently and can
+    change that order).  Reordering draws changes every count of a trial's
+    Philox stream; tests/golden/simreports.tsv pins this order.
+
+    A stamped member's loaded receivers, in that order, and its handed
+    parts, at the same thresholds, are the first member's with each id of
+    the first member renamed to the member's id at the same position
+    (:class:`secache.schemes.Orbit`).  The stamp applies only where every
+    id the first member's walk reads, in a loaded receiver or in a handed
+    part's receiver or label, is one of its ids or in a class the orbit
+    does not move; any other member walks its own units, and a one-segment
+    orbit walks all its units.
     """
     po = plan.orbits
     placed = _holders(po.atoms, po.families)
@@ -235,49 +256,94 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
                 wanted.append(group_of.setdefault((r, label), []))
 
     peel = peel_rule(plan, placed)
+
+    def walk(units, at, every=False):
+        """The receivers loaded in ``units``, in order of first appearance,
+        and each part the units hand over (the parts at positions ``at`` or,
+        without them, the peeled ones) as (receiver, label, threshold): the
+        parts of a group only, or ``every`` one."""
+        loaded: dict[int, None] = {}
+        cum: dict[int, int] = {}  # thresholds before the current run
+        handed = []
+        # A run of units sharing one decode_load mapping adds the same
+        # step to each of its receivers' thresholds per unit.
+        load, steps, done = None, {}, 0
+        for k, unit in enumerate(units):
+            if unit.decode_load is not load:
+                for r, step in steps.items():
+                    cum[r] = cum.get(r, 0) + done * step
+                load, steps, done = unit.decode_load, {}, 0
+                for r, x in load.items():
+                    # ``not x <= 0``: a NaN load is loaded, and ceil rejects it
+                    if not x <= 0:
+                        loaded[r] = None
+                        steps[r] = ceil(x * n)
+            done += 1
+            for r, label in peel(unit) if at is None else itertools.compress(unit.parts, at[k]):
+                if every or (r, label) in group_of:
+                    handed.append((r, label, cum.get(r, 0) + done * steps[r]))
+        return list(loaded), handed
+
+    def stamp(first, loaded, handed, unmoved):
+        """A member's (loaded, handed) from the first member's, as a
+        function of the member, or None where they read an id neither of
+        ``first`` nor in ``unmoved``.  A receiver is kept as its index in
+        the member's ids followed by the other ids read, and a label as a
+        format string over them, naming each id of ``first`` by its index."""
+        ids = first if type(first) is tuple else (first,)
+        fixed = tuple({*loaded, *(r for r, _, _ in handed)}.difference(ids))
+        index = {i: k for k, i in enumerate(ids + fixed)}
+        parts = []
+        for r, label, thr in handed:
+            got = _ids(label) or ()
+            fmt = label.replace("{", "{{").replace("}", "}}")
+            if not unmoved.issuperset(got):
+                if not unmoved.union(ids).issuperset(got) or _lbl(label.partition("[")[0], got) != label:
+                    return None
+                fmt = _lbl(fmt.partition("[")[0], [f"{{{index[i]}}}" if i in ids else i for i in got])
+            parts.append((index[r], fmt, thr))
+        loaded = [index[r] for r in loaded]
+
+        def member(m):
+            m = (m if type(m) is tuple else (m,)) + fixed
+            return [m[k] for k in loaded], [(m[k], fmt.format(*m), thr) for k, fmt, thr in parts]
+        return member if unmoved.issuperset(fixed) else None
+
     firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
-    symmetric = _symmetric_blocks(po, itertools.chain.from_iterable(firsts)) is not None
+    blocks = _symmetric_blocks(po, itertools.chain.from_iterable(firsts))
     seg_lengths: list[int] = []
     draw_seg: list[int] = []
     draw_r: list[int] = []
-    for orb, block in zip(po.orbits, firsts):
+    for orb, block, moved in zip(po.orbits, firsts, blocks or itertools.repeat(None)):
         length = round(orb.fraction * n)
         members = iter(orb.members)
-        segments = [(next(members), block), *((m, orb.units(m)) for m in members)]
+        segments = [(next(members), block), *((m, None) for m in members)]
         # With the symmetry, the part positions each unit of the first
         # member hands over, where every member's units hand over theirs.
         at = [[p in got for p in unit.parts] if (got := set(peel(unit))) else ()
-              for unit in block] if symmetric else None
+              for unit in block] if blocks else None
         if orb.one_segment:
             at = at and at * len(segments)
-            segments = [(0, [unit for _, units in segments for unit in units])]
+            segments = [(0, [*block, *(unit for m, _ in segments[1:] for unit in orb.units(m))])]
+        stamped = None
         for m, units in segments:
+            if units is None and stamped is None:
+                units = orb.units(m)
             if length == 0 and units:
                 raise ConfigError(f"segment {(orb.phase, m)} rounds to zero channel uses at n={n}")
-            receivers = set()
-            cum: dict[int, int] = {}  # thresholds before the current run
-            pending = []  # (group's providers, receiver, threshold)
-            # A run of units sharing one decode_load mapping adds the same
-            # step to each of its receivers' thresholds per unit.
-            load, steps, done = None, {}, 0
-            for k, unit in enumerate(units):
-                if unit.decode_load is not load:
-                    for r, step in steps.items():
-                        cum[r] = cum.get(r, 0) + done * step
-                    load, steps, done = unit.decode_load, {}, 0
-                    for r, x in load.items():
-                        # ``not x <= 0``: a NaN load is loaded, and ceil rejects it
-                        if not x <= 0:
-                            receivers.add(r)
-                            steps[r] = ceil(x * n)
-                done += 1
-                for r, label in itertools.compress(unit.parts, at[k]) if symmetric else peel(unit):
-                    providers = group_of.get((r, label))
-                    if providers is not None:
-                        pending.append((providers, r, cum.get(r, 0) + done * steps[r]))
-            if pending:
-                draw_of = {r: k for k, r in enumerate(receivers, len(draw_r))}
-                for providers, r, thr in pending:
+            if units is None:
+                loaded, handed = stamped(m)
+            else:
+                template = units is block and moved is not None and len(segments) > 1
+                loaded, handed = walk(units, at, template)
+                if template:
+                    stamped = stamp(m, loaded, handed,
+                                    {r for c in po.classes if c not in dict(moved) for r in c})
+            receivers = set(loaded)  # from a list: added one at a time, in order
+            draw_of = dict(zip(receivers, itertools.count(len(draw_r))))
+            for r, label, thr in handed:
+                providers = group_of.get((r, label))
+                if providers is not None:
                     providers.append((draw_of[r], thr))
             draw_r += receivers
             draw_seg += [len(seg_lengths)] * len(receivers)

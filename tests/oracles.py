@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from math import ceil, fsum, isfinite, isinf, isnan
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -499,12 +499,14 @@ def otp_decrypt(c: int, key: int, modulus: int) -> int:
     return (c - key) % modulus
 
 
-def compile_threshold_dict(plan: SchemePlan, s: ChannelScenario, n: int) -> tuple:
+def compile_threshold_dict(plan: SchemePlan, s: ChannelScenario, n: int,
+                           delivered: Optional[dict] = None) -> tuple:
     """The plan compile of ``run_monte_carlo`` as it was before the
     one-walk ``simulate._compile``, kept verbatim: a ``threshold`` entry
     for every loaded (receiver, segment, unit), then the providers of
-    :func:`deliveries` looked up in it.  Returns the fields of
-    ``simulate._Compiled`` in order."""
+    :func:`deliveries` (``delivered``, when the caller holds them already)
+    looked up in it.  Returns the fields of ``simulate._Compiled`` in
+    order."""
     seg_lengths = []
     for seg in plan.schedule:
         length = round(seg.fraction * n)
@@ -537,7 +539,8 @@ def compile_threshold_dict(plan: SchemePlan, s: ChannelScenario, n: int) -> tupl
     prov_thr: list[int] = []
     group_start: list[int] = []
     starved = False
-    delivered = deliveries(plan)
+    if delivered is None:
+        delivered = deliveries(plan)
     for r in range(1, s.K + 1):
         have = plan.cached_labels(r) | plan.virtual_cached.get(r, frozenset())
         providers = delivered.get(r, {})

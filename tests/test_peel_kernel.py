@@ -79,11 +79,12 @@ def _reference_deliveries(plan, K):
     return {r: d for r, d in out.items() if d}
 
 
-def _same_compile(plan, s, n):
+def _same_compile(plan, s, n, delivered=None):
     """The one-walk compile and the threshold-dict compile give equal
-    arrays (values and dtypes) and starved flags, or the same error."""
+    arrays (values and dtypes) and starved flags, or the same error;
+    ``delivered`` is ``deliveries(plan)``, when the caller holds it."""
     try:
-        want = compile_threshold_dict(plan, s, n)
+        want = compile_threshold_dict(plan, s, n, delivered)
     except SecacheError as exc:
         with pytest.raises(type(exc)):
             simulate._compile(plan, s, n)
@@ -96,10 +97,10 @@ def _same_compile(plan, s, n):
     assert got.starved is want[-1]
 
 
-def _same_report(plan, s, cfg):
+def _same_report(plan, s, cfg, delivered=None):
     """run_monte_carlo and the scalar loop give the same JSON or error,
     and the plan compiles as the threshold-dict compile does."""
-    _same_compile(plan, s, cfg.n)
+    _same_compile(plan, s, cfg.n, delivered)
     try:
         want = monte_carlo_scalar(plan, s, cfg).to_json()
     except SecacheError as exc:
@@ -141,10 +142,10 @@ def test_builder_plans_match_the_references():
         if small:
             policy = ("all-distinct", "random:1")[i % 2]
             cfg = SimConfig(10**7, 1, 1000 + i, policy)
-            assert _same_report(plan, s, cfg), case_id
+            assert _same_report(plan, s, cfg, got), case_id
             simulated += 1
         else:
-            _same_compile(plan, s, 10**7)
+            _same_compile(plan, s, 10**7, got)
     assert checked >= 80 and simulated >= 55
 
 
