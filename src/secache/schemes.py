@@ -283,6 +283,12 @@ class Family(Mapping):
     def get(self, ids, default=None):
         return self.label[ids] if ids in self else default
 
+    def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
+        """Whether ``label``, whose ids are ``ids``, is one of the family's:
+        a label already formatted is found by its ids, any other only once
+        the ids are checked (:meth:`get`)."""
+        return self.label.get(ids) == label or self.get(ids) == label
+
     def items(self):
         return self.table().items()
 
@@ -321,39 +327,29 @@ class Run(NamedTuple):
     rate, ``count`` of them, over one label family (:class:`Family`).
 
     A family of message parts lists its labels in canonical order (the
-    first block outermost).  A run stands for all its labels or, with a
-    ``receiver``, for those whose ids contain it (:meth:`held_by`).
+    first block outermost).  A run counts all its labels or, from
+    :meth:`held_by`, those whose ids contain one receiver.
     """
 
     kind: str  # "file_part" | "key"
     rate: float
     count: int
     labels: Family
-    receiver: Optional[int] = None
 
     @classmethod
     def over(cls, kind: str, rate: float, labels: Family) -> Run:
         return cls(kind, rate, len(labels), labels)
 
     def held_by(self, r: int) -> Run:
-        """The labels whose ids contain ``r``, counted from binomials."""
+        """The run counting the labels whose ids contain ``r``, from
+        binomials."""
         count = 0
         blocks = self.labels.blocks
         for b, (c, k) in enumerate(blocks):
             if r in c:
                 count = comb(len(c) - 1, k - 1) if k else 0
                 count *= prod(comb(len(o), m) for a, (o, m) in enumerate(blocks) if a != b)
-        return Run(self.kind, self.rate, count, self.labels, r)
-
-    def has(self, label: str, ids: Optional[tuple[int, ...]]) -> bool:
-        """Whether ``label``, whose ids are ``ids``, is one of the run's: a
-        label the family has formatted is found by its ids, any other only
-        once the family has checked them (:meth:`Family.get`)."""
-        labels = self.labels
-        if label.partition("[")[0] != labels.prefix or (
-                labels.label.get(ids) != label and labels.get(ids) != label):
-            return False
-        return self.receiver is None or self.receiver in ids
+        return Run(self.kind, self.rate, count, self.labels)
 
     cache_cost = Atom.cache_cost
 
@@ -406,9 +402,8 @@ class PlanOrbits(NamedTuple):
     receiver holds when its id is among the label's, in group order, a
     group's runs interleaved (:func:`_interleaved`); and with them
     ``parts``, each receiver's message parts (``SchemePlan.message_parts``,
-    read from them) as family runs.  :func:`verify_plan` reads a representative's atoms
-    and message parts from its runs in a plan with families, and from
-    ``atoms`` and ``SchemePlan.message_parts`` in any other.
+    read from them) as family runs.  Who holds a label is read from either
+    form by one holder map (:class:`_Holders`).
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -446,7 +441,10 @@ class SchemePlan:
     plan is immutable; a changed plan is a new one whose orbits
     :meth:`PlanOrbits.explicit` builds from its changed schedule and
     placement, so it claims no symmetry and :func:`verify_plan` checks
-    every segment and receiver of it.
+    every segment and receiver of it.  A plan whose ``message_parts`` are
+    replaced keeps its orbits but claims no symmetry either
+    (:func:`_symmetric_blocks`): verify and the simulation peel its
+    members' units in full against the replaced parts.
     """
 
     scheme_name: str
@@ -606,7 +604,7 @@ class _KeyRates(Mapping):
 
     def __getitem__(self, label: str) -> float:
         run = self.runs.get(label.partition("[")[0])
-        if run is None or not run.has(label, _ids(label)):
+        if run is None or not run.labels.has(label, _ids(label)):
             raise KeyError(label)
         return run.rate
 
@@ -1290,22 +1288,37 @@ BUILDERS = {
 # verification
 # ---------------------------------------------------------------------------
 
-def _holders(atoms: Mapping[int, Iterable[Atom]], families: tuple[tuple[Run, ...], ...] = ()
-             ) -> dict[str, int]:
-    """Who holds each placed label, as an int bitmask over receivers: the
-    receivers among a family label's ids, and each receiver of ``atoms``
-    for its listed atoms."""
-    held: dict[str, int] = {}
-    for r, listed in atoms.items():
-        for a in listed:
-            held[a.label] = held.get(a.label, 0) | 1 << r
-    for run in itertools.chain.from_iterable(families):
-        for ids, label in run.labels.items():
-            held[label] = reduce(operator.or_, [1 << i for i in ids], held.get(label, 0))
-    return held
+class _Holders(dict):
+    """Who holds each label, as an int bitmask over receivers: each listed
+    atom's label (``atoms``, per receiver) is an entry from the start; a
+    label ``prefix[ids]`` of one of the ``families`` (groups of runs) is
+    read by its prefix when first looked up, and kept.  The family holds
+    exactly that label (:meth:`Family.has`), held by the receivers among
+    its ids; any other label reads 0.  Look labels up by ``[]``: ``get``
+    does not read the families."""
+
+    __slots__ = ("families",)
+
+    def __init__(self, atoms: Mapping[int, Iterable[Atom]] = _EMPTY,
+                 families: tuple[tuple[Run, ...], ...] = ()):
+        super().__init__()
+        for r, listed in atoms.items():
+            for a in listed:
+                self[a.label] = self.get(a.label, 0) | 1 << r
+        self.families = {run.labels.prefix: run.labels for group in families for run in group}
+
+    def __missing__(self, label: str) -> int:
+        family = self.families.get(label.partition("[")[0])
+        ids = None if family is None else _ids(label)
+        mask = 0
+        if ids is not None and family.has(label, ids):
+            mask = reduce(operator.or_, [1 << i for i in ids], 0)
+        self[label] = mask
+        return mask
 
 
-def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
+def peel_rule(placed: _Holders, message_parts: Mapping[int, Sequence[tuple[str, float]]],
+              virtual_cached: Mapping[int, Iterable[str]]
               ) -> Callable[[DeliveryUnit], Sequence[tuple[int, str]]]:
     """The peel rule, one unit at a time: a function that gives the
     (receiver, part label) pairs a decoded unit hands over, in part order.
@@ -1319,25 +1332,30 @@ def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
     values, decides what a decoded unit yields.  Placement is per file, so
     the answer holds for every demand.
 
-    "Who holds label L" is an int bitmask over receivers, ``placed``
-    (:func:`_holders`): pad keys are checked against it alone, context
-    and XOR partners against it plus ``virtual_cached``.  Each unit starts from the receivers that
-    want some part and hold its pad keys; one pass over an XOR's parts
-    finds those among them missing exactly one label.
+    "Who holds label L" is ``placed`` (:class:`_Holders`): pad keys are
+    checked against it alone, context and XOR partners against it plus
+    ``virtual_cached``.  ``message_parts`` gives the (label, rate) pairs
+    each receiver wants; no other receiver is handed a part.  Each unit
+    starts from the receivers that want some part and hold its pad keys;
+    one pass over an XOR's parts finds those among them missing exactly
+    one label.
     """
-    have = dict(placed)
-    for r, labels in plan.virtual_cached.items():
-        for label in labels:
-            have[label] = have.get(label, 0) | 1 << r
+    have = placed
+    if virtual_cached:  # a second map over the same families
+        have = _Holders()
+        have.families = placed.families
+        have.update(placed)
+        for r, labels in virtual_cached.items():
+            for label in labels:
+                have[label] |= 1 << r
     # Receivers whose message rate for a label is the given rate; builders
     # share one parts tuple among a class, so each distinct tuple is read once.
     groups: dict[int, list] = {}
-    for r, parts in plan.message_parts.items():
+    for r, parts in message_parts.items():
         groups.setdefault(id(parts), [parts, 0])[1] |= 1 << r
     wants: dict[tuple[str, float], int] = {}
-    # Receivers that want some part: on a class view only the
-    # representatives, on a full plan every receiver.  Only their slots
-    # can deliver, so the others skip every per-part check.
+    # Only the slots of receivers that want some part can deliver, so the
+    # others skip every per-part check.
     wanting = 0
     for parts, mask in groups.values():
         for key in dict(parts).items():
@@ -1348,7 +1366,7 @@ def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
     def peel(unit: DeliveryUnit) -> Sequence[tuple[int, str]]:
         pads = wanting
         for k in unit.pad_keys:
-            pads &= placed.get(k, 0)
+            pads &= placed[k]
         if not pads:
             return ()
         parts = unit.parts
@@ -1359,7 +1377,7 @@ def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
             masks = []
             none, one = pads, 0
             for _, label in parts:
-                m = have.get(label, 0)
+                m = have[label]
                 masks.append(m)
                 one = (one & m) | (none & ~m)
                 none &= m
@@ -1372,7 +1390,7 @@ def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
             if not ok:
                 continue
             for c in unit.context.get(r, ()):
-                ok &= have.get(c, 0)
+                ok &= have[c]
             if not ok or unit.decode_load.get(r, 0.0) <= 0.0:
                 continue
             if wants.get((label, unit.part_rates[i]), 0) & ok:
@@ -1380,15 +1398,6 @@ def peel_rule(plan: SchemePlan, placed: Mapping[str, int]
         return got
 
     return peel
-
-
-class _RepView(NamedTuple):
-    """The parts of a plan that :func:`peel_rule` reads, restricted to the
-    class representatives."""
-
-    placement: dict[int, tuple[Atom, ...]]
-    message_parts: dict[int, tuple[tuple[str, float], ...]]
-    virtual_cached: dict[int, frozenset]
 
 
 def _blocks(members: Collection, classes: tuple[tuple[int, ...], ...]) -> Optional[list]:
@@ -1435,16 +1444,19 @@ def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
     return out
 
 
-def _symmetric_blocks(po: PlanOrbits, firsts: Iterable[DeliveryUnit]) -> Optional[list]:
+def _symmetric_blocks(plan: SchemePlan, firsts: Iterable[DeliveryUnit]) -> Optional[list]:
     """Each orbit's class blocks (:func:`_blocks`) when the plan carries the
     class symmetry that lets a member or a label stand for others, else
-    None.  Only the families carry it, and keep it only where every orbit's
-    members are a canonical enumeration and each family of parts at one
-    slot (:class:`AtSlot`) among ``firsts``, the units of the orbits' first
+    None.  Only the families carry it, and keep it only where the plan's
+    message parts are the builders' view of its part runs (a plan whose
+    parts were replaced claims no symmetry), every orbit's members are a
+    canonical enumeration, and each family of parts at one slot
+    (:class:`AtSlot`) among ``firsts``, the units of the orbits' first
     members, is whole at one rate: mapped onto itself by the class group
     and of one part rate, a :class:`Family` whose every nonempty block is
     over a class, with a rate per part, all equal."""
-    if not po.families:
+    po, parts = plan.orbits, plan.message_parts
+    if not po.families or type(parts) is not _MessageParts or parts.runs is not po.parts:
         return None
     for unit in firsts:
         if type(unit.parts) is AtSlot:
@@ -1475,21 +1487,6 @@ def _rep_runs(po: PlanOrbits, receivers: Sequence[int]
                 po.parts.get(r, ())) for r in receivers}
 
 
-def _narrowed(runs: Sequence[Run], named: dict[str, dict[str, Optional[tuple[int, ...]]]]
-              ) -> list[tuple[Run, str]]:
-    """The labels of ``runs`` that are in ``named`` (by prefix, label to
-    its ids, read when first needed), each with its run."""
-    out = []
-    for run in runs:
-        some = named.get(run.labels.prefix, {})
-        for label, ids in some.items():
-            if ids is None:
-                some[label] = ids = _ids(label)
-            if run.has(label, ids):
-                out.append((run, label))
-    return out
-
-
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     """Run the four plan checks; never raises, reports margins.
 
@@ -1504,24 +1501,30 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     expanding it.  One pass per segment orbit, over its first member's
     units, adds the RATE loads and the SECRECY payload and securing, and
     runs the XOR-merge rule.  One pass per receiver class, on its
-    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE
-    from ``r``'s atoms and message parts: in a plan with families, its
-    runs (:class:`Run`), counted from binomials; in any other, its listed
-    atoms and ``message_parts``.  Every sum is exact and rounded once
-    (:func:`_sum`), an orbit's terms weighted by its member count and a
-    run's by its count, so margins are an exact full scan's.
+    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE:
+    the cache usage from ``r``'s atoms, in a plan with families its runs
+    (:class:`Run`), counted from binomials, in any other its listed atoms;
+    the reassembled rate from its message parts, counted from its part
+    runs where the plan carries the class symmetry.  Every sum is exact
+    and rounded once (:func:`_sum`), an orbit's terms weighted by its
+    member count and a run's by its count, so margins are an exact full
+    scan's.
 
-    DECODE peels, by :func:`peel_rule` on the representatives' atoms and
-    message parts (runs narrowed to the labels the peeled units name), the
-    members' units; a part at another receiver's slot is never handed
-    over, and a part counts as obtained only when ``r`` holds it or a
-    peeled unit hands that very label over.  In a plan with the class
-    symmetry (:func:`_symmetric_blocks`, which a changed unit can lose),
-    DECODE peels one member per sub-orbit of ``r`` (the members where
-    ``r`` sits at one position, or those without it) and reads a family of
-    parts one label per sub-orbit of ``r``, the first, which stands for
-    the rest; a unit whose parts are a family at one slot
-    (:class:`AtSlot`) hands over only those labels of the slot's receiver.
+    DECODE reads the plan itself: who holds a label from one holder map
+    over its listed atoms and families (:class:`_Holders`), and the parts
+    ``r`` wants from ``message_parts[r]``.  Those parts are both what
+    :func:`peel_rule` may hand ``r`` and what DECODE checks.  It peels the
+    members' units that give a representative a slot; a part at another
+    receiver's slot is never handed over, and a part counts as obtained
+    only when ``r`` holds it, virtually or in the holder map, or a peeled
+    unit hands that very label over.  In a plan with the class symmetry
+    (:func:`_symmetric_blocks`, which a changed unit or replaced message
+    parts lose), DECODE peels one member per sub-orbit of ``r`` (the
+    members where ``r`` sits at one position, or those without it) and
+    ``r`` wants, of each family of parts, one label per sub-orbit of
+    ``r``, the first, which stands for the rest; a unit whose parts are a
+    family at one slot (:class:`AtSlot`) hands over only those labels of
+    the slot's receiver.
     That is sound because the builders' labels are ``prefix[ids]`` with
     distinct receiver ids, which the class group renames, and their
     placement is class-symmetric (both tested): ``r``'s stabiliser then
@@ -1575,7 +1578,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
             merged = seg_id
 
     receivers = po.representatives
-    blocks = _symmetric_blocks(po, firsts)
+    blocks = _symmetric_blocks(plan, firsts)
     symmetric = blocks is not None
     units = []
     for i, orb in enumerate(po.orbits):
@@ -1586,71 +1589,51 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
                 m for r in receivers for m in _sub_orbit_firsts(first, blocks[i], r))
         for m in members:
             units += orb.units(m)
-    virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
-    if po.families:
-        runs = _rep_runs(po, receivers)
-        if symmetric:
-            # A family's labels are read one per sub-orbit of r, the first,
-            # which stands for the rest: r's stabiliser maps it onto each of
-            # them, and what r holds and is handed onto itself.
-            checked = {r: [(ids, run.labels.label[ids]) for run in wanted for ids in sorted(
-                _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r))]
-                for r, (_, wanted) in runs.items()}
-            # A family of parts at one slot hands over only what DECODE
-            # reads of it: the checked labels of the slot's receiver.
-            for k, unit in enumerate(units):
-                if type(unit.parts) is AtSlot:
-                    j, family = unit.parts.slot, unit.parts.labels
-                    parts = tuple((j, label) for ids, label in checked.get(j, ())
-                                  if family.get(ids) == label)
-                    units[k] = unit._replace(parts=parts, part_rates=unit.part_rates[:len(parts)])
-        # The labels, by prefix, of the units that give a representative a
-        # slot: its parts, pad keys and the representatives' context.  Of
-        # the family atoms and parts only these can change what a unit
-        # hands over.
-        named: dict[str, dict] = {}
-        reps = set(receivers)
-        for label in {label for unit in units if not reps.isdisjoint([r for r, _ in unit.parts])
-                      for label in itertools.chain(
-                          [label for _, label in unit.parts], unit.pad_keys,
-                          *[unit.context[r] for r in reps & unit.context.keys()])}:
-            named.setdefault(label.partition("[")[0], {})[label] = None
-        view = _RepView(
-            {r: tuple(Atom(run.kind, label, run.rate) for run, label in _narrowed(held, named))
-             for r, (held, _) in runs.items()},
-            {r: tuple((label, run.rate) for run, label in _narrowed(wanted, named))
-             for r, (_, wanted) in runs.items()},
-            virtual)
+    runs = _rep_runs(po, receivers) if po.families else {}
+    if symmetric:
+        # A family's labels are wanted one per sub-orbit of r, the first,
+        # which stands for the rest: r's stabiliser maps it onto each of
+        # them, and what r holds and is handed onto itself.
+        wants = {r: [(run.labels.label[ids], run.rate) for run in wanted for ids in sorted(
+            _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r))]
+            for r, (_, wanted) in runs.items()}
+        # A family of parts at one slot hands over only what DECODE
+        # reads of it: the wanted labels of the slot's receiver.
+        for k, unit in enumerate(units):
+            if type(unit.parts) is AtSlot:
+                j, family = unit.parts.slot, unit.parts.labels
+                parts = tuple((j, label) for label, _ in wants.get(j, ())
+                              if family.has(label, _ids(label)))
+                units[k] = unit._replace(parts=parts, part_rates=unit.part_rates[:len(parts)])
     else:
-        view = _RepView({r: po.atoms[r] for r in receivers if r in po.atoms},
-                        {r: plan.message_parts[r] for r in receivers if r in plan.message_parts},
-                        virtual)
-    peel = peel_rule(view, _holders(view.placement))
+        wants = {r: plan.message_parts[r] for r in receivers if r in plan.message_parts}
+    placed = _Holders(po.atoms, po.families)
+    virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
+    peel = peel_rule(placed, wants, virtual)
     delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
+    reps = set(receivers)
     for unit in units:
-        for r, label in peel(unit):
-            delivered_to[r].add(label)
+        if not reps.isdisjoint([r for r, _ in unit.parts]):  # else it hands them nothing
+            for r, label in peel(unit):
+                delivered_to[r].add(label)
 
     decode = ""  # the first failure's detail
     point = plan.claimed_point
     for r in receivers:
-        have = virtual.get(r, frozenset())
+        parts = wants.get(r, ())
         if po.families:
             held, wanted = runs[r]
-            needed = checked[r] if symmetric else (
-                entry for run in wanted for entry in run.labels.items())
             used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
+        else:
+            used = _sum([a.cache_cost(s.D) for a in po.atoms.get(r, ())])
+        if symmetric:
             total = _sum([run.rate for run in wanted], [run.count for run in wanted])
         else:
-            atoms, parts, held = view.placement.get(r, ()), view.message_parts.get(r, ()), ()
-            have = have.union(a.label for a in atoms)
-            needed = ((None, label) for label, _ in parts)
-            used = _sum([a.cache_cost(s.D) for a in atoms])
             total = _sum([rate for _, rate in parts])
         if not decode:
-            missing = next((label for ids, label in needed if not (
-                label in delivered_to[r] or label in have or any(h.has(label, ids) for h in held))),
-                None)
+            have = virtual.get(r, ())
+            missing = next((label for label, _ in parts if not (
+                label in delivered_to[r] or label in have or placed[label] >> r & 1)), None)
             if missing is not None:
                 decode = f"receiver {r} cannot obtain part {missing!r}"
             elif abs(total - point.R) > RATE_TOL:

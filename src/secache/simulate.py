@@ -14,9 +14,10 @@ expands neither schedule nor placement, into flat arrays: one draw per
 (segment, receiver with load), with its length and success probability,
 and, for each wanted part some receiver lacks in cache, its providers as
 (draw, cumulative threshold) pairs, contiguous per part.  Who holds a
-label is read from the plan's families or listed atoms.  Where the plan
-carries the class symmetry, the peel rule runs on each orbit's first
-member only, and every member hands over the parts at the same part
+label is read label by label from the plan's families or listed atoms
+(:class:`secache.schemes._Holders`, as the verifier reads it).  Where
+the plan carries the class symmetry, the peel rule runs on each orbit's
+first member only, and every member hands over the parts at the same part
 positions (:class:`secache.schemes.Orbit`); the other members of an
 orbit of many segments are stamped from the first member's walk, without
 building their units (:func:`_compile`).  Trials run in blocks
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, _holders, _ids, _lbl, _symmetric_blocks, peel_rule
+from .schemes import SchemePlan, _Holders, _ids, _lbl, _symmetric_blocks, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -243,7 +244,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     orbit walks all its units.
     """
     po = plan.orbits
-    placed = _holders(po.atoms, po.families)
+    placed = _Holders(po.atoms, po.families)
     # Groups in receiver order, then message-part order; providers reach
     # each group's list in schedule order.  A label listed twice is two
     # groups with one list.
@@ -252,16 +253,15 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     for r in range(1, s.K + 1):
         have = plan.virtual_cached.get(r, ())
         for label, _ in plan.message_parts.get(r, ()):
-            if not placed.get(label, 0) >> r & 1 and label not in have:
+            if not placed[label] >> r & 1 and label not in have:
                 wanted.append(group_of.setdefault((r, label), []))
 
-    peel = peel_rule(plan, placed)
+    peel = peel_rule(placed, plan.message_parts, plan.virtual_cached)
 
-    def walk(units, at, every=False):
+    def walk(units, at):
         """The receivers loaded in ``units``, in order of first appearance,
         and each part the units hand over (the parts at positions ``at`` or,
-        without them, the peeled ones) as (receiver, label, threshold): the
-        parts of a group only, or ``every`` one."""
+        without them, the peeled ones) as (receiver, label, threshold)."""
         loaded: dict[int, None] = {}
         cum: dict[int, int] = {}  # thresholds before the current run
         handed = []
@@ -280,8 +280,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
                         steps[r] = ceil(x * n)
             done += 1
             for r, label in peel(unit) if at is None else itertools.compress(unit.parts, at[k]):
-                if every or (r, label) in group_of:
-                    handed.append((r, label, cum.get(r, 0) + done * steps[r]))
+                handed.append((r, label, cum.get(r, 0) + done * steps[r]))
         return list(loaded), handed
 
     def stamp(first, loaded, handed, unmoved):
@@ -310,7 +309,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
         return member if unmoved.issuperset(fixed) else None
 
     firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
-    blocks = _symmetric_blocks(po, itertools.chain.from_iterable(firsts))
+    blocks = _symmetric_blocks(plan, itertools.chain.from_iterable(firsts))
     seg_lengths: list[int] = []
     draw_seg: list[int] = []
     draw_r: list[int] = []
@@ -334,9 +333,8 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
             if units is None:
                 loaded, handed = stamped(m)
             else:
-                template = units is block and moved is not None and len(segments) > 1
-                loaded, handed = walk(units, at, template)
-                if template:
+                loaded, handed = walk(units, at)
+                if units is block and moved is not None and len(segments) > 1:
                     stamped = stamp(m, loaded, handed,
                                     {r for c in po.classes if c not in dict(moved) for r in c})
             receivers = set(loaded)  # from a list: added one at a time, in order

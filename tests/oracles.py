@@ -60,7 +60,7 @@ from secache.schemes import (
     DeliverySegment,
     SchemePlan,
     VerificationReport,
-    _holders,
+    _Holders,
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
@@ -426,7 +426,7 @@ def deliveries(plan: SchemePlan) -> dict[int, dict[str, list[tuple[int, int]]]]:
     ...]}``, the units that deliver that part to it by
     :func:`peel_rule` over the plan's placement, in schedule order.
     """
-    peel = peel_rule(plan, _holders(plan.placement))
+    peel = peel_rule(_Holders(plan.placement), plan.message_parts, plan.virtual_cached)
     out: dict[int, dict[str, list[tuple[int, int]]]] = {
         r: {} for r in plan.message_parts
     }
@@ -1106,6 +1106,9 @@ class EagerFamily(dict):
         super().__init__(eager_labels(prefix, *blocks, outer_last=prefix == "K3"))
         self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
         self.label = self
+
+    def has(self, label: str, ids) -> bool:
+        return self.get(ids) == label
 
 
 def regime_claim_dict(claim: RegimeClaim) -> dict:

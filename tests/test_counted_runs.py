@@ -4,16 +4,16 @@ parts as runs, against the explicit plan.
 ``verify_plan`` reads each class representative ``r``'s atoms and message
 parts, in a subset builder's plan, as runs (``schemes.Run``) over its
 families (``PlanOrbits.families`` and ``parts``): a kind, a rate, a count
-from binomials, and label membership decided by whether ``r`` is among a
-label's ids.  Any other plan lists its atoms (``PlanOrbits.atoms``) and
-message parts, which verify reads as they are, building no run.  CACHE
-sums each run's cost times its count exactly; DECODE peels on a view
-narrowed to the labels the peeled units name, and checks one label per
-family and sub-orbit of ``r``, which stands for its sub-orbit: the
-placement is class-symmetric, so whether ``r`` holds a label is
-invariant under ``r``'s stabiliser.  These tests hold the runs to the
-explicit placement and message parts, and the reports to the full scan
-(``verify_plan_explicit``).
+from binomials and a label family.  Any other plan lists its atoms
+(``PlanOrbits.atoms``) and message parts, which verify reads as they are,
+building no run.  CACHE sums each run's cost times its count exactly;
+DECODE reads who holds a label from the holder map (``schemes._Holders``:
+``r`` holds a family label when it is among the label's ids), and checks
+one label per family and sub-orbit of ``r``, which stands for its
+sub-orbit: the placement is class-symmetric, so whether ``r`` holds a
+label is invariant under ``r``'s stabiliser.  These tests hold the runs
+and the holder map to the explicit placement and message parts, and the
+reports to the full scan (``verify_plan_explicit``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from secache import BUILDERS, ChannelScenario, IndexOutOfRange, InvalidParameter
 from secache import schemes
 from secache.cli import PRESETS
 from secache.schemes import (
+    _Holders,
     _ids,
     _rep_runs,
     _sum,
@@ -93,11 +94,6 @@ def _run_atoms(plan, r):
     return atoms
 
 
-def _holds(held, label):
-    """Whether one of the runs ``held`` has ``label``."""
-    return any(run.has(label, _ids(label)) for run in held)
-
-
 def _labels(plan):
     """Every label the plan places, asks for, keys or holds virtually."""
     labels = set(plan.key_rates)
@@ -136,10 +132,11 @@ def _check_runs(case, plan, s, rng=None):
     explicit plan."""
     assert plan.orbits.families and plan.orbits.parts, case
     runs = _rep_runs(plan.orbits, plan.orbits.representatives)
+    holders = _Holders(plan.orbits.atoms, plan.orbits.families)
     labels = _labels(plan)
     for r, (held, wanted) in runs.items():
         assert _run_atoms(plan, r) == list(plan.placement.get(r, ())), (case, r)
-        assert {label for label in labels if _holds(held, label)} == plan.cached_labels(r), (case, r)
+        assert {label for label in labels if holders[label] >> r & 1} == plan.cached_labels(r), (case, r)
         costs = [a.cache_cost(s.D) for a in plan.placement.get(r, ())]
         counted = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
         assert repr(counted) == repr(fsum(costs)) == repr(schemes.cache_usage(plan, s.D).get(r, 0.0)), (case, r)
@@ -151,7 +148,7 @@ def _check_runs(case, plan, s, rng=None):
         if rng is not None:
             image = _stabiliser_image(plan, r, rng)
             for label in labels:
-                assert _holds(held, image(label)) == _holds(held, label), (case, r, label)
+                assert holders[image(label)] >> r & 1 == holders[label] >> r & 1, (case, r, label)
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])

@@ -165,8 +165,8 @@ def test_a_foreign_label_matches_nothing(fig3, kind, monkeypatch):
         old_runs = [run for group in old.orbits.families for run in group]
         for label in FOREIGN[kind]:
             ids = _ids(label)
-            assert not any(run.has(label, ids) for run in runs), label
-            assert not any(run.has(label, ids) for run in old_runs), label
+            assert not any(run.labels.has(label, ids) for run in runs), label
+            assert not any(run.labels.has(label, ids) for run in old_runs), label
             # the family of the label's prefix has no such ids (ids that
             # print back to another label, as in "B[1, 2]", do exist)
             for run, old_run in zip(runs, old_runs):
@@ -181,7 +181,7 @@ def test_a_foreign_label_matches_nothing(fig3, kind, monkeypatch):
     for plan, label in ((keyed, "K3[7,2,4]"), (symmetric, "Ks1[6,9,20]"), (symmetric, "Kw[3,11]")):
         run = next(run for group in plan.orbits.families for run in group
                    if run.labels.prefix == label.partition("[")[0])
-        assert run.has(label, _ids(label)) and plan.key_rates[label] == run.rate
+        assert run.labels.has(label, _ids(label)) and plan.key_rates[label] == run.rate
 
 
 def _plans(s: ChannelScenario, ts=None):

@@ -40,7 +40,7 @@ from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, s
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
-    _holders,
+    _Holders,
     _symmetric_blocks,
     build_cached_keys_all,
     build_piggyback_allkeys,
@@ -169,12 +169,14 @@ def test_orbit_members_hand_over_at_the_first_members_positions():
             continue
         checked += 1
         po = plan.orbits
-        placed = _holders(plan.placement)
-        held = _holders(po.atoms, po.families)
-        assert {label: mask for label, mask in held.items() if mask} == placed, case_id
-        peel = peel_rule(plan, placed)
+        placed = _Holders(plan.placement)
+        held = _Holders(po.atoms, po.families)
+        labels = {*placed, *(label for parts in plan.message_parts.values() for label, _ in parts)}
+        for label in labels:
+            assert held[label] == placed[label], (case_id, label)
+        peel = peel_rule(held, plan.message_parts, plan.virtual_cached)
         firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
-        assert _symmetric_blocks(po, [u for block in firsts for u in block]), case_id
+        assert _symmetric_blocks(plan, [u for block in firsts for u in block]), case_id
         for orb, block in zip(po.orbits, firsts):
             at = [_handed_positions(peel, unit) for unit in block]
             loads = [sorted(unit.decode_load.values()) for unit in block]
@@ -443,6 +445,33 @@ def test_receiver_wanting_nothing_leaves_the_others_alone(fig3, build, idle):
     ):
         changed = edited(plan, message_parts=message_parts)
         assert deliveries(changed) == others
+
+
+@pytest.mark.parametrize("case", ["part added", "part dropped"])
+def test_verify_reads_replaced_message_parts(fig3, case):
+    # A plan whose message parts were replaced keeps its orbits and
+    # families but claims no symmetry: verify reads the replaced parts,
+    # member by member, and reports as it does on the same plan with
+    # explicit orbits.  A part that no unit carries is one the simulation
+    # starves, so it fails every trial.
+    if case == "part added":
+        plan = build_piggyback_one(fig3, 2, 0.002)
+        parts = plan.message_parts[1] + (("nowhere", 0.01),)
+    else:
+        plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
+        parts = plan.message_parts[1][:-1]
+    assert verify_plan(plan, fig3).passed
+    message_parts = {**plan.message_parts, 1: parts}
+    replaced = dataclasses.replace(plan, message_parts=message_parts)
+    got = verify_plan(replaced, fig3)
+    assert got.to_json() == verify_plan(edited(plan, message_parts=message_parts), fig3).to_json()
+    detail = got.check("DECODE").detail
+    if case == "part added":
+        assert detail == "receiver 1 cannot obtain part 'nowhere'"
+        cfg = SimConfig(10**6, 3, 1)
+        assert run_monte_carlo(replaced, fig3, cfg).worst_case_error_rate == 1.0
+    else:
+        assert detail.startswith("receiver 1 reassembles rate ")
 
 
 # ---------------------------------------------------------------------------

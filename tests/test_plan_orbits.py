@@ -338,6 +338,15 @@ def test_simulate_never_expands_a_subset_plan(case, monkeypatch, capsys):
     assert out == monte_carlo_scalar(plan, s, cfg).to_json(indent=2) + "\n"
 
 
+def test_simulate_lists_no_key_family(fig3):
+    # Who holds a label is read label by label (schemes._Holders): the
+    # compile formats the keys its units name and lists no key family whole.
+    plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
+    simulate._compile(plan, fig3, 50000)
+    keys = [run.labels for group in plan.orbits.families for run in group if run.kind == "key"]
+    assert len(keys) == 4 and not any(type(family.label) is dict for family in keys)
+
+
 def _spied(plan):
     """``plan`` with each orbit's ``units`` recording, in a list per orbit,
     the members it is called for."""
@@ -392,8 +401,8 @@ def test_a_member_read_outside_the_stamp_is_not_stamped(fig3):
 
     po = plan.orbits._replace(orbits=tuple(map(widened, plan.orbits.orbits)))
     plan = dataclasses.replace(plan, orbits=po)
-    assert schemes._symmetric_blocks(po, [u for orb in po.orbits
-                                          for u in orb.units(next(iter(orb.members)))])
+    assert schemes._symmetric_blocks(plan, [u for orb in po.orbits
+                                            for u in orb.units(next(iter(orb.members)))])
     for n in (5000, 50000):
         _same_compile(plan, fig3, n)
     spied, calls = _spied(plan)
