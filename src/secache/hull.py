@@ -35,13 +35,13 @@ with that build to the bit (see :class:`Surface` for the one caveat).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BelowDomain, EmptyInput, Infeasible
-from .model import TOL, RateMemoryPoint
+from .model import TOL, Corners, RateMemoryPoint
 
 _DET_TOL = 1e-12
 # Budget slack a query may overdraw (the feasibility tolerance).
@@ -61,13 +61,20 @@ class Curve1D:
 
     ``vertices`` have strictly increasing M, strictly increasing R and
     nonincreasing slopes; the value right of the last vertex stays at the
-    last R.
+    last R.  A curve over corner records keeps them, and each vertex's
+    position among their rows, for :attr:`sources`.
     """
 
     vertices: tuple[tuple[float, float], ...]
+    records: tuple[Corners, ...] = field(default=(), compare=False, repr=False)
+    rows: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def sources(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(rec.name, tuple(rec.index[i].tolist())) for rec, i in _sources(self.records, self.rows)]
 
 
-def _upper_chain(m: Sequence[float], r: Sequence[float]) -> list[int]:
+def _upper_chain(m: np.ndarray, r: np.ndarray) -> list[int]:
     """Indices of the upper concave envelope of the points (m_i, r_i).
 
     Points dominated by a cheaper-or-equal point with at least the same
@@ -75,21 +82,19 @@ def _upper_chain(m: Sequence[float], r: Sequence[float]) -> list[int]:
     scan removes points under chords.  The result has strictly increasing
     m and r and strictly decreasing slopes.
     """
-    # Dominance filter: keep points whose rate strictly exceeds anything
-    # available at smaller-or-equal memory.
-    filtered: list[int] = []
-    best = -1.0
-    for i in sorted(range(len(m)), key=lambda i: (m[i], r[i])):
-        if r[i] > best:
-            if filtered and m[filtered[-1]] == m[i]:
-                filtered[-1] = i
-            else:
-                filtered.append(i)
-            best = r[i]
+    # Dominance filter, in a stable (m, r) order: keep points whose rate
+    # strictly exceeds anything at smaller-or-equal memory, the last of
+    # those at each memory.
+    order = np.lexsort((r, m))
+    rs = r[order]
+    order = order[rs > np.concatenate(([-1.0], np.maximum.accumulate(rs)[:-1]))]
+    ms = m[order]
+    kept = order[np.append(ms[1:] != ms[:-1], True)].tolist()
 
     # Monotone chain: slopes must be strictly decreasing left to right.
+    m, r = m[kept].tolist(), r[kept].tolist()
     chain: list[int] = []
-    for p in filtered:
+    for p in range(len(m)):
         while len(chain) >= 2:
             a, b = chain[-2], chain[-1]
             # middle point below the chord chain[-2] -> p?
@@ -98,21 +103,32 @@ def _upper_chain(m: Sequence[float], r: Sequence[float]) -> list[int]:
             else:
                 break
         chain.append(p)
-    return chain
+    return [kept[p] for p in chain]
 
 
-def upper_hull_1d(points: Iterable[tuple[float, float]]) -> Curve1D:
+def upper_hull_1d(points, memory=None) -> Curve1D:
     """Upper concave envelope of (M, R) points, flat-extended to the right
-    (see :func:`_upper_chain`)."""
+    (see :func:`_upper_chain`).  With ``memory``, ``points`` are corner
+    records and ``memory`` their rows' memories, an array per record."""
+    if memory is not None:
+        m, r = np.concatenate(memory), np.concatenate([c.R for c in points])
+        idx = _upper_chain(m, r)
+        return Curve1D(tuple(zip(m[idx].tolist(), r[idx].tolist())), tuple(points), tuple(idx))
     pts = list(points)
     if not pts:
         raise EmptyInput("upper_hull_1d needs at least one point")
     for m, r in pts:
         if not (m >= 0 and r >= 0) or m != m or r != r:
             raise EmptyInput(f"invalid hull input point ({m}, {r})")
-    m = [p[0] for p in pts]
-    r = [p[1] for p in pts]
-    return Curve1D(tuple((m[i], r[i]) for i in _upper_chain(m, r)))
+    m, r = np.array(pts, float).T
+    return Curve1D(tuple((pts[i][0], pts[i][1]) for i in _upper_chain(m, r)))
+
+
+def _sources(records: Sequence[Corners], idx: Sequence[int]) -> list[tuple[Corners, int]]:
+    """The record and row of each position ``idx`` in the records' rows."""
+    ends = np.cumsum([len(rec) for rec in records], dtype=np.intp)
+    at = np.searchsorted(ends, idx, side="right").tolist()
+    return [(records[j], i - int(ends[j]) + len(records[j])) for j, i in zip(at, idx)]
 
 
 def eval_hull_1d(curve: Curve1D, M: float) -> float:
@@ -156,14 +172,19 @@ def _convex_hull_2d(pts: list[tuple[float, float]]) -> list[tuple[float, float]]
     return _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
 
 
-def _lower_left_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Vertices of conv(pts) + R^2_+, by increasing x and decreasing y."""
+def _lower_left_chain(Mw: np.ndarray, Ms: np.ndarray) -> list[int]:
+    """Indices of the vertices of conv + R^2_+ of the points (Mw_i, Ms_i),
+    by increasing Mw and decreasing Ms; of equal points, the last."""
+    order = np.lexsort((Ms, Mw))
+    w, m = Mw[order], Ms[order]
+    order = order[np.append((w[1:] != w[:-1]) | (m[1:] != m[:-1]), True)]
+    at = dict(zip(zip(Mw[order].tolist(), Ms[order].tolist()), order.tolist()))
     chain = []
-    for p in _half_hull(sorted(pts)):
+    for p in _half_hull(list(at)):
         if chain and p[1] >= chain[-1][1]:
             break
         chain.append(p)
-    return chain
+    return [at[p] for p in chain]
 
 
 #: Most elements (plane x point, or candidate triple x point) one block of
@@ -364,7 +385,7 @@ def _boundary(M: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     projected 1-D hulls.  Also returns the hulls' points."""
     planes, points = [np.zeros((1, 2))], []
     for axis, cost in enumerate(M):
-        idx = _upper_chain(cost.tolist(), R.tolist())
+        idx = _upper_chain(cost, R)
         points += idx
         Y = np.zeros((len(idx) - 1, 2))
         Y[:, axis] = np.diff(R[idx]) / np.diff(cost[idx])
@@ -372,7 +393,7 @@ def _boundary(M: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(planes), points
 
 
-def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: int) -> np.ndarray:
+def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: int):
     """Double description over the points (columns of M, rates R): the
     points ``rest`` join the points S, INSERT_BATCH at a time.  The dual
     of S has the planes ``planes``, the first ``faces`` of them on the
@@ -380,7 +401,8 @@ def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: 
     (base n), with ``top`` and ``tight`` over S as :func:`_tops`
     gives them.  The face vertices are taken anew from the points in
     until the first ``partial`` points of rest are in.  Returns the keys
-    of the facets left, sorted."""
+    of the facets left, sorted, and the last batch's :func:`_meet` (cut,
+    top, tight) and keys and slopes of the facets through its points."""
     for b in range(0, len(rest), INSERT_BATCH):
         if 0 < b < partial + INSERT_BATCH:
             keep = np.arange(len(planes)) >= faces
@@ -402,12 +424,12 @@ def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: 
         keep[:faces] = True
         keys = np.concatenate((keys[keep[faces:]], *fresh))
         if b + INSERT_BATCH >= len(rest):
-            break
+            return _unique(keys), (cut, top, after, np.concatenate(fresh), slopes)
         top, (v, x) = _keep(top, after, keep)
         ftop, (fv, fx), _, _ = _tops(slopes, M[:, S], R[S], slice(None))
         tight = (np.concatenate((v, fv + keep.sum())), np.concatenate((x, S[fx])))
         planes, top = np.concatenate((planes[keep], slopes)), np.concatenate((top, ftop))
-    return _unique(keys)
+    return _unique(keys), None
 
 
 class Surface:
@@ -445,23 +467,22 @@ class Surface:
     its _NEAR slack; on dense sets of thousands of points a few can be
     missed.  Such a plane never sets a query's value, because the vertex
     it duplicates is there.  Work arrays are taken SURFACE_CHUNK elements
-    at a time.
+    at a time.  The points are corner records' rows in turn (labelled
+    points count as one-point records); :meth:`mixture` formats labels.
     """
 
-    def __init__(self, points: Sequence[RateMemoryPoint]):
+    def __init__(self, points: Sequence[Corners] | Sequence[RateMemoryPoint]):
         if len(points) == 0:
             raise EmptyInput("Surface needs at least one point")
-        self._labels = [p.label for p in points]
-        R = self._R = np.array([p.R for p in points])
-        Mw = np.array([p.M_w for p in points])
-        Ms = np.array([p.M_s for p in points])
-        self._M = np.vstack((Mw, Ms))
+        self._records = [p if isinstance(p, Corners) else Corners(
+            p.label, np.empty((1, 0), np.int64), *np.array([[p.R], [p.M_w], [p.M_s]], float)) for p in points]
+        R = self._R = np.concatenate([c.R for c in self._records])
+        self._M = np.array([np.concatenate([getattr(c, f) for c in self._records]) for f in ("M_w", "M_s")])
 
         # The LP is feasible iff y . M >= min_l y . m_l for every ray y of
         # the dual's recession cone: the axes and the normals of the
         # lower-left chain's edges.
-        where = {(w, m): i for i, (w, m) in enumerate(zip(Mw.tolist(), Ms.tolist()))}
-        chain = [where[p] for p in _lower_left_chain(list(where))]
+        chain = _lower_left_chain(*self._M)
         x, y = self._M[:, chain]
         normals = np.column_stack((y[:-1] - y[1:], np.diff(x)))
         self._rays = np.vstack(
@@ -492,7 +513,7 @@ class Surface:
         top, (v, x), _, _ = _tops(Y, M[:, S], RC[S], slice(None))
         rest = np.searchsorted(C, sorted(base - set(chain)) + sorted(cand - base))
         keys = _grow(M, RC, S, rest, Y, len(faces), keys[rows], top, (v, S[x]),
-                     len(base) - len(chain), n)
+                     len(base) - len(chain), n)[0]
         facets, rows = _facet_slopes(M, RC, _unkey(keys, n))
         keys = keys[rows]
 
@@ -507,19 +528,26 @@ class Surface:
                 break
             first, C = len(C), C + new
             M, RC, fresh = self._M[:, C], R[C], np.arange(first, len(C))
-            grown = _grow(M, RC, np.arange(first), fresh, Y, len(boundary), keys, top, tight, 0, n)
-            grown = grown[grown >= first * n * n]
-            slopes, rows = _facet_slopes(M, RC, _unkey(grown, n))
-            cut, _, top, tight = _meet(Y, top, tight, M, RC, fresh)
+            grown, last = _grow(M, RC, np.arange(first), fresh, Y, len(boundary), keys, top, tight, 0, n)
+            if len(new) <= INSERT_BATCH:  # one batch: it met Y and solved against all of C
+                cut, top, tight, grown, slopes = last
+                grown, rows = np.unique(grown, return_index=True)
+                slopes = slopes[rows]
+            else:
+                grown = grown[grown >= first * n * n]
+                slopes, rows = _facet_slopes(M, RC, _unkey(grown, n))
+                grown = grown[rows]
+                cut, _, top, tight = _meet(Y, top, tight, M, RC, fresh)
             keep = ~cut
             keep[: len(boundary)] = True
-            keys = np.concatenate((keys[keep[len(boundary) :]], grown[rows]))
+            keys = np.concatenate((keys[keep[len(boundary) :]], grown))
             top, (v, x) = _keep(top, tight, keep)
             ftop, (fv, fx), fpeak, farg = _tops(slopes, self._M, R, C)
             tight = (np.concatenate((v, fv + keep.sum())), np.concatenate((x, fx)))
             Y, top = np.concatenate((Y[keep], slopes)), np.concatenate((top, ftop))
             peak, arg = np.concatenate((peak[keep], fpeak)), np.concatenate((arg[keep], farg))
-        self._Y = np.unique(Y, axis=0)
+        Y = Y[np.lexsort(Y.T[::-1])]
+        self._Y = Y[np.append(True, (Y[1:] != Y[:-1]).any(axis=1))]
         self._z = np.concatenate([excess.max(axis=1) for _, excess in _excess(self._Y, self._M, R)])
 
     @property
@@ -573,7 +601,8 @@ class Surface:
         sub, lam = best
         lam = np.clip(lam, 0.0, None)
         lam /= lam.sum()
-        return [(self._labels[i], float(w)) for i, w in zip(sub, lam) if w > 0.0]
+        at = _sources(self._records, sub)
+        return [(rec.label(row), float(w)) for (rec, row), w in zip(at, lam) if w > 0.0]
 
 
 def eval_hull_2d(

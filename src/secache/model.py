@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidScenario
 
 #: Absolute tolerance for floating comparisons throughout the package.
@@ -123,6 +125,25 @@ class RateMemoryPoint:
                 raise InvalidScenario(f"{name} must be finite, got {v}")
             if v < 0:
                 raise InvalidScenario(f"{name} must be >= 0, got {v}")
+
+
+@dataclass(frozen=True, eq=False)
+class Corners:
+    """One corner family as columns: row i has rate ``R[i]``, memories
+    ``M_w[i]``, ``M_s[i]`` and index ``index[i]`` (no columns, t, or
+    (t_w, t_s)); its label is ``name`` with the index in its ``{}``."""
+
+    name: str
+    index: np.ndarray
+    R: np.ndarray
+    M_w: np.ndarray
+    M_s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.R)
+
+    def label(self, i: int) -> str:
+        return self.name.format(*self.index[i].tolist()) if self.index.shape[1] else self.name
 
 
 def pos(x: float) -> float:

@@ -16,16 +16,16 @@ from math import isinf
 
 from . import bounds, corners, hull
 from .errors import NotApplicable
-from .model import CacheSizes, ChannelScenario, RateMemoryPoint, zero_cache_capacity
+from .model import CacheSizes, ChannelScenario, Corners, zero_cache_capacity
 
 
 def _family(name: str) -> cached_property:
-    """A cached property: ``corners.<name>(s)``, or the ``NotApplicable``
-    with which :mod:`corners` gates the family off (every gate raises at
-    the top of its family).  The family is looked up when first used, so
-    a patched or traced one is the one called."""
+    """A cached property: ``corners.<name>(s)``, the family's records, or
+    the ``NotApplicable`` with which :mod:`corners` gates the family off
+    (every gate raises at the top of its family).  The family is looked up
+    when first used, so a patched or traced one is the one called."""
 
-    def evaluate(self) -> list[RateMemoryPoint] | NotApplicable:
+    def evaluate(self) -> list[Corners] | NotApplicable:
         try:
             return getattr(corners, name)(self.s)
         except NotApplicable as gate:
@@ -34,27 +34,28 @@ def _family(name: str) -> cached_property:
     return cached_property(evaluate)
 
 
-def _available(family) -> list[RateMemoryPoint]:
-    """A family's points; none where it is gated off."""
+def _available(family) -> list[Corners]:
+    """A family's records; none where it is gated off."""
     return [] if isinstance(family, NotApplicable) else family
 
 
-def _required(family) -> list[RateMemoryPoint]:
-    """A family's points; where it is gated off, its ``NotApplicable``
+def _required(family) -> list[Corners]:
+    """A family's records; where it is gated off, its ``NotApplicable``
     raised again (with a fresh traceback, so repeats do not grow it)."""
     if isinstance(family, NotApplicable):
         raise family.with_traceback(None)
     return family
 
 
-def _m_w_hull(pts: list[RateMemoryPoint]) -> hull.Curve1D:
-    """Hull of ``pts`` over M_w; the zero curve when there are none."""
-    return hull.upper_hull_1d([(p.M_w, p.R) for p in pts] or [(0.0, 0.0)])
+def _m_w_hull(records: list[Corners]) -> hull.Curve1D:
+    """Hull of ``records`` over M_w; the zero curve when there are none."""
+    return (hull.upper_hull_1d(records, [c.M_w for c in records]) if records
+            else hull.upper_hull_1d([(0.0, 0.0)]))
 
 
 class Tradeoff:
-    """The lower bounds of one scenario.  Each corner family is evaluated
-    at most once and each hull built at most once, both on first use.
+    """The lower bounds of one scenario.  Each corner family's columns are
+    evaluated at most once and each hull built at most once, on first use.
 
     A hull that merely includes a gated family takes no points from it; a
     hull that rests on one raises the family's ``NotApplicable``.
@@ -63,9 +64,9 @@ class Tradeoff:
     def __init__(self, s: ChannelScenario):
         self.s = s
 
-    _weak_only = _family("points_weak_only")
-    _all_cached = _family("points_all_cached")
-    _symmetric = _family("points_symmetric")
+    _weak_only = _family("weak_only_corners")
+    _all_cached = _family("all_cached_corners")
+    _symmetric = _family("symmetric_corners")
 
     @cached_property
     def weak_curve(self) -> hull.Curve1D:
@@ -91,16 +92,18 @@ class Tradeoff:
         """Hull over total budget of every family's points (see
         :func:`global_curve`)."""
         s = self.s
-        mapped = [(s.K_w * p.M_w, p.R) for p in _available(self._weak_only)]
-        mapped = mapped or [(0.0, zero_cache_capacity(s))]
-        mapped += [(s.K_w * p.M_w + s.K_s * p.M_s, p.R) for p in _available(self._all_cached)]
-        mapped += [(s.K * p.M_w, p.R) for p in _available(self._symmetric)]
-        return hull.upper_hull_1d(mapped)
+        none, weak = [corners.no_cache(s)], _available(self._weak_only)
+        cached, sym = _available(self._all_cached), _available(self._symmetric)
+        return hull.upper_hull_1d(none + weak + cached + sym, [c.M_w for c in none]
+                                  + [s.K_w * c.M_w for c in weak]
+                                  + [s.K_w * c.M_w + s.K_s * c.M_s for c in cached]
+                                  + [s.K * c.M_w for c in sym])
 
     @cached_property
     def uniform_curve(self) -> hull.Curve1D:
         """Symmetric-assignment hull, x-axis rescaled to total budget."""
-        return hull.upper_hull_1d([(self.s.K * p.M_w, p.R) for p in _required(self._symmetric)])
+        sym = _required(self._symmetric)
+        return hull.upper_hull_1d(sym, [self.s.K * c.M_w for c in sym])
 
 
 def weak_only_curve(s: ChannelScenario) -> hull.Curve1D:
@@ -241,10 +244,10 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
 
     if weak:
-        pts = {p.label: p for p in weak}
+        pts = {c.name: c for c in weak}
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
-        m1 = pts["cached-keys"].M_w
+        m1 = float(pts["cached-keys"].M_w[0])
         certify(
             "weak-only-small-memory",
             "keys-only placement is optimal; the shared value is R(0) + slope * M_w",
@@ -252,8 +255,8 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             sampled(lower.weak_curve, 0.0, m1, weak_upper, lambda m: r0 + slope * m),
         )
         if "piggyback-two" in pts:
-            m_top = pts["piggyback-two"].M_w
-            m_lib = pts["full-library"].M_w
+            m_top = float(pts["piggyback-two"].M_w[0])
+            m_lib = float(pts["full-library"].M_w[0])
             flat = (s.delta_z - s.delta_s) / s.K_s
             certify(
                 "weak-only-large-memory",
@@ -271,8 +274,8 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
 
-    keys_pt = next((p for p in all_cached if p.label == "all:cached-keys"), None)
-    if all_cached and keys_pt is None:
+    keys = next((c for c in all_cached if c.name == "all:cached-keys"), None)
+    if all_cached and keys is None:
         rep.claims.append(
             RegimeClaim(
                 name="all-cached-keys-point",
@@ -281,23 +284,24 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
                 "no cached-keys point",
             )
         )
-    if keys_pt is not None:
-        lo = lower.surface(keys_pt.M_w, keys_pt.M_s)
-        up = bounds.ub_best(s, CacheSizes(keys_pt.M_w, keys_pt.M_s)).value
+    if keys is not None:
+        r_k, mw_k, ms_k = (float(v[0]) for v in (keys.R, keys.M_w, keys.M_s))
+        lo = lower.surface(mw_k, ms_k)
+        up = bounds.ub_best(s, CacheSizes(mw_k, ms_k)).value
         certify(
             "all-cached-keys-point",
             "the all-receiver cached-keys triple is optimal",
-            (keys_pt.M_w, keys_pt.M_s),
-            (abs(lo - up), abs(lo - keys_pt.R)),
+            (mw_k, ms_k),
+            (abs(lo - up), abs(lo - r_k)),
             note="interval field holds the (M_w, M_s) query point",
         )
 
         if weak:
             # the weak-only small-memory line (r0, slope above) per unit of budget
-            end = s.K_w * pts["cached-keys"].M_w
+            end = s.K_w * m1
             ref = lambda m: r0 + slope / s.K_w * m
         else:
-            end = s.K * keys_pt.R
+            end = s.K * r_k
             ref = lambda m: m / s.K
         certify(
             "global-small-budget",

@@ -26,7 +26,10 @@ formatted a label only when it was read.  The regime certifier
 (:func:`exact_regimes_reference`) is one sample, compare and append
 block per claim, with every report field listed by hand, which
 production folded into one claim helper and reports built from their
-fields.  Grid resolution h bounds the
+fields.  The corner families (``points_*_reference``) build one labelled
+point at a time, and the 1-D chains (``upper_chain_reference``,
+``lower_left_chain_reference``) run on Python lists, as production did
+before its families and chains became numpy columns.  Grid resolution h bounds the
 value error by h times the largest capacity factor, which the comparing
 tests account for.  The
 one-time-pad cipher lives here as well: the simulator never samples pad
@@ -35,21 +38,30 @@ values (pads cancel exactly), so only the tests exercise it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random as _random
-from math import ceil, fsum, isfinite, isinf, isnan
+from math import ceil, comb, fsum, isfinite, isinf, isnan
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from secache import bounds, corners, hull
 from secache.bounds import UpperBoundReport, ub_cache_sharing, ub_split
-from secache.errors import ConfigError, EmptyInput, IndexOutOfRange, Infeasible, RangeError
+from secache.errors import (
+    ConfigError,
+    EmptyInput,
+    IndexOutOfRange,
+    Infeasible,
+    NotApplicable,
+    RangeError,
+)
 from secache.model import (
     TOL,
     CacheSizes,
     ChannelScenario,
     RateMemoryPoint,
+    pos,
     validate_scenario,
     zero_cache_capacity,
 )
@@ -64,7 +76,7 @@ from secache.schemes import (
     peel_rule,
 )
 from secache.simulate import GENERATOR_NAME, SimConfig, SimReport
-from secache.tradeoff import RegimeClaim, RegimeReport, Tradeoff, _available
+from secache.tradeoff import RegimeClaim, RegimeReport, Tradeoff
 
 _DET_TOL = 1e-12
 
@@ -343,6 +355,68 @@ def eval_hull_2d_enumeration(
     return best
 
 
+# The 1-D chains as secache.hull ran them on Python lists, kept verbatim
+# (names suffixed ``_reference``) for the surface oracle below and the
+# array chains' tests.
+
+def upper_chain_reference(m: Sequence[float], r: Sequence[float]) -> list[int]:
+    """Indices of the upper concave envelope of the points (m_i, r_i).
+
+    Points dominated by a cheaper-or-equal point with at least the same
+    rate are removed first (memory monotonicity), then a monotone-chain
+    scan removes points under chords.  The result has strictly increasing
+    m and r and strictly decreasing slopes.
+    """
+    # Dominance filter: keep points whose rate strictly exceeds anything
+    # available at smaller-or-equal memory.
+    filtered: list[int] = []
+    best = -1.0
+    for i in sorted(range(len(m)), key=lambda i: (m[i], r[i])):
+        if r[i] > best:
+            if filtered and m[filtered[-1]] == m[i]:
+                filtered[-1] = i
+            else:
+                filtered.append(i)
+            best = r[i]
+
+    # Monotone chain: slopes must be strictly decreasing left to right.
+    chain: list[int] = []
+    for p in filtered:
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            # middle point below the chord chain[-2] -> p?
+            if (r[b] - r[a]) * (m[p] - m[a]) <= (r[p] - r[a]) * (m[b] - m[a]) + hull._DET_TOL:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
+def _half_hull_reference(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Lower convex hull of 2-D points sorted by (x, y), left to right
+    (the upper hull, right to left, for points sorted in reverse)."""
+    h: list[tuple[float, float]] = []
+    for c in pts:
+        while len(h) >= 2 and (
+            (h[-1][0] - h[-2][0]) * (c[1] - h[-2][1])
+            - (h[-1][1] - h[-2][1]) * (c[0] - h[-2][0])
+        ) <= 0.0:
+            h.pop()
+        h.append(c)
+    return h
+
+
+def lower_left_chain_reference(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Vertices of conv(pts) + R^2_+, by increasing x and decreasing y."""
+    chain = []
+    for p in _half_hull_reference(sorted(pts)):
+        if chain and p[1] >= chain[-1][1]:
+            break
+        chain.append(p)
+    return chain
+
+
 def _facet_slopes_bruteforce(M: np.ndarray, R: np.ndarray, first: int) -> np.ndarray:
     """Slopes y >= 0 of the planes through points i < j < k, k >= first, of
     the points (columns of M, rates R) that no point lies above (within a
@@ -383,12 +457,12 @@ def surface_planes_bruteforce(points: Sequence[RateMemoryPoint]) -> np.ndarray:
     Ms = np.array([p.M_s for p in points])
     M_all = np.vstack((Mw, Ms))
     where = {(w, m): i for i, (w, m) in enumerate(zip(Mw.tolist(), Ms.tolist()))}
-    chain = [where[p] for p in hull._lower_left_chain(list(where))]
+    chain = [where[p] for p in lower_left_chain_reference(list(where))]
 
     boundary = [np.zeros((1, 2))]
     cand = set(chain)
     for axis, cost in enumerate((Mw, Ms)):
-        idx = hull._upper_chain(cost, R)
+        idx = upper_chain_reference(cost.tolist(), R.tolist())
         cand.update(idx)
         slopes = np.diff(R[idx]) / np.diff(cost[idx])
         Y = np.zeros((len(slopes), 2))
@@ -1165,6 +1239,13 @@ def _weak_only_upper(s: ChannelScenario, xs: list[float]) -> list[float]:
 CERTIFY_SAMPLES = 11
 
 
+def _family_or_empty(family, s: ChannelScenario) -> list[RateMemoryPoint]:
+    try:
+        return family(s)
+    except NotApplicable:
+        return []
+
+
 def exact_regimes_reference(s: ChannelScenario) -> RegimeReport:
     """``tradeoff.exact_regimes`` as one sample, compare and append block
     per claim.  Certify each regime where lower and upper bounds provably
@@ -1177,8 +1258,8 @@ def exact_regimes_reference(s: ChannelScenario) -> RegimeReport:
     """
     rep = RegimeReport()
     lower = Tradeoff(s)
-    weak = _available(lower._weak_only)
-    all_cached = _available(lower._all_cached)
+    weak = _family_or_empty(points_weak_only_reference, s)
+    all_cached = _family_or_empty(points_all_cached_reference, s)
     if s.delta_z <= s.delta_s:
         rep.notes.append(
             "weak-only results gated off: delta_z <= delta_s, so caches at "
@@ -1303,3 +1384,331 @@ def exact_regimes_reference(s: ChannelScenario) -> RegimeReport:
             )
         )
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Corner families, one RateMemoryPoint at a time
+# ---------------------------------------------------------------------------
+# The scalar closed forms as secache.corners evaluated them before its
+# families became columns, kept verbatim (names suffixed ``_reference``):
+# the columns must equal these points bit for bit, in the same order with
+# the same skips.
+
+def _skip_overflow_reference(closed_form):
+    """``closed_form(...)`` returns ``(R, M_w, M_s, label)``, or None where
+    it has no point; the decorated form returns the point, or None also
+    where the closed form overflows (see ``secache.corners``' docstring)."""
+
+    @functools.wraps(closed_form)
+    def point(*args) -> RateMemoryPoint | None:
+        try:
+            values = closed_form(*args)
+        except OverflowError:
+            return None
+        if values is None or not all(isfinite(v) for v in values[:3]):
+            return None
+        return RateMemoryPoint(*values)
+
+    return point
+
+
+def _require_eavesdropper_weaker_than_strong_reference(s: ChannelScenario) -> None:
+    if s.delta_z <= s.delta_s:
+        raise NotApplicable(
+            "weak-only cache results require delta_z > delta_s "
+            f"(got delta_z={s.delta_z}, delta_s={s.delta_s}); this gate is "
+            "intentional: with delta_z <= delta_s the weak-only formulas "
+            "turn nonpositive and the all-cached family covers the regime"
+        )
+
+def points_weak_only_reference(s: ChannelScenario) -> list[RateMemoryPoint]:
+    """The K_w + 4 corner points with caches at weak receivers only.
+
+    Requires ``delta_z > delta_s`` and ``K_w >= 1``.  Order: no-cache,
+    cached-keys, superposition-jamming, piggyback-one for t = 1..K_w-1,
+    piggyback-two, full-library.
+    """
+    _require_eavesdropper_weaker_than_strong_reference(s)
+    if s.K_w < 1:
+        raise NotApplicable("weak-only family needs K_w >= 1")
+    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    Kw, Ks, D = s.K_w, s.K_s, s.D
+    mzw = min(1.0 - dz, 1.0 - dw)
+
+    pts = [RateMemoryPoint(zero_cache_capacity(s), 0.0, 0.0, "no-cache")]
+
+    den1 = Ks * (1 - dw) + Kw * (dz - ds)
+    pts.append(
+        RateMemoryPoint(
+            (1 - dw) * (dz - ds) / den1,
+            (dz - ds) * mzw / den1,
+            0.0,
+            "cached-keys",
+        )
+    )
+
+    den2 = Ks * (1 - dw) + Kw * (dw - ds)
+    r2a = (1 - dw) * (1 - ds) / (Ks * (1 - dw) + Kw * (1 - ds))
+    r2b = (1 - dw) * (dz - ds) / den2 if den2 > 0 else float("inf")
+    pts.append(
+        RateMemoryPoint(
+            min(r2a, r2b),
+            min((1 - dz) / Kw, r2b),
+            0.0,
+            "superposition-jamming",
+        )
+    )
+
+    md = min(dw - ds, dz - ds)
+    for t in range(1, Kw):
+        den = (Kw - t + 1) * (dz - ds) * (
+            Ks * (t + 1) * (1 - dw) + (Kw - t) * md
+        ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
+        if den == 0:  # K_s = 0 and delta_w = delta_s
+            continue
+        rate = (
+            (t + 1)
+            * (1 - dw)
+            * (dz - ds)
+            * (Ks * t * (1 - dw) + (Kw - t + 1) * md)
+            / den
+        )
+        mem = (
+            D * t * (t + 1) * (1 - dw) * (dz - ds)
+            * (Ks * (t - 1) * (1 - dw) + (Kw - t + 1) * md)
+            + (t + 1) * (Kw - t + 1) * (dz - ds) * mzw
+            * (Ks * t * (1 - dw) + (Kw - t) * md)
+        ) / (Kw * den)
+        pts.append(RateMemoryPoint(rate, mem, 0.0, f"piggyback-one[t={t}]"))
+
+    if Ks > 0:
+        r4 = (dz - ds) / Ks
+        m4 = (D * Kw * (dz - ds) ** 2 + Ks * (dz - ds) * mzw) / (
+            Ks * (Ks * mzw + Kw * (dz - ds))
+        )
+        pts.append(RateMemoryPoint(r4, m4, 0.0, "piggyback-two"))
+        pts.append(
+            RateMemoryPoint(r4, D * (dz - ds) / Ks, 0.0, "full-library")
+        )
+    return pts
+
+def points_separate_reference(s: ChannelScenario) -> list[RateMemoryPoint]:
+    """Weak-only points achievable by separate cache-channel coding.
+
+    The t-indexed family below plus the four reused corner points
+    (no-cache, cached-keys, superposition-jamming, full-library).
+    """
+    _require_eavesdropper_weaker_than_strong_reference(s)
+    if s.K_w < 1:
+        raise NotApplicable("separate-coding family needs K_w >= 1")
+    return separate_from_weak_only_reference(s, points_weak_only_reference(s))
+
+
+def separate_from_weak_only_reference(
+    s: ChannelScenario, weak: list[RateMemoryPoint]
+) -> list[RateMemoryPoint]:
+    """:func:`points_separate_reference` from the weak-only points ``weak`` of ``s``
+    (where the family applies: both share one gate)."""
+    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    Kw, Ks, D = s.K_w, s.K_s, s.D
+    mzw = min(1.0 - dz, 1.0 - dw)
+    reused = {"no-cache", "cached-keys", "superposition-jamming", "full-library"}
+    pts = [p for p in weak if p.label in reused]
+    for t in range(1, Kw):
+        den = Ks * (t + 1) * (1 - dw) + (Kw - t) * (dz - ds)
+        rate = (t + 1) * (1 - dw) * (dz - ds) / den
+        mem = (
+            D * t * (t + 1) * (1 - dw) * (dz - ds)
+            + (t + 1) * (Kw - t) * (dz - ds) * mzw
+        ) / (Kw * den)
+        pts.append(RateMemoryPoint(rate, mem, 0.0, f"separate[t={t}]"))
+    return pts
+
+@_skip_overflow_reference
+def _generalized_point_reference(s: ChannelScenario, t: int, memory_rule: str):
+    """One corner of the generalized-coded-caching family (index t)."""
+    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    Kw, Ks, K, D = s.K_w, s.K_s, s.K, s.D
+
+    def wsum(lo: int, hi: int, term) -> float:
+        total = 0.0  # term by term, as the builtin sum before Python 3.12
+        for tw in range(lo, hi + 1):
+            total += term(tw)
+        return total
+
+    def weight(tw: int) -> float:
+        return (1 - dw) ** (-tw) * (1 - ds) ** tw
+
+    num_r = wsum(
+        max(0, t - Ks), min(t, Kw),
+        lambda tw: comb(Kw, tw) * comb(Ks, t - tw) * weight(tw),
+    )
+    den = wsum(
+        max(0, t + 1 - Ks), min(t + 1, Kw),
+        lambda tw: comb(Kw, tw) * comb(Ks, t + 1 - tw) * weight(tw) / (1 - ds),
+    )
+    den_mem = wsum(
+        max(0, t + 1 - Ks), min(t + 1, Kw),
+        lambda tw: comb(Kw, tw) * comb(Ks, t + 1 - tw) * weight(tw),
+    )
+    rate = num_r / den
+
+    mw_data = D * wsum(
+        max(1, t - Ks), min(t, Kw),
+        lambda tw: comb(Kw - 1, tw - 1) * comb(Ks, t - tw) * weight(tw),
+    ) / den_mem
+    ms_data = D * wsum(
+        max(0, t - Ks), min(t - 1, Kw),
+        lambda tw: comb(Kw, tw) * comb(Ks - 1, t - tw - 1) * weight(tw),
+    ) / den_mem
+
+    key_cap = (t + 1) * (1 - dz) / K
+    if memory_rule == "first-arg":
+        mw_key = key_cap
+        ms_key = key_cap
+    else:  # pin the unbound exponent to the sums' lower limit
+        tw0 = max(0, t + 1 - Ks)
+        mw_key = min(
+            key_cap,
+            weight(tw0)
+            * (comb(K - 1, t) * (1 - ds) - comb(Kw - 1, t) * (dw - ds))
+            / den_mem,
+        )
+        ms_key = min(key_cap, comb(K - 1, t) * weight(tw0) * (1 - ds) / den_mem)
+    return (
+        rate,
+        mw_data + mw_key,
+        ms_data + ms_key,
+        f"all:generalized[t={t},{memory_rule}]",
+    )
+
+def points_all_cached_reference(
+    s: ChannelScenario, memory_rule: str = "lower-limit"
+) -> list[RateMemoryPoint]:
+    """The K + K_w + K_w*K_s corner triples with caches everywhere.
+
+    Order: no-cache; cached-keys; piggyback-with-keys for t = 1..K_w-1;
+    the (t_w, t_s)-indexed symmetric-piggyback grid; the generalized
+    family for t = 1..K-1 (memory per ``memory_rule``, see
+    :data:`GENERALIZED_MEMORY_RULES`).
+    """
+    if s.K_w < 1 or s.K_s < 1:
+        raise NotApplicable("all-cached family needs K_w >= 1 and K_s >= 1")
+    if memory_rule not in corners.GENERALIZED_MEMORY_RULES:
+        raise IndexOutOfRange(f"unknown memory_rule {memory_rule!r}")
+    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    Kw, Ks, D = s.K_w, s.K_s, s.D
+    mzw = min(1.0 - dz, 1.0 - dw)
+    mzs = min(1.0 - dz, 1.0 - ds)
+
+    pts = [RateMemoryPoint(zero_cache_capacity(s), 0.0, 0.0, "no-cache")]
+
+    den1 = Kw * (1 - ds) + Ks * (1 - dw)
+    if den1 > 0:  # zero at delta_w = delta_s = 1
+        pts.append(
+            RateMemoryPoint(
+                (1 - ds) * (1 - dw) / den1,
+                (1 - ds) * mzw / den1,
+                (1 - dw) * mzs / den1,
+                "all:cached-keys",
+            )
+        )
+
+    for t in range(1, Kw):
+        den = (Kw - t + 1) * (1 - ds) * (
+            Ks * (t + 1) * (1 - dw) + (Kw - t) * (dw - ds)
+        ) + Ks**2 * t * (t + 1) * (1 - dw) ** 2
+        if den == 0:  # delta_w = delta_s = 1
+            continue
+        rate = (
+            (t + 1) * (1 - dw) * (1 - ds)
+            * (Ks * t * (1 - dw) + (Kw - t + 1) * (dw - ds))
+            / den
+        )
+        mw = (
+            D * t * (t + 1) * (1 - dw) * (1 - ds)
+            * (Ks * (t - 1) * (1 - dw) + (Kw - t + 1) * (dw - ds))
+            + Ks * t * (t + 1) * (Kw - t + 1) * (1 - dw) * (1 - ds) * mzs
+            + (t + 1) * (Kw - t) * (Kw - t + 1) * (1 - ds) * (dw - ds) * mzw
+        ) / (Kw * den)
+        ms = (
+            Ks * t * (t + 1) * (1 - dw) ** 2 * mzs
+            + (t + 1) * (Kw - t + 1) * (1 - dw) * (1 - ds)
+            * min(pos(dw - dz), dw - ds)
+        ) / den
+        pts.append(RateMemoryPoint(rate, mw, ms, f"all:piggyback-keys[t={t}]"))
+
+    for t_w in range(1, Kw + 1):
+        for t_s in range(1, Ks + 1):
+            den = Kw * (Kw - t_w) * (t_s + 1) * (1 - ds) ** 2 + Ks * (
+                t_w + 1
+            ) * (1 - dw) * (
+                (Ks - t_s) * (1 - dw) + Kw * (t_s + 1) * (1 - ds)
+            )
+            if den == 0:  # delta_w = 1 with t_w = K_w or delta_s = 1
+                continue
+            ab = (t_w + 1) * (t_s + 1) * (1 - dw) * (1 - ds)
+            rate = ab * (Ks * (1 - dw) + Kw * (1 - ds)) / den
+            pair_key = ab * min(1.0 - dz, 2.0 - dw - ds)
+            mw = (
+                (t_w + 1) * (t_s + 1) * (1 - ds) ** 2
+                * (D * t_w * (1 - dw) + (Kw - t_w) * mzw)
+                + Ks * pair_key
+            ) / den
+            ms = (
+                (t_w + 1) * (t_s + 1) * (1 - dw) ** 2
+                * (D * t_s * (1 - ds) + (Ks - t_s) * mzs)
+                + Kw * pair_key
+            ) / den
+            pts.append(
+                RateMemoryPoint(rate, mw, ms, f"all:pair[tw={t_w},ts={t_s}]")
+            )
+
+    # Negative powers of the capacity factors blow up at delta = 1; the
+    # generalized family is skipped there (the rest still lower-bounds).
+    if dw < 1.0 and ds < 1.0:
+        pts += filter(None, (_generalized_point_reference(s, t, memory_rule) for t in range(1, s.K)))
+    return pts
+
+@_skip_overflow_reference
+def _coded_symmetric_point_reference(s: ChannelScenario, t: int):
+    """The symmetric corner ``sym[t+1]`` for 1 <= t < K_s."""
+    dw, ds, K, D = s.delta_w, s.delta_s, s.K, s.D
+    # nonnegative since comb(K, t+1) > comb(Ks, t+1); zero at delta_s = 1
+    den = comb(K, t + 1) * (1 - ds) - comb(s.K_s, t + 1) * (dw - ds)
+    if den == 0:
+        return None
+    rate = comb(K, t) * (1 - dw) * (1 - ds) / den
+    mem = (
+        D * t * comb(K, t) * (1 - dw) * (1 - ds)
+        + (K - t) * comb(K, t) * (1 - ds) * min(1.0 - s.delta_z, 1.0 - dw)
+    ) / (K * den)
+    return rate, mem, mem, f"sym[{t + 1}]"
+
+
+def points_symmetric_reference(s: ChannelScenario) -> list[RateMemoryPoint]:
+    """Corner points under equal cache size at every receiver.
+
+    Indexed ell = 0..K; the would-be ell = K+1 member divides by zero and
+    is excluded.  M_w = M_s for every point.
+    """
+    if s.K_w < 1 or s.K_s < 1:
+        raise NotApplicable("symmetric family needs K_w >= 1 and K_s >= 1")
+    dw, ds, dz = s.delta_w, s.delta_s, s.delta_z
+    Kw, Ks, K, D = s.K_w, s.K_s, s.K, s.D
+    mzw = min(1.0 - dz, 1.0 - dw)
+
+    pts = [RateMemoryPoint(zero_cache_capacity(s), 0.0, 0.0, "sym[0]")]
+
+    den1 = Kw * (1 - ds) + Ks * (1 - dw)
+    if den1 > 0:  # zero at delta_w = delta_s = 1
+        m1 = (1 - ds) * mzw / den1
+        pts.append(RateMemoryPoint((1 - dw) * (1 - ds) / den1, m1, m1, "sym[1]"))
+
+    pts += filter(None, (_coded_symmetric_point_reference(s, t) for t in range(1, Ks)))
+
+    for t in range(Ks, K):  # t = K divides by zero; excluded
+        rate = (t + 1) * (1 - dw) / (K - t)
+        mem = D * t * (t + 1) * (1 - dw) / (K * (K - t)) + (t + 1) * mzw / K
+        pts.append(RateMemoryPoint(rate, mem, mem, f"sym[{t + 1}]"))
+    return pts

@@ -534,8 +534,8 @@ def test_curve_evaluates_each_family_once(tmp_path, capsys, monkeypatch, scenari
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
     calls = Counter()
-    for name in ("points_weak_only", "points_separate", "points_all_cached",
-                 "points_symmetric"):
+    for name in ("weak_only_corners", "separate_from_weak_only", "all_cached_corners",
+                 "symmetric_corners"):
         def counted(*args, family=getattr(corners, name), **kwargs):
             calls[family.__name__] += 1
             return family(*args, **kwargs)

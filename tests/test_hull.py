@@ -1,8 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracles import eval_hull_2d_enumeration, lambda_grid_best
+from oracles import (
+    eval_hull_2d_enumeration,
+    lambda_grid_best,
+    lower_left_chain_reference,
+    upper_chain_reference,
+)
 from secache import (
     BelowDomain,
     EmptyInput,
@@ -13,6 +19,7 @@ from secache import (
     corners,
     eval_hull_1d,
     eval_hull_2d,
+    hull,
     upper_hull_1d,
 )
 
@@ -303,3 +310,16 @@ def test_surface_planes_are_the_dual_vertices(fig3, fig5):
 def test_surface_empty_input_rejected():
     with pytest.raises(EmptyInput):
         Surface([])
+
+
+def test_array_chains_match_the_list_chains():
+    """The 1-D chain and the lower-left chain on arrays pick the indices the
+    list versions pick, ties included: a stable (m, r) order, and the last
+    of equal (M_w, M_s) points."""
+    for seed, count in ((2024, 240), (31, 120)):
+        for pts in _degenerate_point_sets(seed=seed, count=count):
+            R, Mw, Ms = (np.array([getattr(p, f) for p in pts]) for f in ("R", "M_w", "M_s"))
+            for cost in (Mw, Ms):
+                assert hull._upper_chain(cost, R) == upper_chain_reference(cost.tolist(), R.tolist())
+            where = {(w, m): i for i, (w, m) in enumerate(zip(Mw.tolist(), Ms.tolist()))}
+            assert hull._lower_left_chain(Mw, Ms) == [where[p] for p in lower_left_chain_reference(list(where))]

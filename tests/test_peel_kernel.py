@@ -474,6 +474,22 @@ def test_verify_reads_replaced_message_parts(fig3, case):
         assert detail.startswith("receiver 1 reassembles rate ")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect (ROADMAP item 2): "
+                   "verify checks DECODE at class representatives only, so a part replaced "
+                   "at another receiver is never read")
+@pytest.mark.parametrize("receiver", [2, 7])
+def test_verify_reads_replaced_message_parts_beyond_representatives(fig3, receiver):
+    # As above, but the part is added at a receiver that is not its class's
+    # representative: the explicit copy reads "receiver 2 cannot obtain
+    # part 'nowhere'" (or receiver 7's), the replaced plan passes DECODE.
+    plan = build_piggyback_one(fig3, 2, 0.002)
+    parts = plan.message_parts[receiver] + (("nowhere", 0.01),)
+    message_parts = {**plan.message_parts, receiver: parts}
+    replaced = dataclasses.replace(plan, message_parts=message_parts)
+    want = verify_plan(edited(plan, message_parts=message_parts), fig3)
+    assert verify_plan(replaced, fig3).to_json() == want.to_json()
+
+
 # ---------------------------------------------------------------------------
 # blocks of trials
 # ---------------------------------------------------------------------------

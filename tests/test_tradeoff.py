@@ -68,8 +68,8 @@ def test_exact_regimes_evaluates_each_family_once(name, monkeypatch):
             return family(*args, **kwargs)
         return wrapper
 
-    for family in (corners.points_weak_only, corners.points_all_cached,
-                   corners.points_symmetric):
+    for family in (corners.weak_only_corners, corners.all_cached_corners,
+                   corners.symmetric_corners):
         monkeypatch.setattr(corners, family.__name__, counted(family))
     exact_regimes(ChannelScenario(**scenarios[name]))
     assert calls and max(calls.values()) == 1, calls
@@ -79,7 +79,7 @@ def test_tradeoff_raises_a_gated_family_from_its_one_evaluation(monkeypatch):
     """With K_w = 0 every family is gated off. The hulls resting on one
     raise its own NotApplicable on every access; the rest still build."""
     calls = Counter()
-    for name in ("points_weak_only", "points_all_cached", "points_symmetric"):
+    for name in ("weak_only_corners", "all_cached_corners", "symmetric_corners"):
         def counted(*args, family=getattr(corners, name), **kwargs):
             calls[family.__name__] += 1
             return family(*args, **kwargs)
@@ -95,7 +95,7 @@ def test_tradeoff_raises_a_gated_family_from_its_one_evaluation(monkeypatch):
             lower.uniform_curve
     assert lower.weak_curve.vertices == ((0.0, 0.0),)
     assert lower.global_curve.vertices == ((0.0, zero_cache_capacity(s)),)
-    assert calls == {"points_weak_only": 1, "points_all_cached": 1, "points_symmetric": 1}
+    assert calls == {"weak_only_corners": 1, "all_cached_corners": 1, "symmetric_corners": 1}
 
 
 def test_surface_at_keys_point(fig3):
