@@ -178,21 +178,23 @@ class Orbit(NamedTuple):
     onto one another, in schedule order.
 
     ``units(member)`` builds all the units of a member (a subset, a
-    receiver pair or a segment id; there is at least one member).  Each
-    member is the segment ``(phase, member)`` of length ``fraction``; with
-    ``one_segment`` the members' units instead make up the one segment
-    ``(phase, 0)``.  Members are alike for every check: equal decode
-    loads, payloads, bins and key rates, with labels mapped one to one,
-    so the first member (``next(iter(members))``) stands for the rest:
-    :func:`verify_plan` weights its terms by the member count in exact
-    sums.  Unit by unit, each member's units hand over (:func:`peel_rule`)
-    the parts at the first member's part positions, so where the plan
-    carries the class symmetry (:func:`_symmetric_blocks`) the simulation
-    peels the first member only.  They are the first member's units with
-    its ids renamed to the member's ids at the same positions (ids of a
-    class the orbit does not move kept), so the simulation stamps the
-    other members of a many-segment orbit from the first member's walk
-    where that walk reads no other id; tests hold every builder plan to it.
+    receiver pair or a segment id; there is at least one member).  The
+    orbit reports its segments itself (:meth:`segments`), and no reader
+    looks past them: each member is the segment ``(phase, member)`` of
+    length ``fraction``, or, with ``one_segment``, the members' units make
+    up the one segment ``(phase, 0)``.  Members are alike for every check:
+    equal decode loads, payloads, bins and key rates, with labels mapped
+    one to one, so the first member (``next(iter(members))``) stands for
+    the rest: :func:`verify_plan` weights its terms by the member count in
+    exact sums.  Unit by unit, each member's units hand over
+    (:func:`peel_rule`) the parts at the first member's part positions, so
+    where the plan carries the class symmetry (:func:`_symmetry`) the
+    simulation peels the first member only.  They are the first member's
+    units with its ids renamed to the member's ids at the same positions
+    (ids of a class the orbit does not move kept), so the simulation
+    stamps the other members of a many-segment orbit from the first
+    member's walk where that walk reads no other id; tests hold every
+    builder plan to it.
 
     The subset builders give as ``members`` a label family
     (:class:`Family`), whose ids are the orbit of the first member under
@@ -206,6 +208,14 @@ class Orbit(NamedTuple):
     members: Collection
     units: Callable[[object], tuple[DeliveryUnit, ...]]
     one_segment: bool = False
+
+    def segments(self) -> Iterable[tuple[object, Collection]]:
+        """Each segment's id after the phase, with the members whose units
+        it holds, in schedule order; every segment holds as many members,
+        and the first member is the first segment's first."""
+        if self.one_segment:
+            return ((0, self.members),)
+        return ((m, (m,)) for m in self.members)
 
 
 class _Labels(dict):
@@ -402,8 +412,12 @@ class PlanOrbits(NamedTuple):
     receiver holds when its id is among the label's, in group order, a
     group's runs interleaved (:func:`_interleaved`); and with them
     ``parts``, each receiver's message parts (``SchemePlan.message_parts``,
-    read from them) as family runs.  Who holds a label is read from either
-    form by one holder map (:class:`_Holders`).
+    read from them) as family runs, and ``virtual``, the labels each
+    receiver holds virtually (``SchemePlan.virtual_cached``).  Who holds a
+    label is read from either form by one holder map (:class:`_Holders`),
+    and a receiver's cache usage by one rule (:func:`_usage`).  The plan
+    keeps the class symmetry only while its per-receiver fields are these
+    (:func:`_symmetry`).
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -411,6 +425,7 @@ class PlanOrbits(NamedTuple):
     atoms: Mapping[int, tuple[Atom, ...]] = _EMPTY
     families: tuple[tuple[Run, ...], ...] = ()
     parts: Mapping[int, tuple[Run, ...]] = _EMPTY
+    virtual: Mapping[int, frozenset] = _EMPTY
 
     @property
     def representatives(self) -> tuple[int, ...]:
@@ -441,10 +456,12 @@ class SchemePlan:
     plan is immutable; a changed plan is a new one whose orbits
     :meth:`PlanOrbits.explicit` builds from its changed schedule and
     placement, so it claims no symmetry and :func:`verify_plan` checks
-    every segment and receiver of it.  A plan whose ``message_parts`` are
-    replaced keeps its orbits but claims no symmetry either
-    (:func:`_symmetric_blocks`): verify and the simulation peel its
-    members' units in full against the replaced parts.
+    every segment and receiver of it.  One rule (:func:`_symmetry`)
+    decides the rest: a plan keeps the class symmetry only while its
+    per-receiver fields (``message_parts`` and ``virtual_cached``) are
+    its orbits' own, so a plan with either replaced has every member of
+    every orbit peeled, and every receiver checked, against the replaced
+    fields.
     """
 
     scheme_name: str
@@ -461,15 +478,9 @@ class SchemePlan:
 
     @cached_property
     def schedule(self) -> tuple[DeliverySegment, ...]:
-        schedule = []
-        for orb in self.orbits.orbits:
-            if orb.one_segment:
-                units = tuple(u for m in orb.members for u in orb.units(m))
-                schedule.append(DeliverySegment((orb.phase, 0), orb.fraction, units))
-            else:
-                schedule += [DeliverySegment((orb.phase, m), orb.fraction, orb.units(m))
-                             for m in orb.members]
-        return tuple(schedule)
+        return tuple(DeliverySegment((orb.phase, sid), orb.fraction,
+                                     tuple(itertools.chain.from_iterable(map(orb.units, held))))
+                     for orb in self.orbits.orbits for sid, held in orb.segments())
 
     @cached_property
     def placement(self) -> dict[int, tuple[Atom, ...]]:
@@ -787,12 +798,28 @@ def _piggyback_split(
     return beta1, beta2, beta3, RA, RB
 
 
+def _held(po: PlanOrbits, r: int) -> tuple[Run, ...]:
+    """Receiver ``r``'s share of the plan's ``families``, as runs."""
+    return tuple(h for group in po.families for run in group if (h := run.held_by(r)).count)
+
+
+def _usage(po: PlanOrbits, r: int, D: int) -> float:
+    """Receiver ``r``'s cache occupancy for ``D`` files: the cost of its
+    atoms, in a plan with families its runs (:func:`_held`), counted from
+    binomials, in any other its listed atoms; an exact sum, rounded once."""
+    if po.families:
+        held = _held(po, r)
+        return _sum([run.cache_cost(D) for run in held], [run.count for run in held])
+    return _sum([a.cache_cost(D) for a in po.atoms.get(r, ())])
+
+
 def cache_usage(plan: SchemePlan, D: int) -> dict[int, float]:
-    """Cache occupancy per receiver (bits per channel use) for ``D`` files."""
-    return {
-        r: _sum([a.cache_cost(D) for a in atoms])
-        for r, atoms in plan.placement.items()
-    }
+    """Cache occupancy per receiver (bits per channel use) for ``D`` files,
+    of each receiver the placement lists, by :func:`_usage`: read from the
+    plan's orbits, without expanding the placement."""
+    po = plan.orbits
+    listed = [r for c in po.classes for r in c if _held(po, r)] if po.families else po.atoms
+    return {r: _usage(po, r, D) for r in listed}
 
 
 def cache_usage_by_class(plan: SchemePlan, s: ChannelScenario) -> CacheSizes:
@@ -1263,7 +1290,8 @@ def build_symmetric_piggyback(
     return SchemePlan(
         scheme_name="symmetric-piggyback",
         params={"t_w": t_w, "t_s": t_s, "eps": eps, "D": D},
-        orbits=PlanOrbits((weak, strong), tuple(orbits), families=families, parts=parts),
+        orbits=PlanOrbits((weak, strong), tuple(orbits), families=families, parts=parts,
+                          virtual=virtual),
         claimed_point=RateMemoryPoint(
             RA + RB, M_w_claim, M_s_claim, f"all:pair[tw={t_w},ts={t_s}]"
         ),
@@ -1444,28 +1472,47 @@ def _sub_orbit_firsts(first, blocks: Sequence, r: int) -> list:
     return out
 
 
-def _symmetric_blocks(plan: SchemePlan, firsts: Iterable[DeliveryUnit]) -> Optional[list]:
-    """Each orbit's class blocks (:func:`_blocks`) when the plan carries the
-    class symmetry that lets a member or a label stand for others, else
-    None.  Only the families carry it, and keep it only where the plan's
-    message parts are the builders' view of its part runs (a plan whose
-    parts were replaced claims no symmetry), every orbit's members are a
-    canonical enumeration, and each family of parts at one slot
-    (:class:`AtSlot`) among ``firsts``, the units of the orbits' first
-    members, is whole at one rate: mapped onto itself by the class group
-    and of one part rate, a :class:`Family` whose every nonempty block is
-    over a class, with a rate per part, all equal."""
+class _Symmetry(NamedTuple):
+    """How a plan is read (:func:`_symmetry`): each orbit's first member's
+    units, each orbit's class blocks or None, and the receivers a check
+    visits."""
+
+    firsts: list[tuple[DeliveryUnit, ...]]
+    blocks: Optional[list]
+    receivers: tuple[int, ...]
+
+
+def _symmetry(plan: SchemePlan) -> _Symmetry:
+    """The one answer to whether ``plan`` carries the class symmetry that
+    lets a member or a label stand for others, which :func:`verify_plan`
+    and the simulation compile each read once.
+
+    The blocks are each orbit's class blocks (:func:`_blocks`) where it
+    does, else None.  Only the families carry it, and keep it only where
+    every per-receiver field the peel rule reads is the orbits' own: the
+    message parts the builders' view of the part runs, and the virtual
+    labels ``PlanOrbits.virtual`` (a plan with either replaced claims no
+    symmetry).  Further, every orbit's members must be a canonical
+    enumeration, and each family of parts at one slot (:class:`AtSlot`)
+    among the first members' units whole at one rate: mapped onto itself
+    by the class group and of one part rate, a :class:`Family` whose every
+    nonempty block is over a class, with a rate per part, all equal.  The
+    receivers are the class representatives where the blocks are not
+    None, and otherwise every receiver of every class."""
     po, parts = plan.orbits, plan.message_parts
-    if not po.families or type(parts) is not _MessageParts or parts.runs is not po.parts:
-        return None
-    for unit in firsts:
-        if type(unit.parts) is AtSlot:
-            family, rates = unit.parts.labels, unit.part_rates
-            if not (isinstance(family, Family) and len(rates) == len(family) and len(set(rates)) < 2
-                    and all(c in po.classes for c, k in family.blocks if k)):
-                return None
-    blocks = [_blocks(orb.members, po.classes) for orb in po.orbits]
-    return None if None in blocks else blocks
+    firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
+    blocks = None
+    if po.families and type(parts) is _MessageParts and parts.runs is po.parts and (
+            plan.virtual_cached == po.virtual) and all(
+            isinstance(family := unit.parts.labels, Family)
+            and len(unit.part_rates) == len(family) and len(set(unit.part_rates)) < 2
+            and all(c in po.classes for c, k in family.blocks if k)
+            for block in firsts for unit in block if type(unit.parts) is AtSlot):
+        blocks = [_blocks(orb.members, po.classes) for orb in po.orbits]
+        blocks = None if None in blocks else blocks
+    if blocks is None:
+        return _Symmetry(firsts, None, tuple(sorted(r for c in po.classes for r in c)))
+    return _Symmetry(firsts, blocks, po.representatives)
 
 
 def _worst(best: tuple[float, str], margin: float, detail: str,
@@ -1477,14 +1524,6 @@ def _worst(best: tuple[float, str], margin: float, detail: str,
     if margin < best[0] or (margin != margin and best[0] == best[0]):
         return margin, detail.format(*args)
     return best
-
-
-def _rep_runs(po: PlanOrbits, receivers: Sequence[int]
-              ) -> dict[int, tuple[tuple[Run, ...], tuple[Run, ...]]]:
-    """Each receiver's held and wanted runs: its share of the plan's
-    ``families`` and its ``parts``."""
-    return {r: (tuple(h for group in po.families for run in group if (h := run.held_by(r)).count),
-                po.parts.get(r, ())) for r in receivers}
 
 
 def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
@@ -1500,31 +1539,30 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     A plan is checked one orbit (:class:`PlanOrbits`) at a time, without
     expanding it.  One pass per segment orbit, over its first member's
     units, adds the RATE loads and the SECRECY payload and securing, and
-    runs the XOR-merge rule.  One pass per receiver class, on its
-    lowest-numbered receiver ``r``, checks the DECODE tiling and CACHE:
-    the cache usage from ``r``'s atoms, in a plan with families its runs
-    (:class:`Run`), counted from binomials, in any other its listed atoms;
-    the reassembled rate from its message parts, counted from its part
-    runs where the plan carries the class symmetry.  Every sum is exact
-    and rounded once (:func:`_sum`), an orbit's terms weighted by its
-    member count and a run's by its count, so margins are an exact full
-    scan's.
+    runs the XOR-merge rule.  DECODE and CACHE are checked at the
+    receivers that the plan's one symmetry answer (:func:`_symmetry`)
+    names: the lowest-numbered receiver of each class where the plan
+    carries the class symmetry, and every receiver of every class where
+    it does not.  A receiver's cache usage is :func:`_usage`'s, the rule
+    :func:`cache_usage` reads; the reassembled rate is read from its
+    message parts, counted from its part runs where the plan carries the
+    class symmetry.  Every sum is exact and rounded once (:func:`_sum`),
+    an orbit's terms weighted by its member count and a run's by its
+    count, so margins are an exact full scan's.
 
     DECODE reads the plan itself: who holds a label from one holder map
     over its listed atoms and families (:class:`_Holders`), and the parts
     ``r`` wants from ``message_parts[r]``.  Those parts are both what
     :func:`peel_rule` may hand ``r`` and what DECODE checks.  It peels the
-    members' units that give a representative a slot; a part at another
+    members' units that give a checked receiver a slot; a part at another
     receiver's slot is never handed over, and a part counts as obtained
     only when ``r`` holds it, virtually or in the holder map, or a peeled
-    unit hands that very label over.  In a plan with the class symmetry
-    (:func:`_symmetric_blocks`, which a changed unit or replaced message
-    parts lose), DECODE peels one member per sub-orbit of ``r`` (the
-    members where ``r`` sits at one position, or those without it) and
-    ``r`` wants, of each family of parts, one label per sub-orbit of
-    ``r``, the first, which stands for the rest; a unit whose parts are a
-    family at one slot (:class:`AtSlot`) hands over only those labels of
-    the slot's receiver.
+    unit hands that very label over.  In a plan with the class symmetry,
+    DECODE peels one member per sub-orbit of ``r`` (the members where
+    ``r`` sits at one position, or those without it) and ``r`` wants, of
+    each family of parts, one label per sub-orbit of ``r``, the first,
+    which stands for the rest; a unit whose parts are a family at one slot
+    (:class:`AtSlot`) hands over only those labels of the slot's receiver.
     That is sound because the builders' labels are ``prefix[ids]`` with
     distinct receiver ids, which the class group renames, and their
     placement is class-symmetric (both tested): ``r``'s stabiliser then
@@ -1532,26 +1570,22 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     is complete under a condition on builders, to which the class-view
     oracle tests hold every builder plan: where ``r`` obtains some label
     of a sub-orbit, it holds the first or a peeled member hands it over.
-    Any other plan has every member peeled and every part read.
+    Any other plan has every member peeled and every part read, at every
+    receiver.
 
     Details name the first strict minimum in schedule and receiver order,
     as a full scan does; a NaN margin is below every number, so the first
-    NaN is the check's margin and fails it.  A plan that claims no
-    symmetry, such as a changed plan, has every segment and every
-    receiver as its own orbit and class, so all of them are checked.
+    NaN is the check's margin and fails it.
     """
     po = plan.orbits
+    firsts, blocks, receivers = _symmetry(plan)
     rate = sec = cache = (float("inf"), "")
     merged = None  # the first segment whose XOR repeats a label
-    firsts = []  # the units of the orbits' first members
-    for orb in po.orbits:
-        first = next(iter(orb.members))
-        block = orb.units(first)
-        if orb.one_segment:
-            seg_id, times = (orb.phase, 0), len(orb.members)
-        else:
-            seg_id, times = (orb.phase, first), 1
-        firsts += block
+    counts = []  # each orbit's segment count
+    for orb, block in zip(po.orbits, firsts):
+        sid, held = next(iter(orb.segments()))
+        seg_id, times = (orb.phase, sid), len(held)
+        counts.append(len(orb.members) // times)
         addends: dict[int, list[float]] = {}
         for unit in block:
             for r, load in unit.decode_load.items():
@@ -1577,8 +1611,6 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
         ):
             merged = seg_id
 
-    receivers = po.representatives
-    blocks = _symmetric_blocks(plan, firsts)
     symmetric = blocks is not None
     units = []
     for i, orb in enumerate(po.orbits):
@@ -1589,14 +1621,13 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
                 m for r in receivers for m in _sub_orbit_firsts(first, blocks[i], r))
         for m in members:
             units += orb.units(m)
-    runs = _rep_runs(po, receivers) if po.families else {}
     if symmetric:
         # A family's labels are wanted one per sub-orbit of r, the first,
         # which stands for the rest: r's stabiliser maps it onto each of
         # them, and what r holds and is handed onto itself.
-        wants = {r: [(run.labels.label[ids], run.rate) for run in wanted for ids in sorted(
-            _sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r))]
-            for r, (_, wanted) in runs.items()}
+        wants = {r: [(run.labels.label[ids], run.rate) for run in po.parts.get(r, ()) for ids in
+                     sorted(_sub_orbit_firsts(next(iter(run.labels)), run.labels.blocks, r))]
+                 for r in receivers}
         # A family of parts at one slot hands over only what DECODE
         # reads of it: the wanted labels of the slot's receiver.
         for k, unit in enumerate(units):
@@ -1611,9 +1642,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     virtual = {r: plan.virtual_cached[r] for r in receivers if r in plan.virtual_cached}
     peel = peel_rule(placed, wants, virtual)
     delivered_to: dict[int, set[str]] = {r: set() for r in receivers}
-    reps = set(receivers)
+    checked = set(receivers)
     for unit in units:
-        if not reps.isdisjoint([r for r, _ in unit.parts]):  # else it hands them nothing
+        if not checked.isdisjoint([r for r, _ in unit.parts]):  # else it hands them nothing
             for r, label in peel(unit):
                 delivered_to[r].add(label)
 
@@ -1621,12 +1652,9 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     point = plan.claimed_point
     for r in receivers:
         parts = wants.get(r, ())
-        if po.families:
-            held, wanted = runs[r]
-            used = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
-        else:
-            used = _sum([a.cache_cost(s.D) for a in po.atoms.get(r, ())])
+        used = _usage(po, r, s.D)
         if symmetric:
+            wanted = po.parts.get(r, ())
             total = _sum([run.rate for run in wanted], [run.count for run in wanted])
         else:
             total = _sum([rate for _, rate in parts])
@@ -1644,8 +1672,7 @@ def verify_plan(plan: SchemePlan, s: ChannelScenario) -> VerificationReport:
     if not decode and merged is not None:
         decode = f"demand {(1,) * s.K}: merged contributions in segment {merged}"
 
-    frac_sum = _sum([orb.fraction for orb in po.orbits],
-                    [1 if orb.one_segment else len(orb.members) for orb in po.orbits])
+    frac_sum = _sum([orb.fraction for orb in po.orbits], counts)
     frac_ok = abs(frac_sum - 1.0) <= 1e-12
     return VerificationReport([
         CheckResult("RATE", rate[0] > 0.0 and frac_ok, rate[0],

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, _Holders, _ids, _lbl, _symmetric_blocks, peel_rule
+from .schemes import SchemePlan, _Holders, _ids, _lbl, _symmetry, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -217,9 +217,10 @@ class _Compiled(NamedTuple):
 
 
 def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
-    """Compile the plan in one walk over its orbits: each segment's id and
-    length from its orbit, its units from ``orb.units(member)`` or, where
-    the plan carries the class symmetry (:func:`_symmetric_blocks`), each
+    """Compile the plan in one walk over its orbits: each segment's id,
+    length and members from its orbit (:meth:`secache.schemes.Orbit.segments`),
+    its units from ``orb.units(member)`` or, where the plan carries the
+    class symmetry (:func:`secache.schemes._symmetry`, read once), each
     member of a many-segment orbit stamped from the first member's walk.
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
@@ -244,6 +245,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     orbit walks all its units.
     """
     po = plan.orbits
+    firsts, blocks, _ = _symmetry(plan)
     placed = _Holders(po.atoms, po.families)
     # Groups in receiver order, then message-part order; providers reach
     # each group's list in schedule order.  A label listed twice is two
@@ -308,34 +310,29 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
             return [m[k] for k in loaded], [(m[k], fmt.format(*m), thr) for k, fmt, thr in parts]
         return member if unmoved.issuperset(fixed) else None
 
-    firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
-    blocks = _symmetric_blocks(plan, itertools.chain.from_iterable(firsts))
     seg_lengths: list[int] = []
     draw_seg: list[int] = []
     draw_r: list[int] = []
     for orb, block, moved in zip(po.orbits, firsts, blocks or itertools.repeat(None)):
         length = round(orb.fraction * n)
-        members = iter(orb.members)
-        segments = [(next(members), block), *((m, None) for m in members)]
         # With the symmetry, the part positions each unit of the first
         # member hands over, where every member's units hand over theirs.
         at = [[p in got for p in unit.parts] if (got := set(peel(unit))) else ()
               for unit in block] if blocks else None
-        if orb.one_segment:
-            at = at and at * len(segments)
-            segments = [(0, [*block, *(unit for m, _ in segments[1:] for unit in orb.units(m))])]
         stamped = None
-        for m, units in segments:
-            if units is None and stamped is None:
-                units = orb.units(m)
-            if length == 0 and units:
-                raise ConfigError(f"segment {(orb.phase, m)} rounds to zero channel uses at n={n}")
-            if units is None:
-                loaded, handed = stamped(m)
+        for k, (sid, held) in enumerate(orb.segments()):
+            if stamped is not None:
+                loaded, handed = stamped(sid)
             else:
-                loaded, handed = walk(units, at)
-                if units is block and moved is not None and len(segments) > 1:
-                    stamped = stamp(m, loaded, handed,
+                # the orbit's first member is the first segment's first
+                units = [u for i, m in enumerate(held)
+                         for u in (block if k == i == 0 else orb.units(m))]
+                if length == 0 and units:
+                    raise ConfigError(
+                        f"segment {(orb.phase, sid)} rounds to zero channel uses at n={n}")
+                loaded, handed = walk(units, at and at * len(held))
+                if k == 0 and moved is not None and len(orb.members) > len(held):
+                    stamped = stamp(sid, loaded, handed,
                                     {r for c in po.classes if c not in dict(moved) for r in c})
             receivers = set(loaded)  # from a list: added one at a time, in order
             draw_of = dict(zip(receivers, itertools.count(len(draw_r))))
@@ -438,8 +435,7 @@ def run_monte_carlo(
         )
 
     seg_samples = np.bincount(seg_idx, minlength=len(seg_lengths)) * cfg.trials
-    seg_ids = [(orb.phase, m) for orb in plan.orbits.orbits
-               for m in ((0,) if orb.one_segment else orb.members)]
+    seg_ids = [(orb.phase, sid) for orb in plan.orbits.orbits for sid, _ in orb.segments()]
     stats = [
         {
             "segment": list(seg_id),

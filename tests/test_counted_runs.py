@@ -36,8 +36,9 @@ from secache.cli import PRESETS
 from secache.schemes import (
     _Holders,
     _ids,
-    _rep_runs,
+    _held,
     _sum,
+    _usage,
     build_piggyback_allkeys,
     build_piggyback_one,
     build_symmetric_piggyback,
@@ -130,16 +131,18 @@ def _stabiliser_image(plan, r, rng):
 def _check_runs(case, plan, s, rng=None):
     """The runs of every representative of a family plan against the
     explicit plan."""
-    assert plan.orbits.families and plan.orbits.parts, case
-    runs = _rep_runs(plan.orbits, plan.orbits.representatives)
-    holders = _Holders(plan.orbits.atoms, plan.orbits.families)
+    po = plan.orbits
+    assert po.families and po.parts, case
+    holders = _Holders(po.atoms, po.families)
     labels = _labels(plan)
-    for r, (held, wanted) in runs.items():
+    for r in po.representatives:
+        held, wanted = _held(po, r), po.parts.get(r, ())
         assert _run_atoms(plan, r) == list(plan.placement.get(r, ())), (case, r)
         assert {label for label in labels if holders[label] >> r & 1} == plan.cached_labels(r), (case, r)
         costs = [a.cache_cost(s.D) for a in plan.placement.get(r, ())]
         counted = _sum([run.cache_cost(s.D) for run in held], [run.count for run in held])
         assert repr(counted) == repr(fsum(costs)) == repr(schemes.cache_usage(plan, s.D).get(r, 0.0)), (case, r)
+        assert repr(_usage(po, r, s.D)) == repr(counted), (case, r)
         parts = plan.message_parts.get(r, ())
         assert [(label, run.rate) for run in wanted for label in run.labels.values()] == list(parts)
         assert [run.count for run in wanted] == [len(run.labels) for run in wanted]
@@ -172,7 +175,7 @@ def test_runs_are_the_explicit_placement_and_parts(s, eps):
 
 def test_a_run_counts_its_labels_from_binomials(fig3):
     plan = build_symmetric_piggyback(fig3, 2, 7, 1e-4)
-    held, wanted = _rep_runs(plan.orbits, [6])[6]
+    held, wanted = _held(plan.orbits, 6), plan.orbits.parts[6]
     # B[6,...] subsets: C(14, 6); Ks1: C(14, 7); a Kw and a Ks key per weak receiver
     assert [(run.kind, run.count) for run in held] == [
         ("file_part", comb(14, 6)), ("key", comb(14, 7)), ("key", 5), ("key", 5)]

@@ -41,7 +41,7 @@ from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
     _Holders,
-    _symmetric_blocks,
+    _symmetry,
     build_cached_keys_all,
     build_piggyback_allkeys,
     build_piggyback_one,
@@ -175,8 +175,8 @@ def test_orbit_members_hand_over_at_the_first_members_positions():
         for label in labels:
             assert held[label] == placed[label], (case_id, label)
         peel = peel_rule(held, plan.message_parts, plan.virtual_cached)
-        firsts = [orb.units(next(iter(orb.members))) for orb in po.orbits]
-        assert _symmetric_blocks(plan, [u for block in firsts for u in block]), case_id
+        firsts, blocks, receivers = _symmetry(plan)
+        assert blocks and receivers == po.representatives, case_id
         for orb, block in zip(po.orbits, firsts):
             at = [_handed_positions(peel, unit) for unit in block]
             loads = [sorted(unit.decode_load.values()) for unit in block]
@@ -447,13 +447,22 @@ def test_receiver_wanting_nothing_leaves_the_others_alone(fig3, build, idle):
         assert deliveries(changed) == others
 
 
+def _same_reports(replaced, copy, s, cfg):
+    """The replaced plan's verify report and simulation report are the
+    edited copy's (every receiver its own class), byte for byte."""
+    got = verify_plan(replaced, s)
+    assert got.to_json() == verify_plan(copy, s).to_json()
+    assert run_monte_carlo(replaced, s, cfg).to_json() == run_monte_carlo(copy, s, cfg).to_json()
+    return got
+
+
 @pytest.mark.parametrize("case", ["part added", "part dropped"])
 def test_verify_reads_replaced_message_parts(fig3, case):
     # A plan whose message parts were replaced keeps its orbits and
     # families but claims no symmetry: verify reads the replaced parts,
     # member by member, and reports as it does on the same plan with
-    # explicit orbits.  A part that no unit carries is one the simulation
-    # starves, so it fails every trial.
+    # explicit orbits, and so does the simulation.  A part that no unit
+    # carries is one the simulation starves, so it fails every trial.
     if case == "part added":
         plan = build_piggyback_one(fig3, 2, 0.002)
         parts = plan.message_parts[1] + (("nowhere", 0.01),)
@@ -463,31 +472,52 @@ def test_verify_reads_replaced_message_parts(fig3, case):
     assert verify_plan(plan, fig3).passed
     message_parts = {**plan.message_parts, 1: parts}
     replaced = dataclasses.replace(plan, message_parts=message_parts)
-    got = verify_plan(replaced, fig3)
-    assert got.to_json() == verify_plan(edited(plan, message_parts=message_parts), fig3).to_json()
+    cfg = SimConfig(10**6, 3, 1)
+    got = _same_reports(replaced, edited(plan, message_parts=message_parts), fig3, cfg)
     detail = got.check("DECODE").detail
     if case == "part added":
         assert detail == "receiver 1 cannot obtain part 'nowhere'"
-        cfg = SimConfig(10**6, 3, 1)
         assert run_monte_carlo(replaced, fig3, cfg).worst_case_error_rate == 1.0
     else:
         assert detail.startswith("receiver 1 reassembles rate ")
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect (ROADMAP item 2): "
-                   "verify checks DECODE at class representatives only, so a part replaced "
-                   "at another receiver is never read")
 @pytest.mark.parametrize("receiver", [2, 7])
 def test_verify_reads_replaced_message_parts_beyond_representatives(fig3, receiver):
     # As above, but the part is added at a receiver that is not its class's
-    # representative: the explicit copy reads "receiver 2 cannot obtain
-    # part 'nowhere'" (or receiver 7's), the replaced plan passes DECODE.
+    # representative: the replaced plan is checked at every receiver, as
+    # its explicit copy is, and reads "receiver 2 cannot obtain part
+    # 'nowhere'" (or receiver 7's).
     plan = build_piggyback_one(fig3, 2, 0.002)
     parts = plan.message_parts[receiver] + (("nowhere", 0.01),)
     message_parts = {**plan.message_parts, receiver: parts}
     replaced = dataclasses.replace(plan, message_parts=message_parts)
-    want = verify_plan(edited(plan, message_parts=message_parts), fig3)
+    copy = edited(plan, message_parts=message_parts)
+    want = verify_plan(copy, fig3)
     assert verify_plan(replaced, fig3).to_json() == want.to_json()
+    assert want.check("DECODE").detail == f"receiver {receiver} cannot obtain part 'nowhere'"
+    cfg = SimConfig(10**6, 3, 1)
+    assert run_monte_carlo(replaced, fig3, cfg).to_json() == run_monte_carlo(copy, fig3, cfg).to_json()
+
+
+@pytest.mark.parametrize("receiver", [1, 3])
+def test_replaced_virtual_cached_loses_the_symmetry(fig3, receiver):
+    # symmetric-piggyback's rows and columns need the receiver's own Ar or
+    # Br slice, held virtually, as decoder context.  Emptying a receiver's
+    # virtual labels leaves its Br parts without a provider: verify and the
+    # simulation must both see that at every receiver, not only at a class
+    # representative, and report as the explicit copy does.
+    plan = build_symmetric_piggyback(fig3, 2, 2, 0.01)
+    assert verify_plan(plan, fig3).passed
+    virtual = {**plan.virtual_cached, receiver: frozenset()}
+    replaced = dataclasses.replace(plan, virtual_cached=virtual)
+    copy = edited(plan, virtual_cached=virtual)
+    cfg = SimConfig(10**7, 5, 1)
+    got = _same_reports(replaced, copy, fig3, cfg)
+    assert got.check("DECODE").detail.startswith(f"receiver {receiver} cannot obtain part 'Br[")
+    report = run_monte_carlo(replaced, fig3, cfg)
+    assert report.worst_case_error_rate == 1.0
+    assert simulate._compile(replaced, fig3, cfg.n).starved
 
 
 # ---------------------------------------------------------------------------

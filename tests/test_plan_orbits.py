@@ -401,8 +401,7 @@ def test_a_member_read_outside_the_stamp_is_not_stamped(fig3):
 
     po = plan.orbits._replace(orbits=tuple(map(widened, plan.orbits.orbits)))
     plan = dataclasses.replace(plan, orbits=po)
-    assert schemes._symmetric_blocks(plan, [u for orb in po.orbits
-                                            for u in orb.units(next(iter(orb.members)))])
+    assert schemes._symmetry(plan).blocks
     for n in (5000, 50000):
         _same_compile(plan, fig3, n)
     spied, calls = _spied(plan)

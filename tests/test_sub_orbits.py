@@ -8,7 +8,8 @@ of each class representative ``r`` (the members where ``r`` sits at one
 position, or those without it) and reads one part label per sub-orbit,
 the first.  A part counts as delivered only when a peeled unit hands over
 that very label.  Any other plan, such as a listed one or one whose
-members are a plain tuple, has every member peeled and every part read.
+members are a plain tuple, has every member peeled and every part read,
+at every receiver.
 The reduction is sound when every label is ``prefix[ids]`` with distinct
 receiver ids (checked here on the subset builders' plans) and the
 placement is class-symmetric; it is complete when each sub-orbit's first
@@ -16,8 +17,9 @@ label is itself handed over, which the comparison below checks on every
 builder plan.  ``verify_plan_class_view`` (``tests/oracles.py``) is the
 pass as it was before: it peels every unit that hands a representative a
 part.  Reports must be equal byte for byte, the oracle's sums exact as
-``verify_plan``'s are, on intact plans and on plans whose orbits lost,
-repeated or reordered a member.
+``verify_plan``'s are, on intact plans; a plan whose orbits lost,
+repeated or reordered a member claims no symmetry, and its report must
+be the full scan's (``verify_plan_explicit``).
 
 The verifier's sums (``schemes._sum``) are exact and rounded once, an
 orbit's terms weighted by its member count; where a term is NaN or
@@ -53,6 +55,7 @@ from secache.schemes import (
     PlanOrbits,
     _sum,
     build_symmetric_piggyback,
+    cache_usage,
 )
 
 SUBSET_BUILDS = {
@@ -96,12 +99,14 @@ def test_orbit_mutants_match_the_class_view(preset, name):
     assert verify_plan(plan, s).to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
     undelivered = 0
     for case, mutant in _orbit_mutants(plan, random.Random(f"{preset}|{name}")):
+        # A mutant's changed orbit has a plain tuple of members, so the
+        # mutant claims no symmetry: every member is peeled and every
+        # receiver checked, as the full scan does.
         got = verify_plan(mutant, s)
-        assert got.to_json() == verify_plan_class_view(mutant, s, total=exact).to_json(), case
+        assert got.to_json() == verify_plan_explicit(mutant, s, total=exact).to_json(), case
         undelivered += "cannot obtain" in got.check("DECODE").detail
-    # Some dropped member takes the only provider of a representative's
-    # part, which a sub-orbit reduction of the mutant would not see: its
-    # members are a plain tuple, so it is peeled in full.
+    # Some dropped member takes the only provider of a receiver's part,
+    # which a sub-orbit reduction of the mutant would not see.
     assert undelivered > 0
 
 
@@ -226,20 +231,24 @@ def _listed_plan(dropped: str = "") -> SchemePlan:
     ("F[1]", 0.3 - 0.05, "receiver 1 cannot obtain part 'F[1]'"),
 ])
 def test_listed_atoms_of_a_class_match_the_class_view(dropped, margin, detail):
-    # Receiver 1 stands for a class of three and lists a key and a file
-    # part: it peels F[2] and F[3].  Without its key it peels nothing;
-    # without F[1] nothing stands for it.
+    # Receiver 1 is the lowest of a class of three and lists a key and a
+    # file part: it peels F[2] and F[3].  Without its key it peels
+    # nothing; without F[1] nothing stands for it.  A listed plan claims
+    # no symmetry, so every receiver of the class is checked, as the full
+    # scan checks it: CACHE reads receiver 1's own margin (``margin``)
+    # only where it is the least.
     s = ChannelScenario(K_w=3, K_s=0, delta_w=0.5, delta_s=0.2, delta_z=0.9, D=4)
     plan = _listed_plan(dropped)
     assert not plan.orbits.families
     got = verify_plan(plan, s)
-    assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
+    assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
     assert got.check("DECODE").detail == detail
-    assert got.check("CACHE").margin == pytest.approx(margin, abs=1e-15)
+    assert 0.3 - cache_usage(plan, s.D)[1] == pytest.approx(margin, abs=1e-15)
+    assert got.check("CACHE").margin == pytest.approx(0.3 - 0.25, abs=1e-15)
     assert got.check("RATE").passed and got.check("SECRECY").passed
     if not dropped:
         assert got.passed
-        assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
+        assert got.to_json() == verify_plan_class_view(plan, s, total=exact).to_json()
 
 
 def test_plans_without_family_orbits_peel_every_member(fig3):

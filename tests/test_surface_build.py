@@ -92,3 +92,33 @@ def test_solves_a_quarter_of_the_bruteforce_triples(monkeypatch, fig5):
     monkeypatch.setattr(oracles, "_facet_slopes_bruteforce", counted_bruteforce)
     _assert_same_planes(_surface_points(fig5))
     assert 0 < 4 * sum(solved) <= sum(tried), (sum(solved), sum(tried))
+
+
+def test_small_chunks_match_bruteforce(monkeypatch, fig3, fig4, fig5):
+    # Below the default SURFACE_CHUNK the build streams a step's candidate
+    # triples in several blocks, and cuts its planes and triples into more
+    # row blocks, a last lone row folded into the one before.  The planes
+    # must not move.
+    sets = [_surface_points(s) for s in (fig3, fig4, fig5)]
+    sets += list(_degenerate_point_sets(seed=7, count=40))
+    streamed, folded = [], []
+    candidates, blocks = hull._candidates, hull._blocks
+
+    def counted_candidates(*args):
+        out = list(candidates(*args))
+        streamed.append(len(out) > 1)
+        return iter(out)
+
+    def counted_blocks(rows, width):
+        out = blocks(rows, width)
+        # every block but a folded last one has the first one's length
+        folded.append(len(out) > 1 and out[-1].stop - out[-1].start > out[0].stop - out[0].start)
+        return out
+
+    monkeypatch.setattr(hull, "_candidates", counted_candidates)
+    monkeypatch.setattr(hull, "_blocks", counted_blocks)
+    for chunk in (512, 2048, 8192):
+        monkeypatch.setattr(hull, "SURFACE_CHUNK", chunk)
+        for points in sets:
+            _assert_same_planes(points)
+    assert any(streamed) and any(folded)
