@@ -169,9 +169,13 @@ def ub_cache_sharing(
 
 
 #: Most pair x position x point elements one block of :func:`ub_best_grid`
-#: evaluates at once (at least one pair at one point).  It bounds the
-#: working set at a few MB, whatever the grid length or population.
+#: evaluates at once (at least one pair at one point); the screen takes
+#: blocks of this many pair x point elements.  It bounds the working set
+#: at a few MB, whatever the grid length or population.
 GRID_CHUNK = 1 << 15
+
+#: Relative rounding allowance of the screen in :func:`ub_best_grid`.
+SCREEN_REL = 1e-9
 
 
 def ub_best(s: ChannelScenario, c: CacheSizes) -> UpperBoundReport:
@@ -194,6 +198,29 @@ def ub_best_grid(
     The winner's report is then rebuilt by calling its scalar function,
     so the beta witness has one source.
 
+    A screen runs first, so that only the points where cache sharing can
+    win pay for its pass.  It takes every pair's split value and a lower
+    bound on its cache-sharing value: ``alpha_1 + 1/W`` with ``W = sum_i
+    1/c_i``, or ``alpha_1`` when a capacity factor of the pair is 0.
+    That is a bound because, in exact arithmetic:
+
+    * the alphas never decrease with position (the local terms grow, and
+      the shared term grows while it does not bind), so ``alpha_1`` is
+      their minimum;
+    * ``f(t) = sum_i (t - alpha_i)^+ w_i <= (t - alpha_1)^+ W``, so the
+      root of ``f(t) = 1`` is at least ``alpha_1 + 1/W``;
+    * a zero-capacity cap is one of the alphas, so it is at least
+      ``alpha_1``.
+
+    The screen computes ``alpha_1`` as the pass does; the pass's other
+    alphas and its root fall short of their exact values by a few K eps
+    times ``pool`` and the value, far less than the SCREEN_REL allowance
+    it subtracts.  A point skips the pass when its split minimum m is not
+    NaN, no split value lies in ``(m, m + TOL]`` and every pair's bound,
+    less the allowance, exceeds ``m + TOL``.  Then the scan ends at the
+    first split argmin: it beats every candidate before it by more than
+    TOL, and none after it beats it.
+
     At ``M_s = 0`` the result never exceeds the weak-only bound
     ``ub_weak_only`` (kept in ``tests/oracles.py``), so that bound needs
     no pass of its own.  Its split term is the sweep's
@@ -210,31 +237,69 @@ def ub_best_grid(
     mw = np.array([c.M_w for c in caches], dtype=float)[:, None]
     ms = np.array([c.M_s for c in caches], dtype=float)[:, None]
     n_pairs = (s.K_w + 1) * (s.K_s + 1) - 1
-    best = np.zeros(len(caches), dtype=np.intp)  # column 2 * pair + family
-    best_val = np.empty((len(caches), 1))
-    pairs_per_block = max(1, GRID_CHUNK // s.K)
     # huge memories overflow to inf (and inf - inf to nan), silently, as
     # in the scalar functions
     with np.errstate(over="ignore", invalid="ignore"):
-        for p0 in range(0, n_pairs, pairs_per_block):
-            block = _PairBlock(s, p0, min(p0 + pairs_per_block, n_pairs))
-            step = max(1, GRID_CHUNK // (block.size * s.K))
-            for x0 in range(0, len(caches), step):
-                sl = slice(x0, x0 + step)
-                vals = block.values(mw[sl], ms[sl])
-                if p0:  # continue the scan from the best of earlier blocks
-                    vals = np.hstack((best_val[sl], vals))
-                win = _scan_winners(vals)
-                best_val[sl, 0] = vals[np.arange(len(win)), win]
-                if p0:  # column 0 keeps the earlier best, column c is c - 1 here
-                    win = np.where(win > 0, win - 1 + 2 * p0, best[sl])
-                best[sl] = win
+        best, swept = _screen(s, mw, ms, n_pairs)
+        if swept.any():
+            best[swept] = _sweep(s, mw[swept], ms[swept], n_pairs)
     reports = []
     for c, col in zip(caches, best.tolist()):
         k_w, k_s = divmod(col // 2 + 1, s.K_s + 1)
         fn = ub_cache_sharing if col % 2 else ub_split
         reports.append(fn(s, c, k_w, k_s))
     return reports
+
+
+def _screen(s: ChannelScenario, mw, ms, n_pairs: int):
+    """Per point, the sweep column 2p of the first split argmin p, and
+    whether the point needs the full sweep (:func:`ub_best_grid`)."""
+    low = np.empty(len(mw))  # the split minimum, NaN if a value is
+    above = np.empty(len(mw))  # the least split value above low
+    arg = np.empty(len(mw), dtype=np.intp)  # low's first pair
+    floor = np.empty(len(mw))  # the least cache-sharing bound
+    size = min(n_pairs, GRID_CHUNK)
+    for p0 in range(0, n_pairs, size):
+        pairs = _Pairs(s, p0, min(p0 + size, n_pairs))
+        step = max(1, GRID_CHUNK // pairs.size)
+        for x0 in range(0, len(mw), step):
+            sl = slice(x0, x0 + step)
+            total = pairs.kw * mw[sl] + pairs.ks * ms[sl]
+            split = pairs._split(mw[sl], total)
+            b_low, b_arg = split.min(axis=1), split.argmin(axis=1) + p0
+            b_above = np.where(split > b_low[:, None], split, _INF).min(axis=1)
+            b_floor = pairs._floor(mw[sl], ms[sl], total).min(axis=1)
+            if p0:  # merge with the earlier pairs; the larger minimum is above
+                old = low[sl]
+                b_above = np.minimum.reduce((b_above, above[sl], np.where(
+                    old > b_low, old, _INF), np.where(b_low > old, b_low, _INF)))
+                b_arg = np.where(b_low < old, b_arg, arg[sl])
+                b_low, b_floor = np.minimum(old, b_low), np.minimum(floor[sl], b_floor)
+            low[sl], above[sl], arg[sl], floor[sl] = b_low, b_above, b_arg, b_floor
+    # comparisons with a NaN low are false, so such points are swept
+    return 2 * arg, ~((above - TOL > low) & (floor - TOL > low))
+
+
+def _sweep(s: ChannelScenario, mw, ms, n_pairs: int) -> np.ndarray:
+    """Per point, the sweep column 2p + family of the winner over both
+    families of every pair."""
+    best = np.zeros(len(mw), dtype=np.intp)
+    best_val = np.empty((len(mw), 1))
+    pairs_per_block = max(1, GRID_CHUNK // s.K)
+    for p0 in range(0, n_pairs, pairs_per_block):
+        block = _PairBlock(s, p0, min(p0 + pairs_per_block, n_pairs))
+        step = max(1, GRID_CHUNK // (block.size * s.K))
+        for x0 in range(0, len(mw), step):
+            sl = slice(x0, x0 + step)
+            vals = block.values(mw[sl], ms[sl])
+            if p0:  # continue the scan from the best of earlier blocks
+                vals = np.hstack((best_val[sl], vals))
+            win = _scan_winners(vals)
+            best_val[sl, 0] = vals[np.arange(len(win)), win]
+            if p0:  # column 0 keeps the earlier best, column c is c - 1 here
+                win = np.where(win > 0, win - 1 + 2 * p0, best[sl])
+            best[sl] = win
+    return best
 
 
 def _scan_winners(vals: np.ndarray) -> np.ndarray:
@@ -258,12 +323,10 @@ def _scan_winners(vals: np.ndarray) -> np.ndarray:
     return win
 
 
-class _PairBlock:
+class _Pairs:
     """Pairs ``p0 .. p1-1`` of the sweep, (k_w, k_s) lexicographic without
-    (0, 0), and their memory-independent arrays: receiver positions on
-    axis 0 in reverse order (index j holds position i = K - j), cache
-    points on axis 1 and pairs on the last axis, the longest in practice.
-    """
+    (0, 0), on the last axis, and their memory-independent arrays for the
+    split values and the screen of :func:`ub_best_grid`."""
 
     def __init__(self, s: ChannelScenario, p0: int, p1: int):
         self.s = s
@@ -281,6 +344,48 @@ class _PairBlock:
         # parallel lines have no equaliser; x / nan is nan, never a candidate
         da = self.a1 - self.a2
         self.da = np.where(da != 0.0, da, np.nan)
+        # the screen: position 1 is weak when k_w > 0; 1/W, or 0 when a
+        # capacity factor of the pair is 0
+        self.nw1 = np.minimum(1.0, kw)
+        cw, cs = 1.0 - s.delta_w, 1.0 - s.delta_s
+        zero = has_w & (cw == 0.0) | (ks > 0.0) & (cs == 0.0)
+        W = (kw / cw if cw else 0.0) + (ks / cs if cs else 0.0)
+        self.inv_w = 1.0 / np.where(zero, _INF, W)
+
+    def _split(self, mw, total):
+        """The :func:`ub_split` values, one row per point (``mw`` is a
+        column, ``total`` holds ``k_w M_w + k_s M_s``)."""
+        # ub_split's max-min over beta in (0, equaliser, 1).  An
+        # equaliser outside [0, 1] is clipped onto 0 or 1, whose value
+        # then repeats and can never be higher by more than TOL.
+        b1 = mw + self.b1_drop
+        b2 = self.b2 + total / self.k
+        eq = np.clip((b2 - b1) / self.da, 0.0, 1.0)
+        v = np.minimum(b1, b2)
+        v_eq = np.minimum(self.a1 * eq + b1, self.a2 * eq + b2)
+        v = np.where(v_eq > v + TOL, v_eq, v)
+        v_one = np.minimum(self.a1 + b1, self.a2 + b2)
+        return np.where(v_one > v + TOL, v_one, v)
+
+    def _floor(self, mw, ms, total):
+        """The screen's lower bounds on the :func:`ub_cache_sharing`
+        values (:func:`ub_best_grid`), less SCREEN_REL times ``pool +
+        bound``; -inf or NaN where that overflows, which no point passes."""
+        pool = self.k * total / self.s.D
+        alpha_1 = np.fmin((self.nw1 * mw + (1.0 - self.nw1) * ms) / self.s.D, pool / self.k)
+        bound = alpha_1 + self.inv_w
+        return bound - SCREEN_REL * (pool + bound)
+
+
+class _PairBlock(_Pairs):
+    """:class:`_Pairs` with the cache-sharing arrays: receiver positions
+    on axis 0 in reverse order (index j holds position i = K - j), cache
+    points on axis 1 and pairs on the last axis, the longest in practice.
+    """
+
+    def __init__(self, s: ChannelScenario, p0: int, p1: int):
+        super().__init__(s, p0, p1)
+        kw = self.kw
         # cache sharing: n_w = min(i, k_w) weak receivers among the first i
         i = np.arange(s.K, 0, -1, dtype=float)[:, None, None]
         self.nw = np.minimum(i, kw)
@@ -307,19 +412,6 @@ class _PairBlock:
         vals[:, :, 0] = self._split(mw, total)
         vals[:, :, 1] = self._cache_sharing(mw, ms, total)
         return vals.reshape(len(mw), 2 * self.size)
-
-    def _split(self, mw, total):
-        # ub_split's max-min over beta in (0, equaliser, 1).  An
-        # equaliser outside [0, 1] is clipped onto 0 or 1, whose value
-        # then repeats and can never be higher by more than TOL.
-        b1 = mw + self.b1_drop
-        b2 = self.b2 + total / self.k
-        eq = np.clip((b2 - b1) / self.da, 0.0, 1.0)
-        v = np.minimum(b1, b2)
-        v_eq = np.minimum(self.a1 * eq + b1, self.a2 * eq + b2)
-        v = np.where(v_eq > v + TOL, v_eq, v)
-        v_one = np.minimum(self.a1 + b1, self.a2 + b2)
-        return np.where(v_one > v + TOL, v_one, v)
 
     def _cache_sharing(self, mw, ms, total):
         s = self.s

@@ -401,8 +401,9 @@ def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: 
     (base n), with ``top`` and ``tight`` over S as :func:`_tops`
     gives them.  The face vertices are taken anew from the points in
     until the first ``partial`` points of rest are in.  Returns the keys
-    of the facets left, sorted, and the last batch's :func:`_meet` (cut,
-    top, tight) and keys and slopes of the facets through its points."""
+    of the facets left, unsorted and possibly repeated (:func:`_unique`
+    them to read them), and the last batch's :func:`_meet` (cut, top,
+    tight) and keys and slopes of the facets through its points."""
     for b in range(0, len(rest), INSERT_BATCH):
         if 0 < b < partial + INSERT_BATCH:
             keep = np.arange(len(planes)) >= faces
@@ -424,12 +425,12 @@ def _grow(M, R, S, rest, planes, faces: int, keys, top, tight, partial: int, n: 
         keep[:faces] = True
         keys = np.concatenate((keys[keep[faces:]], *fresh))
         if b + INSERT_BATCH >= len(rest):
-            return _unique(keys), (cut, top, after, np.concatenate(fresh), slopes)
+            return keys, (cut, top, after, np.concatenate(fresh), slopes)
         top, (v, x) = _keep(top, after, keep)
         ftop, (fv, fx), _, _ = _tops(slopes, M[:, S], R[S], slice(None))
         tight = (np.concatenate((v, fv + keep.sum())), np.concatenate((x, S[fx])))
         planes, top = np.concatenate((planes[keep], slopes)), np.concatenate((top, ftop))
-    return _unique(keys), None
+    return keys, None
 
 
 class Surface:
@@ -512,8 +513,8 @@ class Surface:
         Y = np.concatenate((faces, slopes))
         top, (v, x), _, _ = _tops(Y, M[:, S], RC[S], slice(None))
         rest = np.searchsorted(C, sorted(base - set(chain)) + sorted(cand - base))
-        keys = _grow(M, RC, S, rest, Y, len(faces), keys[rows], top, (v, S[x]),
-                     len(base) - len(chain), n)[0]
+        keys = _unique(_grow(M, RC, S, rest, Y, len(faces), keys[rows], top, (v, S[x]),
+                             len(base) - len(chain), n)[0])
         facets, rows = _facet_slopes(M, RC, _unkey(keys, n))
         keys = keys[rows]
 
@@ -534,7 +535,7 @@ class Surface:
                 grown, rows = np.unique(grown, return_index=True)
                 slopes = slopes[rows]
             else:
-                grown = grown[grown >= first * n * n]
+                grown = _unique(grown[grown >= first * n * n])
                 slopes, rows = _facet_slopes(M, RC, _unkey(grown, n))
                 grown = grown[rows]
                 cut, _, top, tight = _meet(Y, top, tight, M, RC, fresh)

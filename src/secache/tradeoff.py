@@ -184,11 +184,6 @@ class RegimeReport:
         return {"claims": [c.to_dict() for c in self.claims], "notes": self.notes}
 
 
-def _weak_only_upper(s: ChannelScenario, xs: list[float]) -> list[float]:
-    """The converse at ``(m, 0)`` for every ``m`` of ``xs``, in one call."""
-    return [rep.value for rep in bounds.ub_best_grid(s, [CacheSizes(m, 0.0) for m in xs])]
-
-
 #: Points per claimed interval at which :func:`exact_regimes` re-checks a claim.
 CERTIFY_SAMPLES = 11
 
@@ -214,18 +209,36 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         dev = max(deviations)
         rep.claims.append(RegimeClaim(name, True, description, interval, dev, dev <= 1e-9, note))
 
-    def sampled(curve, a, b, upper, reference):
-        """0.0, then the lower bound's deviation from ``upper`` and from
-        ``reference`` at each sample of [a, b]."""
+    def samples(a, b):
         n = CERTIFY_SAMPLES - 1
-        xs = [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
+        return [a + (b - a) * i / n for i in range(CERTIFY_SAMPLES)]
+
+    def sampled(curve, xs, upper, reference):
+        """0.0, then the lower bound's deviation from ``upper`` and from
+        ``reference`` at each sample ``xs``."""
         yield 0.0
-        for x, up in zip(xs, upper(xs)):
+        for x, up in zip(xs, upper):
             lo = hull.eval_hull_1d(curve, x)
             yield abs(lo - up)
             yield abs(lo - reference(x))
 
-    weak_upper = lambda xs: _weak_only_upper(s, xs)
+    # the converse at every weak-only sample (M_s = 0) and at the
+    # all-cached-keys point, in one call
+    grids = []
+    if weak:
+        pts = {c.name: c for c in weak}
+        m1 = float(pts["cached-keys"].M_w[0])
+        grids.append(samples(0.0, m1))
+        if "piggyback-two" in pts:
+            m_top = float(pts["piggyback-two"].M_w[0])
+            m_lib = float(pts["full-library"].M_w[0])
+            grids.append(samples(m_top, max(2.0 * m_lib, m_top + 1.0)))
+    keys = next((c for c in all_cached if c.name == "all:cached-keys"), None)
+    caches = [CacheSizes(m, 0.0) for xs in grids for m in xs]
+    if keys is not None:
+        r_k, mw_k, ms_k = (float(v[0]) for v in (keys.R, keys.M_w, keys.M_s))
+        caches.append(CacheSizes(mw_k, ms_k))
+    upper = [r.value for r in bounds.ub_best_grid(s, caches)]
 
     if s.delta_z <= s.delta_s:
         rep.notes.append(
@@ -244,26 +257,23 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
 
     if weak:
-        pts = {c.name: c for c in weak}
         slope = corners.weak_only_max_slope(s)
         r0 = zero_cache_capacity(s)
-        m1 = float(pts["cached-keys"].M_w[0])
         certify(
             "weak-only-small-memory",
             "keys-only placement is optimal; the shared value is R(0) + slope * M_w",
             (0.0, m1),
-            sampled(lower.weak_curve, 0.0, m1, weak_upper, lambda m: r0 + slope * m),
+            sampled(lower.weak_curve, grids[0], upper[:CERTIFY_SAMPLES],
+                    lambda m: r0 + slope * m),
         )
-        if "piggyback-two" in pts:
-            m_top = float(pts["piggyback-two"].M_w[0])
-            m_lib = float(pts["full-library"].M_w[0])
+        if len(grids) > 1:
             flat = (s.delta_z - s.delta_s) / s.K_s
             certify(
                 "weak-only-large-memory",
                 "capacity saturates at (dz-ds)/K_s",
                 (m_top, float("inf")),
-                sampled(lower.weak_curve, m_top, max(2.0 * m_lib, m_top + 1.0),
-                        weak_upper, lambda m: flat),
+                sampled(lower.weak_curve, grids[1], upper[CERTIFY_SAMPLES:],
+                        lambda m: flat),
             )
     else:
         rep.claims.append(
@@ -274,7 +284,6 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
 
-    keys = next((c for c in all_cached if c.name == "all:cached-keys"), None)
     if all_cached and keys is None:
         rep.claims.append(
             RegimeClaim(
@@ -285,14 +294,12 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
             )
         )
     if keys is not None:
-        r_k, mw_k, ms_k = (float(v[0]) for v in (keys.R, keys.M_w, keys.M_s))
         lo = lower.surface(mw_k, ms_k)
-        up = bounds.ub_best(s, CacheSizes(mw_k, ms_k)).value
         certify(
             "all-cached-keys-point",
             "the all-receiver cached-keys triple is optimal",
             (mw_k, ms_k),
-            (abs(lo - up), abs(lo - r_k)),
+            (abs(lo - upper[-1]), abs(lo - r_k)),
             note="interval field holds the (M_w, M_s) query point",
         )
 
@@ -303,11 +310,11 @@ def exact_regimes(s: ChannelScenario) -> RegimeReport:
         else:
             end = s.K * r_k
             ref = lambda m: m / s.K
+        xs = samples(0.0, end)
         certify(
             "global-small-budget",
             "global tradeoff is exact for small budgets",
             (0.0, end),
-            sampled(lower.global_curve, 0.0, end,
-                    lambda xs: [bounds.ub_global(s, m) for m in xs], ref),
+            sampled(lower.global_curve, xs, [bounds.ub_global(s, m) for m in xs], ref),
         )
     return rep

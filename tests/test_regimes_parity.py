@@ -39,10 +39,12 @@ def test_regimes_match_reference_on_random_scenarios(s):
 
 def test_point_claim_keeps_a_nan_converse(monkeypatch):
     """The point claim's deviation is NaN when the converse is: its max
-    starts from |lower - upper|, not from 0.0."""
+    starts from |lower - upper|, not from 0.0.  The converse is NaN at
+    every point, in the code and in the reference alike."""
     monkeypatch.setattr(
-        bounds, "ub_best",
-        lambda s, c: UpperBoundReport(float("nan"), BoundFamily.SPLIT, s.K_w, s.K_s))
+        bounds, "ub_best_grid",
+        lambda s, caches: [UpperBoundReport(float("nan"), BoundFamily.SPLIT, s.K_w, s.K_s)
+                           for _ in caches])
     s = ChannelScenario(**PRESETS["fig3"])
     _assert_parity(s)
     point = next(c for c in exact_regimes(s).claims if c.name == "all-cached-keys-point")
