@@ -169,9 +169,10 @@ def ub_cache_sharing(
 
 
 #: Most pair x position x point elements one block of :func:`ub_best_grid`
-#: evaluates at once (at least one pair at one point); the screen takes
-#: blocks of this many pair x point elements.  It bounds the working set
-#: at a few MB, whatever the grid length or population.
+#: evaluates at once (at least one pair at one point); the screen walks
+#: the same pair blocks, this many pair x point elements at a time.  It
+#: bounds the working set at a few MB, whatever the grid length or
+#: population.
 GRID_CHUNK = 1 << 15
 
 #: Relative rounding allowance of the screen in :func:`ub_best_grid`.
@@ -237,12 +238,17 @@ def ub_best_grid(
     mw = np.array([c.M_w for c in caches], dtype=float)[:, None]
     ms = np.array([c.M_s for c in caches], dtype=float)[:, None]
     n_pairs = (s.K_w + 1) * (s.K_s + 1) - 1
+    size = max(1, GRID_CHUNK // s.K)  # pairs per block
+    blocks = [_Pairs(s, p0, min(p0 + size, n_pairs)) for p0 in range(0, n_pairs, size)]
     # huge memories overflow to inf (and inf - inf to nan), silently, as
     # in the scalar functions
     with np.errstate(over="ignore", invalid="ignore"):
-        best, swept = _screen(s, mw, ms, n_pairs)
+        # a grid of at most GRID_CHUNK pair x point elements keeps the
+        # screen's split values for the sweep
+        best, swept, splits = _screen(blocks, mw, ms, len(caches) * n_pairs <= GRID_CHUNK)
         if swept.any():
-            best[swept] = _sweep(s, mw[swept], ms[swept], n_pairs)
+            kept = None if splits is None else [split[swept] for split in splits]
+            best[swept] = _sweep(blocks, mw[swept], ms[swept], kept)
     reports = []
     for c, col in zip(caches, best.tolist()):
         k_w, k_s = divmod(col // 2 + 1, s.K_s + 1)
@@ -251,21 +257,25 @@ def ub_best_grid(
     return reports
 
 
-def _screen(s: ChannelScenario, mw, ms, n_pairs: int):
+def _screen(blocks: list[_Pairs], mw, ms, keep: bool):
     """Per point, the sweep column 2p of the first split argmin p, and
-    whether the point needs the full sweep (:func:`ub_best_grid`)."""
+    whether the point needs the full sweep (:func:`ub_best_grid`); with
+    ``keep``, which requires one point chunk per block, also each block's
+    split values (else None)."""
+    splits = [] if keep else None
     low = np.empty(len(mw))  # the split minimum, NaN if a value is
     above = np.empty(len(mw))  # the least split value above low
     arg = np.empty(len(mw), dtype=np.intp)  # low's first pair
     floor = np.empty(len(mw))  # the least cache-sharing bound
-    size = min(n_pairs, GRID_CHUNK)
-    for p0 in range(0, n_pairs, size):
-        pairs = _Pairs(s, p0, min(p0 + size, n_pairs))
+    for pairs in blocks:
+        p0 = pairs.p0
         step = max(1, GRID_CHUNK // pairs.size)
         for x0 in range(0, len(mw), step):
             sl = slice(x0, x0 + step)
             total = pairs.kw * mw[sl] + pairs.ks * ms[sl]
             split = pairs._split(mw[sl], total)
+            if keep:
+                splits.append(split)
             b_low, b_arg = split.min(axis=1), split.argmin(axis=1) + p0
             b_above = np.where(split > b_low[:, None], split, _INF).min(axis=1)
             b_floor = pairs._floor(mw[sl], ms[sl], total).min(axis=1)
@@ -277,21 +287,21 @@ def _screen(s: ChannelScenario, mw, ms, n_pairs: int):
                 b_low, b_floor = np.minimum(old, b_low), np.minimum(floor[sl], b_floor)
             low[sl], above[sl], arg[sl], floor[sl] = b_low, b_above, b_arg, b_floor
     # comparisons with a NaN low are false, so such points are swept
-    return 2 * arg, ~((above - TOL > low) & (floor - TOL > low))
+    return 2 * arg, ~((above - TOL > low) & (floor - TOL > low)), splits
 
 
-def _sweep(s: ChannelScenario, mw, ms, n_pairs: int) -> np.ndarray:
+def _sweep(blocks: list[_Pairs], mw, ms, splits: Optional[list]) -> np.ndarray:
     """Per point, the sweep column 2p + family of the winner over both
-    families of every pair."""
+    families of every pair; ``splits``, unless None, holds each block's
+    split values at these points."""
     best = np.zeros(len(mw), dtype=np.intp)
     best_val = np.empty((len(mw), 1))
-    pairs_per_block = max(1, GRID_CHUNK // s.K)
-    for p0 in range(0, n_pairs, pairs_per_block):
-        block = _PairBlock(s, p0, min(p0 + pairs_per_block, n_pairs))
-        step = max(1, GRID_CHUNK // (block.size * s.K))
+    for b, pairs in enumerate(blocks):
+        block, p0 = _PairBlock(pairs), pairs.p0
+        step = max(1, GRID_CHUNK // (pairs.size * pairs.s.K))
         for x0 in range(0, len(mw), step):
             sl = slice(x0, x0 + step)
-            vals = block.values(mw[sl], ms[sl])
+            vals = block.values(mw[sl], ms[sl], None if splits is None else splits[b][sl])
             if p0:  # continue the scan from the best of earlier blocks
                 vals = np.hstack((best_val[sl], vals))
             win = _scan_winners(vals)
@@ -329,7 +339,7 @@ class _Pairs:
     split values and the screen of :func:`ub_best_grid`."""
 
     def __init__(self, s: ChannelScenario, p0: int, p1: int):
-        self.s = s
+        self.s, self.p0 = s, p0
         self.size = p1 - p0
         kw, ks = np.divmod(np.arange(p0 + 1, p1 + 1, dtype=float), s.K_s + 1)
         self.kw, self.ks, self.k = kw, ks, kw + ks
@@ -377,23 +387,24 @@ class _Pairs:
         return bound - SCREEN_REL * (pool + bound)
 
 
-class _PairBlock(_Pairs):
-    """:class:`_Pairs` with the cache-sharing arrays: receiver positions
-    on axis 0 in reverse order (index j holds position i = K - j), cache
-    points on axis 1 and pairs on the last axis, the longest in practice.
+class _PairBlock:
+    """The cache-sharing arrays of a :class:`_Pairs` block, built by the
+    sweep once per call: receiver positions on axis 0 in reverse order
+    (index j holds position i = K - j), cache points on axis 1 and pairs
+    on the last axis, the longest in practice.
     """
 
-    def __init__(self, s: ChannelScenario, p0: int, p1: int):
-        super().__init__(s, p0, p1)
-        kw = self.kw
+    def __init__(self, pairs: _Pairs):
+        self.pairs = pairs
+        s, kw = pairs.s, pairs.kw
         # cache sharing: n_w = min(i, k_w) weak receivers among the first i
         i = np.arange(s.K, 0, -1, dtype=float)[:, None, None]
         self.nw = np.minimum(i, kw)
         self.ns = i - self.nw
         self.d_local = s.D - i + 1.0
-        valid = i <= self.k
+        valid = i <= pairs.k
         # one (1, pairs) divisor per position, in the order alphas accumulate
-        self.d_shared = np.where(valid, self.k - i + 1.0, 1.0)[::-1]
+        self.d_shared = np.where(valid, pairs.k - i + 1.0, 1.0)[::-1]
         cw, cs = 1.0 - s.delta_w, 1.0 - s.delta_s
         self.zero = valid if cs == 0.0 else valid & (i <= kw) if cw == 0.0 else None
         self.pad = ~valid if self.zero is None else ~valid | self.zero
@@ -403,19 +414,21 @@ class _PairBlock(_Pairs):
         self.ws = 1.0 / cs if cs > 0.0 else 1.0
         self.weak_from = s.K - kw
 
-    def values(self, mw: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    def values(self, mw: np.ndarray, ms: np.ndarray, split=None) -> np.ndarray:
         """Columns 2p and 2p+1: the :func:`ub_split` and
         :func:`ub_cache_sharing` values of pair p, one row per point
-        (``mw`` and ``ms`` are columns)."""
-        total = self.kw * mw + self.ks * ms  # k_w M_w + k_s M_s
-        vals = np.empty((len(mw), self.size, 2))
-        vals[:, :, 0] = self._split(mw, total)
+        (``mw`` and ``ms`` are columns); the split values are ``split``
+        when given."""
+        pairs = self.pairs
+        total = pairs.kw * mw + pairs.ks * ms  # k_w M_w + k_s M_s
+        vals = np.empty((len(mw), pairs.size, 2))
+        vals[:, :, 0] = pairs._split(mw, total) if split is None else split
         vals[:, :, 1] = self._cache_sharing(mw, ms, total)
-        return vals.reshape(len(mw), 2 * self.size)
+        return vals.reshape(len(mw), 2 * pairs.size)
 
     def _cache_sharing(self, mw, ms, total):
-        s = self.s
-        pool = self.k * total / s.D
+        s = self.pairs.s
+        pool = self.pairs.k * total / s.D
         # alpha_sequence, one position at a time over all pairs and points;
         # a local term is never NaN, so fmin is min(local, shared)
         alpha = (self.nw * mw + self.ns * ms) / self.d_local

@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 input/parameter error, 3 domain-not-applicable.
 All output is deterministic (CSV uses '.' decimals, LF line ends, no
 trailing whitespace).
+
+Only the pure-Python modules (``errors``, ``model``, ``schemes``) load
+with this one, so building the parser and ``verify`` never import numpy.
+Each computing command imports its numpy-backed modules itself:
+``bounds``, ``hull`` and ``tradeoff`` in ``bounds``, ``curve`` and
+``regimes``, and ``simulate`` in ``simulate``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import functools
 import json
 import sys
 
-from . import bounds, hull, schemes, simulate, tradeoff
+from . import schemes
 from .errors import Infeasible, InvalidParameter, InvalidScenario, NotApplicable
 from .model import CacheSizes, ChannelScenario
 
@@ -75,6 +81,8 @@ def _fmt(x: float | None) -> str:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds, tradeoff
+
     s = _load_scenario(args)
     cache = CacheSizes(args.mw, args.ms)
     upper = bounds.ub_best(s, cache)
@@ -90,6 +98,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from . import bounds, hull, tradeoff
+
     s = _load_scenario(args)
     grid = _parse_grid(args.grid)
     rows: list[str] = []
@@ -108,9 +118,10 @@ def cmd_curve(args) -> int:
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up.value)}")
     elif args.mode == "surface-slice":
         rows.append("M,R_lower,R_upper")
+        caches = [CacheSizes(m, args.ms) for m in grid]  # refuses a bad --ms
         surface = lower.surface
         lowers = [surface(m, args.ms) for m in grid]
-        uppers = bounds.ub_best_grid(s, [CacheSizes(m, args.ms) for m in grid])
+        uppers = bounds.ub_best_grid(s, caches)
         for m, lo, up in zip(grid, lowers, uppers):
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(up.value)}")
     elif args.mode == "global":
@@ -165,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
+
     s = _load_scenario(args)
     plan = _build_plan(s, args)
     cfg = simulate.SimConfig(
@@ -176,6 +189,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_regimes(args) -> int:
+    from . import tradeoff
+
     s = _load_scenario(args)
     print(json.dumps(tradeoff.exact_regimes(s).to_dict(), indent=2))
     return EXIT_OK

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidScenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute tolerance for floating comparisons throughout the package.
 #: All closed forms are short rational expressions, so 1e-12 is safe.

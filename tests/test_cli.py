@@ -386,6 +386,18 @@ def test_bounds_non_finite_memory_is_bad_input(memory, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("ms", ["-0.5", "nan", "inf"])
+def test_surface_slice_names_a_bad_strong_cache_as_bounds_does(ms, capsys):
+    # the grid's cache sizes are checked before the surface is queried
+    assert main(["bounds", "--preset", "fig3", "--mw", "0", "--ms", ms]) == 2
+    expected = capsys.readouterr().err
+    assert "cache sizes must be finite and nonnegative" in expected
+    rc = main(["curve", "--preset", "fig3", "--mode", "surface-slice",
+               "--ms", ms, "--grid", "0:0.1:0.05"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_grid_step_below_float_resolution_terminates():
     from secache.cli import _parse_grid
 

@@ -184,3 +184,37 @@ def test_cache_sharing_pass_runs_only_where_it_can_win(monkeypatch):
         assert ub_best_sweep(s, c).family is BoundFamily.CACHE_SHARING
         assert ub_best(s, c) == ub_best_sweep(s, c)
     assert len(rows) >= 2 and min(rows) == 1
+
+
+@pytest.mark.parametrize("chunk", [None, 300])
+def test_screen_and_sweep_build_each_pair_block_once(monkeypatch, chunk):
+    if chunk is not None:  # fig5's 230 pairs in blocks of 10
+        monkeypatch.setattr(bounds, "GRID_CHUNK", chunk)
+    built, split_rows = [], []
+    init, split = bounds._Pairs.__init__, bounds._Pairs._split
+
+    def counted_init(pairs, s, p0, p1):
+        built.append(p0)
+        init(pairs, s, p0, p1)
+
+    def counted_split(pairs, mw, total):
+        split_rows.append(len(mw))
+        return split(pairs, mw, total)
+
+    monkeypatch.setattr(bounds._Pairs, "__init__", counted_init)
+    monkeypatch.setattr(bounds._Pairs, "_split", counted_split)
+    s = ChannelScenario(**PRESETS["fig5"])
+    size = max(1, bounds.GRID_CHUNK // s.K)
+    starts = list(range(0, (s.K_w + 1) * (s.K_s + 1) - 1, size))
+    swept = CacheSizes(0.05, 0.02)  # cache sharing wins: the sweep runs
+    assert ub_best(s, swept) == ub_best_sweep(s, swept)
+    assert built == starts
+    # one point: the sweep reuses the screen's split values
+    assert split_rows == [1] * len(starts)
+    # more pair x point elements than GRID_CHUNK: the sweep computes the
+    # split values of its points again, from the same blocks
+    long_grid = [CacheSizes(0.01 * i, 0.02) for i in range(200)]
+    built.clear()
+    reports = ub_best_grid(s, long_grid)
+    assert built == starts
+    assert reports[::20] == [ub_best_sweep(s, c) for c in long_grid[::20]]
