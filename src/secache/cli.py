@@ -102,6 +102,9 @@ def cmd_curve(args) -> int:
 
     s = _load_scenario(args)
     grid = _parse_grid(args.grid)
+    # Every mode refuses a bad --ms, naming it as ``bounds`` does at the
+    # grid's first point, though only surface-slice reads it.
+    CacheSizes(grid[0], args.ms)
     rows: list[str] = []
     lower = tradeoff.Tradeoff(s)
     if args.mode == "weak-only":
@@ -118,7 +121,7 @@ def cmd_curve(args) -> int:
             rows.append(f"{_fmt(m)},{_fmt(lo)},{_fmt(lo_sep)},{_fmt(up.value)}")
     elif args.mode == "surface-slice":
         rows.append("M,R_lower,R_upper")
-        caches = [CacheSizes(m, args.ms) for m in grid]  # refuses a bad --ms
+        caches = [CacheSizes(m, args.ms) for m in grid]
         surface = lower.surface
         lowers = [surface(m, args.ms) for m in grid]
         uppers = bounds.ub_best_grid(s, caches)

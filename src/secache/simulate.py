@@ -21,20 +21,23 @@ first member only, and every member hands over the parts at the same part
 positions (:class:`secache.schemes.Orbit`); the other members of an
 orbit of many segments are stamped from the first member's walk, without
 building their units (:func:`_compile`).  Trials run in blocks
-of about ``_BLOCK_BYTES``: each trial is one array ``binomial`` call into
-a row of the block, and the block is tested in one pass (every provider
-threshold at once, then an OR over each part's providers).  A trial fails
-iff some such part has no provider whose draw reaches its threshold (a
-part with no provider fails every trial).
+of about ``_BLOCK_BYTES``: each trial is drawn into a row of the block,
+by one scalar ``binomial`` call per run of draws of equal (length,
+probability) where they fall into at most ``_MAX_RUNS`` runs, else by one
+array ``binomial`` call, and the block is tested in one pass (every
+provider threshold at once, then an OR over each part's providers).  A
+trial fails iff some such part has no provider whose draw reaches its
+threshold (a part with no provider fails every trial).
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, demand index, trial index), so results are bit-identical for a
 given configuration regardless of execution order.  One generator serves
 a run: setting its state to a trial's counter gives the same stream as a
-new generator for that trial.  An array draw yields the same counts as
-the scalar draws in the same order, and per-segment erasure sums
-accumulate trial by trial in draw order, so reports match a per-draw loop
-byte for byte.
+new generator for that trial.  Per-run and array draws yield the same
+counts as one scalar draw at a time in the same order (numpy runs the
+same sampler, with the same per-generator cache, on both paths), and
+per-segment erasure sums accumulate trial by trial in draw order, so
+reports match a per-draw loop byte for byte.
 
 :meth:`SimReport.to_json` writes the report's fixed shape itself, for the
 one-line and the indented form alike, byte for byte as ``json.dumps``
@@ -66,6 +69,16 @@ GENERATOR_NAME = "philox4x64"
 #: Memory budget of one block of trials: each block's draws and threshold
 #: tests are (trials, width) arrays of about this many bytes.
 _BLOCK_BYTES = 1 << 20
+
+#: Most runs of equal (length, probability) a plan's draws may fall into
+#: for a trial to take one scalar ``binomial`` call per run; above it, a
+#: trial takes one array call.  An array call re-validates both arrays
+#: whatever their runs: on 24 draws it costs 9.4-10.0 us, against
+#: 3.3-3.5 us for one scalar call per run over 1 run, 4.6-4.9 us over 2,
+#: 5.9-6.0 us over 3, 6.8-7.0 us over 4, 7.8-8.2 us over 5, 9.0-9.6 us
+#: over 6 and 11.1-11.7 us over 8 (numpy 2.4, 2-vCPU VM), so the
+#: crossover is about 6 runs.
+_MAX_RUNS = 4
 
 
 @dataclass(frozen=True)
@@ -157,8 +170,10 @@ class SimReport:
 
 
 #: Largest (demand, trial) pair count one run may simulate.  At the measured
-#: 0.009-0.12 ms per pair (fig3 and fig5 builder plans at n=50000, 2-vCPU
-#: VM) a capped run takes at most about two minutes, and its per-demand
+#: 0.005-0.15 ms per pair (runs of 1000 pairs of the seven monte-carlo
+#: benchmark plans, fig3 and fig5, at n=50000, 2-vCPU VM: 0.005 ms for the
+#: plans drawn by run, 0.15 ms for fig3 symmetric-piggyback(2,2)) a capped
+#: run takes at most about two and a half minutes, and its per-demand
 #: report stays well inside memory.
 MAX_SIM_PAIRS = 10**6
 
@@ -188,6 +203,14 @@ def _demands(
         )
         return 1 + count, itertools.chain([canonical], sampled)
     raise ConfigError(f"unknown demand policy {policy!r}")
+
+
+def _runs(lengths: np.ndarray, probs: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """The draws cut into runs of equal (length, probability), each as
+    (first draw, end draw, length, probability)."""
+    edges = np.flatnonzero((lengths[1:] != lengths[:-1]) | (probs[1:] != probs[:-1])) + 1
+    cut = [0, *edges.tolist(), len(lengths)]
+    return [(a, b, int(lengths[a]), float(probs[a])) for a, b in zip(cut, cut[1:]) if a < b]
 
 
 def _block_rows(width: int) -> int:
@@ -373,10 +396,12 @@ def run_monte_carlo(
     the unerased count covers the cumulative payload bits; an error is any
     receiver with a wanted part that is neither cached nor handed over by
     a decoded unit (see :func:`secache.schemes.peel_rule`).  One Philox
-    generator is re-keyed per (demand, trial) counter, and trials are
-    drawn and tested a block at a time, so memory stays flat in
-    ``cfg.trials``.  Raises :class:`ConfigError` when demands x trials
-    exceeds ``MAX_SIM_PAIRS``.
+    generator is re-keyed per (demand, trial) counter.  A trial's draws
+    take one scalar ``binomial`` call per run of equal (length,
+    probability) when they fall into at most ``_MAX_RUNS`` runs, and one
+    array call otherwise.  Trials are drawn and tested a block at a time,
+    so memory stays flat in ``cfg.trials``.  Raises :class:`ConfigError`
+    when demands x trials exceeds ``MAX_SIM_PAIRS``.
     """
     n_demands, demands = _demands(s, cfg.demand_policy, cfg.seed)
     if n_demands * cfg.trials > MAX_SIM_PAIRS:
@@ -386,6 +411,8 @@ def run_monte_carlo(
         )
     (seg_lengths, seg_idx, lengths, probs, prov_draw, prov_thr, group_start,
      starved) = _compile(plan, s, cfg.n)
+    runs = _runs(lengths, probs)
+    by_run = len(runs) <= _MAX_RUNS
     rows = min(cfg.trials, _block_rows(max(len(seg_idx), len(prov_draw))))
     got = np.empty((rows, len(seg_idx)), dtype=np.int64)
     block_seg = np.tile(seg_idx, rows)
@@ -412,7 +439,12 @@ def run_monte_carlo(
             for row in range(len(block)):
                 counter[0] = first + row
                 bitgen.state = state
-                block[row] = gen.binomial(lengths, probs)
+                if by_run:
+                    out = block[row]
+                    for a, b, length, prob in runs:
+                        out[a:b] = gen.binomial(length, prob, b - a)
+                else:
+                    block[row] = gen.binomial(lengths, probs)
             if d_idx == 0:
                 # Sequential, trial by trial in draw order: the sums match
                 # a scalar loop.

@@ -398,6 +398,18 @@ def test_surface_slice_names_a_bad_strong_cache_as_bounds_does(ms, capsys):
     assert capsys.readouterr() == ("", expected)
 
 
+@pytest.mark.parametrize("mode", ["weak-only", "global", "uniform"])
+@pytest.mark.parametrize("ms", ["-0.5", "nan", "inf"])
+def test_curve_modes_without_a_strong_cache_still_refuse_a_bad_one(mode, ms, capsys):
+    # these modes do not read --ms, yet a bad value exits 2 as in bounds
+    assert main(["bounds", "--preset", "fig3", "--mw", "0", "--ms", ms]) == 2
+    expected = capsys.readouterr().err
+    rc = main(["curve", "--preset", "fig3", "--mode", mode,
+               "--ms", ms, "--grid", "0:0.1:0.05"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", expected)
+
+
 def test_grid_step_below_float_resolution_terminates():
     from secache.cli import _parse_grid
 

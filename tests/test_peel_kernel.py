@@ -12,7 +12,9 @@ rule must give them exactly their deliveries in the full plan, and
 ``verify_plan``, which peels one member per sub-orbit of each
 representative, must report as the class-view verifier does.
 The block tests shrink the trial block to a few trials, so that runs
-cross block edges.
+cross block edges; the draw-path tests send the same plans through both
+ways of drawing a trial, one scalar ``binomial`` call per run of equal
+(length, probability) and one array call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from oracles import (
     verify_plan_class_view,
 )
 from strategies import edited, scenarios
-from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, simulate
+from secache import ChannelScenario, SecacheError, SimConfig, run_monte_carlo, schemes, simulate
 from secache.cli import PRESETS
 from secache.schemes import (
     DeliveryUnit,
@@ -571,6 +573,86 @@ def test_nothing_to_decode_fails_no_trial(small_blocks, trials):
     rep = json.loads(_same_report(plan, PAIRS, SimConfig(100, trials, 7, "random:3")))
     assert rep["worst_case_error_rate"] == 0.0
     assert all(st["empirical_erasure_rate"] is not None for st in rep["segment_stats"])
+
+
+# ---------------------------------------------------------------------------
+# draws by run or by array
+# ---------------------------------------------------------------------------
+
+def _preset_builder_plans():
+    """Every builder on fig3, fig4 and fig5, at its smallest parameters;
+    the builders that refuse a preset are left out."""
+    extra = {"piggyback-one": (1,), "piggyback-allkeys": (1,), "symmetric-piggyback": (1, 1)}
+    for preset in ("fig3", "fig4", "fig5"):
+        s = ChannelScenario(**PRESETS[preset])
+        for name, build in schemes.BUILDERS.items():
+            try:
+                plan = build(s, *extra.get(name, ()), 1e-4)
+            except SecacheError:
+                continue
+            yield f"{preset}|{name}", s, plan
+
+
+class _SpyGenerator(np.random.Generator):
+    """A generator that records, per ``binomial`` call, whether its
+    length was an array."""
+
+    calls: list[bool] = []
+
+    def binomial(self, n, p, size=None):
+        self.calls.append(np.ndim(n) > 0)
+        return super().binomial(n, p, size)
+
+
+def _array_calls(monkeypatch, plan, s, cfg) -> set[bool]:
+    """Whether run_monte_carlo's binomial calls took arrays, as a set."""
+    _SpyGenerator.calls = []
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", _SpyGenerator)
+        run_monte_carlo(plan, s, cfg)
+    return set(_SpyGenerator.calls)
+
+
+@pytest.mark.parametrize("max_runs,array", [(0, True), (10**6, False)], ids=["array", "by-run"])
+def test_both_draw_paths_match_scalar_trials(small_blocks, monkeypatch, max_runs, array):
+    # Setting the run-count constant sends every plan down one path.
+    monkeypatch.setattr(simulate, "_MAX_RUNS", max_runs)
+    cases = list(_preset_builder_plans())
+    assert len(cases) == 21
+    for case_id, s, plan in cases:
+        for n in (5000, 50000):
+            cfg = SimConfig(n, BLOCK + 1, 3, "random:1")
+            assert _same_report(plan, s, cfg), (case_id, n)
+        assert _array_calls(monkeypatch, plan, s, cfg) == {array}, case_id
+        # weak erasure 1 and strong erasure 0: runs with p = 0 and p = 1
+        edge = dataclasses.replace(s, delta_w=1.0, delta_s=0.0)
+        assert _same_report(plan, edge, SimConfig(5000, BLOCK + 1, 5, "random:1")), case_id
+
+
+def _with_runs(count):
+    """fig3 wiretap-cached-keys (5 weak segments, then 15 strong ones,
+    one draw each: 2 runs) with its last ``count - 2`` segments
+    lengthened alternately by 10% and 20%, so that its draws fall into
+    ``count`` runs."""
+    s = ChannelScenario(**PRESETS["fig3"])
+    plan = schemes.build_wiretap_cached_keys(s, 1e-4)
+    schedule = list(plan.schedule)
+    for k in range(count - 2):
+        i = len(schedule) - 1 - k
+        schedule[i] = schedule[i]._replace(fraction=schedule[i].fraction * (1.1 + 0.1 * (k % 2)))
+    return s, edited(plan, schedule=tuple(schedule))
+
+
+@pytest.mark.parametrize("extra,array", [(0, False), (1, True)], ids=["at", "above"])
+def test_run_count_at_and_above_the_constant(small_blocks, monkeypatch, extra, array):
+    count = simulate._MAX_RUNS + extra
+    s, plan = _with_runs(count)
+    for n in (5000, 50000):
+        compiled = simulate._compile(plan, s, n)
+        assert len(simulate._runs(compiled.lengths, compiled.probs)) == count
+        cfg = SimConfig(n, BLOCK + 1, 9, "random:1")
+        assert _same_report(plan, s, cfg), n
+        assert _array_calls(monkeypatch, plan, s, cfg) == {array}, n
 
 
 def test_memory_stays_flat_in_trials(monkeypatch):
