@@ -190,11 +190,11 @@ class Orbit(NamedTuple):
     (:func:`peel_rule`) the parts at the first member's part positions, so
     where the plan carries the class symmetry (:func:`_symmetry`) the
     simulation peels the first member only.  They are the first member's
-    units with its ids renamed to the member's ids at the same positions
-    (ids of a class the orbit does not move kept), so the simulation
-    stamps the other members of a many-segment orbit from the first
-    member's walk where that walk reads no other id; tests hold every
-    builder plan to it.
+    units with its ids renamed to the member's at the same positions
+    (unmoved classes kept), so the simulation stamps the others from the
+    first member's walk where it reads no other id, or one segment's
+    units load a moved class whole at one load; tests hold every builder
+    plan to it.
 
     The subset builders give as ``members`` a label family
     (:class:`Family`), whose ids are the orbit of the first member under

@@ -19,8 +19,9 @@ label is read label by label from the plan's families or listed atoms
 the plan carries the class symmetry, the peel rule runs on each orbit's
 first member only, and every member hands over the parts at the same part
 positions (:class:`secache.schemes.Orbit`); the other members of an
-orbit of many segments are stamped from the first member's walk, without
-building their units (:func:`_compile`).  Trials run in blocks
+orbit, in one segment or many, are stamped from the first member's walk,
+a column of member ids at a time, without building their units, and the
+wanted parts are read class by class (:func:`_compile`).  Trials run in blocks
 of about ``_BLOCK_BYTES``: each trial is drawn into a row of the block,
 by one scalar ``binomial`` call per run of draws of equal (length,
 probability) where they fall into at most ``_MAX_RUNS`` runs, else by one
@@ -53,8 +54,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random as _random
 from dataclasses import dataclass, field
+from functools import reduce
 from math import ceil
 from typing import Iterable, NamedTuple, Optional
 
@@ -170,11 +173,12 @@ class SimReport:
 
 
 #: Largest (demand, trial) pair count one run may simulate.  At the measured
-#: 0.005-0.15 ms per pair (runs of 1000 pairs of the seven monte-carlo
-#: benchmark plans, fig3 and fig5, at n=50000, 2-vCPU VM: 0.005 ms for the
-#: plans drawn by run, 0.15 ms for fig3 symmetric-piggyback(2,2)) a capped
-#: run takes at most about two and a half minutes, and its per-demand
-#: report stays well inside memory.
+#: 0.005-0.14 ms per pair (runs of 1000 pairs of the seven monte-carlo
+#: benchmark plans, fig3 and fig5, at n=50000, fastest of 5, 2-vCPU VM:
+#: 0.005 ms for the plans drawn by run, 0.02-0.03 ms for the piggyback
+#: plans, 0.14 ms for fig3 symmetric-piggyback(2,2)) a capped run takes at
+#: most about two and a half minutes, and its per-demand report stays well
+#: inside memory.
 MAX_SIM_PAIRS = 10**6
 
 
@@ -239,54 +243,141 @@ class _Compiled(NamedTuple):
     starved: bool
 
 
+def _class_groups(plan: SchemePlan, placed: _Holders, K: int, families: list):
+    """The wanted groups of a plan with the class symmetry, class by class:
+    for each receiver ``r`` in order, each message part
+    ``message_parts[r]`` lists that ``r`` neither holds (``placed``) nor
+    holds virtually, in part order.  Receivers that share one parts tuple
+    (a builder's class) share its label numbers and who holds each label,
+    as a bitmask, and all their (receiver, part) pairs are read at once.  A
+    label of one of ``families`` that ``placed`` reads from that family is
+    held by its ids, which the family gives without parsing the label.
+
+    Returns each label's number; each family label's number by the
+    family's prefix and width and the label's ids (an int for one id, as
+    ``itemgetter`` gives it, else a tuple); the group of each (receiver,
+    label number) as a table with a row per receiver id up to ``K + 1``
+    and a column per label number and one more, -1 where there is none
+    (row ``K + 1`` and the last column stand for a receiver and a label no
+    group has); and the number of groups.  None where some parts tuple
+    lists a label twice, which makes two groups with one provider list."""
+    virtual: dict = {}
+    classes: dict = {}  # id(parts) -> (parts, receivers)
+    for r in range(1, K + 1):
+        for label in plan.virtual_cached.get(r, ()):
+            virtual[label] = virtual.get(label, 0) | 1 << r
+        parts = plan.message_parts.get(r, ())
+        if id(parts) in classes:
+            classes[id(parts)][1].append(r)
+        else:
+            classes[id(parts)] = parts, [r]
+    ids_of: dict = {}
+    for family in families:
+        if placed.families.get(family.prefix) is family and "[" not in family.prefix:
+            table = family.table()
+            ids_of.update(zip(table.values(), table))
+    lid: dict = {}
+    count = np.zeros(K + 2, dtype=np.intp)
+    read = []
+    for parts, rs in classes.values():
+        labels = [label for label, _ in parts]
+        masks = [(placed[label] if (ids := ids_of.get(label)) is None
+                  else reduce(operator.or_, [1 << i for i in ids], 0)) | virtual.get(label, 0)
+                 for label in labels]
+        # Python ints where a mask reaches bit 63
+        masks = np.array(masks, dtype=np.int64 if max(masks, default=0) >> 63 == 0 else object)
+        rs = np.array(rs, dtype=np.intp)
+        want = masks[None, :] >> rs[:, None] & 1 == 0
+        count[rs] = want.sum(axis=1)
+        read.append((rs, [lid.setdefault(label, len(lid)) for label in labels], want))
+    if any(len(set(ids)) < len(ids) for _, ids, _ in read):
+        return None
+    start = np.cumsum(count) - count
+    table = np.full((K + 2, len(lid) + 1), -1, dtype=np.intp)
+    for rs, ids, want in read:
+        if ids:
+            table[rs[:, None], ids] = np.where(
+                want, start[rs][:, None] + np.cumsum(want, axis=1) - 1, -1)
+    numbers: dict = {}
+    for family in families:
+        labels = family.table()
+        width = sum(k for _, k in family.blocks)
+        numbers.setdefault((family.prefix, width), {}).update(zip(
+            map(operator.itemgetter(0), labels) if width == 1 else labels,
+            map(lid.get, labels.values(), itertools.repeat(-1))))
+    return lid, numbers, table, int(count.sum())
+
+
 def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
-    """Compile the plan in one walk over its orbits: each segment's id,
+    """Compile the plan in one pass over its orbits: each segment's id,
     length and members from its orbit (:meth:`secache.schemes.Orbit.segments`),
     its units from ``orb.units(member)`` or, where the plan carries the
-    class symmetry (:func:`secache.schemes._symmetry`, read once), each
-    member of a many-segment orbit stamped from the first member's walk.
+    class symmetry (:func:`secache.schemes._symmetry`, read once), every
+    member of an orbit stamped from its first member's walk.
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
     (units decode in schedule order, driven by the receiver's own load);
     builders share one ``decode_load`` mapping across consecutive units,
-    and over such a run each step is rounded up once.  A provider keeps
-    only its threshold until its segment is closed and its draw is
-    numbered.  Draws go in segment order and, within a segment, in the
-    iteration order of the set of its loaded receivers, built from the
-    list of them in unit order (``set`` adds a list's items one at a time;
-    a bulk ``update`` from a mapping sizes the table differently and can
-    change that order).  Reordering draws changes every count of a trial's
-    Philox stream; tests/golden/simreports.tsv pins this order.
+    and over such a run each step is rounded up once.  Draws go in segment
+    order and, within a segment, in the iteration order of the set of its
+    loaded receivers, built from them in unit order (``set`` adds a list's
+    or a tuple's items one at a time; a bulk ``update`` from a mapping
+    sizes the table differently and can change that order).  Reordering
+    draws changes every count of a trial's Philox stream;
+    tests/golden/simreports.tsv pins this order.
 
-    A stamped member's loaded receivers, in that order, and its handed
-    parts, at the same thresholds, are the first member's with each id of
-    the first member renamed to the member's id at the same position
-    (:class:`secache.schemes.Orbit`).  The stamp applies only where every
-    id the first member's walk reads, in a loaded receiver or in a handed
-    part's receiver or label, is one of its ids or in a class the orbit
-    does not move; any other member walks its own units, and a one-segment
-    orbit walks all its units.
+    A stamp is the first member's walk with each id it reads (a loaded
+    receiver, a handed part's receiver, an id in its label) taken as a
+    column: a position in the member's ids, or an id of a class the orbit
+    does not move (:class:`secache.schemes.Orbit`).  Each column is read
+    from every member in one pass, and a renamed label is found by its
+    prefix and ids, never formatted.  A member of a many-segment orbit is
+    a segment with the first member's loaded receivers, in the same order,
+    and handed parts, at the same thresholds.  The members of a
+    one-segment orbit (the piggyback phase 1) share their segment: where
+    the first member's units load each class the orbit moves wholly at one
+    load or not at all, every member's units load the same receivers, and
+    member ``i`` hands its parts over at the first member's thresholds
+    plus ``i`` times the first member's whole load of the part's receiver.
+    An orbit whose first member reads any other id, or whose renamed label
+    is not ``prefix[ids]``, walks every member's units.  The wanted groups
+    are read class by class (:func:`_class_groups`) and each provider is
+    kept with its receiver, label number and place in schedule order, to
+    be sorted by group once, at the end.
     """
     po = plan.orbits
+    K = s.K
     firsts, blocks, _ = _symmetry(plan)
     placed = _Holders(po.atoms, po.families)
-    # Groups in receiver order, then message-part order; providers reach
-    # each group's list in schedule order.  A label listed twice is two
-    # groups with one list.
-    wanted: list[list[tuple[int, int]]] = []
-    group_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    for r in range(1, s.K + 1):
-        have = plan.virtual_cached.get(r, ())
-        for label, _ in plan.message_parts.get(r, ()):
-            if not placed[label] >> r & 1 and label not in have:
-                wanted.append(group_of.setdefault((r, label), []))
-
+    grouped = None
+    if blocks:
+        # the message parts are the part runs' families
+        families = list({id(run.labels): run.labels for runs in {
+            id(runs): runs for runs in po.parts.values()}.values() for run in runs}.values())
+        grouped = _class_groups(plan, placed, K, families)
+    if grouped is not None:
+        lid, numbers, table, n_groups = grouped
+    else:
+        # Without the symmetry, or with a label listed twice, every unit is
+        # walked and each group is a list of providers, found by (receiver,
+        # label): a label listed twice is two groups with one list.
+        blocks = None
+        wanted: list[list[tuple[int, int]]] = []
+        group_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        for r in range(1, K + 1):
+            have = plan.virtual_cached.get(r, ())
+            for label, _ in plan.message_parts.get(r, ()):
+                if not placed[label] >> r & 1 and label not in have:
+                    wanted.append(group_of.setdefault((r, label), []))
     peel = peel_rule(placed, plan.message_parts, plan.virtual_cached)
+    # a stamped receiver's id indexes the group table
+    stampable = blocks and all(r >= 0 for c in po.classes for r in c)
 
     def walk(units, at):
-        """The receivers loaded in ``units``, in order of first appearance,
-        and each part the units hand over (the parts at positions ``at`` or,
-        without them, the peeled ones) as (receiver, label, threshold)."""
+        """The receivers loaded in ``units``, in order of first appearance;
+        each part the units hand over (the parts at positions ``at`` or,
+        without them, the peeled ones) as (receiver, label, threshold); and
+        each loaded receiver's threshold after the last unit."""
         loaded: dict[int, None] = {}
         cum: dict[int, int] = {}  # thresholds before the current run
         handed = []
@@ -306,83 +397,196 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
             done += 1
             for r, label in peel(unit) if at is None else itertools.compress(unit.parts, at[k]):
                 handed.append((r, label, cum.get(r, 0) + done * steps[r]))
-        return list(loaded), handed
-
-    def stamp(first, loaded, handed, unmoved):
-        """A member's (loaded, handed) from the first member's, as a
-        function of the member, or None where they read an id neither of
-        ``first`` nor in ``unmoved``.  A receiver is kept as its index in
-        the member's ids followed by the other ids read, and a label as a
-        format string over them, naming each id of ``first`` by its index."""
-        ids = first if type(first) is tuple else (first,)
-        fixed = tuple({*loaded, *(r for r, _, _ in handed)}.difference(ids))
-        index = {i: k for k, i in enumerate(ids + fixed)}
-        parts = []
-        for r, label, thr in handed:
-            got = _ids(label) or ()
-            fmt = label.replace("{", "{{").replace("}", "}}")
-            if not unmoved.issuperset(got):
-                if not unmoved.union(ids).issuperset(got) or _lbl(label.partition("[")[0], got) != label:
-                    return None
-                fmt = _lbl(fmt.partition("[")[0], [f"{{{index[i]}}}" if i in ids else i for i in got])
-            parts.append((index[r], fmt, thr))
-        loaded = [index[r] for r in loaded]
-
-        def member(m):
-            m = (m if type(m) is tuple else (m,)) + fixed
-            return [m[k] for k in loaded], [(m[k], fmt.format(*m), thr) for k, fmt, thr in parts]
-        return member if unmoved.issuperset(fixed) else None
+        for r, step in steps.items():
+            cum[r] = cum.get(r, 0) + done * step
+        return list(loaded), handed, cum
 
     seg_lengths: list[int] = []
-    draw_seg: list[int] = []
+    seg_draws: list[int] = []  # each segment's draw count
     draw_r: list[int] = []
-    for orb, block, moved in zip(po.orbits, firsts, blocks or itertools.repeat(None)):
+    # With the symmetry, each provider's receiver, label number, draw,
+    # threshold and place in schedule order.
+    prov_r: list[int] = []
+    prov_label: list[int] = []
+    prov_draw: list[int] = []
+    prov_thr: list[int] = []
+    prov_seq: list[int] = []
+    stamped = False
+
+    def stamp(orb, moved, block, one, length, loaded, handed, total):
+        """Every segment of the orbit from its first member's walk
+        (``loaded``, ``handed``, ``total``), or False where the walk reads
+        an id the stamp cannot rename; ``one`` for a one-segment orbit."""
+        nonlocal stamped
+        members = list(orb.members)
+        ids = members[0] if type(members[0]) is tuple else (members[0],)
+        moves = dict(moved)
+        unmoved = {r for c in po.classes if c not in moves for r in c}
+        cols = dict(zip(ids, itertools.count()))
+        fixed = []
+
+        def col(r):
+            if r not in cols and r in unmoved:
+                cols[r] = len(cols)
+                fixed.append(r)
+            return cols.get(r)
+
+        # Each label's number, or its (prefix, columns) where it is renamed.
+        names: dict = {}
+        for _, label, _ in handed:
+            if label not in names:
+                got = _ids(label) or ()
+                if unmoved.issuperset(got):
+                    names[label] = lid.get(label, -1)
+                else:
+                    names[label] = label.partition("[")[0], tuple(map(col, got))
+                    if None in names[label][1] or _lbl(names[label][0], got) != label:
+                        return False
+        handed_cols = [col(r) for r, _, _ in handed]
+        loaded_cols = [] if one else [col(r) for r in loaded]
+        if None in loaded_cols or None in handed_cols:
+            return False
+        if one:
+            # Where the first member's units load each class the orbit
+            # moves wholly at one load or not at all, and besides only
+            # receivers of unmoved classes, every member's units load the
+            # same receivers by the same steps.
+            if not unmoved.union(*moves).issuperset(loaded):
+                return False
+            for load in {id(u.decode_load): u.decode_load for u in block}.values():
+                for c in moves:
+                    xs = [load.get(r, 0) for r in c]
+                    if not (max(xs) <= 0 or xs[0] > 0 and xs.count(xs[0]) == len(xs)):
+                        return False
+        stamped = True
+        # each member's ids, then the ids read from unmoved classes
+        if type(members[0]) is not tuple:
+            rows = list(zip(members, *map(itertools.repeat, fixed)))
+        elif fixed:
+            rows = list(map(operator.add, members, itertools.repeat(tuple(fixed))))
+        else:
+            rows = members
+        first = len(draw_r)
+        if one:
+            order = list(set(loaded))
+            draw_r.extend(order)
+            seg_draws.append(len(order))
+            seg_lengths.append(length)
+            place = dict(zip(order, itertools.count(first)))
+        else:
+            # Each member's draws: the set of its loaded receivers.  An
+            # itemgetter of two or more columns gives a tuple; the first
+            # column read again adds nothing to the set.
+            if loaded_cols == list(range(len(rows[0]))):
+                sets = list(map(list, map(set, rows)))
+            elif loaded_cols:
+                getter = operator.itemgetter(*loaded_cols, loaded_cols[0])
+                sets = list(map(list, map(set, map(getter, rows))))
+            else:
+                sets = [[]] * len(rows)
+            draw_r.extend(itertools.chain.from_iterable(sets))
+            seg_draws.extend([len(loaded_cols)] * len(rows))
+            seg_lengths.extend([length] * len(rows))
+        # Part by part, each member's provider, numbered in schedule order
+        # (member by member, then part by part).
+        base = len(prov_seq)
+        for h, ((r, label, thr), k) in enumerate(zip(handed, handed_cols)):
+            receivers = list(map(operator.itemgetter(k), rows))
+            prov_r.extend(receivers)
+            name = names[label]
+            if type(name) is tuple:
+                found = numbers.get((name[0], len(name[1])), {})
+                prov_label.extend(map(found.get, map(operator.itemgetter(*name[1]), rows),
+                                      itertools.repeat(-1)))
+            else:
+                prov_label.extend(itertools.repeat(name, len(rows)))
+            if one:
+                prov_draw.extend(map(place.__getitem__, receivers))
+                prov_thr.extend(itertools.accumulate(itertools.repeat(total[r], len(rows) - 1),
+                                                     initial=thr))
+            else:
+                prov_draw.extend(map(operator.add, map(list.index, sets, receivers),
+                                     range(first, len(draw_r), len(loaded_cols))))
+                prov_thr.extend(itertools.repeat(thr, len(rows)))
+            prov_seq.extend(range(base + h, base + len(rows) * len(handed), len(handed)))
+        return True
+
+    for i, (orb, block) in enumerate(zip(po.orbits, firsts)):
         length = round(orb.fraction * n)
         # With the symmetry, the part positions each unit of the first
         # member hands over, where every member's units hand over theirs.
         at = [[p in got for p in unit.parts] if (got := set(peel(unit))) else ()
               for unit in block] if blocks else None
-        stamped = None
+        if stampable and len(orb.members) > 1:
+            sid, held = next(iter(orb.segments()))
+            if length == 0 and block:
+                raise ConfigError(
+                    f"segment {(orb.phase, sid)} rounds to zero channel uses at n={n}")
+            if stamp(orb, blocks[i], block, len(held) > 1, length, *walk(block, at)):
+                continue
         for k, (sid, held) in enumerate(orb.segments()):
-            if stamped is not None:
-                loaded, handed = stamped(sid)
-            else:
-                # the orbit's first member is the first segment's first
-                units = [u for i, m in enumerate(held)
-                         for u in (block if k == i == 0 else orb.units(m))]
-                if length == 0 and units:
-                    raise ConfigError(
-                        f"segment {(orb.phase, sid)} rounds to zero channel uses at n={n}")
-                loaded, handed = walk(units, at and at * len(held))
-                if k == 0 and moved is not None and len(orb.members) > len(held):
-                    stamped = stamp(sid, loaded, handed,
-                                    {r for c in po.classes if c not in dict(moved) for r in c})
+            # the orbit's first member is the first segment's first
+            units = [u for j, m in enumerate(held)
+                     for u in (block if k == j == 0 else orb.units(m))]
+            if length == 0 and units:
+                raise ConfigError(
+                    f"segment {(orb.phase, sid)} rounds to zero channel uses at n={n}")
+            loaded, handed, _ = walk(units, at and at * len(held))
             receivers = set(loaded)  # from a list: added one at a time, in order
             draw_of = dict(zip(receivers, itertools.count(len(draw_r))))
             for r, label, thr in handed:
-                providers = group_of.get((r, label))
-                if providers is not None:
+                if blocks:
+                    prov_r.append(r)
+                    prov_label.append(lid.get(label, -1))
+                    prov_draw.append(draw_of[r])
+                    prov_thr.append(thr)
+                    prov_seq.append(len(prov_seq))
+                elif (providers := group_of.get((r, label))) is not None:
                     providers.append((draw_of[r], thr))
-            draw_r += receivers
-            draw_seg += [len(seg_lengths)] * len(receivers)
+            draw_r.extend(receivers)
+            seg_draws.append(len(receivers))
             seg_lengths.append(length)
 
-    group_start: list[int] = []
-    prov: list[tuple[int, int]] = []
-    for providers in wanted:
-        group_start.append(len(prov))
-        prov += providers
-    draw_seg_a = np.array(draw_seg, dtype=np.intp)
+    if blocks:
+        # Each provider's group (-1 for a part its receiver does not want);
+        # sorted by group, each group's providers in schedule order, which
+        # walked ones come in and stamped ones are numbered by.
+        group = table[np.minimum(np.fromiter(prov_r, dtype=np.intp, count=len(prov_r)), K + 1),
+                      np.fromiter(prov_label, dtype=np.intp, count=len(prov_label))]
+        columns = prov_seq, prov_draw, prov_thr
+        if group.min(initial=0) < 0:
+            kept = group >= 0
+            group = group[kept]
+            columns = [list(itertools.compress(values, kept.tolist())) for values in columns]
+        seq, prov_draw, prov_thr = columns
+        order = (np.argsort(group * len(seq) + np.fromiter(seq, dtype=np.intp, count=len(seq)))
+                 if stamped else np.argsort(group, kind="stable"))
+        per = np.bincount(group, minlength=n_groups)
+        prov_draw = np.fromiter(prov_draw, dtype=np.intp, count=len(prov_draw))[order]
+        prov_thr = np.fromiter(prov_thr, dtype=np.int64, count=len(prov_thr))[order]
+        group_start = np.cumsum(per) - per
+        starved = not per.all()
+    else:
+        group_start = []
+        prov: list[tuple[int, int]] = []
+        for providers in wanted:
+            group_start.append(len(prov))
+            prov += providers
+        prov_draw = np.array([d for d, _ in prov], dtype=np.intp)
+        prov_thr = np.array([thr for _, thr in prov], dtype=np.int64)
+        group_start = np.array(group_start, dtype=np.intp)
+        starved = not all(wanted)
+    draw_seg = np.repeat(np.arange(len(seg_lengths)), seg_draws)
     prob = {r: 1.0 - s.erasure_of(r) for r in set(draw_r)}  # read per draw
     return _Compiled(
         seg_lengths,
-        draw_seg_a,
-        np.array(seg_lengths, dtype=np.int64)[draw_seg_a],
-        np.array([prob[r] for r in draw_r], dtype=np.float64),
-        np.array([d for d, _ in prov], dtype=np.intp),
-        np.array([thr for _, thr in prov], dtype=np.int64),
-        np.array(group_start, dtype=np.intp),
-        not all(wanted),
+        draw_seg,
+        np.array(seg_lengths, dtype=np.int64)[draw_seg],
+        np.fromiter(map(prob.__getitem__, draw_r), dtype=np.float64, count=len(draw_r)),
+        prov_draw,
+        prov_thr,
+        group_start,
+        starved,
     )
 
 

@@ -10,8 +10,10 @@ before: it reads the expanded plan and scans every segment, unit and
 receiver.  With exact sums (``total=exact``) the two reports must be
 equal, byte for byte, on every kind of failure too; a plan must be
 immutable; neither ``verify`` nor ``simulate`` may expand a subset plan;
-``simulate`` builds the units of only the first member of a many-segment
-orbit, unless that member reads an id the stamp cannot rename; and the
+``simulate`` builds the units of only the first member of an orbit,
+unless that member reads an id the stamp cannot rename or, in a
+one-segment orbit, loads a class the orbit moves in part, or some parts
+list a label twice; and the
 size cap a subset builder applies before building must count at least
 its expanded plan.
 """
@@ -364,24 +366,83 @@ def _spied(plan):
     return dataclasses.replace(plan, orbits=po._replace(orbits=orbits)), calls
 
 
-@pytest.mark.parametrize("preset,build", [
-    ("fig3", lambda s: build_symmetric_piggyback(s, 2, 2, 1e-4)),
-    ("fig5", lambda s: build_piggyback_one(s, 1, 1e-4)),
-], ids=["symmetric-piggyback(2,2)", "piggyback-one(1)"])
-def test_simulate_builds_the_first_member_of_a_many_segment_orbit_only(preset, build):
-    # The other members are stamped from the first member's walk; a
-    # one-segment orbit (the piggyback phase 1) walks every member's units.
+#: The plans of the monte-carlo benchmark (``MC_PLANS`` in
+#: ``perfbench/workloads.py``): (test id, preset, builder, index arguments).
+MC_PLANS = [
+    ("wiretap-cached-keys", "fig3", "wiretap-cached-keys", ()),
+    ("superposition-jamming", "fig3", "superposition-jamming", ()),
+    ("cached-keys-all", "fig3", "cached-keys-all", ()),
+    ("piggyback-one(2)", "fig3", "piggyback-one", (2,)),
+    ("piggyback-allkeys(2)", "fig3", "piggyback-allkeys", (2,)),
+    ("symmetric-piggyback(2,2)", "fig3", "symmetric-piggyback", (2, 2)),
+    ("piggyback-one(1)", "fig5", "piggyback-one", (1,)),
+]
+
+
+@pytest.mark.parametrize("preset,name,index", [case[1:] for case in MC_PLANS],
+                         ids=[case[0] for case in MC_PLANS])
+def test_simulate_builds_the_first_member_of_a_many_segment_orbit_only(preset, name, index):
+    # Every other member is stamped from the first member's walk, in a
+    # one-segment orbit (the piggyback phase 1) too, whose XORs all load
+    # the whole weak class at one load.
     s = ChannelScenario(**PRESETS[preset])
-    plan = build(s)
+    plan = BUILDERS[name](s, *index, 1e-4)
     spied, calls = _spied(plan)
     cfg = SimConfig(50000, 3, 17, "random:1")
     got = simulate.run_monte_carlo(spied, s, cfg).to_json()
     for orb, called in zip(plan.orbits.orbits, calls):
-        members = list(orb.members)
-        assert called == (members if orb.one_segment else members[:1]), orb.phase
-    assert sum(len(orb.members) > 1 and not orb.one_segment for orb in plan.orbits.orbits) >= 2
+        assert called == [next(iter(orb.members))], orb.phase
     assert got == monte_carlo_scalar(plan, s, cfg).to_json()
     _same_compile(plan, s, cfg.n)
+
+
+def test_a_one_segment_orbit_loaded_in_part_of_a_class_is_walked(fig3):
+    # Each phase-1 XOR loaded at its own subset only: the first member's
+    # units load the weak class in part, so the other members' units could
+    # load other receivers, and every member of that orbit walks its units.
+    plan = build_piggyback_one(fig3, 2, 1e-4)
+
+    def narrowed(orb):
+        def units(H):
+            return tuple(u._replace(decode_load=dict.fromkeys(H, u.decode_load[H[0]]))
+                         for u in orb.units(H))
+        return orb._replace(units=units) if orb.phase == 1 else orb
+
+    po = plan.orbits._replace(orbits=tuple(map(narrowed, plan.orbits.orbits)))
+    plan = dataclasses.replace(plan, orbits=po)
+    assert schemes._symmetry(plan).blocks and po.orbits[0].one_segment
+    for n in (200, 5000, 50000):
+        _same_compile(plan, fig3, n)
+    spied, calls = _spied(plan)
+    simulate._compile(spied, fig3, 50000)
+    for orb, called in zip(po.orbits, calls):
+        members = list(orb.members)
+        assert called == (members if orb.phase == 1 else members[:1]), orb.phase
+    cfg = SimConfig(50000, 2, 3, "random:1")
+    assert (simulate.run_monte_carlo(plan, fig3, cfg).to_json()
+            == monte_carlo_scalar(plan, fig3, cfg).to_json())
+
+
+def test_a_part_run_listed_twice_keeps_one_provider_list(fig3):
+    # Each class's parts list their first run twice, in a plan that keeps
+    # the class symmetry: every label of that run is two groups with one
+    # provider list, which the class-by-class groups do not keep, so every
+    # member walks its own units.
+    plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
+    po = plan.orbits
+    twice = {id(runs): runs + runs[:1] for runs in po.parts.values()}
+    parts = {r: twice[id(runs)] for r, runs in po.parts.items()}
+    plan = dataclasses.replace(plan, orbits=po._replace(parts=parts),
+                               message_parts=schemes._MessageParts(parts))
+    assert schemes._symmetry(plan).blocks
+    for n in (5000, 50000):
+        _same_compile(plan, fig3, n)
+    spied, calls = _spied(plan)
+    simulate._compile(spied, fig3, 50000)
+    assert calls == [list(orb.members) for orb in po.orbits]
+    cfg = SimConfig(50000, 2, 5, "random:1")
+    assert (simulate.run_monte_carlo(plan, fig3, cfg).to_json()
+            == monte_carlo_scalar(plan, fig3, cfg).to_json())
 
 
 def test_a_member_read_outside_the_stamp_is_not_stamped(fig3):
@@ -427,3 +488,14 @@ def test_stamped_compiles_equal_the_threshold_dict_compile(s, eps, n):
             except DOCUMENTED:
                 continue
             _same_compile(plan, s, n)
+
+
+def test_stamped_compiles_past_receiver_63():
+    # Holder masks reach bit 63 and past it (the strong class's own
+    # subsets), and receivers shift them out past bit 63: the class-by-class
+    # groups keep Python ints there, and the compile equals the
+    # threshold-dict compile.
+    for K_s in (60, 64):
+        s = ChannelScenario(K_w=3, K_s=K_s, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=100)
+        for plan in (build_piggyback_one(s, 1, 1e-4), build_symmetric_piggyback(s, 1, 1, 1e-4)):
+            _same_compile(plan, s, 10**6)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from oracles import otp_decrypt, otp_encrypt
@@ -161,3 +162,36 @@ def test_verifier_and_simulator_share_the_peel_rule():
     assert not check.passed
     assert check.detail == "receiver 1 cannot obtain part 'Br[3]'"
     assert run_monte_carlo(bad, s, cfg).worst_case_error_rate == 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: trial t draws from Philox counter (t, d, 0, 0) and every "
+    "block of four words advances word 0, so trial t + 1 reads trial t's "
+    "stream shifted by one block"))
+def test_consecutive_trials_draw_from_disjoint_counter_ranges(fig3, monkeypatch):
+    # Record each trial's Philox counter as run_monte_carlo sets it, and
+    # where the trial left it: the ranges of word 0 that consecutive trials
+    # of one demand consume must not meet.
+    spans = []
+    philox = np.random.Philox
+
+    class Recording(philox):
+        @property
+        def state(self):
+            return philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            if spans:
+                spans[-1][1] = int(self.state["state"]["counter"][0])
+            philox.state.__set__(self, value)
+            spans.append([int(value["state"]["counter"][0]), None])
+            Recording.last = self
+
+    monkeypatch.setattr(np.random, "Philox", Recording)
+    plan = build_wiretap_cached_keys(fig3, 1e-4)
+    run_monte_carlo(plan, fig3, SimConfig(n=50000, trials=20, seed=1))
+    spans[-1][1] = int(Recording.last.state["state"]["counter"][0])
+    if len(spans) != 20 or not all(end > start for start, end in spans):
+        pytest.fail(f"the recording missed a trial: {spans}")
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:])), spans
