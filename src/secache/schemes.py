@@ -878,7 +878,7 @@ def _build_unicast(s: ChannelScenario, eps: float, keyed: bool) -> SchemePlan:
         orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(R, RKw, RKs, point_label),
         key_rates=key_rates,
-        message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
+        message_parts=dict.fromkeys(range(1, s.K + 1), (("full", R),)),
     )
 
 
@@ -934,7 +934,7 @@ def build_superposition_jamming(s: ChannelScenario, eps: float) -> SchemePlan:
         orbits=PlanOrbits.explicit(range(1, s.K + 1), segments, placement),
         claimed_point=RateMemoryPoint(R, R_key, 0.0, "superposition-jamming"),
         key_rates=dict.fromkeys(keys, R_key),
-        message_parts={k: (("full", R),) for k in range(1, s.K + 1)},
+        message_parts=dict.fromkeys(range(1, s.K + 1), (("full", R),)),
     )
 
 
@@ -1148,10 +1148,8 @@ def build_piggyback_two(s: ChannelScenario, eps: float) -> SchemePlan:
             unit = _unicast(j, "A", RA, bin_rate=lam2 * (1 - dz))
             segments.append(DeliverySegment((2, j), lam2, (unit,)))
 
-    message_parts = {
-        k: tuple(p for p in (("A", RA), ("B", RB)) if p[1] > 0)
-        for k in range(1, s.K + 1)
-    }
+    message_parts = dict.fromkeys(
+        range(1, s.K + 1), tuple(p for p in (("A", RA), ("B", RB)) if p[1] > 0))
     return SchemePlan(
         scheme_name="piggyback-two",
         params={"eps": eps, "D": D},

@@ -20,15 +20,16 @@ the plan carries the class symmetry, the peel rule runs on each orbit's
 first member only, and every member hands over the parts at the same part
 positions (:class:`secache.schemes.Orbit`); the other members of an
 orbit, in one segment or many, are stamped from the first member's walk,
-a column of member ids at a time, without building their units, and the
-wanted parts are read class by class (:func:`_compile`).  Trials run in blocks
-of about ``_BLOCK_BYTES``: each trial is drawn into a row of the block,
-by one scalar ``binomial`` call per run of draws of equal (length,
-probability) where they fall into at most ``_MAX_RUNS`` runs, else by one
-array ``binomial`` call, and the block is tested in one pass (every
-provider threshold at once, then an OR over each part's providers).  A
-trial fails iff some such part has no provider whose draw reaches its
-threshold (a part with no provider fails every trial).
+a column of member ids at a time, without building their units.  The
+wanted parts of every plan are read class by class, a class being the
+receivers that share one parts tuple (:func:`_class_groups`).  Trials
+run in blocks of about ``_BLOCK_BYTES``: each trial is drawn into a row
+of the block, by one scalar ``binomial`` call per run of draws of equal
+(length, probability) where they fall into at most ``_MAX_RUNS`` runs,
+else by one array ``binomial`` call, and the block is tested in one pass
+(every provider threshold at once, then an OR over each part's
+providers).  A trial fails iff some such part has no provider whose draw
+reaches its threshold (a part with no provider fails every trial).
 
 All randomness comes from counter-based Philox streams keyed by
 (seed, demand index, trial index), so results are bit-identical for a
@@ -244,14 +245,14 @@ class _Compiled(NamedTuple):
 
 
 def _class_groups(plan: SchemePlan, placed: _Holders, K: int, families: list):
-    """The wanted groups of a plan with the class symmetry, class by class:
-    for each receiver ``r`` in order, each message part
-    ``message_parts[r]`` lists that ``r`` neither holds (``placed``) nor
-    holds virtually, in part order.  Receivers that share one parts tuple
-    (a builder's class) share its label numbers and who holds each label,
-    as a bitmask, and all their (receiver, part) pairs are read at once.  A
-    label of one of ``families`` that ``placed`` reads from that family is
-    held by its ids, which the family gives without parsing the label.
+    """The wanted groups of a plan, class by class: for each receiver ``r``
+    in order, each message part ``message_parts[r]`` lists that ``r``
+    neither holds (``placed``) nor holds virtually, in part order.
+    Receivers that share one parts tuple (a class) share its label numbers
+    and who holds each label, as a bitmask, and all their (receiver, part)
+    pairs are read at once.  A label of one of ``families`` (none for a
+    plan without the class symmetry) that ``placed`` reads from that family
+    is held by its ids, which the family gives without parsing the label.
 
     Returns each label's number; each family label's number by the
     family's prefix and width and the label's ids (an int for one id, as
@@ -259,8 +260,9 @@ def _class_groups(plan: SchemePlan, placed: _Holders, K: int, families: list):
     label number) as a table with a row per receiver id up to ``K + 1``
     and a column per label number and one more, -1 where there is none
     (row ``K + 1`` and the last column stand for a receiver and a label no
-    group has); and the number of groups.  None where some parts tuple
-    lists a label twice, which makes two groups with one provider list."""
+    group has); the number of groups; and the group whose providers each
+    group takes, or None where each takes its own: a label some parts
+    tuple lists twice is two groups, and the table holds the first."""
     virtual: dict = {}
     classes: dict = {}  # id(parts) -> (parts, receivers)
     for r in range(1, K + 1):
@@ -290,14 +292,25 @@ def _class_groups(plan: SchemePlan, placed: _Holders, K: int, families: list):
         want = masks[None, :] >> rs[:, None] & 1 == 0
         count[rs] = want.sum(axis=1)
         read.append((rs, [lid.setdefault(label, len(lid)) for label in labels], want))
-    if any(len(set(ids)) < len(ids) for _, ids, _ in read):
-        return None
     start = np.cumsum(count) - count
     table = np.full((K + 2, len(lid) + 1), -1, dtype=np.intp)
+    n_groups = int(count.sum())
+    source = None
     for rs, ids, want in read:
-        if ids:
-            table[rs[:, None], ids] = np.where(
-                want, start[rs][:, None] + np.cumsum(want, axis=1) - 1, -1)
+        if not ids:
+            continue
+        group = np.where(want, start[rs][:, None] + np.cumsum(want, axis=1) - 1, -1)
+        if len(set(ids)) == len(ids):
+            table[rs[:, None], ids] = group
+            continue
+        # A label listed twice: its later position, wanted wherever its
+        # first one is, takes the first one's group's providers.
+        first: dict = {}  # each label number's first position
+        at = [first.setdefault(i, k) for k, i in enumerate(ids)]
+        table[rs[:, None], list(first)] = group[:, list(first.values())]
+        if source is None:
+            source = np.arange(n_groups)
+        source[group[want]] = group[:, at][want]
     numbers: dict = {}
     for family in families:
         labels = family.table()
@@ -305,7 +318,7 @@ def _class_groups(plan: SchemePlan, placed: _Holders, K: int, families: list):
         numbers.setdefault((family.prefix, width), {}).update(zip(
             map(operator.itemgetter(0), labels) if width == 1 else labels,
             map(lid.get, labels.values(), itertools.repeat(-1))))
-    return lid, numbers, table, int(count.sum())
+    return lid, numbers, table, n_groups, source
 
 
 def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
@@ -341,34 +354,20 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     plus ``i`` times the first member's whole load of the part's receiver.
     An orbit whose first member reads any other id, or whose renamed label
     is not ``prefix[ids]``, walks every member's units.  The wanted groups
-    are read class by class (:func:`_class_groups`) and each provider is
-    kept with its receiver, label number and place in schedule order, to
-    be sorted by group once, at the end.
+    of every plan are read class by class (:func:`_class_groups`) and each
+    provider is kept with its receiver, label number and place in schedule
+    order, to be sorted by group once, at the end; a label some parts
+    tuple lists twice is two groups, the second a copy of the first's
+    providers.
     """
     po = plan.orbits
     K = s.K
     firsts, blocks, _ = _symmetry(plan)
     placed = _Holders(po.atoms, po.families)
-    grouped = None
-    if blocks:
-        # the message parts are the part runs' families
-        families = list({id(run.labels): run.labels for runs in {
-            id(runs): runs for runs in po.parts.values()}.values() for run in runs}.values())
-        grouped = _class_groups(plan, placed, K, families)
-    if grouped is not None:
-        lid, numbers, table, n_groups = grouped
-    else:
-        # Without the symmetry, or with a label listed twice, every unit is
-        # walked and each group is a list of providers, found by (receiver,
-        # label): a label listed twice is two groups with one list.
-        blocks = None
-        wanted: list[list[tuple[int, int]]] = []
-        group_of: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        for r in range(1, K + 1):
-            have = plan.virtual_cached.get(r, ())
-            for label, _ in plan.message_parts.get(r, ()):
-                if not placed[label] >> r & 1 and label not in have:
-                    wanted.append(group_of.setdefault((r, label), []))
+    # with the symmetry, the message parts are the part runs' families
+    families = [] if not blocks else list({id(run.labels): run.labels for runs in {
+        id(runs): runs for runs in po.parts.values()}.values() for run in runs}.values())
+    lid, numbers, table, n_groups, source = _class_groups(plan, placed, K, families)
     peel = peel_rule(placed, plan.message_parts, plan.virtual_cached)
     # a stamped receiver's id indexes the group table
     stampable = blocks and all(r >= 0 for c in po.classes for r in c)
@@ -404,20 +403,18 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     seg_lengths: list[int] = []
     seg_draws: list[int] = []  # each segment's draw count
     draw_r: list[int] = []
-    # With the symmetry, each provider's receiver, label number, draw,
-    # threshold and place in schedule order.
+    # Each provider's receiver, label number, draw, threshold and place in
+    # schedule order.
     prov_r: list[int] = []
     prov_label: list[int] = []
     prov_draw: list[int] = []
     prov_thr: list[int] = []
     prov_seq: list[int] = []
-    stamped = False
 
     def stamp(orb, moved, block, one, length, loaded, handed, total):
         """Every segment of the orbit from its first member's walk
         (``loaded``, ``handed``, ``total``), or False where the walk reads
         an id the stamp cannot rename; ``one`` for a one-segment orbit."""
-        nonlocal stamped
         members = list(orb.members)
         ids = members[0] if type(members[0]) is tuple else (members[0],)
         moves = dict(moved)
@@ -458,7 +455,6 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
                     xs = [load.get(r, 0) for r in c]
                     if not (max(xs) <= 0 or xs[0] > 0 and xs.count(xs[0]) == len(xs)):
                         return False
-        stamped = True
         # each member's ids, then the ids read from unmoved classes
         if type(members[0]) is not tuple:
             rows = list(zip(members, *map(itertools.repeat, fixed)))
@@ -535,47 +531,39 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
             receivers = set(loaded)  # from a list: added one at a time, in order
             draw_of = dict(zip(receivers, itertools.count(len(draw_r))))
             for r, label, thr in handed:
-                if blocks:
-                    prov_r.append(r)
-                    prov_label.append(lid.get(label, -1))
-                    prov_draw.append(draw_of[r])
-                    prov_thr.append(thr)
-                    prov_seq.append(len(prov_seq))
-                elif (providers := group_of.get((r, label))) is not None:
-                    providers.append((draw_of[r], thr))
+                prov_r.append(r)
+                prov_label.append(lid.get(label, -1))
+                prov_draw.append(draw_of[r])
+                prov_thr.append(thr)
+                prov_seq.append(len(prov_seq))
             draw_r.extend(receivers)
             seg_draws.append(len(receivers))
             seg_lengths.append(length)
 
-    if blocks:
-        # Each provider's group (-1 for a part its receiver does not want);
-        # sorted by group, each group's providers in schedule order, which
-        # walked ones come in and stamped ones are numbered by.
-        group = table[np.minimum(np.fromiter(prov_r, dtype=np.intp, count=len(prov_r)), K + 1),
-                      np.fromiter(prov_label, dtype=np.intp, count=len(prov_label))]
-        columns = prov_seq, prov_draw, prov_thr
-        if group.min(initial=0) < 0:
-            kept = group >= 0
-            group = group[kept]
-            columns = [list(itertools.compress(values, kept.tolist())) for values in columns]
-        seq, prov_draw, prov_thr = columns
-        order = (np.argsort(group * len(seq) + np.fromiter(seq, dtype=np.intp, count=len(seq)))
-                 if stamped else np.argsort(group, kind="stable"))
-        per = np.bincount(group, minlength=n_groups)
-        prov_draw = np.fromiter(prov_draw, dtype=np.intp, count=len(prov_draw))[order]
-        prov_thr = np.fromiter(prov_thr, dtype=np.int64, count=len(prov_thr))[order]
+    # Each provider's group (-1 for a part its receiver does not want);
+    # sorted by group, each group's providers in schedule order, which
+    # walked ones come in and stamped ones are numbered by.
+    group = table[np.minimum(np.fromiter(prov_r, dtype=np.intp, count=len(prov_r)), K + 1),
+                  np.fromiter(prov_label, dtype=np.intp, count=len(prov_label))]
+    columns = prov_seq, prov_draw, prov_thr
+    if group.min(initial=0) < 0:
+        kept = group >= 0
+        group = group[kept]
+        columns = [list(itertools.compress(values, kept.tolist())) for values in columns]
+    seq, prov_draw, prov_thr = columns
+    order = np.argsort(group * len(seq) + np.fromiter(seq, dtype=np.intp, count=len(seq)))
+    per = np.bincount(group, minlength=n_groups)
+    group_start = np.cumsum(per) - per
+    if source is not None:
+        # each group of a label listed twice takes its first position's
+        # providers
+        begin = group_start[source]
+        per = per[source]
         group_start = np.cumsum(per) - per
-        starved = not per.all()
-    else:
-        group_start = []
-        prov: list[tuple[int, int]] = []
-        for providers in wanted:
-            group_start.append(len(prov))
-            prov += providers
-        prov_draw = np.array([d for d, _ in prov], dtype=np.intp)
-        prov_thr = np.array([thr for _, thr in prov], dtype=np.int64)
-        group_start = np.array(group_start, dtype=np.intp)
-        starved = not all(wanted)
+        order = order[np.repeat(begin - group_start, per) + np.arange(per.sum())]
+    prov_draw = np.fromiter(prov_draw, dtype=np.intp, count=len(prov_draw))[order]
+    prov_thr = np.fromiter(prov_thr, dtype=np.int64, count=len(prov_thr))[order]
+    starved = not per.all()
     draw_seg = np.repeat(np.arange(len(seg_lengths)), seg_draws)
     prob = {r: 1.0 - s.erasure_of(r) for r in set(draw_r)}  # read per draw
     return _Compiled(

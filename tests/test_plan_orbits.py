@@ -12,10 +12,10 @@ equal, byte for byte, on every kind of failure too; a plan must be
 immutable; neither ``verify`` nor ``simulate`` may expand a subset plan;
 ``simulate`` builds the units of only the first member of an orbit,
 unless that member reads an id the stamp cannot rename or, in a
-one-segment orbit, loads a class the orbit moves in part, or some parts
-list a label twice; and the
-size cap a subset builder applies before building must count at least
-its expanded plan.
+one-segment orbit, loads a class the orbit moves in part (a parts list
+that names a label twice is stamped like any other); and the size cap a
+subset builder applies before building must count at least its expanded
+plan.
 """
 
 from __future__ import annotations
@@ -265,6 +265,22 @@ def test_explicit_plans_have_one_class_per_receiver(fig3):
         assert changed.to_json() == plan.to_json(), plan.scheme_name
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_receivers_with_equal_parts_share_one_parts_tuple(preset):
+    # The simulation compile reads the wanted parts once per parts tuple
+    # (simulate._class_groups), so every builder hands receivers whose
+    # message parts are equal one tuple, explicit plans included.
+    s = ChannelScenario(**PRESETS[preset])
+    for case_id, build in _builds(s, 1e-4, ts=(1, 2)):
+        try:
+            plan = build()
+        except DOCUMENTED:
+            continue
+        shared: dict = {}
+        for r, parts in plan.message_parts.items():
+            assert shared.setdefault(parts, parts) is parts, (case_id, r)
+
+
 #: SHA-256 of the stdout of ``verify`` on these plans before plans carried
 #: orbits (the full-scan verifier), and before the explicit builders'
 #: plans did.  Its sums then added one term at a time, as ``legacy`` does.
@@ -423,11 +439,11 @@ def test_a_one_segment_orbit_loaded_in_part_of_a_class_is_walked(fig3):
             == monte_carlo_scalar(plan, fig3, cfg).to_json())
 
 
-def test_a_part_run_listed_twice_keeps_one_provider_list(fig3):
+def test_a_part_run_listed_twice_is_stamped_as_two_groups(fig3):
     # Each class's parts list their first run twice, in a plan that keeps
-    # the class symmetry: every label of that run is two groups with one
-    # provider list, which the class-by-class groups do not keep, so every
-    # member walks its own units.
+    # the class symmetry: every label of that run is two groups, the later
+    # one a copy of the first one's providers, and the plan is stamped like
+    # any other, from each orbit's first member only.
     plan = build_symmetric_piggyback(fig3, 2, 2, 1e-4)
     po = plan.orbits
     twice = {id(runs): runs + runs[:1] for runs in po.parts.values()}
@@ -439,7 +455,7 @@ def test_a_part_run_listed_twice_keeps_one_provider_list(fig3):
         _same_compile(plan, fig3, n)
     spied, calls = _spied(plan)
     simulate._compile(spied, fig3, 50000)
-    assert calls == [list(orb.members) for orb in po.orbits]
+    assert calls == [list(orb.members)[:1] for orb in po.orbits]
     cfg = SimConfig(50000, 2, 5, "random:1")
     assert (simulate.run_monte_carlo(plan, fig3, cfg).to_json()
             == monte_carlo_scalar(plan, fig3, cfg).to_json())
@@ -494,8 +510,9 @@ def test_stamped_compiles_past_receiver_63():
     # Holder masks reach bit 63 and past it (the strong class's own
     # subsets), and receivers shift them out past bit 63: the class-by-class
     # groups keep Python ints there, and the compile equals the
-    # threshold-dict compile.
+    # threshold-dict compile, on the explicit plans' one class too.
     for K_s in (60, 64):
         s = ChannelScenario(K_w=3, K_s=K_s, delta_w=0.7, delta_s=0.3, delta_z=0.8, D=100)
-        for plan in (build_piggyback_one(s, 1, 1e-4), build_symmetric_piggyback(s, 1, 1, 1e-4)):
+        for plan in (build_piggyback_one(s, 1, 1e-4), build_symmetric_piggyback(s, 1, 1, 1e-4),
+                     BUILDERS["cached-keys-all"](s, 1e-4), BUILDERS["piggyback-two"](s, 1e-4)):
             _same_compile(plan, s, 10**6)

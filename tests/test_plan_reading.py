@@ -4,9 +4,11 @@ A builder plan whose per-receiver field is replaced
 (``dataclasses.replace`` on ``message_parts`` or ``virtual_cached``)
 keeps its orbits and families, but claims no symmetry
 (``schemes._symmetry``): ``verify_plan`` checks every receiver and the
-simulation compile peels every member.  Whatever the edit, and at
-whichever receiver, the verify report must be the full scan's
-(``oracles.verify_plan_explicit``), and DECODE must report a part that
+simulation compile peels every member.  Whatever the edit (a part
+listed a second time included), and at whichever receiver, the verify
+report must be the full scan's (``oracles.verify_plan_explicit``), the
+compile must be the threshold-dict compile
+(``oracles.compile_threshold_dict``), and DECODE must report a part that
 cannot be obtained exactly when the compile finds a wanted part with no
 provider (``_Compiled.starved``): the peel rule's two readers agree.
 """
@@ -20,12 +22,13 @@ from hypothesis import strategies as st
 
 from oracles import exact, verify_plan_explicit
 from strategies import scenarios
+from test_peel_kernel import _same_compile
 from secache import BUILDERS, ConfigError, IndexOutOfRange, InvalidParameter, NotApplicable
 from secache import simulate
 from secache.schemes import verify_plan
 
 DOCUMENTED = (IndexOutOfRange, InvalidParameter, NotApplicable)
-EDITS = ("add part", "drop part", "change rate", "add virtual", "drop virtual")
+EDITS = ("add part", "drop part", "change rate", "repeat part", "add virtual", "drop virtual")
 
 
 @st.composite
@@ -50,11 +53,13 @@ def edited_plans(draw):
     labels = sorted({label for ps in plan.message_parts.values() for label, _ in ps}
                     | {a.label for atoms in plan.placement.values() for a in atoms})
     edit = draw(st.sampled_from(EDITS))
-    if edit in ("drop part", "change rate"):
+    if edit in ("drop part", "change rate", "repeat part"):
         assume(parts)
         i = draw(st.integers(0, len(parts) - 1))
         if edit == "drop part":
             parts = parts[:i] + parts[i + 1:]
+        elif edit == "repeat part":
+            parts += (parts[i],)
         else:
             label, rate = parts[i]
             rate = draw(st.sampled_from((rate / 2, rate * 2, rate + 1e-3)))
@@ -80,6 +85,7 @@ def test_edited_plans_verify_as_the_full_scan_and_starve_as_decode_says(case):
     s, plan = case
     got = verify_plan(plan, s)
     assert got.to_json() == verify_plan_explicit(plan, s, total=exact).to_json()
+    _same_compile(plan, s, 10**9)
     try:
         starved = simulate._compile(plan, s, 10**9).starved
     except ConfigError:  # a segment of fraction 0 that carries units
