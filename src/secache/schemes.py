@@ -17,12 +17,11 @@ entries that a permutation within a class maps onto one another, given
 by their members and the function that builds all of a member's units.
 :func:`verify_plan` and the simulation compile (:mod:`secache.simulate`)
 walk the orbits; the explicit schedule and placement are expanded only
-when read, and kept.  The subset builders (both piggyback schemes and
-``symmetric-piggyback``) treat all weak receivers alike and all strong
-receivers alike, so each segment family is one orbit, and refuse a plan
-whose explicit form is larger than :data:`MAX_PLAN_SIZE` before building
-anything.  They build nothing per subset: each family of labels, one per
-receiver subset or pair, is a :class:`Family`, counted from binomials,
+when read, within :data:`MAX_PLAN_SIZE`, and kept.  The subset builders
+(both piggyback schemes and ``symmetric-piggyback``) treat all weak
+receivers alike and all strong receivers alike, so each segment family
+is one orbit.  They build nothing per subset: each family of labels, one
+per receiver subset or pair, is a :class:`Family`, counted from binomials,
 which formats a label only when it is read; an orbit's members, the
 placement, the message parts (as runs, :class:`Run`) and ``key_rates``
 are read from such families, and the piggyback phase-3 unit takes a
@@ -247,7 +246,7 @@ class Family(Mapping):
     the family each time.  A lookup by key (``family[ids]``, ``get``,
     ``in``) first checks that ``ids`` is one of the family's, so ids parsed
     from a label from elsewhere never match a label the family does not
-    have.
+    have.  A family of more than :data:`MAX_PLAN_SIZE` labels is refused.
     """
 
     __slots__ = ("prefix", "blocks", "outer_last", "size", "label")
@@ -256,6 +255,8 @@ class Family(Mapping):
                  outer_last: bool = False):
         self.prefix, self.blocks, self.outer_last = prefix, blocks, outer_last
         self.size = prod(comb(len(c), k) for c, k in blocks)
+        if self.size > MAX_PLAN_SIZE:
+            raise InvalidParameter(f"label family {prefix} exceeds the cap of {MAX_PLAN_SIZE}")
         self.label = _Labels()
         self.label.prefix = prefix
 
@@ -445,6 +446,30 @@ class PlanOrbits(NamedTuple):
         return cls(tuple((r,) for r in receivers), orbits, placement)
 
 
+#: Largest plan expanded, in units plus atom references (atoms summed over
+#: placements) of its explicit form (:func:`_check_plan_size`), and largest
+#: label family built.  fig5 piggyback-one at t=10 (2.2M units) verifies
+#: unexpanded; fig5 piggyback-allkeys at t=8 is refused at build, its K3
+#: key family holding 10 C(20, 8) labels.
+MAX_PLAN_SIZE = 10**6
+
+
+def _check_plan_size(po: PlanOrbits, firsts: Optional[list] = None) -> tuple[int, int]:
+    """The (units, atom references) of the plan's explicit form, counted
+    from its orbits (each member with as many units as the first member,
+    ``firsts``) and its family runs or listed atoms; refused above
+    :data:`MAX_PLAN_SIZE`."""
+    firsts = firsts or [orb.units(next(iter(orb.members))) for orb in po.orbits]
+    units = sum(len(orb.members) * len(block) for orb, block in zip(po.orbits, firsts))
+    atom_refs = (sum(run.count * sum(k for _, k in run.labels.blocks)
+                     for group in po.families for run in group)
+                 if po.families else sum(map(len, po.atoms.values())))
+    if units + atom_refs > MAX_PLAN_SIZE:
+        raise InvalidParameter(f"plan of {units} units and {atom_refs} atom references "
+                               f"exceeds the cap of {MAX_PLAN_SIZE}")
+    return units, atom_refs
+
+
 @dataclass(frozen=True, eq=False)
 class SchemePlan:
     """A placement and a delivery schedule, with what they claim.
@@ -452,16 +477,16 @@ class SchemePlan:
     Every plan is described by its ``orbits`` (:class:`PlanOrbits`): the
     explicit ``schedule`` (every member's units, in orbit order) and
     ``placement`` (the listed atoms, or every receiver's share of the
-    families) are each expanded from them on first read, and kept.  A
-    plan is immutable; a changed plan is a new one whose orbits
-    :meth:`PlanOrbits.explicit` builds from its changed schedule and
-    placement, so it claims no symmetry and :func:`verify_plan` checks
-    every segment and receiver of it.  One rule (:func:`_symmetry`)
-    decides the rest: a plan keeps the class symmetry only while its
-    per-receiver fields (``message_parts`` and ``virtual_cached``) are
-    its orbits' own, so a plan with either replaced has every member of
-    every orbit peeled, and every receiver checked, against the replaced
-    fields.
+    families) are each expanded from them on first read, within
+    :data:`MAX_PLAN_SIZE`, and kept.  A plan is immutable; a changed plan
+    is a new one whose orbits :meth:`PlanOrbits.explicit` builds from its
+    changed schedule and placement, so it claims no symmetry and
+    :func:`verify_plan` checks every segment and receiver of it.  One rule
+    (:func:`_symmetry`) decides the rest: a plan keeps the class symmetry
+    only while its per-receiver fields (``message_parts`` and
+    ``virtual_cached``) are its orbits' own, so a plan with either replaced
+    has every member of every orbit peeled, and every receiver checked,
+    against the replaced fields.
     """
 
     scheme_name: str
@@ -478,6 +503,7 @@ class SchemePlan:
 
     @cached_property
     def schedule(self) -> tuple[DeliverySegment, ...]:
+        _check_plan_size(self.orbits)
         return tuple(DeliverySegment((orb.phase, sid), orb.fraction,
                                      tuple(itertools.chain.from_iterable(map(orb.units, held))))
                      for orb in self.orbits.orbits for sid, held in orb.segments())
@@ -485,6 +511,7 @@ class SchemePlan:
     @cached_property
     def placement(self) -> dict[int, tuple[Atom, ...]]:
         po = self.orbits
+        _check_plan_size(po)
         if po.families:
             return _placed(po.families, [r for c in po.classes for r in c])
         return dict(po.atoms)
@@ -719,25 +746,6 @@ def _check_rate(rate: float, what: str) -> None:
     if rate <= 0.0:
         raise InvalidParameter(
             f"{what} is nonpositive ({rate}); eps too large for this scenario"
-        )
-
-
-#: Largest plan a subset builder accepts, in units plus atom references
-#: (atoms summed over placements) of its explicit form, both counted from
-#: binomials before anything is built.  A build formats no label, and
-#: ``verify`` and ``simulate`` expand no plan (verify reads a piggyback
-#: scheme's phase-3 A family by count), but reading a plan's schedule or
-#: placement does; the cap still refuses such a plan at build.  fig5
-#: piggyback-allkeys at t=4 (68,809 + 361,960) fits; fig5 piggyback-one at
-#: t=10 (2.2M units) does not.
-MAX_PLAN_SIZE = 10**6
-
-
-def _check_plan_size(units: int, atom_refs: int) -> None:
-    if units + atom_refs > MAX_PLAN_SIZE:
-        raise InvalidParameter(
-            f"plan of {units} units and {atom_refs} atom references exceeds "
-            f"the cap of {MAX_PLAN_SIZE}"
         )
 
 
@@ -977,41 +985,36 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     beta1, beta2, beta3, RA, RB = _piggyback_split(s, t, dz, eps)
     dw, ds = s.delta_w, s.delta_s
     Kw, Ks, D = s.K_w, s.K_s, s.D
-    # units: phase-1 XORs, row + K_s columns per B-subset, phase 3; atom
-    # references: members of A, B, K1, K2, of each K3 key (t + 1) and of K4
-    _check_plan_size(
-        comb(Kw, t + 1) + comb(Kw, t) * (1 + Ks) + Ks,
-        (t - 1) * comb(Kw, t - 1) + 2 * t * comb(Kw, t) + (t + 1) * comb(Kw, t + 1)
-        + ((t + 1) * Ks * comb(Kw, t) + Ks if keyed else 0),
-    )
-    mzw = min(1 - s.delta_z, 1 - dw)
-    rA = RA / comb(Kw, t - 1)
-    rB = RB / comb(Kw, t)
-    RK1 = beta1 * mzw / comb(Kw, t + 1)
-    RK2 = beta2 * mzw / comb(Kw, t)
-    # the strong receivers' phase-2 excess over the eavesdropper, per row
-    excess = beta2 * min(pos(dw - s.delta_z), dw - ds)
-    lam3 = beta3 / Ks
-
     weak = tuple(s.weak_ids)
     strong = tuple(s.strong_ids)
     A = Family("A", (weak, t - 1))
     B = Family("B", (weak, t))
     K1 = Family("K1", (weak, t + 1))
     K2 = Family("K2", (weak, t))
-    # K3[j,G] per weak subset G, strong receiver by strong receiver
-    K3 = Family("K3", (strong, 1), (weak, t), outer_last=True)
     K4 = Family("K4", (strong, 1))
+    mzw = min(1 - s.delta_z, 1 - dw)
+    rA = RA / len(A)
+    rB = RB / len(B)
+    RK1 = beta1 * mzw / len(K1)
+    RK2 = beta2 * mzw / len(K2)
+    # the strong receivers' phase-2 excess over the eavesdropper, per row
+    excess = beta2 * min(pos(dw - s.delta_z), dw - ds)
+    lam3 = beta3 / Ks
+
     if keyed:
         name, point_label = "piggyback-allkeys", f"all:piggyback-keys[t={t}]"
+        # K3[j,G] per weak subset G, strong receiver by strong receiver
+        K3 = Family("K3", (strong, 1), (weak, t), outer_last=True)
         Rbin = bin3 = 0.0
-        RK3 = excess / (Ks * comb(Kw, t))
+        RK3 = excess / len(K3)
         RK4 = beta3 * min(1 - s.delta_z, 1 - ds) / Ks
-    else:
+        heads = [(j,) for j in strong]
+    else:  # no K3 key is built or read
         name, point_label = "piggyback-one", f"piggyback-one[t={t}]"
-        Rbin = excess / comb(Kw, t)
+        Rbin = excess / len(B)
         bin3 = lam3 * (1 - s.delta_z)
         RK3 = RK4 = 0.0
+        K3, heads = None, []
 
     A_run = Run.over("file_part", rA, A)
     B_run = Run.over("file_part", rB, B)
@@ -1030,7 +1033,6 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     xor_load = dict.fromkeys(weak, rB)
     column_load = dict.fromkeys(strong, rB)
     row_intended = frozenset(strong)
-    heads = [(j,) for j in strong] if keyed else []
 
     def xor(H):
         return (_xor_unit(H, B.label, rB, K1.label[H], xor_load),)
@@ -1080,7 +1082,7 @@ def _build_piggyback(s: ChannelScenario, t: int, eps: float, keyed: bool) -> Sch
     orbits = []
     if beta1 > 0 and rB > 0:
         orbits.append(Orbit(1, beta1, K1, xor, one_segment=True))
-    orbits.append(Orbit(2, beta2 / comb(Kw, t), B, period))
+    orbits.append(Orbit(2, beta2 / len(B), B, period))
     orbits.append(Orbit(3, lam3, tuple(strong), remainder))
 
     M_w_claim = (
@@ -1209,22 +1211,6 @@ def build_symmetric_piggyback(
         Ks * (t_w + 1) * (t_s + 1) * (1 - dw) ** 2 * (1 - ds) / den,
         eps,
     )
-    # units: the XORs of each class, a row and a column per pair; atom
-    # references: members of A, Kw1, B and Ks1, and four keys per pair
-    _check_plan_size(
-        comb(Kw, t_w + 1) + 2 * Kw * Ks + comb(Ks, t_s + 1),
-        t_w * comb(Kw, t_w) + (t_w + 1) * comb(Kw, t_w + 1)
-        + t_s * comb(Ks, t_s) + (t_s + 1) * comb(Ks, t_s + 1) + 4 * Kw * Ks,
-    )
-    a = RA / comb(Kw, t_w)      # subset part, weak side
-    ar = RA / Kw                # receiver part, strong deliveries
-    b = RB / comb(Ks, t_s)      # subset part, strong side
-    br = RB / Ks                # receiver part, weak deliveries
-    RK1 = beta1 * mzw / comb(Kw, t_w + 1) if t_w < Kw else 0.0
-    RK2 = beta3 * mzs / comb(Ks, t_s + 1) if t_s < Ks else 0.0
-    RK3 = beta2 * mzw / (Kw * Ks)
-    RK4 = beta2 * min(pos(dw - dz), 1 - ds) / (Kw * Ks)
-
     weak = tuple(s.weak_ids)
     strong = tuple(s.strong_ids)
     A = Family("A", (weak, t_w))
@@ -1235,6 +1221,14 @@ def build_symmetric_piggyback(
     Ks_pair = Family("Ks", (weak, 1), (strong, 1))
     Ar = Family("Ar", (weak, 1))
     Br = Family("Br", (strong, 1))
+    a = RA / len(A)             # subset part, weak side
+    ar = RA / Kw                # receiver part, strong deliveries
+    b = RB / len(B)             # subset part, strong side
+    br = RB / Ks                # receiver part, weak deliveries
+    RK1 = beta1 * mzw / len(Kw1) if t_w < Kw else 0.0
+    RK2 = beta3 * mzs / len(Ks1) if t_s < Ks else 0.0
+    RK3 = beta2 * mzw / len(Kw_pair)
+    RK4 = beta2 * min(pos(dw - dz), 1 - ds) / len(Ks_pair)
 
     A_run = Run.over("file_part", a, A)
     B_run = Run.over("file_part", b, B)
@@ -1264,12 +1258,10 @@ def build_symmetric_piggyback(
 
     orbits = []
     if beta1 > 0:
-        orbits.append(Orbit(1, beta1 / comb(Kw, t_w + 1), Kw1,
-                            xor(A, a, Kw1)))
-    orbits.append(Orbit(2, beta2 / (Kw * Ks), Kw_pair, pair))
+        orbits.append(Orbit(1, beta1 / len(Kw1), Kw1, xor(A, a, Kw1)))
+    orbits.append(Orbit(2, beta2 / len(Kw_pair), Kw_pair, pair))
     if beta3 > 0:
-        orbits.append(Orbit(3, beta3 / comb(Ks, t_s + 1), Ks1,
-                            xor(B, b, Ks1)))
+        orbits.append(Orbit(3, beta3 / len(Ks1), Ks1, xor(B, b, Ks1)))
 
     parts_weak = (A_run, Run.over("file_part", br, Br))
     parts_strong = (Run.over("file_part", ar, Ar), B_run)

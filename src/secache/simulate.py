@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ChannelScenario
-from .schemes import SchemePlan, _Holders, _ids, _lbl, _symmetry, peel_rule
+from .schemes import SchemePlan, _Holders, _check_plan_size, _ids, _lbl, _symmetry, peel_rule
 
 GENERATOR_NAME = "philox4x64"
 
@@ -326,7 +326,8 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     length and members from its orbit (:meth:`secache.schemes.Orbit.segments`),
     its units from ``orb.units(member)`` or, where the plan carries the
     class symmetry (:func:`secache.schemes._symmetry`, read once), every
-    member of an orbit stamped from its first member's walk.
+    member of an orbit stamped from its first member's walk, once the
+    plan's size is checked (:func:`secache.schemes._check_plan_size`).
 
     Each loaded receiver's cumulative MDS threshold grows unit by unit
     (units decode in schedule order, driven by the receiver's own load);
@@ -363,6 +364,7 @@ def _compile(plan: SchemePlan, s: ChannelScenario, n: int) -> _Compiled:
     po = plan.orbits
     K = s.K
     firsts, blocks, _ = _symmetry(plan)
+    _check_plan_size(po, firsts)
     placed = _Holders(po.atoms, po.families)
     # with the symmetry, the message parts are the part runs' families
     families = [] if not blocks else list({id(run.labels): run.labels for runs in {
@@ -593,7 +595,8 @@ def run_monte_carlo(
     probability) when they fall into at most ``_MAX_RUNS`` runs, and one
     array call otherwise.  Trials are drawn and tested a block at a time,
     so memory stays flat in ``cfg.trials``.  Raises :class:`ConfigError`
-    when demands x trials exceeds ``MAX_SIM_PAIRS``.
+    when demands x trials exceeds ``MAX_SIM_PAIRS``; the compile refuses a
+    plan above ``schemes.MAX_PLAN_SIZE``.
     """
     n_demands, demands = _demands(s, cfg.demand_policy, cfg.seed)
     if n_demands * cfg.trials > MAX_SIM_PAIRS:

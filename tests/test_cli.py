@@ -425,14 +425,50 @@ def test_grid_step_below_float_resolution_terminates():
     ["--scheme", "symmetric-piggyback", "--tw", "10", "--ts", "5"],  # 3.7M atom references
 ])
 def test_plan_size_cap_is_bad_input(params, capsys):
+    # verify reads the plan by its orbits and accepts it; simulate would
+    # expand it, and refuses it from the orbits' count before compiling
+    assert main(["verify", "--preset", "fig5", *params]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if c["passed"]] == [
+        "RATE", "DECODE", "SECRECY", "CACHE"]
     start = time.perf_counter()
-    rc = main(["verify", "--preset", "fig5", *params])
+    rc = main(["simulate", "--preset", "fig5", "--n", "2000", *params])
     elapsed = time.perf_counter() - start
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the cap" in captured.err
-    assert elapsed < 1.0  # refused from binomials, before any allocation
+    assert elapsed < 1.0
+
+
+HUGE = {"K_w": 2000, "K_s": 3, "delta_w": 0.7, "delta_s": 0.2, "delta_z": 0.8, "D": 2010}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--n", "2000"]])
+@pytest.mark.parametrize("scenario,params", [
+    (HUGE, ["--scheme", "piggyback-one", "--t", "1000"]),
+    (HUGE, ["--scheme", "piggyback-allkeys", "--t", "1000"]),
+    (HUGE, ["--scheme", "symmetric-piggyback", "--tw", "1000", "--ts", "2"]),
+    # C(70, 35) > 2^63: no such family's len() would fit an index
+    ({**HUGE, "K_w": 70, "D": 80}, ["--scheme", "piggyback-one", "--t", "35"]),
+    ({**HUGE, "K_w": 70, "D": 80}, ["--scheme", "symmetric-piggyback", "--tw", "35", "--ts", "2"]),
+    # C(20000, 9999) has over 4,300 digits, more than str() converts
+    ({**HUGE, "K_w": 20000, "D": 20010}, ["--scheme", "piggyback-one", "--t", "10000"]),
+], ids=["piggyback-one", "piggyback-allkeys", "symmetric-piggyback",
+        "piggyback-one-Kw70", "symmetric-piggyback-Kw70", "piggyback-one-Kw20000"])
+def test_huge_subset_plans_are_refused(tmp_path, capsys, command, scenario, params):
+    # Label families of C(2000, 1000) or C(70, 35) labels are refused at
+    # build, before any rate is divided by their size: exit 2, no traceback.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    rc = main([*command, "--scenario", str(path), *params])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("trials,demands", [

@@ -51,7 +51,7 @@ SUBSET = ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback")
 
 def _plans(s: ChannelScenario, eps: float, names=tuple(BUILDERS), ts=None):
     """(case id, plan) for each builder of ``names`` at each index of
-    ``ts`` (every valid index when None) that builds."""
+    ``ts`` (every valid index when None) that builds and can be expanded."""
     for name in names:
         build = BUILDERS[name]
         if name in ("piggyback-one", "piggyback-allkeys"):
@@ -62,9 +62,11 @@ def _plans(s: ChannelScenario, eps: float, names=tuple(BUILDERS), ts=None):
             args = [()]
         for arg in args:
             try:
-                yield f"{name}{arg}", build(s, *arg, eps)
+                plan = build(s, *arg, eps)
+                schemes._check_plan_size(plan.orbits)  # the oracles expand it
             except DOCUMENTED:
-                pass
+                continue
+            yield f"{name}{arg}", plan
 
 
 def _preset_plans(preset: str):
@@ -290,25 +292,36 @@ def test_verify_work_does_not_grow_with_the_strong_family(fig3, monkeypatch, t_w
                 assert sum(map(len, _CountedFamily.made)) > 100 * formatted, (build.__name__, t)
 
 
-def test_piggyback_plans_verify_past_the_size_cap(monkeypatch):
-    # fig5 piggyback-one(9) and piggyback-allkeys(9): their explicit plans
-    # exceed the size cap (C(20, 10) XORs, 11 C(20, 9) period units) and
-    # each phase-3 unit concatenates C(20, 8) = 125,970 A-parts.  With the
-    # cap lifted, build plus verify reads every family by count, and all
-    # four checks pass.
+def test_piggyback_plans_verify_past_the_size_cap():
+    # fig5 piggyback-one at t = 9 and 10, piggyback-allkeys at t = 13 and
+    # symmetric-piggyback at (10, 5): their explicit plans exceed the size
+    # cap (C(20, t + 1) XORs, 11 C(20, t) period units, (t - 1) C(20, t - 1)
+    # A-part references; 3.7M atom references), and each piggyback phase-3
+    # unit concatenates C(20, t - 1) A-parts, up to C(20, 9) = 167,960.
+    # Build plus verify reads every family by count, and all four checks
+    # pass; expanding the plan is refused.
     s = ChannelScenario(**PRESETS["fig5"])
-    assert comb(20, 10) + 11 * comb(20, 9) + s.K_s > schemes.MAX_PLAN_SIZE
-    monkeypatch.setattr(schemes, "MAX_PLAN_SIZE", 10**9)
-    for build in (build_piggyback_one, build_piggyback_allkeys):
+    for t in (9, 10, 13):
+        assert comb(20, t + 1) + 11 * comb(20, t) + (t - 1) * comb(20, t - 1) > schemes.MAX_PLAN_SIZE
+    cases = [(build_piggyback_one, (9,)), (build_piggyback_one, (10,)),
+             (build_piggyback_allkeys, (13,)), (build_symmetric_piggyback, (10, 5))]
+    for build, index in cases:
         tracemalloc.start()
         try:
-            report = verify_plan(build(s, 9, 1e-4), s)
+            plan = build(s, *index, 1e-4)
+            report = verify_plan(plan, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [c.name for c in report.checks if c.passed] == [
-            "RATE", "DECODE", "SECRECY", "CACHE"], (build.__name__, report.to_json())
-        assert peak < 4 * 2**20, (build.__name__, peak)
+            "RATE", "DECODE", "SECRECY", "CACHE"], (build.__name__, index, report.to_json())
+        assert peak < 4 * 2**20, (build.__name__, index, peak)
+        with pytest.raises(InvalidParameter, match="exceeds the cap"):
+            plan.schedule
+    # piggyback-allkeys at t = 9 keys each (strong receiver, weak 9-subset):
+    # its K3 family of 10 C(20, 9) labels is refused at build
+    with pytest.raises(InvalidParameter, match="family K3 exceeds the cap"):
+        build_piggyback_allkeys(s, 9, 1e-4)
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig5"])

@@ -13,9 +13,8 @@ immutable; neither ``verify`` nor ``simulate`` may expand a subset plan;
 ``simulate`` builds the units of only the first member of an orbit,
 unless that member reads an id the stamp cannot rename or, in a
 one-segment orbit, loads a class the orbit moves in part (a parts list
-that names a label twice is stamped like any other); and the size cap a
-subset builder applies before building must count at least its expanded
-plan.
+that names a label twice is stamped like any other); and the size cap
+checked where a plan is expanded must count its expanded plan exactly.
 """
 
 from __future__ import annotations
@@ -105,38 +104,21 @@ def test_subset_builders_give_orbit_plans(fig3):
 SUBSET_BUILDERS = ("piggyback-one", "piggyback-allkeys", "symmetric-piggyback")
 
 
-def _counted_and_expanded(build):
-    """The ``(units, atom references)`` a subset builder passes to the
-    plan-size cap, and those of its expanded plan; None when it refuses."""
-    counted = []
-    check = schemes._check_plan_size
-
-    def record(units, atom_refs):
-        counted.append((units, atom_refs))
-        check(units, atom_refs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schemes, "_check_plan_size", record)
-        try:
-            plan = build()
-        except DOCUMENTED:
-            return None
-    units = sum(len(seg.units) for seg in plan.schedule)
-    atom_refs = sum(len(atoms) for atoms in plan.placement.values())
-    (count,) = counted
-    return count, (units, atom_refs)
+def _expanded_size(plan):
+    """The (units, atom references) of the expanded plan."""
+    return (sum(len(seg.units) for seg in plan.schedule),
+            sum(len(atoms) for atoms in plan.placement.values()))
 
 
 @settings(max_examples=100)
 @given(scenarios(max_k=5))
-def test_plan_size_cap_counts_at_least_the_expanded_plan(s):
+def test_plan_size_cap_counts_every_builder_plan_exactly(s):
     for case_id, build in _builds(s, 1e-4):
-        if case_id.split("(")[0] not in SUBSET_BUILDERS:
+        try:
+            plan = build()
+        except DOCUMENTED:
             continue
-        got = _counted_and_expanded(build)
-        if got is not None:
-            (units, atom_refs), expanded = got
-            assert sum(expanded) <= units + atom_refs, case_id
+        assert schemes._check_plan_size(plan.orbits) == _expanded_size(plan), case_id
 
 
 @pytest.mark.parametrize("build", [
@@ -145,8 +127,8 @@ def test_plan_size_cap_counts_at_least_the_expanded_plan(s):
     lambda s: build_symmetric_piggyback(s, 2, 2, 1e-4),
 ], ids=["piggyback-one(2)", "piggyback-allkeys(2)", "symmetric-piggyback(2,2)"])
 def test_plan_size_cap_counts_the_expanded_plan_exactly(fig3, build):
-    count, expanded = _counted_and_expanded(lambda: build(fig3))
-    assert count == expanded
+    plan = build(fig3)
+    assert schemes._check_plan_size(plan.orbits) == _expanded_size(plan)
 
 
 def _drop_key(plan, receiver):
